@@ -4,12 +4,14 @@ If some strategy achieved cost at most M, its control outputs and final
 signals would be uniformly bounded: |c1| <= M_X = sqrt(M / (k * p_x_min)) and
 |z| <= M_Z = sqrt(M / p_z_min), with the minimum probabilities independent of
 the scale t.  Since c1 tables are integer-valued, every such strategy lies in
-the window floor(M_X); an exhaustive in-window search whose minimum exceeds M
+the window floor(M_X); an exact in-window search whose minimum exceeds M
 therefore rules out every deterministic strategy, and finite mixtures with
-them.  The certificate emitted here records exactly that chain, and also runs
-the reduction that powers it: any strategy whose decoder estimate -c2(s)/t
-always lands within 1/2 of the sent message would be a q-message zero-error
-code, which the channel cannot support.
+them.  The search is a branch and bound over c1 prefixes that prunes a prefix
+only when its exact partial cost, a lower bound on every completion, strictly
+exceeds the best complete table so far.  The certificate emitted here records
+exactly that chain, and also runs the reduction that powers it: any strategy
+whose decoder estimate -c2(s)/t always lands within 1/2 of the sent message
+would be a q-message zero-error code, which the channel cannot support.
 """
 
 from __future__ import annotations
@@ -231,8 +233,9 @@ def certify_separation(
 ) -> SeparationCertificate:
     """Run the full certificate pipeline at a scale justified by the bounds.
 
-    Picks t at the threshold suggested by the bound set, searches every
-    in-window c1 table, and certifies when the exhaustive minimum exceeds M:
+    Picks t at the threshold suggested by the bound set, finds the exact
+    minimum over every in-window c1 table by branch and bound, and certifies
+    when that minimum exceeds M:
     (a) the entangled strategy costs at most M, (b) any strategy of cost at
     most M is in-window, (c) no in-window strategy reaches cost M, and (d)
     finite mixtures cannot beat their best component.  A budget-truncated
@@ -315,8 +318,10 @@ def certify_separation(
         f"(b) any deterministic strategy with cost <= {m_bound} satisfies "
         f"|c1| <= M_X = sqrt({bounds.m_x_sq}) < {w_required + 1}, hence lies "
         f"in the window [{-w}, {w}]",
-        f"(c) the exhaustive scan of all {(2 * w + 1) ** len(inst.support())} "
-        f"in-window c1 tables (optimal c2 per table) has minimum "
+        f"(c) the branch-and-bound search over all "
+        f"{(2 * w + 1) ** len(inst.support())} in-window c1 tables (optimal c2 "
+        f"per table), pruning only prefixes whose exact partial cost already "
+        f"exceeds the incumbent, has minimum "
         f"{search.cost} {'>' if search.cost > m_bound else '<='} {m_bound}",
         "(d) a finite shared-randomness mixture is a convex combination of "
         "deterministic strategies, so it cannot go below the deterministic "

@@ -2,10 +2,10 @@
 
 Subcommands map one-to-one onto the library surface: verify-ks, channel-info,
 quantum-run, classical-search, certify, and sweep.  All output is
-deterministic (identical inputs give byte-identical artifacts, independent of
-worker count).  Exit codes: 0 success/certified, 1 check failure or
-not-certified, 2 usage error, 3 budget-truncated (inconclusive), 4 vacuous
-cost bound.
+deterministic (identical inputs give byte-identical artifacts; --workers is
+accepted and changes neither the work nor the output).  Exit codes:
+0 success/certified, 1 check failure or not-certified, 2 usage error,
+3 budget-truncated (inconclusive), 4 vacuous cost bound.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ EXIT_INCONCLUSIVE = 3
 EXIT_VACUOUS = 4
 
 
+class UsageError(Exception):
+    """A well-formed argument that the loaded basis set cannot take."""
+
+
 def _frac(x: Fraction) -> str:
     body = f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
     return f"{body} ({decimal_str(x)})"
@@ -47,6 +51,18 @@ def _load_set(path: Optional[str]):
     if path is None:
         return bundled_basis_set()
     return load_basis_set(path)
+
+
+def _check_args(ks, scales=(), budget=None) -> None:
+    """Reject well-formed arguments that the loaded basis set cannot take."""
+    for t in scales:
+        if t < ks.d:
+            raise UsageError(f"--t {t} is below the dimension d = {ks.d}")
+    if budget is not None and budget < ks.q:
+        raise UsageError(
+            f"--budget {budget} is below the {ks.q} prefixes of one complete "
+            f"c1 table"
+        )
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -106,6 +122,7 @@ def _cmd_channel_info(args) -> int:
 
 def _cmd_quantum_run(args) -> int:
     ks = _load_set(args.ks_set)
+    _check_args(ks, [args.t])
     inst = make_instance(ks, args.t, args.k)
     report = evaluate_quantum(inst)
     data = cost_report_to_json_dict(report)
@@ -130,6 +147,7 @@ def _cmd_classical_search(args) -> int:
     import json as _json
 
     ks = _load_set(args.ks_set)
+    _check_args(ks, [args.t], args.budget)
     inst = make_instance(ks, args.t, args.k)
     result = search_deterministic(
         inst, args.window, workers=args.workers, node_budget=args.budget
@@ -151,6 +169,7 @@ def _cmd_classical_search(args) -> int:
 
 def _cmd_certify(args) -> int:
     ks = _load_set(args.ks_set)
+    _check_args(ks, budget=args.budget)
     cert = certify_separation(
         ks,
         args.k,
@@ -174,6 +193,7 @@ SWEEP_COLUMNS = "t,quantum_cost,classical_best,window,M_X,M_Z,t0,certified"
 
 def _cmd_sweep(args) -> int:
     ks = _load_set(args.ks_set)
+    _check_args(ks, args.t_list, args.budget)
     ch = build_ks_channel(ks)
     rows = [SWEEP_COLUMNS]
     all_complete = True
@@ -211,11 +231,24 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if all_complete else EXIT_INCONCLUSIVE
 
 
-def _fraction_arg(raw: str) -> Fraction:
+def _positive_fraction_arg(raw: str) -> Fraction:
     try:
-        return Fraction(raw)
+        value = Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {raw!r}") from exc
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {raw!r}")
+    return value
+
+
+def _int_arg(minimum: int):
+    def integer(raw: str) -> int:
+        value = int(raw)  # argparse reports a ValueError as an invalid integer
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}: {raw!r}")
+        return value
+
+    return integer
 
 
 def _t_list_arg(raw: str) -> List[int]:
@@ -243,18 +276,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--t", type=int, required=True, help="encoder scale")
         if k:
             p.add_argument(
-                "--k", type=_fraction_arg, default=Fraction(1),
+                "--k", type=_positive_fraction_arg, default=Fraction(1),
                 help="action price (rational, default 1)",
             )
         if window:
             p.add_argument(
-                "--window", type=int, required=True, help="c1 search window W"
+                "--window", type=_int_arg(0), required=True,
+                help="c1 search window W",
             )
         if search:
-            p.add_argument("--workers", type=int, default=1, help="worker count")
             p.add_argument(
-                "--budget", type=int, default=None,
-                help="max candidates to evaluate (truncation is inconclusive)",
+                "--workers", type=_int_arg(1), default=1,
+                help="accepted for compatibility; changes neither work nor output",
+            )
+            p.add_argument(
+                "--budget", type=_int_arg(1), default=None,
+                help="max c1 prefixes to score (truncation is inconclusive)",
             )
 
     p = sub.add_parser("verify-ks", help="validate the basis set and its property")
@@ -269,18 +306,21 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, t=True, k=True)
     p.set_defaults(func=_cmd_quantum_run)
 
-    p = sub.add_parser("classical-search", help="exhaustive in-window search at one t")
+    p = sub.add_parser(
+        "classical-search",
+        help="exact in-window minimum at one t, by branch and bound",
+    )
     common(p, t=True, k=True, window=True, search=True)
     p.set_defaults(func=_cmd_classical_search)
 
     p = sub.add_parser("certify", help="emit a separation certificate")
     common(p, k=True, search=True)
     p.add_argument(
-        "--bound", type=_fraction_arg, required=True, metavar="M",
+        "--bound", type=_positive_fraction_arg, required=True, metavar="M",
         help="cost bound M to separate against (rational)",
     )
     p.add_argument(
-        "--window", type=int, default=None,
+        "--window", type=_int_arg(0), default=None,
         help="override the default search window ceil(M_X)",
     )
     p.set_defaults(func=_cmd_certify)
@@ -304,6 +344,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

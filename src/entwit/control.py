@@ -11,21 +11,16 @@ classes are covered: deterministic tables, finite shared-randomness mixtures
 of deterministic tables, and the entangled strategy whose second term
 vanishes identically.
 
-The deterministic search enumerates every c1 table with entries in a window
-[-W, W]; the quadratic second term is minimized per channel output in closed
-form (nearest integer to the negated posterior mean), so c2 never has to be
-enumerated.  The scan runs on exact integer arithmetic scaled by a common
-denominator, prunes on the control term alone, and ties break toward the
-lexicographically smallest c1 table so results are identical across worker
-counts.
+The deterministic search is an exact branch and bound over c1 tables with
+entries in a window [-W, W], pruning on the exact cost of c1 prefixes; c2 is
+minimized per channel output in closed form (nearest integer to the negated
+posterior mean), so it never has to be enumerated.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -265,7 +260,10 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
         max_abs_z=0,
     )
     bound = inst.k * inst.d * inst.d
-    assert report.total < bound, f"entangled cost {report.total} not below {bound}"
+    if not report.total < bound:
+        raise QuantumDecodeError(
+            f"entangled cost {report.total} not below k*d^2 = {bound}", witness=()
+        )
     return report
 
 
@@ -286,11 +284,18 @@ def posterior_moments(inst: WitsenhausenInstance, c1: dict) -> dict:
     Returns {s: (mass, sum p*y, sum p*y^2)} over outputs with positive
     probability under the given c1 table.
     """
-    moments: Dict[ChannelOutput, Tuple[Fraction, Fraction, Fraction]] = {}
+    wires = []
     for m, x in inst.support():
         if x not in c1:
             raise ValueError(f"c1 table is not defined on supported input {x}")
-        y = x + c1[x]
+        wires.append((m, x + c1[x]))
+    return _wire_moments(inst, wires)
+
+
+def _wire_moments(inst: WitsenhausenInstance, wires) -> dict:
+    """posterior_moments over the given (message, wire value) pairs only."""
+    moments: Dict[ChannelOutput, Tuple[Fraction, Fraction, Fraction]] = {}
+    for m, y in wires:
         px = inst.p_m[m]
         for s, p_out in inst.nt.output_distribution(y).items():
             w = px * p_out
@@ -315,16 +320,20 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
     return table
 
 
-# -- exhaustive deterministic search ----------------------------------------
+# -- deterministic search ---------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SearchResult:
     strategy: DeterministicStrategy
     cost: Fraction
-    complete: bool  # exhaustive scan finished within the node budget
-    candidates_evaluated: int
+    complete: bool  # the search finished within the node budget
+    candidates_evaluated: int  # c1 prefixes scored
     window: int
+
+
+class SearchMismatchError(AssertionError):
+    """The search's cost for its winner differs from the exact re-evaluation."""
 
 
 def _exact_int(x: Fraction) -> int:
@@ -340,14 +349,14 @@ def _q_min(a: int, b: int, c: int) -> int:
 
 
 class _FastEvaluator:
-    """Scaled-integer candidate costs for regular pair-output channels.
+    """Scaled-integer costs of c1 prefixes for regular pair-output channels.
 
     Requires every input's outputs to be pairs of inputs shared with exactly
     the partner input, all degrees equal, and the input grid complete; the
     bundled construction satisfies all three.  Costs are returned as exact
     integers: true cost times the fixed common denominator ``scale_den``.
 
-    Cost decomposition per candidate (v_m per supported message): messages
+    Cost decomposition per prefix (v_m per assigned message): messages
     whose shifted wire value decomposes as (a, b) put weight on the edges at
     that vertex; all others spread uniformly over every edge.  Grouping edges
     by their contributor profile (one owner / an adjacent owner pair / none)
@@ -377,7 +386,6 @@ class _FastEvaluator:
         self.edge_count = sum(bin(m).count("1") for m in self.adj) // 2
 
         support = inst.support()
-        self.support = support
         self.window = window
         big_l = lcm(*[inst.p_m[m].denominator for m, _ in support])
         k_den = inst.k.denominator
@@ -420,16 +428,14 @@ class _FastEvaluator:
     def to_fraction(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale_den)
 
-    def eval_scaled(self, values: Sequence[int], prune_above=None):
-        """Scaled cost of one c1 candidate, or None if the control term alone
-        already exceeds ``prune_above`` (damping is nonnegative)."""
+    def eval_scaled(self, values: Sequence[int]) -> int:
+        """Scaled cost of the c1 prefix giving the first len(values) supported
+        messages these values; the unassigned messages contribute nothing."""
         w = self.window
         ctrl = 0
         ctrl_tab = self.ctrl_tab
         for mi in range(len(values)):
             ctrl += ctrl_tab[mi][values[mi] + w]
-        if prune_above is not None and ctrl > prune_above:
-            return None
 
         owners: List[list] = []
         seen: Dict[int, int] = {}
@@ -473,81 +479,33 @@ class _FastEvaluator:
             damp += rest * _q_min(oa, ob, oc)
         return ctrl + damp * self.damp_unit
 
-    def scan(
-        self,
-        first_values: Sequence[int],
-        incumbent: tuple,
-        budget: Optional[int],
-    ) -> tuple:
-        """Scan all candidates whose first coordinate lies in ``first_values``.
-
-        ``incumbent`` is (cost_scaled or None, values or None); only strictly
-        better costs, or equal costs with lexicographically smaller value
-        tuples, replace it.  Returns (best, best_values, evaluated, truncated).
-        """
-        w = self.window
-        n = len(self.support)
-        best_cost, best_vals = incumbent
-        evaluated = 0
-        truncated = False
-        rest_ranges = [range(-w, w + 1)] * (n - 1)
-        for v0 in first_values:
-            if truncated:
-                break
-            for rest in product(*rest_ranges):
-                if budget is not None and evaluated >= budget:
-                    truncated = True
-                    break
-                values = (v0, *rest)
-                cost = self.eval_scaled(values, prune_above=best_cost)
-                if cost is None:
-                    continue
-                evaluated += 1
-                if (
-                    best_cost is None
-                    or cost < best_cost
-                    or (cost == best_cost and (best_vals is None or values < best_vals))
-                ):
-                    best_cost, best_vals = cost, values
-        return best_cost, best_vals, evaluated, truncated
-
 
 class _GenericEvaluator:
-    """Fallback candidate costs straight from the posterior moments.
+    """Fallback prefix costs straight from the posterior moments.
 
     Used when the channel lacks the regular pair structure; exact Fractions
-    throughout, with the same pruning and tie semantics as the fast path.
+    throughout, over the assigned messages only, like the fast path.
     """
 
-    def __init__(self, inst: WitsenhausenInstance, window: int):
+    def __init__(self, inst: WitsenhausenInstance):
         self.inst = inst
-        self.window = window
         self.support = inst.support()
 
     def to_fraction(self, cost: Fraction) -> Fraction:
         return cost
 
-    def eval_scaled(self, values: Sequence[int], prune_above=None):
+    def eval_scaled(self, values: Sequence[int]) -> Fraction:
         inst = self.inst
-        ctrl = Fraction(0)
-        for (m, _x), v in zip(self.support, values):
-            ctrl += inst.p_m[m] * inst.k * v * v
-        if prune_above is not None and ctrl > prune_above:
-            return None
-        c1 = {x: v for (_m, x), v in zip(self.support, values)}
-        cost = ctrl
-        for _s, (mass, ysum, ysq) in posterior_moments(inst, c1).items():
+        assigned = list(zip(self.support, values))
+        cost = Fraction(0)
+        for (m, _x), v in assigned:
+            cost += inst.p_m[m] * inst.k * v * v
+        wires = [(m, x + v) for (m, x), v in assigned]
+        for mass, ysum, ysq in _wire_moments(inst, wires).values():
             mean = ysum / mass
             v = _round_half_even_ratio(-mean.numerator, mean.denominator)
             cost += mass * v * v + 2 * ysum * v + ysq
         return cost
-
-    scan = _FastEvaluator.scan
-
-
-def _scan_worker(payload):
-    evaluator, first_values, incumbent, budget = payload
-    return evaluator.scan(first_values, incumbent, budget)
 
 
 def search_deterministic(
@@ -556,89 +514,77 @@ def search_deterministic(
     workers: int = 1,
     node_budget: Optional[int] = None,
 ) -> SearchResult:
-    """Exhaustive scan over c1 tables with entries in [-window, window].
+    """Exact minimum over c1 tables with entries in [-window, window], each
+    paired with its optimal c2, by depth-first branch and bound.
 
-    Each candidate c1 is implicitly paired with its optimal c2, so the
-    minimum over the (2W+1)^q scan is the exact minimum cost over all
-    strategies whose c1 stays in-window.  The scan seeds its incumbent from
-    the all-in-form corner of the space, prunes candidates whose control term
-    alone exceeds the incumbent, and re-checks the winner through the generic
-    branch evaluator before returning.  If the node budget runs out the
-    result is flagged incomplete and must never certify anything.
+    Supported messages are assigned in order, values tried in (|v|, v) order.
+    The exact cost of a prefix bounds every completion from below: the control
+    term is a sum over messages, and each output's damping term is a minimum
+    over integer c2 of a sum of nonnegative quadratics that a further message
+    can only add to.  A prefix is pruned only when that bound strictly exceeds
+    the incumbent, and equal-cost tables break toward the lexicographically
+    smallest, so the winner is the one a flat scan of all tables would pick.
+    It is re-checked through the generic branch evaluator.
+
+    ``candidates_evaluated`` counts the prefixes scored; if ``node_budget`` of
+    them runs out the result is incomplete and must never certify anything.
+    ``workers`` must be at least 1 and changes neither the work nor the result.
     """
     if window < 0:
         raise ValueError("window must be nonnegative")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     support = inst.support()
     if not support:
         raise ValueError("instance has empty support")
+    if node_budget is not None and node_budget < len(support):
+        # below this the search cannot finish its first dive to a full table
+        raise ValueError(
+            f"node budget {node_budget} is below the {len(support)} prefixes "
+            f"of one complete c1 table"
+        )
     try:
         evaluator = _FastEvaluator(inst, window)
     except ValueError:
-        evaluator = _GenericEvaluator(inst, window)
+        evaluator = _GenericEvaluator(inst)
 
-    evaluated = 0
-    truncated = False
+    order = sorted(range(-window, window + 1), key=lambda v: (abs(v), v))
     best_cost, best_vals = None, None
+    nodes = 0
 
-    # incumbent seed: candidates in the nonnegative in-form corner (pruning
-    # is strict on the control term, so equal-cost candidates still get
-    # evaluated by the full scan and the lexicographic tie-break stays exact)
-    seed_hi = min(window, inst.d - 1)
-    for values in product(range(seed_hi + 1), repeat=len(support)):
-        if node_budget is not None and evaluated >= node_budget:
-            truncated = True
-            break
-        evaluated += 1
-        cost = evaluator.eval_scaled(values)
-        if best_cost is None or cost < best_cost:
-            best_cost, best_vals = cost, values
-    incumbent = (best_cost, best_vals)
+    def descend(prefix: tuple) -> bool:
+        """Search every completion of ``prefix``; False once the budget is out."""
+        nonlocal best_cost, best_vals, nodes
+        for v in order:
+            if node_budget is not None and nodes >= node_budget:
+                return False
+            nodes += 1
+            values = prefix + (v,)
+            cost = evaluator.eval_scaled(values)
+            if best_cost is not None and cost > best_cost:
+                continue
+            if len(values) < len(support):
+                if not descend(values):
+                    return False
+            elif best_cost is None or cost < best_cost or values < best_vals:
+                best_cost, best_vals = cost, values
+        return True
 
-    first_values = list(range(-window, window + 1))
-    remaining = None if node_budget is None else max(node_budget - evaluated, 0)
-    if truncated:
-        chunks = []
-    elif workers <= 1 or len(first_values) == 1:
-        chunks = [first_values]
-    else:
-        n_chunks = min(workers, len(first_values))
-        chunks = [first_values[i::n_chunks] for i in range(n_chunks)]
-
-    if len(chunks) <= 1:
-        results = [evaluator.scan(chunk, incumbent, remaining) for chunk in chunks]
-    else:
-        share = None if remaining is None else max(remaining // len(chunks), 1)
-        payloads = [(evaluator, chunk, incumbent, share) for chunk in chunks]
-        with multiprocessing.Pool(processes=len(chunks)) as pool:
-            results = pool.map(_scan_worker, payloads)
-
-    for cost, vals, n_eval, was_truncated in results:
-        evaluated += n_eval
-        truncated = truncated or was_truncated
-        if vals is None:
-            continue
-        if (
-            best_cost is None
-            or cost < best_cost
-            or (cost == best_cost and (best_vals is None or vals < best_vals))
-        ):
-            best_cost, best_vals = cost, vals
-
-    if best_vals is None:
-        raise ValueError("node budget too small to evaluate even one candidate")
+    complete = descend(())
     c1 = {x: v for (_m, x), v in zip(support, best_vals)}
     strategy = DeterministicStrategy(c1=c1, c2=optimal_c2_for_c1(inst, c1))
     report = evaluate_deterministic(inst, strategy)
     expected = evaluator.to_fraction(best_cost)
-    assert report.total == expected, (
-        f"search arithmetic mismatch: scan said {expected}, "
-        f"re-evaluation said {report.total}"
-    )
+    if report.total != expected:
+        raise SearchMismatchError(
+            f"search arithmetic mismatch: search said {expected}, "
+            f"re-evaluation said {report.total}"
+        )
     return SearchResult(
         strategy=strategy,
         cost=report.total,
-        complete=not truncated,
-        candidates_evaluated=evaluated,
+        complete=complete,
+        candidates_evaluated=nodes,
         window=window,
     )
 

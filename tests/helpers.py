@@ -12,7 +12,7 @@ from entwit import (
     DeterministicStrategy,
     optimal_c2_for_c1,
 )
-from entwit.control import posterior_moments
+from entwit.control import _GenericEvaluator, posterior_moments
 
 
 def naive_ks_check(ks):
@@ -46,6 +46,24 @@ def brute_force_c2(inst, c1, lo, hi):
                 best_vals.add(c)
         tables[s] = (best_vals, best_cost)
     return tables
+
+
+def oracle_cost(inst, values):
+    """Exact cost of the c1 table with these values on the supported messages,
+    each output paired with its optimal c2, through the generic evaluator."""
+    return _GenericEvaluator(inst).eval_scaled(values)
+
+
+def flat_scan(inst, window):
+    """(minimum cost, lexicographically first minimizing c1 values) over all
+    (2W+1)^n in-window tables, by plain enumeration: no pruning, no order
+    tricks, every table scored through the generic evaluator."""
+    best_cost, best_vals = None, None
+    for values in product(range(-window, window + 1), repeat=len(inst.support())):
+        cost = oracle_cost(inst, values)
+        if best_cost is None or cost < best_cost:
+            best_cost, best_vals = cost, values
+    return best_cost, best_vals
 
 
 def random_c1(rng, inst, window, lo=None):

@@ -15,6 +15,8 @@ Claims covered:
       strategy's code fails, matching the capacity bound
     - certificates are deterministic across runs and worker counts, and the
       vacuous / window-insufficient / budget-truncated paths never certify
+    - the certificate reaches M = 10, 20, 40 at their threshold scales, with
+      each winning table's cost confirmed by the oracle evaluator
 """
 
 import math
@@ -38,7 +40,7 @@ from entwit import (
     verify_zero_error,
 )
 
-from helpers import random_c1, random_strategy
+from helpers import oracle_cost, random_c1, random_strategy
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +236,24 @@ def test_certificate_deterministic_across_runs_and_workers(bundled):
     assert a.search.strategy == b.search.strategy
     assert a.t == 39 and a.window == 4
     assert a.reduction is not None and a.reduction.status != "zero_error"
+
+
+@pytest.mark.parametrize(
+    "m_bound, t, window, minimum",
+    [
+        (10, 65, 8, Fraction(1024, 27)),
+        (20, 91, 11, Fraction(1999, 27)),
+        (40, 128, 16, Fraction(7939, 54)),
+    ],
+)
+def test_certificate_reaches_larger_bounds(
+    bundled, channel, m_bound, t, window, minimum
+):
+    cert = certify_separation(bundled, 1, m_bound)
+    assert cert.status == "certified" and cert.certified
+    assert (cert.t, cert.window) == (t, window)
+    assert cert.search.complete and cert.search.cost == minimum
+    inst = make_instance(bundled, t, 1, channel=channel)
+    values = tuple(cert.search.strategy.c1[x] for _m, x in inst.support())
+    assert all(abs(v) <= window for v in values)
+    assert oracle_cost(inst, values) == minimum

@@ -1,6 +1,10 @@
 """Command-line harness: subcommands, exit codes, deterministic artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,7 +61,7 @@ def test_quantum_run(capsys):
 
 def test_quantum_run_rejects_small_t(capsys):
     code, _out, err = run(capsys, "quantum-run", "--t", "3")
-    assert code == 1
+    assert code == 2
     assert "error:" in err
 
 
@@ -100,6 +104,14 @@ def test_certify_budget_exit_code(capsys):
     assert "status: inconclusive" in out
 
 
+def test_certify_reaches_bound_1000(capsys):
+    code, out, _ = run(capsys, "certify", "--k", "1", "--bound", "1000")
+    assert code == 0
+    assert "status: certified" in out
+    assert "t: 634" in out
+    assert "window: 78" in out
+
+
 def test_sweep_csv_contract(tmp_path, capsys):
     out1 = tmp_path / "sweep1.csv"
     out2 = tmp_path / "sweep2.csv"
@@ -129,6 +141,43 @@ def test_sweep_workers_do_not_change_bytes(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_classical_search_workers_do_not_change_bytes(tmp_path, capsys):
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.txt"
+        code, _o, _e = run(
+            capsys, "classical-search", "--t", "4", "--k", "1/1000",
+            "--window", "3", "--workers", workers, "--out", str(out),
+        )
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_search_gate_survives_optimized_mode():
+    # python -O strips assert statements; the search's re-check must still
+    # fire when its arithmetic disagrees with the exact re-evaluation
+    script = (
+        "assert False, 'assert statements are live'\n"
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from entwit import control\n"
+        "control._FastEvaluator.to_fraction = (\n"
+        "    lambda self, scaled: Fraction(scaled + 1, self.scale_den))\n"
+        "from entwit.cli import main\n"
+        "sys.exit(main(['classical-search', '--t', '10', '--window', '1']))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "SearchMismatchError" in proc.stderr
+    assert "assert statements are live" not in proc.stderr
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code, out, _ = run(capsys, "channel-info", "--out", str(target))
@@ -141,3 +190,26 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classical-search", "--t", "10"])  # missing required --window
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classical-search", "--t", "2", "--window", "1"],
+        ["classical-search", "--t", "8", "--window", "-1"],
+        ["certify", "--bound", "0"],
+        ["classical-search", "--t", "4", "--window", "1", "--workers", "0"],
+        ["classical-search", "--t", "10", "--window", "1", "--budget", "5"],
+    ],
+    ids=[
+        "t-below-d", "negative-window", "zero-bound", "zero-workers",
+        "budget-below-one-table",
+    ],
+)
+def test_invalid_arguments_exit_usage(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects at parse time
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

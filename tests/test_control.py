@@ -7,22 +7,30 @@ Claims covered:
     - mixtures evaluate to the weighted average and never beat their best
       component; 100 seeded mixtures stay at or above the searched minimum
     - the entangled strategy costs exactly 7k/2: zero final signal on all 216
-      branches, identical across t in {4, 10, 100, 10^6}, below k*d^2
+      branches, identical across t in {4, 10, 100, 10^6}, below k*d^2; a
+      strategy that breaks the k*d^2 ceiling raises QuantumDecodeError
     - the per-output c2 minimizer matches an independent linear scan,
       including its half-even tie rule
-    - the search is exhaustive (cross-checked against plain enumeration at
-      W=1), deterministic across worker counts, budget-truncatable, and its
+    - the branch-and-bound search returns the cost and the tie-broken c1
+      table of a flat scan of every in-window table (plain enumeration at
+      W=1, and on instances mixing k, t, W, skewed message distributions and
+      an irregular channel that takes the generic evaluator), is
+      deterministic across worker counts, budget-truncatable, raises
+      SearchMismatchError when its winner's re-evaluation disagrees, and its
       best in-window cost is non-decreasing in t for fixed W=4
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 from entwit import (
+    ChannelInput,
     DeterministicStrategy,
+    FiniteChannel,
+    QuantumDecodeError,
     SharedRandomnessStrategy,
     evaluate_deterministic,
     evaluate_quantum,
@@ -31,13 +39,21 @@ from entwit import (
     optimal_c2_for_c1,
     search_deterministic,
 )
+from entwit import control
 from entwit.control import (
-    _GenericEvaluator,
+    SearchMismatchError,
+    _FastEvaluator,
     strategy_from_json_dict,
     strategy_to_json_dict,
 )
 
-from helpers import brute_force_c2, random_c1, random_strategy, random_weights
+from helpers import (
+    brute_force_c2,
+    flat_scan,
+    random_c1,
+    random_strategy,
+    random_weights,
+)
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +215,31 @@ def test_quantum_cost_scales_with_k_and_beats_ceiling(bundled, channel):
     assert report.total < k * 16
 
 
+def test_quantum_ceiling_gate_raises(monkeypatch, bundled, channel):
+    # an encoder that reports outcome j + d, with a decoder that follows it:
+    # every branch still cancels to a zero final signal, but each costs
+    # (j + d)^2 >= d^2, so only the k*d^2 ceiling can catch the fault
+    inst = make_instance(bundled, 10, 1, channel=channel)
+    real_branches = control.encoder_branches
+    decoded = {}
+
+    def shifted_branches(ks, m):
+        out = []
+        for branch in real_branches(ks, m):
+            outcome = ChannelInput(m, branch.outcome.j + ks.d)
+            decoded[id(branch.residual)] = outcome
+            out.append(replace(branch, outcome=outcome))
+        return out
+
+    monkeypatch.setattr(control, "encoder_branches", shifted_branches)
+    monkeypatch.setattr(
+        control, "decoder_decode",
+        lambda ks, s, residual: (decoded[id(residual)], Fraction(1)),
+    )
+    with pytest.raises(QuantumDecodeError, match="not below"):
+        evaluate_quantum(inst)
+
+
 def test_quantum_cost_independent_of_message_distribution(bundled, channel):
     inst = make_instance(
         bundled, 10, 1,
@@ -271,15 +312,74 @@ def test_window_zero_is_the_zero_strategy(inst10):
 def test_search_matches_plain_enumeration_at_w1(inst10):
     # independent oracle: enumerate all 3^6 tables through the generic
     # fraction evaluator, tracking the lexicographically first minimum
-    gen = _GenericEvaluator(inst10, 1)
-    best_cost, best_vals = None, None
-    for values in product((-1, 0, 1), repeat=6):
-        cost = gen.eval_scaled(values)
-        if best_cost is None or cost < best_cost:
-            best_cost, best_vals = cost, values
+    best_cost, best_vals = flat_scan(inst10, 1)
     res = search_deterministic(inst10, 1)
     assert res.cost == best_cost
     assert tuple(res.strategy.c1[x] for _m, x in inst10.support()) == best_vals
+
+
+@pytest.fixture(scope="module")
+def irregular(channel):
+    # the bundled channel less one confusable pair: two inputs of degree 8
+    # among 22 of degree 9, which the integer fast path does not take
+    neighbors = {i: list(channel.neighbors(i)) for i in channel.inputs}
+    a = channel.inputs[0]
+    b = neighbors[a][0]
+    neighbors[a].remove(b)
+    neighbors[b].remove(a)
+    return FiniteChannel.from_neighbor_sets(neighbors)
+
+
+UNIFORM = None
+SKEWED4 = (Fraction(1, 2), Fraction(1, 4), 0, Fraction(1, 8), Fraction(1, 8), 0)
+SKEWED3 = (0, Fraction(1, 3), Fraction(1, 6), 0, Fraction(1, 2), 0)
+# five tables tie for the minimum at t = 4, k = 1/1000, W = 1; the first in
+# (|v|, v) visiting order, (0, 1, 0), is not the lexicographically first
+TIED3 = (0, 0, Fraction(1, 6), Fraction(1, 2), 0, Fraction(1, 3))
+P_M_IDS = {
+    UNIFORM: "uniform", SKEWED4: "skewed4", SKEWED3: "skewed3", TIED3: "tied3"
+}
+
+
+@pytest.mark.parametrize(
+    "kind, t, k, p_m, window",
+    [
+        # t = 4: the windows of neighbouring messages overlap
+        ("regular", 4, Fraction(1, 1000), SKEWED4, 2),
+        ("regular", 4, Fraction(1, 1000), TIED3, 1),
+        ("irregular", 4, Fraction(1, 1000), TIED3, 1),
+        ("regular", 4, Fraction(1), SKEWED3, 3),
+        ("regular", 5, Fraction(7, 3), SKEWED3, 3),
+        ("regular", 8, Fraction(1), SKEWED4, 1),
+        ("regular", 39, Fraction(7, 3), SKEWED3, 2),
+        ("irregular", 5, Fraction(7, 3), SKEWED3, 2),
+        ("irregular", 39, Fraction(1), SKEWED3, 3),
+        ("irregular", 4, Fraction(7, 3), UNIFORM, 1),
+    ],
+    ids=lambda v: P_M_IDS.get(v, str(v)),
+)
+def test_search_matches_flat_scan(
+    bundled, channel, irregular, kind, t, k, p_m, window
+):
+    ch = channel if kind == "regular" else irregular
+    inst = make_instance(bundled, t, k, p_m=p_m, channel=ch)
+    if kind == "irregular":
+        with pytest.raises(ValueError, match="not regular"):
+            _FastEvaluator(inst, window)
+    best_cost, best_vals = flat_scan(inst, window)
+    res = search_deterministic(inst, window)
+    assert res.complete
+    assert res.cost == best_cost
+    assert tuple(res.strategy.c1[x] for _m, x in inst.support()) == best_vals
+
+
+def test_search_mismatch_gate_raises(monkeypatch, inst10):
+    monkeypatch.setattr(
+        _FastEvaluator, "to_fraction",
+        lambda self, scaled: Fraction(scaled + 1, self.scale_den),
+    )
+    with pytest.raises(SearchMismatchError, match="mismatch"):
+        search_deterministic(inst10, 1)
 
 
 def test_search_beats_any_supplied_strategy(inst10):
@@ -297,10 +397,24 @@ def test_search_deterministic_across_worker_counts(inst10):
     assert seq.strategy == par.strategy
 
 
+def test_workers_below_one_rejected(inst10):
+    with pytest.raises(ValueError, match="workers"):
+        search_deterministic(inst10, 1, workers=0)
+
+
 def test_budget_truncation_flags_incomplete(inst10):
     res = search_deterministic(inst10, 2, node_budget=40)
     assert not res.complete
     assert res.candidates_evaluated == 40
+
+
+def test_budget_must_cover_one_complete_table(inst10):
+    with pytest.raises(ValueError, match="node budget"):
+        search_deterministic(inst10, 1, node_budget=5)
+    res = search_deterministic(inst10, 1, node_budget=6)  # the first dive
+    assert not res.complete
+    assert res.candidates_evaluated == 6
+    assert all(v == 0 for v in res.strategy.c1.values())
 
 
 def test_best_in_window_cost_non_decreasing_in_t(bundled, channel):
