@@ -15,8 +15,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
+from .exact import is_orthogonal
 from .ks import KSBasisSet, validate_basis_set, verify_ks_property
 
 
@@ -99,8 +101,9 @@ class FiniteChannel:
     def prob(self, o: ChannelOutput, i: ChannelInput) -> Fraction:
         return self.rows[ChannelInput(*i)].get(o, Fraction(0))
 
-    def output_distribution(self, i: ChannelInput) -> dict:
-        return dict(self.rows[ChannelInput(*i)])
+    def output_distribution(self, i: ChannelInput) -> MappingProxyType:
+        """Read-only view of row i; nothing is copied."""
+        return MappingProxyType(self.rows[ChannelInput(*i)])
 
     def degree_profile(self) -> dict:
         profile: Dict[int, int] = {}
@@ -131,7 +134,7 @@ def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
     neighbors: Dict[ChannelInput, List[ChannelInput]] = {i: [] for i in ids}
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
-            if not flat[a].raw_dot(flat[b]):
+            if is_orthogonal(flat[a], flat[b]):
                 neighbors[ids[a]].append(ids[b])
                 neighbors[ids[b]].append(ids[a])
     for i, nbrs in neighbors.items():
@@ -397,14 +400,15 @@ class NtChannel:
     ch: FiniteChannel
     _uniform_branch: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def output_distribution(self, y: int) -> dict:
+    def output_distribution(self, y: int) -> MappingProxyType:
+        """Read-only view of the distribution on wire value y; nothing is copied."""
         hit = self.enc.decompose(y)
         if hit is not None:
-            return dict(self.ch.rows[hit])
+            return MappingProxyType(self.ch.rows[hit])
         if not self._uniform_branch:
             # any out-of-form y gives the same mixture; cache it once
             self._uniform_branch.update(nt_output_distribution(y, self.enc, self.ch))
-        return dict(self._uniform_branch)
+        return MappingProxyType(self._uniform_branch)
 
 
 # -- serialization ---------------------------------------------------------

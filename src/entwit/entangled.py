@@ -5,8 +5,10 @@ To send basis index m, the encoder measures its half in the conjugated basis;
 outcome j leaves the decoder holding exactly vector (m, j).  The channel then
 reveals an unordered pair {(m, j), (m', j')} of orthogonal candidates, and the
 decoder measures in any orthonormal basis containing both candidate vectors,
-identifying its residual with certainty.  The simulation enumerates every
-branch with exact probabilities; nothing is sampled.
+identifying its residual with certainty; the outcome probabilities of the two
+candidates are squared overlaps, so that basis is never completed.  The
+simulation enumerates every branch with exact probabilities; nothing is
+sampled.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import ChannelInput, ChannelOutput, FiniteChannel
-from .exact import (
-    Vector,
-    complete_orthonormal_basis,
-    measure_first_subsystem,
-    measurement_probabilities,
-)
+from .exact import Vector, is_orthogonal, measure_first_subsystem
 from .ks import KSBasisSet, conjugate_basis, validate_basis_set
 
 PureState = Vector
@@ -90,22 +87,27 @@ def decoder_decode(
     """Measure the residual in an orthonormal basis containing both candidates.
 
     ``s`` is the channel output {(m, j), (m', j')}; the two candidate vectors
-    must be orthogonal and the residual must overlap at least one of them.
-    Returns (outcome, probability); under the strategy's preconditions the
-    probability is exactly 1.
+    must be orthonormal and the residual must overlap at least one of them.
+    In any orthonormal basis that contains the candidates, the Born
+    probability of candidate i is the squared overlap of the residual with
+    it, so the rest of the basis is never built.  Returns (outcome,
+    probability); under the strategy's preconditions the probability is
+    exactly 1.
     """
     (m1, j1), (m2, j2) = s
     cand1 = ks.vector(m1, j1)
     cand2 = ks.vector(m2, j2)
-    if cand1.raw_dot(cand2):
+    if not is_orthogonal(cand1, cand2):
         raise ValueError(f"candidates {s} are not orthogonal")
-    if residual.overlap_sq(cand1) == 0 and residual.overlap_sq(cand2) == 0:
+    if cand1.norm_sq() != 1 or cand2.norm_sq() != 1:
+        raise ValueError(f"candidates {s} are not unit vectors")
+    p1 = residual.overlap_sq(cand1)
+    p2 = residual.overlap_sq(cand2)
+    if p1 == 0 and p2 == 0:
         raise ValueError("residual state is orthogonal to both candidates")
-    basis = complete_orthonormal_basis([cand1, cand2], ks.d)
-    probs = measurement_probabilities(residual, basis)
-    if probs[0] >= probs[1]:
-        return ChannelInput(m1, j1), probs[0]
-    return ChannelInput(m2, j2), probs[1]
+    if p1 >= p2:
+        return ChannelInput(m1, j1), p1
+    return ChannelInput(m2, j2), p2
 
 
 def run_zero_error_quantum(ks: KSBasisSet, ch: FiniteChannel) -> QuantumZeroErrorReport:

@@ -1,15 +1,18 @@
 """Exact complex-rational scalars and vectors.
 
 All geometry in this package runs on exact arithmetic: a vector is stored as
-Gaussian-rational components together with a rational ``scale`` s, and denotes
-components / sqrt(s).  Inner products between such vectors are rational up to
-a common sqrt factor, so orthogonality, squared overlaps and measurement
-probabilities are decided exactly, with no tolerances.  Floats never enter.
+Gaussian-integer numerators over one positive common denominator, together
+with a rational ``scale`` s, and denotes (numerators / denominator) /
+sqrt(s).  Inner products, squared norms and squared overlaps are integer
+sums, so orthogonality and measurement probabilities are decided exactly,
+with no tolerances; a Fraction is formed only from the final sums.  Floats
+never enter.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
@@ -86,9 +89,6 @@ class ComplexFraction:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __reduce__(self):
         return (ComplexFraction, (self.re, self.im))
 
@@ -101,30 +101,54 @@ class ComplexFraction:
         return f"({self.re}{sign}{abs(self.im)}i)"
 
 
-ONE = ComplexFraction(1)
-ZERO = ComplexFraction(0)
+def _gauss_dot(a_re, a_im, b_re, b_im) -> tuple:
+    """Integer (re, im) of sum(conj(a_k) * b_k) over Gaussian integers."""
+    re = im = 0
+    for ar, ai, br, bi in zip(a_re, a_im, b_re, b_im):
+        re += ar * br + ai * bi
+        im += ar * bi - ai * br
+    return re, im
 
 
 class Vector:
-    """An exact vector ``entries / sqrt(scale)`` over ComplexFraction entries.
+    """An exact vector ``entries / sqrt(scale)`` over Gaussian-rational entries.
 
-    The sqrt never has to be evaluated: every quantity this package consumes
-    (orthogonality, squared overlaps, squared norms, measurement
-    probabilities) is rational in the entries and the scale.
+    The entries are held as Gaussian-integer numerators (``_re``, ``_im``)
+    over the least positive common denominator ``_den``; ``entries`` rebuilds
+    them as ComplexFractions.  The sqrt never has to be evaluated: every
+    quantity this package consumes (orthogonality, squared overlaps, squared
+    norms, measurement probabilities) is rational in the entries and the
+    scale.
     """
 
-    __slots__ = ("entries", "scale")
+    __slots__ = ("_re", "_im", "_den", "scale")
 
     def __init__(self, entries: Iterable, scale: RationalLike = 1):
-        object.__setattr__(
-            self, "entries", tuple(ComplexFraction.coerce(e) for e in entries)
-        )
+        coerced = [ComplexFraction.coerce(e) for e in entries]
         s = as_fraction(scale)
         if s <= 0:
             raise ValueError(f"vector scale must be positive, got {s}")
-        object.__setattr__(self, "scale", s)
-        if not self.entries:
+        if not coerced:
             raise ValueError("vector must have at least one entry")
+        den = lcm(*(c.re.denominator for c in coerced), *(c.im.denominator for c in coerced))
+        self._set(
+            tuple(c.re.numerator * (den // c.re.denominator) for c in coerced),
+            tuple(c.im.numerator * (den // c.im.denominator) for c in coerced),
+            den,
+            s,
+        )
+
+    def _set(self, *values) -> None:
+        for name, value in zip(Vector.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_ints(cls, re: Sequence[int], im: Sequence[int], den: int, scale) -> "Vector":
+        """Vector (re + i*im) / den / sqrt(scale), reduced to lowest terms."""
+        g = gcd(den, *re, *im)
+        v = object.__new__(cls)
+        v._set(tuple(x // g for x in re), tuple(x // g for x in im), den // g, scale)
+        return v
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
@@ -140,11 +164,7 @@ class Vector:
         if den == 0:
             raise ValueError("denominator must be nonzero")
         coerced = [ComplexFraction.coerce(c) for c in components]
-        raw = [ComplexFraction(c.re / den, c.im / den) for c in coerced]
-        nsq = sum((c.abs_sq() for c in raw), Fraction(0))
-        if nsq == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(raw, scale=nsq)
+        return cls([ComplexFraction(c.re / den, c.im / den) for c in coerced]).normalized()
 
     @classmethod
     def literal(cls, components: Sequence) -> "Vector":
@@ -156,8 +176,25 @@ class Vector:
         return cls([1 if i == index else 0 for i in range(dim)], scale=1)
 
     @property
+    def entries(self) -> tuple:
+        den = self._den
+        return tuple(
+            ComplexFraction(Fraction(r, den), Fraction(i, den))
+            for r, i in zip(self._re, self._im)
+        )
+
+    @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self._re)
+
+    def _dot(self, other: "Vector") -> tuple:
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return _gauss_dot(self._re, self._im, other._re, other._im)
+
+    def _norm(self) -> int:
+        """Integer sum of |numerator|^2 over the entries."""
+        return sum(r * r for r in self._re) + sum(i * i for i in self._im)
 
     def raw_dot(self, other: "Vector") -> ComplexFraction:
         """Sesquilinear sum(conj(self_k) * other_k) over raw entries.
@@ -165,56 +202,56 @@ class Vector:
         The denoted inner product is this divided by sqrt(self.scale *
         other.scale); in particular it is zero iff this is zero.
         """
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        acc = ZERO
-        for a, b in zip(self.entries, other.entries):
-            acc = acc + a.conjugate() * b
-        return acc
+        re, im = self._dot(other)
+        den = self._den * other._den
+        return ComplexFraction(Fraction(re, den), Fraction(im, den))
 
     def norm_sq(self) -> Fraction:
-        return sum((c.abs_sq() for c in self.entries), Fraction(0)) / self.scale
+        s = self.scale
+        return Fraction(self._norm() * s.denominator, self._den ** 2 * s.numerator)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self._re) and not any(self._im)
 
     def overlap_sq(self, other: "Vector") -> Fraction:
-        """Squared fidelity |<self|other>|^2 between the normalized rays."""
-        nsq = self.norm_sq() * other.norm_sq()
+        """Squared fidelity |<self|other>|^2 between the normalized rays.
+
+        Denominators and scales cancel: it is |numerator dot|^2 over the
+        product of the numerators' squared norms.
+        """
+        nsq = self._norm() * other._norm()
         if nsq == 0:
             raise ValueError("overlap with a zero vector is undefined")
-        raw = self.raw_dot(other).abs_sq()
-        return raw / (self.scale * other.scale * nsq)
+        re, im = self._dot(other)
+        return Fraction(re * re + im * im, nsq)
 
     def conjugate(self) -> "Vector":
-        return Vector([c.conjugate() for c in self.entries], self.scale)
+        return Vector._from_ints(self._re, tuple(-i for i in self._im), self._den, self.scale)
 
     def normalized(self) -> "Vector":
-        nsq_raw = sum((c.abs_sq() for c in self.entries), Fraction(0))
-        if nsq_raw == 0:
+        nsq = self._norm()
+        if nsq == 0:
             raise ValueError("cannot normalize the zero vector")
-        return Vector(self.entries, scale=nsq_raw)
+        return Vector._from_ints(self._re, self._im, self._den, Fraction(nsq, self._den ** 2))
 
     def same_ray(self, other: "Vector") -> bool:
         """True iff the two vectors agree up to a global phase."""
         return self.overlap_sq(other) == 1
 
-    def to_complex(self) -> tuple:
-        import math
-
-        root = math.sqrt(float(self.scale))
-        return tuple(complex(c) / root for c in self.entries)
-
     def __reduce__(self):
         return (Vector, (self.entries, self.scale))
 
     def __eq__(self, other) -> bool:
+        # the numerators are in lowest terms, so this is equality of the
+        # entries and of the scale
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.entries == other.entries and self.scale == other.scale
+        return (self._re, self._im, self._den, self.scale) == (
+            other._re, other._im, other._den, other.scale
+        )
 
     def __hash__(self):
-        return hash((self.entries, self.scale))
+        return hash((self._re, self._im, self._den, self.scale))
 
     def __repr__(self) -> str:
         body = ", ".join(repr(c) for c in self.entries)
@@ -236,54 +273,9 @@ def decimal_str(x: Fraction, sigfigs: int = 12) -> str:
     return text if text not in ("-0", "") else "0"
 
 
-def is_orthogonal(v: Vector, w: Vector, tol: Fraction = Fraction(0)) -> bool:
-    """True iff |<v|w>| <= tol; exact (tol = 0 compares the raw dot to zero)."""
-    raw = v.raw_dot(w)
-    if tol == 0:
-        return not raw
-    return v.overlap_sq(w) <= as_fraction(tol) ** 2
-
-
-def complete_orthonormal_basis(seeds: Sequence[Vector], dim: int) -> list:
-    """Extend pairwise-orthogonal unit seed vectors to an orthonormal basis.
-
-    Orthogonalizes the standard basis against the seeds (Gram-Schmidt in the
-    raw-entry gauge; every intermediate stays Gaussian-rational) and drops
-    exactly-dependent vectors.  Raises if the seeds are not orthonormal.
-    """
-    for s in seeds:
-        if s.dim != dim:
-            raise ValueError("seed dimension mismatch")
-        if s.norm_sq() != 1:
-            raise ValueError("seed vectors must be unit norm")
-    for i in range(len(seeds)):
-        for j in range(i + 1, len(seeds)):
-            if seeds[i].raw_dot(seeds[j]):
-                raise ValueError("seed vectors must be pairwise orthogonal")
-
-    basis = list(seeds)
-    for k in range(dim):
-        if len(basis) == dim:
-            break
-        w = Vector.standard_basis_vector(k, dim)
-        residual = list(w.entries)
-        for u in basis:
-            # projection coefficient of w on unit u, in w's raw gauge
-            coeff = u.raw_dot(w)
-            inv = Fraction(1) / u.scale
-            for idx in range(dim):
-                residual[idx] = residual[idx] - coeff * u.entries[idx] * inv
-        if not any(residual):
-            continue  # dependent on the span so far
-        basis.append(Vector(residual, scale=w.scale).normalized())
-    if len(basis) != dim:
-        raise ValueError("basis completion failed to reach full dimension")
-    return basis
-
-
-def measurement_probabilities(state: Vector, basis: Sequence[Vector]) -> list:
-    """Born probabilities of a unit state in an orthonormal basis, exact."""
-    return [b.overlap_sq(state) for b in basis]
+def is_orthogonal(v: Vector, w: Vector) -> bool:
+    """True iff <v|w> = 0, decided exactly on the integer numerators."""
+    return v._dot(w) == (0, 0)
 
 
 def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
@@ -295,20 +287,20 @@ def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
     normalized; zero-probability branches are dropped.
     """
     a = len(basis)
-    if a == 0 or basis[0].dim != a:
+    if a == 0 or any(u.dim != a for u in basis):
         raise ValueError("basis must be a full orthonormal basis of subsystem 1")
     if state.dim % a != 0:
         raise ValueError("state dimension is not a multiple of the basis dimension")
     b = state.dim // a
+    s_re, s_im = state._re, state._im
     branches = []
     for j, u in enumerate(basis):
-        raw = []
-        for i2 in range(b):
-            acc = ZERO
-            for i1 in range(a):
-                acc = acc + u.entries[i1].conjugate() * state.entries[i1 * b + i2]
-            raw.append(acc)
-        residual = Vector(raw, scale=u.scale * state.scale)
+        # residual entry i2 is sum over i1 of conj(u_i1) * state_(i1*b + i2)
+        res_re, res_im = zip(
+            *(_gauss_dot(u._re, u._im, s_re[i2::b], s_im[i2::b]) for i2 in range(b))
+        )
+        den = u._den * state._den
+        residual = Vector._from_ints(res_re, res_im, den, u.scale * state.scale)
         prob = residual.norm_sq()
         if prob == 0:
             continue

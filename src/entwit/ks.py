@@ -83,22 +83,18 @@ class KSCheckResult:
     witness: Optional[tuple]  # traversal (m, j) pairs with no orthogonal pair
 
 
-def validate_basis_set(ks: KSBasisSet, tol: Fraction = Fraction(0)) -> ValidationReport:
+def validate_basis_set(ks: KSBasisSet) -> ValidationReport:
     """Check that every basis is orthonormal; report first violation per basis."""
     issues = []
     for m, basis in enumerate(ks.bases):
         issue = None
         for j, v in enumerate(basis):
             nsq = v.norm_sq()
-            if tol == 0:
-                bad_norm = nsq != 1
-            else:
-                bad_norm = abs(nsq - 1) > 2 * as_fraction(tol)
-            if bad_norm:
+            if nsq != 1:
                 issue = BasisIssue(m, (j, j), f"vector {j} has squared norm {nsq}")
                 break
             for j2 in range(j + 1, len(basis)):
-                if not is_orthogonal(v, basis[j2], tol):
+                if not is_orthogonal(v, basis[j2]):
                     issue = BasisIssue(
                         m, (j, j2), f"vectors {j} and {j2} are not orthogonal"
                     )
@@ -127,7 +123,7 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
     masks = [0] * n
     for a in range(n):
         for b in range(a + 1, n):
-            if not flat[a].raw_dot(flat[b]):
+            if is_orthogonal(flat[a], flat[b]):
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
     checked = 0

@@ -13,6 +13,7 @@ from entwit import (
     optimal_c2_for_c1,
 )
 from entwit.control import _GenericEvaluator, posterior_moments
+from entwit.exact import ComplexFraction, Vector
 
 
 def naive_ks_check(ks):
@@ -88,3 +89,104 @@ def random_weights(rng, n):
     raws = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(n)]
     total = sum(raws, Fraction(0))
     return [w / total for w in raws]
+
+
+# -- exact geometry by ComplexFraction sums ------------------------------------
+
+
+def cf_dot(v, w):
+    """sum(conj(v_k) * w_k) over the entries, by ComplexFraction arithmetic."""
+    if v.dim != w.dim:
+        raise ValueError("dimension mismatch")
+    acc = ComplexFraction(0)
+    for a, b in zip(v.entries, w.entries):
+        acc = acc + a.conjugate() * b
+    return acc
+
+
+def cf_raw_norm_sq(v):
+    return sum((c.abs_sq() for c in v.entries), Fraction(0))
+
+
+def cf_norm_sq(v):
+    return cf_raw_norm_sq(v) / v.scale
+
+
+def cf_overlap_sq(v, w):
+    """|<v|w>|^2 between the normalized rays, from the denoted vectors."""
+    nsq = cf_norm_sq(v) * cf_norm_sq(w)
+    if nsq == 0:
+        raise ValueError("overlap with a zero vector is undefined")
+    return cf_dot(v, w).abs_sq() / (v.scale * w.scale * nsq)
+
+
+def cf_normalized(v):
+    """(entries, scale) of v normalized: same entries, scale = raw norm."""
+    nsq = cf_raw_norm_sq(v)
+    if nsq == 0:
+        raise ValueError("cannot normalize the zero vector")
+    return v.entries, nsq
+
+
+def cf_measure_first_subsystem(state, basis):
+    """[(j, probability, residual entries, residual scale)] for each branch of
+    positive probability, projecting subsystem 1 onto each basis vector."""
+    a = len(basis)
+    b = state.dim // a
+    st = state.entries
+    out = []
+    for j, u in enumerate(basis):
+        raw = []
+        for i2 in range(b):
+            acc = ComplexFraction(0)
+            for i1 in range(a):
+                acc = acc + u.entries[i1].conjugate() * st[i1 * b + i2]
+            raw.append(acc)
+        raw_nsq = sum((c.abs_sq() for c in raw), Fraction(0))
+        prob = raw_nsq / (u.scale * state.scale)
+        if prob:
+            out.append((j, prob, tuple(raw), raw_nsq))
+    return out
+
+
+def complete_orthonormal_basis(seeds, dim):
+    """Extend pairwise-orthogonal unit seed vectors to an orthonormal basis.
+
+    Orthogonalizes the standard basis against the seeds (Gram-Schmidt in the
+    raw-entry gauge, by ComplexFraction sums; every intermediate stays
+    Gaussian-rational) and drops exactly-dependent vectors.  Raises if the
+    seeds are not orthonormal.  The decoder's oracle: it builds the whole
+    basis that the decoder never needs.
+    """
+    for s in seeds:
+        if s.dim != dim:
+            raise ValueError("seed dimension mismatch")
+        if cf_norm_sq(s) != 1:
+            raise ValueError("seed vectors must be unit norm")
+    for v, w in combinations(seeds, 2):
+        if cf_dot(v, w):
+            raise ValueError("seed vectors must be pairwise orthogonal")
+
+    basis = list(seeds)
+    for k in range(dim):
+        if len(basis) == dim:
+            break
+        w = Vector.standard_basis_vector(k, dim)
+        residual = list(w.entries)
+        for u in basis:
+            # projection coefficient of w on unit u, in w's raw gauge
+            coeff = cf_dot(u, w)
+            inv = Fraction(1) / u.scale
+            for idx, e in enumerate(u.entries):
+                residual[idx] = residual[idx] - coeff * e * inv
+        if not any(residual):
+            continue  # dependent on the span so far
+        basis.append(Vector(residual, scale=cf_raw_norm_sq(Vector.literal(residual))))
+    if len(basis) != dim:
+        raise ValueError("basis completion failed to reach full dimension")
+    return basis
+
+
+def measurement_probabilities(state, basis):
+    """Born probabilities of a unit state in an orthonormal basis, exact."""
+    return [cf_overlap_sq(b, state) for b in basis]

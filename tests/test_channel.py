@@ -24,6 +24,7 @@ from entwit import (
     ConfusabilityGraph,
     EncoderMap,
     FiniteChannel,
+    NtChannel,
     ZeroErrorCode,
     build_ks_channel,
     code_from_independent_set,
@@ -254,6 +255,25 @@ def test_nt_sums_to_one_on_sampled_wire_values(channel):
         y = rng.randint(-span, span)
         dist = nt_output_distribution(y, enc, channel)
         assert sum(dist.values(), Fraction(0)) == 1
+
+
+def test_output_distributions_are_read_only(channel):
+    nt = NtChannel(EncoderMap(t=10, q=6, d=4), channel)
+    views = [
+        channel.output_distribution(ChannelInput(3, 2)),
+        nt.output_distribution(3 * 10 + 2),
+        nt.output_distribution(-5),
+    ]
+    for view in views:
+        s = next(iter(view))
+        with pytest.raises(TypeError):
+            view[s] = Fraction(1)
+        with pytest.raises(TypeError):
+            del view[s]
+    # the views show the channel's own rows, which the refused writes left whole
+    assert views[1] == channel.rows[ChannelInput(3, 2)]
+    assert views[2] == nt_output_distribution(-5, nt.enc, channel)
+    assert sum(channel.rows[ChannelInput(3, 2)].values()) == 1
 
 
 # -- serialization ----------------------------------------------------------------

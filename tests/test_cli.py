@@ -178,6 +178,34 @@ def test_search_gate_survives_optimized_mode():
     assert "assert statements are live" not in proc.stderr
 
 
+def test_entangled_gate_survives_optimized_mode():
+    # python -O strips assert statements; a decoder that names the right
+    # candidate with probability 1/2 leaves every final signal at zero, so
+    # only the decode gate can stop quantum-run, and it must still raise
+    script = (
+        "assert False, 'assert statements are live'\n"
+        "import sys\n"
+        "from entwit import control, entangled\n"
+        "real = entangled.decoder_decode\n"
+        "def wrong(ks, s, residual):\n"
+        "    right, p = real(ks, s, residual)\n"
+        "    return right, p / 2\n"
+        "control.decoder_decode = wrong\n"
+        "from entwit.cli import main\n"
+        "sys.exit(main(['quantum-run', '--t', '10']))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "QuantumDecodeError" in proc.stderr
+    assert "with probability 1/2" in proc.stderr
+    assert "assert statements are live" not in proc.stderr
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code, out, _ = run(capsys, "channel-info", "--out", str(target))

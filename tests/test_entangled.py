@@ -7,6 +7,8 @@ Claims covered:
       conjugation; skipping it is caught)
     - the decoder's completed basis is orthonormal however the candidates are
       ordered, and it identifies the residual with probability exactly 1
+    - the closed-form decode equals a measurement in the completed basis on
+      every one of the 216 branches, in both candidate orders
     - misuse (non-orthogonal candidates, residual orthogonal to both) raises
     - the full branch enumeration decodes all q*d*9 = 216 branches correctly,
       sending q = 6 messages where classical codes stop at 5
@@ -24,8 +26,9 @@ from entwit import (
     output_pair,
     run_zero_error_quantum,
 )
-from entwit.exact import ComplexFraction, Vector, complete_orthonormal_basis
+from entwit.exact import ComplexFraction, Vector
 from entwit.ks import KSBasisSet
+from helpers import complete_orthonormal_basis, measurement_probabilities
 
 
 def _complex_single_basis():
@@ -100,6 +103,34 @@ def test_decoder_completion_is_orthonormal_either_order(bundled, channel):
             assert a.norm_sq() == 1
             for b in basis[i + 1:]:
                 assert not a.raw_dot(b)
+
+
+def test_decode_equals_measurement_in_completed_basis(bundled, channel):
+    branches = 0
+    for m in range(bundled.q):
+        for branch in encoder_branches(bundled, m):
+            for s in channel.rows[branch.outcome]:
+                for order in (s, s[::-1]):
+                    (m1, j1), (m2, j2) = order
+                    basis = complete_orthonormal_basis(
+                        [bundled.vector(m1, j1), bundled.vector(m2, j2)], bundled.d
+                    )
+                    probs = measurement_probabilities(branch.residual, basis)
+                    assert sum(probs, Fraction(0)) == 1
+                    i = 0 if probs[0] >= probs[1] else 1
+                    expected = (ChannelInput(*order[i]), probs[i])
+                    assert decoder_decode(bundled, order, branch.residual) == expected
+                    assert expected == (branch.outcome, Fraction(1))
+                branches += 1
+    assert branches == 216
+
+
+def test_decoder_rejects_non_unit_candidates():
+    basis = (Vector.literal([2, 0]), Vector.literal([0, 1]))
+    ks = KSBasisSet(q=1, d=2, bases=(basis,))
+    s = output_pair(ChannelInput(0, 0), ChannelInput(0, 1))
+    with pytest.raises(ValueError, match="unit"):
+        decoder_decode(ks, s, Vector.literal([0, 1]))
 
 
 def test_decoder_rejects_non_orthogonal_candidates(bundled):

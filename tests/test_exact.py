@@ -1,5 +1,6 @@
 """Exact scalar/vector layer: arithmetic, normalization, completion, measurement."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,17 @@ from entwit.exact import (
     ComplexFraction,
     Vector,
     as_fraction,
-    complete_orthonormal_basis,
     decimal_str,
     is_orthogonal,
     measure_first_subsystem,
+)
+from helpers import (
+    cf_dot,
+    cf_measure_first_subsystem,
+    cf_norm_sq,
+    cf_normalized,
+    cf_overlap_sq,
+    complete_orthonormal_basis,
     measurement_probabilities,
 )
 
@@ -117,6 +125,77 @@ def test_raw_dot_conjugate_symmetry(xs, ys):
         return
     v, w = Vector.literal(xs), Vector.literal(ys)
     assert v.raw_dot(w) == w.raw_dot(v).conjugate()
+
+
+def _random_gaussian_rational(rng):
+    """An entry with mixed denominators; zero about one time in six."""
+    if rng.randrange(6) == 0:
+        return ComplexFraction(0)
+    re = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    im = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return ComplexFraction(re, im)
+
+
+def _random_vector(rng, dim):
+    entries = [_random_gaussian_rational(rng) for _ in range(dim)]
+    scale = Fraction(rng.randint(1, 20), rng.randint(1, 20))
+    return Vector(entries, scale=scale)
+
+
+def test_integer_kernel_matches_complex_fraction_sums():
+    # the kernel works on Gaussian-integer numerators; every quantity must
+    # equal the plain ComplexFraction sums over the denoted entries
+    rng = random.Random(20131)
+    seen = {"dims": set(), "mixed_den": 0, "imag": 0, "non_unit_scale": 0,
+            "dropped_branch": 0}
+    for _ in range(300):
+        dim = rng.randint(2, 5)
+        v, w = _random_vector(rng, dim), _random_vector(rng, dim)
+        seen["dims"].add(dim)
+        dens = {c.re.denominator for c in v.entries} | {c.im.denominator for c in v.entries}
+        seen["mixed_den"] += len(dens) > 1
+        seen["imag"] += any(c.im for c in v.entries)
+        seen["non_unit_scale"] += v.scale != 1
+        assert v.raw_dot(w) == cf_dot(v, w)
+        assert v.norm_sq() == cf_norm_sq(v)
+        assert is_orthogonal(v, w) == (not cf_dot(v, w))
+        if v.is_zero() or w.is_zero():
+            with pytest.raises(ValueError):
+                v.overlap_sq(w)
+            continue
+        assert v.overlap_sq(w) == cf_overlap_sq(v, w)
+        n = v.normalized()
+        assert (n.entries, n.scale) == cf_normalized(v)
+        assert n == Vector(*cf_normalized(v))
+        # measurement of a state on C^a x C^b along a random local basis
+        a, b = dim, rng.randint(1, 3)
+        state = _random_vector(rng, a * b)
+        basis = [_random_vector(rng, a) for _ in range(a)]
+        if rng.randrange(4) == 0:
+            basis[rng.randrange(a)] = Vector([0] * a)  # a zero-probability branch
+        if state.is_zero():
+            continue
+        got = [(j, p, r.entries, r.scale) for j, p, r in measure_first_subsystem(state, basis)]
+        expected = cf_measure_first_subsystem(state, basis)
+        assert got == expected
+        seen["dropped_branch"] += len(expected) < a
+    assert seen["dims"] == {2, 3, 4, 5}
+    assert min(seen["mixed_den"], seen["imag"], seen["non_unit_scale"],
+               seen["dropped_branch"]) > 20
+
+
+def test_vector_stores_entries_in_lowest_terms():
+    v = Vector([Fraction(2, 4), ComplexFraction(Fraction(1, 3), -2), 0], scale=3)
+    assert v.entries == (
+        ComplexFraction(Fraction(1, 2)),
+        ComplexFraction(Fraction(1, 3), -2),
+        ComplexFraction(0),
+    )
+    # equal entries and scale however they were written
+    same = Vector([Fraction(1, 2), ComplexFraction("2/6", "-4/2"), 0], scale="6/2")
+    assert v == same and hash(v) == hash(same)
+    assert v != Vector(v.entries, scale=2)
+    assert v.conjugate().conjugate() == v
 
 
 # -- completion and measurement ----------------------------------------------
