@@ -24,10 +24,7 @@ from .channel import (
     build_ks_channel,
     code_from_independent_set,
     confusability_graph,
-    epsilon_t_distribution,
-    has_independent_subset,
     independence_number,
-    nt_output_distribution,
     output_pair,
     verify_zero_error,
 )

@@ -32,7 +32,7 @@ from .control import (
     search_deterministic,
     strategy_to_json_dict,
 )
-from .exact import as_fraction, decimal_str
+from .exact import as_fraction, fraction_str
 from .ks import KSBasisSet
 
 
@@ -228,7 +228,6 @@ def certify_separation(
     k,
     m_bound,
     window: Optional[int] = None,
-    workers: int = 1,
     node_budget: Optional[int] = None,
 ) -> SeparationCertificate:
     """Run the full certificate pipeline at a scale justified by the bounds.
@@ -290,7 +289,7 @@ def certify_separation(
             clauses=(),
         )
 
-    search = search_deterministic(inst, w, workers=workers, node_budget=node_budget)
+    search = search_deterministic(inst, w, node_budget=node_budget)
     code = strategy_to_code(inst, search.strategy)
     reduction = verify_zero_error(inst.nt, code)
 
@@ -350,11 +349,6 @@ def certify_separation(
     )
 
 
-def _frac(x: Fraction) -> str:
-    body = f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    return f"{body} ({decimal_str(x)})"
-
-
 def format_certificate(cert: SeparationCertificate) -> str:
     """Deterministic structured-text rendering, designed for re-checking."""
     lines = [
@@ -364,12 +358,12 @@ def format_certificate(cert: SeparationCertificate) -> str:
         f"label: {cert.label}",
         f"q: {cert.q}",
         f"d: {cert.d}",
-        f"k: {_frac(cert.k)}",
-        f"cost-bound: {_frac(cert.m_bound)}",
-        f"p-x-min: {_frac(cert.bounds.p_x_min)}",
-        f"p-z-min-lower: {_frac(cert.bounds.p_z_min_lower)}",
-        f"m-x-squared: {_frac(cert.bounds.m_x_sq)}",
-        f"m-z-squared: {_frac(cert.bounds.m_z_sq)}",
+        f"k: {fraction_str(cert.k, with_decimal=True)}",
+        f"cost-bound: {fraction_str(cert.m_bound, with_decimal=True)}",
+        f"p-x-min: {fraction_str(cert.bounds.p_x_min, with_decimal=True)}",
+        f"p-z-min-lower: {fraction_str(cert.bounds.p_z_min_lower, with_decimal=True)}",
+        f"m-x-squared: {fraction_str(cert.bounds.m_x_sq, with_decimal=True)}",
+        f"m-z-squared: {fraction_str(cert.bounds.m_z_sq, with_decimal=True)}",
         f"m-x: {cert.bounds.m_x:.12g}",
         f"m-z: {cert.bounds.m_z:.12g}",
         f"t0: {cert.bounds.t0:.12g}",
@@ -385,7 +379,7 @@ def format_certificate(cert: SeparationCertificate) -> str:
         f"window: {cert.window}",
         f"window-required: {cert.window_required}",
         f"window-default: {cert.window_default}",
-        f"quantum-cost: {_frac(cert.quantum_cost)}",
+        f"quantum-cost: {fraction_str(cert.quantum_cost, with_decimal=True)}",
         f"quantum-branches: {cert.quantum_branches}",
     ]
     if cert.search is not None:
@@ -394,7 +388,8 @@ def format_certificate(cert: SeparationCertificate) -> str:
         lines += [
             f"search-complete: {str(cert.search.complete).lower()}",
             f"search-candidates-evaluated: {cert.search.candidates_evaluated}",
-            f"classical-in-window-minimum: {_frac(cert.search.cost)}",
+            "classical-in-window-minimum: "
+            + fraction_str(cert.search.cost, with_decimal=True),
             "best-strategy: "
             + _json.dumps(strategy_to_json_dict(cert.search.strategy)["c1"]),
         ]

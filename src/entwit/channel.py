@@ -11,14 +11,13 @@ zero-error verdicts enumerate every positive-probability branch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from .exact import is_orthogonal
+from .exact import fraction_str, is_orthogonal
 from .ks import KSBasisSet, validate_basis_set, verify_ks_property
 
 
@@ -97,9 +96,6 @@ class FiniteChannel:
         for o in self.rows[i]:
             out.append(o[1] if o[0] == i else o[0])
         return tuple(sorted(out))
-
-    def prob(self, o: ChannelOutput, i: ChannelInput) -> Fraction:
-        return self.rows[ChannelInput(*i)].get(o, Fraction(0))
 
     def output_distribution(self, i: ChannelInput) -> MappingProxyType:
         """Read-only view of row i; nothing is copied."""
@@ -243,21 +239,6 @@ def independence_number(g: ConfusabilityGraph) -> tuple:
     return best_size, witness
 
 
-def has_independent_subset(g: ConfusabilityGraph, size: int) -> tuple:
-    """Exhaustive scan over all ``size``-subsets of vertices.
-
-    Returns (found, witness_or_None, subsets_scanned).  Intentionally naive:
-    this is the enumeration oracle the independence number is checked against.
-    """
-    verts = sorted(g.vertices)
-    scanned = 0
-    for subset in combinations(verts, size):
-        scanned += 1
-        if g.is_independent(subset):
-            return True, subset, scanned
-    return False, None, scanned
-
-
 # -- zero-error codes -----------------------------------------------------
 
 Codeword = Union[ChannelInput, int]
@@ -365,36 +346,14 @@ class EncoderMap:
         return None
 
 
-def epsilon_t_distribution(x: int, enc: EncoderMap) -> dict:
-    """Distribution of the encoder output on integer x, exact.
-
-    Point mass on (a, b) when x = a*t + b with a in [q], b in [d]; otherwise
-    uniform weight 1/(q*d) on every input.
-    """
-    hit = enc.decompose(x)
-    if hit is not None:
-        return {hit: Fraction(1)}
-    p = Fraction(1, enc.q * enc.d)
-    return {ChannelInput(a, b): p for a in range(enc.q) for b in range(enc.d)}
-
-
-def nt_output_distribution(y: int, enc: EncoderMap, ch: FiniteChannel) -> dict:
-    """Output distribution of the composed channel on wire value y.
-
-    Exact composition sum_i eps_t(i | y) * N(o | i); the composed channel has
-    all of Z as input domain and is always used functionally, never as a
-    materialized table.
-    """
-    dist: Dict[ChannelOutput, Fraction] = {}
-    for i, w in epsilon_t_distribution(y, enc).items():
-        for o, p in ch.rows[i].items():
-            dist[o] = dist.get(o, Fraction(0)) + w * p
-    return dist
-
-
 @dataclass(frozen=True)
 class NtChannel:
-    """The composed channel as a callable object, with the uniform branch cached."""
+    """The composed channel: the encoder at scale t followed by the channel.
+
+    Its input domain is all of Z.  A wire value y = a*t + b in form goes to
+    row (a, b); every other y goes to the uniform mixture of all rows, which
+    is built once and cached.  Used functionally, never as a table.
+    """
 
     enc: EncoderMap
     ch: FiniteChannel
@@ -406,8 +365,15 @@ class NtChannel:
         if hit is not None:
             return MappingProxyType(self.ch.rows[hit])
         if not self._uniform_branch:
-            # any out-of-form y gives the same mixture; cache it once
-            self._uniform_branch.update(nt_output_distribution(y, self.enc, self.ch))
+            # any out-of-form y gives the same mixture, the encoder's uniform
+            # weight 1/(q*d) on every input composed with its row; cache it once
+            w = Fraction(1, self.enc.q * self.enc.d)
+            dist: Dict[ChannelOutput, Fraction] = {}
+            for a in range(self.enc.q):
+                for b in range(self.enc.d):
+                    for o, p in self.ch.rows[ChannelInput(a, b)].items():
+                        dist[o] = dist.get(o, 0) + w * p
+            self._uniform_branch.update(dist)
         return MappingProxyType(self._uniform_branch)
 
 
@@ -417,15 +383,12 @@ CHANNEL_FORMAT_TAG = "finite-channel/1"
 GRAPH_FORMAT_TAG = "confusability-graph/1"
 
 
-def _frac_str(p: Fraction) -> str:
-    return f"{p.numerator}/{p.denominator}" if p.denominator != 1 else str(p.numerator)
-
-
 def channel_to_json_dict(ch: FiniteChannel) -> dict:
     triples = []
     for i in ch.inputs:
         for o in sorted(ch.rows[i]):
-            triples.append([list(i), [list(o[0]), list(o[1])], _frac_str(ch.rows[i][o])])
+            pair = [list(o[0]), list(o[1])]
+            triples.append([list(i), pair, fraction_str(ch.rows[i][o])])
     return {
         "format": CHANNEL_FORMAT_TAG,
         "inputs": [list(i) for i in ch.inputs],
@@ -465,14 +428,3 @@ def graph_from_json_dict(data: dict) -> ConfusabilityGraph:
         (ChannelInput(*a), ChannelInput(*b)) for a, b in data["edges"]
     )
     return ConfusabilityGraph(vertices=vertices, edges=edges)
-
-
-def save_channel(ch: FiniteChannel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_json_dict(ch), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_channel(path) -> FiniteChannel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return channel_from_json_dict(json.load(fh))

@@ -28,7 +28,7 @@ from .control import (
     search_deterministic,
     strategy_to_json_dict,
 )
-from .exact import decimal_str
+from .exact import decimal_str, fraction_str
 from .ks import bundled_basis_set, load_basis_set, validate_basis_set, verify_ks_property
 
 EXIT_OK = 0
@@ -40,11 +40,6 @@ EXIT_VACUOUS = 4
 
 class UsageError(Exception):
     """A well-formed argument that the loaded basis set cannot take."""
-
-
-def _frac(x: Fraction) -> str:
-    body = f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    return f"{body} ({decimal_str(x)})"
 
 
 def _load_set(path: Optional[str]):
@@ -130,7 +125,7 @@ def _cmd_quantum_run(args) -> int:
         "report: quantum-run/1",
         f"label: {ks.label}",
         f"t: {args.t}",
-        f"k: {_frac(inst.k)}",
+        f"k: {fraction_str(inst.k, with_decimal=True)}",
         f"messages: {ks.q}",
         f"branches: {data['trace_count']}",
         f"cost: {data['total']} ({data['total_decimal']})",
@@ -149,18 +144,16 @@ def _cmd_classical_search(args) -> int:
     ks = _load_set(args.ks_set)
     _check_args(ks, [args.t], args.budget)
     inst = make_instance(ks, args.t, args.k)
-    result = search_deterministic(
-        inst, args.window, workers=args.workers, node_budget=args.budget
-    )
+    result = search_deterministic(inst, args.window, node_budget=args.budget)
     lines = [
         "report: classical-search/1",
         f"label: {ks.label}",
         f"t: {args.t}",
-        f"k: {_frac(inst.k)}",
+        f"k: {fraction_str(inst.k, with_decimal=True)}",
         f"window: {result.window}",
         f"complete: {str(result.complete).lower()}",
         f"candidates-evaluated: {result.candidates_evaluated}",
-        f"best-cost: {_frac(result.cost)}",
+        f"best-cost: {fraction_str(result.cost, with_decimal=True)}",
         "best-c1: " + _json.dumps(strategy_to_json_dict(result.strategy)["c1"]),
     ]
     _write("\n".join(lines) + "\n", args.out)
@@ -175,7 +168,6 @@ def _cmd_certify(args) -> int:
         args.k,
         args.bound,
         window=args.window,
-        workers=args.workers,
         node_budget=args.budget,
     )
     _write(format_certificate(cert), args.out)
@@ -200,9 +192,7 @@ def _cmd_sweep(args) -> int:
     for t in args.t_list:
         inst = make_instance(ks, t, args.k, channel=ch)
         quantum = evaluate_quantum(inst)
-        result = search_deterministic(
-            inst, args.window, workers=args.workers, node_budget=args.budget
-        )
+        result = search_deterministic(inst, args.window, node_budget=args.budget)
         all_complete = all_complete and result.complete
         bounds = bounds_for_instance(inst, quantum.total)
         certified = (

@@ -14,7 +14,9 @@ vanishes identically.
 The deterministic search is an exact branch and bound over c1 tables with
 entries in a window [-W, W], pruning on the exact cost of c1 prefixes; c2 is
 minimized per channel output in closed form (nearest integer to the negated
-posterior mean), so it never has to be enumerated.
+posterior mean), so it never has to be enumerated.  One scaled-integer
+evaluator scores the prefixes for any channel whose inputs are the (m, j)
+grid, and the winner is re-checked branch by branch.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .channel import (
     build_ks_channel,
 )
 from .entangled import QuantumDecodeError, decoder_decode, encoder_branches
-from .exact import as_fraction, decimal_str
+from .exact import as_fraction, decimal_str, fraction_str
 from .ks import KSBasisSet
 
 
@@ -72,12 +74,16 @@ def make_instance(
     p_m: Optional[Sequence] = None,
     channel: Optional[FiniteChannel] = None,
 ) -> WitsenhausenInstance:
-    """Build an instance; t below the ambient dimension or k <= 0 is rejected."""
+    """Build an instance; t below the ambient dimension, k <= 0 or a channel
+    whose inputs are not the encoder's (m, j) grid is rejected."""
     k = as_fraction(k)
     if k <= 0:
         raise ValueError(f"action price k must be positive, got {k}")
     if channel is None:
         channel = build_ks_channel(ks)
+    grid = [ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d)]
+    if sorted(channel.inputs) != grid:
+        raise ValueError("channel inputs do not form the full (m, j) grid")
     enc = EncoderMap(t=t, q=ks.q, d=ks.d)  # enforces t >= d
     if p_m is None:
         p_m = [Fraction(1, ks.q)] * ks.q
@@ -284,18 +290,11 @@ def posterior_moments(inst: WitsenhausenInstance, c1: dict) -> dict:
     Returns {s: (mass, sum p*y, sum p*y^2)} over outputs with positive
     probability under the given c1 table.
     """
-    wires = []
+    moments: Dict[ChannelOutput, Tuple[Fraction, Fraction, Fraction]] = {}
     for m, x in inst.support():
         if x not in c1:
             raise ValueError(f"c1 table is not defined on supported input {x}")
-        wires.append((m, x + c1[x]))
-    return _wire_moments(inst, wires)
-
-
-def _wire_moments(inst: WitsenhausenInstance, wires) -> dict:
-    """posterior_moments over the given (message, wire value) pairs only."""
-    moments: Dict[ChannelOutput, Tuple[Fraction, Fraction, Fraction]] = {}
-    for m, y in wires:
+        y = x + c1[x]
         px = inst.p_m[m]
         for s, p_out in inst.nt.output_distribution(y).items():
             w = px * p_out
@@ -348,82 +347,82 @@ def _q_min(a: int, b: int, c: int) -> int:
     return a * v * v + 2 * b * v + c
 
 
-class _FastEvaluator:
-    """Scaled-integer costs of c1 prefixes for regular pair-output channels.
+class _PrefixEvaluator:
+    """Scaled-integer costs of c1 prefixes, for any channel on the (m, j) grid.
 
-    Requires every input's outputs to be pairs of inputs shared with exactly
-    the partner input, all degrees equal, and the input grid complete; the
-    bundled construction satisfies all three.  Costs are returned as exact
-    integers: true cost times the fixed common denominator ``scale_den``.
+    Costs are exact integers: true cost times the fixed common denominator
+    ``scale_den``, which clears k, the message probabilities, 1/(q*d) and the
+    lcm D of the row degrees.  On that scale row u puts weight D/deg(u) on
+    each of its outputs, and the uniform out-of-form branch puts beta_o, the
+    sum of D/deg(i) over the endpoints i whose row holds o.
 
-    Cost decomposition per prefix (v_m per assigned message): messages
-    whose shifted wire value decomposes as (a, b) put weight on the edges at
-    that vertex; all others spread uniformly over every edge.  Grouping edges
-    by their contributor profile (one owner / an adjacent owner pair / none)
-    collapses the per-edge minimization to a handful of closed-form calls.
+    A message whose wire value decomposes as input u gives its weight to the
+    outputs of row u, and u becomes an *owner*.  A validated channel holds
+    each output only in the rows of its two endpoints, so an output takes
+    in-form weight from at most two owners.  Damping then comes in three
+    groups, each a handful of closed-form minima: outputs in the rows of two
+    owners, one by one; each owner's other outputs, grouped by beta_o; and
+    every unowned output at once, as the out-of-form moments times the sum
+    of their beta_o.  All of one owner's messages share its wire value, so
+    with no message out of form an owner's other outputs cost nothing.
     """
 
     def __init__(self, inst: WitsenhausenInstance, window: int):
-        ch = inst.channel
         q, d = inst.q, inst.d
         grid = [ChannelInput(m, j) for m in range(q) for j in range(d)]
-        if sorted(ch.inputs) != grid:
-            raise ValueError("channel inputs do not form the full (m, j) grid")
-        degrees = {len(ch.rows[i]) for i in ch.inputs}
-        if len(degrees) != 1:
-            raise ValueError("channel is not regular")
-        self.r = degrees.pop()
-        vid = {i: n for n, i in enumerate(grid)}
-        self.adj = [0] * len(grid)
-        for i in ch.inputs:
-            for o in ch.rows[i]:
-                other = o[1] if o[0] == i else o[0]
-                if other not in vid:
-                    raise ValueError("output pair leaves the input grid")
-                if o not in ch.rows[other]:
-                    raise ValueError("output is not shared with its partner input")
-                self.adj[vid[i]] |= 1 << vid[other]
-        self.edge_count = sum(bin(m).count("1") for m in self.adj) // 2
+        rows = [inst.channel.rows[u] for u in grid]  # input id u = m*d + j
+        degree = [len(row) for row in rows]
+        big_d = lcm(*degree)
+        # shared[u][u2]: beta of the output in both rows of u and u2, else 0
+        self.shared = [[0] * len(grid) for _ in grid]
+        beta: Dict[ChannelOutput, int] = {}
+        holder: Dict[ChannelOutput, int] = {}  # the first row to hold o
+        for u, row in enumerate(rows):
+            for o in row:
+                if o in holder:  # the second and last row to hold o
+                    u0 = holder[o]
+                    beta[o] += big_d // degree[u]
+                    self.shared[u0][u] = self.shared[u][u0] = beta[o]
+                else:
+                    holder[o] = u
+                    beta[o] = big_d // degree[u]
+        self.beta_total = sum(beta.values())
+        self.groups: List[tuple] = []  # per input, (beta, count) over its row
+        self.row_beta: List[int] = []
+        for row in rows:
+            row_betas = [beta[o] for o in row]
+            self.groups.append(
+                tuple((b, row_betas.count(b)) for b in sorted(set(row_betas)))
+            )
+            self.row_beta.append(sum(row_betas))
 
         support = inst.support()
         self.window = window
         big_l = lcm(*[inst.p_m[m].denominator for m, _ in support])
         k_den = inst.k.denominator
         self.damp_unit = k_den  # converts damping scale to the cost scale
-        self.scale_den = big_l * q * d * self.r * k_den
+        self.scale_den = big_l * q * d * big_d * k_den
 
+        # per supported message and window column: the control cost, and
+        # (owner id or -1 when out of form, weight, weight*y, weight*y^2)
         self.ctrl_tab: List[List[int]] = []
-        self.uid_tab: List[List[int]] = []
-        self.in_a: List[int] = []
-        self.in_b: List[List[int]] = []
-        self.in_c: List[List[int]] = []
-        self.out_a: List[int] = []
-        self.out_b: List[List[int]] = []
-        self.out_c: List[List[int]] = []
+        self.terms: List[List[tuple]] = []
         for m, x in support:
             pm_int = _exact_int(inst.p_m[m] * big_l)
             a_ctrl = _exact_int(inst.k * inst.p_m[m] * self.scale_den)
-            w_in = pm_int * q * d
-            w_out = 2 * pm_int
-            ctrl_row, uid_row = [], []
-            ib_row, ic_row, ob_row, oc_row = [], [], [], []
+            ctrl_row, term_row = [], []
             for v in range(-window, window + 1):
                 y = x + v
                 hit = inst.enc.decompose(y)
+                if hit is None:
+                    u, w = -1, pm_int
+                else:
+                    u = hit.m * d + hit.j
+                    w = pm_int * q * d * (big_d // degree[u])
                 ctrl_row.append(a_ctrl * v * v)
-                uid_row.append(vid[hit] if hit is not None else -1)
-                ib_row.append(w_in * y)
-                ic_row.append(w_in * y * y)
-                ob_row.append(w_out * y)
-                oc_row.append(w_out * y * y)
+                term_row.append((u, w, w * y, w * y * y))
             self.ctrl_tab.append(ctrl_row)
-            self.uid_tab.append(uid_row)
-            self.in_a.append(w_in)
-            self.in_b.append(ib_row)
-            self.in_c.append(ic_row)
-            self.out_a.append(w_out)
-            self.out_b.append(ob_row)
-            self.out_c.append(oc_row)
+            self.terms.append(term_row)
 
     def to_fraction(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale_den)
@@ -433,85 +432,54 @@ class _FastEvaluator:
         messages these values; the unassigned messages contribute nothing."""
         w = self.window
         ctrl = 0
-        ctrl_tab = self.ctrl_tab
-        for mi in range(len(values)):
-            ctrl += ctrl_tab[mi][values[mi] + w]
-
-        owners: List[list] = []
-        seen: Dict[int, int] = {}
+        owned: Dict[int, list] = {}
         oa = ob = oc = 0
-        uid_tab = self.uid_tab
-        for mi, v in enumerate(values):
+        for ctrl_row, term_row, v in zip(self.ctrl_tab, self.terms, values):
             col = v + w
-            u = uid_tab[mi][col]
+            ctrl += ctrl_row[col]
+            u, a, b, c = term_row[col]
             if u < 0:
-                oa += self.out_a[mi]
-                ob += self.out_b[mi][col]
-                oc += self.out_c[mi][col]
-            elif u in seen:
-                own = owners[seen[u]]
-                own[1] += self.in_a[mi]
-                own[2] += self.in_b[mi][col]
-                own[3] += self.in_c[mi][col]
+                oa += a
+                ob += b
+                oc += c
+            elif u in owned:
+                own = owned[u]
+                own[1] += a
+                own[2] += b
+                own[3] += c
             else:
-                seen[u] = len(owners)
-                owners.append(
-                    [u, self.in_a[mi], self.in_b[mi][col], self.in_c[mi][col]]
-                )
+                owned[u] = [u, a, b, c]
 
+        owners = list(owned.values())
         damp = 0
-        n_pairs = 0
-        adj = self.adj
-        r = self.r
+        pair_betas = []  # (owner, beta) for each end of a two-owner output
         for idx, (u1, a1, b1, c1) in enumerate(owners):
+            shared = self.shared[u1]
             for u2, a2, b2, c2 in owners[idx + 1:]:
-                if adj[u1] >> u2 & 1:
-                    n_pairs += 1
-                    damp += _q_min(a1 + a2 + oa, b1 + b2 + ob, c1 + c2 + oc)
-            if oa:
-                partners = 0
-                for u2, _a, _b, _c in owners:
-                    if u2 != u1 and adj[u1] >> u2 & 1:
-                        partners += 1
-                damp += (r - partners) * _q_min(a1 + oa, b1 + ob, c1 + oc)
+                beta = shared[u2]
+                if beta:
+                    damp += _q_min(
+                        a1 + a2 + beta * oa, b1 + b2 + beta * ob, c1 + c2 + beta * oc
+                    )
+                    pair_betas += ((u1, beta), (u2, beta))
         if oa:
-            rest = self.edge_count - r * len(owners) + n_pairs
-            damp += rest * _q_min(oa, ob, oc)
+            unowned = self.beta_total + sum(b for _u, b in pair_betas) // 2
+            for u1, a1, b1, c1 in owners:
+                unowned -= self.row_beta[u1]
+                for beta, count in self.groups[u1]:
+                    count -= pair_betas.count((u1, beta))
+                    if count:
+                        damp += count * _q_min(
+                            a1 + beta * oa, b1 + beta * ob, c1 + beta * oc
+                        )
+            damp += unowned * _q_min(oa, ob, oc)
         return ctrl + damp * self.damp_unit
-
-
-class _GenericEvaluator:
-    """Fallback prefix costs straight from the posterior moments.
-
-    Used when the channel lacks the regular pair structure; exact Fractions
-    throughout, over the assigned messages only, like the fast path.
-    """
-
-    def __init__(self, inst: WitsenhausenInstance):
-        self.inst = inst
-        self.support = inst.support()
-
-    def to_fraction(self, cost: Fraction) -> Fraction:
-        return cost
-
-    def eval_scaled(self, values: Sequence[int]) -> Fraction:
-        inst = self.inst
-        assigned = list(zip(self.support, values))
-        cost = Fraction(0)
-        for (m, _x), v in assigned:
-            cost += inst.p_m[m] * inst.k * v * v
-        wires = [(m, x + v) for (m, x), v in assigned]
-        for mass, ysum, ysq in _wire_moments(inst, wires).values():
-            mean = ysum / mass
-            v = _round_half_even_ratio(-mean.numerator, mean.denominator)
-            cost += mass * v * v + 2 * ysum * v + ysq
-        return cost
 
 
 def search_deterministic(
     inst: WitsenhausenInstance,
     window: int,
-    workers: int = 1,
+    *,
     node_budget: Optional[int] = None,
 ) -> SearchResult:
     """Exact minimum over c1 tables with entries in [-window, window], each
@@ -524,16 +492,15 @@ def search_deterministic(
     can only add to.  A prefix is pruned only when that bound strictly exceeds
     the incumbent, and equal-cost tables break toward the lexicographically
     smallest, so the winner is the one a flat scan of all tables would pick.
-    It is re-checked through the generic branch evaluator.
+    Prefixes are scored in scaled integers by one evaluator that takes any
+    channel; the winner is re-checked through the branch-by-branch
+    evaluation.
 
     ``candidates_evaluated`` counts the prefixes scored; if ``node_budget`` of
     them runs out the result is incomplete and must never certify anything.
-    ``workers`` must be at least 1 and changes neither the work nor the result.
     """
     if window < 0:
         raise ValueError("window must be nonnegative")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     support = inst.support()
     if not support:
         raise ValueError("instance has empty support")
@@ -543,10 +510,7 @@ def search_deterministic(
             f"node budget {node_budget} is below the {len(support)} prefixes "
             f"of one complete c1 table"
         )
-    try:
-        evaluator = _FastEvaluator(inst, window)
-    except ValueError:
-        evaluator = _GenericEvaluator(inst)
+    evaluator = _PrefixEvaluator(inst, window)
 
     order = sorted(range(-window, window + 1), key=lambda v: (abs(v), v))
     best_cost, best_vals = None, None
@@ -594,10 +558,6 @@ def search_deterministic(
 STRATEGY_FORMAT_TAG = "strategy/1"
 
 
-def _frac_str(p: Fraction) -> str:
-    return f"{p.numerator}/{p.denominator}" if p.denominator != 1 else str(p.numerator)
-
-
 def strategy_to_json_dict(strat: DeterministicStrategy) -> dict:
     return {
         "format": STRATEGY_FORMAT_TAG,
@@ -621,10 +581,10 @@ def strategy_from_json_dict(data: dict) -> DeterministicStrategy:
 
 def cost_report_to_json_dict(report: CostReport, include_traces: bool = False) -> dict:
     data = {
-        "total": _frac_str(report.total),
+        "total": fraction_str(report.total),
         "total_decimal": decimal_str(report.total),
-        "control": _frac_str(report.control),
-        "damping": _frac_str(report.damping),
+        "control": fraction_str(report.control),
+        "damping": fraction_str(report.damping),
         "max_abs_c1": report.max_abs_c1,
         "max_abs_z": report.max_abs_z,
         "trace_count": len(report.traces),
@@ -639,7 +599,7 @@ def cost_report_to_json_dict(report: CostReport, include_traces: bool = False) -
                 "s": [list(tr.s[0]), list(tr.s[1])],
                 "c2": tr.c2_out,
                 "z": tr.z,
-                "probability": _frac_str(tr.probability),
+                "probability": fraction_str(tr.probability),
             }
             for tr in report.traces
         ]

@@ -273,6 +273,13 @@ def decimal_str(x: Fraction, sigfigs: int = 12) -> str:
     return text if text not in ("-0", "") else "0"
 
 
+def fraction_str(x: Fraction, with_decimal: bool = False) -> str:
+    """'p/q' in lowest terms, or 'p' for an integer; ``with_decimal`` appends
+    ' (decimal)' as rendered by decimal_str."""
+    body = f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    return f"{body} ({decimal_str(x)})" if with_decimal else body
+
+
 def is_orthogonal(v: Vector, w: Vector) -> bool:
     """True iff <v|w> = 0, decided exactly on the integer numerators."""
     return v._dot(w) == (0, 0)

@@ -69,12 +69,6 @@ class ValidationReport:
     passed: bool
     issues: tuple  # BasisIssue per failing basis, first violation only
 
-    def issue_for(self, m: int) -> Optional[BasisIssue]:
-        for issue in self.issues:
-            if issue.m == m:
-                return issue
-        return None
-
 
 @dataclass(frozen=True)
 class KSCheckResult:

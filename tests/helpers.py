@@ -7,12 +7,13 @@ package code is checked against computations that share none of its shortcuts.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import floor
 
 from entwit import (
     DeterministicStrategy,
     optimal_c2_for_c1,
 )
-from entwit.control import _GenericEvaluator, posterior_moments
+from entwit.control import posterior_moments
 from entwit.exact import ComplexFraction, Vector
 
 
@@ -51,20 +52,45 @@ def brute_force_c2(inst, c1, lo, hi):
 
 def oracle_cost(inst, values):
     """Exact cost of the c1 table with these values on the supported messages,
-    each output paired with its optimal c2, through the generic evaluator."""
-    return _GenericEvaluator(inst).eval_scaled(values)
+    each output paired with its best integer c2, in plain Fractions: the
+    control term message by message, and per output the smaller of the
+    quadratic's values at the two integers around its real minimum."""
+    c1 = {}
+    cost = Fraction(0)
+    for (m, x), v in zip(inst.support(), values):
+        c1[x] = v
+        cost += inst.p_m[m] * inst.k * v * v
+    for mass, ysum, ysq in posterior_moments(inst, c1).values():
+        low = floor(-ysum / mass)
+        cost += min(mass * c * c + 2 * ysum * c + ysq for c in (low, low + 1))
+    return cost
 
 
 def flat_scan(inst, window):
     """(minimum cost, lexicographically first minimizing c1 values) over all
     (2W+1)^n in-window tables, by plain enumeration: no pruning, no order
-    tricks, every table scored through the generic evaluator."""
+    tricks, every table scored by oracle_cost."""
     best_cost, best_vals = None, None
     for values in product(range(-window, window + 1), repeat=len(inst.support())):
         cost = oracle_cost(inst, values)
         if best_cost is None or cost < best_cost:
             best_cost, best_vals = cost, values
     return best_cost, best_vals
+
+
+def has_independent_subset(g, size):
+    """Exhaustive scan over all ``size``-subsets of vertices.
+
+    Returns (found, witness_or_None, subsets_scanned).  Intentionally naive:
+    this is the enumeration oracle the independence number is checked against.
+    """
+    verts = sorted(g.vertices)
+    scanned = 0
+    for subset in combinations(verts, size):
+        scanned += 1
+        if g.is_independent(subset):
+            return True, subset, scanned
+    return False, None, scanned
 
 
 def random_c1(rng, inst, window, lo=None):

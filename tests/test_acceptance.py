@@ -22,7 +22,6 @@ from entwit import (
     evaluate_deterministic,
     evaluate_quantum,
     evaluate_sr,
-    has_independent_subset,
     independence_number,
     make_instance,
     optimal_c2_for_c1,
@@ -34,7 +33,7 @@ from entwit import (
 )
 from entwit.control import DeterministicStrategy
 
-from helpers import brute_force_c2, random_c1, random_weights
+from helpers import brute_force_c2, has_independent_subset, random_c1, random_weights
 
 
 def _criterion(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -48,7 +47,7 @@ def _criterion(number: int, label: str, ok: bool, detail: str = "") -> None:
 def certificate(bundled):
     """The full default-parameter certificate, shared by criteria 7 - 9."""
     start = time.perf_counter()
-    cert = certify_separation(bundled, 1, Fraction(7, 2), workers=1)
+    cert = certify_separation(bundled, 1, Fraction(7, 2))
     return cert, time.perf_counter() - start
 
 

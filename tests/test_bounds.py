@@ -13,7 +13,7 @@ Claims covered:
       verified zero-error code on all supported messages (non-vacuously
       exercised on a five-message sub-instance), and any full-support
       strategy's code fails, matching the capacity bound
-    - certificates are deterministic across runs and worker counts, and the
+    - certificates are deterministic across runs, and the
       vacuous / window-insufficient / budget-truncated paths never certify
     - the certificate reaches M = 10, 20, 40 at their threshold scales, with
       each winning table's cost confirmed by the oracle evaluator
@@ -229,8 +229,8 @@ def test_budget_truncation_is_inconclusive(bundled):
 
 
 def test_certificate_deterministic_across_runs_and_workers(bundled):
-    a = certify_separation(bundled, 1, Fraction(7, 2), window=4, workers=1)
-    b = certify_separation(bundled, 1, Fraction(7, 2), window=4, workers=2)
+    a = certify_separation(bundled, 1, Fraction(7, 2), window=4)
+    b = certify_separation(bundled, 1, Fraction(7, 2), window=4)
     assert a.certified and b.certified
     assert format_certificate(a) == format_certificate(b)
     assert a.search.strategy == b.search.strategy

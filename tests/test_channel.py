@@ -29,10 +29,7 @@ from entwit import (
     build_ks_channel,
     code_from_independent_set,
     confusability_graph,
-    epsilon_t_distribution,
-    has_independent_subset,
     independence_number,
-    nt_output_distribution,
     output_pair,
     verify_zero_error,
 )
@@ -44,6 +41,8 @@ from entwit.channel import (
 )
 from entwit.exact import Vector
 from entwit.ks import KSBasisSet
+
+from helpers import has_independent_subset
 
 
 # -- construction -------------------------------------------------------------
@@ -201,15 +200,19 @@ def test_incomplete_decoder_verdict(channel):
 
 def test_epsilon_point_mass():
     enc = EncoderMap(t=10, q=6, d=4)
-    assert epsilon_t_distribution(2 * 10 + 3, enc) == {ChannelInput(2, 3): Fraction(1)}
-    assert epsilon_t_distribution(0, enc) == {ChannelInput(0, 0): Fraction(1)}
+    assert enc.decompose(2 * 10 + 3) == ChannelInput(2, 3)
+    assert enc.decompose(0) == ChannelInput(0, 0)
 
 
-def test_epsilon_uniform_branch():
+def test_epsilon_uniform_branch(channel):
     enc = EncoderMap(t=10, q=6, d=4)
-    dist = epsilon_t_distribution(7, enc)  # 7 = 0*10 + 7 and 7 is not below d
-    assert len(dist) == 24
-    assert set(dist.values()) == {Fraction(1, 24)}
+    assert enc.decompose(7) is None  # 7 = 0*10 + 7 and 7 is not below d
+    # the uniform branch weighs every one of the 24 inputs by 1/24
+    dist = NtChannel(enc, channel).output_distribution(7)
+    for o, p in dist.items():
+        holders = [i for i in channel.inputs if o in channel.rows[i]]
+        assert p == sum(Fraction(1, 24) * channel.rows[i][o] for i in holders)
+    assert sum(dist.values()) == 1
 
 
 def test_epsilon_rejects_small_t():
@@ -235,14 +238,14 @@ def test_decomposition_unique_for_t_at_least_d(t):
 def test_nt_in_form_matches_channel_row(channel):
     enc = EncoderMap(t=10, q=6, d=4)
     y = 3 * 10 + 2
-    dist = nt_output_distribution(y, enc, channel)
+    dist = NtChannel(enc, channel).output_distribution(y)
     assert dist == channel.rows[ChannelInput(3, 2)]
     assert set(dist.values()) == {Fraction(1, 9)}
 
 
 def test_nt_out_of_form_is_uniform_over_edges(channel):
     enc = EncoderMap(t=10, q=6, d=4)
-    dist = nt_output_distribution(-5, enc, channel)
+    dist = NtChannel(enc, channel).output_distribution(-5)
     assert len(dist) == 108
     assert set(dist.values()) == {Fraction(1, 108)}
 
@@ -253,7 +256,7 @@ def test_nt_sums_to_one_on_sampled_wire_values(channel):
     span = 2 * 6 * 17
     for _ in range(1000):
         y = rng.randint(-span, span)
-        dist = nt_output_distribution(y, enc, channel)
+        dist = NtChannel(enc, channel).output_distribution(y)
         assert sum(dist.values(), Fraction(0)) == 1
 
 
@@ -272,7 +275,7 @@ def test_output_distributions_are_read_only(channel):
             del view[s]
     # the views show the channel's own rows, which the refused writes left whole
     assert views[1] == channel.rows[ChannelInput(3, 2)]
-    assert views[2] == nt_output_distribution(-5, nt.enc, channel)
+    assert views[2] == NtChannel(nt.enc, channel).output_distribution(-5)
     assert sum(channel.rows[ChannelInput(3, 2)].values()) == 1
 
 

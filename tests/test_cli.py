@@ -162,7 +162,7 @@ def test_search_gate_survives_optimized_mode():
         "import sys\n"
         "from fractions import Fraction\n"
         "from entwit import control\n"
-        "control._FastEvaluator.to_fraction = (\n"
+        "control._PrefixEvaluator.to_fraction = (\n"
         "    lambda self, scaled: Fraction(scaled + 1, self.scale_den))\n"
         "from entwit.cli import main\n"
         "sys.exit(main(['classical-search', '--t', '10', '--window', '1']))\n"

@@ -11,18 +11,20 @@ Claims covered:
       strategy that breaks the k*d^2 ceiling raises QuantumDecodeError
     - the per-output c2 minimizer matches an independent linear scan,
       including its half-even tie rule
+    - an instance rejects a channel whose inputs are not the (m, j) grid
     - the branch-and-bound search returns the cost and the tie-broken c1
       table of a flat scan of every in-window table (plain enumeration at
       W=1, and on instances mixing k, t, W, skewed message distributions and
-      an irregular channel that takes the generic evaluator), is
-      deterministic across worker counts, budget-truncatable, raises
-      SearchMismatchError when its winner's re-evaluation disagrees, and its
-      best in-window cost is non-decreasing in t for fixed W=4
+      channels that are irregular, have three distinct degrees or have
+      asymmetric rows), is budget-truncatable, raises SearchMismatchError
+      when its winner's re-evaluation disagrees, and its best in-window cost
+      is non-decreasing in t for fixed W=4
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -42,7 +44,7 @@ from entwit import (
 from entwit import control
 from entwit.control import (
     SearchMismatchError,
-    _FastEvaluator,
+    _PrefixEvaluator,
     strategy_from_json_dict,
     strategy_to_json_dict,
 )
@@ -50,6 +52,7 @@ from entwit.control import (
 from helpers import (
     brute_force_c2,
     flat_scan,
+    oracle_cost,
     random_c1,
     random_strategy,
     random_weights,
@@ -87,6 +90,22 @@ def test_nonpositive_k_rejected(bundled, channel):
         make_instance(bundled, 4, 0, channel=channel)
     with pytest.raises(ValueError):
         make_instance(bundled, 4, Fraction(-1, 2), channel=channel)
+
+
+def test_channel_off_the_grid_rejected(bundled, channel):
+    # the bundled channel less input (5, 3): rows still name it, but it has
+    # no row of its own, so the encoder's grid is not covered
+    neighbors = {i: channel.neighbors(i) for i in channel.inputs}
+    missing = dict(neighbors)
+    del missing[ChannelInput(5, 3)]
+    # ... and with one input beyond the grid, paired with (0, 0) both ways
+    extra = dict(neighbors)
+    extra[ChannelInput(6, 0)] = [ChannelInput(0, 0)]
+    extra[ChannelInput(0, 0)] = neighbors[ChannelInput(0, 0)] + (ChannelInput(6, 0),)
+    for rows in (missing, extra):
+        ch = FiniteChannel.from_neighbor_sets(rows)
+        with pytest.raises(ValueError, match=r"\(m, j\) grid"):
+            make_instance(bundled, 4, 1, channel=ch)
 
 
 def test_point_mass_support(bundled, channel):
@@ -318,16 +337,32 @@ def test_search_matches_plain_enumeration_at_w1(inst10):
     assert tuple(res.strategy.c1[x] for _m, x in inst10.support()) == best_vals
 
 
-@pytest.fixture(scope="module")
-def irregular(channel):
-    # the bundled channel less one confusable pair: two inputs of degree 8
-    # among 22 of degree 9, which the integer fast path does not take
+def _without(channel, drops):
+    """The channel with neighbor b dropped from row a for each (a, b)."""
     neighbors = {i: list(channel.neighbors(i)) for i in channel.inputs}
-    a = channel.inputs[0]
-    b = neighbors[a][0]
-    neighbors[a].remove(b)
-    neighbors[b].remove(a)
+    for a, b in drops:
+        neighbors[ChannelInput(*a)].remove(ChannelInput(*b))
     return FiniteChannel.from_neighbor_sets(neighbors)
+
+
+@pytest.fixture(scope="module")
+def channels(channel):
+    return {
+        "regular": channel,
+        # less one confusable pair: two inputs of degree 8 among 22 of 9
+        "irregular": _without(channel, [((0, 0), (0, 1)), ((0, 1), (0, 0))]),
+        # less three pairs at (0, 0) and (1, 0): degrees 7, 8 and 9
+        "three-degree": _without(channel, [
+            ((0, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (0, 2)),
+            ((0, 2), (0, 0)), ((1, 0), (1, 1)), ((1, 1), (1, 0)),
+        ]),
+        # three pairs dropped from one row only: each of those outputs
+        # stays in the other endpoint's row, and the pairs sit between
+        # inputs that neighbouring messages hit at t = 4 and t = 5
+        "asymmetric": _without(channel, [
+            ((0, 0), (0, 3)), ((0, 3), (1, 0)), ((1, 1), (0, 2)),
+        ]),
+    }
 
 
 UNIFORM = None
@@ -355,17 +390,17 @@ P_M_IDS = {
         ("irregular", 5, Fraction(7, 3), SKEWED3, 2),
         ("irregular", 39, Fraction(1), SKEWED3, 3),
         ("irregular", 4, Fraction(7, 3), UNIFORM, 1),
+        ("three-degree", 4, Fraction(1, 1000), TIED3, 1),
+        ("three-degree", 5, Fraction(7, 3), SKEWED3, 2),
+        ("three-degree", 8, Fraction(1), SKEWED4, 1),
+        ("asymmetric", 4, Fraction(1, 1000), SKEWED4, 2),
+        ("asymmetric", 5, Fraction(7, 3), SKEWED3, 2),
+        ("asymmetric", 4, Fraction(1), UNIFORM, 1),
     ],
     ids=lambda v: P_M_IDS.get(v, str(v)),
 )
-def test_search_matches_flat_scan(
-    bundled, channel, irregular, kind, t, k, p_m, window
-):
-    ch = channel if kind == "regular" else irregular
-    inst = make_instance(bundled, t, k, p_m=p_m, channel=ch)
-    if kind == "irregular":
-        with pytest.raises(ValueError, match="not regular"):
-            _FastEvaluator(inst, window)
+def test_search_matches_flat_scan(bundled, channels, kind, t, k, p_m, window):
+    inst = make_instance(bundled, t, k, p_m=p_m, channel=channels[kind])
     best_cost, best_vals = flat_scan(inst, window)
     res = search_deterministic(inst, window)
     assert res.complete
@@ -373,9 +408,33 @@ def test_search_matches_flat_scan(
     assert tuple(res.strategy.c1[x] for _m, x in inst.support()) == best_vals
 
 
+@pytest.mark.parametrize("kind", ["regular", "irregular", "three-degree", "asymmetric"])
+def test_prefix_evaluator_matches_oracle_cost(bundled, channels, kind):
+    # the search only compares costs, so a wrong score can still leave the
+    # winner right; score full tables against the plain-Fraction oracle, with
+    # every value pair on the first two messages (owners that share an
+    # output, in either order, with and without wires out of form) and
+    # random values on the rest
+    rng = random.Random(20130)
+    for t, k, p_m, window in [
+        (4, Fraction(1), UNIFORM, 3),
+        (5, Fraction(7, 3), SKEWED4, 3),
+        (6, Fraction(1, 1000), UNIFORM, 3),
+        (10, Fraction(1), SKEWED3, 3),
+    ]:
+        inst = make_instance(bundled, t, k, p_m=p_m, channel=channels[kind])
+        evaluator = _PrefixEvaluator(inst, window)
+        span = range(-window, window + 1)
+        for first in product(span, span):
+            rest = [rng.choice(span) for _ in inst.support()[2:]]
+            values = [*first, *rest]
+            scaled = evaluator.eval_scaled(values)
+            assert evaluator.to_fraction(scaled) == oracle_cost(inst, values)
+
+
 def test_search_mismatch_gate_raises(monkeypatch, inst10):
     monkeypatch.setattr(
-        _FastEvaluator, "to_fraction",
+        _PrefixEvaluator, "to_fraction",
         lambda self, scaled: Fraction(scaled + 1, self.scale_den),
     )
     with pytest.raises(SearchMismatchError, match="mismatch"):
@@ -388,18 +447,6 @@ def test_search_beats_any_supplied_strategy(inst10):
     for _ in range(20):
         strat = random_strategy(rng, inst10, 3)
         assert res.cost <= evaluate_deterministic(inst10, strat).total
-
-
-def test_search_deterministic_across_worker_counts(inst10):
-    seq = search_deterministic(inst10, 2, workers=1)
-    par = search_deterministic(inst10, 2, workers=3)
-    assert seq.cost == par.cost
-    assert seq.strategy == par.strategy
-
-
-def test_workers_below_one_rejected(inst10):
-    with pytest.raises(ValueError, match="workers"):
-        search_deterministic(inst10, 1, workers=0)
 
 
 def test_budget_truncation_flags_incomplete(inst10):
