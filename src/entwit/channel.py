@@ -17,7 +17,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from .exact import fraction_str, is_orthogonal
+from .exact import fraction_str
 from .ks import KSBasisSet, validate_basis_set, verify_ks_property
 
 
@@ -125,14 +125,12 @@ def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
             f"basis set lacks the one-per-basis orthogonality property; "
             f"witness traversal {check.witness}"
         )
-    flat = ks.all_vectors()
+    # the traversal check's orthogonality bitmasks, indexed by id m*d + j
     ids = [ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d)]
-    neighbors: Dict[ChannelInput, List[ChannelInput]] = {i: [] for i in ids}
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            if is_orthogonal(flat[a], flat[b]):
-                neighbors[ids[a]].append(ids[b])
-                neighbors[ids[b]].append(ids[a])
+    neighbors = {
+        i: [ids[b] for b in range(len(ids)) if mask >> b & 1]
+        for i, mask in zip(ids, check.masks)
+    }
     for i, nbrs in neighbors.items():
         if not nbrs:
             raise ValueError(f"degenerate set: input {i} has no orthogonal partner")
@@ -166,10 +164,6 @@ class ConfusabilityGraph:
 
     def degree(self, v) -> int:
         return sum(1 for e in self.edges if v in e)
-
-    def is_independent(self, subset: Iterable) -> bool:
-        subset = list(subset)
-        return not any(self.adjacent(a, b) for a, b in combinations(subset, 2))
 
 
 def confusability_graph(ch: FiniteChannel) -> ConfusabilityGraph:

@@ -241,7 +241,8 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
             j = branch.outcome.j
             y = x + j
             max_c1 = max(max_c1, abs(j))
-            control += px * inv_d * inst.k * j * j
+            weight = px * inv_d  # the branch's probability, checked above
+            control += weight * inst.k * j * j
             for s, p_out in sorted(inst.nt.output_distribution(y).items()):
                 decoded, p_dec = decoder_decode(inst.ks, s, branch.residual)
                 if decoded != (m, j) or p_dec != 1:
@@ -255,8 +256,7 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
                     raise QuantumDecodeError(
                         f"final signal {z} != 0 on a branch", witness=(m, j, s)
                     )
-                prob = px * branch.probability * p_out
-                traces.append(SignalTrace(x, m, j, y, s, a2, z, prob))
+                traces.append(SignalTrace(x, m, j, y, s, a2, z, weight * p_out))
     report = CostReport(
         total=control,
         control=control,
@@ -564,19 +564,6 @@ def strategy_to_json_dict(strat: DeterministicStrategy) -> dict:
         "c1": [[x, v] for x, v in sorted(strat.c1.items())],
         "c2": [[[list(s[0]), list(s[1])], v] for s, v in sorted(strat.c2.items())],
     }
-
-
-def strategy_from_json_dict(data: dict) -> DeterministicStrategy:
-    if data.get("format") != STRATEGY_FORMAT_TAG:
-        raise ValueError(f"unrecognized strategy format: {data.get('format')!r}")
-    from .channel import output_pair
-
-    c1 = {int(x): int(v) for x, v in data["c1"]}
-    c2 = {
-        output_pair(ChannelInput(*a), ChannelInput(*b)): int(v)
-        for (a, b), v in data["c2"]
-    }
-    return DeterministicStrategy(c1=c1, c2=c2)
 
 
 def cost_report_to_json_dict(report: CostReport, include_traces: bool = False) -> dict:

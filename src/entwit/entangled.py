@@ -99,7 +99,7 @@ def decoder_decode(
     cand2 = ks.vector(m2, j2)
     if not is_orthogonal(cand1, cand2):
         raise ValueError(f"candidates {s} are not orthogonal")
-    if cand1.norm_sq() != 1 or cand2.norm_sq() != 1:
+    if not (cand1.is_unit() and cand2.is_unit()):
         raise ValueError(f"candidates {s} are not unit vectors")
     p1 = residual.overlap_sq(cand1)
     p2 = residual.overlap_sq(cand2)

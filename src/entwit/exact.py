@@ -73,9 +73,6 @@ class ComplexFraction:
     def conjugate(self) -> "ComplexFraction":
         return ComplexFraction(self.re, -self.im)
 
-    def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
@@ -101,6 +98,16 @@ class ComplexFraction:
         return f"({self.re}{sign}{abs(self.im)}i)"
 
 
+def _numerators(entries: Sequence[ComplexFraction]) -> tuple:
+    """Gaussian-integer numerators (re, im) over the least common denominator."""
+    den = lcm(*(c.re.denominator for c in entries), *(c.im.denominator for c in entries))
+    return (
+        tuple(c.re.numerator * (den // c.re.denominator) for c in entries),
+        tuple(c.im.numerator * (den // c.im.denominator) for c in entries),
+        den,
+    )
+
+
 def _gauss_dot(a_re, a_im, b_re, b_im) -> tuple:
     """Integer (re, im) of sum(conj(a_k) * b_k) over Gaussian integers."""
     re = im = 0
@@ -115,13 +122,15 @@ class Vector:
 
     The entries are held as Gaussian-integer numerators (``_re``, ``_im``)
     over the least positive common denominator ``_den``; ``entries`` rebuilds
-    them as ComplexFractions.  The sqrt never has to be evaluated: every
+    them as ComplexFractions.  The object is immutable, so the integer
+    squared norm of the numerators is computed once, when they are stored,
+    and held in ``_nsq``.  The sqrt never has to be evaluated: every
     quantity this package consumes (orthogonality, squared overlaps, squared
     norms, measurement probabilities) is rational in the entries and the
     scale.
     """
 
-    __slots__ = ("_re", "_im", "_den", "scale")
+    __slots__ = ("_re", "_im", "_den", "scale", "_nsq")
 
     def __init__(self, entries: Iterable, scale: RationalLike = 1):
         coerced = [ComplexFraction.coerce(e) for e in entries]
@@ -130,21 +139,22 @@ class Vector:
             raise ValueError(f"vector scale must be positive, got {s}")
         if not coerced:
             raise ValueError("vector must have at least one entry")
-        den = lcm(*(c.re.denominator for c in coerced), *(c.im.denominator for c in coerced))
-        self._set(
-            tuple(c.re.numerator * (den // c.re.denominator) for c in coerced),
-            tuple(c.im.numerator * (den // c.im.denominator) for c in coerced),
-            den,
-            s,
-        )
+        self._set(*_numerators(coerced), s)
 
-    def _set(self, *values) -> None:
-        for name, value in zip(Vector.__slots__, values):
+    def _set(self, re: tuple, im: tuple, den: int, scale=None) -> None:
+        """Store lowest-terms numerators and hold their integer squared norm
+        in ``_nsq``; with no scale, the vector is the unit vector along them."""
+        nsq = sum(r * r for r in re) + sum(i * i for i in im)
+        if scale is None:
+            if nsq == 0:
+                raise ValueError("cannot normalize the zero vector")
+            scale = Fraction(nsq, den * den)
+        for name, value in zip(Vector.__slots__, (re, im, den, scale, nsq)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _from_ints(cls, re: Sequence[int], im: Sequence[int], den: int, scale) -> "Vector":
-        """Vector (re + i*im) / den / sqrt(scale), reduced to lowest terms."""
+    def _from_ints(cls, re: Sequence[int], im: Sequence[int], den: int, scale=None) -> "Vector":
+        """Vector (re + i*im) / den / sqrt(scale) in lowest terms; unit if no scale."""
         g = gcd(den, *re, *im)
         v = object.__new__(cls)
         v._set(tuple(x // g for x in re), tuple(x // g for x in im), den // g, scale)
@@ -157,23 +167,24 @@ class Vector:
     def from_components(cls, components: Sequence, denominator: RationalLike = 1) -> "Vector":
         """Unit vector in the direction of ``components / denominator``.
 
-        The scale is set to the squared norm of the raw components, so the
-        result is exactly normalized without evaluating any square root.
+        The numerators come straight from the parsed fractions, and the
+        scale is set to their squared norm, so the result is exactly
+        normalized without evaluating any square root.
         """
         den = as_fraction(denominator)
         if den == 0:
             raise ValueError("denominator must be nonzero")
-        coerced = [ComplexFraction.coerce(c) for c in components]
-        return cls([ComplexFraction(c.re / den, c.im / den) for c in coerced]).normalized()
+        re, im, common = _numerators([ComplexFraction.coerce(c) for c in components])
+        # (x / common) / (p / q) = (x * q * sign(p)) / (common * |p|)
+        mult = den.denominator if den > 0 else -den.denominator
+        return cls._from_ints(
+            [x * mult for x in re], [x * mult for x in im], common * abs(den.numerator)
+        )
 
     @classmethod
     def literal(cls, components: Sequence) -> "Vector":
         """Vector whose denoted value is exactly the given components."""
         return cls(components, scale=1)
-
-    @classmethod
-    def standard_basis_vector(cls, index: int, dim: int) -> "Vector":
-        return cls([1 if i == index else 0 for i in range(dim)], scale=1)
 
     @property
     def entries(self) -> tuple:
@@ -188,13 +199,9 @@ class Vector:
         return len(self._re)
 
     def _dot(self, other: "Vector") -> tuple:
-        if self.dim != other.dim:
+        if len(self._re) != len(other._re):
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return _gauss_dot(self._re, self._im, other._re, other._im)
-
-    def _norm(self) -> int:
-        """Integer sum of |numerator|^2 over the entries."""
-        return sum(r * r for r in self._re) + sum(i * i for i in self._im)
 
     def raw_dot(self, other: "Vector") -> ComplexFraction:
         """Sesquilinear sum(conj(self_k) * other_k) over raw entries.
@@ -208,10 +215,12 @@ class Vector:
 
     def norm_sq(self) -> Fraction:
         s = self.scale
-        return Fraction(self._norm() * s.denominator, self._den ** 2 * s.numerator)
+        return Fraction(self._nsq * s.denominator, self._den ** 2 * s.numerator)
 
-    def is_zero(self) -> bool:
-        return not any(self._re) and not any(self._im)
+    def is_unit(self) -> bool:
+        """norm_sq() == 1, decided on integers; no Fraction is built."""
+        s = self.scale
+        return self._nsq * s.denominator == self._den * self._den * s.numerator
 
     def overlap_sq(self, other: "Vector") -> Fraction:
         """Squared fidelity |<self|other>|^2 between the normalized rays.
@@ -219,7 +228,7 @@ class Vector:
         Denominators and scales cancel: it is |numerator dot|^2 over the
         product of the numerators' squared norms.
         """
-        nsq = self._norm() * other._norm()
+        nsq = self._nsq * other._nsq
         if nsq == 0:
             raise ValueError("overlap with a zero vector is undefined")
         re, im = self._dot(other)
@@ -229,14 +238,7 @@ class Vector:
         return Vector._from_ints(self._re, tuple(-i for i in self._im), self._den, self.scale)
 
     def normalized(self) -> "Vector":
-        nsq = self._norm()
-        if nsq == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return Vector._from_ints(self._re, self._im, self._den, Fraction(nsq, self._den ** 2))
-
-    def same_ray(self, other: "Vector") -> bool:
-        """True iff the two vectors agree up to a global phase."""
-        return self.overlap_sq(other) == 1
+        return Vector._from_ints(self._re, self._im, self._den)
 
     def __reduce__(self):
         return (Vector, (self.entries, self.scale))

@@ -3,8 +3,9 @@
 A basis set here is q orthonormal bases of C^d.  The property that drives the
 whole channel construction: every traversal that picks one vector from each
 basis contains at least one orthogonal pair.  ``verify_ks_property`` decides
-this by exhaustively scanning all d^q minimal traversals (any superset of a
-traversal inherits the property, so minimal traversals suffice).
+this for all d^q minimal traversals (any superset of a traversal inherits
+the property, so minimal traversals suffice) by a depth-first walk that
+settles every completion of a prefix holding an orthogonal pair at once.
 
 The bundled instance is the classic set of 24 real rays in C^4 (components in
 {0, +-1}) partitioned into six orthonormal bases; it ships as data under
@@ -14,10 +15,9 @@ The bundled instance is the classic set of 24 real rays in C^4 (components in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from itertools import product
 from typing import Optional, Sequence
 
 from .exact import ComplexFraction, Vector, as_fraction, is_orthogonal
@@ -75,6 +75,8 @@ class KSCheckResult:
     holds: bool
     traversals_checked: int
     witness: Optional[tuple]  # traversal (m, j) pairs with no orthogonal pair
+    # orthogonality bitmask per vector id m*d + j: bit b set iff orthogonal to b
+    masks: tuple = field(default=(), repr=False, compare=False)
 
 
 def validate_basis_set(ks: KSBasisSet) -> ValidationReport:
@@ -83,9 +85,8 @@ def validate_basis_set(ks: KSBasisSet) -> ValidationReport:
     for m, basis in enumerate(ks.bases):
         issue = None
         for j, v in enumerate(basis):
-            nsq = v.norm_sq()
-            if nsq != 1:
-                issue = BasisIssue(m, (j, j), f"vector {j} has squared norm {nsq}")
+            if not v.is_unit():
+                issue = BasisIssue(m, (j, j), f"vector {j} has squared norm {v.norm_sq()}")
                 break
             for j2 in range(j + 1, len(basis)):
                 if not is_orthogonal(v, basis[j2]):
@@ -101,18 +102,22 @@ def validate_basis_set(ks: KSBasisSet) -> ValidationReport:
 
 
 def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
-    """Exhaustively scan all d^q one-per-basis traversals.
+    """Decide whether every one-per-basis traversal holds an orthogonal pair.
 
-    Holds iff every traversal contains an orthogonal pair; otherwise the
-    returned witness is a traversal with no such pair.  Requires the set to
-    validate first (orthogonality is only meaningful between unit vectors).
+    Walks the d^q traversals depth first in ``itertools.product`` order; a
+    prefix that already holds an orthogonal pair is not extended, and its
+    d^(q - len) completions are counted at once.  So ``traversals_checked``
+    is what a flat scan in that order counts: d^q when the property holds,
+    else the position of the first traversal with no orthogonal pair, which
+    is the witness.  The result carries the orthogonality bitmasks.  Requires
+    the set to validate first (orthogonality is only meaningful between unit
+    vectors).
     """
     report = validate_basis_set(ks)
     if not report.passed:
         raise ValueError(f"basis set fails validation: {report.issues[0].detail}")
     q, d = ks.q, ks.d
     flat = ks.all_vectors()
-    # orthogonality bitmask per vector id (id = m*d + j)
     n = q * d
     masks = [0] * n
     for a in range(n):
@@ -120,21 +125,24 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
             if is_orthogonal(flat[a], flat[b]):
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
+    masks = tuple(masks)
     checked = 0
-    for combo in product(range(d), repeat=q):
-        checked += 1
-        chosen = 0
-        has_pair = False
-        for m, j in enumerate(combo):
+
+    def walk(m: int, chosen: int, prefix: tuple) -> Optional[tuple]:
+        nonlocal checked
+        for j in range(d):
             vid = m * d + j
             if masks[vid] & chosen:
-                has_pair = True
-                break
-            chosen |= 1 << vid
-        if not has_pair:
-            witness = tuple((m, j) for m, j in enumerate(combo))
-            return KSCheckResult(holds=False, traversals_checked=checked, witness=witness)
-    return KSCheckResult(holds=True, traversals_checked=checked, witness=None)
+                checked += d ** (q - m - 1)
+            elif m + 1 == q:
+                checked += 1
+                return prefix + ((m, j),)
+            elif found := walk(m + 1, chosen | 1 << vid, prefix + ((m, j),)):
+                return found
+        return None
+
+    witness = walk(0, 0, ())
+    return KSCheckResult(witness is None, checked, witness, masks)
 
 
 def conjugate_basis(basis: Sequence[Vector]) -> tuple:

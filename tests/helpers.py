@@ -10,10 +10,12 @@ from itertools import combinations, product
 from math import floor
 
 from entwit import (
+    ChannelInput,
     DeterministicStrategy,
     optimal_c2_for_c1,
+    output_pair,
 )
-from entwit.control import posterior_moments
+from entwit.control import STRATEGY_FORMAT_TAG, posterior_moments
 from entwit.exact import ComplexFraction, Vector
 
 
@@ -21,15 +23,18 @@ def naive_ks_check(ks):
     """Re-derive the one-per-basis orthogonality property from raw dots.
 
     Walks every traversal with itertools.product and tests each pair by a
-    direct inner product; no bitmasks, no precomputation.
+    direct inner product; no bitmasks, no precomputation, no pruning.
+    Returns (holds, witness_or_None, traversals visited in product order).
     """
+    count = 0
     for combo in product(range(ks.d), repeat=ks.q):
+        count += 1
         chosen = [ks.bases[m][j] for m, j in enumerate(combo)]
         if not any(
             not a.raw_dot(b) for a, b in combinations(chosen, 2)
         ):
-            return False, tuple(enumerate(combo))
-    return True, None
+            return False, tuple(enumerate(combo)), count
+    return True, None, count
 
 
 def brute_force_c2(inst, c1, lo, hi):
@@ -78,6 +83,11 @@ def flat_scan(inst, window):
     return best_cost, best_vals
 
 
+def is_independent(g, subset):
+    """True iff no two members of ``subset`` are adjacent in graph g."""
+    return not any(g.adjacent(a, b) for a, b in combinations(subset, 2))
+
+
 def has_independent_subset(g, size):
     """Exhaustive scan over all ``size``-subsets of vertices.
 
@@ -88,9 +98,18 @@ def has_independent_subset(g, size):
     scanned = 0
     for subset in combinations(verts, size):
         scanned += 1
-        if g.is_independent(subset):
+        if is_independent(g, subset):
             return True, subset, scanned
     return False, None, scanned
+
+
+def strategy_from_json_dict(data):
+    """Read back the JSON form that ``strategy_to_json_dict`` writes."""
+    if data.get("format") != STRATEGY_FORMAT_TAG:
+        raise ValueError(f"unrecognized strategy format: {data.get('format')!r}")
+    c1 = {int(x): int(v) for x, v in data["c1"]}
+    c2 = {output_pair(ChannelInput(*a), ChannelInput(*b)): int(v) for (a, b), v in data["c2"]}
+    return DeterministicStrategy(c1=c1, c2=c2)
 
 
 def random_c1(rng, inst, window, lo=None):
@@ -117,6 +136,27 @@ def random_weights(rng, n):
     return [w / total for w in raws]
 
 
+# -- test-only geometry helpers ------------------------------------------------
+
+
+def abs_sq(c):
+    """|c|^2 of a ComplexFraction."""
+    return c.re * c.re + c.im * c.im
+
+
+def is_zero(v):
+    return not any(v.entries)
+
+
+def same_ray(v, w):
+    """True iff the two vectors agree up to a global phase."""
+    return v.overlap_sq(w) == 1
+
+
+def standard_basis_vector(index, dim):
+    return Vector.literal([1 if i == index else 0 for i in range(dim)])
+
+
 # -- exact geometry by ComplexFraction sums ------------------------------------
 
 
@@ -131,7 +171,7 @@ def cf_dot(v, w):
 
 
 def cf_raw_norm_sq(v):
-    return sum((c.abs_sq() for c in v.entries), Fraction(0))
+    return sum((abs_sq(c) for c in v.entries), Fraction(0))
 
 
 def cf_norm_sq(v):
@@ -143,7 +183,7 @@ def cf_overlap_sq(v, w):
     nsq = cf_norm_sq(v) * cf_norm_sq(w)
     if nsq == 0:
         raise ValueError("overlap with a zero vector is undefined")
-    return cf_dot(v, w).abs_sq() / (v.scale * w.scale * nsq)
+    return abs_sq(cf_dot(v, w)) / (v.scale * w.scale * nsq)
 
 
 def cf_normalized(v):
@@ -168,7 +208,7 @@ def cf_measure_first_subsystem(state, basis):
             for i1 in range(a):
                 acc = acc + u.entries[i1].conjugate() * st[i1 * b + i2]
             raw.append(acc)
-        raw_nsq = sum((c.abs_sq() for c in raw), Fraction(0))
+        raw_nsq = sum((abs_sq(c) for c in raw), Fraction(0))
         prob = raw_nsq / (u.scale * state.scale)
         if prob:
             out.append((j, prob, tuple(raw), raw_nsq))
@@ -197,7 +237,7 @@ def complete_orthonormal_basis(seeds, dim):
     for k in range(dim):
         if len(basis) == dim:
             break
-        w = Vector.standard_basis_vector(k, dim)
+        w = standard_basis_vector(k, dim)
         residual = list(w.entries)
         for u in basis:
             # projection coefficient of w on unit u, in w's raw gauge

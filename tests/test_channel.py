@@ -42,7 +42,7 @@ from entwit.channel import (
 from entwit.exact import Vector
 from entwit.ks import KSBasisSet
 
-from helpers import has_independent_subset
+from helpers import has_independent_subset, is_independent
 
 
 # -- construction -------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_independence_number_complete():
 def test_bundled_independence_number(channel, graph):
     size, witness = independence_number(graph)
     assert size == 5
-    assert graph.is_independent(witness)
+    assert is_independent(graph, witness)
     code = code_from_independent_set(channel, witness)
     assert len(code.messages) == 5
     assert verify_zero_error(channel, code).is_zero_error

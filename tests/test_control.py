@@ -45,7 +45,6 @@ from entwit import control
 from entwit.control import (
     SearchMismatchError,
     _PrefixEvaluator,
-    strategy_from_json_dict,
     strategy_to_json_dict,
 )
 
@@ -56,6 +55,7 @@ from helpers import (
     random_c1,
     random_strategy,
     random_weights,
+    strategy_from_json_dict,
 )
 
 

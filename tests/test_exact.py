@@ -1,5 +1,6 @@
 """Exact scalar/vector layer: arithmetic, normalization, completion, measurement."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,13 +17,16 @@ from entwit.exact import (
     measure_first_subsystem,
 )
 from helpers import (
+    abs_sq,
     cf_dot,
     cf_measure_first_subsystem,
     cf_norm_sq,
     cf_normalized,
     cf_overlap_sq,
     complete_orthonormal_basis,
+    is_zero,
     measurement_probabilities,
+    same_ray,
 )
 
 small_fractions = st.fractions(
@@ -50,7 +54,7 @@ def test_complex_fraction_basics():
     assert (a - b).im == 3
     assert a * b == ComplexFraction(Fraction(7, 3), Fraction(-1, 3))
     assert a.conjugate().im == -2
-    assert a.abs_sq() == 5
+    assert abs_sq(a) == 5
     assert not ComplexFraction(0, 0)
     assert ComplexFraction(2) == 2
 
@@ -108,8 +112,8 @@ def test_overlap_and_same_ray_mod_phase():
     # i * v is the same ray even though the entries differ
     w = Vector.from_components([ComplexFraction(0, 1), ComplexFraction(-1)])
     assert v.overlap_sq(w) == 1
-    assert v.same_ray(w)
-    assert not v.same_ray(v.conjugate())
+    assert same_ray(v, w)
+    assert not same_ray(v, v.conjugate())
 
 
 def test_conjugate_preserves_overlap_magnitude():
@@ -158,14 +162,17 @@ def test_integer_kernel_matches_complex_fraction_sums():
         seen["non_unit_scale"] += v.scale != 1
         assert v.raw_dot(w) == cf_dot(v, w)
         assert v.norm_sq() == cf_norm_sq(v)
+        assert v.is_unit() == (v.norm_sq() == 1)
+        assert _held_norm_is_fresh(v)
         assert is_orthogonal(v, w) == (not cf_dot(v, w))
-        if v.is_zero() or w.is_zero():
+        if is_zero(v) or is_zero(w):
             with pytest.raises(ValueError):
                 v.overlap_sq(w)
             continue
         assert v.overlap_sq(w) == cf_overlap_sq(v, w)
         n = v.normalized()
         assert (n.entries, n.scale) == cf_normalized(v)
+        assert n.is_unit() and n.norm_sq() == 1
         assert n == Vector(*cf_normalized(v))
         # measurement of a state on C^a x C^b along a random local basis
         a, b = dim, rng.randint(1, 3)
@@ -173,7 +180,7 @@ def test_integer_kernel_matches_complex_fraction_sums():
         basis = [_random_vector(rng, a) for _ in range(a)]
         if rng.randrange(4) == 0:
             basis[rng.randrange(a)] = Vector([0] * a)  # a zero-probability branch
-        if state.is_zero():
+        if is_zero(state):
             continue
         got = [(j, p, r.entries, r.scale) for j, p, r in measure_first_subsystem(state, basis)]
         expected = cf_measure_first_subsystem(state, basis)
@@ -182,6 +189,40 @@ def test_integer_kernel_matches_complex_fraction_sums():
     assert seen["dims"] == {2, 3, 4, 5}
     assert min(seen["mixed_den"], seen["imag"], seen["non_unit_scale"],
                seen["dropped_branch"]) > 20
+
+
+def _held_norm_is_fresh(v):
+    """The norm held since construction equals the numerators' sum, recomputed."""
+    return v._nsq == sum(r * r for r in v._re) + sum(i * i for i in v._im)
+
+
+def test_held_norm_is_fresh_on_every_construction_path():
+    v = Vector([Fraction(2, 4), ComplexFraction(Fraction(1, 3), -2), ComplexFraction(0, 5)], scale=3)
+    w = Vector._from_ints((6, 0, -3), (3, 9, 0), 12, Fraction(2, 7))  # reduced by 3
+    made = {
+        "init": v,
+        "from_ints": w,
+        "conjugate": v.conjugate(),
+        "conjugate_from_ints": w.conjugate(),
+        "normalized": v.normalized(),
+        "pickle": pickle.loads(pickle.dumps(w)),
+    }
+    parts = [ComplexFraction(1, 2), ComplexFraction("1/3", -1), 3]
+    for den in (1, -3, "3/2", "-3/2"):
+        # the direct numerators must equal dividing the entries and normalizing
+        made[f"from_components/{den}"] = got = Vector.from_components(parts, denominator=den)
+        divided = [ComplexFraction(c.re / Fraction(den), c.im / Fraction(den))
+                   for c in map(ComplexFraction.coerce, parts)]
+        assert got == Vector(divided).normalized()
+        assert got.is_unit()
+    for path, u in made.items():
+        assert _held_norm_is_fresh(u), path
+        assert u.norm_sq() == cf_norm_sq(u), path
+    assert w == Vector(w.entries, w.scale) and w._den == 4
+    # a negative denominator flips the direction; it is not the same vector
+    assert Vector.from_components(parts, -1) == Vector.from_components(
+        [-ComplexFraction.coerce(c) for c in parts]
+    ) != Vector.from_components(parts)
 
 
 def test_vector_stores_entries_in_lowest_terms():
@@ -254,5 +295,5 @@ def test_measure_first_subsystem_of_entangled_pair():
     branches = measure_first_subsystem(state, [plus, minus])
     assert [b[1] for b in branches] == [Fraction(1, 2), Fraction(1, 2)]
     # residuals are the conjugates (= themselves here, real data)
-    assert branches[0][2].same_ray(plus)
-    assert branches[1][2].same_ray(minus)
+    assert same_ray(branches[0][2], plus)
+    assert same_ray(branches[1][2], minus)

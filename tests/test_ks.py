@@ -3,8 +3,9 @@
 Claims covered:
     - orthogonality decisions are exact on the bundled data
     - validate_basis_set flags duplicate vectors and non-unit norms by pair
-    - verify_ks_property scans all d^q traversals and agrees with a naive
-      re-implementation on every set small enough to cross-check
+    - verify_ks_property's pruned depth-first walk agrees with a naive
+      product-order scan (holds, witness and traversal count) on every set
+      small enough to cross-check, failing subsets included
     - a single basis and a pair of mutually unbiased bases both lack the
       property, with witnesses
     - conjugation is an involution, fixes real bases, preserves overlaps
@@ -30,7 +31,7 @@ from entwit.ks import (
     save_basis_set,
 )
 
-from helpers import naive_ks_check
+from helpers import naive_ks_check, same_ray
 
 
 def _mub_d2():
@@ -124,14 +125,45 @@ def test_verify_requires_validation():
         verify_ks_property(KSBasisSet(q=1, d=2, bases=((v, v),)))
 
 
+def _naive_agrees(ks):
+    holds, witness, count = naive_ks_check(ks)
+    result = verify_ks_property(ks)
+    assert (result.holds, result.witness, result.traversals_checked) == (holds, witness, count)
+    return result
+
+
 def test_agrees_with_naive_reimplementation(bundled):
     # every set in the suite has d^q <= 1e5, so cross-check them all
     for ks in (bundled, _mub_d2(), _single_basis_d2()):
-        expected_holds, expected_witness = naive_ks_check(ks)
-        result = verify_ks_property(ks)
-        assert result.holds == expected_holds
-        if not result.holds:
-            assert result.witness == expected_witness
+        _naive_agrees(ks)
+    reversed_set = KSBasisSet(q=6, d=4, bases=bundled.bases[::-1])
+    assert _naive_agrees(reversed_set).traversals_checked == 4096
+
+
+def test_pruned_walk_counts_like_the_flat_scan_on_failing_sets(bundled):
+    # five of the six bases never suffice; a prefix that already holds an
+    # orthogonal pair settles its completions at once, and the count and
+    # witness must still be those of the product-order scan
+    counts = []
+    for drop in range(6):
+        bases = tuple(b for m, b in enumerate(bundled.bases) if m != drop)
+        result = _naive_agrees(KSBasisSet(q=5, d=4, bases=bases))
+        assert not result.holds
+        counts.append(result.traversals_checked)
+        # the same subset listed backwards fails at other positions
+        flipped = tuple(b[::-1] for b in bases[::-1])
+        assert not _naive_agrees(KSBasisSet(q=5, d=4, bases=flipped)).holds
+    assert counts == [33, 3, 2, 1, 5, 1]
+
+
+def test_check_result_carries_the_orthogonality_table(bundled):
+    masks = verify_ks_property(bundled).masks
+    flat = bundled.all_vectors()
+    assert len(masks) == 24
+    for a, b in combinations(range(24), 2):
+        orthogonal = is_orthogonal(flat[a], flat[b])
+        assert bool(masks[a] >> b & 1) == bool(masks[b] >> a & 1) == orthogonal
+    assert not any(mask >> a & 1 for a, mask in enumerate(masks))
 
 
 # -- conjugation ----------------------------------------------------------------
@@ -188,7 +220,7 @@ def test_common_denominator_is_cosmetic():
     assert (loaded.q, loaded.d) == (reference.q, reference.d)
     for basis_a, basis_b in zip(loaded.bases, reference.bases):
         for va, vb in zip(basis_a, basis_b):
-            assert va.same_ray(vb)
+            assert same_ray(va, vb)
 
 
 def test_rational_string_entries():
