@@ -30,7 +30,6 @@ from .control import (
     evaluate_quantum,
     make_instance,
     search_deterministic,
-    strategy_to_json_dict,
 )
 from .exact import as_fraction, fraction_str
 from .ks import KSBasisSet
@@ -169,25 +168,6 @@ def strategy_to_code(
     )
 
 
-def decoder_estimates_exact(
-    inst: WitsenhausenInstance, strat: DeterministicStrategy
-) -> bool:
-    """True iff |m - eta| < 1/2 on every positive-probability branch.
-
-    This is the premise under which the reduction yields a zero-error code on
-    all supported messages; with full support it can never hold, which is
-    exactly the contradiction the search certificate exploits.
-    """
-    t = inst.t
-    for m, x in inst.support():
-        y = x + strat.c1_at(x)
-        for s in inst.nt.output_distribution(y):
-            eta = Fraction(-strat.c2_at(s), t)
-            if abs(m - eta) >= Fraction(1, 2):
-                return False
-    return True
-
-
 # -- certificates ------------------------------------------------------------
 
 
@@ -209,12 +189,15 @@ class SeparationCertificate:
     quantum_cost: Fraction
     quantum_branches: int
     status: str  # certified | not-separated | vacuous | inconclusive | window-insufficient
-    certified: bool
     search: Optional[SearchResult]
     reduction: Optional[ZeroErrorVerdict]
     reduction_ties: int
     notes: tuple
     clauses: tuple
+
+    @property
+    def certified(self) -> bool:
+        return self.status == "certified"
 
 
 T0_SYMBOL_NOTE = (
@@ -260,72 +243,48 @@ def certify_separation(
             f"window override {window} in place of the default {w_default}"
         )
 
+    search = reduction = None
+    ties = 0
+    clauses = ()
     if m_bound < quantum.total:
-        return SeparationCertificate(
-            label=ks.label,
-            q=ks.q,
-            d=ks.d,
-            k=k,
-            m_bound=m_bound,
-            bounds=bounds,
-            t=t,
-            window=w,
-            window_required=w_required,
-            window_default=w_default,
-            quantum_cost=quantum.total,
-            quantum_branches=len(quantum.traces),
-            status="vacuous",
-            certified=False,
-            search=None,
-            reduction=None,
-            reduction_ties=0,
-            notes=tuple(
-                notes
-                + [
-                    f"cost bound {m_bound} is below the entangled cost "
-                    f"{quantum.total}; nothing to separate"
-                ]
-            ),
-            clauses=(),
-        )
-
-    search = search_deterministic(inst, w, node_budget=node_budget)
-    code = strategy_to_code(inst, search.strategy)
-    reduction = verify_zero_error(inst.nt, code)
-
-    if not search.complete:
-        status = "inconclusive"
-        certified = False
-        notes.append("search truncated by the node budget; no certificate")
-    elif w < w_required:
-        status = "window-insufficient"
-        certified = False
+        status = "vacuous"
         notes.append(
-            f"window {w} does not cover every strategy of cost <= {m_bound} "
-            f"(needs {w_required})"
+            f"cost bound {m_bound} is below the entangled cost "
+            f"{quantum.total}; nothing to separate"
         )
-    elif search.cost > m_bound:
-        status = "certified"
-        certified = True
     else:
-        status = "not-separated"
-        certified = False
-
-    clauses = (
-        f"(a) the entangled strategy achieves cost {quantum.total} "
-        f"<= {m_bound} at t = {t}, verified over {len(quantum.traces)} branches",
-        f"(b) any deterministic strategy with cost <= {m_bound} satisfies "
-        f"|c1| <= M_X = sqrt({bounds.m_x_sq}) < {w_required + 1}, hence lies "
-        f"in the window [{-w}, {w}]",
-        f"(c) the branch-and-bound search over all "
-        f"{(2 * w + 1) ** len(inst.support())} in-window c1 tables (optimal c2 "
-        f"per table), pruning only prefixes whose exact partial cost already "
-        f"exceeds the incumbent, has minimum "
-        f"{search.cost} {'>' if search.cost > m_bound else '<='} {m_bound}",
-        "(d) a finite shared-randomness mixture is a convex combination of "
-        "deterministic strategies, so it cannot go below the deterministic "
-        "minimum",
-    )
+        search = search_deterministic(inst, w, node_budget=node_budget)
+        code = strategy_to_code(inst, search.strategy)
+        reduction = verify_zero_error(inst.nt, code)
+        ties = len(code.ties)
+        if not search.complete:
+            status = "inconclusive"
+            notes.append("search truncated by the node budget; no certificate")
+        elif w < w_required:
+            status = "window-insufficient"
+            notes.append(
+                f"window {w} does not cover every strategy of cost <= {m_bound} "
+                f"(needs {w_required})"
+            )
+        elif search.cost > m_bound:
+            status = "certified"
+        else:
+            status = "not-separated"
+        clauses = (
+            f"(a) the entangled strategy achieves cost {quantum.total} "
+            f"<= {m_bound} at t = {t}, verified over {len(quantum.traces)} branches",
+            f"(b) any deterministic strategy with cost <= {m_bound} satisfies "
+            f"|c1| <= M_X = sqrt({bounds.m_x_sq}) < {w_required + 1}, hence lies "
+            f"in the window [{-w}, {w}]",
+            f"(c) the branch-and-bound search over all "
+            f"{(2 * w + 1) ** len(inst.support())} in-window c1 tables (optimal "
+            f"c2 per table), pruning only prefixes whose exact partial cost "
+            f"already exceeds the incumbent, has minimum "
+            f"{search.cost} {'>' if search.cost > m_bound else '<='} {m_bound}",
+            "(d) a finite shared-randomness mixture is a convex combination of "
+            "deterministic strategies, so it cannot go below the deterministic "
+            "minimum",
+        )
     return SeparationCertificate(
         label=ks.label,
         q=ks.q,
@@ -340,10 +299,9 @@ def certify_separation(
         quantum_cost=quantum.total,
         quantum_branches=len(quantum.traces),
         status=status,
-        certified=certified,
         search=search,
         reduction=reduction,
-        reduction_ties=len(code.ties),
+        reduction_ties=ties,
         notes=tuple(notes),
         clauses=clauses,
     )
@@ -383,15 +341,12 @@ def format_certificate(cert: SeparationCertificate) -> str:
         f"quantum-branches: {cert.quantum_branches}",
     ]
     if cert.search is not None:
-        import json as _json
-
         lines += [
             f"search-complete: {str(cert.search.complete).lower()}",
             f"search-candidates-evaluated: {cert.search.candidates_evaluated}",
             "classical-in-window-minimum: "
             + fraction_str(cert.search.cost, with_decimal=True),
-            "best-strategy: "
-            + _json.dumps(strategy_to_json_dict(cert.search.strategy)["c1"]),
+            "best-strategy: " + cert.search.strategy.c1_json(),
         ]
     if cert.reduction is not None:
         lines.append(

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .exact import fraction_str
 from .ks import KSBasisSet, validate_basis_set, verify_ks_property
 
 
@@ -89,14 +88,6 @@ class FiniteChannel:
             seen.update(row)
         return tuple(sorted(seen))
 
-    def neighbors(self, i: ChannelInput) -> tuple:
-        """The inputs i' appearing with i in its positive outputs."""
-        i = ChannelInput(*i)
-        out = []
-        for o in self.rows[i]:
-            out.append(o[1] if o[0] == i else o[0])
-        return tuple(sorted(out))
-
     def output_distribution(self, i: ChannelInput) -> MappingProxyType:
         """Read-only view of row i; nothing is copied."""
         return MappingProxyType(self.rows[ChannelInput(*i)])
@@ -156,14 +147,6 @@ class ConfusabilityGraph:
                 raise ValueError(f"edge ({a}, {b}) uses an unknown vertex")
             if not a < b:
                 raise ValueError(f"edge ({a}, {b}) is not canonically ordered")
-
-    def adjacent(self, a, b) -> bool:
-        if a == b:
-            return False
-        return ((a, b) if a < b else (b, a)) in self.edges
-
-    def degree(self, v) -> int:
-        return sum(1 for e in self.edges if v in e)
 
 
 def confusability_graph(ch: FiniteChannel) -> ConfusabilityGraph:
@@ -235,8 +218,6 @@ def independence_number(g: ConfusabilityGraph) -> tuple:
 
 # -- zero-error codes -----------------------------------------------------
 
-Codeword = Union[ChannelInput, int]
-
 
 @dataclass(frozen=True)
 class ZeroErrorCode:
@@ -268,25 +249,6 @@ class ZeroErrorVerdict:
     @property
     def is_zero_error(self) -> bool:
         return self.status == "zero_error"
-
-
-def code_from_independent_set(ch: FiniteChannel, independent: Iterable) -> ZeroErrorCode:
-    """Messages 0..|S|-1 on an independent set; decode each output to its owner."""
-    codewords = sorted(ChannelInput(*i) for i in independent)
-    g = confusability_graph(ch)
-    for a, b in combinations(codewords, 2):
-        if a == b:
-            raise ValueError(f"independent set contains {a} twice")
-        if g.adjacent(a, b):
-            raise ValueError(f"set is not independent: {a} and {b} are confusable")
-    encoder = {msg: cw for msg, cw in enumerate(codewords)}
-    decoder = {}
-    for msg, cw in encoder.items():
-        for o in ch.rows[cw]:
-            decoder[o] = msg
-    return ZeroErrorCode(
-        messages=tuple(range(len(codewords))), encoder=encoder, decoder=decoder
-    )
 
 
 def verify_zero_error(channel_like, code: ZeroErrorCode) -> ZeroErrorVerdict:
@@ -369,56 +331,3 @@ class NtChannel:
                         dist[o] = dist.get(o, 0) + w * p
             self._uniform_branch.update(dist)
         return MappingProxyType(self._uniform_branch)
-
-
-# -- serialization ---------------------------------------------------------
-
-CHANNEL_FORMAT_TAG = "finite-channel/1"
-GRAPH_FORMAT_TAG = "confusability-graph/1"
-
-
-def channel_to_json_dict(ch: FiniteChannel) -> dict:
-    triples = []
-    for i in ch.inputs:
-        for o in sorted(ch.rows[i]):
-            pair = [list(o[0]), list(o[1])]
-            triples.append([list(i), pair, fraction_str(ch.rows[i][o])])
-    return {
-        "format": CHANNEL_FORMAT_TAG,
-        "inputs": [list(i) for i in ch.inputs],
-        "outputs": [[list(o[0]), list(o[1])] for o in ch.outputs],
-        "probabilities": triples,
-    }
-
-
-def channel_from_json_dict(data: dict) -> FiniteChannel:
-    if data.get("format") != CHANNEL_FORMAT_TAG:
-        raise ValueError(f"unrecognized channel format: {data.get('format')!r}")
-    rows: Dict[ChannelInput, Dict[ChannelOutput, Fraction]] = {
-        ChannelInput(*i): {} for i in data["inputs"]
-    }
-    for i_raw, o_raw, p_raw in data["probabilities"]:
-        i = ChannelInput(*i_raw)
-        o = output_pair(ChannelInput(*o_raw[0]), ChannelInput(*o_raw[1]))
-        rows[i][o] = Fraction(p_raw)
-    ch = FiniteChannel(inputs=tuple(sorted(rows)), rows=rows)
-    ch.validate()
-    return ch
-
-
-def graph_to_json_dict(g: ConfusabilityGraph) -> dict:
-    return {
-        "format": GRAPH_FORMAT_TAG,
-        "vertices": [list(v) for v in sorted(g.vertices)],
-        "edges": [[list(a), list(b)] for a, b in sorted(g.edges)],
-    }
-
-
-def graph_from_json_dict(data: dict) -> ConfusabilityGraph:
-    if data.get("format") != GRAPH_FORMAT_TAG:
-        raise ValueError(f"unrecognized graph format: {data.get('format')!r}")
-    vertices = tuple(ChannelInput(*v) for v in data["vertices"])
-    edges = frozenset(
-        (ChannelInput(*a), ChannelInput(*b)) for a, b in data["edges"]
-    )
-    return ConfusabilityGraph(vertices=vertices, edges=edges)

@@ -21,13 +21,7 @@ from .channel import (
     confusability_graph,
     independence_number,
 )
-from .control import (
-    cost_report_to_json_dict,
-    evaluate_quantum,
-    make_instance,
-    search_deterministic,
-    strategy_to_json_dict,
-)
+from .control import evaluate_quantum, make_instance, search_deterministic
 from .exact import decimal_str, fraction_str
 from .ks import bundled_basis_set, load_basis_set, validate_basis_set, verify_ks_property
 
@@ -120,18 +114,17 @@ def _cmd_quantum_run(args) -> int:
     _check_args(ks, [args.t])
     inst = make_instance(ks, args.t, args.k)
     report = evaluate_quantum(inst)
-    data = cost_report_to_json_dict(report)
     lines = [
         "report: quantum-run/1",
         f"label: {ks.label}",
         f"t: {args.t}",
         f"k: {fraction_str(inst.k, with_decimal=True)}",
         f"messages: {ks.q}",
-        f"branches: {data['trace_count']}",
-        f"cost: {data['total']} ({data['total_decimal']})",
-        f"control-term: {data['control']}",
-        f"damping-term: {data['damping']}",
-        f"max-final-signal: {data['max_abs_z']}",
+        f"branches: {len(report.traces)}",
+        f"cost: {fraction_str(report.total, with_decimal=True)}",
+        f"control-term: {fraction_str(report.control)}",
+        f"damping-term: {fraction_str(report.damping)}",
+        f"max-final-signal: {report.max_abs_z}",
         f"below-kd2: {str(report.total < inst.k * inst.d * inst.d).lower()}",
     ]
     _write("\n".join(lines) + "\n", args.out)
@@ -139,8 +132,6 @@ def _cmd_quantum_run(args) -> int:
 
 
 def _cmd_classical_search(args) -> int:
-    import json as _json
-
     ks = _load_set(args.ks_set)
     _check_args(ks, [args.t], args.budget)
     inst = make_instance(ks, args.t, args.k)
@@ -154,7 +145,7 @@ def _cmd_classical_search(args) -> int:
         f"complete: {str(result.complete).lower()}",
         f"candidates-evaluated: {result.candidates_evaluated}",
         f"best-cost: {fraction_str(result.cost, with_decimal=True)}",
-        "best-c1: " + _json.dumps(strategy_to_json_dict(result.strategy)["c1"]),
+        "best-c1: " + result.strategy.c1_json(),
     ]
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK if result.complete else EXIT_INCONCLUSIVE
@@ -337,10 +328,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

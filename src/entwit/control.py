@@ -6,10 +6,12 @@ on the first controller's action.  The cost of a strategy is
 
     E[ k * c1(x)^2 + (x + c1(x) + c2(s))^2 ]
 
-evaluated exactly over every positive-probability branch.  Three strategy
-classes are covered: deterministic tables, finite shared-randomness mixtures
-of deterministic tables, and the entangled strategy whose second term
-vanishes identically.
+evaluated exactly over every positive-probability branch.  Two strategy
+classes are evaluated: deterministic tables, and the entangled strategy
+whose second term vanishes identically.  A finite shared-randomness mixture
+of deterministic tables costs the weighted average of its components, so it
+never beats the best one; the certificate states that in words (clause (d)),
+and the test suite keeps a mixture evaluator as an oracle for it.
 
 The deterministic search is an exact branch and bound over c1 tables with
 entries in a window [-W, W], pruning on the exact cost of c1 prefixes; c2 is
@@ -21,6 +23,7 @@ grid, and the winner is re-checked branch by branch.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -35,7 +38,7 @@ from .channel import (
     build_ks_channel,
 )
 from .entangled import QuantumDecodeError, decoder_decode, encoder_branches
-from .exact import as_fraction, decimal_str, fraction_str
+from .exact import as_fraction
 from .ks import KSBasisSet
 
 
@@ -118,23 +121,9 @@ class DeterministicStrategy:
     def c2_at(self, s: ChannelOutput) -> int:
         return self.c2.get(s, 0)
 
-
-@dataclass(frozen=True)
-class SharedRandomnessStrategy:
-    """Finite mixture of deterministic strategies with positive weights."""
-
-    components: tuple  # (weight: Fraction, DeterministicStrategy)
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("mixture needs at least one component")
-        total = Fraction(0)
-        for w, _ in self.components:
-            if w <= 0:
-                raise ValueError("mixture weights must be positive")
-            total += w
-        if total != 1:
-            raise ValueError(f"mixture weights sum to {total}, not 1")
+    def c1_json(self) -> str:
+        """The c1 table as a JSON list of [x, c1(x)] pairs, sorted by x."""
+        return json.dumps([[x, v] for x, v in sorted(self.c1.items())])
 
 
 class SignalTrace(NamedTuple):
@@ -193,28 +182,6 @@ def evaluate_deterministic(
         max_abs_c1=max_c1,
         max_abs_z=max_z,
     )
-
-
-def evaluate_sr(
-    inst: WitsenhausenInstance, strat: SharedRandomnessStrategy
-) -> CostReport:
-    """Weight-convex combination of the component deterministic costs."""
-    total = Fraction(0)
-    control = Fraction(0)
-    damping = Fraction(0)
-    traces: List[SignalTrace] = []
-    max_c1 = 0
-    max_z = 0
-    for weight, det in strat.components:
-        report = evaluate_deterministic(inst, det)
-        total += weight * report.total
-        control += weight * report.control
-        damping += weight * report.damping
-        max_c1 = max(max_c1, report.max_abs_c1)
-        max_z = max(max_z, report.max_abs_z)
-        for tr in report.traces:
-            traces.append(tr._replace(probability=weight * tr.probability))
-    return CostReport(total, control, damping, tuple(traces), max_c1, max_z)
 
 
 def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
@@ -551,43 +518,3 @@ def search_deterministic(
         candidates_evaluated=nodes,
         window=window,
     )
-
-
-# -- serialization ---------------------------------------------------------
-
-STRATEGY_FORMAT_TAG = "strategy/1"
-
-
-def strategy_to_json_dict(strat: DeterministicStrategy) -> dict:
-    return {
-        "format": STRATEGY_FORMAT_TAG,
-        "c1": [[x, v] for x, v in sorted(strat.c1.items())],
-        "c2": [[[list(s[0]), list(s[1])], v] for s, v in sorted(strat.c2.items())],
-    }
-
-
-def cost_report_to_json_dict(report: CostReport, include_traces: bool = False) -> dict:
-    data = {
-        "total": fraction_str(report.total),
-        "total_decimal": decimal_str(report.total),
-        "control": fraction_str(report.control),
-        "damping": fraction_str(report.damping),
-        "max_abs_c1": report.max_abs_c1,
-        "max_abs_z": report.max_abs_z,
-        "trace_count": len(report.traces),
-    }
-    if include_traces:
-        data["traces"] = [
-            {
-                "x": tr.x,
-                "m": tr.m,
-                "c1": tr.c1_out,
-                "y": tr.y,
-                "s": [list(tr.s[0]), list(tr.s[1])],
-                "c2": tr.c2_out,
-                "z": tr.z,
-                "probability": fraction_str(tr.probability),
-            }
-            for tr in report.traces
-        ]
-    return data

@@ -20,8 +20,6 @@ from .channel import ChannelInput, ChannelOutput, FiniteChannel
 from .exact import Vector, is_orthogonal, measure_first_subsystem
 from .ks import KSBasisSet, conjugate_basis, validate_basis_set
 
-PureState = Vector
-
 
 @dataclass(frozen=True)
 class MeasurementBranch:
@@ -30,7 +28,7 @@ class MeasurementBranch:
 
     outcome: ChannelInput
     probability: Fraction
-    residual: PureState
+    residual: Vector
 
 
 class QuantumDecodeError(AssertionError):
@@ -49,12 +47,12 @@ class QuantumZeroErrorReport:
     per_message_mass: tuple  # Fraction per message; each must be 1
 
 
-def maximally_entangled_state(d: int) -> PureState:
+def maximally_entangled_state(d: int) -> Vector:
     """(1/sqrt(d)) sum_j |j>|j> as an exact vector on C^(d*d)."""
     if d < 2:
         raise ValueError("need dimension at least 2")
     entries = [1 if (i // d) == (i % d) else 0 for i in range(d * d)]
-    return Vector(entries, scale=d)
+    return Vector._from_ints(entries, [0] * (d * d), 1, Fraction(d))
 
 
 def encoder_branches(ks: KSBasisSet, m: int) -> list:
@@ -82,7 +80,7 @@ def encoder_branches(ks: KSBasisSet, m: int) -> list:
 
 
 def decoder_decode(
-    ks: KSBasisSet, s: ChannelOutput, residual: PureState
+    ks: KSBasisSet, s: ChannelOutput, residual: Vector
 ) -> tuple:
     """Measure the residual in an orthonormal basis containing both candidates.
 

@@ -181,11 +181,6 @@ class Vector:
             [x * mult for x in re], [x * mult for x in im], common * abs(den.numerator)
         )
 
-    @classmethod
-    def literal(cls, components: Sequence) -> "Vector":
-        """Vector whose denoted value is exactly the given components."""
-        return cls(components, scale=1)
-
     @property
     def entries(self) -> tuple:
         den = self._den
@@ -202,16 +197,6 @@ class Vector:
         if len(self._re) != len(other._re):
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return _gauss_dot(self._re, self._im, other._re, other._im)
-
-    def raw_dot(self, other: "Vector") -> ComplexFraction:
-        """Sesquilinear sum(conj(self_k) * other_k) over raw entries.
-
-        The denoted inner product is this divided by sqrt(self.scale *
-        other.scale); in particular it is zero iff this is zero.
-        """
-        re, im = self._dot(other)
-        den = self._den * other._den
-        return ComplexFraction(Fraction(re, den), Fraction(im, den))
 
     def norm_sq(self) -> Fraction:
         s = self.scale

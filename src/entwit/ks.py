@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -165,29 +164,10 @@ def conjugate_basis(basis: Sequence[Vector]) -> tuple:
 FORMAT_TAG = "ks-basis-set/1"
 
 
-def _entry_to_json(c: ComplexFraction):
-    def num(f: Fraction):
-        return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-    return [num(c.re), num(c.im)]
-
-
-def basis_set_to_json_dict(ks: KSBasisSet) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "label": ks.label,
-        "q": ks.q,
-        "d": ks.d,
-        "bases": [
-            [[_entry_to_json(c) for c in v.entries] for v in basis]
-            for basis in ks.bases
-        ],
-    }
-
-
 def basis_set_from_json_dict(data: dict) -> KSBasisSet:
-    if data.get("format") != FORMAT_TAG:
-        raise ValueError(f"unrecognized basis-set format: {data.get('format')!r}")
+    tag = data.get("format") if isinstance(data, dict) else None
+    if tag != FORMAT_TAG:
+        raise ValueError(f"unrecognized basis-set format: {tag!r}")
     q = int(data["q"])
     d = int(data["d"])
     den = as_fraction(data.get("denominator", 1))
@@ -201,30 +181,13 @@ def basis_set_from_json_dict(data: dict) -> KSBasisSet:
     return KSBasisSet(q=q, d=d, bases=tuple(bases), label=data.get("label", ""))
 
 
-def save_basis_set(ks: KSBasisSet, path) -> None:
-    data = basis_set_to_json_dict(ks)
-    lines = [
-        "{",
-        f' "format": {json.dumps(data["format"])},',
-        f' "label": {json.dumps(data["label"])},',
-        f' "q": {data["q"]},',
-        f' "d": {data["d"]},',
-        ' "bases": [',
-    ]
-    for m, basis in enumerate(data["bases"]):
-        lines.append("  [")
-        for j, vec in enumerate(basis):
-            comma = "," if j + 1 < len(basis) else ""
-            lines.append(f"   {json.dumps(vec, separators=(',', ':'))}{comma}")
-        lines.append("  ]," if m + 1 < len(data["bases"]) else "  ]")
-    lines += [" ]", "}"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def load_basis_set(path) -> KSBasisSet:
     with open(path, "r", encoding="utf-8") as fh:
-        return basis_set_from_json_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return basis_set_from_json_dict(data)
+    except TypeError as exc:  # a float entry, or a field of the wrong shape
+        raise ValueError(f"malformed basis set {path}: {exc}") from exc
 
 
 def bundled_basis_set() -> KSBasisSet:

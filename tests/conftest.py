@@ -1,6 +1,7 @@
 import pytest
 
-from entwit import build_ks_channel, bundled_basis_set, confusability_graph
+from entwit.channel import build_ks_channel, confusability_graph
+from entwit.ks import bundled_basis_set
 
 
 @pytest.fixture(scope="session")

@@ -5,17 +5,19 @@ method (direct inner products, plain enumeration, linear scans) so the
 package code is checked against computations that share none of its shortcuts.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import floor
 
-from entwit import (
-    ChannelInput,
+from entwit.channel import ChannelInput, ZeroErrorCode, confusability_graph
+from entwit.control import (
+    CostReport,
     DeterministicStrategy,
+    evaluate_deterministic,
     optimal_c2_for_c1,
-    output_pair,
+    posterior_moments,
 )
-from entwit.control import STRATEGY_FORMAT_TAG, posterior_moments
 from entwit.exact import ComplexFraction, Vector
 
 
@@ -31,7 +33,7 @@ def naive_ks_check(ks):
         count += 1
         chosen = [ks.bases[m][j] for m, j in enumerate(combo)]
         if not any(
-            not a.raw_dot(b) for a, b in combinations(chosen, 2)
+            not raw_dot(a, b) for a, b in combinations(chosen, 2)
         ):
             return False, tuple(enumerate(combo)), count
     return True, None, count
@@ -83,9 +85,26 @@ def flat_scan(inst, window):
     return best_cost, best_vals
 
 
+# -- channel and graph oracles -------------------------------------------------
+
+
+def neighbors(ch, i):
+    """The inputs i' appearing with i in its positive outputs, sorted."""
+    i = ChannelInput(*i)
+    return tuple(sorted(o[1] if o[0] == i else o[0] for o in ch.rows[i]))
+
+
+def adjacent(g, a, b):
+    return a != b and ((a, b) if a < b else (b, a)) in g.edges
+
+
+def degree(g, v):
+    return sum(1 for e in g.edges if v in e)
+
+
 def is_independent(g, subset):
     """True iff no two members of ``subset`` are adjacent in graph g."""
-    return not any(g.adjacent(a, b) for a, b in combinations(subset, 2))
+    return not any(adjacent(g, a, b) for a, b in combinations(subset, 2))
 
 
 def has_independent_subset(g, size):
@@ -103,13 +122,69 @@ def has_independent_subset(g, size):
     return False, None, scanned
 
 
-def strategy_from_json_dict(data):
-    """Read back the JSON form that ``strategy_to_json_dict`` writes."""
-    if data.get("format") != STRATEGY_FORMAT_TAG:
-        raise ValueError(f"unrecognized strategy format: {data.get('format')!r}")
-    c1 = {int(x): int(v) for x, v in data["c1"]}
-    c2 = {output_pair(ChannelInput(*a), ChannelInput(*b)): int(v) for (a, b), v in data["c2"]}
-    return DeterministicStrategy(c1=c1, c2=c2)
+def code_from_independent_set(ch, independent):
+    """Messages 0..|S|-1 on an independent set; decode each output to its owner."""
+    codewords = sorted(ChannelInput(*i) for i in independent)
+    g = confusability_graph(ch)
+    for a, b in combinations(codewords, 2):
+        if a == b:
+            raise ValueError(f"independent set contains {a} twice")
+        if adjacent(g, a, b):
+            raise ValueError(f"set is not independent: {a} and {b} are confusable")
+    encoder = dict(enumerate(codewords))
+    decoder = {o: msg for msg, cw in encoder.items() for o in ch.rows[cw]}
+    return ZeroErrorCode(
+        messages=tuple(range(len(codewords))), encoder=encoder, decoder=decoder
+    )
+
+
+# -- strategy oracles ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SharedRandomnessStrategy:
+    """Finite mixture of deterministic strategies with positive weights."""
+
+    components: tuple  # (weight: Fraction, DeterministicStrategy)
+
+    def __post_init__(self):
+        if not self.components:
+            raise ValueError("mixture needs at least one component")
+        total = Fraction(0)
+        for w, _ in self.components:
+            if w <= 0:
+                raise ValueError("mixture weights must be positive")
+            total += w
+        if total != 1:
+            raise ValueError(f"mixture weights sum to {total}, not 1")
+
+
+def evaluate_sr(inst, strat):
+    """Weight-convex combination of the component deterministic costs."""
+    total = control = damping = Fraction(0)
+    traces = []
+    max_c1 = max_z = 0
+    for weight, det in strat.components:
+        report = evaluate_deterministic(inst, det)
+        total += weight * report.total
+        control += weight * report.control
+        damping += weight * report.damping
+        max_c1 = max(max_c1, report.max_abs_c1)
+        max_z = max(max_z, report.max_abs_z)
+        traces += [tr._replace(probability=weight * tr.probability) for tr in report.traces]
+    return CostReport(total, control, damping, tuple(traces), max_c1, max_z)
+
+
+def decoder_estimates_exact(inst, strat):
+    """True iff |m - eta| < 1/2 on every positive-probability branch, where
+    eta = -c2(s)/t: the premise under which the reduction yields a zero-error
+    code on all supported messages."""
+    for m, x in inst.support():
+        y = x + strat.c1_at(x)
+        for s in inst.nt.output_distribution(y):
+            if abs(m - Fraction(-strat.c2_at(s), inst.t)) >= Fraction(1, 2):
+                return False
+    return True
 
 
 def random_c1(rng, inst, window, lo=None):
@@ -154,7 +229,16 @@ def same_ray(v, w):
 
 
 def standard_basis_vector(index, dim):
-    return Vector.literal([1 if i == index else 0 for i in range(dim)])
+    return Vector([1 if i == index else 0 for i in range(dim)])
+
+
+def raw_dot(v, w):
+    """Sesquilinear sum(conj(v_k) * w_k) over the raw entries, from the
+    integer kernel; the denoted inner product is this over
+    sqrt(v.scale * w.scale), so it is zero iff this is zero."""
+    re, im = v._dot(w)
+    den = v._den * w._den
+    return ComplexFraction(Fraction(re, den), Fraction(im, den))
 
 
 # -- exact geometry by ComplexFraction sums ------------------------------------
@@ -247,7 +331,7 @@ def complete_orthonormal_basis(seeds, dim):
                 residual[idx] = residual[idx] - coeff * e * inv
         if not any(residual):
             continue  # dependent on the span so far
-        basis.append(Vector(residual, scale=cf_raw_norm_sq(Vector.literal(residual))))
+        basis.append(Vector(residual, scale=cf_raw_norm_sq(Vector(residual))))
     if len(basis) != dim:
         raise ValueError("basis completion failed to reach full dimension")
     return basis

@@ -12,28 +12,29 @@ from fractions import Fraction
 
 import pytest
 
-from entwit import (
-    SharedRandomnessStrategy,
-    certify_separation,
-    code_from_independent_set,
-    compute_bounds,
-    confusability_graph,
-    decoder_estimates_exact,
+from entwit.bounds import certify_separation, compute_bounds, strategy_to_code
+from entwit.channel import confusability_graph, independence_number, verify_zero_error
+from entwit.control import (
+    DeterministicStrategy,
     evaluate_deterministic,
     evaluate_quantum,
-    evaluate_sr,
-    independence_number,
     make_instance,
     optimal_c2_for_c1,
-    run_zero_error_quantum,
-    strategy_to_code,
-    validate_basis_set,
-    verify_ks_property,
-    verify_zero_error,
 )
-from entwit.control import DeterministicStrategy
+from entwit.entangled import run_zero_error_quantum
+from entwit.ks import validate_basis_set, verify_ks_property
 
-from helpers import brute_force_c2, has_independent_subset, random_c1, random_weights
+from helpers import (
+    SharedRandomnessStrategy,
+    brute_force_c2,
+    code_from_independent_set,
+    decoder_estimates_exact,
+    degree,
+    evaluate_sr,
+    has_independent_subset,
+    random_c1,
+    random_weights,
+)
 
 
 def _criterion(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -80,7 +81,7 @@ def test_criterion_02_channel_structure(channel):
         and row_ok
         and len(channel.outputs) == 108
         and len(g.edges) == 108
-        and all(g.degree(v) == 9 for v in g.vertices)
+        and all(degree(g, v) == 9 for v in g.vertices)
     )
     _criterion(
         2, "channel: 24 inputs, 9 outputs each at 1/9, 108 edges, 9-regular", ok

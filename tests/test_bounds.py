@@ -25,22 +25,23 @@ from fractions import Fraction
 
 import pytest
 
-from entwit import (
-    DeterministicStrategy,
+from entwit.bounds import (
     certify_separation,
     compute_bounds,
-    decoder_estimates_exact,
-    evaluate_deterministic,
     format_certificate,
-    make_instance,
-    optimal_c2_for_c1,
     pxmin,
     pzmin_lower_bound,
     strategy_to_code,
-    verify_zero_error,
+)
+from entwit.channel import verify_zero_error
+from entwit.control import (
+    DeterministicStrategy,
+    evaluate_deterministic,
+    make_instance,
+    optimal_c2_for_c1,
 )
 
-from helpers import oracle_cost, random_c1, random_strategy
+from helpers import decoder_estimates_exact, oracle_cost, random_c1, random_strategy
 
 
 @pytest.fixture(scope="module")

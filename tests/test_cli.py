@@ -2,14 +2,18 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from entwit.cli import main
-from entwit.ks import basis_set_to_json_dict, bundled_basis_set
+
+BUNDLED = resources.files("entwit.data") / "ks_6_4_peres.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -26,7 +30,7 @@ def test_verify_ks_ok(capsys):
 
 
 def test_verify_ks_bad_set(tmp_path, capsys):
-    data = basis_set_to_json_dict(bundled_basis_set())
+    data = json.loads(BUNDLED.read_text())
     data["bases"][0][1] = data["bases"][0][0]  # duplicate vector in basis 0
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -39,6 +43,55 @@ def test_missing_file_fails_cleanly(capsys):
     code, _out, err = run(capsys, "verify-ks", "--ks-set", "/nonexistent.json")
     assert code == 1
     assert "error:" in err
+
+
+def _readme_commands():
+    """The ``entwit ...`` lines of the first fenced block under "Command line"."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("entwit ")
+    ]
+
+
+def test_readme_examples_run(tmp_path):
+    commands = _readme_commands()
+    assert len(commands) == 6
+    for n, argv in enumerate(commands):
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        else:
+            argv += ["--out", str(tmp_path / f"example-{n}.txt")]
+        assert main(argv) == 0, argv
+
+
+def _malformed_set(case, tmp_path):
+    """A --ks-set path that does not parse as a basis set."""
+    if case == "directory":
+        return tmp_path
+    data = json.loads(BUNDLED.read_text())
+    if case == "float-entry":
+        data["bases"][0][0][0][0] = 0.5
+    elif case == "scalar-bases":
+        data["bases"] = 5
+    else:  # a JSON array where an object belongs
+        data = []
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("case", ["float-entry", "scalar-bases", "directory", "list"])
+def test_malformed_set_fails_cleanly(tmp_path, capsys, case):
+    path = _malformed_set(case, tmp_path)
+    code, out, err = run(capsys, "verify-ks", "--ks-set", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_channel_info(capsys):

@@ -28,34 +28,30 @@ from itertools import product
 
 import pytest
 
-from entwit import (
-    ChannelInput,
+from entwit import control
+from entwit.channel import ChannelInput, FiniteChannel
+from entwit.control import (
     DeterministicStrategy,
-    FiniteChannel,
-    QuantumDecodeError,
-    SharedRandomnessStrategy,
+    SearchMismatchError,
+    _PrefixEvaluator,
     evaluate_deterministic,
     evaluate_quantum,
-    evaluate_sr,
     make_instance,
     optimal_c2_for_c1,
     search_deterministic,
 )
-from entwit import control
-from entwit.control import (
-    SearchMismatchError,
-    _PrefixEvaluator,
-    strategy_to_json_dict,
-)
+from entwit.entangled import QuantumDecodeError
 
 from helpers import (
+    SharedRandomnessStrategy,
     brute_force_c2,
+    evaluate_sr,
     flat_scan,
+    neighbors,
     oracle_cost,
     random_c1,
     random_strategy,
     random_weights,
-    strategy_from_json_dict,
 )
 
 
@@ -95,13 +91,13 @@ def test_nonpositive_k_rejected(bundled, channel):
 def test_channel_off_the_grid_rejected(bundled, channel):
     # the bundled channel less input (5, 3): rows still name it, but it has
     # no row of its own, so the encoder's grid is not covered
-    neighbors = {i: channel.neighbors(i) for i in channel.inputs}
-    missing = dict(neighbors)
+    nbrs = {i: neighbors(channel, i) for i in channel.inputs}
+    missing = dict(nbrs)
     del missing[ChannelInput(5, 3)]
     # ... and with one input beyond the grid, paired with (0, 0) both ways
-    extra = dict(neighbors)
+    extra = dict(nbrs)
     extra[ChannelInput(6, 0)] = [ChannelInput(0, 0)]
-    extra[ChannelInput(0, 0)] = neighbors[ChannelInput(0, 0)] + (ChannelInput(6, 0),)
+    extra[ChannelInput(0, 0)] = nbrs[ChannelInput(0, 0)] + (ChannelInput(6, 0),)
     for rows in (missing, extra):
         ch = FiniteChannel.from_neighbor_sets(rows)
         with pytest.raises(ValueError, match=r"\(m, j\) grid"):
@@ -339,10 +335,10 @@ def test_search_matches_plain_enumeration_at_w1(inst10):
 
 def _without(channel, drops):
     """The channel with neighbor b dropped from row a for each (a, b)."""
-    neighbors = {i: list(channel.neighbors(i)) for i in channel.inputs}
+    nbrs = {i: list(neighbors(channel, i)) for i in channel.inputs}
     for a, b in drops:
-        neighbors[ChannelInput(*a)].remove(ChannelInput(*b))
-    return FiniteChannel.from_neighbor_sets(neighbors)
+        nbrs[ChannelInput(*a)].remove(ChannelInput(*b))
+    return FiniteChannel.from_neighbor_sets(nbrs)
 
 
 @pytest.fixture(scope="module")
@@ -470,12 +466,3 @@ def test_best_in_window_cost_non_decreasing_in_t(bundled, channel):
         inst = make_instance(bundled, t, 1, channel=channel)
         costs.append(search_deterministic(inst, 4).cost)
     assert all(a <= b for a, b in zip(costs, costs[1:]))
-
-
-# -- serialization ------------------------------------------------------------------
-
-
-def test_strategy_round_trip(inst10):
-    strat = random_strategy(random.Random(3), inst10, 2)
-    data = strategy_to_json_dict(strat)
-    assert strategy_from_json_dict(data) == strat

@@ -18,17 +18,16 @@ from fractions import Fraction
 
 import pytest
 
-from entwit import (
-    ChannelInput,
+from entwit.channel import ChannelInput, output_pair
+from entwit.entangled import (
     decoder_decode,
     encoder_branches,
     maximally_entangled_state,
-    output_pair,
     run_zero_error_quantum,
 )
 from entwit.exact import ComplexFraction, Vector
 from entwit.ks import KSBasisSet
-from helpers import complete_orthonormal_basis, measurement_probabilities
+from helpers import complete_orthonormal_basis, measurement_probabilities, raw_dot
 
 
 def _complex_single_basis():
@@ -43,9 +42,9 @@ def _complex_single_basis():
 def test_maximally_entangled_state_d2():
     psi = maximally_entangled_state(2)
     assert psi.norm_sq() == 1
-    zero_zero = Vector.literal([1, 0, 0, 0])
-    one_one = Vector.literal([0, 0, 0, 1])
-    crossed = Vector.literal([0, 1, 0, 0])
+    zero_zero = Vector([1, 0, 0, 0])
+    one_one = Vector([0, 0, 0, 1])
+    crossed = Vector([0, 1, 0, 0])
     assert psi.overlap_sq(zero_zero) == Fraction(1, 2)
     assert psi.overlap_sq(one_one) == Fraction(1, 2)
     assert psi.overlap_sq(crossed) == 0
@@ -56,8 +55,14 @@ def test_maximally_entangled_state_d4_amplitudes():
     assert psi.norm_sq() == 1
     # four equal amplitudes of squared magnitude 1/4 on the diagonal kets
     for j in range(4):
-        ket = Vector.literal([1 if i == j * 4 + j else 0 for i in range(16)])
+        ket = Vector([1 if i == j * 4 + j else 0 for i in range(16)])
         assert psi.overlap_sq(ket) == Fraction(1, 4)
+
+
+def test_maximally_entangled_state_matches_the_coerced_construction():
+    for d in range(2, 6):
+        entries = [1 if (i // d) == (i % d) else 0 for i in range(d * d)]
+        assert maximally_entangled_state(d) == Vector(entries, scale=d)
 
 
 def test_encoder_branches_uniform_with_unit_fidelity(bundled):
@@ -102,7 +107,7 @@ def test_decoder_completion_is_orthonormal_either_order(bundled, channel):
         for i, a in enumerate(basis):
             assert a.norm_sq() == 1
             for b in basis[i + 1:]:
-                assert not a.raw_dot(b)
+                assert not raw_dot(a, b)
 
 
 def test_decode_equals_measurement_in_completed_basis(bundled, channel):
@@ -126,16 +131,16 @@ def test_decode_equals_measurement_in_completed_basis(bundled, channel):
 
 
 def test_decoder_rejects_non_unit_candidates():
-    basis = (Vector.literal([2, 0]), Vector.literal([0, 1]))
+    basis = (Vector([2, 0]), Vector([0, 1]))
     ks = KSBasisSet(q=1, d=2, bases=(basis,))
     s = output_pair(ChannelInput(0, 0), ChannelInput(0, 1))
     with pytest.raises(ValueError, match="unit"):
-        decoder_decode(ks, s, Vector.literal([0, 1]))
+        decoder_decode(ks, s, Vector([0, 1]))
 
 
 def test_decoder_rejects_non_orthogonal_candidates(bundled):
     fake = output_pair(ChannelInput(0, 0), ChannelInput(1, 0))
-    assert bundled.vector(0, 0).raw_dot(bundled.vector(1, 0))
+    assert raw_dot(bundled.vector(0, 0), bundled.vector(1, 0))
     with pytest.raises(ValueError):
         decoder_decode(bundled, fake, bundled.vector(0, 0))
 

@@ -1,9 +1,12 @@
 """Byte-exact reports: every command's output against a committed golden file.
 
 The files under ``tests/data/golden/`` were written by ``entwit.cli.main``
-with the argument lists below (plus ``--out``) before the geometry and
-traversal code was reshaped for speed.  Any change to a report's bytes,
-or to a command's exit code, fails here; a deliberate report change must
+with the argument lists below (plus ``--out``), each by the source as it
+stood before the refactor that the case guards: the first eleven before the
+geometry and traversal code was reshaped for speed, the vacuous,
+window-insufficient and budget-truncated cases before the report writers
+were rebuilt on the result objects.  Any change to a report's bytes, or to
+a command's exit code, fails here; a deliberate report change must
 regenerate the file in the same commit.
 """
 
@@ -35,6 +38,27 @@ CASES = (
         "sweep-t4_8_16-w2.txt",
         ["sweep", "--t", "4,8,16", "--window", "2", "--format", "structured-text"],
         0,
+    ),
+    ("certify-k1-bound3.txt", ["certify", "--k", "1", "--bound", "3"], 4),
+    (
+        "certify-k1-bound7_2-w3.txt",
+        ["certify", "--k", "1", "--bound", "7/2", "--window", "3"],
+        1,
+    ),
+    (
+        "certify-k1-bound7_2-budget50.txt",
+        ["certify", "--k", "1", "--bound", "7/2", "--budget", "50"],
+        3,
+    ),
+    (
+        "classical-search-t39-w4-budget20.txt",
+        ["classical-search", "--t", "39", "--window", "4", "--budget", "20"],
+        3,
+    ),
+    (
+        "sweep-t4_39-w4-budget30.csv",
+        ["sweep", "--t", "4,39", "--window", "4", "--budget", "30"],
+        3,
     ),
 )
 
