@@ -24,6 +24,7 @@ from typing import Optional
 
 from .channel import ZeroErrorCode, ZeroErrorVerdict, verify_zero_error
 from .control import (
+    CostReport,
     DeterministicStrategy,
     SearchResult,
     WitsenhausenInstance,
@@ -72,9 +73,7 @@ class BoundSet:
     m_x: float
     m_z: float
     t0: float  # 2 * (m_x + m_z) + 1
-    closed_m_x: Optional[float]  # sqrt(6M) family, when parameters match
-    closed_m_z: Optional[float]
-    closed_t0: Optional[float]  # 20 * sqrt(M) + 1
+    closed_t0: Optional[float]  # 20 * sqrt(M) + 1, when parameters match
 
     @property
     def window_required(self) -> int:
@@ -91,10 +90,27 @@ class BoundSet:
         return floor + 1
 
     def suggested_t(self, d: int) -> int:
-        """Smallest integer scale at or above the t0 formula (closed form
-        preferred when it applies) and at or above d."""
-        t0 = self.closed_t0 if self.closed_t0 is not None else self.t0
-        return max(d, math.ceil(t0))
+        """Smallest integer scale t >= d at or above the t0 formula (closed
+        form preferred when it applies), decided exactly: (t - 1)^2 >= 400*M
+        on the closed path, and (t - 1)/2 >= M_X + M_Z squared twice in
+        Fraction otherwise.  The float t0 only seeds the search."""
+        if self.closed_t0 is not None:
+            t0 = self.closed_t0
+
+            def covers(t: int) -> bool:
+                return (t - 1) ** 2 >= 400 * self.m_bound
+        else:
+            t0, a, b = self.t0, self.m_x_sq, self.m_z_sq
+
+            def covers(t: int) -> bool:
+                gap = Fraction((t - 1) ** 2, 4) - a - b
+                return gap >= 0 and gap * gap >= 4 * a * b
+        t = max(d, math.ceil(t0))
+        while t > d and covers(t - 1):
+            t -= 1
+        while not covers(t):
+            t += 1
+        return t
 
 
 def compute_bounds(m_bound, k, p_x_min, p_z_min) -> BoundSet:
@@ -102,8 +118,9 @@ def compute_bounds(m_bound, k, p_x_min, p_z_min) -> BoundSet:
 
     m_x_sq and m_z_sq are exact; the square roots and the threshold
     t0 = 2 * (M_X + M_Z) + 1 are reported as floats.  When the parameters are
-    the concrete ones (p_x_min, p_z_min, k) = (1/6, 1/54, 1) the closed forms
-    sqrt(6M), sqrt(54M) and 20 * sqrt(M) + 1 are reported alongside.
+    the concrete ones (p_x_min, p_z_min, k) = (1/6, 1/54, 1), M_X and M_Z are
+    the closed forms sqrt(6M) and sqrt(54M), and 20 * sqrt(M) + 1 >= t0 is
+    reported alongside.
     """
     m_bound = as_fraction(m_bound)
     k = as_fraction(k)
@@ -116,7 +133,6 @@ def compute_bounds(m_bound, k, p_x_min, p_z_min) -> BoundSet:
     m_x = math.sqrt(m_x_sq)
     m_z = math.sqrt(m_z_sq)
     closed = (p_x_min, p_z_min, k) == (Fraction(1, 6), Fraction(1, 54), Fraction(1))
-    root_m = math.sqrt(m_bound) if closed else None
     return BoundSet(
         m_bound=m_bound,
         k=k,
@@ -127,9 +143,7 @@ def compute_bounds(m_bound, k, p_x_min, p_z_min) -> BoundSet:
         m_x=m_x,
         m_z=m_z,
         t0=2 * (m_x + m_z) + 1,
-        closed_m_x=math.sqrt(6 * m_bound) if closed else None,
-        closed_m_z=math.sqrt(54 * m_bound) if closed else None,
-        closed_t0=20 * root_m + 1 if closed else None,
+        closed_t0=20 * math.sqrt(m_bound) + 1 if closed else None,
     )
 
 
@@ -176,22 +190,15 @@ class SeparationCertificate:
     """Machine-checkable record that the in-window classical minimum exceeds
     the cost bound while the entangled strategy stays below it."""
 
-    label: str
-    q: int
-    d: int
-    k: Fraction
-    m_bound: Fraction
-    bounds: BoundSet
+    ks: KSBasisSet
+    bounds: BoundSet  # holds k and the cost bound M
     t: int
     window: int
-    window_required: int
-    window_default: int
-    quantum_cost: Fraction
-    quantum_branches: int
+    quantum: CostReport
     status: str  # certified | not-separated | vacuous | inconclusive | window-insufficient
     search: Optional[SearchResult]
+    code: Optional[ZeroErrorCode]  # the best in-window strategy as a code
     reduction: Optional[ZeroErrorVerdict]
-    reduction_ties: int
     notes: tuple
     clauses: tuple
 
@@ -243,8 +250,7 @@ def certify_separation(
             f"window override {window} in place of the default {w_default}"
         )
 
-    search = reduction = None
-    ties = 0
+    search = code = reduction = None
     clauses = ()
     if m_bound < quantum.total:
         status = "vacuous"
@@ -256,7 +262,6 @@ def certify_separation(
         search = search_deterministic(inst, w, node_budget=node_budget)
         code = strategy_to_code(inst, search.strategy)
         reduction = verify_zero_error(inst.nt, code)
-        ties = len(code.ties)
         if not search.complete:
             status = "inconclusive"
             notes.append("search truncated by the node budget; no certificate")
@@ -272,7 +277,7 @@ def certify_separation(
             status = "not-separated"
         clauses = (
             f"(a) the entangled strategy achieves cost {quantum.total} "
-            f"<= {m_bound} at t = {t}, verified over {len(quantum.traces)} branches",
+            f"<= {m_bound} at t = {t}, verified over {quantum.branches} branches",
             f"(b) any deterministic strategy with cost <= {m_bound} satisfies "
             f"|c1| <= M_X = sqrt({bounds.m_x_sq}) < {w_required + 1}, hence lies "
             f"in the window [{-w}, {w}]",
@@ -286,22 +291,15 @@ def certify_separation(
             "minimum",
         )
     return SeparationCertificate(
-        label=ks.label,
-        q=ks.q,
-        d=ks.d,
-        k=k,
-        m_bound=m_bound,
+        ks=ks,
         bounds=bounds,
         t=t,
         window=w,
-        window_required=w_required,
-        window_default=w_default,
-        quantum_cost=quantum.total,
-        quantum_branches=len(quantum.traces),
+        quantum=quantum,
         status=status,
         search=search,
+        code=code,
         reduction=reduction,
-        reduction_ties=ties,
         notes=tuple(notes),
         clauses=clauses,
     )
@@ -309,36 +307,37 @@ def certify_separation(
 
 def format_certificate(cert: SeparationCertificate) -> str:
     """Deterministic structured-text rendering, designed for re-checking."""
+    ks, b = cert.ks, cert.bounds
     lines = [
         "report: separation-certificate/1",
         f"status: {cert.status}",
         f"certified: {str(cert.certified).lower()}",
-        f"label: {cert.label}",
-        f"q: {cert.q}",
-        f"d: {cert.d}",
-        f"k: {fraction_str(cert.k, with_decimal=True)}",
-        f"cost-bound: {fraction_str(cert.m_bound, with_decimal=True)}",
-        f"p-x-min: {fraction_str(cert.bounds.p_x_min, with_decimal=True)}",
-        f"p-z-min-lower: {fraction_str(cert.bounds.p_z_min_lower, with_decimal=True)}",
-        f"m-x-squared: {fraction_str(cert.bounds.m_x_sq, with_decimal=True)}",
-        f"m-z-squared: {fraction_str(cert.bounds.m_z_sq, with_decimal=True)}",
-        f"m-x: {cert.bounds.m_x:.12g}",
-        f"m-z: {cert.bounds.m_z:.12g}",
-        f"t0: {cert.bounds.t0:.12g}",
+        f"label: {ks.label}",
+        f"q: {ks.q}",
+        f"d: {ks.d}",
+        f"k: {fraction_str(b.k, with_decimal=True)}",
+        f"cost-bound: {fraction_str(b.m_bound, with_decimal=True)}",
+        f"p-x-min: {fraction_str(b.p_x_min, with_decimal=True)}",
+        f"p-z-min-lower: {fraction_str(b.p_z_min_lower, with_decimal=True)}",
+        f"m-x-squared: {fraction_str(b.m_x_sq, with_decimal=True)}",
+        f"m-z-squared: {fraction_str(b.m_z_sq, with_decimal=True)}",
+        f"m-x: {b.m_x:.12g}",
+        f"m-z: {b.m_z:.12g}",
+        f"t0: {b.t0:.12g}",
     ]
-    if cert.bounds.closed_t0 is not None:
+    if b.closed_t0 is not None:
         lines += [
-            f"m-x-closed-form: sqrt(6M) = {cert.bounds.closed_m_x:.12g}",
-            f"m-z-closed-form: sqrt(54M) = {cert.bounds.closed_m_z:.12g}",
-            f"t0-closed-form: 20*sqrt(M) + 1 = {cert.bounds.closed_t0:.12g}",
+            f"m-x-closed-form: sqrt(6M) = {b.m_x:.12g}",
+            f"m-z-closed-form: sqrt(54M) = {b.m_z:.12g}",
+            f"t0-closed-form: 20*sqrt(M) + 1 = {b.closed_t0:.12g}",
         ]
     lines += [
         f"t: {cert.t}",
         f"window: {cert.window}",
-        f"window-required: {cert.window_required}",
-        f"window-default: {cert.window_default}",
-        f"quantum-cost: {fraction_str(cert.quantum_cost, with_decimal=True)}",
-        f"quantum-branches: {cert.quantum_branches}",
+        f"window-required: {b.window_required}",
+        f"window-default: {b.window_default}",
+        f"quantum-cost: {fraction_str(cert.quantum.total, with_decimal=True)}",
+        f"quantum-branches: {cert.quantum.branches}",
     ]
     if cert.search is not None:
         lines += [
@@ -357,7 +356,7 @@ def format_certificate(cert: SeparationCertificate) -> str:
                 else ""
             )
         )
-        lines.append(f"reduction-ties: {cert.reduction_ties}")
+        lines.append(f"reduction-ties: {len(cert.code.ties)}")
     for clause in cert.clauses:
         lines.append(f"clause: {clause}")
     for note in cert.notes:

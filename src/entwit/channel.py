@@ -107,9 +107,7 @@ def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
     orthogonality property; an input with no orthogonal partner anywhere in
     the set would have an empty row, which is rejected as degenerate.
     """
-    report = validate_basis_set(ks)
-    if not report.passed:
-        raise ValueError(f"basis set fails validation: {report.issues[0].detail}")
+    validate_basis_set(ks)
     check = verify_ks_property(ks)
     if not check.holds:
         raise ValueError(
@@ -243,7 +241,6 @@ class ZeroErrorCode:
 @dataclass(frozen=True)
 class ZeroErrorVerdict:
     status: str  # "zero_error" | "collision" | "incomplete_decoder"
-    branches_checked: int
     witness: Optional[tuple] = None  # (message, output, decoded message or None)
 
     @property
@@ -259,19 +256,17 @@ def verify_zero_error(channel_like, code: ZeroErrorCode) -> ZeroErrorVerdict:
     (codewords are wire values).  Zero error iff decoding returns the sent
     message on every branch; an undefined decoder entry is its own verdict.
     """
-    checked = 0
     for msg in code.messages:
         cw = code.encoder[msg]
         for o, p in channel_like.output_distribution(cw).items():
             if p <= 0:
                 continue
-            checked += 1
             if o not in code.decoder:
-                return ZeroErrorVerdict("incomplete_decoder", checked, (msg, o, None))
+                return ZeroErrorVerdict("incomplete_decoder", (msg, o, None))
             decoded = code.decoder[o]
             if decoded != msg:
-                return ZeroErrorVerdict("collision", checked, (msg, o, decoded))
-    return ZeroErrorVerdict("zero_error", checked)
+                return ZeroErrorVerdict("collision", (msg, o, decoded))
+    return ZeroErrorVerdict("zero_error")
 
 
 # -- integer encoder and the composed channel ------------------------------

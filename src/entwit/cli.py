@@ -23,7 +23,13 @@ from .channel import (
 )
 from .control import evaluate_quantum, make_instance, search_deterministic
 from .exact import decimal_str, fraction_str
-from .ks import bundled_basis_set, load_basis_set, validate_basis_set, verify_ks_property
+from .ks import (
+    BasisSetError,
+    bundled_basis_set,
+    load_basis_set,
+    validate_basis_set,
+    verify_ks_property,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -70,13 +76,14 @@ def _cmd_verify_ks(args) -> int:
         f"q: {ks.q}",
         f"d: {ks.d}",
     ]
-    report = validate_basis_set(ks)
-    lines.append(f"orthonormal: {'pass' if report.passed else 'fail'}")
-    if not report.passed:
-        issue = report.issues[0]
-        lines.append(f"first-violation: basis {issue.m}, {issue.detail}")
+    try:
+        validate_basis_set(ks)
+    except BasisSetError as exc:
+        lines.append("orthonormal: fail")
+        lines.append(f"first-violation: basis {exc.m}, {exc.detail}")
         _write("\n".join(lines) + "\n", args.out)
         return EXIT_FAIL
+    lines.append("orthonormal: pass")
     result = verify_ks_property(ks)
     lines.append(f"traversals-checked: {result.traversals_checked}")
     if result.holds:
@@ -120,7 +127,7 @@ def _cmd_quantum_run(args) -> int:
         f"t: {args.t}",
         f"k: {fraction_str(inst.k, with_decimal=True)}",
         f"messages: {ks.q}",
-        f"branches: {len(report.traces)}",
+        f"branches: {report.branches}",
         f"cost: {fraction_str(report.total, with_decimal=True)}",
         f"control-term: {fraction_str(report.control)}",
         f"damping-term: {fraction_str(report.damping)}",
@@ -141,7 +148,7 @@ def _cmd_classical_search(args) -> int:
         f"label: {ks.label}",
         f"t: {args.t}",
         f"k: {fraction_str(inst.k, with_decimal=True)}",
-        f"window: {result.window}",
+        f"window: {args.window}",
         f"complete: {str(result.complete).lower()}",
         f"candidates-evaluated: {result.candidates_evaluated}",
         f"best-cost: {fraction_str(result.cost, with_decimal=True)}",

@@ -6,9 +6,11 @@ on the first controller's action.  The cost of a strategy is
 
     E[ k * c1(x)^2 + (x + c1(x) + c2(s))^2 ]
 
-evaluated exactly over every positive-probability branch.  Two strategy
-classes are evaluated: deterministic tables, and the entangled strategy
-whose second term vanishes identically.  A finite shared-randomness mixture
+evaluated exactly over every positive-probability branch.  A cost report
+keeps the total, its two terms, the number of branches walked and the
+largest final signal; no per-branch record is kept.  Two strategy classes
+are evaluated: deterministic tables, and the entangled strategy whose
+second term vanishes identically.  A finite shared-randomness mixture
 of deterministic tables costs the weighted average of its components, so it
 never beats the best one; the certificate states that in words (clause (d)),
 and the test suite keeps a mixture evaluator as an oracle for it.
@@ -27,7 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .channel import (
     ChannelInput,
@@ -126,26 +128,15 @@ class DeterministicStrategy:
         return json.dumps([[x, v] for x, v in sorted(self.c1.items())])
 
 
-class SignalTrace(NamedTuple):
-    """One positive-probability branch of the circuit."""
-
-    x: int
-    m: int
-    c1_out: int
-    y: int
-    s: ChannelOutput
-    c2_out: int
-    z: int
-    probability: Fraction
-
-
 @dataclass(frozen=True)
 class CostReport:
+    """Exact cost of a strategy, split into its two terms, with the number of
+    positive-probability branches walked and the largest |z| on them."""
+
     total: Fraction
     control: Fraction  # k * E[c1^2]
     damping: Fraction  # E[z^2]
-    traces: tuple
-    max_abs_c1: int
+    branches: int
     max_abs_z: int
 
 
@@ -158,30 +149,19 @@ def evaluate_deterministic(
     """Exact expected cost by enumerating every branch of the circuit."""
     control = Fraction(0)
     damping = Fraction(0)
-    traces: List[SignalTrace] = []
-    max_c1 = 0
+    branches = 0
     max_z = 0
     for m, x in inst.support():
         px = inst.p_m[m]
         a1 = strat.c1_at(x)
         y = x + a1
         control += px * inst.k * a1 * a1
-        max_c1 = max(max_c1, abs(a1))
-        for s, p_out in sorted(inst.nt.output_distribution(y).items()):
-            a2 = strat.c2_at(s)
-            z = y + a2
-            prob = px * p_out
-            damping += prob * z * z
+        for s, p_out in inst.nt.output_distribution(y).items():
+            z = y + strat.c2_at(s)
+            damping += px * p_out * z * z
+            branches += 1
             max_z = max(max_z, abs(z))
-            traces.append(SignalTrace(x, m, a1, y, s, a2, z, prob))
-    return CostReport(
-        total=control + damping,
-        control=control,
-        damping=damping,
-        traces=tuple(traces),
-        max_abs_c1=max_c1,
-        max_abs_z=max_z,
-    )
+    return CostReport(control + damping, control, damping, branches, max_z)
 
 
 def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
@@ -189,13 +169,13 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
 
     On every branch the first controller adds its measurement outcome j, the
     decoder identifies (m, j) with probability 1 and subtracts m*t + j, so
-    the final signal is 0 and only the control term k * E[j^2] remains.  Any
-    branch with a wrong decode or nonzero final signal is a hard failure, and
-    the resulting cost is checked against the k*d^2 ceiling.
+    the final signal is 0 and only the control term k * E[j^2] remains.  A
+    branch probability other than 1/d, a wrong decode or a nonzero final
+    signal is a hard failure, and the resulting cost is checked against the
+    k*d^2 ceiling.
     """
     control = Fraction(0)
-    traces: List[SignalTrace] = []
-    max_c1 = 0
+    branches = 0
     inv_d = Fraction(1, inst.d)
     for m, x in inst.support():
         px = inst.p_m[m]
@@ -207,37 +187,26 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
                 )
             j = branch.outcome.j
             y = x + j
-            max_c1 = max(max_c1, abs(j))
-            weight = px * inv_d  # the branch's probability, checked above
-            control += weight * inst.k * j * j
-            for s, p_out in sorted(inst.nt.output_distribution(y).items()):
+            control += px * inv_d * inst.k * j * j
+            for s in inst.nt.output_distribution(y):
                 decoded, p_dec = decoder_decode(inst.ks, s, branch.residual)
                 if decoded != (m, j) or p_dec != 1:
                     raise QuantumDecodeError(
                         f"decoder returned {decoded} with probability {p_dec}",
                         witness=(m, j, s),
                     )
-                a2 = -(decoded.m * inst.t + decoded.j)
-                z = y + a2
+                z = y - (decoded.m * inst.t + decoded.j)
                 if z != 0:
                     raise QuantumDecodeError(
                         f"final signal {z} != 0 on a branch", witness=(m, j, s)
                     )
-                traces.append(SignalTrace(x, m, j, y, s, a2, z, weight * p_out))
-    report = CostReport(
-        total=control,
-        control=control,
-        damping=Fraction(0),
-        traces=tuple(traces),
-        max_abs_c1=max_c1,
-        max_abs_z=0,
-    )
+                branches += 1
     bound = inst.k * inst.d * inst.d
-    if not report.total < bound:
+    if not control < bound:
         raise QuantumDecodeError(
-            f"entangled cost {report.total} not below k*d^2 = {bound}", witness=()
+            f"entangled cost {control} not below k*d^2 = {bound}", witness=()
         )
-    return report
+    return CostReport(control, control, Fraction(0), branches, 0)
 
 
 def _round_half_even_ratio(num: int, den: int) -> int:
@@ -295,7 +264,6 @@ class SearchResult:
     cost: Fraction
     complete: bool  # the search finished within the node budget
     candidates_evaluated: int  # c1 prefixes scored
-    window: int
 
 
 class SearchMismatchError(AssertionError):
@@ -516,5 +484,4 @@ def search_deterministic(
         cost=report.total,
         complete=complete,
         candidates_evaluated=nodes,
-        window=window,
     )

@@ -62,9 +62,7 @@ def encoder_branches(ks: KSBasisSet, m: int) -> list:
     the decoder side matches vector (m, j) with fidelity 1 (global phase is
     quotiented out by comparing squared overlaps, never raw amplitudes).
     """
-    report = validate_basis_set(ks)
-    if not report.passed:
-        raise ValueError(f"basis set fails validation: {report.issues[0].detail}")
+    validate_basis_set(ks)
     if not 0 <= m < ks.q:
         raise ValueError(f"message {m} outside [0, {ks.q})")
     psi = maximally_entangled_state(ks.d)

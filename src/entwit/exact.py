@@ -247,12 +247,16 @@ class Vector:
         return f"Vector([{body}] / sqrt({self.scale}))"
 
 
-def decimal_str(x: Fraction, sigfigs: int = 12) -> str:
-    """Deterministic decimal rendering of an exact fraction (trimmed zeros)."""
+DECIMAL_SIGFIGS = 12
+
+
+def decimal_str(x: Fraction) -> str:
+    """Deterministic decimal rendering of an exact fraction to DECIMAL_SIGFIGS
+    significant figures (trimmed zeros)."""
     from decimal import Decimal, localcontext
 
     with localcontext() as ctx:
-        ctx.prec = sigfigs
+        ctx.prec = DECIMAL_SIGFIGS
         dec = Decimal(x.numerator) / Decimal(x.denominator)
     text = format(dec, "f")
     if "." in text:

@@ -54,19 +54,14 @@ class KSBasisSet:
         return [v for basis in self.bases for v in basis]
 
 
-@dataclass(frozen=True)
-class BasisIssue:
-    """First orthonormality violation found in one basis."""
+class BasisSetError(ValueError):
+    """The first orthonormality violation of a basis set, in basis order."""
 
-    m: int
-    pair: tuple  # (j, j'); j == j' flags a norm violation
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    issues: tuple  # BasisIssue per failing basis, first violation only
+    def __init__(self, m: int, pair: tuple, detail: str):
+        super().__init__(f"basis set fails validation: basis {m}, {detail}")
+        self.m = m
+        self.pair = pair  # (j, j'); j == j' flags a norm violation
+        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -78,26 +73,18 @@ class KSCheckResult:
     masks: tuple = field(default=(), repr=False, compare=False)
 
 
-def validate_basis_set(ks: KSBasisSet) -> ValidationReport:
-    """Check that every basis is orthonormal; report first violation per basis."""
-    issues = []
+def validate_basis_set(ks: KSBasisSet) -> None:
+    """Check that every basis is orthonormal; raise ``BasisSetError`` at the
+    first violation, taking bases, then vectors, then partners in order."""
     for m, basis in enumerate(ks.bases):
-        issue = None
         for j, v in enumerate(basis):
             if not v.is_unit():
-                issue = BasisIssue(m, (j, j), f"vector {j} has squared norm {v.norm_sq()}")
-                break
+                raise BasisSetError(m, (j, j), f"vector {j} has squared norm {v.norm_sq()}")
             for j2 in range(j + 1, len(basis)):
                 if not is_orthogonal(v, basis[j2]):
-                    issue = BasisIssue(
+                    raise BasisSetError(
                         m, (j, j2), f"vectors {j} and {j2} are not orthogonal"
                     )
-                    break
-            if issue:
-                break
-        if issue:
-            issues.append(issue)
-    return ValidationReport(passed=not issues, issues=tuple(issues))
 
 
 def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
@@ -110,11 +97,9 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
     else the position of the first traversal with no orthogonal pair, which
     is the witness.  The result carries the orthogonality bitmasks.  Requires
     the set to validate first (orthogonality is only meaningful between unit
-    vectors).
+    vectors); a violation raises ``BasisSetError``.
     """
-    report = validate_basis_set(ks)
-    if not report.passed:
-        raise ValueError(f"basis set fails validation: {report.issues[0].detail}")
+    validate_basis_set(ks)
     q, d = ks.q, ks.d
     flat = ks.all_vectors()
     n = q * d
@@ -183,11 +168,12 @@ def basis_set_from_json_dict(data: dict) -> KSBasisSet:
 
 def load_basis_set(path) -> KSBasisSet:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        return basis_set_from_json_dict(data)
-    except TypeError as exc:  # a float entry, or a field of the wrong shape
-        raise ValueError(f"malformed basis set {path}: {exc}") from exc
+        try:
+            return basis_set_from_json_dict(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"malformed basis set {path}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:  # not JSON, a float, a wrong shape
+            raise ValueError(f"malformed basis set {path}: {exc}") from exc
 
 
 def bundled_basis_set() -> KSBasisSet:

@@ -73,6 +73,17 @@ def oracle_cost(inst, values):
     return cost
 
 
+def branch_signals(inst, strat):
+    """(probability, final signal z) for every positive-probability branch of
+    a deterministic strategy, enumerated straight from the composed channel."""
+    branches = []
+    for m, x in inst.support():
+        y = x + strat.c1[x]
+        for s, p_out in inst.nt.output_distribution(y).items():
+            branches.append((inst.p_m[m] * p_out, y + strat.c2.get(s, 0)))
+    return branches
+
+
 def flat_scan(inst, window):
     """(minimum cost, lexicographically first minimizing c1 values) over all
     (2W+1)^n in-window tables, by plain enumeration: no pruning, no order
@@ -162,17 +173,15 @@ class SharedRandomnessStrategy:
 def evaluate_sr(inst, strat):
     """Weight-convex combination of the component deterministic costs."""
     total = control = damping = Fraction(0)
-    traces = []
-    max_c1 = max_z = 0
+    branches = max_z = 0
     for weight, det in strat.components:
         report = evaluate_deterministic(inst, det)
         total += weight * report.total
         control += weight * report.control
         damping += weight * report.damping
-        max_c1 = max(max_c1, report.max_abs_c1)
+        branches += report.branches
         max_z = max(max_z, report.max_abs_z)
-        traces += [tr._replace(probability=weight * tr.probability) for tr in report.traces]
-    return CostReport(total, control, damping, tuple(traces), max_c1, max_z)
+    return CostReport(total, control, damping, branches, max_z)
 
 
 def decoder_estimates_exact(inst, strat):

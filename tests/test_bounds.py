@@ -36,12 +36,17 @@ from entwit.bounds import (
 from entwit.channel import verify_zero_error
 from entwit.control import (
     DeterministicStrategy,
-    evaluate_deterministic,
     make_instance,
     optimal_c2_for_c1,
 )
 
-from helpers import decoder_estimates_exact, oracle_cost, random_c1, random_strategy
+from helpers import (
+    branch_signals,
+    decoder_estimates_exact,
+    oracle_cost,
+    random_c1,
+    random_strategy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +81,9 @@ def test_pzmin_bounds_realized_probabilities_in_form(inst10):
     bound = pzmin_lower_bound(inst10)
     for _ in range(20):
         strat = random_strategy(rng, inst10, 3, optimal=rng.random() < 0.5, lo=0)
-        report = evaluate_deterministic(inst10, strat)
         z_mass = {}
-        for tr in report.traces:
-            z_mass[tr.z] = z_mass.get(tr.z, Fraction(0)) + tr.probability
+        for probability, z in branch_signals(inst10, strat):
+            z_mass[z] = z_mass.get(z, Fraction(0)) + probability
         assert min(z_mass.values()) >= bound
 
 
@@ -129,6 +133,49 @@ def test_no_closed_forms_off_the_concrete_parameters():
     b = compute_bounds(2, 2, Fraction(1, 6), Fraction(1, 54))
     assert b.closed_t0 is None
     assert b.suggested_t(4) == math.ceil(b.t0)
+
+
+def _ceil_sqrt(x: Fraction) -> int:
+    """Smallest integer r >= 0 with r^2 >= x, in integers."""
+    n = -(-x.numerator // x.denominator)  # r^2 >= x iff r^2 >= ceil(x)
+    return 0 if n <= 0 else math.isqrt(n - 1) + 1
+
+
+def test_closed_path_scale_matches_integer_oracle():
+    # the smallest t >= d with (t - 1)^2 >= 400*M; at M = n^2/400 that is n + 1
+    rng = random.Random(2013)
+    bounds = [Fraction(n * n, 400) for n in range(1, 2001)]
+    bounds += [Fraction(rng.randint(1, 10**6), rng.randint(1, 1000)) for _ in range(200)]
+    for m in bounds:
+        b = compute_bounds(m, 1, Fraction(1, 6), Fraction(1, 54))
+        assert b.suggested_t(4) == max(4, _ceil_sqrt(400 * m) + 1), m
+
+
+def test_general_path_scale_matches_exact_threshold():
+    # M = 54u^2 and k = (p/q)^2 make M_X = 18uq/p and M_Z = 54u rational, so
+    # the threshold t0 = 2*(M_X + M_Z) + 1 is exact and t = max(d, ceil(t0))
+    cases = [(Fraction(17, 90), 1, 12)]  # t0 = 2*(204/5 + 51/5) + 1 = 103
+    cases += [
+        (Fraction(a, b), p, q)
+        for a in range(1, 8) for b in (1, 3, 10, 90)
+        for p in range(1, 5) for q in range(1, 5) if p != q
+    ]
+    for u, p, q in cases:
+        k = Fraction(p * p, q * q)
+        b = compute_bounds(54 * u * u, k, Fraction(1, 6), Fraction(1, 54))
+        assert b.closed_t0 is None
+        t0 = 2 * (18 * u * q / p + 54 * u) + 1
+        assert b.suggested_t(4) == max(4, math.ceil(t0)), (u, p, q)
+    b = compute_bounds(Fraction(289, 150), Fraction(1, 144), Fraction(1, 6), Fraction(1, 54))
+    assert b.suggested_t(4) == 103
+
+
+def test_scale_unchanged_at_the_reference_bounds():
+    ms = [Fraction(7, 2), 10, 20, 40, 1000]
+    scales = [
+        compute_bounds(m, 1, Fraction(1, 6), Fraction(1, 54)).suggested_t(4) for m in ms
+    ]
+    assert scales == [39, 65, 91, 128, 634]
 
 
 def test_bounds_reject_nonpositive():

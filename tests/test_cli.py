@@ -72,9 +72,17 @@ def _malformed_set(case, tmp_path):
     """A --ks-set path that does not parse as a basis set."""
     if case == "directory":
         return tmp_path
+    if case == "not-json":
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        return path
     data = json.loads(BUNDLED.read_text())
     if case == "float-entry":
         data["bases"][0][0][0][0] = 0.5
+    elif case == "missing-q":
+        del data["q"]
+    elif case == "short-entry":
+        data["bases"][0][0][0] = [1]
     elif case == "scalar-bases":
         data["bases"] = 5
     else:  # a JSON array where an object belongs
@@ -92,6 +100,23 @@ def test_malformed_set_fails_cleanly(tmp_path, capsys, case):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+MALFORMED = [
+    "missing-q", "short-entry", "not-json", "float-entry", "scalar-bases", "directory", "list",
+]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_set_names_the_file(tmp_path, capsys, case):
+    path = _malformed_set(case, tmp_path)
+    code, out, err = run(capsys, "verify-ks", "--ks-set", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(path) in err
+    if case == "missing-q":
+        assert "missing field 'q'" in err
 
 
 def test_channel_info(capsys):
@@ -163,6 +188,16 @@ def test_certify_reaches_bound_1000(capsys):
     assert "status: certified" in out
     assert "t: 634" in out
     assert "window: 78" in out
+
+
+def test_certify_scale_is_exact_at_a_square_bound(capsys):
+    # 20*sqrt(2601/400) + 1 is 52 exactly; its float rounds just above 52
+    code, out, _ = run(capsys, "certify", "--k", "1", "--bound", "2601/400")
+    assert code == 0
+    assert "t0-closed-form: 20*sqrt(M) + 1 = 52\n" in out
+    assert "\nt: 52\n" in out
+    assert "status: certified" in out
+    assert "classical-in-window-minimum: 655/27 " in out
 
 
 def test_sweep_csv_contract(tmp_path, capsys):

@@ -44,6 +44,7 @@ from entwit.entangled import QuantumDecodeError
 
 from helpers import (
     SharedRandomnessStrategy,
+    branch_signals,
     brute_force_c2,
     evaluate_sr,
     flat_scan,
@@ -143,10 +144,21 @@ def test_report_invariants(inst10):
         strat = random_strategy(rng, inst10, 4, optimal=False)
         report = evaluate_deterministic(inst10, strat)
         assert report.total == report.control + report.damping
-        assert sum(tr.probability for tr in report.traces) == 1
-        for tr in report.traces:
-            assert tr.z == tr.x + tr.c1_out + tr.c2_out
-        assert report.max_abs_c1 == max(abs(v) for v in strat.c1.values())
+        branches = branch_signals(inst10, strat)
+        assert sum(p for p, _z in branches) == 1
+        assert report.damping == sum(p * z * z for p, z in branches)
+        assert report.max_abs_z == max(abs(z) for _p, z in branches)
+
+
+def test_deterministic_branch_count_matches_enumeration(inst10):
+    rng = random.Random(12)
+    for _ in range(10):
+        strat = random_strategy(rng, inst10, 4, optimal=False)
+        expected = 0
+        for _m, x in inst10.support():
+            y = x + strat.c1[x]
+            expected += sum(1 for p in inst10.nt.output_distribution(y).values() if p > 0)
+        assert evaluate_deterministic(inst10, strat).branches == expected
 
 
 def test_strategy_must_cover_support(inst4):
@@ -209,9 +221,13 @@ def test_quantum_cost_exact(bundled, channel):
     assert report.total == Fraction(7, 2)
     assert report.damping == 0
     assert report.max_abs_z == 0
-    assert len(report.traces) == 216
-    assert all(tr.z == 0 for tr in report.traces)
-    assert sum(tr.probability for tr in report.traces) == 1
+    assert report.branches == 216
+
+
+@pytest.mark.parametrize("t", [4, 39, 10**6])
+def test_quantum_branch_count(bundled, channel, t):
+    report = evaluate_quantum(make_instance(bundled, t, 1, channel=channel))
+    assert report.branches == 216
 
 
 def test_quantum_cost_constant_in_t(bundled, channel):

@@ -2,7 +2,8 @@
 
 Claims covered:
     - orthogonality decisions are exact on the bundled data
-    - validate_basis_set flags duplicate vectors and non-unit norms by pair
+    - validate_basis_set raises at the first duplicate vector or non-unit
+      norm in basis order, naming the basis and the pair
     - verify_ks_property's pruned depth-first walk agrees with a naive
       product-order scan (holds, witness and traversal count) on every set
       small enough to cross-check, failing subsets included
@@ -18,6 +19,7 @@ import pytest
 
 from entwit.exact import ComplexFraction, Vector, is_orthogonal
 from entwit.ks import (
+    BasisSetError,
     KSBasisSet,
     basis_set_from_json_dict,
     conjugate_basis,
@@ -60,24 +62,40 @@ def test_every_intra_basis_pair_is_orthogonal(bundled):
 
 
 def test_bundled_set_validates(bundled):
-    assert validate_basis_set(bundled).passed
+    validate_basis_set(bundled)  # raises BasisSetError at a violation
 
 
 def test_repeated_vector_names_the_duplicate_pair():
     v = Vector.from_components([1, 0])
     basis = (v, v)
-    report = validate_basis_set(KSBasisSet(q=1, d=2, bases=(basis,)))
-    assert not report.passed
-    assert report.issues[0].pair == (0, 1)
+    with pytest.raises(BasisSetError) as info:
+        validate_basis_set(KSBasisSet(q=1, d=2, bases=(basis,)))
+    assert info.value.pair == (0, 1)
 
 
 def test_non_unit_vector_fails_validation():
     basis = (Vector([2, 0]), Vector.from_components([0, 1]))
-    report = validate_basis_set(KSBasisSet(q=1, d=2, bases=(basis,)))
-    assert not report.passed
-    issue = report.issues[0]
-    assert issue.pair == (0, 0)
-    assert "norm" in issue.detail
+    with pytest.raises(BasisSetError) as info:
+        validate_basis_set(KSBasisSet(q=1, d=2, bases=(basis,)))
+    assert info.value.pair == (0, 0)
+    assert "norm" in info.value.detail
+
+
+def test_validation_reports_the_first_violation_in_basis_order():
+    e0 = Vector.from_components([1, 0])
+    e1 = Vector.from_components([0, 1])
+    good = (e0, e1)
+    skew = (e0, Vector.from_components([1, 1]))  # unit, not orthogonal to e0
+    long = (Vector([2, 0]), e0)  # vector 0 is not a unit vector
+    ks = KSBasisSet(q=4, d=2, bases=(good, skew, long, skew))
+    with pytest.raises(BasisSetError) as info:
+        validate_basis_set(ks)
+    assert (info.value.m, info.value.pair) == (1, (0, 1))
+    assert "basis 1," in str(info.value)
+    with pytest.raises(BasisSetError) as info:
+        validate_basis_set(KSBasisSet(q=3, d=2, bases=(good, long, skew)))
+    assert (info.value.m, info.value.pair) == (1, (0, 0))
+    assert "basis 1," in str(info.value)
 
 
 def test_shape_violations_rejected():
@@ -227,4 +245,4 @@ def test_rational_string_entries():
         "bases": [[[["1/2", 0], ["1/2", 0]], [[1, 0], [-1, 0]]]],
     }
     ks = basis_set_from_json_dict(data)
-    assert validate_basis_set(ks).passed
+    validate_basis_set(ks)  # raises BasisSetError at a violation
