@@ -130,8 +130,14 @@ def compute_bounds(m_bound, k, p_x_min, p_z_min) -> BoundSet:
         raise ValueError("all bound parameters must be positive")
     m_x_sq = m_bound / (k * p_x_min)
     m_z_sq = m_bound / p_z_min
-    m_x = math.sqrt(m_x_sq)
-    m_z = math.sqrt(m_z_sq)
+    try:
+        m_x = math.sqrt(m_x_sq)
+        m_z = math.sqrt(m_z_sq)
+    except OverflowError as exc:
+        raise ValueError(
+            "cost bound too large: M_X^2 = M/(k*p_x_min) or M_Z^2 = M/p_z_min "
+            "does not fit a float"
+        ) from exc
     closed = (p_x_min, p_z_min, k) == (Fraction(1, 6), Fraction(1, 54), Fraction(1))
     return BoundSet(
         m_bound=m_bound,

@@ -249,60 +249,42 @@ def _t_list_arg(raw: str) -> List[int]:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entwit",
-        description="Exact channel construction, strategy evaluation and "
-        "certified strategy search for the entangled-controller damping circuit.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, t=False, k=False, window=False, search=False) -> None:
+    p.add_argument("--ks-set", help="basis-set JSON (default: bundled set)")
+    p.add_argument("--out", help="output path (default: stdout)")
+    if t:
+        p.add_argument("--t", type=int, required=True, help="encoder scale")
+    if k:
+        p.add_argument(
+            "--k", type=_positive_fraction_arg, default=Fraction(1),
+            help="action price (rational, default 1)",
+        )
+    if window:
+        p.add_argument(
+            "--window", type=_int_arg(0), required=True,
+            help="c1 search window W",
+        )
+    if search:
+        p.add_argument(
+            "--workers", type=_int_arg(1), default=1,
+            help="accepted for compatibility; changes neither work nor output",
+        )
+        p.add_argument(
+            "--budget", type=_int_arg(1), default=None,
+            help="max c1 prefixes to score (truncation is inconclusive)",
+        )
 
-    def common(p, t=False, k=False, window=False, search=False):
-        p.add_argument("--ks-set", help="basis-set JSON (default: bundled set)")
-        p.add_argument("--out", help="output path (default: stdout)")
-        if t:
-            p.add_argument("--t", type=int, required=True, help="encoder scale")
-        if k:
-            p.add_argument(
-                "--k", type=_positive_fraction_arg, default=Fraction(1),
-                help="action price (rational, default 1)",
-            )
-        if window:
-            p.add_argument(
-                "--window", type=_int_arg(0), required=True,
-                help="c1 search window W",
-            )
-        if search:
-            p.add_argument(
-                "--workers", type=_int_arg(1), default=1,
-                help="accepted for compatibility; changes neither work nor output",
-            )
-            p.add_argument(
-                "--budget", type=_int_arg(1), default=None,
-                help="max c1 prefixes to score (truncation is inconclusive)",
-            )
 
-    p = sub.add_parser("verify-ks", help="validate the basis set and its property")
-    common(p)
-    p.set_defaults(func=_cmd_verify_ks)
+def _args_quantum_run(p) -> None:
+    _common(p, t=True, k=True)
 
-    p = sub.add_parser("channel-info", help="channel structure and capacity facts")
-    common(p)
-    p.set_defaults(func=_cmd_channel_info)
 
-    p = sub.add_parser("quantum-run", help="exact entangled-strategy evaluation")
-    common(p, t=True, k=True)
-    p.set_defaults(func=_cmd_quantum_run)
+def _args_classical_search(p) -> None:
+    _common(p, t=True, k=True, window=True, search=True)
 
-    p = sub.add_parser(
-        "classical-search",
-        help="exact in-window minimum at one t, by branch and bound",
-    )
-    common(p, t=True, k=True, window=True, search=True)
-    p.set_defaults(func=_cmd_classical_search)
 
-    p = sub.add_parser("certify", help="emit a separation certificate")
-    common(p, k=True, search=True)
+def _args_certify(p) -> None:
+    _common(p, k=True, search=True)
     p.add_argument(
         "--bound", type=_positive_fraction_arg, required=True, metavar="M",
         help="cost bound M to separate against (rational)",
@@ -311,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--window", type=_int_arg(0), default=None,
         help="override the default search window ceil(M_X)",
     )
-    p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("sweep", help="CSV of quantum vs classical cost across t")
-    common(p, k=True, window=True, search=True)
+
+def _args_sweep(p) -> None:
+    _common(p, k=True, window=True, search=True)
     p.add_argument(
         "--t", dest="t_list", type=_t_list_arg, required=True,
         help="comma-separated scales, e.g. 4,8,16,32,64",
@@ -323,13 +305,54 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "structured-text"), default="csv",
         help="sweep output format (default csv)",
     )
-    p.set_defaults(func=_cmd_sweep)
+
+
+# (name, help, handler, argument builder), in the order --help lists them
+SUBCOMMANDS = (
+    ("verify-ks", "validate the basis set and its property", _cmd_verify_ks, _common),
+    ("channel-info", "channel structure and capacity facts", _cmd_channel_info, _common),
+    ("quantum-run", "exact entangled-strategy evaluation", _cmd_quantum_run, _args_quantum_run),
+    (
+        "classical-search",
+        "exact in-window minimum at one t, by branch and bound",
+        _cmd_classical_search,
+        _args_classical_search,
+    ),
+    ("certify", "emit a separation certificate", _cmd_certify, _args_certify),
+    ("sweep", "CSV of quantum vs classical cost across t", _cmd_sweep, _args_sweep),
+)
+
+
+def build_parser(argv: Optional[List[str]] = None) -> argparse.ArgumentParser:
+    """The entwit parser, with every subcommand registered with its help.
+
+    Given the argument list it will parse, only the subcommand that list
+    names gets its arguments: the top-level parser takes no option with a
+    value, so that is its first token not starting with "-".  Top-level
+    help and errors read no subcommand's arguments, so they are the same as
+    with the full parser, which ``argv=None`` builds.
+    """
+    parser = argparse.ArgumentParser(
+        prog="entwit",
+        description="Exact channel construction, strategy evaluation and "
+        "certified strategy search for the entangled-controller damping circuit.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = None
+    if argv is not None:
+        chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, help_text, func, add_arguments in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if argv is None or name == chosen:
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -174,11 +174,11 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
     signal is a hard failure, and the resulting cost is checked against the
     k*d^2 ceiling.
     """
-    control = Fraction(0)
+    weighted = Fraction(0)  # sum over messages of p_m * (sum of j^2 over branches)
     branches = 0
     inv_d = Fraction(1, inst.d)
     for m, x in inst.support():
-        px = inst.p_m[m]
+        j_sq = 0
         for branch in encoder_branches(inst.ks, m):
             if branch.probability != inv_d:
                 raise QuantumDecodeError(
@@ -187,7 +187,7 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
                 )
             j = branch.outcome.j
             y = x + j
-            control += px * inv_d * inst.k * j * j
+            j_sq += j * j
             for s in inst.nt.output_distribution(y):
                 decoded, p_dec = decoder_decode(inst.ks, s, branch.residual)
                 if decoded != (m, j) or p_dec != 1:
@@ -201,6 +201,8 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
                         f"final signal {z} != 0 on a branch", witness=(m, j, s)
                     )
                 branches += 1
+        weighted += inst.p_m[m] * j_sq
+    control = weighted * inst.k / inst.d  # every branch has probability 1/d
     bound = inst.k * inst.d * inst.d
     if not control < bound:
         raise QuantumDecodeError(

@@ -97,13 +97,15 @@ def decoder_decode(
         raise ValueError(f"candidates {s} are not orthogonal")
     if not (cand1.is_unit() and cand2.is_unit()):
         raise ValueError(f"candidates {s} are not unit vectors")
-    p1 = residual.overlap_sq(cand1)
-    p2 = residual.overlap_sq(cand2)
-    if p1 == 0 and p2 == 0:
+    # the two squared overlaps are compared as integer ratios; a Fraction is
+    # built only for the one returned
+    n1, d1 = residual.overlap_sq_ratio(cand1)
+    n2, d2 = residual.overlap_sq_ratio(cand2)
+    if n1 == 0 and n2 == 0:
         raise ValueError("residual state is orthogonal to both candidates")
-    if p1 >= p2:
-        return ChannelInput(m1, j1), p1
-    return ChannelInput(m2, j2), p2
+    if n1 * d2 >= n2 * d1:
+        return ChannelInput(m1, j1), Fraction(n1, d1)
+    return ChannelInput(m2, j2), Fraction(n2, d2)
 
 
 def run_zero_error_quantum(ks: KSBasisSet, ch: FiniteChannel) -> QuantumZeroErrorReport:

@@ -207,8 +207,9 @@ class Vector:
         s = self.scale
         return self._nsq * s.denominator == self._den * self._den * s.numerator
 
-    def overlap_sq(self, other: "Vector") -> Fraction:
-        """Squared fidelity |<self|other>|^2 between the normalized rays.
+    def overlap_sq_ratio(self, other: "Vector") -> tuple:
+        """Squared fidelity |<self|other>|^2 between the normalized rays, as
+        an integer (numerator, positive denominator) pair, not reduced.
 
         Denominators and scales cancel: it is |numerator dot|^2 over the
         product of the numerators' squared norms.
@@ -217,7 +218,11 @@ class Vector:
         if nsq == 0:
             raise ValueError("overlap with a zero vector is undefined")
         re, im = self._dot(other)
-        return Fraction(re * re + im * im, nsq)
+        return re * re + im * im, nsq
+
+    def overlap_sq(self, other: "Vector") -> Fraction:
+        """Squared fidelity |<self|other>|^2 as a Fraction."""
+        return Fraction(*self.overlap_sq_ratio(other))
 
     def conjugate(self) -> "Vector":
         return Vector._from_ints(self._re, tuple(-i for i in self._im), self._den, self.scale)
@@ -297,10 +302,13 @@ def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
         res_re, res_im = zip(
             *(_gauss_dot(u._re, u._im, s_re[i2::b], s_im[i2::b]) for i2 in range(b))
         )
-        den = u._den * state._den
-        residual = Vector._from_ints(res_re, res_im, den, u.scale * state.scale)
-        prob = residual.norm_sq()
-        if prob == 0:
+        # the residual is (res / den) / sqrt(u.scale * state.scale); its squared
+        # norm is the branch probability, and only its direction is kept
+        nsq = sum(r * r for r in res_re) + sum(i * i for i in res_im)
+        if nsq == 0:
             continue
-        branches.append((j, prob, residual.normalized()))
+        den = u._den * state._den
+        scale = u.scale * state.scale
+        prob = Fraction(nsq * scale.denominator, den * den * scale.numerator)
+        branches.append((j, prob, Vector._from_ints(res_re, res_im, den)))
     return branches

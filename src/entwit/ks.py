@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from math import lcm
 from typing import Optional, Sequence
 
-from .exact import ComplexFraction, Vector, as_fraction, is_orthogonal
+from .exact import Vector, as_fraction, is_orthogonal
 
 BUNDLED_SET_RESOURCE = "ks_6_4_peres.json"
 
@@ -144,9 +145,21 @@ def conjugate_basis(basis: Sequence[Vector]) -> tuple:
 #   bases:  q arrays of d vectors; a vector is d entries [re, im] with
 #           int or "p/q" rational parts
 # Vectors are stored as unnormalized directions; the loader normalizes each
-# one exactly (components divided by their own norm).
+# one exactly (components divided by their own norm).  Every part is read as
+# an integer (numerator, denominator) pair; a vector's parts are brought to
+# their least common denominator, the denominator field is folded in, and
+# the Gaussian-integer numerators become the vector directly.
 
 FORMAT_TAG = "ks-basis-set/1"
+
+
+def _ratio(x) -> tuple:
+    """(numerator, positive denominator) of an int or rational-string part;
+    floats and bools are refused, as ``as_fraction`` refuses them."""
+    if type(x) is int:
+        return x, 1
+    f = as_fraction(x)
+    return f.numerator, f.denominator
 
 
 def basis_set_from_json_dict(data: dict) -> KSBasisSet:
@@ -155,13 +168,20 @@ def basis_set_from_json_dict(data: dict) -> KSBasisSet:
         raise ValueError(f"unrecognized basis-set format: {tag!r}")
     q = int(data["q"])
     d = int(data["d"])
-    den = as_fraction(data.get("denominator", 1))
+    p, r = _ratio(data.get("denominator", 1))
+    if p == 0:
+        raise ValueError("denominator must be nonzero")
+    # x / (p / r) = (x * r * sign(p)) / |p|
+    mult = r if p > 0 else -r
     bases = []
     for raw_basis in data["bases"]:
         vectors = []
         for raw_vec in raw_basis:
-            comps = [ComplexFraction(as_fraction(re), as_fraction(im)) for re, im in raw_vec]
-            vectors.append(Vector.from_components(comps, denominator=den))
+            parts = [(_ratio(re), _ratio(im)) for re, im in raw_vec]
+            common = lcm(*(den for pair in parts for _, den in pair))
+            re = [x * (common // den) * mult for (x, den), _ in parts]
+            im = [x * (common // den) * mult for _, (x, den) in parts]
+            vectors.append(Vector._from_ints(re, im, common * abs(p)))
         bases.append(tuple(vectors))
     return KSBasisSet(q=q, d=d, bases=tuple(bases), label=data.get("label", ""))
 

@@ -279,6 +279,24 @@ def cf_overlap_sq(v, w):
     return abs_sq(cf_dot(v, w)) / (v.scale * w.scale * nsq)
 
 
+def cf_decoder_decode(ks, s, residual):
+    """decoder_decode by ComplexFraction sums: the same gates in the same
+    order and the same tie rule, every comparison made on Fractions."""
+    (m1, j1), (m2, j2) = s
+    cand1, cand2 = ks.vector(m1, j1), ks.vector(m2, j2)
+    if cf_dot(cand1, cand2):
+        raise ValueError(f"candidates {s} are not orthogonal")
+    if cf_norm_sq(cand1) != 1 or cf_norm_sq(cand2) != 1:
+        raise ValueError(f"candidates {s} are not unit vectors")
+    p1 = cf_overlap_sq(residual, cand1)
+    p2 = cf_overlap_sq(residual, cand2)
+    if p1 == 0 and p2 == 0:
+        raise ValueError("residual state is orthogonal to both candidates")
+    if p1 >= p2:
+        return ChannelInput(m1, j1), p1
+    return ChannelInput(m2, j2), p2
+
+
 def cf_normalized(v):
     """(entries, scale) of v normalized: same entries, scale = raw norm."""
     nsq = cf_raw_norm_sq(v)

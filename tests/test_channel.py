@@ -78,6 +78,46 @@ def test_empty_neighbor_set_is_structural_error():
         FiniteChannel.from_neighbor_sets({ChannelInput(0, 0): []})
 
 
+def _row_channel(row):
+    a = ChannelInput(0, 0)
+    return FiniteChannel(inputs=(a,), rows={a: row})
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ({}, "no outputs"),
+        (  # sums to 1, but not uniform
+            {
+                (ChannelInput(0, 0), ChannelInput(1, 0)): Fraction(1, 3),
+                (ChannelInput(0, 0), ChannelInput(1, 1)): Fraction(2, 3),
+            },
+            "not uniform",
+        ),
+        (  # equal probabilities that sum to 2/3
+            {
+                (ChannelInput(0, 0), ChannelInput(1, 0)): Fraction(1, 3),
+                (ChannelInput(0, 0), ChannelInput(1, 1)): Fraction(1, 3),
+            },
+            "not uniform",
+        ),
+        ({(ChannelInput(1, 0), ChannelInput(1, 1)): Fraction(1)}, "does not contain"),
+    ],
+    ids=["empty", "non-uniform", "uniform-short-of-one", "without-own-input"],
+)
+def test_validate_rejects_malformed_rows(row, message):
+    with pytest.raises(ValueError, match=message):
+        _row_channel(row).validate()
+
+
+def test_neighbor_sets_given_as_plain_tuples():
+    ch = FiniteChannel.from_neighbor_sets({(0, 0): [(0, 1)], (0, 1): [(0, 0)]})
+    assert all(type(i) is ChannelInput for i in ch.inputs)
+    for row in ch.rows.values():
+        for o in row:
+            assert all(type(i) is ChannelInput for i in o)
+
+
 def test_output_pair_canonical():
     a, b = ChannelInput(1, 2), ChannelInput(0, 3)
     assert output_pair(a, b) == (b, a)

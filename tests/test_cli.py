@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from entwit.cli import main
+from entwit.cli import SUBCOMMANDS, build_parser, main
+from test_golden import CASES
 
 BUNDLED = resources.files("entwit.data") / "ks_6_4_peres.json"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -79,6 +80,8 @@ def _malformed_set(case, tmp_path):
     data = json.loads(BUNDLED.read_text())
     if case == "float-entry":
         data["bases"][0][0][0][0] = 0.5
+    elif case == "bool-entry":
+        data["bases"][0][0][0][1] = True
     elif case == "missing-q":
         del data["q"]
     elif case == "short-entry":
@@ -92,7 +95,9 @@ def _malformed_set(case, tmp_path):
     return path
 
 
-@pytest.mark.parametrize("case", ["float-entry", "scalar-bases", "directory", "list"])
+@pytest.mark.parametrize(
+    "case", ["float-entry", "bool-entry", "scalar-bases", "directory", "list"]
+)
 def test_malformed_set_fails_cleanly(tmp_path, capsys, case):
     path = _malformed_set(case, tmp_path)
     code, out, err = run(capsys, "verify-ks", "--ks-set", str(path))
@@ -103,7 +108,8 @@ def test_malformed_set_fails_cleanly(tmp_path, capsys, case):
 
 
 MALFORMED = [
-    "missing-q", "short-entry", "not-json", "float-entry", "scalar-bases", "directory", "list",
+    "missing-q", "short-entry", "not-json", "float-entry", "bool-entry", "scalar-bases",
+    "directory", "list",
 ]
 
 
@@ -329,3 +335,80 @@ def test_invalid_arguments_exit_usage(capsys, argv):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_huge_bound_fails_cleanly(capsys):
+    # M / p_z_min does not fit a float, so no float estimate of M_Z exists
+    code, out, err = run(capsys, "certify", "--bound", "1e400")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cost bound too large")
+
+
+# -- the parser ---------------------------------------------------------------
+
+
+def _parse(parser, argv, capsys):
+    """(namespace without func, or the exit code) and captured output."""
+    try:
+        ns = vars(parser.parse_args(argv))
+        ns.pop("func")
+    except SystemExit as exc:
+        ns = exc.code
+    captured = capsys.readouterr()
+    return ns, captured.out, captured.err
+
+
+def _argv_examples():
+    return [argv for _name, argv, _code in CASES] + _readme_commands() + [
+        ["sweep", "--t", "4,8", "--window", "1", "--format", "structured-text"],
+        ["certify", "--bound", "7/2", "--window", "3", "--workers", "2", "--budget", "9"],
+    ]
+
+
+def _argv_id(argv):
+    return " ".join(Path(arg).name for arg in argv)
+
+
+@pytest.mark.parametrize("argv", _argv_examples(), ids=_argv_id)
+def test_parser_for_one_subcommand_matches_the_full_parser(capsys, argv):
+    full = _parse(build_parser(), argv, capsys)
+    assert isinstance(full[0], dict)
+    assert _parse(build_parser(argv), argv, capsys) == full
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["quantum-run"],
+        ["quantum-run", "--t", "x"],
+        ["--unknown", "quantum-run"],  # the subcommand need not come first
+        ["certify", "--bound", "-1"],
+        ["--help"],
+        ["quantum-run", "--help"],
+        ["sweep", "--t", "4", "--window", "1", "--format", "xml"],
+    ],
+    ids=repr,
+)
+def test_parser_errors_and_help_match_the_full_parser(capsys, argv):
+    expected = _parse(build_parser(), argv, capsys)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    assert code == (0 if "--help" in argv else 2)
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    names = ["verify-ks", "channel-info", "quantum-run", "classical-search", "certify", "sweep"]
+    assert [name for name, *_ in SUBCOMMANDS] == names
+    for name, help_text, _func, _args in SUBCOMMANDS:
+        assert name in out and help_text in out

@@ -10,11 +10,15 @@ Claims covered:
     - the closed-form decode equals a measurement in the completed basis on
       every one of the 216 branches, in both candidate orders
     - misuse (non-orthogonal candidates, residual orthogonal to both) raises
+    - the decoder's integer comparison agrees with a Fraction oracle on every
+      branch, on ties, on seeded complex residuals and on every misuse
     - the full branch enumeration decodes all q*d*9 = 216 branches correctly,
       sending q = 6 messages where classical codes stop at 5
 """
 
 from fractions import Fraction
+
+import random
 
 import pytest
 
@@ -27,7 +31,12 @@ from entwit.entangled import (
 )
 from entwit.exact import ComplexFraction, Vector
 from entwit.ks import KSBasisSet
-from helpers import complete_orthonormal_basis, measurement_probabilities, raw_dot
+from helpers import (
+    cf_decoder_decode,
+    complete_orthonormal_basis,
+    measurement_probabilities,
+    raw_dot,
+)
 
 
 def _complex_single_basis():
@@ -151,6 +160,74 @@ def test_decoder_rejects_residual_orthogonal_to_both(bundled, channel):
     assert s in channel.rows[ChannelInput(0, 1)]
     with pytest.raises(ValueError):
         decoder_decode(bundled, s, bundled.vector(0, 0))
+
+
+def _outcome(decode, ks, s, residual):
+    try:
+        return decode(ks, s, residual)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _agrees_with_oracle(ks, s, residual):
+    got = _outcome(decoder_decode, ks, s, residual)
+    assert got == _outcome(cf_decoder_decode, ks, s, residual)
+    return got
+
+
+def test_decoder_agrees_with_fraction_oracle_on_every_branch(bundled, channel):
+    pairs = 0
+    for m in range(bundled.q):
+        for branch in encoder_branches(bundled, m):
+            for s in channel.rows[branch.outcome]:
+                for order in (s, s[::-1]):
+                    got = _agrees_with_oracle(bundled, order, branch.residual)
+                    assert got == (branch.outcome, Fraction(1))
+                pairs += 1
+    assert pairs == 216
+
+
+def test_decoder_tie_goes_to_the_first_candidate(bundled):
+    # (1, 1, 0, 0) / sqrt(2) overlaps e0 and e1 with 1/2 each
+    residual = Vector([1, 1, 0, 0], scale=2)
+    for first, second in ((0, 1), (1, 0)):
+        s = (ChannelInput(0, first), ChannelInput(0, second))
+        got = _agrees_with_oracle(bundled, s, residual)
+        assert got == (ChannelInput(0, first), Fraction(1, 2))
+
+
+def test_decoder_agrees_with_fraction_oracle_on_random_residuals(bundled, channel):
+    rng = random.Random(20130)
+    outputs = channel.outputs
+    parts = [Fraction(n, den) for n in range(-3, 4) for den in (1, 2, 3)]
+    wins = set()
+    for _ in range(300):
+        entries = [
+            ComplexFraction(rng.choice(parts), rng.choice(parts)) for _ in range(4)
+        ]
+        if not any(entries):
+            continue
+        residual = Vector(entries, scale=Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        s = rng.choice(outputs)
+        for order in (s, s[::-1]):
+            got = _agrees_with_oracle(bundled, order, residual)
+            if isinstance(got, tuple):
+                wins.add(got[0] == ChannelInput(*order[0]))
+    assert wins == {True, False}
+
+
+def test_decoder_misuse_agrees_with_fraction_oracle(bundled):
+    orthogonal_to_both = (
+        output_pair(ChannelInput(0, 1), ChannelInput(0, 2)), bundled.vector(0, 0)
+    )
+    not_orthogonal = (
+        output_pair(ChannelInput(0, 0), ChannelInput(1, 0)), bundled.vector(0, 0)
+    )
+    for s, residual in (orthogonal_to_both, not_orthogonal):
+        assert isinstance(_agrees_with_oracle(bundled, s, residual), str)
+    non_unit = KSBasisSet(q=1, d=2, bases=((Vector([2, 0]), Vector([0, 1])),))
+    s = output_pair(ChannelInput(0, 0), ChannelInput(0, 1))
+    assert "unit" in _agrees_with_oracle(non_unit, s, Vector([0, 1]))
 
 
 def test_full_run_all_branches_correct(bundled, channel):

@@ -5,7 +5,11 @@ with the argument lists below (plus ``--out``), each by the source as it
 stood before the refactor that the case guards: the first eleven before the
 geometry and traversal code was reshaped for speed, the vacuous,
 window-insufficient and budget-truncated cases before the report writers
-were rebuilt on the result objects.  Any change to a report's bytes, or to
+were rebuilt on the result objects, and the four ``--ks-set`` cases before
+the loader read every part as an integer pair.  Those read two sets under
+``tests/data/``: the bundled rays rescaled per vector and written over
+``"denominator": "2"`` with ``"p/q"`` string parts, and the bundled rays
+with one vector multiplied by i.  Any change to a report's bytes, or to
 a command's exit code, fails here; a deliberate report change must
 regenerate the file in the same commit.
 """
@@ -16,7 +20,10 @@ import pytest
 
 from entwit.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+RATIONAL_SET = str(DATA / "ks_rational_entries.json")
+IMAGINARY_SET = str(DATA / "ks_imaginary_vector.json")
 
 # (file name, argv, exit code)
 CASES = (
@@ -59,6 +66,18 @@ CASES = (
         "sweep-t4_39-w4-budget30.csv",
         ["sweep", "--t", "4,39", "--window", "4", "--budget", "30"],
         3,
+    ),
+    ("verify-ks-rational.txt", ["verify-ks", "--ks-set", RATIONAL_SET], 0),
+    (
+        "quantum-run-t39-rational.txt",
+        ["quantum-run", "--t", "39", "--ks-set", RATIONAL_SET],
+        0,
+    ),
+    ("verify-ks-imaginary.txt", ["verify-ks", "--ks-set", IMAGINARY_SET], 0),
+    (
+        "quantum-run-t39-imaginary.txt",
+        ["quantum-run", "--t", "39", "--ks-set", IMAGINARY_SET],
+        0,
     ),
 )
 

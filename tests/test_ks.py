@@ -10,19 +10,26 @@ Claims covered:
     - a single basis and a pair of mutually unbiased bases both lack the
       property, with witnesses
     - conjugation is an involution, fixes real bases, preserves overlaps
-    - the JSON reader takes rational-string entries and a common denominator
+    - the JSON reader takes rational-string entries and a common denominator,
+      and its integer path builds every vector equal to Vector.from_components
+      on the same parts (bundled set, the two rational/imaginary test sets,
+      and a negative rational denominator with imaginary parts)
 """
 
+import json
+from importlib import resources
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from entwit.exact import ComplexFraction, Vector, is_orthogonal
+from entwit.exact import ComplexFraction, Vector, as_fraction, is_orthogonal
 from entwit.ks import (
     BasisSetError,
     KSBasisSet,
     basis_set_from_json_dict,
     conjugate_basis,
+    load_basis_set,
     validate_basis_set,
     verify_ks_property,
 )
@@ -246,3 +253,74 @@ def test_rational_string_entries():
     }
     ks = basis_set_from_json_dict(data)
     validate_basis_set(ks)  # raises BasisSetError at a violation
+
+
+DATA = Path(__file__).parent / "data"
+
+# two bases of C^2 with no structure: the reader does not validate
+MIXED_PARTS = {
+    "format": "ks-basis-set/1",
+    "q": 2,
+    "d": 2,
+    "denominator": "-3/2",
+    "bases": [
+        [[["1/2", "1/3"], ["-2/5", 0]], [[0, "7/4"], [3, "-1/6"]]],
+        [[["4/6", 0], [0, "-9/12"]], [["0/5", "5/7"], ["11/13", 2]]],
+    ],
+}
+
+
+def _from_components(data):
+    """Every vector as Vector.from_components builds it from ComplexFraction
+    parts and the denominator field."""
+    den = as_fraction(data.get("denominator", 1))
+    return [
+        [
+            Vector.from_components(
+                [ComplexFraction(as_fraction(re), as_fraction(im)) for re, im in raw_vec],
+                denominator=den,
+            )
+            for raw_vec in basis
+        ]
+        for basis in data["bases"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["bundled", "ks_rational_entries.json", "ks_imaginary_vector.json", "mixed-parts"],
+)
+def test_reader_matches_from_components(source):
+    if source == "bundled":
+        data = json.loads(
+            resources.files("entwit.data").joinpath("ks_6_4_peres.json").read_text()
+        )
+    elif source == "mixed-parts":
+        data = MIXED_PARTS
+    else:
+        data = json.loads((DATA / source).read_text())
+    loaded = basis_set_from_json_dict(data)
+    expected = _from_components(data)
+    assert [list(basis) for basis in loaded.bases] == expected
+    assert all(v.is_unit() for v in loaded.all_vectors())
+
+
+def test_rational_test_set_denotes_the_bundled_rays(bundled):
+    rational = load_basis_set(DATA / "ks_rational_entries.json")
+    imaginary = load_basis_set(DATA / "ks_imaginary_vector.json")
+    for v, w, u in zip(bundled.all_vectors(), rational.all_vectors(), imaginary.all_vectors()):
+        assert v.overlap_sq(w) == 1 and v.overlap_sq(u) == 1
+    assert sum(v != u for v, u in zip(bundled.all_vectors(), imaginary.all_vectors())) == 1
+
+
+def test_reader_refuses_zero_denominator():
+    with pytest.raises(ValueError, match="denominator must be nonzero"):
+        basis_set_from_json_dict(dict(MIXED_PARTS, denominator="0/3"))
+
+
+@pytest.mark.parametrize("part", [0.5, True, None])
+def test_reader_refuses_inexact_parts(part):
+    data = json.loads(json.dumps(MIXED_PARTS))
+    data["bases"][1][0][1][1] = part
+    with pytest.raises(TypeError):
+        basis_set_from_json_dict(data)
