@@ -175,7 +175,7 @@ def strategy_to_code(
     encoder = {m: x + strat.c1_at(x) for m, x in inst.support()}
     reachable = set()
     for wire in encoder.values():
-        reachable.update(inst.nt.output_distribution(wire))
+        reachable.update(inst.output_distribution(wire))
     decoder = {}
     ties = []
     for s in sorted(reachable):
@@ -267,7 +267,7 @@ def certify_separation(
     else:
         search = search_deterministic(inst, w, node_budget=node_budget)
         code = strategy_to_code(inst, search.strategy)
-        reduction = verify_zero_error(inst.nt, code)
+        reduction = verify_zero_error(inst, code)
         if not search.complete:
             status = "inconclusive"
             notes.append("search truncated by the node budget; no certificate")

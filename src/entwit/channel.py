@@ -3,15 +3,16 @@
 The core construction: channel inputs are the basis/vector index pairs (m, j),
 outputs are unordered pairs of such inputs, and input (m, j) maps uniformly
 onto the pairs {(m, j), (m', j')} whose vectors are orthogonal.  Everything
-downstream (confusability graph, independence number, zero-error codes, the
-integer encoder that scales messages by t) is exact: probabilities are
-Fractions, graph facts come from exhaustive or branch-and-bound search, and
-zero-error verdicts enumerate every positive-probability branch.
+downstream (confusability graph, independence number, zero-error codes) is
+exact: probabilities are Fractions, graph facts come from exhaustive or
+branch-and-bound search, and zero-error verdicts enumerate every
+positive-probability branch.  The integer encoder that scales messages by t,
+composed with the channel, is the instance in ``entwit.control``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
@@ -227,9 +228,10 @@ class ZeroErrorCode:
     """Messages with an encoder to codewords and a decoder from outputs.
 
     Codewords are channel inputs for a FiniteChannel, or integer wire values
-    for the integer-input composed channel.  ``ties`` lists outputs whose
-    decoder value came from rounding an exact half-integer estimate; they are
-    surfaced for reporting, never silently dropped.
+    for an instance (the channel composed with the integer encoder).
+    ``ties`` lists outputs whose decoder value came from rounding an exact
+    half-integer estimate; they are surfaced for reporting, never silently
+    dropped.
     """
 
     messages: tuple
@@ -248,18 +250,15 @@ class ZeroErrorVerdict:
     status: str  # "zero_error" | "collision" | "incomplete_decoder"
     witness: Optional[tuple] = None  # (message, output, decoded message or None)
 
-    @property
-    def is_zero_error(self) -> bool:
-        return self.status == "zero_error"
-
 
 def verify_zero_error(channel_like, code: ZeroErrorCode) -> ZeroErrorVerdict:
     """Enumerate every (message, positive-probability output) branch.
 
     ``channel_like`` is anything with output_distribution(codeword): a
-    FiniteChannel (codewords are inputs) or an integer-input composed channel
-    (codewords are wire values).  Zero error iff decoding returns the sent
-    message on every branch; an undefined decoder entry is its own verdict.
+    FiniteChannel (codewords are inputs) or a ``WitsenhausenInstance``, the
+    channel composed with the integer encoder (codewords are wire values).
+    Zero error iff decoding returns the sent message on every branch; an
+    undefined decoder entry is its own verdict.
     """
     for msg in code.messages:
         cw = code.encoder[msg]
@@ -272,62 +271,3 @@ def verify_zero_error(channel_like, code: ZeroErrorCode) -> ZeroErrorVerdict:
             if decoded != msg:
                 return ZeroErrorVerdict("collision", (msg, o, decoded))
     return ZeroErrorVerdict("zero_error")
-
-
-# -- integer encoder and the composed channel ------------------------------
-
-
-@dataclass(frozen=True)
-class EncoderMap:
-    """Integer-to-input encoder at scale t: x = a*t + b maps to (a, b).
-
-    For t >= d the decomposition with a in [0, q) and b in [0, d) is unique
-    when it exists; all other integers map to the uniform distribution.
-    """
-
-    t: int
-    q: int
-    d: int
-
-    def __post_init__(self):
-        if self.t < self.d:
-            raise ValueError(f"encoder scale t={self.t} must be at least d={self.d}")
-        if self.q < 1 or self.d < 1:
-            raise ValueError("q and d must be positive")
-
-    def decompose(self, x: int) -> Optional[ChannelInput]:
-        a, b = divmod(x, self.t)
-        if 0 <= a < self.q and b < self.d:
-            return ChannelInput(a, b)
-        return None
-
-
-@dataclass(frozen=True)
-class NtChannel:
-    """The composed channel: the encoder at scale t followed by the channel.
-
-    Its input domain is all of Z.  A wire value y = a*t + b in form goes to
-    row (a, b); every other y goes to the uniform mixture of all rows, which
-    is built once and cached.  Used functionally, never as a table.
-    """
-
-    enc: EncoderMap
-    ch: FiniteChannel
-    _uniform_branch: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def output_distribution(self, y: int) -> MappingProxyType:
-        """Read-only view of the distribution on wire value y; nothing is copied."""
-        hit = self.enc.decompose(y)
-        if hit is not None:
-            return MappingProxyType(self.ch.rows[hit])
-        if not self._uniform_branch:
-            # any out-of-form y gives the same mixture, the encoder's uniform
-            # weight 1/(q*d) on every input composed with its row; cache it once
-            w = Fraction(1, self.enc.q * self.enc.d)
-            dist: Dict[ChannelOutput, Fraction] = {}
-            for a in range(self.enc.q):
-                for b in range(self.enc.d):
-                    for o, p in self.ch.rows[ChannelInput(a, b)].items():
-                        dist[o] = dist.get(o, 0) + w * p
-            self._uniform_branch.update(dist)
-        return MappingProxyType(self._uniform_branch)

@@ -1,8 +1,9 @@
 """Two-controller damping instances, strategy classes and exact cost search.
 
-An instance fixes a basis-set channel composed with the integer encoder at
-scale t, an input distribution supported on the multiples m*t, and a price k
-on the first controller's action.  The cost of a strategy is
+An instance fixes a basis-set channel, the integer encoder at scale t (the
+instance is the two composed), an input distribution supported on the
+multiples m*t, and a price k on the first controller's action.  The cost of
+a strategy is
 
     E[ k * c1(x)^2 + (x + c1(x) + c2(s))^2 ]
 
@@ -26,19 +27,13 @@ grid, and the winner is re-checked branch by branch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .channel import (
-    ChannelInput,
-    ChannelOutput,
-    EncoderMap,
-    FiniteChannel,
-    NtChannel,
-    build_ks_channel,
-)
+from .channel import ChannelInput, ChannelOutput, FiniteChannel, build_ks_channel
 from .entangled import QuantumDecodeError, decoder_decode, encoder_branches
 from .exact import as_fraction
 from .ks import KSBasisSet
@@ -46,14 +41,21 @@ from .ks import KSBasisSet
 
 @dataclass(frozen=True)
 class WitsenhausenInstance:
-    """A channel-at-scale-t, input distribution and action price k."""
+    """A channel at scale t, an input distribution and an action price k.
+
+    The instance is also the composed channel: the encoder at scale t
+    followed by the basis-set channel, with all of Z as its input domain.
+    A wire value y = a*t + b with a in [0, q) and b in [0, d) goes to row
+    (a, b); every other y goes to the uniform mixture of all rows, built on
+    first use and held.
+    """
 
     ks: KSBasisSet
     channel: FiniteChannel
-    enc: EncoderMap
+    t: int
     k: Fraction
     p_m: tuple  # Fraction per message m in [q]
-    nt: NtChannel
+    _uniform_branch: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def q(self) -> int:
@@ -63,13 +65,35 @@ class WitsenhausenInstance:
     def d(self) -> int:
         return self.ks.d
 
-    @property
-    def t(self) -> int:
-        return self.enc.t
-
     def support(self) -> tuple:
         """(m, x = m*t) for every message with positive probability."""
         return tuple((m, m * self.t) for m in range(self.q) if self.p_m[m] > 0)
+
+    def decompose(self, y: int) -> Optional[ChannelInput]:
+        """The input (a, b) with y = a*t + b, or None when y is out of form;
+        unique since t >= d."""
+        a, b = divmod(y, self.t)
+        if 0 <= a < self.ks.q and b < self.ks.d:
+            return ChannelInput(a, b)
+        return None
+
+    def output_distribution(self, y: int) -> MappingProxyType:
+        """Read-only view of the distribution on wire value y; nothing is copied."""
+        hit = self.decompose(y)
+        if hit is not None:
+            return MappingProxyType(self.channel.rows[hit])
+        if not self._uniform_branch:
+            # any out-of-form y gives the same mixture: the encoder's uniform
+            # weight 1/(q*d) on every input, composed with its row, summed in
+            # (a, b) grid order
+            w = Fraction(1, self.q * self.d)
+            dist: Dict[ChannelOutput, Fraction] = {}
+            for a in range(self.q):
+                for b in range(self.d):
+                    for o, p in self.channel.rows[ChannelInput(a, b)].items():
+                        dist[o] = dist.get(o, 0) + w * p
+            self._uniform_branch.update(dist)
+        return MappingProxyType(self._uniform_branch)
 
 
 def make_instance(
@@ -89,7 +113,8 @@ def make_instance(
     grid = [ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d)]
     if sorted(channel.inputs) != grid:
         raise ValueError("channel inputs do not form the full (m, j) grid")
-    enc = EncoderMap(t=t, q=ks.q, d=ks.d)  # enforces t >= d
+    if t < ks.d:
+        raise ValueError(f"encoder scale t={t} must be at least d={ks.d}")
     if p_m is None:
         p_m = [Fraction(1, ks.q)] * ks.q
     p_m = tuple(as_fraction(p) for p in p_m)
@@ -99,9 +124,7 @@ def make_instance(
         raise ValueError("message probabilities must be nonnegative")
     if sum(p_m, Fraction(0)) != 1:
         raise ValueError("message probabilities must sum to exactly 1")
-    return WitsenhausenInstance(
-        ks=ks, channel=channel, enc=enc, k=k, p_m=p_m, nt=NtChannel(enc, channel)
-    )
+    return WitsenhausenInstance(ks=ks, channel=channel, t=t, k=k, p_m=p_m)
 
 
 # -- strategies ------------------------------------------------------------
@@ -156,7 +179,7 @@ def evaluate_deterministic(
         a1 = strat.c1_at(x)
         y = x + a1
         control += px * inst.k * a1 * a1
-        for s, p_out in inst.nt.output_distribution(y).items():
+        for s, p_out in inst.output_distribution(y).items():
             z = y + strat.c2_at(s)
             damping += px * p_out * z * z
             branches += 1
@@ -188,7 +211,7 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
             j = branch.outcome.j
             y = x + j
             j_sq += j * j
-            for s in inst.nt.output_distribution(y):
+            for s in inst.output_distribution(y):
                 decoded, p_dec = decoder_decode(inst.ks, s, branch.residual)
                 if decoded != (m, j) or p_dec != 1:
                     raise QuantumDecodeError(
@@ -234,7 +257,7 @@ def posterior_moments(inst: WitsenhausenInstance, c1: dict) -> dict:
             raise ValueError(f"c1 table is not defined on supported input {x}")
         y = x + c1[x]
         px = inst.p_m[m]
-        for s, p_out in inst.nt.output_distribution(y).items():
+        for s, p_out in inst.output_distribution(y).items():
             w = px * p_out
             a, b, c = moments.get(s, (Fraction(0), Fraction(0), Fraction(0)))
             moments[s] = (a + w, b + w * y, c + w * y * y)
@@ -350,7 +373,7 @@ class _PrefixEvaluator:
             ctrl_row, term_row = [], []
             for v in range(-window, window + 1):
                 y = x + v
-                hit = inst.enc.decompose(y)
+                hit = inst.decompose(y)
                 if hit is None:
                     u, w = -1, pm_int
                 else:

@@ -52,7 +52,7 @@ def maximally_entangled_state(d: int) -> Vector:
     if d < 2:
         raise ValueError("need dimension at least 2")
     entries = [1 if (i // d) == (i % d) else 0 for i in range(d * d)]
-    return Vector._from_ints(entries, [0] * (d * d), 1, Fraction(d))
+    return Vector(entries, [0] * (d * d), 1, scale=d)
 
 
 def encoder_branches(ks: KSBasisSet, m: int) -> list:

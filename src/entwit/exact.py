@@ -1,9 +1,9 @@
-"""Exact complex-rational scalars and vectors.
+"""Exact vectors over Gaussian rationals, and exact number formatting.
 
-All geometry in this package runs on exact arithmetic: a vector is stored as
-Gaussian-integer numerators over one positive common denominator, together
-with a rational ``scale`` s, and denotes (numerators / denominator) /
-sqrt(s).  Inner products, squared norms and squared overlaps are integer
+All geometry in this package runs on exact arithmetic: the one vector type
+holds Gaussian-integer numerators over one positive common denominator,
+together with a rational ``scale`` s, and denotes (numerators / denominator)
+/ sqrt(s).  Inner products, squared norms and squared overlaps are integer
 sums, so orthogonality and measurement probabilities are decided exactly,
 with no tolerances; a Fraction is formed only from the final sums.  Floats
 never enter.
@@ -12,10 +12,8 @@ never enter.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Sequence, Union
-
-RationalLike = Union[int, Fraction, str]
+from math import gcd
+from typing import Sequence
 
 
 def as_fraction(x) -> Fraction:
@@ -25,87 +23,6 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; pass int, Fraction or string")
     return Fraction(x)
-
-
-class ComplexFraction:
-    """A complex number with Fraction real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", as_fraction(re))
-        object.__setattr__(self, "im", as_fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexFraction is immutable")
-
-    @staticmethod
-    def coerce(x) -> "ComplexFraction":
-        if isinstance(x, ComplexFraction):
-            return x
-        return ComplexFraction(as_fraction(x))
-
-    def __add__(self, other):
-        other = ComplexFraction.coerce(other)
-        return ComplexFraction(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = ComplexFraction.coerce(other)
-        return ComplexFraction(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return ComplexFraction.coerce(other) - self
-
-    def __mul__(self, other):
-        other = ComplexFraction.coerce(other)
-        return ComplexFraction(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ComplexFraction(-self.re, -self.im)
-
-    def conjugate(self) -> "ComplexFraction":
-        return ComplexFraction(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ComplexFraction(other)
-        if not isinstance(other, ComplexFraction):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __reduce__(self):
-        return (ComplexFraction, (self.re, self.im))
-
-    def __repr__(self) -> str:
-        if not self.im:
-            return f"{self.re}"
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im >= 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
-
-
-def _numerators(entries: Sequence[ComplexFraction]) -> tuple:
-    """Gaussian-integer numerators (re, im) over the least common denominator."""
-    den = lcm(*(c.re.denominator for c in entries), *(c.im.denominator for c in entries))
-    return (
-        tuple(c.re.numerator * (den // c.re.denominator) for c in entries),
-        tuple(c.im.numerator * (den // c.im.denominator) for c in entries),
-        den,
-    )
 
 
 def _gauss_dot(a_re, a_im, b_re, b_im) -> tuple:
@@ -118,94 +35,64 @@ def _gauss_dot(a_re, a_im, b_re, b_im) -> tuple:
 
 
 class Vector:
-    """An exact vector ``entries / sqrt(scale)`` over Gaussian-rational entries.
+    """The exact vector ``(re + i*im) / den / sqrt(scale)``.
 
-    The entries are held as Gaussian-integer numerators (``_re``, ``_im``)
-    over the least positive common denominator ``_den``; ``entries`` rebuilds
-    them as ComplexFractions.  The object is immutable, so the integer
-    squared norm of the numerators is computed once, when they are stored,
-    and held in ``_nsq``.  The sqrt never has to be evaluated: every
-    quantity this package consumes (orthogonality, squared overlaps, squared
-    norms, measurement probabilities) is rational in the entries and the
-    scale.
+    ``re`` and ``im`` are integer numerators, stored in lowest terms with
+    the positive denominator ``den``; with no ``scale`` given, the scale is
+    their squared norm over den^2, which makes the vector the unit vector
+    along them.  The object is immutable, so the integer squared norm of the
+    numerators is computed once, at construction, and held in ``_nsq``.
+    The sqrt never has to be evaluated: every quantity this package consumes
+    (orthogonality, squared overlaps, squared norms, measurement
+    probabilities) is rational in the numerators and the scale.
     """
 
-    __slots__ = ("_re", "_im", "_den", "scale", "_nsq")
+    __slots__ = ("re", "im", "den", "scale", "_nsq")
 
-    def __init__(self, entries: Iterable, scale: RationalLike = 1):
-        coerced = [ComplexFraction.coerce(e) for e in entries]
-        s = as_fraction(scale)
-        if s <= 0:
-            raise ValueError(f"vector scale must be positive, got {s}")
-        if not coerced:
-            raise ValueError("vector must have at least one entry")
-        self._set(*_numerators(coerced), s)
-
-    def _set(self, re: tuple, im: tuple, den: int, scale=None) -> None:
-        """Store lowest-terms numerators and hold their integer squared norm
-        in ``_nsq``; with no scale, the vector is the unit vector along them."""
+    def __init__(self, re: Sequence[int], im: Sequence[int], den: int = 1, scale=None):
+        if not re or len(re) != len(im):
+            raise ValueError(
+                f"vector needs matching nonempty parts, got {len(re)} and {len(im)}"
+            )
+        if den == 0:
+            raise ValueError("vector denominator must be nonzero")
+        g = gcd(den, *re, *im)
+        if den < 0:
+            g = -g
+        re = tuple(x // g for x in re)
+        im = tuple(x // g for x in im)
         nsq = sum(r * r for r in re) + sum(i * i for i in im)
         if scale is None:
             if nsq == 0:
                 raise ValueError("cannot normalize the zero vector")
-            scale = Fraction(nsq, den * den)
-        for name, value in zip(Vector.__slots__, (re, im, den, scale, nsq)):
+            scale = Fraction(nsq, (den // g) ** 2)
+        else:
+            scale = as_fraction(scale)
+            if scale <= 0:
+                raise ValueError(f"vector scale must be positive, got {scale}")
+        for name, value in zip(Vector.__slots__, (re, im, den // g, scale, nsq)):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def _from_ints(cls, re: Sequence[int], im: Sequence[int], den: int, scale=None) -> "Vector":
-        """Vector (re + i*im) / den / sqrt(scale) in lowest terms; unit if no scale."""
-        g = gcd(den, *re, *im)
-        v = object.__new__(cls)
-        v._set(tuple(x // g for x in re), tuple(x // g for x in im), den // g, scale)
-        return v
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
 
-    @classmethod
-    def from_components(cls, components: Sequence, denominator: RationalLike = 1) -> "Vector":
-        """Unit vector in the direction of ``components / denominator``.
-
-        The numerators come straight from the parsed fractions, and the
-        scale is set to their squared norm, so the result is exactly
-        normalized without evaluating any square root.
-        """
-        den = as_fraction(denominator)
-        if den == 0:
-            raise ValueError("denominator must be nonzero")
-        re, im, common = _numerators([ComplexFraction.coerce(c) for c in components])
-        # (x / common) / (p / q) = (x * q * sign(p)) / (common * |p|)
-        mult = den.denominator if den > 0 else -den.denominator
-        return cls._from_ints(
-            [x * mult for x in re], [x * mult for x in im], common * abs(den.numerator)
-        )
-
-    @property
-    def entries(self) -> tuple:
-        den = self._den
-        return tuple(
-            ComplexFraction(Fraction(r, den), Fraction(i, den))
-            for r, i in zip(self._re, self._im)
-        )
-
     @property
     def dim(self) -> int:
-        return len(self._re)
+        return len(self.re)
 
     def _dot(self, other: "Vector") -> tuple:
-        if len(self._re) != len(other._re):
+        if len(self.re) != len(other.re):
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return _gauss_dot(self._re, self._im, other._re, other._im)
+        return _gauss_dot(self.re, self.im, other.re, other.im)
 
     def norm_sq(self) -> Fraction:
         s = self.scale
-        return Fraction(self._nsq * s.denominator, self._den ** 2 * s.numerator)
+        return Fraction(self._nsq * s.denominator, self.den ** 2 * s.numerator)
 
     def is_unit(self) -> bool:
         """norm_sq() == 1, decided on integers; no Fraction is built."""
         s = self.scale
-        return self._nsq * s.denominator == self._den * self._den * s.numerator
+        return self._nsq * s.denominator == self.den * self.den * s.numerator
 
     def overlap_sq_ratio(self, other: "Vector") -> tuple:
         """Squared fidelity |<self|other>|^2 between the normalized rays, as
@@ -220,36 +107,23 @@ class Vector:
         re, im = self._dot(other)
         return re * re + im * im, nsq
 
-    def overlap_sq(self, other: "Vector") -> Fraction:
-        """Squared fidelity |<self|other>|^2 as a Fraction."""
-        return Fraction(*self.overlap_sq_ratio(other))
-
     def conjugate(self) -> "Vector":
-        return Vector._from_ints(self._re, tuple(-i for i in self._im), self._den, self.scale)
-
-    def normalized(self) -> "Vector":
-        return Vector._from_ints(self._re, self._im, self._den)
-
-    def __reduce__(self):
-        return (Vector, (self.entries, self.scale))
+        return Vector(self.re, tuple(-i for i in self.im), self.den, self.scale)
 
     def __eq__(self, other) -> bool:
         # the numerators are in lowest terms, so this is equality of the
-        # entries and of the scale
+        # denoted entries and of the scale
         if not isinstance(other, Vector):
             return NotImplemented
-        return (self._re, self._im, self._den, self.scale) == (
-            other._re, other._im, other._den, other.scale
+        return (self.re, self.im, self.den, self.scale) == (
+            other.re, other.im, other.den, other.scale
         )
 
     def __hash__(self):
-        return hash((self._re, self._im, self._den, self.scale))
+        return hash((self.re, self.im, self.den, self.scale))
 
     def __repr__(self) -> str:
-        body = ", ".join(repr(c) for c in self.entries)
-        if self.scale == 1:
-            return f"Vector([{body}])"
-        return f"Vector([{body}] / sqrt({self.scale}))"
+        return f"Vector({self.re}, {self.im}, {self.den}, scale='{self.scale}')"
 
 
 DECIMAL_SIGFIGS = 12
@@ -295,20 +169,20 @@ def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
     if state.dim % a != 0:
         raise ValueError("state dimension is not a multiple of the basis dimension")
     b = state.dim // a
-    s_re, s_im = state._re, state._im
+    s_re, s_im = state.re, state.im
     branches = []
     for j, u in enumerate(basis):
         # residual entry i2 is sum over i1 of conj(u_i1) * state_(i1*b + i2)
         res_re, res_im = zip(
-            *(_gauss_dot(u._re, u._im, s_re[i2::b], s_im[i2::b]) for i2 in range(b))
+            *(_gauss_dot(u.re, u.im, s_re[i2::b], s_im[i2::b]) for i2 in range(b))
         )
         # the residual is (res / den) / sqrt(u.scale * state.scale); its squared
         # norm is the branch probability, and only its direction is kept
         nsq = sum(r * r for r in res_re) + sum(i * i for i in res_im)
         if nsq == 0:
             continue
-        den = u._den * state._den
+        den = u.den * state.den
         scale = u.scale * state.scale
         prob = Fraction(nsq * scale.denominator, den * den * scale.numerator)
-        branches.append((j, prob, Vector._from_ints(res_re, res_im, den)))
+        branches.append((j, prob, Vector(res_re, res_im, den)))
     return branches

@@ -140,7 +140,7 @@ def conjugate_basis(basis: Sequence[Vector]) -> tuple:
 # JSON with fields:
 #   format: "ks-basis-set/1"
 #   label:  free-form provenance string
-#   q, d:   counts
+#   q, d:   counts, as JSON integers
 #   denominator: optional rational (int or "p/q") dividing every entry
 #   bases:  q arrays of d vectors; a vector is d entries [re, im] with
 #           int or "p/q" rational parts
@@ -166,8 +166,9 @@ def basis_set_from_json_dict(data: dict) -> KSBasisSet:
     tag = data.get("format") if isinstance(data, dict) else None
     if tag != FORMAT_TAG:
         raise ValueError(f"unrecognized basis-set format: {tag!r}")
-    q = int(data["q"])
-    d = int(data["d"])
+    q, d = data["q"], data["d"]
+    if type(q) is not int or type(d) is not int:  # refuses floats, strings, bools
+        raise ValueError(f"q and d must be integers, got {q!r} and {d!r}")
     p, r = _ratio(data.get("denominator", 1))
     if p == 0:
         raise ValueError("denominator must be nonzero")
@@ -181,7 +182,7 @@ def basis_set_from_json_dict(data: dict) -> KSBasisSet:
             common = lcm(*(den for pair in parts for _, den in pair))
             re = [x * (common // den) * mult for (x, den), _ in parts]
             im = [x * (common // den) * mult for _, (x, den) in parts]
-            vectors.append(Vector._from_ints(re, im, common * abs(p)))
+            vectors.append(Vector(re, im, common * abs(p)))
         bases.append(tuple(vectors))
     return KSBasisSet(q=q, d=d, bases=tuple(bases), label=data.get("label", ""))
 

@@ -8,7 +8,7 @@ package code is checked against computations that share none of its shortcuts.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import floor
+from math import floor, lcm
 
 from entwit.channel import ChannelInput, ZeroErrorCode, confusability_graph
 from entwit.control import (
@@ -18,7 +18,7 @@ from entwit.control import (
     optimal_c2_for_c1,
     posterior_moments,
 )
-from entwit.exact import ComplexFraction, Vector
+from entwit.exact import Vector, as_fraction
 
 
 def naive_ks_check(ks):
@@ -79,7 +79,7 @@ def branch_signals(inst, strat):
     branches = []
     for m, x in inst.support():
         y = x + strat.c1[x]
-        for s, p_out in inst.nt.output_distribution(y).items():
+        for s, p_out in inst.output_distribution(y).items():
             branches.append((inst.p_m[m] * p_out, y + strat.c2.get(s, 0)))
     return branches
 
@@ -190,7 +190,7 @@ def decoder_estimates_exact(inst, strat):
     code on all supported messages."""
     for m, x in inst.support():
         y = x + strat.c1_at(x)
-        for s in inst.nt.output_distribution(y):
+        for s in inst.output_distribution(y):
             if abs(m - Fraction(-strat.c2_at(s), inst.t)) >= Fraction(1, 2):
                 return False
     return True
@@ -220,6 +220,117 @@ def random_weights(rng, n):
     return [w / total for w in raws]
 
 
+# -- Gaussian rationals and vectors built from them ---------------------------
+
+
+class ComplexFraction:
+    """A complex number with Fraction real and imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", as_fraction(re))
+        object.__setattr__(self, "im", as_fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ComplexFraction is immutable")
+
+    @staticmethod
+    def coerce(x):
+        if isinstance(x, ComplexFraction):
+            return x
+        return ComplexFraction(as_fraction(x))
+
+    def __add__(self, other):
+        other = ComplexFraction.coerce(other)
+        return ComplexFraction(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = ComplexFraction.coerce(other)
+        return ComplexFraction(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return ComplexFraction.coerce(other) - self
+
+    def __mul__(self, other):
+        other = ComplexFraction.coerce(other)
+        return ComplexFraction(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return ComplexFraction(-self.re, -self.im)
+
+    def conjugate(self):
+        return ComplexFraction(self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = ComplexFraction(other)
+        if not isinstance(other, ComplexFraction):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        if not self.im:
+            return f"{self.re}"
+        if not self.re:
+            return f"{self.im}i"
+        sign = "+" if self.im >= 0 else "-"
+        return f"({self.re}{sign}{abs(self.im)}i)"
+
+
+def _numerators(values):
+    """Gaussian-integer numerators (re, im) over the least common denominator."""
+    cs = [ComplexFraction.coerce(x) for x in values]
+    den = lcm(*(c.re.denominator for c in cs), *(c.im.denominator for c in cs))
+    return (
+        [c.re.numerator * (den // c.re.denominator) for c in cs],
+        [c.im.numerator * (den // c.im.denominator) for c in cs],
+        den,
+    )
+
+
+def vector(values, scale=1):
+    """The vector values / sqrt(scale), values given as ComplexFractions or
+    anything they coerce from; not normalized."""
+    return Vector(*_numerators(values), scale=scale)
+
+
+def from_components(components, denominator=1):
+    """Unit vector along components / denominator: each component divided by
+    the denominator in ComplexFraction arithmetic, then normalized by the
+    constructor."""
+    den = as_fraction(denominator)
+    if den == 0:
+        raise ValueError("denominator must be nonzero")
+    inv = ComplexFraction(1 / den)
+    return Vector(*_numerators([ComplexFraction.coerce(c) * inv for c in components]))
+
+
+def entries(v):
+    """The vector's entries before the 1/sqrt(scale), as ComplexFractions."""
+    return tuple(
+        ComplexFraction(Fraction(r, v.den), Fraction(i, v.den)) for r, i in zip(v.re, v.im)
+    )
+
+
+def overlap_sq(v, w):
+    """Squared fidelity |<v|w>|^2 as a Fraction, from the integer kernel."""
+    return Fraction(*v.overlap_sq_ratio(w))
+
+
 # -- test-only geometry helpers ------------------------------------------------
 
 
@@ -229,16 +340,16 @@ def abs_sq(c):
 
 
 def is_zero(v):
-    return not any(v.entries)
+    return not any(v.re) and not any(v.im)
 
 
 def same_ray(v, w):
     """True iff the two vectors agree up to a global phase."""
-    return v.overlap_sq(w) == 1
+    return overlap_sq(v, w) == 1
 
 
 def standard_basis_vector(index, dim):
-    return Vector([1 if i == index else 0 for i in range(dim)])
+    return vector([1 if i == index else 0 for i in range(dim)])
 
 
 def raw_dot(v, w):
@@ -246,7 +357,7 @@ def raw_dot(v, w):
     integer kernel; the denoted inner product is this over
     sqrt(v.scale * w.scale), so it is zero iff this is zero."""
     re, im = v._dot(w)
-    den = v._den * w._den
+    den = v.den * w.den
     return ComplexFraction(Fraction(re, den), Fraction(im, den))
 
 
@@ -258,13 +369,13 @@ def cf_dot(v, w):
     if v.dim != w.dim:
         raise ValueError("dimension mismatch")
     acc = ComplexFraction(0)
-    for a, b in zip(v.entries, w.entries):
+    for a, b in zip(entries(v), entries(w)):
         acc = acc + a.conjugate() * b
     return acc
 
 
 def cf_raw_norm_sq(v):
-    return sum((abs_sq(c) for c in v.entries), Fraction(0))
+    return sum((abs_sq(c) for c in entries(v)), Fraction(0))
 
 
 def cf_norm_sq(v):
@@ -302,7 +413,7 @@ def cf_normalized(v):
     nsq = cf_raw_norm_sq(v)
     if nsq == 0:
         raise ValueError("cannot normalize the zero vector")
-    return v.entries, nsq
+    return entries(v), nsq
 
 
 def cf_measure_first_subsystem(state, basis):
@@ -310,14 +421,15 @@ def cf_measure_first_subsystem(state, basis):
     positive probability, projecting subsystem 1 onto each basis vector."""
     a = len(basis)
     b = state.dim // a
-    st = state.entries
+    st = entries(state)
     out = []
     for j, u in enumerate(basis):
+        ue = entries(u)
         raw = []
         for i2 in range(b):
             acc = ComplexFraction(0)
             for i1 in range(a):
-                acc = acc + u.entries[i1].conjugate() * st[i1 * b + i2]
+                acc = acc + ue[i1].conjugate() * st[i1 * b + i2]
             raw.append(acc)
         raw_nsq = sum((abs_sq(c) for c in raw), Fraction(0))
         prob = raw_nsq / (u.scale * state.scale)
@@ -349,16 +461,16 @@ def complete_orthonormal_basis(seeds, dim):
         if len(basis) == dim:
             break
         w = standard_basis_vector(k, dim)
-        residual = list(w.entries)
+        residual = list(entries(w))
         for u in basis:
             # projection coefficient of w on unit u, in w's raw gauge
             coeff = cf_dot(u, w)
             inv = Fraction(1) / u.scale
-            for idx, e in enumerate(u.entries):
+            for idx, e in enumerate(entries(u)):
                 residual[idx] = residual[idx] - coeff * e * inv
         if not any(residual):
             continue  # dependent on the span so far
-        basis.append(Vector(residual, scale=cf_raw_norm_sq(Vector(residual))))
+        basis.append(vector(residual, scale=cf_raw_norm_sq(vector(residual))))
     if len(basis) != dim:
         raise ValueError("basis completion failed to reach full dimension")
     return basis

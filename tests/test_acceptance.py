@@ -97,7 +97,7 @@ def test_criterion_03_classical_capacity(channel, graph):
     ok = (
         alpha == 5
         and len(code.messages) == 5
-        and verdict.is_zero_error
+        and verdict.status == "zero_error"
         and not found6
         and scanned == 134596
         and elapsed < 10.0
@@ -205,14 +205,14 @@ def test_criterion_09_reduction_soundness(bundled, channel, certificate):
         strat = DeterministicStrategy(c1=c1, c2=optimal_c2_for_c1(inst, c1))
         if decoder_estimates_exact(inst, strat):
             premise_count += 1
-            verdict = verify_zero_error(inst.nt, strategy_to_code(inst, strat))
+            verdict = verify_zero_error(inst, strategy_to_code(inst, strat))
             implication_ok = implication_ok and (
-                verdict.is_zero_error and len(strategy_to_code(inst, strat).messages) == 6
+                verdict.status == "zero_error" and len(strategy_to_code(inst, strat).messages) == 6
             )
     best_verdict = verify_zero_error(
-        inst.nt, strategy_to_code(inst, cert.search.strategy)
+        inst, strategy_to_code(inst, cert.search.strategy)
     )
-    ok = implication_ok and not best_verdict.is_zero_error
+    ok = implication_ok and best_verdict.status != "zero_error"
     ok = ok and best_verdict.witness is not None
     _criterion(
         9, "exact-estimate strategies reduce to zero-error codes; the "

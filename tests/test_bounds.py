@@ -197,7 +197,7 @@ def test_encoder_formula(inst10):
 
 def test_decoder_rounds_eta(bundled, channel, inst10):
     c1 = {x: 0 for _m, x in inst10.support()}
-    some_output = sorted(inst10.nt.output_distribution(0))[0]
+    some_output = sorted(inst10.output_distribution(0))[0]
     strat = DeterministicStrategy(c1=c1, c2={some_output: -31})
     code = strategy_to_code(inst10, strat)
     assert code.decoder[some_output] == 3  # eta = 3.1
@@ -206,7 +206,7 @@ def test_decoder_rounds_eta(bundled, channel, inst10):
 
 def test_half_integer_eta_is_flagged(inst10):
     c1 = {x: 0 for _m, x in inst10.support()}
-    some_output = sorted(inst10.nt.output_distribution(0))[0]
+    some_output = sorted(inst10.output_distribution(0))[0]
     strat = DeterministicStrategy(c1=c1, c2={some_output: -25})
     code = strategy_to_code(inst10, strat)
     assert some_output in code.ties  # eta = 2.5
@@ -226,7 +226,7 @@ def test_exact_estimates_give_zero_error_code(bundled, channel):
     code = strategy_to_code(inst, strat)
     assert len(code.messages) == 5
     assert not code.ties
-    assert verify_zero_error(inst.nt, code).is_zero_error
+    assert verify_zero_error(inst, code).status == "zero_error"
 
 
 def test_full_support_reduction_always_fails(bundled, channel):
@@ -238,8 +238,8 @@ def test_full_support_reduction_always_fails(bundled, channel):
         c1 = random_c1(rng, inst, 4)
         strat = DeterministicStrategy(c1=c1, c2=optimal_c2_for_c1(inst, c1))
         assert not decoder_estimates_exact(inst, strat)
-        verdict = verify_zero_error(inst.nt, strategy_to_code(inst, strat))
-        assert not verdict.is_zero_error
+        verdict = verify_zero_error(inst, strategy_to_code(inst, strat))
+        assert verdict.status != "zero_error"
 
 
 def test_reduction_soundness_on_random_sample(bundled, channel):
@@ -250,7 +250,8 @@ def test_reduction_soundness_on_random_sample(bundled, channel):
         c1 = random_c1(rng, inst, 4)
         strat = DeterministicStrategy(c1=c1, c2=optimal_c2_for_c1(inst, c1))
         if decoder_estimates_exact(inst, strat):
-            assert verify_zero_error(inst.nt, strategy_to_code(inst, strat)).is_zero_error
+            verdict = verify_zero_error(inst, strategy_to_code(inst, strat))
+            assert verdict.status == "zero_error"
 
 
 # -- certificates -------------------------------------------------------------------

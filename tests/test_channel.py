@@ -8,8 +8,8 @@ Claims covered:
     - the independence number is exactly 5 with a verified witness code, and
       no 6-subset of inputs is independent (exhaustive scan)
     - zero-error verdicts distinguish collisions from incomplete decoders
-    - the integer encoder has unique decompositions for t >= d and composes
-      with the channel into exact output distributions
+    - the instance's integer encoder has unique decompositions for t >= d
+      and composes with the channel into exact output distributions
 """
 
 import random
@@ -21,9 +21,7 @@ import pytest
 from entwit.channel import (
     ChannelInput,
     ConfusabilityGraph,
-    EncoderMap,
     FiniteChannel,
-    NtChannel,
     ZeroErrorCode,
     build_ks_channel,
     confusability_graph,
@@ -31,13 +29,14 @@ from entwit.channel import (
     output_pair,
     verify_zero_error,
 )
-from entwit.exact import Vector
+from entwit.control import make_instance
 from entwit.ks import KSBasisSet
 
 from helpers import (
     adjacent,
     code_from_independent_set,
     degree,
+    from_components,
     has_independent_subset,
     is_independent,
     raw_dot,
@@ -67,8 +66,8 @@ def test_channel_matches_orthogonality(bundled, channel):
 
 
 def test_build_rejects_non_ks_set():
-    b0 = (Vector.from_components([1, 0]), Vector.from_components([0, 1]))
-    b1 = (Vector.from_components([1, 1]), Vector.from_components([1, -1]))
+    b0 = (from_components([1, 0]), from_components([0, 1]))
+    b1 = (from_components([1, 1]), from_components([1, -1]))
     with pytest.raises(ValueError):
         build_ks_channel(KSBasisSet(q=2, d=2, bases=(b0, b1)))
 
@@ -189,7 +188,7 @@ def test_bundled_independence_number(channel, graph):
     assert is_independent(graph, witness)
     code = code_from_independent_set(channel, witness)
     assert len(code.messages) == 5
-    assert verify_zero_error(channel, code).is_zero_error
+    assert verify_zero_error(channel, code).status == "zero_error"
 
 
 def test_no_independent_six_subset(graph):
@@ -202,7 +201,7 @@ def test_no_independent_six_subset(graph):
 def test_single_vertex_code(channel):
     code = code_from_independent_set(channel, [ChannelInput(0, 0)])
     assert code.messages == (0,)
-    assert verify_zero_error(channel, code).is_zero_error
+    assert verify_zero_error(channel, code).status == "zero_error"
 
 
 def test_adjacent_set_rejected(channel, graph):
@@ -234,77 +233,79 @@ def test_incomplete_decoder_verdict(channel):
     assert verdict.witness[2] is None
 
 
-# -- integer encoder -------------------------------------------------------------
+# -- the instance as the composed channel ---------------------------------------
 
 
-def test_epsilon_point_mass():
-    enc = EncoderMap(t=10, q=6, d=4)
-    assert enc.decompose(2 * 10 + 3) == ChannelInput(2, 3)
-    assert enc.decompose(0) == ChannelInput(0, 0)
+def _instance(bundled, channel, t):
+    return make_instance(bundled, t, 1, channel=channel)
 
 
-def test_epsilon_uniform_branch(channel):
-    enc = EncoderMap(t=10, q=6, d=4)
-    assert enc.decompose(7) is None  # 7 = 0*10 + 7 and 7 is not below d
+def test_epsilon_point_mass(bundled, channel):
+    inst = _instance(bundled, channel, 10)
+    assert inst.decompose(2 * 10 + 3) == ChannelInput(2, 3)
+    assert inst.decompose(0) == ChannelInput(0, 0)
+
+
+def test_epsilon_uniform_branch(bundled, channel):
+    inst = _instance(bundled, channel, 10)
+    assert inst.decompose(7) is None  # 7 = 0*10 + 7 and 7 is not below d
     # the uniform branch weighs every one of the 24 inputs by 1/24
-    dist = NtChannel(enc, channel).output_distribution(7)
+    dist = inst.output_distribution(7)
     for o, p in dist.items():
         holders = [i for i in channel.inputs if o in channel.rows[i]]
         assert p == sum(Fraction(1, 24) * channel.rows[i][o] for i in holders)
     assert sum(dist.values()) == 1
 
 
-def test_epsilon_rejects_small_t():
-    with pytest.raises(ValueError):
-        EncoderMap(t=3, q=6, d=4)
+def test_epsilon_rejects_small_t(bundled, channel):
+    with pytest.raises(ValueError, match="t=3 must be at least d=4"):
+        _instance(bundled, channel, 3)
 
 
 @pytest.mark.parametrize("t", [4, 7, 10])
-def test_decomposition_unique_for_t_at_least_d(t):
-    enc = EncoderMap(t=t, q=6, d=4)
+def test_decomposition_unique_for_t_at_least_d(bundled, channel, t):
+    inst = _instance(bundled, channel, t)
     for x in range(0, 6 * t + 1):
         forms = [
             (a, b) for a in range(6) for b in range(4) if x == a * t + b
         ]
         assert len(forms) <= 1
-        hit = enc.decompose(x)
+        hit = inst.decompose(x)
         if forms:
             assert hit == ChannelInput(*forms[0])
         else:
             assert hit is None
 
 
-def test_nt_in_form_matches_channel_row(channel):
-    enc = EncoderMap(t=10, q=6, d=4)
+def test_nt_in_form_matches_channel_row(bundled, channel):
     y = 3 * 10 + 2
-    dist = NtChannel(enc, channel).output_distribution(y)
+    dist = _instance(bundled, channel, 10).output_distribution(y)
     assert dist == channel.rows[ChannelInput(3, 2)]
     assert set(dist.values()) == {Fraction(1, 9)}
 
 
-def test_nt_out_of_form_is_uniform_over_edges(channel):
-    enc = EncoderMap(t=10, q=6, d=4)
-    dist = NtChannel(enc, channel).output_distribution(-5)
+def test_nt_out_of_form_is_uniform_over_edges(bundled, channel):
+    dist = _instance(bundled, channel, 10).output_distribution(-5)
     assert len(dist) == 108
     assert set(dist.values()) == {Fraction(1, 108)}
 
 
-def test_nt_sums_to_one_on_sampled_wire_values(channel):
-    enc = EncoderMap(t=17, q=6, d=4)
+def test_nt_sums_to_one_on_sampled_wire_values(bundled, channel):
+    inst = _instance(bundled, channel, 17)
     rng = random.Random(20240817)
     span = 2 * 6 * 17
     for _ in range(1000):
         y = rng.randint(-span, span)
-        dist = NtChannel(enc, channel).output_distribution(y)
+        dist = inst.output_distribution(y)
         assert sum(dist.values(), Fraction(0)) == 1
 
 
-def test_output_distributions_are_read_only(channel):
-    nt = NtChannel(EncoderMap(t=10, q=6, d=4), channel)
+def test_output_distributions_are_read_only(bundled, channel):
+    inst = _instance(bundled, channel, 10)
     views = [
         channel.output_distribution(ChannelInput(3, 2)),
-        nt.output_distribution(3 * 10 + 2),
-        nt.output_distribution(-5),
+        inst.output_distribution(3 * 10 + 2),
+        inst.output_distribution(-5),
     ]
     for view in views:
         s = next(iter(view))
@@ -314,5 +315,5 @@ def test_output_distributions_are_read_only(channel):
             del view[s]
     # the views show the channel's own rows, which the refused writes left whole
     assert views[1] == channel.rows[ChannelInput(3, 2)]
-    assert views[2] == NtChannel(nt.enc, channel).output_distribution(-5)
+    assert views[2] == _instance(bundled, channel, 10).output_distribution(-5)
     assert sum(channel.rows[ChannelInput(3, 2)].values()) == 1

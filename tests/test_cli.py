@@ -84,6 +84,12 @@ def _malformed_set(case, tmp_path):
         data["bases"][0][0][0][1] = True
     elif case == "missing-q":
         del data["q"]
+    elif case == "q-float":
+        data["q"] = 6.5
+    elif case == "q-string":
+        data["q"] = "6"
+    elif case == "d-bool":
+        data["d"] = True
     elif case == "short-entry":
         data["bases"][0][0][0] = [1]
     elif case == "scalar-bases":
@@ -109,7 +115,7 @@ def test_malformed_set_fails_cleanly(tmp_path, capsys, case):
 
 MALFORMED = [
     "missing-q", "short-entry", "not-json", "float-entry", "bool-entry", "scalar-bases",
-    "directory", "list",
+    "directory", "list", "q-float", "q-string", "d-bool",
 ]
 
 
@@ -123,6 +129,8 @@ def test_malformed_set_names_the_file(tmp_path, capsys, case):
     assert str(path) in err
     if case == "missing-q":
         assert "missing field 'q'" in err
+    if case in ("q-float", "q-string", "d-bool"):
+        assert "must be integers" in err
 
 
 def test_channel_info(capsys):

@@ -157,7 +157,7 @@ def test_deterministic_branch_count_matches_enumeration(inst10):
         expected = 0
         for _m, x in inst10.support():
             y = x + strat.c1[x]
-            expected += sum(1 for p in inst10.nt.output_distribution(y).values() if p > 0)
+            expected += sum(1 for p in inst10.output_distribution(y).values() if p > 0)
         assert evaluate_deterministic(inst10, strat).branches == expected
 
 

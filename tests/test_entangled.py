@@ -29,21 +29,24 @@ from entwit.entangled import (
     maximally_entangled_state,
     run_zero_error_quantum,
 )
-from entwit.exact import ComplexFraction, Vector
 from entwit.ks import KSBasisSet
 from helpers import (
+    ComplexFraction,
     cf_decoder_decode,
     complete_orthonormal_basis,
+    from_components,
     measurement_probabilities,
+    overlap_sq,
     raw_dot,
+    vector,
 )
 
 
 def _complex_single_basis():
     """One complex basis of C^2; its conjugate differs from itself."""
     b = (
-        Vector.from_components([ComplexFraction(1), ComplexFraction(0, 1)]),
-        Vector.from_components([ComplexFraction(1), ComplexFraction(0, -1)]),
+        from_components([ComplexFraction(1), ComplexFraction(0, 1)]),
+        from_components([ComplexFraction(1), ComplexFraction(0, -1)]),
     )
     return KSBasisSet(q=1, d=2, bases=(b,), label="complex single basis")
 
@@ -51,12 +54,12 @@ def _complex_single_basis():
 def test_maximally_entangled_state_d2():
     psi = maximally_entangled_state(2)
     assert psi.norm_sq() == 1
-    zero_zero = Vector([1, 0, 0, 0])
-    one_one = Vector([0, 0, 0, 1])
-    crossed = Vector([0, 1, 0, 0])
-    assert psi.overlap_sq(zero_zero) == Fraction(1, 2)
-    assert psi.overlap_sq(one_one) == Fraction(1, 2)
-    assert psi.overlap_sq(crossed) == 0
+    zero_zero = vector([1, 0, 0, 0])
+    one_one = vector([0, 0, 0, 1])
+    crossed = vector([0, 1, 0, 0])
+    assert overlap_sq(psi, zero_zero) == Fraction(1, 2)
+    assert overlap_sq(psi, one_one) == Fraction(1, 2)
+    assert overlap_sq(psi, crossed) == 0
 
 
 def test_maximally_entangled_state_d4_amplitudes():
@@ -64,14 +67,14 @@ def test_maximally_entangled_state_d4_amplitudes():
     assert psi.norm_sq() == 1
     # four equal amplitudes of squared magnitude 1/4 on the diagonal kets
     for j in range(4):
-        ket = Vector([1 if i == j * 4 + j else 0 for i in range(16)])
-        assert psi.overlap_sq(ket) == Fraction(1, 4)
+        ket = vector([1 if i == j * 4 + j else 0 for i in range(16)])
+        assert overlap_sq(psi, ket) == Fraction(1, 4)
 
 
 def test_maximally_entangled_state_matches_the_coerced_construction():
     for d in range(2, 6):
         entries = [1 if (i // d) == (i % d) else 0 for i in range(d * d)]
-        assert maximally_entangled_state(d) == Vector(entries, scale=d)
+        assert maximally_entangled_state(d) == vector(entries, scale=d)
 
 
 def test_encoder_branches_uniform_with_unit_fidelity(bundled):
@@ -81,15 +84,15 @@ def test_encoder_branches_uniform_with_unit_fidelity(bundled):
         assert sum(b.probability for b in branches) == 1
         for b in branches:
             assert b.outcome.m == m
-            assert b.residual.overlap_sq(bundled.vector(m, b.outcome.j)) == 1
+            assert overlap_sq(b.residual, bundled.vector(m, b.outcome.j)) == 1
 
 
 def test_encoder_branches_conjugate_complex_basis():
     ks = _complex_single_basis()
     for b in encoder_branches(ks, 0):
         # residual equals the basis vector itself, not its conjugate
-        assert b.residual.overlap_sq(ks.vector(0, b.outcome.j)) == 1
-        assert b.residual.overlap_sq(ks.vector(0, b.outcome.j).conjugate()) != 1
+        assert overlap_sq(b.residual, ks.vector(0, b.outcome.j)) == 1
+        assert overlap_sq(b.residual, ks.vector(0, b.outcome.j).conjugate()) != 1
 
 
 def test_encoder_rejects_bad_message(bundled):
@@ -140,11 +143,11 @@ def test_decode_equals_measurement_in_completed_basis(bundled, channel):
 
 
 def test_decoder_rejects_non_unit_candidates():
-    basis = (Vector([2, 0]), Vector([0, 1]))
+    basis = (vector([2, 0]), vector([0, 1]))
     ks = KSBasisSet(q=1, d=2, bases=(basis,))
     s = output_pair(ChannelInput(0, 0), ChannelInput(0, 1))
     with pytest.raises(ValueError, match="unit"):
-        decoder_decode(ks, s, Vector([0, 1]))
+        decoder_decode(ks, s, vector([0, 1]))
 
 
 def test_decoder_rejects_non_orthogonal_candidates(bundled):
@@ -189,7 +192,7 @@ def test_decoder_agrees_with_fraction_oracle_on_every_branch(bundled, channel):
 
 def test_decoder_tie_goes_to_the_first_candidate(bundled):
     # (1, 1, 0, 0) / sqrt(2) overlaps e0 and e1 with 1/2 each
-    residual = Vector([1, 1, 0, 0], scale=2)
+    residual = vector([1, 1, 0, 0], scale=2)
     for first, second in ((0, 1), (1, 0)):
         s = (ChannelInput(0, first), ChannelInput(0, second))
         got = _agrees_with_oracle(bundled, s, residual)
@@ -207,7 +210,7 @@ def test_decoder_agrees_with_fraction_oracle_on_random_residuals(bundled, channe
         ]
         if not any(entries):
             continue
-        residual = Vector(entries, scale=Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        residual = vector(entries, scale=Fraction(rng.randint(1, 9), rng.randint(1, 9)))
         s = rng.choice(outputs)
         for order in (s, s[::-1]):
             got = _agrees_with_oracle(bundled, order, residual)
@@ -225,9 +228,9 @@ def test_decoder_misuse_agrees_with_fraction_oracle(bundled):
     )
     for s, residual in (orthogonal_to_both, not_orthogonal):
         assert isinstance(_agrees_with_oracle(bundled, s, residual), str)
-    non_unit = KSBasisSet(q=1, d=2, bases=((Vector([2, 0]), Vector([0, 1])),))
+    non_unit = KSBasisSet(q=1, d=2, bases=((vector([2, 0]), vector([0, 1])),))
     s = output_pair(ChannelInput(0, 0), ChannelInput(0, 1))
-    assert "unit" in _agrees_with_oracle(non_unit, s, Vector([0, 1]))
+    assert "unit" in _agrees_with_oracle(non_unit, s, vector([0, 1]))
 
 
 def test_full_run_all_branches_correct(bundled, channel):

@@ -1,6 +1,5 @@
 """Exact scalar/vector layer: arithmetic, normalization, completion, measurement."""
 
-import pickle
 import random
 from fractions import Fraction
 
@@ -9,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwit.exact import (
-    ComplexFraction,
     Vector,
     as_fraction,
     decimal_str,
     is_orthogonal,
     measure_first_subsystem,
 )
+from entwit.ks import basis_set_from_json_dict
 from helpers import (
+    ComplexFraction,
     abs_sq,
     cf_dot,
     cf_measure_first_subsystem,
@@ -24,10 +24,14 @@ from helpers import (
     cf_normalized,
     cf_overlap_sq,
     complete_orthonormal_basis,
+    entries,
+    from_components,
     is_zero,
     measurement_probabilities,
+    overlap_sq,
     raw_dot,
     same_ray,
+    vector,
 )
 
 small_fractions = st.fractions(
@@ -82,45 +86,45 @@ def test_decimal_str():
 
 
 def test_from_components_is_exactly_normalized():
-    v = Vector.from_components([1, 1, 0, 0])
+    v = from_components([1, 1, 0, 0])
     assert v.norm_sq() == 1
     assert v.scale == 2
-    w = Vector.from_components([1, -1, 1, -1])
+    w = from_components([1, -1, 1, -1])
     assert w.norm_sq() == 1
     assert raw_dot(v, w) == ComplexFraction(0)
 
 
 def test_literal_keeps_raw_norm():
-    v = Vector([2, 0, 0, 0])
+    v = Vector((2, 0, 0, 0), (0, 0, 0, 0), scale=1)
     assert v.norm_sq() == 4
-    assert v.normalized().norm_sq() == 1
+    assert Vector(v.re, v.im, v.den).norm_sq() == 1
 
 
 def test_zero_vector_rejected():
     with pytest.raises(ValueError):
-        Vector.from_components([0, 0, 0])
+        from_components([0, 0, 0])
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        raw_dot(Vector([1, 0]), Vector([1, 0, 0]))
+        raw_dot(vector([1, 0]), vector([1, 0, 0]))
     with pytest.raises(ValueError):
-        is_orthogonal(Vector([1, 0]), Vector([1, 0, 0]))
+        is_orthogonal(vector([1, 0]), vector([1, 0, 0]))
 
 
 def test_overlap_and_same_ray_mod_phase():
-    v = Vector.from_components([ComplexFraction(1), ComplexFraction(0, 1)])
+    v = from_components([ComplexFraction(1), ComplexFraction(0, 1)])
     # i * v is the same ray even though the entries differ
-    w = Vector.from_components([ComplexFraction(0, 1), ComplexFraction(-1)])
-    assert v.overlap_sq(w) == 1
+    w = from_components([ComplexFraction(0, 1), ComplexFraction(-1)])
+    assert overlap_sq(v, w) == 1
     assert same_ray(v, w)
     assert not same_ray(v, v.conjugate())
 
 
 def test_conjugate_preserves_overlap_magnitude():
-    v = Vector.from_components([ComplexFraction(1), ComplexFraction(0, 1)])
-    w = Vector.from_components([ComplexFraction(1), ComplexFraction(1, 1)])
-    assert v.conjugate().overlap_sq(w.conjugate()) == v.overlap_sq(w)
+    v = from_components([ComplexFraction(1), ComplexFraction(0, 1)])
+    w = from_components([ComplexFraction(1), ComplexFraction(1, 1)])
+    assert overlap_sq(v.conjugate(), w.conjugate()) == overlap_sq(v, w)
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,7 +132,7 @@ def test_conjugate_preserves_overlap_magnitude():
 def test_raw_dot_conjugate_symmetry(xs, ys):
     if not any(xs) or not any(ys):
         return
-    v, w = Vector(xs), Vector(ys)
+    v, w = vector(xs), vector(ys)
     assert raw_dot(v, w) == raw_dot(w, v).conjugate()
 
 
@@ -142,9 +146,9 @@ def _random_gaussian_rational(rng):
 
 
 def _random_vector(rng, dim):
-    entries = [_random_gaussian_rational(rng) for _ in range(dim)]
+    values = [_random_gaussian_rational(rng) for _ in range(dim)]
     scale = Fraction(rng.randint(1, 20), rng.randint(1, 20))
-    return Vector(entries, scale=scale)
+    return vector(values, scale=scale)
 
 
 def test_integer_kernel_matches_complex_fraction_sums():
@@ -157,9 +161,9 @@ def test_integer_kernel_matches_complex_fraction_sums():
         dim = rng.randint(2, 5)
         v, w = _random_vector(rng, dim), _random_vector(rng, dim)
         seen["dims"].add(dim)
-        dens = {c.re.denominator for c in v.entries} | {c.im.denominator for c in v.entries}
+        dens = {c.re.denominator for c in entries(v)} | {c.im.denominator for c in entries(v)}
         seen["mixed_den"] += len(dens) > 1
-        seen["imag"] += any(c.im for c in v.entries)
+        seen["imag"] += any(v.im)
         seen["non_unit_scale"] += v.scale != 1
         assert raw_dot(v, w) == cf_dot(v, w)
         assert v.norm_sq() == cf_norm_sq(v)
@@ -168,22 +172,22 @@ def test_integer_kernel_matches_complex_fraction_sums():
         assert is_orthogonal(v, w) == (not cf_dot(v, w))
         if is_zero(v) or is_zero(w):
             with pytest.raises(ValueError):
-                v.overlap_sq(w)
+                overlap_sq(v, w)
             continue
-        assert v.overlap_sq(w) == cf_overlap_sq(v, w)
-        n = v.normalized()
-        assert (n.entries, n.scale) == cf_normalized(v)
+        assert overlap_sq(v, w) == cf_overlap_sq(v, w)
+        n = Vector(v.re, v.im, v.den)  # no scale: the unit vector along v
+        assert (entries(n), n.scale) == cf_normalized(v)
         assert n.is_unit() and n.norm_sq() == 1
-        assert n == Vector(*cf_normalized(v))
+        assert n == vector(*cf_normalized(v))
         # measurement of a state on C^a x C^b along a random local basis
         a, b = dim, rng.randint(1, 3)
         state = _random_vector(rng, a * b)
         basis = [_random_vector(rng, a) for _ in range(a)]
         if rng.randrange(4) == 0:
-            basis[rng.randrange(a)] = Vector([0] * a)  # a zero-probability branch
+            basis[rng.randrange(a)] = vector([0] * a)  # a zero-probability branch
         if is_zero(state):
             continue
-        got = [(j, p, r.entries, r.scale) for j, p, r in measure_first_subsystem(state, basis)]
+        got = [(j, p, entries(r), r.scale) for j, p, r in measure_first_subsystem(state, basis)]
         expected = cf_measure_first_subsystem(state, basis)
         assert got == expected
         seen["dropped_branch"] += len(expected) < a
@@ -194,50 +198,91 @@ def test_integer_kernel_matches_complex_fraction_sums():
 
 def _held_norm_is_fresh(v):
     """The norm held since construction equals the numerators' sum, recomputed."""
-    return v._nsq == sum(r * r for r in v._re) + sum(i * i for i in v._im)
+    return v._nsq == sum(r * r for r in v.re) + sum(i * i for i in v.im)
+
+
+def _loaded(parts, den):
+    """The basis set reader's vectors for these parts and denominator field
+    (the reader does not validate, so the basis need not be orthonormal)."""
+    data = {
+        "format": "ks-basis-set/1",
+        "q": 1,
+        "d": 3,
+        "denominator": den,
+        "bases": [[[[str(c.re), str(c.im)] for c in row] for row in parts]],
+    }
+    return basis_set_from_json_dict(data).bases[0]
 
 
 def test_held_norm_is_fresh_on_every_construction_path():
-    v = Vector([Fraction(2, 4), ComplexFraction(Fraction(1, 3), -2), ComplexFraction(0, 5)], scale=3)
-    w = Vector._from_ints((6, 0, -3), (3, 9, 0), 12, Fraction(2, 7))  # reduced by 3
-    made = {
-        "init": v,
-        "from_ints": w,
-        "conjugate": v.conjugate(),
-        "conjugate_from_ints": w.conjugate(),
-        "normalized": v.normalized(),
-        "pickle": pickle.loads(pickle.dumps(w)),
-    }
-    parts = [ComplexFraction(1, 2), ComplexFraction("1/3", -1), 3]
+    w = Vector((6, 0, -3), (3, 9, 0), 12, Fraction(2, 7))  # reduced by 3
+    made = {"constructor": w, "conjugate": w.conjugate()}
+    rows = [
+        [ComplexFraction(1, 2), ComplexFraction("1/3", -1), ComplexFraction(3)],
+        [ComplexFraction(0, "-5/4"), ComplexFraction(2), ComplexFraction(0)],
+        [ComplexFraction("7/6"), ComplexFraction(0), ComplexFraction(-1, 1)],
+    ]
+    loaded = {}
     for den in (1, -3, "3/2", "-3/2"):
-        # the direct numerators must equal dividing the entries and normalizing
-        made[f"from_components/{den}"] = got = Vector.from_components(parts, denominator=den)
-        divided = [ComplexFraction(c.re / Fraction(den), c.im / Fraction(den))
-                   for c in map(ComplexFraction.coerce, parts)]
-        assert got == Vector(divided).normalized()
-        assert got.is_unit()
+        # the reader's numerators must equal dividing the entries and normalizing
+        loaded[den] = _loaded(rows, den)
+        for n, (got, row) in enumerate(zip(loaded[den], rows)):
+            made[f"loader/{den}/{n}"] = got
+            assert got == from_components(row, denominator=den)
+            assert got.is_unit()
     for path, u in made.items():
         assert _held_norm_is_fresh(u), path
         assert u.norm_sq() == cf_norm_sq(u), path
-    assert w == Vector(w.entries, w.scale) and w._den == 4
+    assert w == vector(entries(w), w.scale) and w.den == 4
     # a negative denominator flips the direction; it is not the same vector
-    assert Vector.from_components(parts, -1) == Vector.from_components(
-        [-ComplexFraction.coerce(c) for c in parts]
-    ) != Vector.from_components(parts)
+    assert loaded["-3/2"] == _loaded([[-c for c in row] for row in rows], "3/2")
+    assert loaded["-3/2"] != loaded["3/2"]
 
 
 def test_vector_stores_entries_in_lowest_terms():
-    v = Vector([Fraction(2, 4), ComplexFraction(Fraction(1, 3), -2), 0], scale=3)
-    assert v.entries == (
+    v = vector([Fraction(2, 4), ComplexFraction(Fraction(1, 3), -2), 0], scale=3)
+    assert entries(v) == (
         ComplexFraction(Fraction(1, 2)),
         ComplexFraction(Fraction(1, 3), -2),
         ComplexFraction(0),
     )
     # equal entries and scale however they were written
-    same = Vector([Fraction(1, 2), ComplexFraction("2/6", "-4/2"), 0], scale="6/2")
+    same = vector([Fraction(1, 2), ComplexFraction("2/6", "-4/2"), 0], scale="6/2")
     assert v == same and hash(v) == hash(same)
-    assert v != Vector(v.entries, scale=2)
+    assert v != vector(entries(v), scale=2)
     assert v.conjugate().conjugate() == v
+
+
+@pytest.mark.parametrize(
+    "args, stored",
+    [
+        (((2, 4), (0, -6), 4, 3), ((1, 2), (0, -3), 2, 3)),
+        (((2, 4), (0, -6), -4, "3/2"), ((-1, -2), (0, 3), 2, Fraction(3, 2))),
+        (((0, 0), (0, 0), 5, 1), ((0, 0), (0, 0), 1, 1)),
+        (((3, 0), (0, 4), 10), ((3, 0), (0, 4), 10, Fraction(1, 4))),
+        (((3, 0), (0, 4), -10), ((-3, 0), (0, -4), 10, Fraction(1, 4))),
+        (((1, 0), (0,), 1, 1), "matching nonempty parts"),
+        (((), (), 1, 1), "matching nonempty parts"),
+        (((1, 0), (0, 0), 0, 1), "denominator must be nonzero"),
+        (((1, 0), (0, 0), 1, 0), "scale must be positive"),
+        (((1, 0), (0, 0), 1, "-1/2"), "scale must be positive"),
+        (((0, 0), (0, 0), 3), "cannot normalize the zero vector"),
+    ],
+    ids=[
+        "reduced", "negative-den", "zero-with-scale", "unit", "unit-negative-den",
+        "mismatched", "empty", "zero-den", "zero-scale", "negative-scale", "zero-unit",
+    ],
+)
+def test_constructor_refuses_or_stores_lowest_terms(args, stored):
+    if isinstance(stored, str):
+        with pytest.raises(ValueError, match=stored):
+            Vector(*args)
+        return
+    v = Vector(*args)
+    assert (v.re, v.im, v.den, v.scale) == stored
+    assert v.den > 0 and type(v.scale) is Fraction
+    assert _held_norm_is_fresh(v)
+    assert v == eval(repr(v), {"Vector": Vector, "Fraction": Fraction})
 
 
 # -- completion and measurement ----------------------------------------------
@@ -254,8 +299,8 @@ def _orthonormal_exact(vectors):
 
 
 def test_completion_produces_orthonormal_basis():
-    b1 = Vector.from_components([1, 0, 0, 1])
-    b2 = Vector.from_components([1, 1, 1, -1])
+    b1 = from_components([1, 0, 0, 1])
+    b2 = from_components([1, 1, 1, -1])
     basis = complete_orthonormal_basis([b1, b2], 4)
     assert len(basis) == 4
     assert _orthonormal_exact(basis)
@@ -264,25 +309,25 @@ def test_completion_produces_orthonormal_basis():
 
 
 def test_completion_with_complex_seeds():
-    b1 = Vector.from_components([ComplexFraction(1), ComplexFraction(0, 1)])
-    b2 = Vector.from_components([ComplexFraction(1), ComplexFraction(0, -1)])
+    b1 = from_components([ComplexFraction(1), ComplexFraction(0, 1)])
+    b2 = from_components([ComplexFraction(1), ComplexFraction(0, -1)])
     basis = complete_orthonormal_basis([b1, b2], 2)
     assert len(basis) == 2
     assert _orthonormal_exact(basis)
 
 
 def test_completion_rejects_bad_seeds():
-    v = Vector.from_components([1, 0])
-    w = Vector.from_components([1, 1])
+    v = from_components([1, 0])
+    w = from_components([1, 1])
     with pytest.raises(ValueError):
         complete_orthonormal_basis([v, w], 2)  # not orthogonal
     with pytest.raises(ValueError):
-        complete_orthonormal_basis([Vector([2, 0])], 2)  # not unit
+        complete_orthonormal_basis([vector([2, 0])], 2)  # not unit
 
 
 def test_measurement_probabilities_sum_to_one():
-    basis = complete_orthonormal_basis([Vector.from_components([1, 1, 0, 0])], 4)
-    state = Vector.from_components([1, 2, 3, -1])
+    basis = complete_orthonormal_basis([from_components([1, 1, 0, 0])], 4)
+    state = from_components([1, 2, 3, -1])
     probs = measurement_probabilities(state, basis)
     assert sum(probs, Fraction(0)) == 1
     assert all(p >= 0 for p in probs)
@@ -290,9 +335,9 @@ def test_measurement_probabilities_sum_to_one():
 
 def test_measure_first_subsystem_of_entangled_pair():
     # (|00> + |11>) / sqrt(2), measured along {(|0>+|1>)/sqrt2, (|0>-|1>)/sqrt2}
-    state = Vector([1, 0, 0, 1], scale=2)
-    plus = Vector.from_components([1, 1])
-    minus = Vector.from_components([1, -1])
+    state = vector([1, 0, 0, 1], scale=2)
+    plus = from_components([1, 1])
+    minus = from_components([1, -1])
     branches = measure_first_subsystem(state, [plus, minus])
     assert [b[1] for b in branches] == [Fraction(1, 2), Fraction(1, 2)]
     # residuals are the conjugates (= themselves here, real data)

@@ -11,9 +11,10 @@ Claims covered:
       property, with witnesses
     - conjugation is an involution, fixes real bases, preserves overlaps
     - the JSON reader takes rational-string entries and a common denominator,
-      and its integer path builds every vector equal to Vector.from_components
-      on the same parts (bundled set, the two rational/imaginary test sets,
-      and a negative rational denominator with imaginary parts)
+      and its integer path builds every vector equal to the from_components
+      oracle, which divides ComplexFraction parts, on the same parts (bundled
+      set, the two rational/imaginary test sets, and a negative rational
+      denominator with imaginary parts)
 """
 
 import json
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from entwit.exact import ComplexFraction, Vector, as_fraction, is_orthogonal
+from entwit.exact import as_fraction, is_orthogonal
 from entwit.ks import (
     BasisSetError,
     KSBasisSet,
@@ -34,18 +35,27 @@ from entwit.ks import (
     verify_ks_property,
 )
 
-from helpers import naive_ks_check, raw_dot, same_ray
+from helpers import (
+    ComplexFraction,
+    entries,
+    from_components,
+    naive_ks_check,
+    overlap_sq,
+    raw_dot,
+    same_ray,
+    vector,
+)
 
 
 def _mub_d2():
     """Two mutually unbiased bases of C^2: no inter-basis orthogonality."""
-    b0 = (Vector.from_components([1, 0]), Vector.from_components([0, 1]))
-    b1 = (Vector.from_components([1, 1]), Vector.from_components([1, -1]))
+    b0 = (from_components([1, 0]), from_components([0, 1]))
+    b1 = (from_components([1, 1]), from_components([1, -1]))
     return KSBasisSet(q=2, d=2, bases=(b0, b1), label="two MUBs in d=2")
 
 
 def _single_basis_d2():
-    b0 = (Vector.from_components([1, 0]), Vector.from_components([0, 1]))
+    b0 = (from_components([1, 0]), from_components([0, 1]))
     return KSBasisSet(q=1, d=2, bases=(b0,), label="one basis")
 
 
@@ -53,8 +63,8 @@ def _single_basis_d2():
 
 
 def test_is_orthogonal_standard_basis():
-    e0 = Vector.from_components([1, 0, 0, 0])
-    e1 = Vector.from_components([0, 1, 0, 0])
+    e0 = from_components([1, 0, 0, 0])
+    e1 = from_components([0, 1, 0, 0])
     assert is_orthogonal(e0, e1)
     assert not is_orthogonal(e0, e0)  # self inner product is 1
 
@@ -73,7 +83,7 @@ def test_bundled_set_validates(bundled):
 
 
 def test_repeated_vector_names_the_duplicate_pair():
-    v = Vector.from_components([1, 0])
+    v = from_components([1, 0])
     basis = (v, v)
     with pytest.raises(BasisSetError) as info:
         validate_basis_set(KSBasisSet(q=1, d=2, bases=(basis,)))
@@ -81,7 +91,7 @@ def test_repeated_vector_names_the_duplicate_pair():
 
 
 def test_non_unit_vector_fails_validation():
-    basis = (Vector([2, 0]), Vector.from_components([0, 1]))
+    basis = (vector([2, 0]), from_components([0, 1]))
     with pytest.raises(BasisSetError) as info:
         validate_basis_set(KSBasisSet(q=1, d=2, bases=(basis,)))
     assert info.value.pair == (0, 0)
@@ -89,11 +99,11 @@ def test_non_unit_vector_fails_validation():
 
 
 def test_validation_reports_the_first_violation_in_basis_order():
-    e0 = Vector.from_components([1, 0])
-    e1 = Vector.from_components([0, 1])
+    e0 = from_components([1, 0])
+    e1 = from_components([0, 1])
     good = (e0, e1)
-    skew = (e0, Vector.from_components([1, 1]))  # unit, not orthogonal to e0
-    long = (Vector([2, 0]), e0)  # vector 0 is not a unit vector
+    skew = (e0, from_components([1, 1]))  # unit, not orthogonal to e0
+    long = (vector([2, 0]), e0)  # vector 0 is not a unit vector
     ks = KSBasisSet(q=4, d=2, bases=(good, skew, long, skew))
     with pytest.raises(BasisSetError) as info:
         validate_basis_set(ks)
@@ -106,11 +116,11 @@ def test_validation_reports_the_first_violation_in_basis_order():
 
 
 def test_shape_violations_rejected():
-    b0 = (Vector.from_components([1, 0]), Vector.from_components([0, 1]))
+    b0 = (from_components([1, 0]), from_components([0, 1]))
     with pytest.raises(ValueError):
         KSBasisSet(q=2, d=2, bases=(b0,))
     with pytest.raises(ValueError):
-        KSBasisSet(q=1, d=1, bases=((Vector.from_components([1]),),))
+        KSBasisSet(q=1, d=1, bases=((from_components([1]),),))
 
 
 # -- the traversal property ----------------------------------------------------
@@ -139,7 +149,7 @@ def test_mub_pair_fails():
 
 
 def test_verify_requires_validation():
-    v = Vector.from_components([1, 0])
+    v = from_components([1, 0])
     with pytest.raises(ValueError):
         verify_ks_property(KSBasisSet(q=1, d=2, bases=((v, v),)))
 
@@ -195,26 +205,26 @@ def test_conjugate_fixes_real_bases(bundled):
 
 def test_conjugate_is_an_involution():
     basis = (
-        Vector.from_components([ComplexFraction(1), ComplexFraction(0, 1)]),
-        Vector.from_components([ComplexFraction(1), ComplexFraction(0, -1)]),
+        from_components([ComplexFraction(1), ComplexFraction(0, 1)]),
+        from_components([ComplexFraction(1), ComplexFraction(0, -1)]),
     )
     assert conjugate_basis(conjugate_basis(basis)) == basis
 
 
 def test_conjugate_entrywise():
-    v = Vector.from_components([ComplexFraction(1), ComplexFraction(0, 1)])
+    v = from_components([ComplexFraction(1), ComplexFraction(0, 1)])
     (w,) = conjugate_basis((v,))
-    assert w.entries == (ComplexFraction(1), ComplexFraction(0, -1))
+    assert entries(w) == (ComplexFraction(1), ComplexFraction(0, -1))
 
 
 def test_conjugation_preserves_overlap_magnitudes(bundled):
     basis = (
-        Vector.from_components([ComplexFraction(1), ComplexFraction(0, 1)]),
-        Vector.from_components([ComplexFraction(2), ComplexFraction(1, 1)]),
+        from_components([ComplexFraction(1), ComplexFraction(0, 1)]),
+        from_components([ComplexFraction(2), ComplexFraction(1, 1)]),
     )
     conj = conjugate_basis(basis)
     for a, b in combinations(range(len(basis)), 2):
-        assert basis[a].overlap_sq(basis[b]) == conj[a].overlap_sq(conj[b])
+        assert overlap_sq(basis[a], basis[b]) == overlap_sq(conj[a], conj[b])
 
 
 # -- file format -----------------------------------------------------------------
@@ -271,12 +281,12 @@ MIXED_PARTS = {
 
 
 def _from_components(data):
-    """Every vector as Vector.from_components builds it from ComplexFraction
-    parts and the denominator field."""
+    """Every vector as the from_components oracle builds it from
+    ComplexFraction parts and the denominator field."""
     den = as_fraction(data.get("denominator", 1))
     return [
         [
-            Vector.from_components(
+            from_components(
                 [ComplexFraction(as_fraction(re), as_fraction(im)) for re, im in raw_vec],
                 denominator=den,
             )
@@ -309,7 +319,7 @@ def test_rational_test_set_denotes_the_bundled_rays(bundled):
     rational = load_basis_set(DATA / "ks_rational_entries.json")
     imaginary = load_basis_set(DATA / "ks_imaginary_vector.json")
     for v, w, u in zip(bundled.all_vectors(), rational.all_vectors(), imaginary.all_vectors()):
-        assert v.overlap_sq(w) == 1 and v.overlap_sq(u) == 1
+        assert overlap_sq(v, w) == 1 and overlap_sq(v, u) == 1
     assert sum(v != u for v, u in zip(bundled.all_vectors(), imaginary.all_vectors())) == 1
 
 
