@@ -17,10 +17,9 @@ would be a q-message zero-error code, which the channel cannot support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .channel import ZeroErrorCode, ZeroErrorVerdict, verify_zero_error
 from .control import (
@@ -60,8 +59,12 @@ def pzmin_lower_bound(inst: WitsenhausenInstance) -> Fraction:
     return pxmin(inst) * min_row
 
 
-@dataclass(frozen=True)
-class BoundSet:
+def _floor_sqrt(x: Fraction) -> int:
+    """floor(sqrt(x)) for a nonnegative Fraction, in integers."""
+    return isqrt(x.numerator // x.denominator)
+
+
+class BoundSet(NamedTuple):
     """Uniform bounds implied by a cost bound M, independent of the scale t."""
 
     m_bound: Fraction
@@ -78,8 +81,7 @@ class BoundSet:
     @property
     def window_required(self) -> int:
         """Largest |c1| an integer strategy of cost <= M can use: floor(M_X)."""
-        a, b = self.m_x_sq.numerator, self.m_x_sq.denominator
-        return isqrt(a * b) // b
+        return _floor_sqrt(self.m_x_sq)
 
     @property
     def window_default(self) -> int:
@@ -93,21 +95,22 @@ class BoundSet:
         """Smallest integer scale t >= d at or above the t0 formula (closed
         form preferred when it applies), decided exactly: (t - 1)^2 >= 400*M
         on the closed path, and (t - 1)/2 >= M_X + M_Z squared twice in
-        Fraction otherwise.  The float t0 only seeds the search."""
+        Fraction otherwise.  The walk starts from integer square roots of the
+        exact bounds, never above the answer and at most a few steps below
+        it, so it ends at once for any M; no float enters."""
         if self.closed_t0 is not None:
-            t0 = self.closed_t0
+            seed = 1 + _floor_sqrt(400 * self.m_bound)
 
             def covers(t: int) -> bool:
                 return (t - 1) ** 2 >= 400 * self.m_bound
         else:
-            t0, a, b = self.t0, self.m_x_sq, self.m_z_sq
+            a, b = self.m_x_sq, self.m_z_sq
+            seed = 1 + 2 * (_floor_sqrt(a) + _floor_sqrt(b))
 
             def covers(t: int) -> bool:
                 gap = Fraction((t - 1) ** 2, 4) - a - b
                 return gap >= 0 and gap * gap >= 4 * a * b
-        t = max(d, math.ceil(t0))
-        while t > d and covers(t - 1):
-            t -= 1
+        t = max(d, seed)
         while not covers(t):
             t += 1
         return t
@@ -191,8 +194,7 @@ def strategy_to_code(
 # -- certificates ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(NamedTuple):
     """Machine-checkable record that the in-window classical minimum exceeds
     the cost bound while the entangled strategy stays below it."""
 
@@ -281,17 +283,28 @@ def certify_separation(
             status = "certified"
         else:
             status = "not-separated"
+        tables = (2 * w + 1) ** len(inst.support())
+        if search.complete:
+            searched = (
+                f"(c) the branch-and-bound search over all {tables} in-window c1 "
+                f"tables (optimal c2 per table), pruning only prefixes whose exact "
+                f"partial cost already exceeds the incumbent, has minimum "
+                f"{search.cost} {'>' if search.cost > m_bound else '<='} {m_bound}"
+            )
+        else:
+            searched = (
+                f"(c) the branch-and-bound search over the {tables} in-window c1 "
+                f"tables (optimal c2 per table) stopped at the node budget after "
+                f"{search.candidates_evaluated} prefixes; the best table found "
+                f"costs {search.cost}, which is only an upper bound on the minimum"
+            )
         clauses = (
             f"(a) the entangled strategy achieves cost {quantum.total} "
             f"<= {m_bound} at t = {t}, verified over {quantum.branches} branches",
             f"(b) any deterministic strategy with cost <= {m_bound} satisfies "
             f"|c1| <= M_X = sqrt({bounds.m_x_sq}) < {w_required + 1}, hence lies "
             f"in the window [{-w}, {w}]",
-            f"(c) the branch-and-bound search over all "
-            f"{(2 * w + 1) ** len(inst.support())} in-window c1 tables (optimal "
-            f"c2 per table), pruning only prefixes whose exact partial cost "
-            f"already exceeds the incumbent, has minimum "
-            f"{search.cost} {'>' if search.cost > m_bound else '<='} {m_bound}",
+            searched,
             "(d) a finite shared-randomness mixture is a convex combination of "
             "deterministic strategies, so it cannot go below the deterministic "
             "minimum",
@@ -346,10 +359,12 @@ def format_certificate(cert: SeparationCertificate) -> str:
         f"quantum-branches: {cert.quantum.branches}",
     ]
     if cert.search is not None:
+        # a truncated search has found a table, not the minimum
+        found = "minimum" if cert.search.complete else "best-found"
         lines += [
             f"search-complete: {str(cert.search.complete).lower()}",
             f"search-candidates-evaluated: {cert.search.candidates_evaluated}",
-            "classical-in-window-minimum: "
+            f"classical-in-window-{found}: "
             + fraction_str(cert.search.cost, with_decimal=True),
             "best-strategy: " + cert.search.strategy.c1_json(),
         ]

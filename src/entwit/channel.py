@@ -12,10 +12,8 @@ composed with the channel, is the instance in ``entwit.control``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from types import MappingProxyType
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ks import KSBasisSet, validate_basis_set, verify_ks_property
@@ -43,8 +41,7 @@ def output_pair(a: ChannelInput, b: ChannelInput) -> ChannelOutput:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class FiniteChannel:
+class FiniteChannel(NamedTuple):
     """Conditional distribution N(o | i) with exact rational probabilities.
 
     Each row is uniform over its positive-output set, every positive output
@@ -94,10 +91,6 @@ class FiniteChannel:
             seen.update(row)
         return tuple(sorted(seen))
 
-    def output_distribution(self, i: ChannelInput) -> MappingProxyType:
-        """Read-only view of row i; nothing is copied."""
-        return MappingProxyType(self.rows[ChannelInput(*i)])
-
     def degree_profile(self) -> dict:
         profile: Dict[int, int] = {}
         for i in self.inputs:
@@ -135,22 +128,22 @@ def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
 # -- confusability -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConfusabilityGraph:
     """Simple undirected graph on channel inputs; edges join confusable pairs."""
 
-    vertices: tuple
-    edges: frozenset  # canonical (lo, hi) vertex pairs
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        vset = set(self.vertices)
-        for a, b in self.edges:
+    def __init__(self, *, vertices: tuple, edges: frozenset):
+        vset = set(vertices)
+        for a, b in edges:
             if a == b:
                 raise ValueError("self loops are not allowed")
             if a not in vset or b not in vset:
                 raise ValueError(f"edge ({a}, {b}) uses an unknown vertex")
             if not a < b:
                 raise ValueError(f"edge ({a}, {b}) is not canonically ordered")
+        self.vertices = vertices
+        self.edges = edges  # canonical (lo, hi) vertex pairs
 
 
 def confusability_graph(ch: FiniteChannel) -> ConfusabilityGraph:
@@ -223,7 +216,6 @@ def independence_number(g: ConfusabilityGraph) -> tuple:
 # -- zero-error codes -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ZeroErrorCode:
     """Messages with an encoder to codewords and a decoder from outputs.
 
@@ -234,19 +226,21 @@ class ZeroErrorCode:
     dropped.
     """
 
-    messages: tuple
-    encoder: dict  # message -> codeword
-    decoder: dict  # ChannelOutput -> message
-    ties: tuple = ()
+    __slots__ = ("messages", "encoder", "decoder", "ties")
 
-    def __post_init__(self):
-        for msg in self.messages:
-            if msg not in self.encoder:
+    def __init__(
+        self, *, messages: tuple, encoder: dict, decoder: dict, ties: tuple = ()
+    ):
+        for msg in messages:
+            if msg not in encoder:
                 raise ValueError(f"encoder is not total: message {msg} missing")
+        self.messages = messages
+        self.encoder = encoder  # message -> codeword
+        self.decoder = decoder  # ChannelOutput -> message
+        self.ties = ties
 
 
-@dataclass(frozen=True)
-class ZeroErrorVerdict:
+class ZeroErrorVerdict(NamedTuple):
     status: str  # "zero_error" | "collision" | "incomplete_decoder"
     witness: Optional[tuple] = None  # (message, output, decoded message or None)
 
@@ -254,9 +248,9 @@ class ZeroErrorVerdict:
 def verify_zero_error(channel_like, code: ZeroErrorCode) -> ZeroErrorVerdict:
     """Enumerate every (message, positive-probability output) branch.
 
-    ``channel_like`` is anything with output_distribution(codeword): a
-    FiniteChannel (codewords are inputs) or a ``WitsenhausenInstance``, the
-    channel composed with the integer encoder (codewords are wire values).
+    ``channel_like`` is anything with output_distribution(codeword), such as
+    a ``WitsenhausenInstance``: the channel composed with the integer
+    encoder, whose codewords are wire values.
     Zero error iff decoding returns the sent message on every branch; an
     undefined decoder entry is its own verdict.
     """

@@ -27,11 +27,10 @@ grid, and the winner is re-checked branch by branch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .channel import ChannelInput, ChannelOutput, FiniteChannel, build_ks_channel
 from .entangled import QuantumDecodeError, decoder_decode, encoder_branches
@@ -39,7 +38,6 @@ from .exact import as_fraction
 from .ks import KSBasisSet
 
 
-@dataclass(frozen=True)
 class WitsenhausenInstance:
     """A channel at scale t, an input distribution and an action price k.
 
@@ -50,12 +48,17 @@ class WitsenhausenInstance:
     first use and held.
     """
 
-    ks: KSBasisSet
-    channel: FiniteChannel
-    t: int
-    k: Fraction
-    p_m: tuple  # Fraction per message m in [q]
-    _uniform_branch: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("ks", "channel", "t", "k", "p_m", "_uniform_branch")
+
+    def __init__(
+        self, *, ks: KSBasisSet, channel: FiniteChannel, t: int, k: Fraction, p_m: tuple
+    ):
+        self.ks = ks
+        self.channel = channel
+        self.t = t
+        self.k = k
+        self.p_m = p_m  # Fraction per message m in [q]
+        self._uniform_branch = {}  # one per instance: it depends on the channel
 
     @property
     def q(self) -> int:
@@ -130,8 +133,7 @@ def make_instance(
 # -- strategies ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
+class DeterministicStrategy(NamedTuple):
     """c1 keyed by supported input x; c2 keyed by channel output, default 0."""
 
     c1: dict  # x -> int
@@ -151,8 +153,7 @@ class DeterministicStrategy:
         return json.dumps([[x, v] for x, v in sorted(self.c1.items())])
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """Exact cost of a strategy, split into its two terms, with the number of
     positive-probability branches walked and the largest |z| on them."""
 
@@ -283,8 +284,7 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
 # -- deterministic search ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     strategy: DeterministicStrategy
     cost: Fraction
     complete: bool  # the search finished within the node budget
@@ -470,9 +470,14 @@ def search_deterministic(
             f"node budget {node_budget} is below the {len(support)} prefixes "
             f"of one complete c1 table"
         )
-    evaluator = _PrefixEvaluator(inst, window)
+    # Values go in (|v|, v) order, and each one tried is a prefix scored, so
+    # within a budget of B prefixes no depth gets past |v| <= B.  Columns are
+    # built only that far: a huge window with a small budget costs O(B), and a
+    # truncated order can never finish before the budget does.
+    reach = window if node_budget is None else min(window, node_budget)
+    evaluator = _PrefixEvaluator(inst, reach)
 
-    order = sorted(range(-window, window + 1), key=lambda v: (abs(v), v))
+    order = sorted(range(-reach, reach + 1), key=lambda v: (abs(v), v))
     best_cost, best_vals = None, None
     nodes = 0
 

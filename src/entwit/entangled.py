@@ -13,16 +13,15 @@ sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .channel import ChannelInput, ChannelOutput, FiniteChannel
 from .exact import Vector, is_orthogonal, measure_first_subsystem
 from .ks import KSBasisSet, conjugate_basis, validate_basis_set
 
 
-@dataclass(frozen=True)
-class MeasurementBranch:
+class MeasurementBranch(NamedTuple):
     """One projective outcome: its label, exact probability, and the residual
     state left on the unmeasured subsystem."""
 
@@ -39,8 +38,7 @@ class QuantumDecodeError(AssertionError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class QuantumZeroErrorReport:
+class QuantumZeroErrorReport(NamedTuple):
     messages_sent: int
     total_branches: int
     all_correct: bool

@@ -15,38 +15,37 @@ The bundled instance is the classic set of 24 real rays in C^4 (components in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import Vector, as_fraction, is_orthogonal
 
 BUNDLED_SET_RESOURCE = "ks_6_4_peres.json"
 
 
-@dataclass(frozen=True)
 class KSBasisSet:
     """q orthonormal bases of C^d; ``bases[m][j]`` is vector j of basis m."""
 
-    q: int
-    d: int
-    bases: tuple
-    label: str = ""
+    __slots__ = ("q", "d", "bases", "label")
 
-    def __post_init__(self):
-        if self.q < 1:
+    def __init__(self, *, q: int, d: int, bases: tuple, label: str = ""):
+        if q < 1:
             raise ValueError("need at least one basis")
-        if self.d < 2:
+        if d < 2:
             raise ValueError("ambient dimension must be at least 2")
-        if len(self.bases) != self.q:
+        if len(bases) != q:
             raise ValueError("basis count does not match q")
-        for basis in self.bases:
-            if len(basis) != self.d:
+        for basis in bases:
+            if len(basis) != d:
                 raise ValueError("each basis must contain exactly d vectors")
             for v in basis:
-                if v.dim != self.d:
+                if v.dim != d:
                     raise ValueError("vector dimension does not match d")
+        self.q = q
+        self.d = d
+        self.bases = bases
+        self.label = label
 
     def vector(self, m: int, j: int) -> Vector:
         return self.bases[m][j]
@@ -65,13 +64,12 @@ class BasisSetError(ValueError):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class KSCheckResult:
+class KSCheckResult(NamedTuple):
     holds: bool
     traversals_checked: int
     witness: Optional[tuple]  # traversal (m, j) pairs with no orthogonal pair
     # orthogonality bitmask per vector id m*d + j: bit b set iff orthogonal to b
-    masks: tuple = field(default=(), repr=False, compare=False)
+    masks: tuple
 
 
 def validate_basis_set(ks: KSBasisSet) -> None:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import floor, lcm
+from types import MappingProxyType
 
 from entwit.channel import ChannelInput, ZeroErrorCode, confusability_graph
 from entwit.control import (
@@ -131,6 +132,18 @@ def has_independent_subset(g, size):
         if is_independent(g, subset):
             return True, subset, scanned
     return False, None, scanned
+
+
+class OnInputs:
+    """A channel read as ``verify_zero_error`` reads a codeword channel, with
+    the channel's own inputs as codewords: ``output_distribution(i)`` is a
+    read-only view of row i, and nothing is copied."""
+
+    def __init__(self, channel):
+        self.rows = channel.rows
+
+    def output_distribution(self, i):
+        return MappingProxyType(self.rows[ChannelInput(*i)])
 
 
 def code_from_independent_set(ch, independent):

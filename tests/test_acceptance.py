@@ -25,6 +25,7 @@ from entwit.entangled import run_zero_error_quantum
 from entwit.ks import validate_basis_set, verify_ks_property
 
 from helpers import (
+    OnInputs,
     SharedRandomnessStrategy,
     brute_force_c2,
     code_from_independent_set,
@@ -91,7 +92,7 @@ def test_criterion_03_classical_capacity(channel, graph):
     start = time.perf_counter()
     alpha, witness = independence_number(graph)
     code = code_from_independent_set(channel, witness)
-    verdict = verify_zero_error(channel, code)
+    verdict = verify_zero_error(OnInputs(channel), code)
     found6, _w, scanned = has_independent_subset(graph, 6)
     elapsed = time.perf_counter() - start
     ok = (

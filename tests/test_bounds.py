@@ -21,6 +21,7 @@ Claims covered:
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,55 @@ def test_general_path_scale_matches_exact_threshold():
     assert b.suggested_t(4) == 103
 
 
+def _first_covering_t(d, covers):
+    t = d
+    while not covers(t):
+        t += 1
+    return t
+
+
+def test_scale_matches_brute_force_scan():
+    # the smallest t >= d found by scanning t upward from d, with the general
+    # threshold (t - 1)/2 >= M_X + M_Z squared as x^2 + a - b >= 2x*sqrt(a)
+    def closed(m):
+        return lambda t: (t - 1) ** 2 >= 400 * m
+
+    def general(a, b):
+        def covers(t):
+            x_sq = Fraction((t - 1) ** 2, 4)
+            c = x_sq + a - b
+            return x_sq >= a and c >= 0 and c * c >= 4 * x_sq * a
+
+        return covers
+
+    rng = random.Random(300)
+    bounds = [Fraction(n, 7) for n in range(1, 150)]
+    bounds += [Fraction(rng.randint(1, 2000), rng.randint(1, 50)) for _ in range(30)]
+    for m in bounds:
+        b = compute_bounds(m, 1, Fraction(1, 6), Fraction(1, 54))
+        assert b.suggested_t(4) == _first_covering_t(4, closed(m)), m
+        for k in (Fraction(1, 10), Fraction(7, 3)):
+            b = compute_bounds(m, k, Fraction(1, 6), Fraction(1, 54))
+            assert b.closed_t0 is None
+            covers = general(b.m_x_sq, b.m_z_sq)
+            assert b.suggested_t(4) == _first_covering_t(4, covers), (m, k)
+
+
+def test_scale_at_a_bound_of_ten_to_the_300():
+    # a float seed put the walk about 10^135 steps from the answer
+    m = Fraction(10**300)
+    start = time.perf_counter()
+    t = compute_bounds(m, 1, Fraction(1, 6), Fraction(1, 54)).suggested_t(4)
+    b = compute_bounds(m, 2, Fraction(1, 6), Fraction(1, 54))
+    t_general = b.suggested_t(4)
+    assert time.perf_counter() - start < 0.5
+    assert (t - 1) ** 2 >= 400 * m > (t - 2) ** 2
+    a, z = b.m_x_sq, b.m_z_sq
+    for u, covered in ((t_general, True), (t_general - 1, False)):
+        gap = Fraction((u - 1) ** 2, 4) - a - z
+        assert (gap >= 0 and gap * gap >= 4 * a * z) is covered
+
+
 def test_scale_unchanged_at_the_reference_bounds():
     ms = [Fraction(7, 2), 10, 20, 40, 1000]
     scales = [
@@ -275,6 +325,12 @@ def test_budget_truncation_is_inconclusive(bundled):
     cert = certify_separation(bundled, 1, Fraction(7, 2), window=4, node_budget=500)
     assert cert.status == "inconclusive"
     assert not cert.certified
+    # 500 prefixes found a table, not the minimum, and the report says so
+    text = format_certificate(cert)
+    assert "classical-in-window-minimum" not in text
+    assert "has minimum" not in text
+    assert f"classical-in-window-best-found: {cert.search.cost} " in text
+    assert "stopped at the node budget after 500 prefixes" in text
 
 
 def test_certificate_deterministic_across_runs_and_workers(bundled):

@@ -33,6 +33,7 @@ from entwit.control import make_instance
 from entwit.ks import KSBasisSet
 
 from helpers import (
+    OnInputs,
     adjacent,
     code_from_independent_set,
     degree,
@@ -188,7 +189,7 @@ def test_bundled_independence_number(channel, graph):
     assert is_independent(graph, witness)
     code = code_from_independent_set(channel, witness)
     assert len(code.messages) == 5
-    assert verify_zero_error(channel, code).status == "zero_error"
+    assert verify_zero_error(OnInputs(channel), code).status == "zero_error"
 
 
 def test_no_independent_six_subset(graph):
@@ -201,7 +202,7 @@ def test_no_independent_six_subset(graph):
 def test_single_vertex_code(channel):
     code = code_from_independent_set(channel, [ChannelInput(0, 0)])
     assert code.messages == (0,)
-    assert verify_zero_error(channel, code).status == "zero_error"
+    assert verify_zero_error(OnInputs(channel), code).status == "zero_error"
 
 
 def test_adjacent_set_rejected(channel, graph):
@@ -219,7 +220,7 @@ def test_collision_witness_for_confusable_codewords(channel, graph):
             decoder[o] = 1
     # the shared output decodes to message 0, so message 1 collides there
     code = ZeroErrorCode(messages=(0, 1), encoder={0: a, 1: b}, decoder=decoder)
-    verdict = verify_zero_error(channel, code)
+    verdict = verify_zero_error(OnInputs(channel), code)
     assert verdict.status == "collision"
     assert verdict.witness == (1, shared, 0)
 
@@ -228,7 +229,7 @@ def test_incomplete_decoder_verdict(channel):
     i = ChannelInput(0, 0)
     some_output = sorted(channel.rows[i])[0]
     code = ZeroErrorCode(messages=(0,), encoder={0: i}, decoder={some_output: 0})
-    verdict = verify_zero_error(channel, code)
+    verdict = verify_zero_error(OnInputs(channel), code)
     assert verdict.status == "incomplete_decoder"
     assert verdict.witness[2] is None
 
@@ -303,7 +304,6 @@ def test_nt_sums_to_one_on_sampled_wire_values(bundled, channel):
 def test_output_distributions_are_read_only(bundled, channel):
     inst = _instance(bundled, channel, 10)
     views = [
-        channel.output_distribution(ChannelInput(3, 2)),
         inst.output_distribution(3 * 10 + 2),
         inst.output_distribution(-5),
     ]
@@ -314,6 +314,6 @@ def test_output_distributions_are_read_only(bundled, channel):
         with pytest.raises(TypeError):
             del view[s]
     # the views show the channel's own rows, which the refused writes left whole
-    assert views[1] == channel.rows[ChannelInput(3, 2)]
-    assert views[2] == _instance(bundled, channel, 10).output_distribution(-5)
+    assert views[0] == channel.rows[ChannelInput(3, 2)]
+    assert views[1] == _instance(bundled, channel, 10).output_distribution(-5)
     assert sum(channel.rows[ChannelInput(3, 2)].values()) == 1

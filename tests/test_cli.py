@@ -15,12 +15,22 @@ from test_golden import CASES
 
 BUNDLED = resources.files("entwit.data") / "ks_6_4_peres.json"
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args, timeout=120):
+    """Run a fresh interpreter that imports entwit from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 def test_verify_ks_ok(capsys):
@@ -269,12 +279,7 @@ def test_search_gate_survives_optimized_mode():
         "from entwit.cli import main\n"
         "sys.exit(main(['classical-search', '--t', '10', '--window', '1']))\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python("-O", "-c", script)
     assert proc.returncode != 0
     assert "SearchMismatchError" in proc.stderr
     assert "assert statements are live" not in proc.stderr
@@ -296,16 +301,42 @@ def test_entangled_gate_survives_optimized_mode():
         "from entwit.cli import main\n"
         "sys.exit(main(['quantum-run', '--t', '10']))\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python("-O", "-c", script)
     assert proc.returncode != 0
     assert "QuantumDecodeError" in proc.stderr
     assert "with probability 1/2" in proc.stderr
     assert "assert statements are live" not in proc.stderr
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every command pays its imports; the records are NamedTuples and
+    # __slots__ classes, so none needs dataclasses, nor inspect, which it loads
+    script = (
+        "import sys\n"
+        "import entwit.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_huge_bound_with_a_budget_exits_promptly_in_bounded_memory():
+    # at M = 10^300 the scale is about 2*10^151 and the window about
+    # 2.4*10^150; the scale comes from integer square roots and the search
+    # builds only the columns its budget can reach, far inside the 1 GiB of
+    # address space the run gets
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from entwit.cli import main\n"
+        "sys.exit(main(['certify', '--bound', '1e300', '--budget', '1000']))\n"
+    )
+    proc = run_python("-c", script, timeout=10)
+    assert proc.returncode == 3, proc.stderr
+    assert "status: inconclusive\n" in proc.stdout
+    assert "search-candidates-evaluated: 1000\n" in proc.stdout
+    assert "classical-in-window-best-found: " in proc.stdout
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -22,7 +22,6 @@ Claims covered:
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -259,7 +258,7 @@ def test_quantum_ceiling_gate_raises(monkeypatch, bundled, channel):
         for branch in real_branches(ks, m):
             outcome = ChannelInput(m, branch.outcome.j + ks.d)
             decoded[id(branch.residual)] = outcome
-            out.append(replace(branch, outcome=outcome))
+            out.append(branch._replace(outcome=outcome))
         return out
 
     monkeypatch.setattr(control, "encoder_branches", shifted_branches)
@@ -474,6 +473,20 @@ def test_budget_must_cover_one_complete_table(inst10):
     assert not res.complete
     assert res.candidates_evaluated == 6
     assert all(v == 0 for v in res.strategy.c1.values())
+
+
+@pytest.mark.parametrize("t,budget", [(4, 13), (39, 120)])
+def test_budget_bounds_the_window_columns_not_the_result(bundled, channel, t, budget):
+    # no depth gets past |v| <= budget within the budget, so any window past
+    # it gives what the window equal to it gives; here the winner moves the
+    # last message by -t, far enough that a narrower column range loses it
+    inst = make_instance(bundled, t, Fraction(1, 1000), channel=channel)
+    ref = search_deterministic(inst, budget, node_budget=budget)
+    assert not ref.complete
+    assert ref.strategy.c1[5 * t] == -t
+    for window in (budget + 1, 3 * budget, 10**4):
+        res = search_deterministic(inst, window, node_budget=budget)
+        assert res == ref, window
 
 
 def test_best_in_window_cost_non_decreasing_in_t(bundled, channel):
