@@ -19,9 +19,12 @@ and the test suite keeps a mixture evaluator as an oracle for it.
 The deterministic search is an exact branch and bound over c1 tables with
 entries in a window [-W, W], pruning on the exact cost of c1 prefixes; c2 is
 minimized per channel output in closed form (nearest integer to the negated
-posterior mean), so it never has to be enumerated.  One scaled-integer
-evaluator scores the prefixes for any channel whose inputs are the (m, j)
-grid, and the winner is re-checked branch by branch.
+posterior mean, from integer moments), so it never has to be enumerated.
+One scaled-integer evaluator, for any channel whose inputs are the (m, j)
+grid, carries the prefix down the depth-first search and scores a node's
+children in one pass: the out-of-form children share one list of damping
+terms, and an in-form child changes only its owner's row.  The winner is
+re-checked branch by branch.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import json
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .channel import ChannelInput, ChannelOutput, FiniteChannel, build_ks_channel
 from .entangled import QuantumDecodeError, decoder_decode, encoder_branches
@@ -246,23 +249,24 @@ def _round_half_even_ratio(num: int, den: int) -> int:
     return quo if quo % 2 == 0 else quo + 1
 
 
-def posterior_moments(inst: WitsenhausenInstance, c1: dict) -> dict:
-    """Joint mass, first and second wire moments per reachable output.
+def _exact_int(x: Fraction) -> int:
+    if x.denominator != 1:
+        raise AssertionError(f"expected an integer-valued fraction, got {x}")
+    return x.numerator
 
-    Returns {s: (mass, sum p*y, sum p*y^2)} over outputs with positive
-    probability under the given c1 table.
-    """
-    moments: Dict[ChannelOutput, Tuple[Fraction, Fraction, Fraction]] = {}
-    for m, x in inst.support():
-        if x not in c1:
-            raise ValueError(f"c1 table is not defined on supported input {x}")
-        y = x + c1[x]
-        px = inst.p_m[m]
-        for s, p_out in inst.output_distribution(y).items():
-            w = px * p_out
-            a, b, c = moments.get(s, (Fraction(0), Fraction(0), Fraction(0)))
-            moments[s] = (a + w, b + w * y, c + w * y * y)
-    return moments
+
+def _output_holders(inst: WitsenhausenInstance) -> tuple:
+    """Per output, the ids u = m*d + j of the rows that hold it (at most two,
+    its endpoints, on a validated channel); per row, the weight D/deg(u) it
+    puts on each output, with D the lcm of the degrees; and D."""
+    grid = [ChannelInput(m, j) for m in range(inst.q) for j in range(inst.d)]
+    rows = [inst.channel.rows[u] for u in grid]
+    big_d = lcm(*map(len, rows))
+    holders: Dict[ChannelOutput, List[int]] = {}
+    for u, row in enumerate(rows):
+        for o in row:
+            holders.setdefault(o, []).append(u)
+    return holders, [big_d // len(row) for row in rows], big_d
 
 
 def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
@@ -273,11 +277,35 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
     posterior mean of the wire value; exact half-integer means round to the
     even integer.  Outputs of zero probability are left out (the strategy
     default of 0 applies there and never contributes to cost).
+
+    Mass and first moment are integers on the search's scale: an in-form
+    message puts p_m*L*q*d*D/deg(u) on each output of its row u, and the
+    messages out of form, summed once, put their total times beta_o on o.
     """
+    holders, unit, _big_d = _output_holders(inst)
+    support = inst.support()
+    big_l = lcm(*[inst.p_m[m].denominator for m, _ in support])
+    owned = [[0, 0] for _ in unit]  # per row: weight and weight*y
+    out = [0, 0]  # the same, over the messages out of form
+    for m, x in support:
+        if x not in c1:
+            raise ValueError(f"c1 table is not defined on supported input {x}")
+        y = x + c1[x]
+        w = _exact_int(inst.p_m[m] * big_l)
+        hit = inst.decompose(y)
+        if hit is None:
+            own = out
+        else:
+            own, w = owned[hit.m * inst.d + hit.j], w * inst.q * inst.d
+        own[0] += w
+        own[1] += w * y
     table: Dict[ChannelOutput, int] = {}
-    for s, (mass, ysum, _) in sorted(posterior_moments(inst, c1).items()):
-        mean = ysum / mass
-        table[s] = _round_half_even_ratio(-mean.numerator, mean.denominator)
+    for s, us in sorted(holders.items()):
+        beta = sum(unit[u] for u in us)
+        mass = beta * out[0] + sum(unit[u] * owned[u][0] for u in us)
+        if mass:
+            ysum = beta * out[1] + sum(unit[u] * owned[u][1] for u in us)
+            table[s] = _round_half_even_ratio(-ysum, mass)
     return table
 
 
@@ -295,20 +323,22 @@ class SearchMismatchError(AssertionError):
     """The search's cost for its winner differs from the exact re-evaluation."""
 
 
-def _exact_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise AssertionError(f"expected an integer-valued fraction, got {x}")
-    return x.numerator
-
-
-def _q_min(a: int, b: int, c: int) -> int:
-    """min over integers v of a*v^2 + 2*b*v + c for a > 0 (half-even at ties)."""
-    v = _round_half_even_ratio(-b, a)
-    return a * v * v + 2 * b * v + c
+def _damping(terms: list, b: int, c: int) -> int:
+    """Sum of mult * min over integers v of a*v^2 + 2*(b0 + beta*b)*v + c0 +
+    beta*c over the (mult, a, b0, c0, beta) terms, each a > 0.  The minimum
+    sits at the integer nearest -(b0 + beta*b)/a; at an exact half both
+    neighbours give it, so v rounds half up here."""
+    total = 0
+    for mult, a, b0, c0, beta in terms:
+        lin = b0 + beta * b
+        v = (a - 2 * lin) // (2 * a)
+        total += mult * ((a * v + 2 * lin) * v + c0 + beta * c)
+    return total
 
 
 class _PrefixEvaluator:
-    """Scaled-integer costs of c1 prefixes, for any channel on the (m, j) grid.
+    """Scaled-integer costs of c1 prefixes, for any channel on the (m, j) grid,
+    scored child by child as a depth-first search moves.
 
     Costs are exact integers: true cost times the fixed common denominator
     ``scale_den``, which clears k, the message probabilities, 1/(q*d) and the
@@ -325,39 +355,36 @@ class _PrefixEvaluator:
     every unowned output at once, as the out-of-form moments times the sum
     of their beta_o.  All of one owner's messages share its wire value, so
     with no message out of form an owner's other outputs cost nothing.
+
+    The evaluator holds the current prefix, which ``shift`` moves one
+    message at a time: its control cost, per owner the moments (weight,
+    weight*y, weight*y^2), and the out-of-form moments.  The out-of-form
+    children of a prefix share its owners and add the same weight, so its
+    damping terms are built once and each such child adds its own moments,
+    times beta_o, to them; an in-form child adds to its parent's cost the
+    change on the few outputs of its owner's row.
     """
 
     def __init__(self, inst: WitsenhausenInstance, window: int):
         q, d = inst.q, inst.d
-        grid = [ChannelInput(m, j) for m in range(q) for j in range(d)]
-        rows = [inst.channel.rows[u] for u in grid]  # input id u = m*d + j
-        degree = [len(row) for row in rows]
-        big_d = lcm(*degree)
+        holders, unit, big_d = _output_holders(inst)
         # shared[u][u2]: beta of the output in both rows of u and u2, else 0
-        self.shared = [[0] * len(grid) for _ in grid]
-        beta: Dict[ChannelOutput, int] = {}
-        holder: Dict[ChannelOutput, int] = {}  # the first row to hold o
-        for u, row in enumerate(rows):
-            for o in row:
-                if o in holder:  # the second and last row to hold o
-                    u0 = holder[o]
-                    beta[o] += big_d // degree[u]
-                    self.shared[u0][u] = self.shared[u][u0] = beta[o]
-                else:
-                    holder[o] = u
-                    beta[o] = big_d // degree[u]
-        self.beta_total = sum(beta.values())
-        self.groups: List[tuple] = []  # per input, (beta, count) over its row
-        self.row_beta: List[int] = []
-        for row in rows:
-            row_betas = [beta[o] for o in row]
-            self.groups.append(
-                tuple((b, row_betas.count(b)) for b in sorted(set(row_betas)))
-            )
-            self.row_beta.append(sum(row_betas))
+        self.shared = [[0] * len(unit) for _ in unit]
+        groups: List[Dict[int, int]] = [{} for _ in unit]  # per row, beta -> count
+        self.row_beta = [0] * len(unit)
+        self.beta_total = 0
+        for us in holders.values():
+            beta = sum(unit[u] for u in us)
+            self.beta_total += beta
+            if len(us) == 2:
+                u0, u1 = us
+                self.shared[u0][u1] = self.shared[u1][u0] = beta
+            for u in us:
+                groups[u][beta] = groups[u].get(beta, 0) + 1
+                self.row_beta[u] += beta
+        self.groups = [tuple(g.items()) for g in groups]
 
         support = inst.support()
-        self.window = window
         big_l = lcm(*[inst.p_m[m].denominator for m, _ in support])
         k_den = inst.k.denominator
         self.damp_unit = k_den  # converts damping scale to the cost scale
@@ -366,7 +393,7 @@ class _PrefixEvaluator:
         # per supported message and window column: the control cost, and
         # (owner id or -1 when out of form, weight, weight*y, weight*y^2)
         self.ctrl_tab: List[List[int]] = []
-        self.terms: List[List[tuple]] = []
+        self.moments: List[List[tuple]] = []
         for m, x in support:
             pm_int = _exact_int(inst.p_m[m] * big_l)
             a_ctrl = _exact_int(inst.k * inst.p_m[m] * self.scale_den)
@@ -378,62 +405,98 @@ class _PrefixEvaluator:
                     u, w = -1, pm_int
                 else:
                     u = hit.m * d + hit.j
-                    w = pm_int * q * d * (big_d // degree[u])
+                    w = pm_int * q * d * unit[u]
                 ctrl_row.append(a_ctrl * v * v)
                 term_row.append((u, w, w * y, w * y * y))
             self.ctrl_tab.append(ctrl_row)
-            self.terms.append(term_row)
+            self.moments.append(term_row)
+
+        # the current prefix, empty to begin with
+        self.ctrl = 0
+        self.owned: Dict[int, list] = {}  # owner -> [weight, weight*y, weight*y^2]
+        self.out = [0, 0, 0]  # the same over the messages out of form
 
     def to_fraction(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale_den)
 
-    def eval_scaled(self, values: Sequence[int]) -> int:
-        """Scaled cost of the c1 prefix giving the first len(values) supported
-        messages these values; the unassigned messages contribute nothing."""
-        w = self.window
-        ctrl = 0
-        owned: Dict[int, list] = {}
-        oa = ob = oc = 0
-        for ctrl_row, term_row, v in zip(self.ctrl_tab, self.terms, values):
-            col = v + w
-            ctrl += ctrl_row[col]
-            u, a, b, c = term_row[col]
-            if u < 0:
-                oa += a
-                ob += b
-                oc += c
-            elif u in owned:
-                own = owned[u]
-                own[1] += a
-                own[2] += b
-                own[3] += c
-            else:
-                owned[u] = [u, a, b, c]
+    def shift(self, depth: int, col: int, sign: int) -> None:
+        """Give message ``depth``, the next one, the value at window column
+        ``col`` (sign 1), or take that value back (sign -1)."""
+        self.ctrl += sign * self.ctrl_tab[depth][col]
+        u, a, b, c = self.moments[depth][col]
+        own = self.out if u < 0 else self.owned.setdefault(u, [0, 0, 0])
+        own[0] += sign * a
+        own[1] += sign * b
+        own[2] += sign * c
+        if u >= 0 and not own[0]:
+            del self.owned[u]
 
-        owners = list(owned.values())
-        damp = 0
-        pair_betas = []  # (owner, beta) for each end of a two-owner output
-        for idx, (u1, a1, b1, c1) in enumerate(owners):
-            shared = self.shared[u1]
-            for u2, a2, b2, c2 in owners[idx + 1:]:
-                beta = shared[u2]
-                if beta:
-                    damp += _q_min(
-                        a1 + a2 + beta * oa, b1 + b2 + beta * ob, c1 + c2 + beta * oc
-                    )
-                    pair_betas += ((u1, beta), (u2, beta))
+    def _joins(self, owned, u, a, b, c, oa, ob, oc) -> list:
+        """Signed (mult, a, b0, c0, beta) terms whose ``_damping`` at (0, 0)
+        is the change in damping when moments (a, b, c) join owner u, given
+        the owners ``owned`` and out-of-form moments (oa, ob, oc)."""
+        new = u not in owned
+        a0, b0, c0 = owned.get(u, (0, 0, 0))
+        shared = self.shared[u]
+        terms = []
+        used: Dict[int, int] = {}  # beta -> u's outputs that another owner holds
+        rest = self.row_beta[u]  # beta over u's outputs that no other owner holds
+        for u2, (a2, b2, c2) in owned.items():
+            beta = shared[u2]
+            if beta:
+                pa, pb, pc = a2 + beta * oa, b2 + beta * ob, c2 + beta * oc
+                terms.append((1, pa + a0 + a, pb + b0 + b, pc + c0 + c, beta))
+                if not new:
+                    terms.append((-1, pa + a0, pb + b0, pc + c0, beta))
+                elif oa:  # the output leaves u2's own group
+                    terms.append((-1, pa, pb, pc, beta))
+                used[beta] = used.get(beta, 0) + 1
+                rest -= beta
         if oa:
-            unowned = self.beta_total + sum(b for _u, b in pair_betas) // 2
-            for u1, a1, b1, c1 in owners:
-                unowned -= self.row_beta[u1]
-                for beta, count in self.groups[u1]:
-                    count -= pair_betas.count((u1, beta))
-                    if count:
-                        damp += count * _q_min(
-                            a1 + beta * oa, b1 + beta * ob, c1 + beta * oc
-                        )
-            damp += unowned * _q_min(oa, ob, oc)
-        return ctrl + damp * self.damp_unit
+            for beta, count in self.groups[u]:
+                count -= used.get(beta, 0)
+                if count:
+                    pa, pb, pc = a0 + beta * oa, b0 + beta * ob, c0 + beta * oc
+                    terms.append((count, pa + a, pb + b, pc + c, beta))
+                    if not new:
+                        terms.append((-count, pa, pb, pc, beta))
+            if new and rest:
+                terms.append((-rest, oa, ob, oc, 1))
+        return terms
+
+    def _terms(self, oa: int, ob: int, oc: int) -> list:
+        """The current owners' damping with out-of-form moments (oa, ob, oc),
+        oa > 0, as terms for ``_damping``: every output unowned, then the
+        owners joined one by one, equal quadratics merged.  ``_damping`` at
+        (b, c) adds a further out-of-form message of moments (_, b, c)."""
+        merged = {(oa, ob, oc, 1): self.beta_total}
+        owned: Dict[int, list] = {}
+        for u, moments in self.owned.items():
+            for term in self._joins(owned, u, *moments, oa, ob, oc):
+                merged[term[1:]] = merged.get(term[1:], 0) + term[0]
+            owned[u] = moments
+        return [(mult, *quad) for quad, mult in merged.items() if mult]
+
+    def scorer(self, depth: int, cost: int):
+        """The scaled cost of each child of the current prefix, the first
+        ``depth`` messages at scaled cost ``cost``, as a function of the next
+        message's window column; it holds while the prefix does."""
+        ctrl, ctrl_row, moments = self.ctrl, self.ctrl_tab[depth], self.moments[depth]
+        owned, (oa, ob, oc) = self.owned, self.out
+        unit = self.damp_unit
+        out_terms = None  # built for the first out-of-form child
+
+        def score(col: int) -> int:
+            nonlocal out_terms
+            u, a, b, c = moments[col]
+            if u >= 0:
+                joins = self._joins(owned, u, a, b, c, oa, ob, oc)
+                return cost + ctrl_row[col] + unit * _damping(joins, 0, 0)
+            if out_terms is None:
+                out_terms = self._terms(oa + a, ob, oc)
+            return ctrl + ctrl_row[col] + unit * _damping(out_terms, b, c)
+
+        return score
 
 
 def search_deterministic(
@@ -453,8 +516,8 @@ def search_deterministic(
     the incumbent, and equal-cost tables break toward the lexicographically
     smallest, so the winner is the one a flat scan of all tables would pick.
     Prefixes are scored in scaled integers by one evaluator that takes any
-    channel; the winner is re-checked through the branch-by-branch
-    evaluation.
+    channel and carries the prefix down the search; the winner is re-checked
+    through the branch-by-branch evaluation.
 
     ``candidates_evaluated`` counts the prefixes scored; if ``node_budget`` of
     them runs out the result is incomplete and must never certify anything.
@@ -481,25 +544,30 @@ def search_deterministic(
     best_cost, best_vals = None, None
     nodes = 0
 
-    def descend(prefix: tuple) -> bool:
-        """Search every completion of ``prefix``; False once the budget is out."""
+    def descend(prefix: tuple, prefix_cost: int) -> bool:
+        """Search every completion of ``prefix``, the evaluator's current
+        prefix; False once the budget is out."""
         nonlocal best_cost, best_vals, nodes
+        depth = len(prefix)
+        score = evaluator.scorer(depth, prefix_cost)
         for v in order:
             if node_budget is not None and nodes >= node_budget:
                 return False
             nodes += 1
-            values = prefix + (v,)
-            cost = evaluator.eval_scaled(values)
+            cost = score(v + reach)
             if best_cost is not None and cost > best_cost:
                 continue
-            if len(values) < len(support):
-                if not descend(values):
+            values = prefix + (v,)
+            if depth + 1 < len(support):
+                evaluator.shift(depth, v + reach, 1)
+                if not descend(values, cost):
                     return False
+                evaluator.shift(depth, v + reach, -1)
             elif best_cost is None or cost < best_cost or values < best_vals:
                 best_cost, best_vals = cost, values
         return True
 
-    complete = descend(())
+    complete = descend((), 0)
     c1 = {x: v for (_m, x), v in zip(support, best_vals)}
     strategy = DeterministicStrategy(c1=c1, c2=optimal_c2_for_c1(inst, c1))
     report = evaluate_deterministic(inst, strategy)

@@ -17,7 +17,6 @@ from entwit.control import (
     DeterministicStrategy,
     evaluate_deterministic,
     optimal_c2_for_c1,
-    posterior_moments,
 )
 from entwit.exact import Vector, as_fraction
 
@@ -40,6 +39,28 @@ def naive_ks_check(ks):
     return True, None, count
 
 
+def posterior_moments(inst, c1):
+    """Joint mass, first and second wire moments per reachable output, in
+    Fractions straight from the composed channel.
+
+    Returns {s: (mass, sum p*y, sum p*y^2)} over outputs with positive
+    probability under the given c1 table; supported messages that the table
+    leaves out contribute nothing, so a prefix of a table gives the moments
+    the search bounds it by.
+    """
+    moments = {}
+    for m, x in inst.support():
+        if x not in c1:
+            continue
+        y = x + c1[x]
+        px = inst.p_m[m]
+        for s, p_out in inst.output_distribution(y).items():
+            w = px * p_out
+            a, b, c = moments.get(s, (Fraction(0), Fraction(0), Fraction(0)))
+            moments[s] = (a + w, b + w * y, c + w * y * y)
+    return moments
+
+
 def brute_force_c2(inst, c1, lo, hi):
     """Per-output linear scan for the best integer c2 in [lo, hi].
 
@@ -59,10 +80,11 @@ def brute_force_c2(inst, c1, lo, hi):
 
 
 def oracle_cost(inst, values):
-    """Exact cost of the c1 table with these values on the supported messages,
-    each output paired with its best integer c2, in plain Fractions: the
-    control term message by message, and per output the smaller of the
-    quadratic's values at the two integers around its real minimum."""
+    """Exact cost of the c1 table, or of the prefix of one, with these values
+    on the first supported messages, each output paired with its best integer
+    c2, in plain Fractions: the control term message by message, and per
+    output the smaller of the quadratic's values at the two integers around
+    its real minimum."""
     c1 = {}
     cost = Fraction(0)
     for (m, x), v in zip(inst.support(), values):
@@ -72,6 +94,41 @@ def oracle_cost(inst, values):
         low = floor(-ysum / mass)
         cost += min(mass * c * c + 2 * ysum * c + ysq for c in (low, low + 1))
     return cost
+
+
+def plain_dfs(inst, window, node_budget=None, costs=None):
+    """(prefixes scored, complete, best c1 values) of the search's branch and
+    bound by plain recursion, every prefix scored by oracle_cost: values in
+    (|v|, v) order, a prefix pruned only when its cost strictly exceeds the
+    best complete table's, equal costs broken toward the lexicographically
+    smallest table, and the budget checked before each prefix is scored.
+    ``costs`` memoizes the oracle by prefix across calls on one instance."""
+    costs = {} if costs is None else costs
+    n = len(inst.support())
+    order = sorted(range(-window, window + 1), key=lambda v: (abs(v), v))
+    nodes, best_cost, best_vals = 0, None, None
+
+    def descend(prefix):
+        nonlocal nodes, best_cost, best_vals
+        for v in order:
+            if node_budget is not None and nodes >= node_budget:
+                return False
+            nodes += 1
+            values = prefix + (v,)
+            if values not in costs:
+                costs[values] = oracle_cost(inst, values)
+            cost = costs[values]
+            if best_cost is not None and cost > best_cost:
+                continue
+            if len(values) < n:
+                if not descend(values):
+                    return False
+            elif best_cost is None or cost < best_cost or values < best_vals:
+                best_cost, best_vals = cost, values
+        return True
+
+    complete = descend(())
+    return nodes, complete, best_vals
 
 
 def branch_signals(inst, strat):

@@ -10,7 +10,8 @@ Claims covered:
       branches, identical across t in {4, 10, 100, 10^6}, below k*d^2; a
       strategy that breaks the k*d^2 ceiling raises QuantumDecodeError
     - the per-output c2 minimizer matches an independent linear scan,
-      including its half-even tie rule
+      including its half-even tie rule, on random tables with wires out of
+      form and zero-probability messages, on all four test channels
     - an instance rejects a channel whose inputs are not the (m, j) grid
     - the branch-and-bound search returns the cost and the tie-broken c1
       table of a flat scan of every in-window table (plain enumeration at
@@ -19,6 +20,10 @@ Claims covered:
       asymmetric rows), is budget-truncatable, raises SearchMismatchError
       when its winner's re-evaluation disagrees, and its best in-window cost
       is non-decreasing in t for fixed W=4
+    - the search scores the prefixes a plain depth-first search scored by
+      the Fraction oracle scores, in the same number, complete and under
+      node budgets 6, 40 and 300; its child scoring, walked down full
+      tables, matches the oracle and takes every step back exactly
 """
 
 import random
@@ -49,6 +54,8 @@ from helpers import (
     flat_scan,
     neighbors,
     oracle_cost,
+    plain_dfs,
+    posterior_moments,
     random_c1,
     random_strategy,
     random_weights,
@@ -302,8 +309,6 @@ def test_two_point_posterior_rounds_half_to_even(bundled, channel):
     )
     c1 = {0: 0, 5: 2}
     table = optimal_c2_for_c1(inst, c1)
-    from entwit.control import posterior_moments
-
     shared = [
         s
         for s, (mass, _ysum, _ysq) in posterior_moments(inst, c1).items()
@@ -419,13 +424,17 @@ def test_search_matches_flat_scan(bundled, channels, kind, t, k, p_m, window):
     assert tuple(res.strategy.c1[x] for _m, x in inst.support()) == best_vals
 
 
-@pytest.mark.parametrize("kind", ["regular", "irregular", "three-degree", "asymmetric"])
+KINDS = ["regular", "irregular", "three-degree", "asymmetric"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_prefix_evaluator_matches_oracle_cost(bundled, channels, kind):
     # the search only compares costs, so a wrong score can still leave the
-    # winner right; score full tables against the plain-Fraction oracle, with
-    # every value pair on the first two messages (owners that share an
-    # output, in either order, with and without wires out of form) and
-    # random values on the rest
+    # winner right; walk full tables down the search's own child scoring and
+    # score the first two messages and the full table against the
+    # plain-Fraction oracle, with every value pair on the first two (owners
+    # that share an output, in either order, with and without wires out of
+    # form) and random values on the rest
     rng = random.Random(20130)
     for t, k, p_m, window in [
         (4, Fraction(1), UNIFORM, 3),
@@ -437,10 +446,56 @@ def test_prefix_evaluator_matches_oracle_cost(bundled, channels, kind):
         evaluator = _PrefixEvaluator(inst, window)
         span = range(-window, window + 1)
         for first in product(span, span):
-            rest = [rng.choice(span) for _ in inst.support()[2:]]
-            values = [*first, *rest]
-            scaled = evaluator.eval_scaled(values)
-            assert evaluator.to_fraction(scaled) == oracle_cost(inst, values)
+            values = (*first, *[rng.choice(span) for _ in inst.support()[2:]])
+            scaled = 0
+            for depth, v in enumerate(values):
+                scaled = evaluator.scorer(depth, scaled)(v + window)
+                if depth == 1 or depth + 1 == len(values):
+                    prefix = values[:depth + 1]
+                    assert evaluator.to_fraction(scaled) == oracle_cost(inst, prefix)
+                evaluator.shift(depth, v + window, 1)
+            for depth in reversed(range(len(values))):
+                evaluator.shift(depth, values[depth] + window, -1)
+            assert (evaluator.ctrl, evaluator.owned, evaluator.out) == (0, {}, [0, 0, 0])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("t, window", [(4, 3), (5, 2)])
+def test_search_visits_the_nodes_of_a_plain_dfs(bundled, channels, kind, t, window):
+    # the reports print the node count, so it must be the plain search's:
+    # at t = 4 every wire in reach but message 0's is in form and messages
+    # share owners; at t = 5 every fifth wire value is out of form
+    inst = make_instance(bundled, t, Fraction(1, 1000), channel=channels[kind])
+    costs = {}
+    for budget in (None, 6, 40, 300):
+        res = search_deterministic(inst, window, node_budget=budget)
+        nodes, complete, values = plain_dfs(inst, window, budget, costs)
+        assert (res.candidates_evaluated, res.complete) == (nodes, complete)
+        assert tuple(res.strategy.c1[x] for _m, x in inst.support()) == values
+        assert complete == (budget is None)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_integer_c2_matches_brute_force(bundled, channels, kind):
+    # random tables whose wires land in and out of form, on message
+    # distributions with zero-probability messages; at ties the minimizer
+    # must be the even one of the two
+    rng = random.Random(1212)
+    window, outside, ties = 4, 0, 0
+    for t, p_m in [(4, UNIFORM), (5, SKEWED4), (5, TIED3), (6, SKEWED3)]:
+        inst = make_instance(bundled, t, 1, p_m=p_m, channel=channels[kind])
+        for _ in range(3):
+            c1 = random_c1(rng, inst, window)
+            outside += sum(inst.decompose(x + v) is None for x, v in c1.items())
+            table = optimal_c2_for_c1(inst, c1)
+            # every wire value, so every posterior mean, lies in [-W, (q-1)t + W]
+            brute = brute_force_c2(inst, c1, -(inst.q - 1) * t - window - 1, window + 1)
+            assert table.keys() == brute.keys()
+            for s, (minimizers, _cost) in brute.items():
+                even = [v for v in minimizers if v % 2 == 0]
+                assert table[s] == (min(minimizers) if len(minimizers) == 1 else even[0])
+                ties += len(minimizers) == 2
+    assert outside and ties
 
 
 def test_search_mismatch_gate_raises(monkeypatch, inst10):
