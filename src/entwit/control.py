@@ -48,10 +48,10 @@ class WitsenhausenInstance:
     followed by the basis-set channel, with all of Z as its input domain.
     A wire value y = a*t + b with a in [0, q) and b in [0, d) goes to row
     (a, b); every other y goes to the uniform mixture of all rows, built on
-    first use and held.
+    first use and held, as is the search's table of output holders.
     """
 
-    __slots__ = ("ks", "channel", "t", "k", "p_m", "_uniform_branch")
+    __slots__ = ("ks", "channel", "t", "k", "p_m", "_uniform_branch", "_holders")
 
     def __init__(
         self, *, ks: KSBasisSet, channel: FiniteChannel, t: int, k: Fraction, p_m: tuple
@@ -62,6 +62,7 @@ class WitsenhausenInstance:
         self.k = k
         self.p_m = p_m  # Fraction per message m in [q]
         self._uniform_branch = {}  # one per instance: it depends on the channel
+        self._holders = None  # the same, for _output_holders
 
     @property
     def q(self) -> int:
@@ -258,15 +259,18 @@ def _exact_int(x: Fraction) -> int:
 def _output_holders(inst: WitsenhausenInstance) -> tuple:
     """Per output, the ids u = m*d + j of the rows that hold it (at most two,
     its endpoints, on a validated channel); per row, the weight D/deg(u) it
-    puts on each output, with D the lcm of the degrees; and D."""
-    grid = [ChannelInput(m, j) for m in range(inst.q) for j in range(inst.d)]
-    rows = [inst.channel.rows[u] for u in grid]
-    big_d = lcm(*map(len, rows))
-    holders: Dict[ChannelOutput, List[int]] = {}
-    for u, row in enumerate(rows):
-        for o in row:
-            holders.setdefault(o, []).append(u)
-    return holders, [big_d // len(row) for row in rows], big_d
+    puts on each output, with D the lcm of the degrees; and D.  Built once
+    per instance, on first use."""
+    if inst._holders is None:
+        grid = [ChannelInput(m, j) for m in range(inst.q) for j in range(inst.d)]
+        rows = [inst.channel.rows[u] for u in grid]
+        big_d = lcm(*map(len, rows))
+        holders: Dict[ChannelOutput, List[int]] = {}
+        for u, row in enumerate(rows):
+            for o in row:
+                holders.setdefault(o, []).append(u)
+        inst._holders = holders, [big_d // len(row) for row in rows], big_d
+    return inst._holders
 
 
 def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:

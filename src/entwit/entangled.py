@@ -9,16 +9,23 @@ identifying its residual with certainty; the outcome probabilities of the two
 candidates are squared overlaps, so that basis is never completed.  The
 simulation enumerates every branch with exact probabilities; nothing is
 sampled.
+
+The decoder reads the candidates' integer numerators from the basis set, and
+the zero-error run sums each message's mass as an integer over a common
+denominator; a Fraction is built only for a result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .channel import ChannelInput, ChannelOutput, FiniteChannel
-from .exact import Vector, is_orthogonal, measure_first_subsystem
-from .ks import KSBasisSet, conjugate_basis, validate_basis_set
+from .exact import Vector, _gauss_dot, measure_first_subsystem
+from .ks import KSBasisSet, validate_basis_set
+
+_ONE = Fraction(1)
 
 
 class MeasurementBranch(NamedTuple):
@@ -64,20 +71,14 @@ def encoder_branches(ks: KSBasisSet, m: int) -> list:
     if not 0 <= m < ks.q:
         raise ValueError(f"message {m} outside [0, {ks.q})")
     psi = maximally_entangled_state(ks.d)
-    measured = conjugate_basis(ks.bases[m])
-    branches = []
-    for j, prob, residual in measure_first_subsystem(psi, measured):
-        branches.append(
-            MeasurementBranch(
-                outcome=ChannelInput(m, j), probability=prob, residual=residual
-            )
-        )
-    return branches
+    measured = [v.conjugate() for v in ks.bases[m]]  # still orthonormal
+    return [
+        MeasurementBranch(ChannelInput(m, j), prob, residual)
+        for j, prob, residual in measure_first_subsystem(psi, measured)
+    ]
 
 
-def decoder_decode(
-    ks: KSBasisSet, s: ChannelOutput, residual: Vector
-) -> tuple:
+def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
     """Measure the residual in an orthonormal basis containing both candidates.
 
     ``s`` is the channel output {(m, j), (m', j')}; the two candidate vectors
@@ -85,25 +86,24 @@ def decoder_decode(
     In any orthonormal basis that contains the candidates, the Born
     probability of candidate i is the squared overlap of the residual with
     it, so the rest of the basis is never built.  Returns (outcome,
-    probability); under the strategy's preconditions the probability is
-    exactly 1.
+    probability), the outcome being the candidate of ``s`` itself; under the
+    strategy's preconditions the probability is exactly 1.
     """
     (m1, j1), (m2, j2) = s
-    cand1 = ks.vector(m1, j1)
-    cand2 = ks.vector(m2, j2)
-    if not is_orthogonal(cand1, cand2):
+    cand1, cand2 = ks.bases[m1][j1], ks.bases[m2][j2]
+    if _gauss_dot(cand1.re, cand1.im, cand2.re, cand2.im) != (0, 0):
         raise ValueError(f"candidates {s} are not orthogonal")
     if not (cand1.is_unit() and cand2.is_unit()):
         raise ValueError(f"candidates {s} are not unit vectors")
     # the two squared overlaps are compared as integer ratios; a Fraction is
-    # built only for the one returned
+    # built only for the one returned, and a certain outcome shares _ONE
     n1, d1 = residual.overlap_sq_ratio(cand1)
     n2, d2 = residual.overlap_sq_ratio(cand2)
     if n1 == 0 and n2 == 0:
         raise ValueError("residual state is orthogonal to both candidates")
     if n1 * d2 >= n2 * d1:
-        return ChannelInput(m1, j1), Fraction(n1, d1)
-    return ChannelInput(m2, j2), Fraction(n2, d2)
+        return s[0], _ONE if n1 == d1 else Fraction(n1, d1)
+    return s[1], _ONE if n2 == d2 else Fraction(n2, d2)
 
 
 def run_zero_error_quantum(ks: KSBasisSet, ch: FiniteChannel) -> QuantumZeroErrorReport:
@@ -117,12 +117,16 @@ def run_zero_error_quantum(ks: KSBasisSet, ch: FiniteChannel) -> QuantumZeroErro
     total = 0
     masses = []
     for m in range(ks.q):
-        mass = Fraction(0)
+        num, den = 0, 1  # the message's mass so far, num / den
         for branch in encoder_branches(ks, m):
             sent = branch.outcome
+            pn, pd = branch.probability.numerator, branch.probability.denominator
             for s, p_out in ch.rows[sent].items():
                 total += 1
-                mass += branch.probability * p_out
+                term_den = pd * p_out.denominator
+                common = lcm(den, term_den)
+                num = num * (common // den) + pn * p_out.numerator * (common // term_den)
+                den = common
                 decoded, p_dec = decoder_decode(ks, s, branch.residual)
                 if decoded != sent or p_dec != 1:
                     raise QuantumDecodeError(
@@ -130,7 +134,7 @@ def run_zero_error_quantum(ks: KSBasisSet, ch: FiniteChannel) -> QuantumZeroErro
                         f"expected {sent} with probability 1",
                         witness=(m, sent.j, s),
                     )
-        masses.append(mass)
+        masses.append(Fraction(num, den))
     return QuantumZeroErrorReport(
         messages_sent=ks.q,
         total_branches=total,

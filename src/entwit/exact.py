@@ -7,12 +7,17 @@ together with a rational ``scale`` s, and denotes (numerators / denominator)
 sums, so orthogonality and measurement probabilities are decided exactly,
 with no tolerances; a Fraction is formed only from the final sums.  Floats
 never enter.
+
+Every inner product goes through one kernel, ``_gauss_dot``; when both sides'
+imaginary numerators are all zero, as on the bundled set, it is one real
+integer sum, decided from the numerators on every call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 
@@ -27,6 +32,10 @@ def as_fraction(x) -> Fraction:
 
 def _gauss_dot(a_re, a_im, b_re, b_im) -> tuple:
     """Integer (re, im) of sum(conj(a_k) * b_k) over Gaussian integers."""
+    if len(a_re) != len(b_re):
+        raise ValueError(f"dimension mismatch: {len(a_re)} vs {len(b_re)}")
+    if not (any(a_im) or any(b_im)):
+        return sum(map(mul, a_re, b_re)), 0
     re = im = 0
     for ar, ai, br, bi in zip(a_re, a_im, b_re, b_im):
         re += ar * br + ai * bi
@@ -59,18 +68,20 @@ class Vector:
         g = gcd(den, *re, *im)
         if den < 0:
             g = -g
-        re = tuple(x // g for x in re)
-        im = tuple(x // g for x in im)
-        nsq = sum(r * r for r in re) + sum(i * i for i in im)
+        if g != 1:
+            re, im, den = [x // g for x in re], [x // g for x in im], den // g
+        re, im = tuple(re), tuple(im)
+        parts = re + im
+        nsq = sum(map(mul, parts, parts))
         if scale is None:
             if nsq == 0:
                 raise ValueError("cannot normalize the zero vector")
-            scale = Fraction(nsq, (den // g) ** 2)
+            scale = Fraction(nsq, den * den)
         else:
-            scale = as_fraction(scale)
+            scale = scale if type(scale) is Fraction else as_fraction(scale)
             if scale <= 0:
                 raise ValueError(f"vector scale must be positive, got {scale}")
-        for name, value in zip(Vector.__slots__, (re, im, den // g, scale, nsq)):
+        for name, value in zip(Vector.__slots__, (re, im, den, scale, nsq)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -79,11 +90,6 @@ class Vector:
     @property
     def dim(self) -> int:
         return len(self.re)
-
-    def _dot(self, other: "Vector") -> tuple:
-        if len(self.re) != len(other.re):
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return _gauss_dot(self.re, self.im, other.re, other.im)
 
     def norm_sq(self) -> Fraction:
         s = self.scale
@@ -104,7 +110,7 @@ class Vector:
         nsq = self._nsq * other._nsq
         if nsq == 0:
             raise ValueError("overlap with a zero vector is undefined")
-        re, im = self._dot(other)
+        re, im = _gauss_dot(self.re, self.im, other.re, other.im)
         return re * re + im * im, nsq
 
     def conjugate(self) -> "Vector":
@@ -150,11 +156,6 @@ def fraction_str(x: Fraction, with_decimal: bool = False) -> str:
     return f"{body} ({decimal_str(x)})" if with_decimal else body
 
 
-def is_orthogonal(v: Vector, w: Vector) -> bool:
-    """True iff <v|w> = 0, decided exactly on the integer numerators."""
-    return v._dot(w) == (0, 0)
-
-
 def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
     """Project subsystem 1 of a bipartite pure state onto a local basis.
 
@@ -169,20 +170,21 @@ def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
     if state.dim % a != 0:
         raise ValueError("state dimension is not a multiple of the basis dimension")
     b = state.dim // a
-    s_re, s_im = state.re, state.im
+    columns = [(state.re[i2::b], state.im[i2::b]) for i2 in range(b)]
     branches = []
     for j, u in enumerate(basis):
         # residual entry i2 is sum over i1 of conj(u_i1) * state_(i1*b + i2)
-        res_re, res_im = zip(
-            *(_gauss_dot(u.re, u.im, s_re[i2::b], s_im[i2::b]) for i2 in range(b))
-        )
+        res_re, res_im = zip(*(_gauss_dot(u.re, u.im, *col) for col in columns))
         # the residual is (res / den) / sqrt(u.scale * state.scale); its squared
         # norm is the branch probability, and only its direction is kept
-        nsq = sum(r * r for r in res_re) + sum(i * i for i in res_im)
+        parts = res_re + res_im
+        nsq = sum(map(mul, parts, parts))
         if nsq == 0:
             continue
         den = u.den * state.den
-        scale = u.scale * state.scale
-        prob = Fraction(nsq * scale.denominator, den * den * scale.numerator)
+        us, ss = u.scale, state.scale
+        prob = Fraction(
+            nsq * us.denominator * ss.denominator, den * den * us.numerator * ss.numerator
+        )
         branches.append((j, prob, Vector(res_re, res_im, den)))
     return branches

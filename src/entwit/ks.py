@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 from importlib import resources
 from math import lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .exact import Vector, as_fraction, is_orthogonal
+from .exact import Vector, _gauss_dot, as_fraction
 
 BUNDLED_SET_RESOURCE = "ks_6_4_peres.json"
 
@@ -46,12 +46,6 @@ class KSBasisSet:
         self.d = d
         self.bases = bases
         self.label = label
-
-    def vector(self, m: int, j: int) -> Vector:
-        return self.bases[m][j]
-
-    def all_vectors(self) -> list:
-        return [v for basis in self.bases for v in basis]
 
 
 class BasisSetError(ValueError):
@@ -80,7 +74,8 @@ def validate_basis_set(ks: KSBasisSet) -> None:
             if not v.is_unit():
                 raise BasisSetError(m, (j, j), f"vector {j} has squared norm {v.norm_sq()}")
             for j2 in range(j + 1, len(basis)):
-                if not is_orthogonal(v, basis[j2]):
+                w = basis[j2]
+                if _gauss_dot(v.re, v.im, w.re, w.im) != (0, 0):
                     raise BasisSetError(
                         m, (j, j2), f"vectors {j} and {j2} are not orthogonal"
                     )
@@ -100,12 +95,12 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
     """
     validate_basis_set(ks)
     q, d = ks.q, ks.d
-    flat = ks.all_vectors()
+    parts = [(v.re, v.im) for basis in ks.bases for v in basis]
     n = q * d
     masks = [0] * n
     for a in range(n):
         for b in range(a + 1, n):
-            if is_orthogonal(flat[a], flat[b]):
+            if _gauss_dot(*parts[a], *parts[b]) == (0, 0):
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
     masks = tuple(masks)
@@ -126,11 +121,6 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
 
     witness = walk(0, 0, ())
     return KSCheckResult(witness is None, checked, witness, masks)
-
-
-def conjugate_basis(basis: Sequence[Vector]) -> tuple:
-    """Entrywise complex conjugate of each vector; orthonormality is preserved."""
-    return tuple(v.conjugate() for v in basis)
 
 
 # -- file format ---------------------------------------------------------

@@ -5,10 +5,12 @@ method (direct inner products, plain enumeration, linear scans) so the
 package code is checked against computations that share none of its shortcuts.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import floor, lcm
+from operator import mul
 from types import MappingProxyType
 
 from entwit.channel import ChannelInput, ZeroErrorCode, confusability_graph
@@ -18,7 +20,7 @@ from entwit.control import (
     evaluate_deterministic,
     optimal_c2_for_c1,
 )
-from entwit.exact import Vector, as_fraction
+from entwit.exact import Vector, _gauss_dot, as_fraction
 
 
 def naive_ks_check(ks):
@@ -426,9 +428,24 @@ def raw_dot(v, w):
     """Sesquilinear sum(conj(v_k) * w_k) over the raw entries, from the
     integer kernel; the denoted inner product is this over
     sqrt(v.scale * w.scale), so it is zero iff this is zero."""
-    re, im = v._dot(w)
+    re, im = _gauss_dot(v.re, v.im, w.re, w.im)
     den = v.den * w.den
     return ComplexFraction(Fraction(re, den), Fraction(im, den))
+
+
+def is_orthogonal(v, w):
+    """True iff <v|w> = 0, decided exactly on the integer numerators."""
+    return _gauss_dot(v.re, v.im, w.re, w.im) == (0, 0)
+
+
+def all_vectors(ks):
+    """Every vector of the set, basis by basis."""
+    return [v for basis in ks.bases for v in basis]
+
+
+def conjugate_basis(basis):
+    """Entrywise complex conjugate of each vector; orthonormality is preserved."""
+    return tuple(v.conjugate() for v in basis)
 
 
 # -- exact geometry by ComplexFraction sums ------------------------------------
@@ -464,7 +481,7 @@ def cf_decoder_decode(ks, s, residual):
     """decoder_decode by ComplexFraction sums: the same gates in the same
     order and the same tie rule, every comparison made on Fractions."""
     (m1, j1), (m2, j2) = s
-    cand1, cand2 = ks.vector(m1, j1), ks.vector(m2, j2)
+    cand1, cand2 = ks.bases[m1][j1], ks.bases[m2][j2]
     if cf_dot(cand1, cand2):
         raise ValueError(f"candidates {s} are not orthogonal")
     if cf_norm_sq(cand1) != 1 or cf_norm_sq(cand2) != 1:
@@ -549,3 +566,54 @@ def complete_orthonormal_basis(seeds, dim):
 def measurement_probabilities(state, basis):
     """Born probabilities of a unit state in an orthonormal basis, exact."""
     return [cf_overlap_sq(b, state) for b in basis]
+
+
+# -- the basis set under a diagonal Gaussian-rational unitary -------------------
+
+# unit-modulus Gaussian rationals from Pythagorean triples, and the units
+UNIT_PHASES = tuple(
+    ComplexFraction(Fraction(a, c), Fraction(b, c))
+    for a, b, c in ((3, 4, 5), (5, 12, 13), (8, 15, 17), (4, -3, 5), (0, 1, 1), (-1, 0, 1))
+)
+# diag((3+4i)/5, 1, (5+12i)/13, 1)
+FIXED_PHASES = (UNIT_PHASES[0], ComplexFraction(1), UNIT_PHASES[1], ComplexFraction(1))
+
+
+def rotation_phases(seed, dim):
+    """FIXED_PHASES for no seed, else a seeded diagonal of ``dim`` unit
+    phases, at least two of them not real."""
+    if seed is None:
+        return FIXED_PHASES
+    rng = random.Random(seed)
+    while True:
+        phases = tuple(rng.choice(UNIT_PHASES) for _ in range(dim))
+        if sum(1 for p in phases if p.im) >= 2:
+            return phases
+
+
+def rotated_set_json(ks, phases, label):
+    """The basis set with coordinate k of every ray multiplied by phases[k],
+    as ``ks-basis-set/1`` JSON with "p/q" parts.  The unitary is diagonal, so
+    every inner product, and with it every orthogonality, norm and the
+    channel, is unchanged, while the rays become genuinely complex."""
+    bases = [
+        [[[str(c.re), str(c.im)] for c in map(mul, entries(v), phases)] for v in basis]
+        for basis in ks.bases
+    ]
+    return {"format": "ks-basis-set/1", "label": label, "q": ks.q, "d": ks.d, "bases": bases}
+
+
+def fraction_masses(ks, ch):
+    """Per message, the total probability of its (branch, output) pairs, summed
+    one Fraction product at a time; the branch probabilities come from the
+    ComplexFraction measurement of the maximally entangled state."""
+    d = ks.d
+    psi = vector([1 if i // d == i % d else 0 for i in range(d * d)], scale=d)
+    masses = []
+    for m in range(ks.q):
+        mass = Fraction(0)
+        for j, prob, _raw, _nsq in cf_measure_first_subsystem(psi, conjugate_basis(ks.bases[m])):
+            for p_out in ch.rows[ChannelInput(m, j)].values():
+                mass += prob * p_out
+        masses.append(mass)
+    return tuple(masses)

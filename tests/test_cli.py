@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from entwit.cli import SUBCOMMANDS, build_parser, main
+from entwit.ks import load_basis_set
+from helpers import all_vectors, rotated_set_json, rotation_phases
 from test_golden import CASES
 
 BUNDLED = resources.files("entwit.data") / "ks_6_4_peres.json"
@@ -48,6 +50,27 @@ def test_verify_ks_bad_set(tmp_path, capsys):
     code, out, _ = run(capsys, "verify-ks", "--ks-set", str(path))
     assert code == 1
     assert "orthonormal: fail" in out
+
+
+def _report_lines(argv, out):
+    assert main(argv + ["--out", str(out)]) == 0, argv
+    return out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("seed", [None, 20135, 20136])
+def test_rotated_set_prints_the_bundled_reports(tmp_path, bundled, seed):
+    # a diagonal unitary moves every ray off the reals and keeps every inner
+    # product, so only the label may differ
+    phases = rotation_phases(seed, bundled.d)
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(rotated_set_json(bundled, phases, f"rotated {seed}")))
+    rotated = load_basis_set(path)
+    assert sum(any(v.im) for v in all_vectors(rotated)) >= 20
+    for argv in (["verify-ks"], ["channel-info"], ["quantum-run", "--t", "39"]):
+        ours = _report_lines(argv, tmp_path / "bundled.txt")
+        theirs = _report_lines(argv + ["--ks-set", str(path)], tmp_path / "rotated.txt")
+        assert theirs[1] == f"label: rotated {seed}" != ours[1]
+        assert theirs[:1] + theirs[2:] == ours[:1] + ours[2:]
 
 
 def test_missing_file_fails_cleanly(capsys):

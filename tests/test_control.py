@@ -498,6 +498,23 @@ def test_integer_c2_matches_brute_force(bundled, channels, kind):
     assert outside and ties
 
 
+def test_output_holder_table_is_built_once_per_instance(bundled, channels):
+    # the search's evaluator and its c2 re-check share one table, and a
+    # second instance on another channel builds its own
+    tables = {}
+    for kind in ("regular", "irregular"):
+        inst = make_instance(bundled, 5, Fraction(1, 1000), channel=channels[kind])
+        search_deterministic(inst, 1)
+        table = inst._holders
+        assert table is not None
+        optimal_c2_for_c1(inst, {x: 0 for _m, x in inst.support()})
+        assert inst._holders is table
+        fresh = make_instance(bundled, 5, 1, channel=channels[kind])
+        assert control._output_holders(fresh) == table
+        tables[kind] = table
+    assert tables["regular"] != tables["irregular"]
+
+
 def test_search_mismatch_gate_raises(monkeypatch, inst10):
     monkeypatch.setattr(
         _PrefixEvaluator, "to_fraction",

@@ -13,7 +13,10 @@ Claims covered:
     - the decoder's integer comparison agrees with a Fraction oracle on every
       branch, on ties, on seeded complex residuals and on every misuse
     - the full branch enumeration decodes all q*d*9 = 216 branches correctly,
-      sending q = 6 messages where classical codes stop at 5
+      sending q = 6 messages where classical codes stop at 5, also on the
+      set rotated by a diagonal complex unitary
+    - each message's zero-error mass equals a Fraction oracle, and stays
+      exact on an unvalidated channel whose rows sum to 8/9
 """
 
 from fractions import Fraction
@@ -22,22 +25,26 @@ import random
 
 import pytest
 
-from entwit.channel import ChannelInput, output_pair
+from entwit.channel import ChannelInput, FiniteChannel, build_ks_channel, output_pair
 from entwit.entangled import (
     decoder_decode,
     encoder_branches,
     maximally_entangled_state,
     run_zero_error_quantum,
 )
-from entwit.ks import KSBasisSet
+from entwit.ks import KSBasisSet, basis_set_from_json_dict
 from helpers import (
     ComplexFraction,
+    all_vectors,
     cf_decoder_decode,
     complete_orthonormal_basis,
+    fraction_masses,
     from_components,
     measurement_probabilities,
     overlap_sq,
     raw_dot,
+    rotated_set_json,
+    rotation_phases,
     vector,
 )
 
@@ -84,15 +91,15 @@ def test_encoder_branches_uniform_with_unit_fidelity(bundled):
         assert sum(b.probability for b in branches) == 1
         for b in branches:
             assert b.outcome.m == m
-            assert overlap_sq(b.residual, bundled.vector(m, b.outcome.j)) == 1
+            assert overlap_sq(b.residual, bundled.bases[m][b.outcome.j]) == 1
 
 
 def test_encoder_branches_conjugate_complex_basis():
     ks = _complex_single_basis()
     for b in encoder_branches(ks, 0):
         # residual equals the basis vector itself, not its conjugate
-        assert overlap_sq(b.residual, ks.vector(0, b.outcome.j)) == 1
-        assert overlap_sq(b.residual, ks.vector(0, b.outcome.j).conjugate()) != 1
+        assert overlap_sq(b.residual, ks.bases[0][b.outcome.j]) == 1
+        assert overlap_sq(b.residual, ks.bases[0][b.outcome.j].conjugate()) != 1
 
 
 def test_encoder_rejects_bad_message(bundled):
@@ -103,17 +110,17 @@ def test_encoder_rejects_bad_message(bundled):
 def test_decoder_identifies_either_candidate(bundled, channel):
     s = sorted(channel.rows[ChannelInput(0, 0)])[0]
     (m1, j1), (m2, j2) = s
-    out1, p1 = decoder_decode(bundled, s, bundled.vector(m1, j1))
+    out1, p1 = decoder_decode(bundled, s, bundled.bases[m1][j1])
     assert (out1, p1) == (ChannelInput(m1, j1), Fraction(1))
-    out2, p2 = decoder_decode(bundled, s, bundled.vector(m2, j2))
+    out2, p2 = decoder_decode(bundled, s, bundled.bases[m2][j2])
     assert (out2, p2) == (ChannelInput(m2, j2), Fraction(1))
 
 
 def test_decoder_completion_is_orthonormal_either_order(bundled, channel):
     s = sorted(channel.rows[ChannelInput(2, 1)])[3]
     (m1, j1), (m2, j2) = s
-    for pair in ([bundled.vector(m1, j1), bundled.vector(m2, j2)],
-                 [bundled.vector(m2, j2), bundled.vector(m1, j1)]):
+    for pair in ([bundled.bases[m1][j1], bundled.bases[m2][j2]],
+                 [bundled.bases[m2][j2], bundled.bases[m1][j1]]):
         basis = complete_orthonormal_basis(pair, bundled.d)
         assert len(basis) == 4
         for i, a in enumerate(basis):
@@ -130,7 +137,7 @@ def test_decode_equals_measurement_in_completed_basis(bundled, channel):
                 for order in (s, s[::-1]):
                     (m1, j1), (m2, j2) = order
                     basis = complete_orthonormal_basis(
-                        [bundled.vector(m1, j1), bundled.vector(m2, j2)], bundled.d
+                        [bundled.bases[m1][j1], bundled.bases[m2][j2]], bundled.d
                     )
                     probs = measurement_probabilities(branch.residual, basis)
                     assert sum(probs, Fraction(0)) == 1
@@ -152,9 +159,9 @@ def test_decoder_rejects_non_unit_candidates():
 
 def test_decoder_rejects_non_orthogonal_candidates(bundled):
     fake = output_pair(ChannelInput(0, 0), ChannelInput(1, 0))
-    assert raw_dot(bundled.vector(0, 0), bundled.vector(1, 0))
+    assert raw_dot(bundled.bases[0][0], bundled.bases[1][0])
     with pytest.raises(ValueError):
-        decoder_decode(bundled, fake, bundled.vector(0, 0))
+        decoder_decode(bundled, fake, bundled.bases[0][0])
 
 
 def test_decoder_rejects_residual_orthogonal_to_both(bundled, channel):
@@ -162,7 +169,7 @@ def test_decoder_rejects_residual_orthogonal_to_both(bundled, channel):
     s = output_pair(ChannelInput(0, 1), ChannelInput(0, 2))
     assert s in channel.rows[ChannelInput(0, 1)]
     with pytest.raises(ValueError):
-        decoder_decode(bundled, s, bundled.vector(0, 0))
+        decoder_decode(bundled, s, bundled.bases[0][0])
 
 
 def _outcome(decode, ks, s, residual):
@@ -221,10 +228,10 @@ def test_decoder_agrees_with_fraction_oracle_on_random_residuals(bundled, channe
 
 def test_decoder_misuse_agrees_with_fraction_oracle(bundled):
     orthogonal_to_both = (
-        output_pair(ChannelInput(0, 1), ChannelInput(0, 2)), bundled.vector(0, 0)
+        output_pair(ChannelInput(0, 1), ChannelInput(0, 2)), bundled.bases[0][0]
     )
     not_orthogonal = (
-        output_pair(ChannelInput(0, 0), ChannelInput(1, 0)), bundled.vector(0, 0)
+        output_pair(ChannelInput(0, 0), ChannelInput(1, 0)), bundled.bases[0][0]
     )
     for s, residual in (orthogonal_to_both, not_orthogonal):
         assert isinstance(_agrees_with_oracle(bundled, s, residual), str)
@@ -239,3 +246,48 @@ def test_full_run_all_branches_correct(bundled, channel):
     assert report.messages_sent == 6
     assert report.total_branches == 6 * 4 * 9
     assert set(report.per_message_mass) == {Fraction(1)}
+
+
+@pytest.mark.parametrize("seed", [None, 20137])
+def test_full_run_on_a_complex_rotation_of_the_set(bundled, channel, seed):
+    phases = rotation_phases(seed, bundled.d)
+    ks = basis_set_from_json_dict(rotated_set_json(bundled, phases, "rotated"))
+    assert sum(any(v.im) for v in all_vectors(ks)) >= 20
+    ch = build_ks_channel(ks)
+    assert ch.rows == channel.rows
+    report = run_zero_error_quantum(ks, ch)
+    assert report.all_correct and report.total_branches == 216
+    for m in range(ks.q):
+        for branch in encoder_branches(ks, m):
+            for s in ch.rows[branch.outcome]:
+                assert _agrees_with_oracle(ks, s, branch.residual) == (branch.outcome, 1)
+    assert report.per_message_mass == fraction_masses(ks, ch) == (Fraction(1),) * 6
+
+
+def test_zero_error_mass_matches_the_fraction_oracle(bundled, channel):
+    report = run_zero_error_quantum(bundled, channel)
+    assert report.per_message_mass == fraction_masses(bundled, channel)
+
+
+def _short_rows(channel, inputs):
+    """The channel with each given input's row reweighted to sum to 8/9, over
+    denominators that share no factor, and left unvalidated."""
+    rows = dict(channel.rows)
+    for i in inputs:
+        outputs = list(rows[i])
+        probs = [Fraction(1, p) for p in (5, 7, 11, 13, 17, 19, 23, 29)]
+        probs.append(Fraction(8, 9) - sum(probs))
+        assert probs[-1] > 0 and len(probs) == len(outputs)
+        rows[i] = dict(zip(outputs, probs))
+    return FiniteChannel(inputs=channel.inputs, rows=rows)
+
+
+def test_zero_error_mass_is_exact_on_rows_short_of_one(bundled, channel):
+    # the mass of message m averages its d rows, each with weight 1/d
+    one_row = _short_rows(channel, [ChannelInput(0, 0)])
+    masses = run_zero_error_quantum(bundled, one_row).per_message_mass
+    assert masses == fraction_masses(bundled, one_row)
+    assert masses == (Fraction(3 + Fraction(8, 9), 4),) + (Fraction(1),) * 5
+    whole_message = _short_rows(channel, [ChannelInput(0, j) for j in range(4)])
+    masses = run_zero_error_quantum(bundled, whole_message).per_message_mass
+    assert masses == (Fraction(8, 9),) + (Fraction(1),) * 5

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from entwit.exact import (
     Vector,
+    _gauss_dot,
     as_fraction,
     decimal_str,
-    is_orthogonal,
     measure_first_subsystem,
 )
 from entwit.ks import basis_set_from_json_dict
@@ -26,6 +26,7 @@ from helpers import (
     complete_orthonormal_basis,
     entries,
     from_components,
+    is_orthogonal,
     is_zero,
     measurement_probabilities,
     overlap_sq,
@@ -194,6 +195,47 @@ def test_integer_kernel_matches_complex_fraction_sums():
     assert seen["dims"] == {2, 3, 4, 5}
     assert min(seen["mixed_den"], seen["imag"], seen["non_unit_scale"],
                seen["dropped_branch"]) > 20
+
+
+def _gaussian_integers(rng, dim, imaginary):
+    """(re, im) integer tuples; ``imaginary`` of the im entries nonzero."""
+    re = tuple(rng.randint(-9, 9) for _ in range(dim))
+    im = [0] * dim
+    for k in rng.sample(range(dim), imaginary):
+        im[k] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return re, tuple(im)
+
+
+def _cf_sum(a_re, a_im, b_re, b_im):
+    acc = ComplexFraction(0)
+    for ar, ai, br, bi in zip(a_re, a_im, b_re, b_im):
+        acc = acc + ComplexFraction(ar, ai).conjugate() * ComplexFraction(br, bi)
+    return acc.re, acc.im
+
+
+@pytest.mark.parametrize("left,right", [(0, 0), (1, 0), (0, 1), (2, 3)])
+def test_dot_kernel_matches_complex_fraction_sums_on_either_branch(left, right):
+    # (0, 0) takes the real sum; one nonzero imaginary entry on either side
+    # must take the Gaussian loop, whose cross-terms it then needs
+    rng = random.Random(20134 + 10 * left + right)
+    nonzero_im = 0
+    for _ in range(200):
+        dim = rng.randint(max(left, right, 1), 6)
+        a = _gaussian_integers(rng, dim, left)
+        b = _gaussian_integers(rng, dim, right)
+        re, im = _gauss_dot(*a, *b)
+        assert (re, im) == _cf_sum(*a, *b)
+        assert type(re) is int and type(im) is int
+        nonzero_im += im != 0
+        longer = _gaussian_integers(rng, dim + 1, min(left, 1))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _gauss_dot(*a, *longer)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _gauss_dot(*longer, *b)
+    if left + right:
+        assert nonzero_im > 100
+    else:
+        assert nonzero_im == 0
 
 
 def _held_norm_is_fresh(v):

@@ -24,12 +24,11 @@ from pathlib import Path
 
 import pytest
 
-from entwit.exact import as_fraction, is_orthogonal
+from entwit.exact import as_fraction
 from entwit.ks import (
     BasisSetError,
     KSBasisSet,
     basis_set_from_json_dict,
-    conjugate_basis,
     load_basis_set,
     validate_basis_set,
     verify_ks_property,
@@ -37,8 +36,11 @@ from entwit.ks import (
 
 from helpers import (
     ComplexFraction,
+    all_vectors,
+    conjugate_basis,
     entries,
     from_components,
+    is_orthogonal,
     naive_ks_check,
     overlap_sq,
     raw_dot,
@@ -187,7 +189,7 @@ def test_pruned_walk_counts_like_the_flat_scan_on_failing_sets(bundled):
 
 def test_check_result_carries_the_orthogonality_table(bundled):
     masks = verify_ks_property(bundled).masks
-    flat = bundled.all_vectors()
+    flat = all_vectors(bundled)
     assert len(masks) == 24
     for a, b in combinations(range(24), 2):
         orthogonal = is_orthogonal(flat[a], flat[b])
@@ -312,15 +314,15 @@ def test_reader_matches_from_components(source):
     loaded = basis_set_from_json_dict(data)
     expected = _from_components(data)
     assert [list(basis) for basis in loaded.bases] == expected
-    assert all(v.is_unit() for v in loaded.all_vectors())
+    assert all(v.is_unit() for v in all_vectors(loaded))
 
 
 def test_rational_test_set_denotes_the_bundled_rays(bundled):
     rational = load_basis_set(DATA / "ks_rational_entries.json")
     imaginary = load_basis_set(DATA / "ks_imaginary_vector.json")
-    for v, w, u in zip(bundled.all_vectors(), rational.all_vectors(), imaginary.all_vectors()):
+    for v, w, u in zip(all_vectors(bundled), all_vectors(rational), all_vectors(imaginary)):
         assert overlap_sq(v, w) == 1 and overlap_sq(v, u) == 1
-    assert sum(v != u for v, u in zip(bundled.all_vectors(), imaginary.all_vectors())) == 1
+    assert sum(v != u for v, u in zip(all_vectors(bundled), all_vectors(imaginary))) == 1
 
 
 def test_reader_refuses_zero_denominator():
