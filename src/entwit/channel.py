@@ -34,18 +34,11 @@ def _as_input(x) -> ChannelInput:
     return x if type(x) is ChannelInput else ChannelInput(*x)
 
 
-def output_pair(a: ChannelInput, b: ChannelInput) -> ChannelOutput:
-    a, b = _as_input(a), _as_input(b)
-    if a == b:
-        raise ValueError(f"output pair must contain two distinct inputs, got {a} twice")
-    return (a, b) if a < b else (b, a)
-
-
 class FiniteChannel(NamedTuple):
     """Conditional distribution N(o | i) with exact rational probabilities.
 
-    Each row is uniform over its positive-output set, every positive output
-    contains its own input, and rows sum to exactly 1.
+    Each row is uniform over its positive outputs, each a pair of distinct
+    inputs in order holding the row's own input; rows sum to exactly 1.
     """
 
     inputs: tuple
@@ -57,31 +50,30 @@ class FiniteChannel(NamedTuple):
         rows = {}
         for i, nbrs in neighbors.items():
             i = _as_input(i)
-            nbrs = [_as_input(n) for n in nbrs]
             if not nbrs:
                 raise ValueError(f"input {i} has an empty neighbor set")
             p = Fraction(1, len(nbrs))
-            rows[i] = {output_pair(i, n): p for n in nbrs}
-            if len(rows[i]) != len(nbrs):
+            row = rows[i] = {(i, n) if i < n else (n, i): p for n in map(_as_input, nbrs)}
+            if len(row) != len(nbrs):
                 raise ValueError(f"duplicate neighbors for input {i}")
         ch = cls(inputs=tuple(sorted(rows)), rows=rows)
         ch.validate()
         return ch
 
     def validate(self) -> None:
-        """Check every row: nonempty, each output containing the row's own
-        input, and every probability equal to 1/len(row).  The last makes the
-        row sum exactly 1 (len(row) terms of 1/len(row)), so no sum is formed.
-        """
+        """Check every row: nonempty, each output a pair (a, b) with a < b
+        holding the row's own input, and every probability of numerator 1
+        and denominator len(row), so the row sums to exactly 1 unsummed."""
         for i in self.inputs:
             row = self.rows[i]
             if not row:
                 raise ValueError(f"input {i} has no outputs")
-            uniform = Fraction(1, len(row))
-            for o, p in row.items():
-                if i not in o:
-                    raise ValueError(f"positive output {o} does not contain input {i}")
-                if p != uniform:
+            for (a, b), p in row.items():
+                if not a < b:
+                    raise ValueError(f"output {(a, b)} is not two distinct inputs in order")
+                if a != i and b != i:
+                    raise ValueError(f"positive output {(a, b)} does not contain input {i}")
+                if type(p) is not Fraction or p.numerator != 1 or p.denominator != len(row):
                     raise ValueError(f"row for {i} is not uniform over its support")
 
     @property
@@ -102,9 +94,8 @@ class FiniteChannel(NamedTuple):
 def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
     """Channel whose input (m, j) maps uniformly onto its orthogonal pairs.
 
-    Requires the basis set to validate and to have the one-per-basis
-    orthogonality property; an input with no orthogonal partner anywhere in
-    the set would have an empty row, which is rejected as degenerate.
+    Requires the basis set to validate (so no row is empty: d >= 2) and to
+    have the one-per-basis orthogonality property.
     """
     validate_basis_set(ks)
     check = verify_ks_property(ks)
@@ -115,14 +106,10 @@ def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
         )
     # the traversal check's orthogonality bitmasks, indexed by id m*d + j
     ids = [ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d)]
-    neighbors = {
+    return FiniteChannel.from_neighbor_sets({
         i: [ids[b] for b in range(len(ids)) if mask >> b & 1]
         for i, mask in zip(ids, check.masks)
-    }
-    for i, nbrs in neighbors.items():
-        if not nbrs:
-            raise ValueError(f"degenerate set: input {i} has no orthogonal partner")
-    return FiniteChannel.from_neighbor_sets(neighbors)
+    })
 
 
 # -- confusability -------------------------------------------------------

@@ -13,14 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional
 
 from .bounds import bounds_for_instance, certify_separation, format_certificate
-from .channel import (
-    build_ks_channel,
-    confusability_graph,
-    independence_number,
-)
+from .channel import build_ks_channel, confusability_graph, independence_number
 from .control import evaluate_quantum, make_instance, search_deterministic
 from .exact import decimal_str, fraction_str
 from .ks import (
@@ -70,30 +67,23 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def _cmd_verify_ks(args) -> int:
     ks = _load_set(args.ks_set)
-    lines = [
-        "report: verify-ks/1",
-        f"label: {ks.label}",
-        f"q: {ks.q}",
-        f"d: {ks.d}",
-    ]
+    lines = ["report: verify-ks/1", f"label: {ks.label}", f"q: {ks.q}", f"d: {ks.d}"]
+    code = EXIT_FAIL
     try:
         validate_basis_set(ks)
     except BasisSetError as exc:
-        lines.append("orthonormal: fail")
-        lines.append(f"first-violation: basis {exc.m}, {exc.detail}")
-        _write("\n".join(lines) + "\n", args.out)
-        return EXIT_FAIL
-    lines.append("orthonormal: pass")
-    result = verify_ks_property(ks)
-    lines.append(f"traversals-checked: {result.traversals_checked}")
-    if result.holds:
-        lines.append("ks-property: holds")
-        _write("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-    lines.append("ks-property: fails")
-    lines.append(f"witness-traversal: {list(map(list, result.witness))}")
+        lines += ["orthonormal: fail", f"first-violation: basis {exc.m}, {exc.detail}"]
+    else:
+        result = verify_ks_property(ks)
+        lines += ["orthonormal: pass", f"traversals-checked: {result.traversals_checked}"]
+        if result.holds:
+            lines.append("ks-property: holds")
+            code = EXIT_OK
+        else:
+            lines.append("ks-property: fails")
+            lines.append(f"witness-traversal: {list(map(list, result.witness))}")
     _write("\n".join(lines) + "\n", args.out)
-    return EXIT_FAIL
+    return code
 
 
 def _cmd_channel_info(args) -> int:
@@ -275,14 +265,6 @@ def _common(p, t=False, k=False, window=False, search=False) -> None:
         )
 
 
-def _args_quantum_run(p) -> None:
-    _common(p, t=True, k=True)
-
-
-def _args_classical_search(p) -> None:
-    _common(p, t=True, k=True, window=True, search=True)
-
-
 def _args_certify(p) -> None:
     _common(p, k=True, search=True)
     p.add_argument(
@@ -311,48 +293,64 @@ def _args_sweep(p) -> None:
 SUBCOMMANDS = (
     ("verify-ks", "validate the basis set and its property", _cmd_verify_ks, _common),
     ("channel-info", "channel structure and capacity facts", _cmd_channel_info, _common),
-    ("quantum-run", "exact entangled-strategy evaluation", _cmd_quantum_run, _args_quantum_run),
+    (
+        "quantum-run",
+        "exact entangled-strategy evaluation",
+        _cmd_quantum_run,
+        partial(_common, t=True, k=True),
+    ),
     (
         "classical-search",
         "exact in-window minimum at one t, by branch and bound",
         _cmd_classical_search,
-        _args_classical_search,
+        partial(_common, t=True, k=True, window=True, search=True),
     ),
     ("certify", "emit a separation certificate", _cmd_certify, _args_certify),
     ("sweep", "CSV of quantum vs classical cost across t", _cmd_sweep, _args_sweep),
 )
 
 
-def build_parser(argv: Optional[List[str]] = None) -> argparse.ArgumentParser:
-    """The entwit parser, with every subcommand registered with its help.
+class _Reparse(Exception):
+    """A one-subcommand parser met help or an error, for the full one to print."""
 
-    Given the argument list it will parse, only the subcommand that list
-    names gets its arguments: the top-level parser takes no option with a
-    value, so that is its first token not starting with "-".  Top-level
-    help and errors read no subcommand's arguments, so they are the same as
-    with the full parser, which ``argv=None`` builds.
+
+def _reparse(*_args):
+    raise _Reparse
+
+
+def build_parser(argv: Optional[List[str]] = None) -> argparse.ArgumentParser:
+    """The entwit parser, with every subcommand and its arguments.
+
+    Given the argument list it will parse, when its first token not starting
+    with "-" (the top-level parser takes no option with a value) names a
+    subcommand, only that one is registered, and help or an error raises
+    ``_Reparse``: ``main`` then parses again with the full parser.
     """
+    chosen = next((arg for arg in argv or () if not arg.startswith("-")), None)
+    slim = any(name == chosen for name, *_ in SUBCOMMANDS)
     parser = argparse.ArgumentParser(
         prog="entwit",
         description="Exact channel construction, strategy evaluation and "
         "certified strategy search for the entangled-controller damping circuit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    chosen = None
-    if argv is not None:
-        chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     for name, help_text, func, add_arguments in SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        if argv is None or name == chosen:
+        if not slim or name == chosen:
+            p = sub.add_parser(name, help=help_text)
             add_arguments(p)
-        p.set_defaults(func=func)
+            p.set_defaults(func=func)
+            if slim:
+                parser.error = parser.print_help = p.error = p.print_help = _reparse
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    try:
+        args = build_parser(argv).parse_args(argv)
+    except _Reparse:
+        args = build_parser().parse_args(argv)  # prints, and exits 0 or 2
     try:
         return args.func(args)
     except UsageError as exc:

@@ -51,26 +51,19 @@ class WitsenhausenInstance:
     first use and held, as is the search's table of output holders.
     """
 
-    __slots__ = ("ks", "channel", "t", "k", "p_m", "_uniform_branch", "_holders")
+    __slots__ = ("ks", "q", "d", "channel", "t", "k", "p_m", "_uniform_branch", "_holders")
 
     def __init__(
         self, *, ks: KSBasisSet, channel: FiniteChannel, t: int, k: Fraction, p_m: tuple
     ):
         self.ks = ks
+        self.q, self.d = ks.q, ks.d
         self.channel = channel
         self.t = t
         self.k = k
         self.p_m = p_m  # Fraction per message m in [q]
         self._uniform_branch = {}  # one per instance: it depends on the channel
         self._holders = None  # the same, for _output_holders
-
-    @property
-    def q(self) -> int:
-        return self.ks.q
-
-    @property
-    def d(self) -> int:
-        return self.ks.d
 
     def support(self) -> tuple:
         """(m, x = m*t) for every message with positive probability."""
@@ -80,7 +73,7 @@ class WitsenhausenInstance:
         """The input (a, b) with y = a*t + b, or None when y is out of form;
         unique since t >= d."""
         a, b = divmod(y, self.t)
-        if 0 <= a < self.ks.q and b < self.ks.d:
+        if 0 <= a < self.q and b < self.d:
             return ChannelInput(a, b)
         return None
 
@@ -174,21 +167,29 @@ class CostReport(NamedTuple):
 def evaluate_deterministic(
     inst: WitsenhausenInstance, strat: DeterministicStrategy
 ) -> CostReport:
-    """Exact expected cost by enumerating every branch of the circuit."""
-    control = Fraction(0)
-    damping = Fraction(0)
-    branches = 0
-    max_z = 0
-    for m, x in inst.support():
+    """Exact expected cost by enumerating every branch of the circuit, as
+    integer sums over common denominators: L, the lcm of the message
+    probabilities', for control, and L times that of the outputs' so far."""
+    support = inst.support()
+    big_l = lcm(*[inst.p_m[m].denominator for m, _ in support])
+    control = damping = branches = max_z = 0  # control * L / k, damping * L * den
+    den = 1
+    for m, x in support:
         px = inst.p_m[m]
+        w = px.numerator * (big_l // px.denominator)  # p_m * L
         a1 = strat.c1_at(x)
         y = x + a1
-        control += px * inst.k * a1 * a1
+        control += w * a1 * a1
         for s, p_out in inst.output_distribution(y).items():
             z = y + strat.c2_at(s)
-            damping += px * p_out * z * z
+            pn, pd = p_out.numerator, p_out.denominator
+            common = lcm(den, pd)
+            damping = damping * (common // den) + w * pn * (common // pd) * z * z
+            den = common
             branches += 1
             max_z = max(max_z, abs(z))
+    control = Fraction(control * inst.k.numerator, big_l * inst.k.denominator)
+    damping = Fraction(damping, big_l * den)
     return CostReport(control + damping, control, damping, branches, max_z)
 
 

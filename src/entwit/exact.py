@@ -8,16 +8,17 @@ sums, so orthogonality and measurement probabilities are decided exactly,
 with no tolerances; a Fraction is formed only from the final sums.  Floats
 never enter.
 
-Every inner product goes through one kernel, ``_gauss_dot``; when both sides'
-imaginary numerators are all zero, as on the bundled set, it is one real
-integer sum, decided from the numerators on every call.
+Every inner product goes through one kernel, ``_gauss_dot``, but those of a
+whole set's orthogonality table, which ``orthogonality_masks`` fills in one
+pass.  When both sides' imaginary numerators are all zero, as on the bundled
+set, the kernel takes one real integer sum, decided on every call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import mul, neg
 from typing import Sequence
 
 
@@ -41,6 +42,26 @@ def _gauss_dot(a_re, a_im, b_re, b_im) -> tuple:
         re += ar * br + ai * bi
         im += ar * bi - ai * br
     return re, im
+
+
+def orthogonality_masks(vectors: Sequence["Vector"]) -> list:
+    """Per vector a of one dimension, the bitmask of the others orthogonal
+    to it.  The inner product is two real sums over the parts laid end to
+    end, (a_re.b_re + a_im.b_im) + i*(a_re.b_im - a_im.b_re); on a set with
+    no imaginary numerator the second is 0 and is not formed."""
+    parts, turned = [v.re for v in vectors], None
+    if any(any(v.im) for v in vectors):
+        parts = [v.re + v.im for v in vectors]
+        turned = [v.im + tuple(map(neg, v.re)) for v in vectors]
+    masks = [0] * len(parts)
+    for a, pa in enumerate(parts):
+        for b in range(a + 1, len(parts)):
+            if not sum(map(mul, pa, parts[b])) and (
+                turned is None or not sum(map(mul, pa, turned[b]))
+            ):
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+    return masks
 
 
 class Vector:

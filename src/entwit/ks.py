@@ -19,7 +19,7 @@ from importlib import resources
 from math import lcm
 from typing import NamedTuple, Optional
 
-from .exact import Vector, _gauss_dot, as_fraction
+from .exact import Vector, _gauss_dot, as_fraction, orthogonality_masks
 
 BUNDLED_SET_RESOURCE = "ks_6_4_peres.json"
 
@@ -95,15 +95,7 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
     """
     validate_basis_set(ks)
     q, d = ks.q, ks.d
-    parts = [(v.re, v.im) for basis in ks.bases for v in basis]
-    n = q * d
-    masks = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if _gauss_dot(*parts[a], *parts[b]) == (0, 0):
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-    masks = tuple(masks)
+    masks = tuple(orthogonality_masks([v for basis in ks.bases for v in basis]))
     checked = 0
 
     def walk(m: int, chosen: int, prefix: tuple) -> Optional[tuple]:

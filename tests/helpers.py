@@ -159,6 +159,14 @@ def flat_scan(inst, window):
 # -- channel and graph oracles -------------------------------------------------
 
 
+def output_pair(a, b):
+    """The output {a, b} of two distinct inputs, stored in order."""
+    a, b = ChannelInput(*a), ChannelInput(*b)
+    if a == b:
+        raise ValueError(f"output pair must contain two distinct inputs, got {a} twice")
+    return (a, b) if a < b else (b, a)
+
+
 def neighbors(ch, i):
     """The inputs i' appearing with i in its positive outputs, sorted."""
     i = ChannelInput(*i)

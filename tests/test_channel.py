@@ -26,7 +26,6 @@ from entwit.channel import (
     build_ks_channel,
     confusability_graph,
     independence_number,
-    output_pair,
     verify_zero_error,
 )
 from entwit.control import make_instance
@@ -40,6 +39,7 @@ from helpers import (
     from_components,
     has_independent_subset,
     is_independent,
+    output_pair,
     raw_dot,
 )
 
@@ -83,31 +83,44 @@ def _row_channel(row):
     return FiniteChannel(inputs=(a,), rows={a: row})
 
 
+A00, A10, A11 = ChannelInput(0, 0), ChannelInput(1, 0), ChannelInput(1, 1)
+
+
 @pytest.mark.parametrize(
     "row,message",
     [
         ({}, "no outputs"),
-        (  # sums to 1, but not uniform
-            {
-                (ChannelInput(0, 0), ChannelInput(1, 0)): Fraction(1, 3),
-                (ChannelInput(0, 0), ChannelInput(1, 1)): Fraction(2, 3),
-            },
-            "not uniform",
-        ),
-        (  # equal probabilities that sum to 2/3
-            {
-                (ChannelInput(0, 0), ChannelInput(1, 0)): Fraction(1, 3),
-                (ChannelInput(0, 0), ChannelInput(1, 1)): Fraction(1, 3),
-            },
-            "not uniform",
-        ),
-        ({(ChannelInput(1, 0), ChannelInput(1, 1)): Fraction(1)}, "does not contain"),
+        ({(A00, A10): Fraction(1, 3), (A00, A11): Fraction(2, 3)}, "not uniform"),
+        # equal probabilities that sum to 2/3
+        ({(A00, A10): Fraction(1, 3), (A00, A11): Fraction(1, 3)}, "not uniform"),
+        ({(A10, A11): Fraction(1)}, "does not contain"),
+        ({(A00, A00): Fraction(1)}, "not two distinct inputs"),
+        # one neighbor twice, once in each order
+        ({(A00, A10): Fraction(1, 2), (A10, A00): Fraction(1, 2)}, "not two distinct"),
+        ({(A00, A10): 0.5, (A00, A11): 0.5}, "not uniform"),
+        ({(A00, A10): Fraction(1)}, None),
     ],
-    ids=["empty", "non-uniform", "uniform-short-of-one", "without-own-input"],
+    ids=[
+        "empty", "non-uniform", "uniform-short-of-one", "without-own-input",
+        "self-neighbor", "duplicate-neighbor", "float", "one-certain-output",
+    ],
 )
 def test_validate_rejects_malformed_rows(row, message):
-    with pytest.raises(ValueError, match=message):
+    if message is None:
         _row_channel(row).validate()
+    else:
+        with pytest.raises(ValueError, match=message):
+            _row_channel(row).validate()
+
+
+@pytest.mark.parametrize(
+    "nbrs,message",
+    [([A00, A10], "not two distinct inputs"), ([A10, A10], "duplicate neighbors")],
+    ids=["self-neighbor", "duplicate-neighbor"],
+)
+def test_neighbor_sets_reject_malformed_rows(nbrs, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteChannel.from_neighbor_sets({A00: nbrs})
 
 
 def test_neighbor_sets_given_as_plain_tuples():

@@ -439,21 +439,26 @@ def test_parser_for_one_subcommand_matches_the_full_parser(capsys, argv):
     assert _parse(build_parser(argv), argv, capsys) == full
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [],
-        ["bogus"],
-        ["quantum-run"],
-        ["quantum-run", "--t", "x"],
-        ["--unknown", "quantum-run"],  # the subcommand need not come first
-        ["certify", "--bound", "-1"],
-        ["--help"],
-        ["quantum-run", "--help"],
-        ["sweep", "--t", "4", "--window", "1", "--format", "xml"],
-    ],
-    ids=repr,
-)
+# argument lists that end in help or a usage error, which main must print as
+# the full parser does; the tier-1 workflow replays them under python -O
+PARSER_EXITS = [
+    [],
+    ["bogus"],
+    ["quantum-run"],
+    ["quantum-run", "--t", "x"],
+    ["--unknown", "quantum-run"],  # the subcommand need not come first
+    ["certify", "--bound", "-1"],
+    ["--help"],
+    ["quantum-run", "--help"],
+    ["--help", "quantum-run"],  # the top-level help lists every subcommand
+    ["sweep", "--t", "4", "--window", "1", "--format", "xml"],
+    # the top-level parser reports these, with every subcommand in its usage
+    ["quantum-run", "--t", "5", "--bogus"],
+    ["certify", "--bound", "7/2", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=repr)
 def test_parser_errors_and_help_match_the_full_parser(capsys, argv):
     expected = _parse(build_parser(), argv, capsys)
     try:

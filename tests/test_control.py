@@ -498,6 +498,34 @@ def test_integer_c2_matches_brute_force(bundled, channels, kind):
     assert outside and ties
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_deterministic_cost_matches_a_fraction_sum(bundled, channels, kind):
+    # the re-check sums on integers; against plain Fraction sums over the
+    # same branches, on random tables with wires out of form, message
+    # distributions with zero-probability messages, and c2 optimal or random
+    rng = random.Random(1414)
+    outside = 0
+    for t, k, p_m in [
+        (4, Fraction(1), UNIFORM),
+        (5, Fraction(7, 3), SKEWED4),
+        (6, Fraction(1, 1000), SKEWED3),
+    ]:
+        inst = make_instance(bundled, t, k, p_m=p_m, channel=channels[kind])
+        for optimal in (True, False):
+            strat = random_strategy(rng, inst, 4, optimal=optimal)
+            outside += sum(inst.decompose(x + v) is None for x, v in strat.c1.items())
+            control = sum(
+                (inst.p_m[m] * k * strat.c1[x] ** 2 for m, x in inst.support()),
+                Fraction(0),
+            )
+            branches = branch_signals(inst, strat)
+            damping = sum((p * z * z for p, z in branches), Fraction(0))
+            max_z = max(abs(z) for _p, z in branches)
+            expected = (control + damping, control, damping, len(branches), max_z)
+            assert evaluate_deterministic(inst, strat) == expected
+    assert outside
+
+
 def test_output_holder_table_is_built_once_per_instance(bundled, channels):
     # the search's evaluator and its c2 re-check share one table, and a
     # second instance on another channel builds its own

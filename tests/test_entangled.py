@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from entwit.channel import ChannelInput, FiniteChannel, build_ks_channel, output_pair
+from entwit.channel import ChannelInput, FiniteChannel, build_ks_channel
 from entwit.entangled import (
     decoder_decode,
     encoder_branches,
@@ -41,6 +41,7 @@ from helpers import (
     fraction_masses,
     from_components,
     measurement_probabilities,
+    output_pair,
     overlap_sq,
     raw_dot,
     rotated_set_json,

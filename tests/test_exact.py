@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from entwit.exact import (
     as_fraction,
     decimal_str,
     measure_first_subsystem,
+    orthogonality_masks,
 )
 from entwit.ks import basis_set_from_json_dict
 from helpers import (
@@ -236,6 +238,33 @@ def test_dot_kernel_matches_complex_fraction_sums_on_either_branch(left, right):
         assert nonzero_im > 100
     else:
         assert nonzero_im == 0
+
+
+@pytest.mark.parametrize("complex_vectors", [0, 1, 5])
+def test_orthogonality_masks_match_complex_fraction_sums(complex_vectors):
+    # entries in {-1, 0, 1} make many pairs orthogonal; one complex vector
+    # must switch the whole set off the real path, since a pair can have a
+    # zero real part and a nonzero imaginary one, as (1, 0) and (i, 0) have
+    rng = random.Random(20140 + complex_vectors)
+    imaginary_only = orthogonal = 0
+    for _ in range(40):
+        dim = rng.randint(2, 4)
+        parts = []
+        for n in range(8):
+            while True:
+                re = tuple(rng.randint(-1, 1) for _ in range(dim))
+                im = tuple(rng.randint(-1, 1) if n < complex_vectors else 0 for _ in range(dim))
+                if any(re + im):
+                    break
+            parts.append((re, im))
+        masks = orthogonality_masks([Vector(re, im) for re, im in parts])
+        for a, b in product(range(len(parts)), repeat=2):
+            dot = _cf_sum(*parts[a], *parts[b])
+            assert (masks[a] >> b & 1) == (a != b and dot == (0, 0))
+            orthogonal += a != b and dot == (0, 0)
+            imaginary_only += dot[0] == 0 != dot[1]
+    assert orthogonal > 100
+    assert imaginary_only > 0 if complex_vectors else imaginary_only == 0
 
 
 def _held_norm_is_fresh(v):
