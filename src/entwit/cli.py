@@ -17,7 +17,11 @@ from functools import partial
 from typing import List, Optional
 
 from .bounds import bounds_for_instance, certify_separation, format_certificate
-from .channel import build_ks_channel, confusability_graph, independence_number
+from .channel import (
+    build_ks_channel,
+    confusability_graph,
+    independence_number,
+)
 from .control import evaluate_quantum, make_instance, search_deterministic
 from .exact import decimal_str, fraction_str
 from .ks import (
@@ -67,23 +71,30 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def _cmd_verify_ks(args) -> int:
     ks = _load_set(args.ks_set)
-    lines = ["report: verify-ks/1", f"label: {ks.label}", f"q: {ks.q}", f"d: {ks.d}"]
-    code = EXIT_FAIL
+    lines = [
+        "report: verify-ks/1",
+        f"label: {ks.label}",
+        f"q: {ks.q}",
+        f"d: {ks.d}",
+    ]
     try:
         validate_basis_set(ks)
     except BasisSetError as exc:
-        lines += ["orthonormal: fail", f"first-violation: basis {exc.m}, {exc.detail}"]
-    else:
-        result = verify_ks_property(ks)
-        lines += ["orthonormal: pass", f"traversals-checked: {result.traversals_checked}"]
-        if result.holds:
-            lines.append("ks-property: holds")
-            code = EXIT_OK
-        else:
-            lines.append("ks-property: fails")
-            lines.append(f"witness-traversal: {list(map(list, result.witness))}")
+        lines.append("orthonormal: fail")
+        lines.append(f"first-violation: basis {exc.m}, {exc.detail}")
+        _write("\n".join(lines) + "\n", args.out)
+        return EXIT_FAIL
+    lines.append("orthonormal: pass")
+    result = verify_ks_property(ks)
+    lines.append(f"traversals-checked: {result.traversals_checked}")
+    if result.holds:
+        lines.append("ks-property: holds")
+        _write("\n".join(lines) + "\n", args.out)
+        return EXIT_OK
+    lines.append("ks-property: fails")
+    lines.append(f"witness-traversal: {list(map(list, result.witness))}")
     _write("\n".join(lines) + "\n", args.out)
-    return code
+    return EXIT_FAIL
 
 
 def _cmd_channel_info(args) -> int:
@@ -314,43 +325,51 @@ class _Reparse(Exception):
     """A one-subcommand parser met help or an error, for the full one to print."""
 
 
-def _reparse(*_args):
-    raise _Reparse
+class _OneSubcommandParser(argparse.ArgumentParser):
+    """Its usage line would list only its one subcommand, so it prints
+    neither help nor errors: it raises ``_Reparse`` instead."""
+
+    def error(self, *_args):
+        raise _Reparse
+
+    print_help = error
 
 
-def build_parser(argv: Optional[List[str]] = None) -> argparse.ArgumentParser:
-    """The entwit parser, with every subcommand and its arguments.
-
-    Given the argument list it will parse, when its first token not starting
-    with "-" (the top-level parser takes no option with a value) names a
-    subcommand, only that one is registered, and help or an error raises
-    ``_Reparse``: ``main`` then parses again with the full parser.
-    """
-    chosen = next((arg for arg in argv or () if not arg.startswith("-")), None)
-    slim = any(name == chosen for name, *_ in SUBCOMMANDS)
-    parser = argparse.ArgumentParser(
+def _parser(entries, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="entwit",
         description="Exact channel construction, strategy evaluation and "
         "certified strategy search for the entangled-controller damping circuit.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, func, add_arguments in SUBCOMMANDS:
-        if not slim or name == chosen:
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=func)
-            if slim:
-                parser.error = parser.print_help = p.error = p.print_help = _reparse
+    sub = parser.add_subparsers(dest="command", required=True)  # of parser_class
+    for name, help_text, func, add_arguments in entries:
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The entwit parser, with every subcommand and its arguments."""
+    return _parser(SUBCOMMANDS)
+
+
+def _subcommand_parser(argv: List[str]) -> Optional[argparse.ArgumentParser]:
+    """A ``_OneSubcommandParser`` for the subcommand that argv names, or None.
+    That is argv's first token not starting with "-", since the top-level
+    parser takes no option with a value."""
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    entries = [entry for entry in SUBCOMMANDS if entry[0] == chosen]
+    return _parser(entries, _OneSubcommandParser) if entries else None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
-    except _Reparse:
-        args = build_parser().parse_args(argv)  # prints, and exits 0 or 2
+        args = (_subcommand_parser(argv) or build_parser()).parse_args(argv)
+    except _Reparse:  # help or an error: the full parser prints, and exits 0 or 2
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

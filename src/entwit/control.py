@@ -51,19 +51,26 @@ class WitsenhausenInstance:
     first use and held, as is the search's table of output holders.
     """
 
-    __slots__ = ("ks", "q", "d", "channel", "t", "k", "p_m", "_uniform_branch", "_holders")
+    __slots__ = ("ks", "channel", "t", "k", "p_m", "_uniform_branch", "_holders")
 
     def __init__(
         self, *, ks: KSBasisSet, channel: FiniteChannel, t: int, k: Fraction, p_m: tuple
     ):
         self.ks = ks
-        self.q, self.d = ks.q, ks.d
         self.channel = channel
         self.t = t
         self.k = k
         self.p_m = p_m  # Fraction per message m in [q]
         self._uniform_branch = {}  # one per instance: it depends on the channel
         self._holders = None  # the same, for _output_holders
+
+    @property
+    def q(self) -> int:
+        return self.ks.q
+
+    @property
+    def d(self) -> int:
+        return self.ks.d
 
     def support(self) -> tuple:
         """(m, x = m*t) for every message with positive probability."""
@@ -73,7 +80,7 @@ class WitsenhausenInstance:
         """The input (a, b) with y = a*t + b, or None when y is out of form;
         unique since t >= d."""
         a, b = divmod(y, self.t)
-        if 0 <= a < self.q and b < self.d:
+        if 0 <= a < self.ks.q and b < self.ks.d:
             return ChannelInput(a, b)
         return None
 

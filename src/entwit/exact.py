@@ -8,17 +8,17 @@ sums, so orthogonality and measurement probabilities are decided exactly,
 with no tolerances; a Fraction is formed only from the final sums.  Floats
 never enter.
 
-Every inner product goes through one kernel, ``_gauss_dot``, but those of a
-whole set's orthogonality table, which ``orthogonality_masks`` fills in one
-pass.  When both sides' imaginary numerators are all zero, as on the bundled
-set, the kernel takes one real integer sum, decided on every call.
+Every inner product goes through one kernel, ``_gauss_dot``.  When both
+sides' imaginary numerators are all zero, as on the bundled set, it is one
+real integer sum, decided from the numerators on every call;
+``orthogonality_masks`` decides it once for a whole set's table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul, neg
+from operator import mul
 from typing import Sequence
 
 
@@ -45,20 +45,22 @@ def _gauss_dot(a_re, a_im, b_re, b_im) -> tuple:
 
 
 def orthogonality_masks(vectors: Sequence["Vector"]) -> list:
-    """Per vector a of one dimension, the bitmask of the others orthogonal
-    to it.  The inner product is two real sums over the parts laid end to
-    end, (a_re.b_re + a_im.b_im) + i*(a_re.b_im - a_im.b_re); on a set with
-    no imaginary numerator the second is 0 and is not formed."""
-    parts, turned = [v.re for v in vectors], None
-    if any(any(v.im) for v in vectors):
-        parts = [v.re + v.im for v in vectors]
-        turned = [v.im + tuple(map(neg, v.re)) for v in vectors]
-    masks = [0] * len(parts)
-    for a, pa in enumerate(parts):
-        for b in range(a + 1, len(parts)):
-            if not sum(map(mul, pa, parts[b])) and (
-                turned is None or not sum(map(mul, pa, turned[b]))
-            ):
+    """Per vector, the bitmask of the others orthogonal to it.  The imaginary
+    numerators are looked at once for the whole set: with none, each pair is
+    one real integer sum; otherwise each pair goes through ``_gauss_dot``."""
+    dims = sorted({len(v.re) for v in vectors})
+    if len(dims) > 1:
+        raise ValueError(f"dimension mismatch: {dims}")
+    real = not any(any(v.im) for v in vectors)
+    masks = [0] * len(vectors)
+    for a, va in enumerate(vectors):
+        for b in range(a + 1, len(vectors)):
+            vb = vectors[b]
+            if real:
+                orthogonal = not sum(map(mul, va.re, vb.re))
+            else:
+                orthogonal = _gauss_dot(va.re, va.im, vb.re, vb.im) == (0, 0)
+            if orthogonal:
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
     return masks

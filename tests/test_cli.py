@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from entwit.cli import SUBCOMMANDS, build_parser, main
+from entwit.cli import SUBCOMMANDS, _Reparse, _subcommand_parser, build_parser, main
 from entwit.ks import load_basis_set
 from helpers import all_vectors, rotated_set_json, rotation_phases
 from test_golden import CASES
@@ -436,7 +436,9 @@ def _argv_id(argv):
 def test_parser_for_one_subcommand_matches_the_full_parser(capsys, argv):
     full = _parse(build_parser(), argv, capsys)
     assert isinstance(full[0], dict)
-    assert _parse(build_parser(argv), argv, capsys) == full
+    parser = _subcommand_parser(argv)
+    assert parser is not None
+    assert _parse(parser, argv, capsys) == full
 
 
 # argument lists that end in help or a usage error, which main must print as
@@ -468,6 +470,13 @@ def test_parser_errors_and_help_match_the_full_parser(capsys, argv):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == expected
     assert code == (0 if "--help" in argv else 2)
+    # the one-subcommand parser's usage line would list one subcommand, so
+    # it prints nothing; only main sees its _Reparse
+    parser = _subcommand_parser(argv)
+    if parser is not None:
+        with pytest.raises(_Reparse):
+            parser.parse_args(argv)
+        assert capsys.readouterr() == ("", "")
 
 
 def test_help_lists_every_subcommand(capsys):

@@ -267,6 +267,15 @@ def test_orthogonality_masks_match_complex_fraction_sums(complex_vectors):
     assert imaginary_only > 0 if complex_vectors else imaginary_only == 0
 
 
+@pytest.mark.parametrize("im", [(0, 0), (1, 0)], ids=["real", "complex"])
+def test_orthogonality_masks_refuse_mixed_dimensions(im):
+    # a real sum over zip would stop at the shorter vector and find (1, 0)
+    # orthogonal to (0, 1, 1); the kernel refuses, and so must the table
+    vectors = [Vector((1, 0), im), Vector((0, 1, 1), (0, 0, 0))]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        orthogonality_masks(vectors)
+
+
 def _held_norm_is_fresh(v):
     """The norm held since construction equals the numerators' sum, recomputed."""
     return v._nsq == sum(r * r for r in v.re) + sum(i * i for i in v.im)
