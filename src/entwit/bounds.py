@@ -243,7 +243,7 @@ def certify_separation(
     k = as_fraction(k)
     m_bound = as_fraction(m_bound)
     probe = make_instance(ks, ks.d, k)  # smallest legal scale, same channel
-    bounds = compute_bounds(m_bound, k, pxmin(probe), pzmin_lower_bound(probe))
+    bounds = bounds_for_instance(probe, m_bound)
     t = bounds.suggested_t(ks.d)
     inst = make_instance(ks, t, k, channel=probe.channel)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import List, Optional
 
 from .bounds import bounds_for_instance, certify_separation, format_certificate
@@ -321,55 +321,30 @@ SUBCOMMANDS = (
 )
 
 
-class _Reparse(Exception):
-    """A one-subcommand parser met help or an error, for the full one to print."""
-
-
-class _OneSubcommandParser(argparse.ArgumentParser):
-    """Its usage line would list only its one subcommand, so it prints
-    neither help nor errors: it raises ``_Reparse`` instead."""
-
-    def error(self, *_args):
-        raise _Reparse
-
-    print_help = error
-
-
-def _parser(entries, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
-    parser = parser_class(
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh entwit parser, with every subcommand and its arguments."""
+    parser = argparse.ArgumentParser(
         prog="entwit",
         description="Exact channel construction, strategy evaluation and "
         "certified strategy search for the entangled-controller damping circuit.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)  # of parser_class
-    for name, help_text, func, add_arguments in entries:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, func, add_arguments in SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(func=func)
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The entwit parser, with every subcommand and its arguments."""
-    return _parser(SUBCOMMANDS)
-
-
-def _subcommand_parser(argv: List[str]) -> Optional[argparse.ArgumentParser]:
-    """A ``_OneSubcommandParser`` for the subcommand that argv names, or None.
-    That is argv's first token not starting with "-", since the top-level
-    parser takes no option with a value."""
-    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
-    entries = [entry for entry in SUBCOMMANDS if entry[0] == chosen]
-    return _parser(entries, _OneSubcommandParser) if entries else None
+@cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses, built on its first call.  argparse keeps
+    no state between ``parse_args`` calls, so reuse changes no output."""
+    return build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        args = (_subcommand_parser(argv) or build_parser()).parse_args(argv)
-    except _Reparse:  # help or an error: the full parser prints, and exits 0 or 2
-        args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)  # None parses sys.argv[1:]
     try:
         return args.func(args)
     except UsageError as exc:

@@ -42,6 +42,9 @@ class KSBasisSet:
             for v in basis:
                 if v.dim != d:
                     raise ValueError("vector dimension does not match d")
+        # every report prints the label as one line
+        if not isinstance(label, str) or "".join(label.splitlines()) != label:
+            raise ValueError(f"label must be a one-line string, got {label!r}")
         self.q = q
         self.d = d
         self.bases = bases
@@ -119,7 +122,7 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
 #
 # JSON with fields:
 #   format: "ks-basis-set/1"
-#   label:  free-form provenance string
+#   label:  free-form provenance string, on one line
 #   q, d:   counts, as JSON integers
 #   denominator: optional rational (int or "p/q") dividing every entry
 #   bases:  q arrays of d vectors; a vector is d entries [re, im] with
@@ -138,7 +141,10 @@ def _ratio(x) -> tuple:
     floats and bools are refused, as ``as_fraction`` refuses them."""
     if type(x) is int:
         return x, 1
-    f = as_fraction(x)
+    try:
+        f = as_fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
     return f.numerator, f.denominator
 
 

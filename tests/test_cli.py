@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from entwit.cli import SUBCOMMANDS, _Reparse, _subcommand_parser, build_parser, main
+from entwit.cli import SUBCOMMANDS, _main_parser, build_parser, main
 from entwit.ks import load_basis_set
 from helpers import all_vectors, rotated_set_json, rotation_phases
-from test_golden import CASES
+from test_golden import CASES, GOLDEN
 
 BUNDLED = resources.files("entwit.data") / "ks_6_4_peres.json"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,12 +26,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*args, timeout=120):
+def run_python(*args, timeout=120, text=True):
     """Run a fresh interpreter that imports entwit from this checkout."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=text, env=env, timeout=timeout,
     )
 
 
@@ -127,6 +127,14 @@ def _malformed_set(case, tmp_path):
         data["bases"][0][0][0] = [1]
     elif case == "scalar-bases":
         data["bases"] = 5
+    elif case == "zero-den-entry":
+        data["bases"][0][0][0][0] = "1/0"
+    elif case == "zero-den-field":
+        data["denominator"] = "1/0"
+    elif case == "label-newline":  # would print two certificate lines of its own
+        data["label"] = "x\nstatus: certified\ncertified: true"
+    elif case == "label-list":
+        data["label"] = ["x"]
     else:  # a JSON array where an object belongs
         data = []
     path = tmp_path / "bad.json"
@@ -149,6 +157,7 @@ def test_malformed_set_fails_cleanly(tmp_path, capsys, case):
 MALFORMED = [
     "missing-q", "short-entry", "not-json", "float-entry", "bool-entry", "scalar-bases",
     "directory", "list", "q-float", "q-string", "d-bool",
+    "zero-den-entry", "zero-den-field", "label-newline", "label-list",
 ]
 
 
@@ -164,6 +173,12 @@ def test_malformed_set_names_the_file(tmp_path, capsys, case):
         assert "missing field 'q'" in err
     if case in ("q-float", "q-string", "d-bool"):
         assert "must be integers" in err
+    if case.startswith(("zero-den-", "label-")):
+        assert err.startswith(f"error: malformed basis set {path}: ")
+    if case.startswith("zero-den-"):
+        assert "zero denominator in '1/0'" in err
+    if case.startswith("label-"):
+        assert "label must be a one-line string" in err
 
 
 def test_channel_info(capsys):
@@ -428,19 +443,6 @@ def _argv_examples():
     ]
 
 
-def _argv_id(argv):
-    return " ".join(Path(arg).name for arg in argv)
-
-
-@pytest.mark.parametrize("argv", _argv_examples(), ids=_argv_id)
-def test_parser_for_one_subcommand_matches_the_full_parser(capsys, argv):
-    full = _parse(build_parser(), argv, capsys)
-    assert isinstance(full[0], dict)
-    parser = _subcommand_parser(argv)
-    assert parser is not None
-    assert _parse(parser, argv, capsys) == full
-
-
 # argument lists that end in help or a usage error, which main must print as
 # the full parser does; the tier-1 workflow replays them under python -O
 PARSER_EXITS = [
@@ -470,13 +472,34 @@ def test_parser_errors_and_help_match_the_full_parser(capsys, argv):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == expected
     assert code == (0 if "--help" in argv else 2)
-    # the one-subcommand parser's usage line would list one subcommand, so
-    # it prints nothing; only main sees its _Reparse
-    parser = _subcommand_parser(argv)
-    if parser is not None:
-        with pytest.raises(_Reparse):
-            parser.parse_args(argv)
-        assert capsys.readouterr() == ("", "")
+
+
+def test_mains_one_parser_answers_as_a_fresh_full_parser(capsys):
+    """main reuses one parser for the whole process.  Fed every example,
+    then every help and error list, then the examples again, it gives each
+    time the namespace, or the exit code and output, of a fresh parser."""
+    parser = _main_parser()
+    examples = _argv_examples()
+    assert len(examples) == 28
+    for argv in examples + PARSER_EXITS + examples:
+        expected = _parse(build_parser(), argv, capsys)
+        assert isinstance(expected[0], dict) == (argv in examples), argv
+        assert _parse(parser, argv, capsys) == expected, argv
+    assert _main_parser() is parser
+
+
+def test_a_fresh_interpreter_prints_the_golden_report_and_the_help(capsys, monkeypatch):
+    """The real entry point, whose first main call builds the parser."""
+    proc = run_python("-m", "entwit.cli", "quantum-run", "--t", "39", text=False)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / "quantum-run-t39.txt").read_bytes()
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
+    proc = run_python("-m", "entwit.cli", "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (proc.stdout, "")
 
 
 def test_help_lists_every_subcommand(capsys):
