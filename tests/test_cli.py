@@ -443,6 +443,19 @@ def _argv_examples():
     ]
 
 
+def _argv_id(argv):
+    return " ".join(Path(arg).name for arg in argv)
+
+
+@pytest.mark.parametrize("argv", _argv_examples(), ids=_argv_id)
+def test_parser_for_one_subcommand_matches_the_full_parser(capsys, argv):
+    """The parser main uses for one subcommand's command gives the namespace
+    of a fresh full parser."""
+    full = _parse(build_parser(), argv, capsys)
+    assert isinstance(full[0], dict)
+    assert _parse(_main_parser(), argv, capsys) == full
+
+
 # argument lists that end in help or a usage error, which main must print as
 # the full parser does; the tier-1 workflow replays them under python -O
 PARSER_EXITS = [
