@@ -91,7 +91,8 @@ def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
     """
     (m1, j1), (m2, j2) = s
     cand1, cand2 = ks.bases[m1][j1], ks.bases[m2][j2]
-    if _gauss_dot(cand1.re, cand1.im, cand2.re, cand2.im) != (0, 0):
+    real = cand1.real and cand2.real
+    if _gauss_dot(cand1.re, cand1.im, cand2.re, cand2.im, real) != (0, 0):
         raise ValueError(f"candidates {s} are not orthogonal")
     if not (cand1.is_unit() and cand2.is_unit()):
         raise ValueError(f"candidates {s} are not unit vectors")

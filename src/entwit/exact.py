@@ -8,10 +8,10 @@ sums, so orthogonality and measurement probabilities are decided exactly,
 with no tolerances; a Fraction is formed only from the final sums.  Floats
 never enter.
 
-Every inner product goes through one kernel, ``_gauss_dot``.  When both
-sides' imaginary numerators are all zero, as on the bundled set, it is one
-real integer sum, decided from the numerators on every call;
-``orthogonality_masks`` decides it once for a whole set's table.
+Every inner product goes through one kernel, ``_gauss_dot``.  A vector
+decides once, in its one constructor, whether its imaginary numerators are
+all zero, and holds the answer; when both sides hold it, as on the bundled
+set, the kernel takes one real integer sum and scans nothing.
 """
 
 from __future__ import annotations
@@ -31,11 +31,15 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _gauss_dot(a_re, a_im, b_re, b_im) -> tuple:
-    """Integer (re, im) of sum(conj(a_k) * b_k) over Gaussian integers."""
+def _gauss_dot(a_re, a_im, b_re, b_im, real: bool) -> tuple:
+    """Integer (re, im) of sum(conj(a_k) * b_k) over Gaussian integers.
+
+    ``real`` must say whether both imaginary parts are all zero; callers pass
+    the two vectors' held flags, ``v.real and w.real``, and it is not checked.
+    """
     if len(a_re) != len(b_re):
         raise ValueError(f"dimension mismatch: {len(a_re)} vs {len(b_re)}")
-    if not (any(a_im) or any(b_im)):
+    if real:
         return sum(map(mul, a_re, b_re)), 0
     re = im = 0
     for ar, ai, br, bi in zip(a_re, a_im, b_re, b_im):
@@ -45,22 +49,13 @@ def _gauss_dot(a_re, a_im, b_re, b_im) -> tuple:
 
 
 def orthogonality_masks(vectors: Sequence["Vector"]) -> list:
-    """Per vector, the bitmask of the others orthogonal to it.  The imaginary
-    numerators are looked at once for the whole set: with none, each pair is
-    one real integer sum; otherwise each pair goes through ``_gauss_dot``."""
-    dims = sorted({len(v.re) for v in vectors})
-    if len(dims) > 1:
-        raise ValueError(f"dimension mismatch: {dims}")
-    real = not any(any(v.im) for v in vectors)
+    """Per vector, the bitmask of the others orthogonal to it."""
     masks = [0] * len(vectors)
     for a, va in enumerate(vectors):
+        re, im, real = va.re, va.im, va.real
         for b in range(a + 1, len(vectors)):
             vb = vectors[b]
-            if real:
-                orthogonal = not sum(map(mul, va.re, vb.re))
-            else:
-                orthogonal = _gauss_dot(va.re, va.im, vb.re, vb.im) == (0, 0)
-            if orthogonal:
+            if _gauss_dot(re, im, vb.re, vb.im, real and vb.real) == (0, 0):
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
     return masks
@@ -72,14 +67,16 @@ class Vector:
     ``re`` and ``im`` are integer numerators, stored in lowest terms with
     the positive denominator ``den``; with no ``scale`` given, the scale is
     their squared norm over den^2, which makes the vector the unit vector
-    along them.  The object is immutable, so the integer squared norm of the
-    numerators is computed once, at construction, and held in ``_nsq``.
+    along them.  The object is immutable and this is its one constructor, so
+    what it decides about the numerators cannot go stale: their integer
+    squared norm is held in ``_nsq``, and whether every imaginary numerator
+    is zero in ``real``, which every inner product reads.
     The sqrt never has to be evaluated: every quantity this package consumes
     (orthogonality, squared overlaps, squared norms, measurement
     probabilities) is rational in the numerators and the scale.
     """
 
-    __slots__ = ("re", "im", "den", "scale", "_nsq")
+    __slots__ = ("re", "im", "den", "scale", "_nsq", "real")
 
     def __init__(self, re: Sequence[int], im: Sequence[int], den: int = 1, scale=None):
         if not re or len(re) != len(im):
@@ -104,8 +101,13 @@ class Vector:
             scale = scale if type(scale) is Fraction else as_fraction(scale)
             if scale <= 0:
                 raise ValueError(f"vector scale must be positive, got {scale}")
-        for name, value in zip(Vector.__slots__, (re, im, den, scale, nsq)):
-            object.__setattr__(self, name, value)
+        put = object.__setattr__  # immutable: attributes are set here only
+        put(self, "re", re)
+        put(self, "im", im)
+        put(self, "den", den)
+        put(self, "scale", scale)
+        put(self, "_nsq", nsq)
+        put(self, "real", not any(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
@@ -133,10 +135,12 @@ class Vector:
         nsq = self._nsq * other._nsq
         if nsq == 0:
             raise ValueError("overlap with a zero vector is undefined")
-        re, im = _gauss_dot(self.re, self.im, other.re, other.im)
+        re, im = _gauss_dot(self.re, self.im, other.re, other.im, self.real and other.real)
         return re * re + im * im, nsq
 
     def conjugate(self) -> "Vector":
+        if self.real:
+            return self
         return Vector(self.re, tuple(-i for i in self.im), self.den, self.scale)
 
     def __eq__(self, other) -> bool:
@@ -197,7 +201,8 @@ def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
     branches = []
     for j, u in enumerate(basis):
         # residual entry i2 is sum over i1 of conj(u_i1) * state_(i1*b + i2)
-        res_re, res_im = zip(*(_gauss_dot(u.re, u.im, *col) for col in columns))
+        real = u.real and state.real
+        res_re, res_im = zip(*(_gauss_dot(u.re, u.im, *col, real) for col in columns))
         # the residual is (res / den) / sqrt(u.scale * state.scale); its squared
         # norm is the branch probability, and only its direction is kept
         parts = res_re + res_im

@@ -78,7 +78,7 @@ def validate_basis_set(ks: KSBasisSet) -> None:
                 raise BasisSetError(m, (j, j), f"vector {j} has squared norm {v.norm_sq()}")
             for j2 in range(j + 1, len(basis)):
                 w = basis[j2]
-                if _gauss_dot(v.re, v.im, w.re, w.im) != (0, 0):
+                if _gauss_dot(v.re, v.im, w.re, w.im, v.real and w.real) != (0, 0):
                     raise BasisSetError(
                         m, (j, j2), f"vectors {j} and {j2} are not orthogonal"
                     )
@@ -129,23 +129,23 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
 #           int or "p/q" rational parts
 # Vectors are stored as unnormalized directions; the loader normalizes each
 # one exactly (components divided by their own norm).  Every part is read as
-# an integer (numerator, denominator) pair; a vector's parts are brought to
-# their least common denominator, the denominator field is folded in, and
-# the Gaussian-integer numerators become the vector directly.
+# an int, or a Fraction when it is not one; all parts are brought to one
+# common denominator for the whole set, the denominator field is folded in,
+# and the Gaussian-integer numerators become each vector directly, whose
+# constructor reduces them to lowest terms.
 
 FORMAT_TAG = "ks-basis-set/1"
 
 
-def _ratio(x) -> tuple:
-    """(numerator, positive denominator) of an int or rational-string part;
-    floats and bools are refused, as ``as_fraction`` refuses them."""
+def _part(x):
+    """An int part as itself, a rational-string part as a Fraction; floats
+    and bools are refused, as ``as_fraction`` refuses them."""
     if type(x) is int:
-        return x, 1
+        return x
     try:
-        f = as_fraction(x)
+        return as_fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
-    return f.numerator, f.denominator
 
 
 def basis_set_from_json_dict(data: dict) -> KSBasisSet:
@@ -155,20 +155,25 @@ def basis_set_from_json_dict(data: dict) -> KSBasisSet:
     q, d = data["q"], data["d"]
     if type(q) is not int or type(d) is not int:  # refuses floats, strings, bools
         raise ValueError(f"q and d must be integers, got {q!r} and {d!r}")
-    p, r = _ratio(data.get("denominator", 1))
-    if p == 0:
+    field = _part(data.get("denominator", 1))
+    if field == 0:
         raise ValueError("denominator must be nonzero")
-    # x / (p / r) = (x * r * sign(p)) / |p|
-    mult = r if p > 0 else -r
+    # per vector, re and im parts alternating
+    parts = [
+        [[_part(x) for re, im in raw_vec for x in (re, im)] for raw_vec in raw_basis]
+        for raw_basis in data["bases"]
+    ]
+    common = lcm(*{x.denominator for basis in parts for vec in basis for x in vec})
+    # x / (p / r) = (x * common * r * sign(p)) / (common * |p|)
+    p, r = field.numerator, field.denominator
+    mult = common * r if p > 0 else -common * r
+    den = common * abs(p)
     bases = []
-    for raw_basis in data["bases"]:
+    for basis in parts:
         vectors = []
-        for raw_vec in raw_basis:
-            parts = [(_ratio(re), _ratio(im)) for re, im in raw_vec]
-            common = lcm(*(den for pair in parts for _, den in pair))
-            re = [x * (common // den) * mult for (x, den), _ in parts]
-            im = [x * (common // den) * mult for _, (x, den) in parts]
-            vectors.append(Vector(re, im, common * abs(p)))
+        for vec in basis:
+            nums = [(x * mult).numerator for x in vec]
+            vectors.append(Vector(nums[0::2], nums[1::2], den))
         bases.append(tuple(vectors))
     return KSBasisSet(q=q, d=d, bases=tuple(bases), label=data.get("label", ""))
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import floor, lcm
-from operator import mul
 from types import MappingProxyType
 
 from entwit.channel import ChannelInput, ZeroErrorCode, confusability_graph
@@ -436,14 +435,14 @@ def raw_dot(v, w):
     """Sesquilinear sum(conj(v_k) * w_k) over the raw entries, from the
     integer kernel; the denoted inner product is this over
     sqrt(v.scale * w.scale), so it is zero iff this is zero."""
-    re, im = _gauss_dot(v.re, v.im, w.re, w.im)
+    re, im = _gauss_dot(v.re, v.im, w.re, w.im, v.real and w.real)
     den = v.den * w.den
     return ComplexFraction(Fraction(re, den), Fraction(im, den))
 
 
 def is_orthogonal(v, w):
     """True iff <v|w> = 0, decided exactly on the integer numerators."""
-    return _gauss_dot(v.re, v.im, w.re, w.im) == (0, 0)
+    return _gauss_dot(v.re, v.im, w.re, w.im, v.real and w.real) == (0, 0)
 
 
 def all_vectors(ks):
@@ -576,7 +575,7 @@ def measurement_probabilities(state, basis):
     return [cf_overlap_sq(b, state) for b in basis]
 
 
-# -- the basis set under a diagonal Gaussian-rational unitary -------------------
+# -- the basis set under a Gaussian-rational unitary ----------------------------
 
 # unit-modulus Gaussian rationals from Pythagorean triples, and the units
 UNIT_PHASES = tuple(
@@ -599,16 +598,56 @@ def rotation_phases(seed, dim):
             return phases
 
 
-def rotated_set_json(ks, phases, label):
-    """The basis set with coordinate k of every ray multiplied by phases[k],
-    as ``ks-basis-set/1`` JSON with "p/q" parts.  The unitary is diagonal, so
-    every inner product, and with it every orthogonality, norm and the
-    channel, is unchanged, while the rays become genuinely complex."""
-    bases = [
-        [[[str(c.re), str(c.im)] for c in map(mul, entries(v), phases)] for v in basis]
-        for basis in ks.bases
-    ]
+def diagonal(phases):
+    """The diagonal matrix with these entries, as rows."""
+    return [[p if i == j else 0 for j in range(len(phases))] for i, p in enumerate(phases)]
+
+
+def matmul(x, y):
+    """The product of two matrices given as rows, in ComplexFractions."""
+    return tuple(
+        tuple(sum((x[i][k] * y[k][j] for k in range(len(y))), ComplexFraction(0))
+              for j in range(len(y[0])))
+        for i in range(len(x))
+    )
+
+
+def rotated_set_json(ks, u, label):
+    """The basis set with every ray multiplied by the unitary matrix ``u``, as
+    ``ks-basis-set/1`` JSON with "p/q" parts.  A unitary keeps every inner
+    product, and with it every orthogonality, norm and the channel, while a
+    complex one makes the rays genuinely complex."""
+    bases = []
+    for basis in ks.bases:
+        images = [matmul(u, [[e] for e in entries(v)]) for v in basis]  # columns
+        bases.append([[[str(c.re), str(c.im)] for (c,) in image] for image in images])
     return {"format": "ks-basis-set/1", "label": label, "q": ks.q, "d": ks.d, "bases": bases}
+
+
+# the 4x4 Hadamard matrix; H/2 is real orthogonal
+HADAMARD_4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+
+
+def left_quaternion(a, b, c, d):
+    """The matrix of x -> (a + bi + cj + dk) x on R^4, coordinates in the
+    order 1, i, j, k; orthogonal when a^2 + b^2 + c^2 + d^2 = 1."""
+    return ((a, -b, -c, -d), (b, a, -d, c), (c, d, a, -b), (d, -c, b, a))
+
+
+def fixed_unitary():
+    """U = D·Q·(H/2): D = diag(FIXED_PHASES), Q left multiplication by the
+    unit quaternion (1, 2, 2, 4)/5, H the Hadamard matrix.  Q·(H/2) is real
+    orthogonal and mixes every coordinate, and D makes it complex."""
+    q = [[Fraction(x, 5) for x in row] for row in left_quaternion(1, 2, 2, 4)]
+    h = [[Fraction(x, 2) for x in row] for row in HADAMARD_4]
+    return matmul(matmul(diagonal(FIXED_PHASES), q), h)
+
+
+UNITARY_LABEL = (
+    "the bundled rays under U = D Q H/2: D = diag((3+4i)/5, 1, (5+12i)/13, 1),"
+    " Q = left multiplication by (1+2i+2j+4k)/5, H = the 4x4 Hadamard matrix"
+)
+
 
 
 def fraction_masses(ks, ch):

@@ -12,7 +12,7 @@ import pytest
 
 from entwit.cli import SUBCOMMANDS, _main_parser, build_parser, main
 from entwit.ks import load_basis_set
-from helpers import all_vectors, rotated_set_json, rotation_phases
+from helpers import all_vectors, diagonal, rotated_set_json, rotation_phases
 from test_golden import CASES, GOLDEN
 
 BUNDLED = resources.files("entwit.data") / "ks_6_4_peres.json"
@@ -63,7 +63,7 @@ def test_rotated_set_prints_the_bundled_reports(tmp_path, bundled, seed):
     # product, so only the label may differ
     phases = rotation_phases(seed, bundled.d)
     path = tmp_path / "rotated.json"
-    path.write_text(json.dumps(rotated_set_json(bundled, phases, f"rotated {seed}")))
+    path.write_text(json.dumps(rotated_set_json(bundled, diagonal(phases), f"rotated {seed}")))
     rotated = load_basis_set(path)
     assert sum(any(v.im) for v in all_vectors(rotated)) >= 20
     for argv in (["verify-ks"], ["channel-info"], ["quantum-run", "--t", "39"]):

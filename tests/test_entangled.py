@@ -38,6 +38,7 @@ from helpers import (
     all_vectors,
     cf_decoder_decode,
     complete_orthonormal_basis,
+    diagonal,
     fraction_masses,
     from_components,
     measurement_probabilities,
@@ -252,7 +253,7 @@ def test_full_run_all_branches_correct(bundled, channel):
 @pytest.mark.parametrize("seed", [None, 20137])
 def test_full_run_on_a_complex_rotation_of_the_set(bundled, channel, seed):
     phases = rotation_phases(seed, bundled.d)
-    ks = basis_set_from_json_dict(rotated_set_json(bundled, phases, "rotated"))
+    ks = basis_set_from_json_dict(rotated_set_json(bundled, diagonal(phases), "rotated"))
     assert sum(any(v.im) for v in all_vectors(ks)) >= 20
     ch = build_ks_channel(ks)
     assert ch.rows == channel.rows

@@ -1,4 +1,9 @@
-"""Exact scalar/vector layer: arithmetic, normalization, completion, measurement."""
+"""Exact scalar/vector layer: arithmetic, normalization, completion, measurement.
+
+Every inner product reads the two vectors' held real flags, so a product
+whose real part is zero and whose imaginary part is not, as (1, 0) against
+(i, 0), is checked through each caller that reads them.
+"""
 
 import random
 from fractions import Fraction
@@ -16,7 +21,8 @@ from entwit.exact import (
     measure_first_subsystem,
     orthogonality_masks,
 )
-from entwit.ks import basis_set_from_json_dict
+from entwit.entangled import decoder_decode
+from entwit.ks import BasisSetError, KSBasisSet, basis_set_from_json_dict, validate_basis_set
 from helpers import (
     ComplexFraction,
     abs_sq,
@@ -171,7 +177,7 @@ def test_integer_kernel_matches_complex_fraction_sums():
         assert raw_dot(v, w) == cf_dot(v, w)
         assert v.norm_sq() == cf_norm_sq(v)
         assert v.is_unit() == (v.norm_sq() == 1)
-        assert _held_norm_is_fresh(v)
+        assert _held_is_fresh(v)
         assert is_orthogonal(v, w) == (not cf_dot(v, w))
         if is_zero(v) or is_zero(w):
             with pytest.raises(ValueError):
@@ -217,23 +223,25 @@ def _cf_sum(a_re, a_im, b_re, b_im):
 
 @pytest.mark.parametrize("left,right", [(0, 0), (1, 0), (0, 1), (2, 3)])
 def test_dot_kernel_matches_complex_fraction_sums_on_either_branch(left, right):
-    # (0, 0) takes the real sum; one nonzero imaginary entry on either side
-    # must take the Gaussian loop, whose cross-terms it then needs
+    # (0, 0) may take the real sum; one nonzero imaginary entry on either side
+    # must take the Gaussian loop, whose cross-terms it then needs, and the
+    # loop is also right on real parts
     rng = random.Random(20134 + 10 * left + right)
     nonzero_im = 0
     for _ in range(200):
         dim = rng.randint(max(left, right, 1), 6)
         a = _gaussian_integers(rng, dim, left)
         b = _gaussian_integers(rng, dim, right)
-        re, im = _gauss_dot(*a, *b)
-        assert (re, im) == _cf_sum(*a, *b)
+        re, im = _gauss_dot(*a, *b, not (left or right))
+        assert (re, im) == _cf_sum(*a, *b) == _gauss_dot(*a, *b, False)
         assert type(re) is int and type(im) is int
         nonzero_im += im != 0
         longer = _gaussian_integers(rng, dim + 1, min(left, 1))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            _gauss_dot(*a, *longer)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            _gauss_dot(*longer, *b)
+        for real in (True, False):  # the length is checked before either branch
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                _gauss_dot(*a, *longer, real)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                _gauss_dot(*longer, *b, real)
     if left + right:
         assert nonzero_im > 100
     else:
@@ -242,9 +250,9 @@ def test_dot_kernel_matches_complex_fraction_sums_on_either_branch(left, right):
 
 @pytest.mark.parametrize("complex_vectors", [0, 1, 5])
 def test_orthogonality_masks_match_complex_fraction_sums(complex_vectors):
-    # entries in {-1, 0, 1} make many pairs orthogonal; one complex vector
-    # must switch the whole set off the real path, since a pair can have a
-    # zero real part and a nonzero imaginary one, as (1, 0) and (i, 0) have
+    # entries in {-1, 0, 1} make many pairs orthogonal; a pair with a complex
+    # vector must leave the real sum, since it can have a zero real part and
+    # a nonzero imaginary one, as (1, 0) and (i, 0) have
     rng = random.Random(20140 + complex_vectors)
     imaginary_only = orthogonal = 0
     for _ in range(40):
@@ -276,9 +284,11 @@ def test_orthogonality_masks_refuse_mixed_dimensions(im):
         orthogonality_masks(vectors)
 
 
-def _held_norm_is_fresh(v):
-    """The norm held since construction equals the numerators' sum, recomputed."""
-    return v._nsq == sum(r * r for r in v.re) + sum(i * i for i in v.im)
+def _held_is_fresh(v):
+    """The squared norm and real flag held since construction equal what
+    the numerators give, recomputed."""
+    nsq = sum(r * r for r in v.re) + sum(i * i for i in v.im)
+    return v._nsq == nsq and v.real is (not any(v.im))
 
 
 def _loaded(parts, den):
@@ -296,24 +306,49 @@ def _loaded(parts, den):
 
 def test_held_norm_is_fresh_on_every_construction_path():
     w = Vector((6, 0, -3), (3, 9, 0), 12, Fraction(2, 7))  # reduced by 3
-    made = {"constructor": w, "conjugate": w.conjugate()}
+    r = Vector((6, 0, -3), (0, 0, 0), 12, Fraction(2, 7))  # real, reduced by 3
+    made = {
+        "constructor/complex": w,
+        "constructor/real": r,
+        "conjugate/complex": w.conjugate(),
+        "conjugate/real": r.conjugate(),
+    }
     rows = [
         [ComplexFraction(1, 2), ComplexFraction("1/3", -1), ComplexFraction(3)],
         [ComplexFraction(0, "-5/4"), ComplexFraction(2), ComplexFraction(0)],
         [ComplexFraction("7/6"), ComplexFraction(0), ComplexFraction(-1, 1)],
     ]
+    real_rows = [
+        [ComplexFraction(x) for x in row] for row in ((1, "-2/3", 0), (0, 3, "1/2"), (5, 0, 0))
+    ]
     loaded = {}
     for den in (1, -3, "3/2", "-3/2"):
         # the reader's numerators must equal dividing the entries and normalizing
         loaded[den] = _loaded(rows, den)
-        for n, (got, row) in enumerate(zip(loaded[den], rows)):
-            made[f"loader/{den}/{n}"] = got
-            assert got == from_components(row, denominator=den)
-            assert got.is_unit()
+        for kind, parts in (("complex", rows), ("real", real_rows)):
+            vectors = loaded[den] if kind == "complex" else _loaded(real_rows, den)
+            for n, (got, row) in enumerate(zip(vectors, parts)):
+                made[f"loader/{kind}/{den}/{n}"] = got
+                assert got == from_components(row, denominator=den)
+                assert got.is_unit()
+    # the measurement's residuals, from a real and a complex state
+    basis = [Vector((1, 1), (0, 0)), Vector((1, -1), (0, 0))]
+    for name, state in (
+        ("real", Vector((1, 0, 0, 1), (0, 0, 0, 0))),
+        ("complex", Vector((1, 0, 0, 0), (0, 0, 0, 1))),
+    ):
+        for j, _prob, residual in measure_first_subsystem(state, basis):
+            made[f"residual/{name}/{j}"] = residual
     for path, u in made.items():
-        assert _held_norm_is_fresh(u), path
+        assert _held_is_fresh(u), path
         assert u.norm_sq() == cf_norm_sq(u), path
+    # every path makes both real and complex vectors
+    kinds = {(path.split("/")[0], u.real) for path, u in made.items()}
+    assert kinds == set(product(("constructor", "conjugate", "loader", "residual"), (True, False)))
     assert w == vector(entries(w), w.scale) and w.den == 4
+    # a real vector is its own conjugate; a complex one is not
+    assert r.conjugate() is r and r.conjugate() == r
+    assert w.conjugate() != w and w.conjugate().conjugate() == w
     # a negative denominator flips the direction; it is not the same vector
     assert loaded["-3/2"] == _loaded([[-c for c in row] for row in rows], "3/2")
     assert loaded["-3/2"] != loaded["3/2"]
@@ -361,8 +396,37 @@ def test_constructor_refuses_or_stores_lowest_terms(args, stored):
     v = Vector(*args)
     assert (v.re, v.im, v.den, v.scale) == stored
     assert v.den > 0 and type(v.scale) is Fraction
-    assert _held_norm_is_fresh(v)
+    assert _held_is_fresh(v)
     assert v == eval(repr(v), {"Vector": Vector, "Fraction": Fraction})
+
+
+# (1, 0) against (i, 0): the inner product is i, so the pair is not
+# orthogonal and the squared overlap is 1
+E0 = Vector((1, 0), (0, 0))
+I_E0 = Vector((0, 0), (1, 0))
+
+
+@pytest.mark.parametrize("caller", ["validate", "decode", "overlap", "masks", "measure"])
+def test_a_product_with_only_an_imaginary_part_is_not_zero(caller):
+    ks = KSBasisSet(q=1, d=2, bases=((E0, I_E0),))
+    if caller == "validate":
+        with pytest.raises(BasisSetError) as info:
+            validate_basis_set(ks)
+        assert info.value.pair == (0, 1) and "not orthogonal" in info.value.detail
+    elif caller == "decode":
+        with pytest.raises(ValueError, match="not orthogonal"):
+            decoder_decode(ks, ((0, 0), (0, 1)), E0)
+    elif caller == "overlap":
+        assert E0.overlap_sq_ratio(I_E0) == I_E0.overlap_sq_ratio(E0) == (1, 1)
+    elif caller == "masks":
+        assert orthogonality_masks([E0, I_E0]) == [0, 0]
+    else:
+        # (|00> + i|11>) / sqrt(2) along the real standard basis: outcome 1
+        # leaves (0, i), whose real numerators are all zero
+        state = Vector((1, 0, 0, 0), (0, 0, 0, 1))
+        branches = measure_first_subsystem(state, [E0, Vector((0, 1), (0, 0))])
+        assert [(j, p) for j, p, _ in branches] == [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
+        assert branches[1][2] == Vector((0, 0), (0, 1))
 
 
 # -- completion and measurement ----------------------------------------------

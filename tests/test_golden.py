@@ -12,18 +12,31 @@ the loader read every part as an integer pair.  Those read two sets under
 with one vector multiplied by i.  Any change to a report's bytes, or to
 a command's exit code, fails here; a deliberate report change must
 regenerate the file in the same commit.
+
+A unitary keeps every inner product, so the bundled rays under the
+non-diagonal complex unitary of ``helpers.fixed_unitary``, committed as
+``ks_6_4_unitary.json``, must print four of the golden reports apart from
+their ``label:`` line; that runs the complex branch of every inner product
+through the whole command line.  The file is re-derived from the bundled
+set here, so it cannot drift, and one perturbed entry must fail
+``verify-ks`` at the first pair it breaks.
 """
 
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from entwit.cli import main
+from entwit.ks import load_basis_set
+from helpers import UNITARY_LABEL, cf_dot, fixed_unitary, rotated_set_json
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 RATIONAL_SET = str(DATA / "ks_rational_entries.json")
 IMAGINARY_SET = str(DATA / "ks_imaginary_vector.json")
+UNITARY_SET = str(DATA / "ks_6_4_unitary.json")
 
 # (file name, argv, exit code)
 CASES = (
@@ -87,3 +100,67 @@ def test_report_bytes_match_golden(tmp_path, name, argv, code):
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# (golden file, argv): each prints that file's bytes, apart from the label
+# line, on UNITARY_SET, and exits 0
+UNITARY_CASES = (
+    ("verify-ks.txt", ["verify-ks"]),
+    ("channel-info.txt", ["channel-info"]),
+    ("quantum-run-t39.txt", ["quantum-run", "--t", "39"]),
+    ("certify-k1-bound7_2.txt", ["certify", "--bound", "7/2"]),
+)
+
+
+def unlabelled(report: bytes) -> tuple:
+    """(the report without its label line, the label line)."""
+    lines = report.decode().splitlines(keepends=True)
+    (at,) = [n for n, line in enumerate(lines) if line.startswith("label: ")]
+    return "".join(lines[:at] + lines[at + 1:]), lines[at]
+
+
+def test_unitary_set_is_the_bundled_set_under_the_fixed_unitary(bundled):
+    # regenerate with rotated_set_json(bundled, fixed_unitary(), UNITARY_LABEL)
+    # if the bundled set or the unitary changes
+    committed = json.loads(Path(UNITARY_SET).read_text())
+    assert committed == rotated_set_json(bundled, fixed_unitary(), UNITARY_LABEL)
+    rays = [v for basis in load_basis_set(UNITARY_SET).bases for v in basis]
+    assert not any(v.real for v in rays)
+
+
+@pytest.mark.parametrize("name,argv", UNITARY_CASES, ids=[c[0] for c in UNITARY_CASES])
+def test_unitary_set_prints_the_golden_reports(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(argv + ["--ks-set", UNITARY_SET, "--out", str(out)]) == 0
+    ours, label = unlabelled(out.read_bytes())
+    golden, golden_label = unlabelled((GOLDEN / name).read_bytes())
+    assert ours == golden
+    assert label == f"label: {UNITARY_LABEL}\n" != golden_label
+
+
+def test_perturbed_unitary_set_fails_at_the_first_broken_pair(tmp_path):
+    # 1/7 added to a zero imaginary part: the loader still normalizes the ray,
+    # so the first violation is an orthogonality, found here by
+    # ComplexFraction sums in basis order
+    data = json.loads(Path(UNITARY_SET).read_text())
+    entry = data["bases"][4][3][1]
+    assert entry[1] == "0"
+    entry[1] = str(Fraction(entry[1]) + Fraction(1, 7))
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(data))
+    broken = [
+        (m, j, j2)
+        for m, basis in enumerate(load_basis_set(path).bases)
+        for j in range(len(basis))
+        for j2 in range(j + 1, len(basis))
+        if cf_dot(basis[j], basis[j2])
+    ]
+    assert broken[0] == (4, 0, 3)
+    out = tmp_path / "verify-ks.txt"
+    assert main(["verify-ks", "--ks-set", str(path), "--out", str(out)]) == 1
+    ours, _ = unlabelled(out.read_bytes())
+    golden, _ = unlabelled((GOLDEN / "verify-ks.txt").read_bytes())
+    head = golden.split("orthonormal:")[0]
+    assert ours == head + (
+        "orthonormal: fail\nfirst-violation: basis 4, vectors 0 and 3 are not orthogonal\n"
+    )
