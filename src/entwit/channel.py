@@ -104,11 +104,11 @@ def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
             f"basis set lacks the one-per-basis orthogonality property; "
             f"witness traversal {check.witness}"
         )
-    # the traversal check's orthogonality bitmasks, indexed by id m*d + j
+    # the set's held orthogonality bitmasks, indexed by id m*d + j
     ids = [ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d)]
     return FiniteChannel.from_neighbor_sets({
         i: [ids[b] for b in range(len(ids)) if mask >> b & 1]
-        for i, mask in zip(ids, check.masks)
+        for i, mask in zip(ids, ks.masks)
     })
 
 

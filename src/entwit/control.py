@@ -215,18 +215,18 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
     inv_d = Fraction(1, inst.d)
     for m, x in inst.support():
         j_sq = 0
-        for branch in encoder_branches(inst.ks, m):
-            if branch.probability != inv_d:
+        for outcome, probability, residual in encoder_branches(inst.ks, m):
+            j = outcome.j
+            if probability != inv_d:
                 raise QuantumDecodeError(
-                    f"encoder branch probability {branch.probability} != 1/{inst.d}",
-                    witness=(m, branch.outcome.j, None),
+                    f"encoder branch probability {probability} != 1/{inst.d}",
+                    witness=(m, j, None),
                 )
-            j = branch.outcome.j
             y = x + j
             j_sq += j * j
             for s in inst.output_distribution(y):
-                decoded, p_dec = decoder_decode(inst.ks, s, branch.residual)
-                if decoded != (m, j) or p_dec != 1:
+                decoded, p_dec = decoder_decode(inst.ks, s, residual)
+                if decoded != outcome or p_dec != 1:
                     raise QuantumDecodeError(
                         f"decoder returned {decoded} with probability {p_dec}",
                         witness=(m, j, s),

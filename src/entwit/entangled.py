@@ -8,11 +8,7 @@ decoder measures in any orthonormal basis containing both candidate vectors,
 identifying its residual with certainty; the outcome probabilities of the two
 candidates are squared overlaps, so that basis is never completed.  The
 simulation enumerates every branch with exact probabilities; nothing is
-sampled.
-
-The decoder reads the candidates' integer numerators from the basis set, and
-the zero-error run sums each message's mass as an integer over a common
-denominator; a Fraction is built only for a result.
+sampled, and a Fraction is built only for a result.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .channel import ChannelInput, ChannelOutput, FiniteChannel
-from .exact import Vector, _gauss_dot, measure_first_subsystem
+from .exact import Vector, measure_first_subsystem
 from .ks import KSBasisSet, validate_basis_set
 
 _ONE = Fraction(1)
@@ -81,20 +77,22 @@ def encoder_branches(ks: KSBasisSet, m: int) -> list:
 def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
     """Measure the residual in an orthonormal basis containing both candidates.
 
-    ``s`` is the channel output {(m, j), (m', j')}; the two candidate vectors
-    must be orthonormal and the residual must overlap at least one of them.
-    In any orthonormal basis that contains the candidates, the Born
-    probability of candidate i is the squared overlap of the residual with
-    it, so the rest of the basis is never built.  Returns (outcome,
-    probability), the outcome being the candidate of ``s`` itself; under the
-    strategy's preconditions the probability is exactly 1.
+    ``s`` is the channel output {(m, j), (m', j')} of two vectors of the set,
+    which must be orthonormal (read from ``ks.masks`` and the held ``unit``);
+    the residual must overlap one of them.  In any orthonormal basis holding
+    the candidates, the Born probability of candidate i is the residual's
+    squared overlap with it, so the rest of the basis is never built.
+    Returns (outcome, probability), the outcome being the candidate of ``s``
+    itself; under the strategy's preconditions the probability is exactly 1.
     """
     (m1, j1), (m2, j2) = s
-    cand1, cand2 = ks.bases[m1][j1], ks.bases[m2][j2]
-    real = cand1.real and cand2.real
-    if _gauss_dot(cand1.re, cand1.im, cand2.re, cand2.im, real) != (0, 0):
+    q, d = ks.q, ks.d
+    if not (0 <= m1 < q and 0 <= m2 < q and 0 <= j1 < d and 0 <= j2 < d):
+        raise ValueError(f"output {s} names a vector outside [0, {q}) x [0, {d})")
+    if not ks.masks[m1 * d + j1] >> (m2 * d + j2) & 1:
         raise ValueError(f"candidates {s} are not orthogonal")
-    if not (cand1.is_unit() and cand2.is_unit()):
+    cand1, cand2 = ks.bases[m1][j1], ks.bases[m2][j2]
+    if not (cand1.unit and cand2.unit):
         raise ValueError(f"candidates {s} are not unit vectors")
     # the two squared overlaps are compared as integer ratios; a Fraction is
     # built only for the one returned, and a certain outcome shares _ONE

@@ -8,10 +8,10 @@ sums, so orthogonality and measurement probabilities are decided exactly,
 with no tolerances; a Fraction is formed only from the final sums.  Floats
 never enter.
 
-Every inner product goes through one kernel, ``_gauss_dot``.  A vector
-decides once, in its one constructor, whether its imaginary numerators are
-all zero, and holds the answer; when both sides hold it, as on the bundled
-set, the kernel takes one real integer sum and scans nothing.
+Every inner product goes through one kernel, ``_gauss_dot``.  Whether a
+vector is real and whether it is a unit vector are decided in its one
+constructor and held; a basis set's pairs are decided once, by
+``orthogonality_masks`` in the ``KSBasisSet`` constructor.
 """
 
 from __future__ import annotations
@@ -69,14 +69,14 @@ class Vector:
     their squared norm over den^2, which makes the vector the unit vector
     along them.  The object is immutable and this is its one constructor, so
     what it decides about the numerators cannot go stale: their integer
-    squared norm is held in ``_nsq``, and whether every imaginary numerator
-    is zero in ``real``, which every inner product reads.
+    squared norm in ``_nsq``, every imaginary numerator being zero in
+    ``real`` and ``norm_sq() == 1`` in ``unit``.
     The sqrt never has to be evaluated: every quantity this package consumes
     (orthogonality, squared overlaps, squared norms, measurement
     probabilities) is rational in the numerators and the scale.
     """
 
-    __slots__ = ("re", "im", "den", "scale", "_nsq", "real")
+    __slots__ = ("re", "im", "den", "scale", "_nsq", "real", "unit")
 
     def __init__(self, re: Sequence[int], im: Sequence[int], den: int = 1, scale=None):
         if not re or len(re) != len(im):
@@ -108,6 +108,7 @@ class Vector:
         put(self, "scale", scale)
         put(self, "_nsq", nsq)
         put(self, "real", not any(im))
+        put(self, "unit", nsq * scale.denominator == den * den * scale.numerator)
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
@@ -119,11 +120,6 @@ class Vector:
     def norm_sq(self) -> Fraction:
         s = self.scale
         return Fraction(self._nsq * s.denominator, self.den ** 2 * s.numerator)
-
-    def is_unit(self) -> bool:
-        """norm_sq() == 1, decided on integers; no Fraction is built."""
-        s = self.scale
-        return self._nsq * s.denominator == self.den * self.den * s.numerator
 
     def overlap_sq_ratio(self, other: "Vector") -> tuple:
         """Squared fidelity |<self|other>|^2 between the normalized rays, as

@@ -4,8 +4,10 @@ A basis set here is q orthonormal bases of C^d.  The property that drives the
 whole channel construction: every traversal that picks one vector from each
 basis contains at least one orthogonal pair.  ``verify_ks_property`` decides
 this for all d^q minimal traversals (any superset of a traversal inherits
-the property, so minimal traversals suffice) by a depth-first walk that
-settles every completion of a prefix holding an orthogonal pair at once.
+the property, so minimal traversals suffice).  Orthogonality is decided once,
+in the ``KSBasisSet`` constructor, and unit norm in the ``Vector`` one;
+validation, the traversal walk, the channel build and the decoder read those
+held answers and compute no basis-pair inner product.
 
 The bundled instance is the classic set of 24 real rays in C^4 (components in
 {0, +-1}) partitioned into six orthonormal bases; it ships as data under
@@ -19,21 +21,23 @@ from importlib import resources
 from math import lcm
 from typing import NamedTuple, Optional
 
-from .exact import Vector, _gauss_dot, as_fraction, orthogonality_masks
+from .exact import Vector, as_fraction, orthogonality_masks
 
 BUNDLED_SET_RESOURCE = "ks_6_4_peres.json"
 
 
 class KSBasisSet:
-    """q orthonormal bases of C^d; ``bases[m][j]`` is vector j of basis m."""
+    """q orthonormal bases of C^d; ``bases[m][j]`` is vector j of basis m.  Bit
+    b of ``masks[m*d + j]`` is set iff (m, j) is orthogonal to vector b."""
 
-    __slots__ = ("q", "d", "bases", "label")
+    __slots__ = ("q", "d", "bases", "label", "masks")
 
     def __init__(self, *, q: int, d: int, bases: tuple, label: str = ""):
         if q < 1:
             raise ValueError("need at least one basis")
         if d < 2:
             raise ValueError("ambient dimension must be at least 2")
+        bases = tuple(map(tuple, bases))
         if len(bases) != q:
             raise ValueError("basis count does not match q")
         for basis in bases:
@@ -45,10 +49,15 @@ class KSBasisSet:
         # every report prints the label as one line
         if not isinstance(label, str) or "".join(label.splitlines()) != label:
             raise ValueError(f"label must be a one-line string, got {label!r}")
-        self.q = q
-        self.d = d
-        self.bases = bases
-        self.label = label
+        put = object.__setattr__  # immutable: attributes are set here only
+        put(self, "q", q)
+        put(self, "d", d)
+        put(self, "bases", bases)
+        put(self, "label", label)
+        put(self, "masks", tuple(orthogonality_masks([v for b in bases for v in b])))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KSBasisSet is immutable")
 
 
 class BasisSetError(ValueError):
@@ -65,23 +74,22 @@ class KSCheckResult(NamedTuple):
     holds: bool
     traversals_checked: int
     witness: Optional[tuple]  # traversal (m, j) pairs with no orthogonal pair
-    # orthogonality bitmask per vector id m*d + j: bit b set iff orthogonal to b
-    masks: tuple
 
 
 def validate_basis_set(ks: KSBasisSet) -> None:
     """Check that every basis is orthonormal; raise ``BasisSetError`` at the
-    first violation, taking bases, then vectors, then partners in order."""
+    first violation, taking bases, then vectors, then partners in order;
+    reads the held ``v.unit`` and the within-basis bits of ``ks.masks``."""
+    d, masks = ks.d, ks.masks
     for m, basis in enumerate(ks.bases):
         for j, v in enumerate(basis):
-            if not v.is_unit():
+            if not v.unit:
                 raise BasisSetError(m, (j, j), f"vector {j} has squared norm {v.norm_sq()}")
-            for j2 in range(j + 1, len(basis)):
-                w = basis[j2]
-                if _gauss_dot(v.re, v.im, w.re, w.im, v.real and w.real) != (0, 0):
-                    raise BasisSetError(
-                        m, (j, j2), f"vectors {j} and {j2} are not orthogonal"
-                    )
+            # partners j + 1 .. d - 1 of this basis that are not orthogonal
+            missing = ((1 << (d - j - 1)) - 1) << (m * d + j + 1) & ~masks[m * d + j]
+            if missing:
+                j2 = (missing & -missing).bit_length() - 1 - m * d
+                raise BasisSetError(m, (j, j2), f"vectors {j} and {j2} are not orthogonal")
 
 
 def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
@@ -92,13 +100,11 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
     d^(q - len) completions are counted at once.  So ``traversals_checked``
     is what a flat scan in that order counts: d^q when the property holds,
     else the position of the first traversal with no orthogonal pair, which
-    is the witness.  The result carries the orthogonality bitmasks.  Requires
-    the set to validate first (orthogonality is only meaningful between unit
-    vectors); a violation raises ``BasisSetError``.
+    is the witness.  Requires the set to validate first (orthogonality is
+    only meaningful between unit vectors); a violation raises ``BasisSetError``.
     """
     validate_basis_set(ks)
-    q, d = ks.q, ks.d
-    masks = tuple(orthogonality_masks([v for basis in ks.bases for v in basis]))
+    q, d, masks = ks.q, ks.d, ks.masks
     checked = 0
 
     def walk(m: int, chosen: int, prefix: tuple) -> Optional[tuple]:
@@ -115,7 +121,7 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
         return None
 
     witness = walk(0, 0, ())
-    return KSCheckResult(witness is None, checked, witness, masks)
+    return KSCheckResult(witness is None, checked, witness)
 
 
 # -- file format ---------------------------------------------------------

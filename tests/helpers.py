@@ -5,11 +5,13 @@ method (direct inner products, plain enumeration, linear scans) so the
 package code is checked against computations that share none of its shortcuts.
 """
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import floor, lcm
+from pathlib import Path
 from types import MappingProxyType
 
 from entwit.channel import ChannelInput, ZeroErrorCode, confusability_graph
@@ -488,6 +490,8 @@ def cf_decoder_decode(ks, s, residual):
     """decoder_decode by ComplexFraction sums: the same gates in the same
     order and the same tie rule, every comparison made on Fractions."""
     (m1, j1), (m2, j2) = s
+    if not all(0 <= m < ks.q and 0 <= j < ks.d for m, j in s):
+        raise ValueError(f"output {s} names a vector outside [0, {ks.q}) x [0, {ks.d})")
     cand1, cand2 = ks.bases[m1][j1], ks.bases[m2][j2]
     if cf_dot(cand1, cand2):
         raise ValueError(f"candidates {s} are not orthogonal")
@@ -647,6 +651,20 @@ UNITARY_LABEL = (
     "the bundled rays under U = D Q H/2: D = diag((3+4i)/5, 1, (5+12i)/13, 1),"
     " Q = left multiplication by (1+2i+2j+4k)/5, H = the 4x4 Hadamard matrix"
 )
+
+UNITARY_SET = Path(__file__).parent / "data" / "ks_6_4_unitary.json"
+
+
+def perturbed_unitary_json():
+    """The committed unitary set with 1/7 added to one zero imaginary part
+    (basis 4, vector 3, entry 1).  The loader still normalizes the ray, so
+    the set fails on orthogonality, first at basis 4, vectors 0 and 3."""
+    data = json.loads(UNITARY_SET.read_text())
+    entry = data["bases"][4][3][1]
+    if entry[1] != "0":
+        raise ValueError(f"expected a zero imaginary part, got {entry[1]!r}")
+    entry[1] = str(Fraction(entry[1]) + Fraction(1, 7))
+    return data
 
 
 

@@ -9,7 +9,8 @@ Claims covered:
       ordered, and it identifies the residual with probability exactly 1
     - the closed-form decode equals a measurement in the completed basis on
       every one of the 216 branches, in both candidate orders
-    - misuse (non-orthogonal candidates, residual orthogonal to both) raises
+    - misuse (non-orthogonal candidates, residual orthogonal to both, a
+      candidate index outside the set) raises
     - the decoder's integer comparison agrees with a Fraction oracle on every
       branch, on ties, on seeded complex residuals and on every misuse
     - the full branch enumeration decodes all q*d*9 = 216 branches correctly,
@@ -164,6 +165,23 @@ def test_decoder_rejects_non_orthogonal_candidates(bundled):
     assert raw_dot(bundled.bases[0][0], bundled.bases[1][0])
     with pytest.raises(ValueError):
         decoder_decode(bundled, fake, bundled.bases[0][0])
+
+
+@pytest.mark.parametrize(
+    "s",
+    [((-1, 0), (3, 0)), ((0, 0), (0, 4)), ((0, -1), (2, 0)), ((1, 2), (6, 0))],
+    ids=["negative-basis", "vector-past-d", "negative-vector", "basis-past-q"],
+)
+def test_decoder_refuses_candidates_outside_the_set(bundled, s):
+    # Python indexing would read basis 5 for m = -1 and decode
+    # ((-1, 0), (3, 0)) to (-1, 0) with probability 1, and raise IndexError
+    # past the end; both are refused as not vectors of the set
+    residual = bundled.bases[5][0]
+    message = f"output {s} names a vector outside [0, 6) x [0, 4)"
+    with pytest.raises(ValueError) as info:
+        decoder_decode(bundled, s, residual)
+    assert str(info.value) == message
+    assert _agrees_with_oracle(bundled, s, residual) == message
 
 
 def test_decoder_rejects_residual_orthogonal_to_both(bundled, channel):

@@ -176,7 +176,7 @@ def test_integer_kernel_matches_complex_fraction_sums():
         seen["non_unit_scale"] += v.scale != 1
         assert raw_dot(v, w) == cf_dot(v, w)
         assert v.norm_sq() == cf_norm_sq(v)
-        assert v.is_unit() == (v.norm_sq() == 1)
+        assert v.unit == (v.norm_sq() == 1)
         assert _held_is_fresh(v)
         assert is_orthogonal(v, w) == (not cf_dot(v, w))
         if is_zero(v) or is_zero(w):
@@ -186,7 +186,7 @@ def test_integer_kernel_matches_complex_fraction_sums():
         assert overlap_sq(v, w) == cf_overlap_sq(v, w)
         n = Vector(v.re, v.im, v.den)  # no scale: the unit vector along v
         assert (entries(n), n.scale) == cf_normalized(v)
-        assert n.is_unit() and n.norm_sq() == 1
+        assert n.unit and n.norm_sq() == 1
         assert n == vector(*cf_normalized(v))
         # measurement of a state on C^a x C^b along a random local basis
         a, b = dim, rng.randint(1, 3)
@@ -285,10 +285,14 @@ def test_orthogonality_masks_refuse_mixed_dimensions(im):
 
 
 def _held_is_fresh(v):
-    """The squared norm and real flag held since construction equal what
-    the numerators give, recomputed."""
+    """The squared norm, real flag and unit flag held since construction
+    equal what the numerators and scale give, recomputed."""
     nsq = sum(r * r for r in v.re) + sum(i * i for i in v.im)
-    return v._nsq == nsq and v.real is (not any(v.im))
+    return (
+        v._nsq == nsq
+        and v.real is (not any(v.im))
+        and v.unit is (cf_norm_sq(v) == 1)
+    )
 
 
 def _loaded(parts, den):
@@ -307,11 +311,18 @@ def _loaded(parts, den):
 def test_held_norm_is_fresh_on_every_construction_path():
     w = Vector((6, 0, -3), (3, 9, 0), 12, Fraction(2, 7))  # reduced by 3
     r = Vector((6, 0, -3), (0, 0, 0), 12, Fraction(2, 7))  # real, reduced by 3
+    # an explicit scale that makes the vector unit: (9 + 16) / 10^2 / (1/4)
+    wu = Vector((3, 0), (0, 4), 10, Fraction(1, 4))
+    ru = Vector((3, 4), (0, 0), 10, Fraction(1, 4))
     made = {
         "constructor/complex": w,
         "constructor/real": r,
+        "constructor/complex-unit": wu,
+        "constructor/real-unit": ru,
+        "constructor/unit-by-default": Vector((6, 0, -3), (3, 9, 0), 12),
         "conjugate/complex": w.conjugate(),
         "conjugate/real": r.conjugate(),
+        "conjugate/complex-unit": wu.conjugate(),
     }
     rows = [
         [ComplexFraction(1, 2), ComplexFraction("1/3", -1), ComplexFraction(3)],
@@ -330,7 +341,7 @@ def test_held_norm_is_fresh_on_every_construction_path():
             for n, (got, row) in enumerate(zip(vectors, parts)):
                 made[f"loader/{kind}/{den}/{n}"] = got
                 assert got == from_components(row, denominator=den)
-                assert got.is_unit()
+                assert got.unit
     # the measurement's residuals, from a real and a complex state
     basis = [Vector((1, 1), (0, 0)), Vector((1, -1), (0, 0))]
     for name, state in (
@@ -345,6 +356,13 @@ def test_held_norm_is_fresh_on_every_construction_path():
     # every path makes both real and complex vectors
     kinds = {(path.split("/")[0], u.real) for path, u in made.items()}
     assert kinds == set(product(("constructor", "conjugate", "loader", "residual"), (True, False)))
+    # the explicit-scale paths make unit and non-unit vectors; the loader
+    # and the residuals normalize, so theirs are all unit
+    units = {(path.split("/")[0], u.unit) for path, u in made.items()}
+    assert units == {
+        ("constructor", True), ("constructor", False), ("conjugate", True),
+        ("conjugate", False), ("loader", True), ("residual", True),
+    }
     assert w == vector(entries(w), w.scale) and w.den == 4
     # a real vector is its own conjugate; a complex one is not
     assert r.conjugate() is r and r.conjugate() == r

@@ -23,14 +23,19 @@ set here, so it cannot drift, and one perturbed entry must fail
 """
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from entwit.cli import main
 from entwit.ks import load_basis_set
-from helpers import UNITARY_LABEL, cf_dot, fixed_unitary, rotated_set_json
+from helpers import (
+    UNITARY_LABEL,
+    cf_dot,
+    fixed_unitary,
+    perturbed_unitary_json,
+    rotated_set_json,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -142,12 +147,8 @@ def test_perturbed_unitary_set_fails_at_the_first_broken_pair(tmp_path):
     # 1/7 added to a zero imaginary part: the loader still normalizes the ray,
     # so the first violation is an orthogonality, found here by
     # ComplexFraction sums in basis order
-    data = json.loads(Path(UNITARY_SET).read_text())
-    entry = data["bases"][4][3][1]
-    assert entry[1] == "0"
-    entry[1] = str(Fraction(entry[1]) + Fraction(1, 7))
     path = tmp_path / "perturbed.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(perturbed_unitary_json()))
     broken = [
         (m, j, j2)
         for m, basis in enumerate(load_basis_set(path).bases)

@@ -9,6 +9,9 @@ Claims covered:
       small enough to cross-check, failing subsets included
     - a single basis and a pair of mutually unbiased bases both lack the
       property, with witnesses
+    - the orthogonality table a set holds from its constructor equals a
+      fresh one and the ComplexFraction sums, on valid and broken sets, and
+      the set refuses every assignment, so the table cannot go stale
     - conjugation is an involution, fixes real bases, preserves overlaps
     - the JSON reader takes rational-string entries and a common denominator,
       and its integer path builds every vector equal to the from_components
@@ -19,12 +22,12 @@ Claims covered:
 
 import json
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
-from entwit.exact import as_fraction
+from entwit.exact import as_fraction, orthogonality_masks
 from entwit.ks import (
     BasisSetError,
     KSBasisSet,
@@ -37,12 +40,14 @@ from entwit.ks import (
 from helpers import (
     ComplexFraction,
     all_vectors,
+    cf_dot,
     conjugate_basis,
     entries,
     from_components,
     is_orthogonal,
     naive_ks_check,
     overlap_sq,
+    perturbed_unitary_json,
     raw_dot,
     same_ray,
     vector,
@@ -187,14 +192,67 @@ def test_pruned_walk_counts_like_the_flat_scan_on_failing_sets(bundled):
     assert counts == [33, 3, 2, 1, 5, 1]
 
 
-def test_check_result_carries_the_orthogonality_table(bundled):
-    masks = verify_ks_property(bundled).masks
-    flat = all_vectors(bundled)
-    assert len(masks) == 24
-    for a, b in combinations(range(24), 2):
-        orthogonal = is_orthogonal(flat[a], flat[b])
-        assert bool(masks[a] >> b & 1) == bool(masks[b] >> a & 1) == orthogonal
-    assert not any(mask >> a & 1 for a, mask in enumerate(masks))
+# -- the held orthogonality table -------------------------------------------------
+
+
+def _held_table_set(source, bundled):
+    e0, e1 = from_components([1, 0]), from_components([0, 1])
+    good, skew, long = (e0, e1), (e0, from_components([1, 1])), (vector([2, 0]), e0)
+    if source == "bundled":
+        return bundled
+    if source == "unitary":
+        return load_basis_set(DATA / "ks_6_4_unitary.json")
+    if source == "perturbed-unitary":
+        return basis_set_from_json_dict(perturbed_unitary_json())
+    if source == "mub":
+        return _mub_d2()
+    if source == "single-basis":
+        return _single_basis_d2()
+    if source == "repeated":
+        return KSBasisSet(q=1, d=2, bases=((e0, e0),))
+    if source == "non-unit":
+        return KSBasisSet(q=1, d=2, bases=((vector([2, 0]), e1),))
+    return KSBasisSet(q=4, d=2, bases=(good, skew, long, skew))
+
+
+HELD_TABLE_SOURCES = (
+    "bundled", "unitary", "perturbed-unitary", "mub", "single-basis", "repeated",
+    "non-unit", "first-violation",
+)
+
+
+@pytest.mark.parametrize("source", HELD_TABLE_SOURCES)
+def test_held_masks_match_fresh_sums(bundled, source):
+    # the table the constructor held equals a fresh one and the plain
+    # ComplexFraction sums: bit b of masks[a] iff a != b and <a|b> = 0
+    ks = _held_table_set(source, bundled)
+    flat = all_vectors(ks)
+    assert len(ks.masks) == len(flat) == ks.q * ks.d
+    assert ks.masks == tuple(orthogonality_masks(flat))
+    for a, b in product(range(len(flat)), repeat=2):
+        orthogonal = a != b and not cf_dot(flat[a], flat[b])
+        assert bool(ks.masks[a] >> b & 1) == orthogonal
+    assert all(mask >> len(flat) == 0 for mask in ks.masks)
+
+
+@pytest.mark.parametrize("name", ["q", "d", "bases", "label", "masks", "other"])
+def test_basis_set_refuses_assignment(name):
+    ks = _mub_d2()
+    before = ks.masks
+    with pytest.raises(AttributeError):
+        setattr(ks, name, getattr(ks, name, None))
+    assert ks.masks == before
+
+
+def test_basis_set_holds_its_own_bases():
+    # lists are copied into tuples, so changing them later leaves the set,
+    # and its table, as built
+    e0, e1 = from_components([1, 0]), from_components([0, 1])
+    basis = [e0, e1]
+    ks = KSBasisSet(q=1, d=2, bases=[basis])
+    basis[1] = e0
+    assert ks.bases == ((e0, e1),)
+    validate_basis_set(ks)  # raises BasisSetError at a violation
 
 
 # -- conjugation ----------------------------------------------------------------
@@ -314,7 +372,7 @@ def test_reader_matches_from_components(source):
     loaded = basis_set_from_json_dict(data)
     expected = _from_components(data)
     assert [list(basis) for basis in loaded.bases] == expected
-    assert all(v.is_unit() for v in all_vectors(loaded))
+    assert all(v.unit for v in all_vectors(loaded))
 
 
 def test_rational_test_set_denotes_the_bundled_rays(bundled):
