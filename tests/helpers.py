@@ -3,6 +3,9 @@
 Everything here deliberately re-derives results by the dumbest available
 method (direct inner products, plain enumeration, linear scans) so the
 package code is checked against computations that share none of its shortcuts.
+Classical costs, moments, c2 values and branch signals come from
+``checker``, which imports nothing from ``entwit``; the helpers here adapt
+it to entwit's strategy objects.
 """
 
 import json
@@ -10,18 +13,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import floor, lcm
+from math import lcm
 from pathlib import Path
 from types import MappingProxyType
 
-from entwit.channel import ChannelInput, ZeroErrorCode, confusability_graph
-from entwit.control import (
-    CostReport,
-    DeterministicStrategy,
-    evaluate_deterministic,
-    optimal_c2_for_c1,
-)
+from entwit.channel import ChannelInput, FiniteChannel, ZeroErrorCode, confusability_graph
+from entwit.control import CostReport, DeterministicStrategy
 from entwit.exact import Vector, _gauss_dot, as_fraction
+
+# the bundled ray file, which the checker reads without entwit's loader
+BUNDLED_RAYS = Path(__file__).resolve().parents[1] / "src/entwit/data/ks_6_4_peres.json"
+# the 18 rays in 9 bases of C^4 of Cabello, Estebaranz and Garcia-Alcaine
+CABELLO_SET = Path(__file__).parent / "data" / "ks_9_4_cabello.json"
 
 
 def naive_ks_check(ks):
@@ -42,121 +45,6 @@ def naive_ks_check(ks):
     return True, None, count
 
 
-def posterior_moments(inst, c1):
-    """Joint mass, first and second wire moments per reachable output, in
-    Fractions straight from the composed channel.
-
-    Returns {s: (mass, sum p*y, sum p*y^2)} over outputs with positive
-    probability under the given c1 table; supported messages that the table
-    leaves out contribute nothing, so a prefix of a table gives the moments
-    the search bounds it by.
-    """
-    moments = {}
-    for m, x in inst.support():
-        if x not in c1:
-            continue
-        y = x + c1[x]
-        px = inst.p_m[m]
-        for s, p_out in inst.output_distribution(y).items():
-            w = px * p_out
-            a, b, c = moments.get(s, (Fraction(0), Fraction(0), Fraction(0)))
-            moments[s] = (a + w, b + w * y, c + w * y * y)
-    return moments
-
-
-def brute_force_c2(inst, c1, lo, hi):
-    """Per-output linear scan for the best integer c2 in [lo, hi].
-
-    Returns {s: (set of minimizing values, minimal damping contribution)}.
-    """
-    tables = {}
-    for s, (mass, ysum, ysq) in posterior_moments(inst, c1).items():
-        best_vals, best_cost = None, None
-        for c in range(lo, hi + 1):
-            cost = mass * c * c + 2 * ysum * c + ysq
-            if best_cost is None or cost < best_cost:
-                best_vals, best_cost = {c}, cost
-            elif cost == best_cost:
-                best_vals.add(c)
-        tables[s] = (best_vals, best_cost)
-    return tables
-
-
-def oracle_cost(inst, values):
-    """Exact cost of the c1 table, or of the prefix of one, with these values
-    on the first supported messages, each output paired with its best integer
-    c2, in plain Fractions: the control term message by message, and per
-    output the smaller of the quadratic's values at the two integers around
-    its real minimum."""
-    c1 = {}
-    cost = Fraction(0)
-    for (m, x), v in zip(inst.support(), values):
-        c1[x] = v
-        cost += inst.p_m[m] * inst.k * v * v
-    for mass, ysum, ysq in posterior_moments(inst, c1).values():
-        low = floor(-ysum / mass)
-        cost += min(mass * c * c + 2 * ysum * c + ysq for c in (low, low + 1))
-    return cost
-
-
-def plain_dfs(inst, window, node_budget=None, costs=None):
-    """(prefixes scored, complete, best c1 values) of the search's branch and
-    bound by plain recursion, every prefix scored by oracle_cost: values in
-    (|v|, v) order, a prefix pruned only when its cost strictly exceeds the
-    best complete table's, equal costs broken toward the lexicographically
-    smallest table, and the budget checked before each prefix is scored.
-    ``costs`` memoizes the oracle by prefix across calls on one instance."""
-    costs = {} if costs is None else costs
-    n = len(inst.support())
-    order = sorted(range(-window, window + 1), key=lambda v: (abs(v), v))
-    nodes, best_cost, best_vals = 0, None, None
-
-    def descend(prefix):
-        nonlocal nodes, best_cost, best_vals
-        for v in order:
-            if node_budget is not None and nodes >= node_budget:
-                return False
-            nodes += 1
-            values = prefix + (v,)
-            if values not in costs:
-                costs[values] = oracle_cost(inst, values)
-            cost = costs[values]
-            if best_cost is not None and cost > best_cost:
-                continue
-            if len(values) < n:
-                if not descend(values):
-                    return False
-            elif best_cost is None or cost < best_cost or values < best_vals:
-                best_cost, best_vals = cost, values
-        return True
-
-    complete = descend(())
-    return nodes, complete, best_vals
-
-
-def branch_signals(inst, strat):
-    """(probability, final signal z) for every positive-probability branch of
-    a deterministic strategy, enumerated straight from the composed channel."""
-    branches = []
-    for m, x in inst.support():
-        y = x + strat.c1[x]
-        for s, p_out in inst.output_distribution(y).items():
-            branches.append((inst.p_m[m] * p_out, y + strat.c2.get(s, 0)))
-    return branches
-
-
-def flat_scan(inst, window):
-    """(minimum cost, lexicographically first minimizing c1 values) over all
-    (2W+1)^n in-window tables, by plain enumeration: no pruning, no order
-    tricks, every table scored by oracle_cost."""
-    best_cost, best_vals = None, None
-    for values in product(range(-window, window + 1), repeat=len(inst.support())):
-        cost = oracle_cost(inst, values)
-        if best_cost is None or cost < best_cost:
-            best_cost, best_vals = cost, values
-    return best_cost, best_vals
-
-
 # -- channel and graph oracles -------------------------------------------------
 
 
@@ -166,6 +54,15 @@ def output_pair(a, b):
     if a == b:
         raise ValueError(f"output pair must contain two distinct inputs, got {a} twice")
     return (a, b) if a < b else (b, a)
+
+
+def finite_channel(table):
+    """entwit's channel on the checker's plain neighbour table."""
+    d = table.d
+    return FiniteChannel.from_neighbor_sets({
+        ChannelInput(*divmod(i, d)): [ChannelInput(*divmod(n, d)) for n in row]
+        for i, row in enumerate(table.neighbours)
+    })
 
 
 def neighbors(ch, i):
@@ -251,12 +148,19 @@ class SharedRandomnessStrategy:
             raise ValueError(f"mixture weights sum to {total}, not 1")
 
 
-def evaluate_sr(inst, strat):
-    """Weight-convex combination of the component deterministic costs."""
+def branch_signals(oracle, strat):
+    """(probability, final signal z) for every positive-probability branch of
+    a deterministic strategy, enumerated by the checker's composed channel."""
+    return [(Fraction(w, oracle.scale), z) for w, z in oracle.branches(strat.c1, strat.c2)]
+
+
+def evaluate_sr(oracle, strat):
+    """Weight-convex combination of the component deterministic costs, each
+    evaluated branch by branch by the checker."""
     total = control = damping = Fraction(0)
     branches = max_z = 0
     for weight, det in strat.components:
-        report = evaluate_deterministic(inst, det)
+        report = CostReport(*oracle.evaluate(det.c1, det.c2))
         total += weight * report.total
         control += weight * report.control
         damping += weight * report.damping
@@ -265,31 +169,34 @@ def evaluate_sr(inst, strat):
     return CostReport(total, control, damping, branches, max_z)
 
 
-def decoder_estimates_exact(inst, strat):
+def decoder_estimates_exact(oracle, strat):
     """True iff |m - eta| < 1/2 on every positive-probability branch, where
     eta = -c2(s)/t: the premise under which the reduction yields a zero-error
     code on all supported messages."""
-    for m, x in inst.support():
-        y = x + strat.c1_at(x)
-        for s in inst.output_distribution(y):
-            if abs(m - Fraction(-strat.c2_at(s), inst.t)) >= Fraction(1, 2):
+    for m, x in oracle.support():
+        for s, _mult in oracle.reach(x + strat.c1_at(x)):
+            if abs(m - Fraction(-strat.c2_at(s), oracle.t)) >= Fraction(1, 2):
                 return False
     return True
 
 
 def random_c1(rng, inst, window, lo=None):
+    """Random c1 values in [lo, window] (lo = -window when left out) on the
+    supported messages of an instance or of the checker's."""
     low = -window if lo is None else lo
     return {x: rng.randint(low, window) for _m, x in inst.support()}
 
 
-def random_strategy(rng, inst, window, optimal=True, lo=None):
-    c1 = random_c1(rng, inst, window, lo=lo)
+def random_strategy(rng, oracle, window, optimal=True, lo=None):
+    """A random c1 table with the checker's best c2, or with random c2 values
+    on its reachable outputs."""
+    c1 = random_c1(rng, oracle, window, lo=lo)
     if optimal:
-        c2 = optimal_c2_for_c1(inst, c1)
+        c2 = oracle.best_c2(c1)
     else:
         c2 = {
-            s: rng.randint(-inst.q * inst.t, inst.q * inst.t)
-            for s in posterior_moments(inst, c1)
+            s: rng.randint(-oracle.q * oracle.t, oracle.q * oracle.t)
+            for s in oracle.moments(c1)
         }
     return DeterministicStrategy(c1=c1, c2=c2)
 

@@ -24,10 +24,10 @@ from entwit.control import (
 from entwit.entangled import run_zero_error_quantum
 from entwit.ks import validate_basis_set, verify_ks_property
 
+from checker import Instance
 from helpers import (
     OnInputs,
     SharedRandomnessStrategy,
-    brute_force_c2,
     code_from_independent_set,
     decoder_estimates_exact,
     degree,
@@ -172,9 +172,10 @@ def test_criterion_07_separation_certificate(certificate):
     _criterion(7, "exhaustive in-window search certifies the separation", ok, detail)
 
 
-def test_criterion_08_mixtures_never_beat_deterministic(bundled, channel, certificate):
+def test_criterion_08_mixtures_never_beat_deterministic(bundled, channel, rays, certificate):
     cert, _elapsed = certificate
     inst = make_instance(bundled, cert.t, 1, channel=channel)
+    oracle = Instance(rays, cert.t, 1)
     best = cert.search.cost
     window = cert.window
     rng = random.Random(20240808)
@@ -188,23 +189,24 @@ def test_criterion_08_mixtures_never_beat_deterministic(bundled, channel, certif
                 (w, DeterministicStrategy(c1=c1, c2=optimal_c2_for_c1(inst, c1)))
             )
         mixture = SharedRandomnessStrategy(components=tuple(comps))
-        ok = ok and evaluate_sr(inst, mixture).total >= best
+        ok = ok and evaluate_sr(oracle, mixture).total >= best
     _criterion(
         8, "100 seeded in-window mixtures cost at least the searched minimum",
         ok, f"exact comparison against {best}",
     )
 
 
-def test_criterion_09_reduction_soundness(bundled, channel, certificate):
+def test_criterion_09_reduction_soundness(bundled, channel, rays, certificate):
     cert, _elapsed = certificate
     inst = make_instance(bundled, cert.t, 1, channel=channel)
+    oracle = Instance(rays, cert.t, 1)
     rng = random.Random(19)
     implication_ok = True
     premise_count = 0
     for _ in range(50):
         c1 = random_c1(rng, inst, 4)
         strat = DeterministicStrategy(c1=c1, c2=optimal_c2_for_c1(inst, c1))
-        if decoder_estimates_exact(inst, strat):
+        if decoder_estimates_exact(oracle, strat):
             premise_count += 1
             verdict = verify_zero_error(inst, strategy_to_code(inst, strat))
             implication_ok = implication_ok and (
@@ -224,15 +226,16 @@ def test_criterion_09_reduction_soundness(bundled, channel, certificate):
     )
 
 
-def test_criterion_10_c2_oracle_equivalence(bundled, channel):
+def test_criterion_10_c2_oracle_equivalence(bundled, channel, rays):
     ok = True
     for t in range(4, 11):
         inst = make_instance(bundled, t, 1, channel=channel)
+        oracle = Instance(rays, t, 1)
         span = 6 * t + 2
         for const in range(-2, 3):
             c1 = {x: const for _m, x in inst.support()}
             table = optimal_c2_for_c1(inst, c1)
-            brute = brute_force_c2(inst, c1, -span, span)
+            brute = oracle.c2_scan(c1, -span, span)
             total_brute = Fraction(0)
             for s, (minimizers, best_cost) in brute.items():
                 total_brute += best_cost

@@ -16,7 +16,7 @@ Claims covered:
     - certificates are deterministic across runs, and the
       vacuous / window-insufficient / budget-truncated paths never certify
     - the certificate reaches M = 10, 20, 40 at their threshold scales, with
-      each winning table's cost confirmed by the oracle evaluator
+      each winning table's cost confirmed by the integer checker
 """
 
 import math
@@ -41,10 +41,10 @@ from entwit.control import (
     optimal_c2_for_c1,
 )
 
+from checker import Instance
 from helpers import (
     branch_signals,
     decoder_estimates_exact,
-    oracle_cost,
     random_c1,
     random_strategy,
 )
@@ -53,6 +53,11 @@ from helpers import (
 @pytest.fixture(scope="module")
 def inst10(bundled, channel):
     return make_instance(bundled, 10, 1, channel=channel)
+
+
+@pytest.fixture(scope="module")
+def oracle10(rays):
+    return Instance(rays, 10, 1)
 
 
 # -- minimum probabilities ----------------------------------------------------
@@ -76,14 +81,14 @@ def test_pzmin_lower_bound_values(bundled, channel, inst10):
     assert pzmin_lower_bound(point) == Fraction(1, 9)
 
 
-def test_pzmin_bounds_realized_probabilities_in_form(inst10):
+def test_pzmin_bounds_realized_probabilities_in_form(inst10, oracle10):
     # random strategies whose wire stays in channel form (c1 values in [0, d))
     rng = random.Random(424242)
     bound = pzmin_lower_bound(inst10)
     for _ in range(20):
-        strat = random_strategy(rng, inst10, 3, optimal=rng.random() < 0.5, lo=0)
+        strat = random_strategy(rng, oracle10, 3, optimal=rng.random() < 0.5, lo=0)
         z_mass = {}
-        for probability, z in branch_signals(inst10, strat):
+        for probability, z in branch_signals(oracle10, strat):
             z_mass[z] = z_mass.get(z, Fraction(0)) + probability
         assert min(z_mass.values()) >= bound
 
@@ -263,43 +268,44 @@ def test_half_integer_eta_is_flagged(inst10):
     assert code.decoder[some_output] == 2  # half-even, surfaced above
 
 
-def test_exact_estimates_give_zero_error_code(bundled, channel):
+def test_exact_estimates_give_zero_error_code(bundled, channel, rays):
     # five messages routed onto the pairwise non-confusable vertices (m, 0),
     # m = 0..4: no shared outputs, so the posterior pins the wire exactly,
     # |m - eta| < 1/2 everywhere, and the reduction must verify
-    inst = make_instance(
-        bundled, 39, 1, p_m=[Fraction(1, 5)] * 5 + [0], channel=channel
-    )
+    p_m = [Fraction(1, 5)] * 5 + [0]
+    inst = make_instance(bundled, 39, 1, p_m=p_m, channel=channel)
     c1 = {x: 0 for _m, x in inst.support()}
     strat = DeterministicStrategy(c1=c1, c2=optimal_c2_for_c1(inst, c1))
-    assert decoder_estimates_exact(inst, strat)
+    assert decoder_estimates_exact(Instance(rays, 39, 1, p_m), strat)
     code = strategy_to_code(inst, strat)
     assert len(code.messages) == 5
     assert not code.ties
     assert verify_zero_error(inst, code).status == "zero_error"
 
 
-def test_full_support_reduction_always_fails(bundled, channel):
+def test_full_support_reduction_always_fails(bundled, channel, rays):
     # with all six messages, a zero-error code would need six pairwise
     # non-confusable codewords, one more than the independence number allows
     inst = make_instance(bundled, 39, 1, channel=channel)
+    oracle = Instance(rays, 39, 1)
     rng = random.Random(7)
     for _ in range(10):
         c1 = random_c1(rng, inst, 4)
         strat = DeterministicStrategy(c1=c1, c2=optimal_c2_for_c1(inst, c1))
-        assert not decoder_estimates_exact(inst, strat)
+        assert not decoder_estimates_exact(oracle, strat)
         verdict = verify_zero_error(inst, strategy_to_code(inst, strat))
         assert verdict.status != "zero_error"
 
 
-def test_reduction_soundness_on_random_sample(bundled, channel):
+def test_reduction_soundness_on_random_sample(bundled, channel, rays):
     # the conditional form: anything passing the estimate premise verifies
     inst = make_instance(bundled, 39, 1, channel=channel)
+    oracle = Instance(rays, 39, 1)
     rng = random.Random(123)
     for _ in range(25):
         c1 = random_c1(rng, inst, 4)
         strat = DeterministicStrategy(c1=c1, c2=optimal_c2_for_c1(inst, c1))
-        if decoder_estimates_exact(inst, strat):
+        if decoder_estimates_exact(oracle, strat):
             verdict = verify_zero_error(inst, strategy_to_code(inst, strat))
             assert verdict.status == "zero_error"
 
@@ -351,14 +357,12 @@ def test_certificate_deterministic_across_runs_and_workers(bundled):
         (40, 128, 16, Fraction(7939, 54)),
     ],
 )
-def test_certificate_reaches_larger_bounds(
-    bundled, channel, m_bound, t, window, minimum
-):
+def test_certificate_reaches_larger_bounds(bundled, rays, m_bound, t, window, minimum):
     cert = certify_separation(bundled, 1, m_bound)
     assert cert.status == "certified" and cert.certified
     assert (cert.t, cert.window) == (t, window)
     assert cert.search.complete and cert.search.cost == minimum
-    inst = make_instance(bundled, t, 1, channel=channel)
-    values = tuple(cert.search.strategy.c1[x] for _m, x in inst.support())
+    oracle = Instance(rays, t, 1)
+    values = tuple(cert.search.strategy.c1[x] for _m, x in oracle.support())
     assert all(abs(v) <= window for v in values)
-    assert oracle_cost(inst, values) == minimum
+    assert oracle.cost(values) == minimum

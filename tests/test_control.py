@@ -21,9 +21,13 @@ Claims covered:
       when its winner's re-evaluation disagrees, and its best in-window cost
       is non-decreasing in t for fixed W=4
     - the search scores the prefixes a plain depth-first search scored by
-      the Fraction oracle scores, in the same number, complete and under
-      node budgets 6, 40 and 300; its child scoring, walked down full
-      tables, matches the oracle and takes every step back exactly
+      the integer checker scores, in the same number, complete and under
+      node budgets 6, 40 and 300, and ends at its cost and table; its child
+      scoring, walked down full tables, matches the checker's cost and takes
+      every step back exactly
+    - every oracle here is the checker of ``tests/checker.py``, on the
+      channel it derives from the ray file itself, or on the same plain
+      neighbour table that entwit's channel is built from
 """
 
 import random
@@ -46,16 +50,13 @@ from entwit.control import (
 )
 from entwit.entangled import QuantumDecodeError
 
+from checker import Instance, flat_scan, plain_dfs
 from helpers import (
     SharedRandomnessStrategy,
     branch_signals,
-    brute_force_c2,
     evaluate_sr,
-    flat_scan,
+    finite_channel,
     neighbors,
-    oracle_cost,
-    plain_dfs,
-    posterior_moments,
     random_c1,
     random_strategy,
     random_weights,
@@ -70,6 +71,16 @@ def inst4(bundled, channel):
 @pytest.fixture(scope="module")
 def inst10(bundled, channel):
     return make_instance(bundled, 10, 1, channel=channel)
+
+
+@pytest.fixture(scope="module")
+def oracle4(rays):
+    return Instance(rays, 4, 1)
+
+
+@pytest.fixture(scope="module")
+def oracle10(rays):
+    return Instance(rays, 10, 1)
 
 
 def _zero_strategy(inst):
@@ -144,26 +155,23 @@ def test_zero_strategy_oracle_value(inst4):
     assert report.damping == Fraction(440, 3)
 
 
-def test_report_invariants(inst10):
+def test_report_invariants(inst10, oracle10):
     rng = random.Random(11)
     for _ in range(10):
-        strat = random_strategy(rng, inst10, 4, optimal=False)
+        strat = random_strategy(rng, oracle10, 4, optimal=False)
         report = evaluate_deterministic(inst10, strat)
         assert report.total == report.control + report.damping
-        branches = branch_signals(inst10, strat)
+        branches = branch_signals(oracle10, strat)
         assert sum(p for p, _z in branches) == 1
         assert report.damping == sum(p * z * z for p, z in branches)
         assert report.max_abs_z == max(abs(z) for _p, z in branches)
 
 
-def test_deterministic_branch_count_matches_enumeration(inst10):
+def test_deterministic_branch_count_matches_enumeration(inst10, oracle10):
     rng = random.Random(12)
     for _ in range(10):
-        strat = random_strategy(rng, inst10, 4, optimal=False)
-        expected = 0
-        for _m, x in inst10.support():
-            y = x + strat.c1[x]
-            expected += sum(1 for p in inst10.output_distribution(y).values() if p > 0)
+        strat = random_strategy(rng, oracle10, 4, optimal=False)
+        expected = len(branch_signals(oracle10, strat))
         assert evaluate_deterministic(inst10, strat).branches == expected
 
 
@@ -175,22 +183,22 @@ def test_strategy_must_cover_support(inst4):
 # -- mixtures ---------------------------------------------------------------------
 
 
-def test_singleton_mixture_equals_component(inst4):
+def test_singleton_mixture_equals_component(inst4, oracle4):
     det = _zero_strategy(inst4)
     mix = SharedRandomnessStrategy(components=((Fraction(1), det),))
-    assert evaluate_sr(inst4, mix).total == evaluate_deterministic(inst4, det).total
+    assert evaluate_sr(oracle4, mix).total == evaluate_deterministic(inst4, det).total
 
 
-def test_even_mixture_averages(inst10):
+def test_even_mixture_averages(inst10, oracle10):
     rng = random.Random(5)
-    a = random_strategy(rng, inst10, 3)
-    b = random_strategy(rng, inst10, 3)
+    a = random_strategy(rng, oracle10, 3)
+    b = random_strategy(rng, oracle10, 3)
     mix = SharedRandomnessStrategy(
         components=((Fraction(1, 2), a), (Fraction(1, 2), b))
     )
     ca = evaluate_deterministic(inst10, a).total
     cb = evaluate_deterministic(inst10, b).total
-    assert evaluate_sr(inst10, mix).total == (ca + cb) / 2
+    assert evaluate_sr(oracle10, mix).total == (ca + cb) / 2
 
 
 def test_mixture_weights_validated(inst4):
@@ -203,7 +211,7 @@ def test_mixture_weights_validated(inst4):
         )
 
 
-def test_hundred_mixtures_never_beat_searched_minimum(inst10):
+def test_hundred_mixtures_never_beat_searched_minimum(inst10, oracle10):
     window = 3
     best = search_deterministic(inst10, window).cost
     rng = random.Random(20240601)
@@ -211,10 +219,10 @@ def test_hundred_mixtures_never_beat_searched_minimum(inst10):
         n = rng.randint(1, 5)
         weights = random_weights(rng, n)
         comps = tuple(
-            (w, random_strategy(rng, inst10, window, optimal=rng.random() < 0.7))
+            (w, random_strategy(rng, oracle10, window, optimal=rng.random() < 0.7))
             for w in weights
         )
-        cost = evaluate_sr(inst10, SharedRandomnessStrategy(components=comps)).total
+        cost = evaluate_sr(oracle10, SharedRandomnessStrategy(components=comps)).total
         assert cost >= best  # exact rational comparison
 
 
@@ -298,34 +306,32 @@ def test_point_posterior_cancels_exactly(bundled, channel):
     assert evaluate_deterministic(inst, strat).damping == 0
 
 
-def test_two_point_posterior_rounds_half_to_even(bundled, channel):
+def test_two_point_posterior_rounds_half_to_even(bundled, channel, rays):
     # route messages 0 and 1 onto the confusable vertices (0,0) and (1,2):
     # the shared edge sees wire values {0, 7}, mean 7/2, a half-integer tie
     # that must round to the even integer 4, giving c2 = -4 (not -3)
-    inst = make_instance(
-        bundled, 5, 1,
-        p_m=[Fraction(1, 2), Fraction(1, 2), 0, 0, 0, 0],
-        channel=channel,
-    )
+    p_m = [Fraction(1, 2), Fraction(1, 2), 0, 0, 0, 0]
+    inst = make_instance(bundled, 5, 1, p_m=p_m, channel=channel)
+    oracle = Instance(rays, 5, 1, p_m)
     c1 = {0: 0, 5: 2}
     table = optimal_c2_for_c1(inst, c1)
     shared = [
         s
-        for s, (mass, _ysum, _ysq) in posterior_moments(inst, c1).items()
-        if mass == Fraction(1, 9)  # two contributors of 1/18 each
+        for s, (mass, _ysum, _ysq) in oracle.moments(c1).items()
+        if Fraction(mass, oracle.scale) == Fraction(1, 9)  # two contributors of 1/18 each
     ]
     assert shared
     for s in shared:
         assert table[s] == -4
 
 
-def test_optimal_c2_matches_brute_force(inst10):
+def test_optimal_c2_matches_brute_force(inst10, oracle10):
     rng = random.Random(99)
     for _ in range(6):
         c1 = random_c1(rng, inst10, 3)
         table = optimal_c2_for_c1(inst10, c1)
         span = 6 * 10 + 3
-        brute = brute_force_c2(inst10, c1, -span, span)
+        brute = oracle10.c2_scan(c1, -span, span)
         for s, (minimizers, _cost) in brute.items():
             assert table[s] in minimizers
             if len(minimizers) == 2:
@@ -344,40 +350,51 @@ def test_window_zero_is_the_zero_strategy(inst10):
     assert res.complete
 
 
-def test_search_matches_plain_enumeration_at_w1(inst10):
-    # independent oracle: enumerate all 3^6 tables through the generic
-    # fraction evaluator, tracking the lexicographically first minimum
-    best_cost, best_vals = flat_scan(inst10, 1)
+def test_search_matches_plain_enumeration_at_w1(inst10, oracle10):
+    # independent oracle: enumerate all 3^6 tables through the checker,
+    # tracking the lexicographically first minimum
+    best_cost, best_vals = flat_scan(oracle10, 1)
     res = search_deterministic(inst10, 1)
     assert res.cost == best_cost
     assert tuple(res.strategy.c1[x] for _m, x in inst10.support()) == best_vals
 
 
-def _without(channel, drops):
-    """The channel with neighbor b dropped from row a for each (a, b)."""
-    nbrs = {i: list(neighbors(channel, i)) for i in channel.inputs}
-    for a, b in drops:
-        nbrs[ChannelInput(*a)].remove(ChannelInput(*b))
-    return FiniteChannel.from_neighbor_sets(nbrs)
+# per test channel, the neighbours (m', j') dropped from the rows (m, j) of
+# the bundled channel
+DROPS = {
+    "regular": [],
+    # less one confusable pair: two inputs of degree 8 among 22 of 9
+    "irregular": [((0, 0), (0, 1)), ((0, 1), (0, 0))],
+    # less three pairs at (0, 0) and (1, 0): degrees 7, 8 and 9
+    "three-degree": [
+        ((0, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (0, 2)),
+        ((0, 2), (0, 0)), ((1, 0), (1, 1)), ((1, 1), (1, 0)),
+    ],
+    # three pairs dropped from one row only: each of those outputs
+    # stays in the other endpoint's row, and the pairs sit between
+    # inputs that neighbouring messages hit at t = 4 and t = 5
+    "asymmetric": [((0, 0), (0, 3)), ((0, 3), (1, 0)), ((1, 1), (0, 2))],
+}
 
 
 @pytest.fixture(scope="module")
-def channels(channel):
+def tables(rays):
+    """The checker's neighbour table per test channel: the one it reads from
+    the ray file, less the channel's dropped pairs."""
+    d = rays.d
     return {
-        "regular": channel,
-        # less one confusable pair: two inputs of degree 8 among 22 of 9
-        "irregular": _without(channel, [((0, 0), (0, 1)), ((0, 1), (0, 0))]),
-        # less three pairs at (0, 0) and (1, 0): degrees 7, 8 and 9
-        "three-degree": _without(channel, [
-            ((0, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (0, 2)),
-            ((0, 2), (0, 0)), ((1, 0), (1, 1)), ((1, 1), (1, 0)),
-        ]),
-        # three pairs dropped from one row only: each of those outputs
-        # stays in the other endpoint's row, and the pairs sit between
-        # inputs that neighbouring messages hit at t = 4 and t = 5
-        "asymmetric": _without(channel, [
-            ((0, 0), (0, 3)), ((0, 3), (1, 0)), ((1, 1), (0, 2)),
-        ]),
+        kind: rays.without([(a * d + b, c * d + e) for (a, b), (c, e) in drops])
+        for kind, drops in DROPS.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def channels(channel, tables):
+    """entwit's channel per test channel: the bundled one as entwit builds
+    it, and the others built from the checker's tables."""
+    return {
+        kind: channel if kind == "regular" else finite_channel(table)
+        for kind, table in tables.items()
     }
 
 
@@ -415,9 +432,9 @@ P_M_IDS = {
     ],
     ids=lambda v: P_M_IDS.get(v, str(v)),
 )
-def test_search_matches_flat_scan(bundled, channels, kind, t, k, p_m, window):
+def test_search_matches_flat_scan(bundled, channels, tables, kind, t, k, p_m, window):
     inst = make_instance(bundled, t, k, p_m=p_m, channel=channels[kind])
-    best_cost, best_vals = flat_scan(inst, window)
+    best_cost, best_vals = flat_scan(Instance(tables[kind], t, k, p_m), window)
     res = search_deterministic(inst, window)
     assert res.complete
     assert res.cost == best_cost
@@ -428,11 +445,11 @@ KINDS = ["regular", "irregular", "three-degree", "asymmetric"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_prefix_evaluator_matches_oracle_cost(bundled, channels, kind):
+def test_prefix_evaluator_matches_oracle_cost(bundled, channels, tables, kind):
     # the search only compares costs, so a wrong score can still leave the
     # winner right; walk full tables down the search's own child scoring and
-    # score the first two messages and the full table against the
-    # plain-Fraction oracle, with every value pair on the first two (owners
+    # score the first two messages and the full table against the checker,
+    # with every value pair on the first two (owners
     # that share an output, in either order, with and without wires out of
     # form) and random values on the rest
     rng = random.Random(20130)
@@ -443,6 +460,7 @@ def test_prefix_evaluator_matches_oracle_cost(bundled, channels, kind):
         (10, Fraction(1), SKEWED3, 3),
     ]:
         inst = make_instance(bundled, t, k, p_m=p_m, channel=channels[kind])
+        oracle = Instance(tables[kind], t, k, p_m)
         evaluator = _PrefixEvaluator(inst, window)
         span = range(-window, window + 1)
         for first in product(span, span):
@@ -452,7 +470,7 @@ def test_prefix_evaluator_matches_oracle_cost(bundled, channels, kind):
                 scaled = evaluator.scorer(depth, scaled)(v + window)
                 if depth == 1 or depth + 1 == len(values):
                     prefix = values[:depth + 1]
-                    assert evaluator.to_fraction(scaled) == oracle_cost(inst, prefix)
+                    assert evaluator.to_fraction(scaled) == oracle.cost(prefix)
                 evaluator.shift(depth, v + window, 1)
             for depth in reversed(range(len(values))):
                 evaluator.shift(depth, values[depth] + window, -1)
@@ -461,22 +479,23 @@ def test_prefix_evaluator_matches_oracle_cost(bundled, channels, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("t, window", [(4, 3), (5, 2)])
-def test_search_visits_the_nodes_of_a_plain_dfs(bundled, channels, kind, t, window):
+def test_search_visits_the_nodes_of_a_plain_dfs(bundled, channels, tables, kind, t, window):
     # the reports print the node count, so it must be the plain search's:
     # at t = 4 every wire in reach but message 0's is in form and messages
     # share owners; at t = 5 every fifth wire value is out of form
     inst = make_instance(bundled, t, Fraction(1, 1000), channel=channels[kind])
+    oracle = Instance(tables[kind], t, Fraction(1, 1000))
     costs = {}
     for budget in (None, 6, 40, 300):
         res = search_deterministic(inst, window, node_budget=budget)
-        nodes, complete, values = plain_dfs(inst, window, budget, costs)
-        assert (res.candidates_evaluated, res.complete) == (nodes, complete)
+        nodes, complete, cost, values = plain_dfs(oracle, window, budget, costs)
+        assert (res.candidates_evaluated, res.complete, res.cost) == (nodes, complete, cost)
         assert tuple(res.strategy.c1[x] for _m, x in inst.support()) == values
         assert complete == (budget is None)
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_integer_c2_matches_brute_force(bundled, channels, kind):
+def test_integer_c2_matches_brute_force(bundled, channels, tables, kind):
     # random tables whose wires land in and out of form, on message
     # distributions with zero-probability messages; at ties the minimizer
     # must be the even one of the two
@@ -484,12 +503,13 @@ def test_integer_c2_matches_brute_force(bundled, channels, kind):
     window, outside, ties = 4, 0, 0
     for t, p_m in [(4, UNIFORM), (5, SKEWED4), (5, TIED3), (6, SKEWED3)]:
         inst = make_instance(bundled, t, 1, p_m=p_m, channel=channels[kind])
+        oracle = Instance(tables[kind], t, 1, p_m)
         for _ in range(3):
             c1 = random_c1(rng, inst, window)
-            outside += sum(inst.decompose(x + v) is None for x, v in c1.items())
+            outside += sum(oracle.input_of(x + v) is None for x, v in c1.items())
             table = optimal_c2_for_c1(inst, c1)
             # every wire value, so every posterior mean, lies in [-W, (q-1)t + W]
-            brute = brute_force_c2(inst, c1, -(inst.q - 1) * t - window - 1, window + 1)
+            brute = oracle.c2_scan(c1, -(inst.q - 1) * t - window - 1, window + 1)
             assert table.keys() == brute.keys()
             for s, (minimizers, _cost) in brute.items():
                 even = [v for v in minimizers if v % 2 == 0]
@@ -499,7 +519,7 @@ def test_integer_c2_matches_brute_force(bundled, channels, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_deterministic_cost_matches_a_fraction_sum(bundled, channels, kind):
+def test_deterministic_cost_matches_a_fraction_sum(bundled, channels, tables, kind):
     # the re-check sums on integers; against plain Fraction sums over the
     # same branches, on random tables with wires out of form, message
     # distributions with zero-probability messages, and c2 optimal or random
@@ -511,14 +531,15 @@ def test_deterministic_cost_matches_a_fraction_sum(bundled, channels, kind):
         (6, Fraction(1, 1000), SKEWED3),
     ]:
         inst = make_instance(bundled, t, k, p_m=p_m, channel=channels[kind])
+        oracle = Instance(tables[kind], t, k, p_m)
         for optimal in (True, False):
-            strat = random_strategy(rng, inst, 4, optimal=optimal)
-            outside += sum(inst.decompose(x + v) is None for x, v in strat.c1.items())
+            strat = random_strategy(rng, oracle, 4, optimal=optimal)
+            outside += sum(oracle.input_of(x + v) is None for x, v in strat.c1.items())
             control = sum(
                 (inst.p_m[m] * k * strat.c1[x] ** 2 for m, x in inst.support()),
                 Fraction(0),
             )
-            branches = branch_signals(inst, strat)
+            branches = branch_signals(oracle, strat)
             damping = sum((p * z * z for p, z in branches), Fraction(0))
             max_z = max(abs(z) for _p, z in branches)
             expected = (control + damping, control, damping, len(branches), max_z)
@@ -552,11 +573,11 @@ def test_search_mismatch_gate_raises(monkeypatch, inst10):
         search_deterministic(inst10, 1)
 
 
-def test_search_beats_any_supplied_strategy(inst10):
+def test_search_beats_any_supplied_strategy(inst10, oracle10):
     res = search_deterministic(inst10, 3)
     rng = random.Random(17)
     for _ in range(20):
-        strat = random_strategy(rng, inst10, 3)
+        strat = random_strategy(rng, oracle10, 3)
         assert res.cost <= evaluate_deterministic(inst10, strat).total
 
 

@@ -9,15 +9,18 @@ were rebuilt on the result objects, and the four ``--ks-set`` cases before
 the loader read every part as an integer pair.  Those read two sets under
 ``tests/data/``: the bundled rays rescaled per vector and written over
 ``"denominator": "2"`` with ``"p/q"`` string parts, and the bundled rays
-with one vector multiplied by i.  Any change to a report's bytes, or to
+with one vector multiplied by i.  The four ``-cabello`` cases read the
+18-ray, 9-basis set ``ks_9_4_cabello.json`` and were written by the source
+as it stood when the set was added.  Any change to a report's bytes, or to
 a command's exit code, fails here; a deliberate report change must
 regenerate the file in the same commit.
 
 A unitary keeps every inner product, so the bundled rays under the
 non-diagonal complex unitary of ``helpers.fixed_unitary``, committed as
-``ks_6_4_unitary.json``, must print four of the golden reports apart from
-their ``label:`` line; that runs the complex branch of every inner product
-through the whole command line.  The file is re-derived from the bundled
+``ks_6_4_unitary.json``, must print six of the golden reports apart from
+their ``label:`` line (the sweep CSV has none, so it must match whole);
+that runs the complex branch of every inner product through the whole
+command line.  The file is re-derived from the bundled
 set here, so it cannot drift, and one perturbed entry must fail
 ``verify-ks`` at the first pair it breaks.
 """
@@ -42,6 +45,7 @@ GOLDEN = DATA / "golden"
 RATIONAL_SET = str(DATA / "ks_rational_entries.json")
 IMAGINARY_SET = str(DATA / "ks_imaginary_vector.json")
 UNITARY_SET = str(DATA / "ks_6_4_unitary.json")
+CABELLO_SET = str(DATA / "ks_9_4_cabello.json")
 
 # (file name, argv, exit code)
 CASES = (
@@ -97,6 +101,10 @@ CASES = (
         ["quantum-run", "--t", "39", "--ks-set", IMAGINARY_SET],
         0,
     ),
+    ("verify-ks-cabello.txt", ["verify-ks", "--ks-set", CABELLO_SET], 0),
+    ("channel-info-cabello.txt", ["channel-info", "--ks-set", CABELLO_SET], 0),
+    ("quantum-run-t39-cabello.txt", ["quantum-run", "--t", "39", "--ks-set", CABELLO_SET], 0),
+    ("certify-bound7_2-cabello.txt", ["certify", "--bound", "7/2", "--ks-set", CABELLO_SET], 0),
 )
 
 
@@ -114,13 +122,19 @@ UNITARY_CASES = (
     ("channel-info.txt", ["channel-info"]),
     ("quantum-run-t39.txt", ["quantum-run", "--t", "39"]),
     ("certify-k1-bound7_2.txt", ["certify", "--bound", "7/2"]),
+    ("classical-search-t10-w2.txt", ["classical-search", "--t", "10", "--window", "2"]),
+    ("sweep-t4_8_16-w2.csv", ["sweep", "--t", "4,8,16", "--window", "2"]),
 )
 
 
 def unlabelled(report: bytes) -> tuple:
-    """(the report without its label line, the label line)."""
+    """(the report without its label line, the label line); a report with
+    no label line, such as a CSV, comes back whole, with None."""
     lines = report.decode().splitlines(keepends=True)
-    (at,) = [n for n, line in enumerate(lines) if line.startswith("label: ")]
+    at = [n for n, line in enumerate(lines) if line.startswith("label: ")]
+    if not at:
+        return "".join(lines), None
+    (at,) = at
     return "".join(lines[:at] + lines[at + 1:]), lines[at]
 
 
@@ -140,7 +154,10 @@ def test_unitary_set_prints_the_golden_reports(tmp_path, name, argv):
     ours, label = unlabelled(out.read_bytes())
     golden, golden_label = unlabelled((GOLDEN / name).read_bytes())
     assert ours == golden
-    assert label == f"label: {UNITARY_LABEL}\n" != golden_label
+    if golden_label is None:
+        assert label is None
+    else:
+        assert label == f"label: {UNITARY_LABEL}\n" != golden_label
 
 
 def test_perturbed_unitary_set_fails_at_the_first_broken_pair(tmp_path):
