@@ -21,10 +21,10 @@ entries in a window [-W, W], pruning on the exact cost of c1 prefixes; c2 is
 minimized per channel output in closed form (nearest integer to the negated
 posterior mean, from integer moments), so it never has to be enumerated.
 One scaled-integer evaluator, for any channel whose inputs are the (m, j)
-grid, carries the prefix down the depth-first search and scores a node's
-children in one pass: the out-of-form children share one list of damping
-terms, and an in-form child changes only its owner's row.  The winner is
-re-checked branch by branch.
+grid, carries the prefix down the depth-first search and scores each child
+as the search reaches it: an in-form child adds the change on its owner's
+row, and the out-of-form children share damping terms built once from the
+prefix's owners.  The winner is re-checked branch by branch.
 """
 
 from __future__ import annotations
@@ -258,26 +258,32 @@ def _round_half_even_ratio(num: int, den: int) -> int:
     return quo if quo % 2 == 0 else quo + 1
 
 
-def _exact_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise AssertionError(f"expected an integer-valued fraction, got {x}")
-    return x.numerator
+def _exact_int(num: int, den: int) -> int:
+    """num/den, which must be an integer."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise AssertionError(f"expected an integer-valued fraction, got {Fraction(num, den)}")
+    return quo
 
 
 def _output_holders(inst: WitsenhausenInstance) -> tuple:
-    """Per output, the ids u = m*d + j of the rows that hold it (at most two,
-    its endpoints, on a validated channel); per row, the weight D/deg(u) it
-    puts on each output, with D the lcm of the degrees; and D.  Built once
+    """Per output, beta_o and the ids u = m*d + j of the rows that hold it (at
+    most two, its endpoints, on a validated channel); per row, the weight
+    D/deg(u) it puts on each output, with D the lcm of the degrees, beta_o
+    being the sum of that weight over the output's rows; and D.  Built once
     per instance, on first use."""
     if inst._holders is None:
         grid = [ChannelInput(m, j) for m in range(inst.q) for j in range(inst.d)]
         rows = [inst.channel.rows[u] for u in grid]
         big_d = lcm(*map(len, rows))
-        holders: Dict[ChannelOutput, List[int]] = {}
+        unit = [big_d // len(row) for row in rows]
+        holders: Dict[ChannelOutput, list] = {}  # output -> [beta_o, ids...]
         for u, row in enumerate(rows):
             for o in row:
-                holders.setdefault(o, []).append(u)
-        inst._holders = holders, [big_d // len(row) for row in rows], big_d
+                entry = holders.setdefault(o, [0])
+                entry[0] += unit[u]
+                entry.append(u)
+        inst._holders = holders, unit, big_d
     return inst._holders
 
 
@@ -297,26 +303,28 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
     holders, unit, _big_d = _output_holders(inst)
     support = inst.support()
     big_l = lcm(*[inst.p_m[m].denominator for m, _ in support])
-    owned = [[0, 0] for _ in unit]  # per row: weight and weight*y
-    out = [0, 0]  # the same, over the messages out of form
+    owned = [[0, 0] for _ in unit]  # per row: weight and weight*y on each output
+    out = [0, 0]  # the same, over the messages out of form, per unit of beta_o
     for m, x in support:
         if x not in c1:
             raise ValueError(f"c1 table is not defined on supported input {x}")
         y = x + c1[x]
-        w = _exact_int(inst.p_m[m] * big_l)
+        w = _exact_int(inst.p_m[m].numerator * big_l, inst.p_m[m].denominator)
         hit = inst.decompose(y)
         if hit is None:
             own = out
         else:
-            own, w = owned[hit.m * inst.d + hit.j], w * inst.q * inst.d
+            u = hit.m * inst.d + hit.j
+            own, w = owned[u], w * inst.q * inst.d * unit[u]
         own[0] += w
         own[1] += w * y
     table: Dict[ChannelOutput, int] = {}
-    for s, us in sorted(holders.items()):
-        beta = sum(unit[u] for u in us)
-        mass = beta * out[0] + sum(unit[u] * owned[u][0] for u in us)
+    for s, (beta, *us) in holders.items():
+        mass, ysum = beta * out[0], beta * out[1]
+        for u in us:
+            mass += owned[u][0]
+            ysum += owned[u][1]
         if mass:
-            ysum = beta * out[1] + sum(unit[u] * owned[u][1] for u in us)
             table[s] = _round_half_even_ratio(-ysum, mass)
     return table
 
@@ -335,17 +343,12 @@ class SearchMismatchError(AssertionError):
     """The search's cost for its winner differs from the exact re-evaluation."""
 
 
-def _damping(terms: list, b: int, c: int) -> int:
-    """Sum of mult * min over integers v of a*v^2 + 2*(b0 + beta*b)*v + c0 +
-    beta*c over the (mult, a, b0, c0, beta) terms, each a > 0.  The minimum
-    sits at the integer nearest -(b0 + beta*b)/a; at an exact half both
-    neighbours give it, so v rounds half up here."""
-    total = 0
-    for mult, a, b0, c0, beta in terms:
-        lin = b0 + beta * b
-        v = (a - 2 * lin) // (2 * a)
-        total += mult * ((a * v + 2 * lin) * v + c0 + beta * c)
-    return total
+def _least(a: int, b: int) -> int:
+    """min over integers v of a*v^2 + 2*b*v, for a > 0.  The minimum sits at
+    the integer nearest -b/a; at an exact half both neighbours give it, so v
+    rounds half up here."""
+    v = (a - 2 * b) // (2 * a)
+    return (a * v + 2 * b) * v
 
 
 class _PrefixEvaluator:
@@ -356,60 +359,70 @@ class _PrefixEvaluator:
     ``scale_den``, which clears k, the message probabilities, 1/(q*d) and the
     lcm D of the row degrees.  On that scale row u puts weight D/deg(u) on
     each of its outputs, and the uniform out-of-form branch puts beta_o, the
-    sum of D/deg(i) over the endpoints i whose row holds o.
+    sum of D/deg(i) over the endpoints i whose row holds o.  An output whose
+    moments are (a, b, c) = (weight, weight*y, weight*y^2) costs
+    ``_least(a, b) + c``.
 
     A message whose wire value decomposes as input u gives its weight to the
     outputs of row u, and u becomes an *owner*.  A validated channel holds
     each output only in the rows of its two endpoints, so an output takes
-    in-form weight from at most two owners.  Damping then comes in three
-    groups, each a handful of closed-form minima: outputs in the rows of two
-    owners, one by one; each owner's other outputs, grouped by beta_o; and
-    every unowned output at once, as the out-of-form moments times the sum
-    of their beta_o.  All of one owner's messages share its wire value, so
-    with no message out of form an owner's other outputs cost nothing.
+    in-form weight from at most two owners; the evaluator holds, per row, its
+    partners (the rows it shares an output with, and that output's beta_o)
+    and its outputs counted by beta_o.  All of one owner's messages share its
+    wire value, so with no message out of form an output held by one owner
+    costs nothing.
 
     The evaluator holds the current prefix, which ``shift`` moves one
-    message at a time: its control cost, per owner the moments (weight,
-    weight*y, weight*y^2), and the out-of-form moments.  The out-of-form
-    children of a prefix share its owners and add the same weight, so its
-    damping terms are built once and each such child adds its own moments,
-    times beta_o, to them; an in-form child adds to its parent's cost the
-    change on the few outputs of its owner's row.
+    message at a time: its control cost, per owner the moments, and the
+    out-of-form moments.  ``score`` gives the cost of one child:
+
+    - a child in form at row u changes only the outputs of row u, so it adds
+      to its parent's cost one difference of closed-form minima per output
+      that u shares with another owner, and, when there is out-of-form
+      mass, one per beta group of u's other outputs (those outputs cost
+      nothing before and after otherwise);
+    - the out-of-form children of a prefix share its owners and add the same
+      weight, so its damping terms are built once, straight from the owners:
+      one per orthogonal pair of owners, each owner's other outputs grouped
+      by beta_o, and every unowned output at once, whose beta_o sum to
+      beta_total minus the owners' row sums plus the pairs' beta_o (an
+      output of two owners is in both rows).  A child adds its own first
+      moment to each term, times beta_o; its weight is in the terms, and its
+      second moment adds beta_total times it.
     """
 
     def __init__(self, inst: WitsenhausenInstance, window: int):
         q, d = inst.q, inst.d
         holders, unit, big_d = _output_holders(inst)
-        # shared[u][u2]: beta of the output in both rows of u and u2, else 0
-        self.shared = [[0] * len(unit) for _ in unit]
+        partners: List[Dict[int, int]] = [{} for _ in unit]  # per row, u2 -> beta
         groups: List[Dict[int, int]] = [{} for _ in unit]  # per row, beta -> count
-        self.row_beta = [0] * len(unit)
-        self.beta_total = 0
-        for us in holders.values():
-            beta = sum(unit[u] for u in us)
-            self.beta_total += beta
+        row_beta = [0] * len(unit)
+        beta_total = 0
+        for beta, *us in holders.values():
+            beta_total += beta
             if len(us) == 2:
                 u0, u1 = us
-                self.shared[u0][u1] = self.shared[u1][u0] = beta
+                partners[u0][u1] = partners[u1][u0] = beta
             for u in us:
-                groups[u][beta] = groups[u].get(beta, 0) + 1
-                self.row_beta[u] += beta
+                group = groups[u]
+                group[beta] = group.get(beta, 0) + 1
+                row_beta[u] += beta
+        self.partners, self.row_beta, self.beta_total = partners, row_beta, beta_total
         self.groups = [tuple(g.items()) for g in groups]
 
         support = inst.support()
         big_l = lcm(*[inst.p_m[m].denominator for m, _ in support])
-        k_den = inst.k.denominator
+        k_num, k_den = inst.k.numerator, inst.k.denominator
         self.damp_unit = k_den  # converts damping scale to the cost scale
         self.scale_den = big_l * q * d * big_d * k_den
 
-        # per supported message and window column: the control cost, and
-        # (owner id or -1 when out of form, weight, weight*y, weight*y^2)
-        self.ctrl_tab: List[List[int]] = []
-        self.moments: List[List[tuple]] = []
+        # per supported message and window column: (owner id or -1 when out
+        # of form, weight, weight*y, weight*y^2, control cost)
+        self.columns: List[List[tuple]] = []
         for m, x in support:
-            pm_int = _exact_int(inst.p_m[m] * big_l)
-            a_ctrl = _exact_int(inst.k * inst.p_m[m] * self.scale_den)
-            ctrl_row, term_row = [], []
+            pm_int = _exact_int(inst.p_m[m].numerator * big_l, inst.p_m[m].denominator)
+            a_ctrl = k_num * pm_int * q * d * big_d  # k * p_m * scale_den
+            row = []
             for v in range(-window, window + 1):
                 y = x + v
                 hit = inst.decompose(y)
@@ -418,15 +431,15 @@ class _PrefixEvaluator:
                 else:
                     u = hit.m * d + hit.j
                     w = pm_int * q * d * unit[u]
-                ctrl_row.append(a_ctrl * v * v)
-                term_row.append((u, w, w * y, w * y * y))
-            self.ctrl_tab.append(ctrl_row)
-            self.moments.append(term_row)
+                row.append((u, w, w * y, w * y * y, a_ctrl * v * v))
+            self.columns.append(row)
 
         # the current prefix, empty to begin with
         self.ctrl = 0
         self.owned: Dict[int, list] = {}  # owner -> [weight, weight*y, weight*y^2]
         self.out = [0, 0, 0]  # the same over the messages out of form
+        # per prefix length, the current prefix's out-of-form terms once built
+        self._out_terms: List[Optional[tuple]] = [None] * (len(support) + 1)
 
     def to_fraction(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale_den)
@@ -434,81 +447,86 @@ class _PrefixEvaluator:
     def shift(self, depth: int, col: int, sign: int) -> None:
         """Give message ``depth``, the next one, the value at window column
         ``col`` (sign 1), or take that value back (sign -1)."""
-        self.ctrl += sign * self.ctrl_tab[depth][col]
-        u, a, b, c = self.moments[depth][col]
+        u, a, b, c, ctrl = self.columns[depth][col]
+        self.ctrl += sign * ctrl
         own = self.out if u < 0 else self.owned.setdefault(u, [0, 0, 0])
         own[0] += sign * a
         own[1] += sign * b
         own[2] += sign * c
         if u >= 0 and not own[0]:
             del self.owned[u]
+        if sign > 0:
+            self._out_terms[depth + 1] = None
 
-    def _joins(self, owned, u, a, b, c, oa, ob, oc) -> list:
-        """Signed (mult, a, b0, c0, beta) terms whose ``_damping`` at (0, 0)
-        is the change in damping when moments (a, b, c) join owner u, given
-        the owners ``owned`` and out-of-form moments (oa, ob, oc)."""
-        new = u not in owned
-        a0, b0, c0 = owned.get(u, (0, 0, 0))
-        shared = self.shared[u]
-        terms = []
-        used: Dict[int, int] = {}  # beta -> u's outputs that another owner holds
-        rest = self.row_beta[u]  # beta over u's outputs that no other owner holds
-        for u2, (a2, b2, c2) in owned.items():
-            beta = shared[u2]
+    def score(self, depth: int, col: int, cost: int) -> int:
+        """The scaled cost of the child that gives message ``depth`` the value
+        at window column ``col``, the current prefix being the first ``depth``
+        messages at scaled cost ``cost``."""
+        u, a, b, c, ctrl = self.columns[depth][col]
+        if u < 0:
+            built = self._out_terms[depth]
+            if built is None:
+                built = self._out_terms[depth] = self._terms(a)
+            base, terms = built
+            damping = base + self.beta_total * c
+            for qa, qa2, lin, slope in terms:
+                lin += slope * b
+                v = (qa - lin) // qa2
+                damping += (qa * v + lin) * v
+            return self.ctrl + ctrl + self.damp_unit * damping
+        oa, ob = self.out[0], self.out[1]
+        own = self.owned.get(u)
+        a0, b0 = (own[0], own[1]) if own else (0, 0)
+        partners = self.partners[u]
+        delta = 0
+        shared = []  # beta of each of u's outputs that another owner holds
+        for u2, (a2, b2, _c2) in self.owned.items():
+            beta = partners.get(u2)
             if beta:
-                pa, pb, pc = a2 + beta * oa, b2 + beta * ob, c2 + beta * oc
-                terms.append((1, pa + a0 + a, pb + b0 + b, pc + c0 + c, beta))
-                if not new:
-                    terms.append((-1, pa + a0, pb + b0, pc + c0, beta))
-                elif oa:  # the output leaves u2's own group
-                    terms.append((-1, pa, pb, pc, beta))
-                used[beta] = used.get(beta, 0) + 1
-                rest -= beta
+                pa, pb = a2 + a0 + beta * oa, b2 + b0 + beta * ob
+                delta += _least(pa + a, pb + b) - _least(pa, pb) + c
+                shared.append(beta)
         if oa:
             for beta, count in self.groups[u]:
-                count -= used.get(beta, 0)
+                count -= shared.count(beta)
                 if count:
-                    pa, pb, pc = a0 + beta * oa, b0 + beta * ob, c0 + beta * oc
-                    terms.append((count, pa + a, pb + b, pc + c, beta))
-                    if not new:
-                        terms.append((-count, pa, pb, pc, beta))
-            if new and rest:
-                terms.append((-rest, oa, ob, oc, 1))
-        return terms
+                    pa, pb = a0 + beta * oa, b0 + beta * ob
+                    delta += count * (_least(pa + a, pb + b) - _least(pa, pb) + c)
+        return cost + ctrl + self.damp_unit * delta
 
-    def _terms(self, oa: int, ob: int, oc: int) -> list:
-        """The current owners' damping with out-of-form moments (oa, ob, oc),
-        oa > 0, as terms for ``_damping``: every output unowned, then the
-        owners joined one by one, equal quadratics merged.  ``_damping`` at
-        (b, c) adds a further out-of-form message of moments (_, b, c)."""
-        merged = {(oa, ob, oc, 1): self.beta_total}
-        owned: Dict[int, list] = {}
-        for u, moments in self.owned.items():
-            for term in self._joins(owned, u, *moments, oa, ob, oc):
-                merged[term[1:]] = merged.get(term[1:], 0) + term[0]
-            owned[u] = moments
-        return [(mult, *quad) for quad, mult in merged.items() if mult]
-
-    def scorer(self, depth: int, cost: int):
-        """The scaled cost of each child of the current prefix, the first
-        ``depth`` messages at scaled cost ``cost``, as a function of the next
-        message's window column; it holds while the prefix does."""
-        ctrl, ctrl_row, moments = self.ctrl, self.ctrl_tab[depth], self.moments[depth]
-        owned, (oa, ob, oc) = self.owned, self.out
-        unit = self.damp_unit
-        out_terms = None  # built for the first out-of-form child
-
-        def score(col: int) -> int:
-            nonlocal out_terms
-            u, a, b, c = moments[col]
-            if u >= 0:
-                joins = self._joins(owned, u, a, b, c, oa, ob, oc)
-                return cost + ctrl_row[col] + unit * _damping(joins, 0, 0)
-            if out_terms is None:
-                out_terms = self._terms(oa + a, ob, oc)
-            return ctrl + ctrl_row[col] + unit * _damping(out_terms, b, c)
-
-        return score
+    def _terms(self, a: int) -> tuple:
+        """(base, terms) for the current prefix's out-of-form children, which
+        add weight ``a``: a child of moments (a, b, c) has damping base +
+        beta_total*c plus, over (mult, pa, pb, beta) for each group of outputs,
+        mult * _least(pa, pb + beta*b).  That is (qa*v + lin)*v at v = (qa -
+        lin) // 2qa, with qa = mult*pa and lin = 2*mult*(pb + beta*b), so a
+        term is held as (qa, 2qa, 2*mult*pb, 2*mult*beta)."""
+        oa, ob, oc = self.out
+        oa += a
+        owners = list(self.owned.items())
+        shared: Dict[int, list] = {u: [] for u, _ in owners}
+        quads, base, rest = [], 0, self.beta_total
+        for i, (u, (a1, b1, c1)) in enumerate(owners):
+            partners = self.partners[u]
+            for u2, (a2, b2, c2) in owners[i + 1:]:
+                beta = partners.get(u2)
+                if beta:
+                    quads.append((1, a1 + a2 + beta * oa, b1 + b2 + beta * ob, beta))
+                    base += c1 + c2 + beta * oc
+                    rest += beta
+                    shared[u].append(beta)
+                    shared[u2].append(beta)
+            rest -= self.row_beta[u]
+            for beta, count in self.groups[u]:
+                count -= shared[u].count(beta)
+                if count:
+                    quads.append((count, a1 + beta * oa, b1 + beta * ob, beta))
+                    base += count * (c1 + beta * oc)
+        if rest:
+            quads.append((rest, oa, ob, 1))
+            base += rest * oc
+        terms = [(m * pa, 2 * m * pa, 2 * m * pb, 2 * m * beta) for m, pa, pb, beta in quads]
+        return base, terms
 
 
 def search_deterministic(
@@ -556,25 +574,26 @@ def search_deterministic(
     best_cost, best_vals = None, None
     nodes = 0
 
+    score, shift = evaluator.score, evaluator.shift
+
     def descend(prefix: tuple, prefix_cost: int) -> bool:
         """Search every completion of ``prefix``, the evaluator's current
         prefix; False once the budget is out."""
         nonlocal best_cost, best_vals, nodes
         depth = len(prefix)
-        score = evaluator.scorer(depth, prefix_cost)
         for v in order:
             if node_budget is not None and nodes >= node_budget:
                 return False
             nodes += 1
-            cost = score(v + reach)
+            cost = score(depth, v + reach, prefix_cost)
             if best_cost is not None and cost > best_cost:
                 continue
             values = prefix + (v,)
             if depth + 1 < len(support):
-                evaluator.shift(depth, v + reach, 1)
+                shift(depth, v + reach, 1)
                 if not descend(values, cost):
                     return False
-                evaluator.shift(depth, v + reach, -1)
+                shift(depth, v + reach, -1)
             elif best_cost is None or cost < best_cost or values < best_vals:
                 best_cost, best_vals = cost, values
         return True

@@ -18,7 +18,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .channel import ChannelInput, ChannelOutput, FiniteChannel
-from .exact import Vector, measure_first_subsystem
+from .exact import Vector, _gauss_dot, measure_first_subsystem
 from .ks import KSBasisSet, validate_basis_set
 
 _ONE = Fraction(1)
@@ -94,10 +94,13 @@ def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
     cand1, cand2 = ks.bases[m1][j1], ks.bases[m2][j2]
     if not (cand1.unit and cand2.unit):
         raise ValueError(f"candidates {s} are not unit vectors")
-    # the two squared overlaps are compared as integer ratios; a Fraction is
-    # built only for the one returned, and a certain outcome shares _ONE
-    n1, d1 = residual.overlap_sq_ratio(cand1)
-    n2, d2 = residual.overlap_sq_ratio(cand2)
+    # the two squared overlaps |<residual|cand>|^2 over the numerators'
+    # squared norms, from one kernel call, are compared as integer ratios; a
+    # Fraction is built only for the one returned, and a certain outcome
+    # shares _ONE
+    (re1, im1), (re2, im2) = _gauss_dot(residual, (cand1, cand2))
+    n1, d1 = re1 * re1 + im1 * im1, residual.nsq * cand1.nsq
+    n2, d2 = re2 * re2 + im2 * im2, residual.nsq * cand2.nsq
     if n1 == 0 and n2 == 0:
         raise ValueError("residual state is orthogonal to both candidates")
     if n1 * d2 >= n2 * d1:

@@ -8,10 +8,12 @@ sums, so orthogonality and measurement probabilities are decided exactly,
 with no tolerances; a Fraction is formed only from the final sums.  Floats
 never enter.
 
-Every inner product goes through one kernel, ``_gauss_dot``.  Whether a
-vector is real and whether it is a unit vector are decided in its one
-constructor and held; a basis set's pairs are decided once, by
-``orthogonality_masks`` in the ``KSBasisSet`` constructor.
+Every inner product goes through one kernel, ``_gauss_dot``, which takes
+one vector against a row of others in one call.  Whether a vector is real,
+its integer squared norm and whether it is a unit vector are decided in its
+one constructor and held; a basis set's pairs are decided once, by
+``orthogonality_masks`` in the ``KSBasisSet`` constructor, one kernel call
+per vector.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 def as_fraction(x) -> Fraction:
@@ -31,31 +33,49 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _gauss_dot(a_re, a_im, b_re, b_im, real: bool) -> tuple:
-    """Integer (re, im) of sum(conj(a_k) * b_k) over Gaussian integers.
+class Parts(NamedTuple):
+    """Integer numerators of a vector and whether its imaginary ones are all
+    zero: the fields of a ``Vector`` that the dot kernel reads."""
 
-    ``real`` must say whether both imaginary parts are all zero; callers pass
-    the two vectors' held flags, ``v.real and w.real``, and it is not checked.
+    re: tuple
+    im: tuple
+    real: bool
+
+
+def _gauss_dot(a, rows) -> list:
+    """Integer (re, im) of sum(conj(a_k) * b_k) over Gaussian integers, for
+    ``a`` against each b of ``rows``, in order; each is a ``Vector`` or
+    ``Parts``, and only its numerators and ``real`` flag are read.
+
+    A pair whose two ``real`` flags are both true takes the real sum, so a
+    flag may be true only when that vector's imaginary parts are all zero;
+    the held flags are exact, and the kernel does not check them.
     """
-    if len(a_re) != len(b_re):
-        raise ValueError(f"dimension mismatch: {len(a_re)} vs {len(b_re)}")
-    if real:
-        return sum(map(mul, a_re, b_re)), 0
-    re = im = 0
-    for ar, ai, br, bi in zip(a_re, a_im, b_re, b_im):
-        re += ar * br + ai * bi
-        im += ar * bi - ai * br
-    return re, im
+    a_re, a_im, a_real = a.re, a.im, a.real
+    dim = len(a_re)
+    dots = []
+    for b in rows:
+        b_re = b.re
+        if len(b_re) != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {len(b_re)}")
+        if a_real and b.real:
+            dots.append((sum(map(mul, a_re, b_re)), 0))
+            continue
+        re = im = 0
+        for ar, ai, br, bi in zip(a_re, a_im, b_re, b.im):
+            re += ar * br + ai * bi
+            im += ar * bi - ai * br
+        dots.append((re, im))
+    return dots
 
 
 def orthogonality_masks(vectors: Sequence["Vector"]) -> list:
-    """Per vector, the bitmask of the others orthogonal to it."""
+    """Per vector, the bitmask of the others orthogonal to it: one kernel
+    call per vector, against the vectors after it."""
     masks = [0] * len(vectors)
     for a, va in enumerate(vectors):
-        re, im, real = va.re, va.im, va.real
-        for b in range(a + 1, len(vectors)):
-            vb = vectors[b]
-            if _gauss_dot(re, im, vb.re, vb.im, real and vb.real) == (0, 0):
+        for b, dot in enumerate(_gauss_dot(va, vectors[a + 1:]), a + 1):
+            if dot == (0, 0):
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
     return masks
@@ -69,14 +89,14 @@ class Vector:
     their squared norm over den^2, which makes the vector the unit vector
     along them.  The object is immutable and this is its one constructor, so
     what it decides about the numerators cannot go stale: their integer
-    squared norm in ``_nsq``, every imaginary numerator being zero in
+    squared norm in ``nsq``, every imaginary numerator being zero in
     ``real`` and ``norm_sq() == 1`` in ``unit``.
     The sqrt never has to be evaluated: every quantity this package consumes
     (orthogonality, squared overlaps, squared norms, measurement
     probabilities) is rational in the numerators and the scale.
     """
 
-    __slots__ = ("re", "im", "den", "scale", "_nsq", "real", "unit")
+    __slots__ = ("re", "im", "den", "scale", "nsq", "real", "unit")
 
     def __init__(self, re: Sequence[int], im: Sequence[int], den: int = 1, scale=None):
         if not re or len(re) != len(im):
@@ -106,7 +126,7 @@ class Vector:
         put(self, "im", im)
         put(self, "den", den)
         put(self, "scale", scale)
-        put(self, "_nsq", nsq)
+        put(self, "nsq", nsq)
         put(self, "real", not any(im))
         put(self, "unit", nsq * scale.denominator == den * den * scale.numerator)
 
@@ -119,20 +139,7 @@ class Vector:
 
     def norm_sq(self) -> Fraction:
         s = self.scale
-        return Fraction(self._nsq * s.denominator, self.den ** 2 * s.numerator)
-
-    def overlap_sq_ratio(self, other: "Vector") -> tuple:
-        """Squared fidelity |<self|other>|^2 between the normalized rays, as
-        an integer (numerator, positive denominator) pair, not reduced.
-
-        Denominators and scales cancel: it is |numerator dot|^2 over the
-        product of the numerators' squared norms.
-        """
-        nsq = self._nsq * other._nsq
-        if nsq == 0:
-            raise ValueError("overlap with a zero vector is undefined")
-        re, im = _gauss_dot(self.re, self.im, other.re, other.im, self.real and other.real)
-        return re * re + im * im, nsq
+        return Fraction(self.nsq * s.denominator, self.den ** 2 * s.numerator)
 
     def conjugate(self) -> "Vector":
         if self.real:
@@ -193,12 +200,11 @@ def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
     if state.dim % a != 0:
         raise ValueError("state dimension is not a multiple of the basis dimension")
     b = state.dim // a
-    columns = [(state.re[i2::b], state.im[i2::b]) for i2 in range(b)]
+    columns = [Parts(state.re[i2::b], state.im[i2::b], state.real) for i2 in range(b)]
     branches = []
     for j, u in enumerate(basis):
         # residual entry i2 is sum over i1 of conj(u_i1) * state_(i1*b + i2)
-        real = u.real and state.real
-        res_re, res_im = zip(*(_gauss_dot(u.re, u.im, *col, real) for col in columns))
+        res_re, res_im = zip(*_gauss_dot(u, columns))
         # the residual is (res / den) / sqrt(u.scale * state.scale); its squared
         # norm is the branch probability, and only its direction is kept
         parts = res_re + res_im

@@ -316,7 +316,11 @@ def entries(v):
 
 def overlap_sq(v, w):
     """Squared fidelity |<v|w>|^2 as a Fraction, from the integer kernel."""
-    return Fraction(*v.overlap_sq_ratio(w))
+    nsq = v.nsq * w.nsq
+    if nsq == 0:
+        raise ValueError("overlap with a zero vector is undefined")
+    ((re, im),) = _gauss_dot(v, [w])
+    return Fraction(re * re + im * im, nsq)
 
 
 # -- test-only geometry helpers ------------------------------------------------
@@ -344,14 +348,14 @@ def raw_dot(v, w):
     """Sesquilinear sum(conj(v_k) * w_k) over the raw entries, from the
     integer kernel; the denoted inner product is this over
     sqrt(v.scale * w.scale), so it is zero iff this is zero."""
-    re, im = _gauss_dot(v.re, v.im, w.re, w.im, v.real and w.real)
+    ((re, im),) = _gauss_dot(v, [w])
     den = v.den * w.den
     return ComplexFraction(Fraction(re, den), Fraction(im, den))
 
 
 def is_orthogonal(v, w):
     """True iff <v|w> = 0, decided exactly on the integer numerators."""
-    return _gauss_dot(v.re, v.im, w.re, w.im, v.real and w.real) == (0, 0)
+    return _gauss_dot(v, [w]) == [(0, 0)]
 
 
 def all_vectors(ks):

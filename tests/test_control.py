@@ -24,7 +24,8 @@ Claims covered:
       the integer checker scores, in the same number, complete and under
       node budgets 6, 40 and 300, and ends at its cost and table; its child
       scoring, walked down full tables, matches the checker's cost and takes
-      every step back exactly
+      every step back exactly; every child it scores in a search costs what
+      the checker gives for the prefix the evaluator holds
     - every oracle here is the checker of ``tests/checker.py``, on the
       channel it derives from the ray file itself, or on the same plain
       neighbour table that entwit's channel is built from
@@ -467,7 +468,7 @@ def test_prefix_evaluator_matches_oracle_cost(bundled, channels, tables, kind):
             values = (*first, *[rng.choice(span) for _ in inst.support()[2:]])
             scaled = 0
             for depth, v in enumerate(values):
-                scaled = evaluator.scorer(depth, scaled)(v + window)
+                scaled = evaluator.score(depth, v + window, scaled)
                 if depth == 1 or depth + 1 == len(values):
                     prefix = values[:depth + 1]
                     assert evaluator.to_fraction(scaled) == oracle.cost(prefix)
@@ -475,6 +476,54 @@ def test_prefix_evaluator_matches_oracle_cost(bundled, channels, tables, kind):
             for depth in reversed(range(len(values))):
                 evaluator.shift(depth, values[depth] + window, -1)
             assert (evaluator.ctrl, evaluator.owned, evaluator.out) == (0, {}, [0, 0, 0])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_search_scores_every_child_at_the_checkers_cost(
+    monkeypatch, bundled, channels, tables, kind
+):
+    # the search compares costs only, so a wrong child score can still leave
+    # the winner right; record every child it scores, with the prefix the
+    # evaluator holds, and score each one again on the checker.  At t = 5
+    # every fifth wire is out of form, and with W = 2 out-of-form children
+    # meet nodes whose owners share outputs; at t = 4, W = 5 and k = 1/10
+    # in-form children join an owner that shares an output with another
+    shift, score = _PrefixEvaluator.shift, _PrefixEvaluator.score
+    prefix, scored = [], []
+
+    def tracked_shift(self, depth, col, sign):
+        shift(self, depth, col, sign)
+        if sign > 0:
+            prefix.append(col - window)
+        else:
+            prefix.pop()
+
+    def recorded_score(self, depth, col, cost):
+        got = score(self, depth, col, cost)
+        assert depth == len(prefix)
+        scored.append(((*prefix, col - window), self.to_fraction(got)))
+        return got
+
+    monkeypatch.setattr(_PrefixEvaluator, "shift", tracked_shift)
+    monkeypatch.setattr(_PrefixEvaluator, "score", recorded_score)
+    neighbours = tables[kind].neighbours
+    shares = joins = 0
+    for t, window, k in [(5, 2, Fraction(1, 1000)), (4, 5, Fraction(1, 10))]:
+        inst = make_instance(bundled, t, k, channel=channels[kind])
+        oracle = Instance(tables[kind], t, k)
+        scored.clear()
+        res = search_deterministic(inst, window)
+        assert len(scored) == res.candidates_evaluated and not prefix
+        for values, cost in scored:
+            assert cost == oracle.cost(values), values
+            wires = [x + v for (_m, x), v in zip(inst.support(), values)]
+            owners = {oracle.input_of(y) for y in wires[:-1]} - {None}
+            child = oracle.input_of(wires[-1])
+            if child is None:
+                shares += any(n in owners for i in owners for n in neighbours[i])
+            elif child in owners:
+                joins += any(n in owners for n in neighbours[child])
+    assert shares and joins
 
 
 @pytest.mark.parametrize("kind", KINDS)

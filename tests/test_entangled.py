@@ -133,15 +133,20 @@ def test_decoder_completion_is_orthonormal_either_order(bundled, channel):
 
 
 def test_decode_equals_measurement_in_completed_basis(bundled, channel):
+    # a completed basis depends only on the ordered candidate pair, and each
+    # output is reached from the branches of both its endpoints
     branches = 0
+    completed = {}  # ordered candidate pair -> its completed basis
     for m in range(bundled.q):
         for branch in encoder_branches(bundled, m):
             for s in channel.rows[branch.outcome]:
                 for order in (s, s[::-1]):
-                    (m1, j1), (m2, j2) = order
-                    basis = complete_orthonormal_basis(
-                        [bundled.bases[m1][j1], bundled.bases[m2][j2]], bundled.d
-                    )
+                    if order not in completed:
+                        (m1, j1), (m2, j2) = order
+                        completed[order] = complete_orthonormal_basis(
+                            [bundled.bases[m1][j1], bundled.bases[m2][j2]], bundled.d
+                        )
+                    basis = completed[order]
                     probs = measurement_probabilities(branch.residual, basis)
                     assert sum(probs, Fraction(0)) == 1
                     i = 0 if probs[0] >= probs[1] else 1
@@ -149,7 +154,7 @@ def test_decode_equals_measurement_in_completed_basis(bundled, channel):
                     assert decoder_decode(bundled, order, branch.residual) == expected
                     assert expected == (branch.outcome, Fraction(1))
                 branches += 1
-    assert branches == 216
+    assert branches == 216 and len(completed) == 216
 
 
 def test_decoder_rejects_non_unit_candidates():

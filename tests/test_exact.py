@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwit.exact import (
+    Parts,
     Vector,
     _gauss_dot,
     as_fraction,
@@ -232,20 +233,47 @@ def test_dot_kernel_matches_complex_fraction_sums_on_either_branch(left, right):
         dim = rng.randint(max(left, right, 1), 6)
         a = _gaussian_integers(rng, dim, left)
         b = _gaussian_integers(rng, dim, right)
-        re, im = _gauss_dot(*a, *b, not (left or right))
-        assert (re, im) == _cf_sum(*a, *b) == _gauss_dot(*a, *b, False)
+        ((re, im),) = _gauss_dot(Parts(*a, not left), [Parts(*b, not right)])
+        assert (re, im) == _cf_sum(*a, *b)
+        assert [(re, im)] == _gauss_dot(Parts(*a, False), [Parts(*b, False)])
         assert type(re) is int and type(im) is int
         nonzero_im += im != 0
         longer = _gaussian_integers(rng, dim + 1, min(left, 1))
         for real in (True, False):  # the length is checked before either branch
             with pytest.raises(ValueError, match="dimension mismatch"):
-                _gauss_dot(*a, *longer, real)
+                _gauss_dot(Parts(*a, real), [Parts(*longer, real)])
             with pytest.raises(ValueError, match="dimension mismatch"):
-                _gauss_dot(*longer, *b, real)
+                _gauss_dot(Parts(*longer, real), [Parts(*b, real)])
     if left + right:
         assert nonzero_im > 100
     else:
         assert nonzero_im == 0
+
+
+def test_row_kernel_takes_each_pair_as_its_own_call_would():
+    # one call against a row mixing real and complex vectors gives, in order,
+    # what one call per pair gives, each pair on its own flags; a vector of
+    # another dimension anywhere in the row is refused
+    rng = random.Random(20150)
+    flags = set()
+    for _ in range(100):
+        dim = rng.randint(1, 5)
+        left = rng.randint(0, 1)
+        a = Parts(*_gaussian_integers(rng, dim, left), not left)
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            right = rng.randint(0, min(dim, 2))
+            rows.append(Parts(*_gaussian_integers(rng, dim, right), not right))
+            flags.add((not left, not right))
+        dots = _gauss_dot(a, rows)
+        assert dots == [_gauss_dot(a, [row])[0] for row in rows]
+        assert dots == [_cf_sum(a.re, a.im, row.re, row.im) for row in rows]
+        if rows:
+            at = rng.randrange(len(rows) + 1)
+            longer = Parts(*_gaussian_integers(rng, dim + 1, 0), True)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                _gauss_dot(a, rows[:at] + [longer] + rows[at:])
+    assert flags == set(product((True, False), repeat=2))
 
 
 @pytest.mark.parametrize("complex_vectors", [0, 1, 5])
@@ -289,7 +317,7 @@ def _held_is_fresh(v):
     equal what the numerators and scale give, recomputed."""
     nsq = sum(r * r for r in v.re) + sum(i * i for i in v.im)
     return (
-        v._nsq == nsq
+        v.nsq == nsq
         and v.real is (not any(v.im))
         and v.unit is (cf_norm_sq(v) == 1)
     )
@@ -435,7 +463,8 @@ def test_a_product_with_only_an_imaginary_part_is_not_zero(caller):
         with pytest.raises(ValueError, match="not orthogonal"):
             decoder_decode(ks, ((0, 0), (0, 1)), E0)
     elif caller == "overlap":
-        assert E0.overlap_sq_ratio(I_E0) == I_E0.overlap_sq_ratio(E0) == (1, 1)
+        assert _gauss_dot(E0, [I_E0]) == [(0, 1)] and _gauss_dot(I_E0, [E0]) == [(0, -1)]
+        assert overlap_sq(E0, I_E0) == overlap_sq(I_E0, E0) == 1
     elif caller == "masks":
         assert orthogonality_masks([E0, I_E0]) == [0, 0]
     else:
