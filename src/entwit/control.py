@@ -24,12 +24,16 @@ One scaled-integer evaluator, for any channel whose inputs are the (m, j)
 grid, carries the prefix down the depth-first search and scores each child
 as the search reaches it: an in-form child adds the change on its owner's
 row, and the out-of-form children share damping terms built once from the
-prefix's owners.  The winner is re-checked branch by branch.
+prefix's owners.  Those shared terms, with c2 relaxed to the reals, also
+give an exact lower bound on every out-of-form child of a node at once;
+when it exceeds the incumbent they are ruled out together, unscored.  The
+winner is re-checked branch by branch.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
@@ -336,7 +340,7 @@ class SearchResult(NamedTuple):
     strategy: DeterministicStrategy
     cost: Fraction
     complete: bool  # the search finished within the node budget
-    candidates_evaluated: int  # c1 prefixes scored
+    candidates_evaluated: int  # c1 prefixes scored or ruled out by the group bound
 
 
 class SearchMismatchError(AssertionError):
@@ -389,6 +393,13 @@ class _PrefixEvaluator:
       output of two owners is in both rows).  A child adds its own first
       moment to each term, times beta_o; its weight is in the terms, and its
       second moment adds beta_total times it.
+
+    ``out_of_form_bound`` reads the same groups once per node: with c2 over
+    the reals each group's least damping is a closed-form quadratic in the
+    child's wire y, so a child's relaxed cost is one quadratic in y, convex
+    as a least over c2 of quadratics convex in (y, c2), and its least value
+    over the out-of-form wires bounds every out-of-form child.  The
+    per-child term list is built only when the search scores one of them.
     """
 
     def __init__(self, inst: WitsenhausenInstance, window: int):
@@ -417,29 +428,35 @@ class _PrefixEvaluator:
         self.scale_den = big_l * q * d * big_d * k_den
 
         # per supported message and window column: (owner id or -1 when out
-        # of form, weight, weight*y, weight*y^2, control cost)
+        # of form, weight, weight*y, weight*y^2, control cost); per message,
+        # its x, k * p_m * scale_den (the control cost of |v| = 1), the weight
+        # of an out-of-form value and its out-of-form wires in increasing order
         self.columns: List[List[tuple]] = []
+        self.messages: List[tuple] = []
         for m, x in support:
             pm_int = _exact_int(inst.p_m[m].numerator * big_l, inst.p_m[m].denominator)
             a_ctrl = k_num * pm_int * q * d * big_d  # k * p_m * scale_den
-            row = []
+            row, wires = [], []
             for v in range(-window, window + 1):
                 y = x + v
                 hit = inst.decompose(y)
                 if hit is None:
                     u, w = -1, pm_int
+                    wires.append(y)
                 else:
                     u = hit.m * d + hit.j
                     w = pm_int * q * d * unit[u]
                 row.append((u, w, w * y, w * y * y, a_ctrl * v * v))
             self.columns.append(row)
+            self.messages.append((x, a_ctrl, pm_int, wires))
 
         # the current prefix, empty to begin with
         self.ctrl = 0
         self.owned: Dict[int, list] = {}  # owner -> [weight, weight*y, weight*y^2]
         self.out = [0, 0, 0]  # the same over the messages out of form
-        # per prefix length, the current prefix's out-of-form terms once built
-        self._out_terms: List[Optional[tuple]] = [None] * (len(support) + 1)
+        # per prefix length, the current prefix's out-of-form groups once
+        # built, as [base, quads, term list or None until a child is scored]
+        self._out_groups: List[Optional[list]] = [None] * (len(support) + 1)
 
     def to_fraction(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale_den)
@@ -456,7 +473,7 @@ class _PrefixEvaluator:
         if u >= 0 and not own[0]:
             del self.owned[u]
         if sign > 0:
-            self._out_terms[depth + 1] = None
+            self._out_groups[depth + 1] = None
 
     def score(self, depth: int, col: int, cost: int) -> int:
         """The scaled cost of the child that gives message ``depth`` the value
@@ -464,10 +481,15 @@ class _PrefixEvaluator:
         messages at scaled cost ``cost``."""
         u, a, b, c, ctrl = self.columns[depth][col]
         if u < 0:
-            built = self._out_terms[depth]
-            if built is None:
-                built = self._out_terms[depth] = self._terms(a)
-            base, terms = built
+            built = self._group_outputs(depth)
+            base, quads, terms = built
+            if terms is None:
+                # mult*_least(pa, pb + beta*b) is (qa*v + lin)*v at v = (qa -
+                # lin) // 2qa, with qa = mult*pa and lin = 2*mult*(pb + beta*b)
+                terms = built[2] = [
+                    (m * pa, 2 * m * pa, 2 * m * pb, 2 * m * beta)
+                    for m, pa, pb, beta in quads
+                ]
             damping = base + self.beta_total * c
             for qa, qa2, lin, slope in terms:
                 lin += slope * b
@@ -494,15 +516,44 @@ class _PrefixEvaluator:
                     delta += count * (_least(pa + a, pb + b) - _least(pa, pb) + c)
         return cost + ctrl + self.damp_unit * delta
 
-    def _terms(self, a: int) -> tuple:
-        """(base, terms) for the current prefix's out-of-form children, which
-        add weight ``a``: a child of moments (a, b, c) has damping base +
-        beta_total*c plus, over (mult, pa, pb, beta) for each group of outputs,
-        mult * _least(pa, pb + beta*b).  That is (qa*v + lin)*v at v = (qa -
-        lin) // 2qa, with qa = mult*pa and lin = 2*mult*(pb + beta*b), so a
-        term is held as (qa, 2qa, 2*mult*pb, 2*mult*beta)."""
+    def out_of_form_bound(self, depth: int) -> tuple:
+        """(num, den) with num/den at most the scaled cost of every
+        out-of-form child of the current prefix, the first ``depth`` messages.
+
+        It is a child's cost with c2 relaxed to the reals: a group's
+        mult*_least(pa, pb + beta*b) is at least -mult*(pb + beta*w*y)^2/pa,
+        for a child of weight w on wire y.  So the bound is a quadratic
+        A*y^2 + B*y + C over den, the lcm of the groups' pa, with integer
+        coefficients; it is convex (k > 0, and relaxed damping is convex in
+        y), so its least value over the out-of-form wires is at the last
+        one at or below the vertex -B/2A or the first one above it."""
+        base, quads, _terms = self._group_outputs(depth)
+        x, a_ctrl, w, wires = self.messages[depth]
+        den = lcm(*[pa for _m, pa, _pb, _beta in quads])
+        sa = sb = sc = 0
+        for m, pa, pb, beta in quads:
+            r, bw = m * (den // pa), beta * w
+            sa += r * bw * bw
+            sb += r * pb * bw
+            sc += r * pb * pb
+        du = self.damp_unit
+        big_a = den * (a_ctrl + du * self.beta_total * w) - du * sa
+        big_b = -2 * (den * a_ctrl * x + du * sb)
+        big_c = den * (self.ctrl + a_ctrl * x * x + du * base) - du * sc
+        at = bisect_right(wires, -big_b // (2 * big_a))
+        num = min((big_a * y + big_b) * y + big_c for y in wires[max(at - 1, 0):at + 1])
+        return num, den
+
+    def _group_outputs(self, depth: int) -> list:
+        """[base, quads, term list or None] for the current prefix's
+        out-of-form children, built on first use and held for ``depth``: a
+        child of moments (a, b, c) has damping base + beta_total*c plus,
+        over the quad (mult, pa, pb, beta) of each group of outputs,
+        mult * _least(pa, pb + beta*b)."""
+        if self._out_groups[depth] is not None:
+            return self._out_groups[depth]
         oa, ob, oc = self.out
-        oa += a
+        oa += self.messages[depth][2]
         owners = list(self.owned.items())
         shared: Dict[int, list] = {u: [] for u, _ in owners}
         quads, base, rest = [], 0, self.beta_total
@@ -525,8 +576,8 @@ class _PrefixEvaluator:
         if rest:
             quads.append((rest, oa, ob, 1))
             base += rest * oc
-        terms = [(m * pa, 2 * m * pa, 2 * m * pb, 2 * m * beta) for m, pa, pb, beta in quads]
-        return base, terms
+        built = self._out_groups[depth] = [base, quads, None]
+        return built
 
 
 def search_deterministic(
@@ -549,8 +600,15 @@ def search_deterministic(
     channel and carries the prefix down the search; the winner is re-checked
     through the branch-by-branch evaluation.
 
-    ``candidates_evaluated`` counts the prefixes scored; if ``node_budget`` of
-    them runs out the result is incomplete and must never certify anything.
+    Once there is an incumbent, a node asks the evaluator, at its first
+    out-of-form child, for the group bound on all its out-of-form children.
+    If that bound strictly exceeds the incumbent, each of them would be
+    pruned anyway, so they are counted and passed over unscored; otherwise
+    each is scored.  The same prefixes are expanded in the same order.
+
+    ``candidates_evaluated`` counts the prefixes scored or ruled out by the
+    group bound, child by child; if ``node_budget`` of them runs out the
+    result is incomplete and must never certify anything.
     """
     if window < 0:
         raise ValueError("window must be nonnegative")
@@ -570,30 +628,39 @@ def search_deterministic(
     reach = window if node_budget is None else min(window, node_budget)
     evaluator = _PrefixEvaluator(inst, reach)
 
-    order = sorted(range(-reach, reach + 1), key=lambda v: (abs(v), v))
+    order = [(v, v + reach) for v in sorted(range(-reach, reach + 1), key=lambda v: (abs(v), v))]
     best_cost, best_vals = None, None
     nodes = 0
 
-    score, shift = evaluator.score, evaluator.shift
+    score, shift, bound = evaluator.score, evaluator.shift, evaluator.out_of_form_bound
+    outside = [[u < 0 for u, *_rest in row] for row in evaluator.columns]
 
     def descend(prefix: tuple, prefix_cost: int) -> bool:
         """Search every completion of ``prefix``, the evaluator's current
         prefix; False once the budget is out."""
         nonlocal best_cost, best_vals, nodes
         depth = len(prefix)
-        for v in order:
+        out = outside[depth]
+        ruled_out = None  # asked once, at the first out-of-form child with an incumbent
+        for v, col in order:
             if node_budget is not None and nodes >= node_budget:
                 return False
             nodes += 1
-            cost = score(depth, v + reach, prefix_cost)
+            if out[col] and best_cost is not None:
+                if ruled_out is None:
+                    num, den = bound(depth)
+                    ruled_out = num > best_cost * den
+                if ruled_out:
+                    continue
+            cost = score(depth, col, prefix_cost)
             if best_cost is not None and cost > best_cost:
                 continue
             values = prefix + (v,)
             if depth + 1 < len(support):
-                shift(depth, v + reach, 1)
+                shift(depth, col, 1)
                 if not descend(values, cost):
                     return False
-                shift(depth, v + reach, -1)
+                shift(depth, col, -1)
             elif best_cost is None or cost < best_cost or values < best_vals:
                 best_cost, best_vals = cost, values
         return True

@@ -201,6 +201,14 @@ class Instance:
             self.scale * k.denominator,
         )
 
+    def relaxed_cost(self, values):
+        """``cost`` with each c2 taken over the reals, not the integers: an
+        output of moments (a, b, c) then costs c - b^2/a."""
+        c1 = {x: v for (_m, x), v in zip(self._support, values)}
+        control = sum(self.weight[m] * v * v for (m, _x), v in zip(self._support, values))
+        damping = sum(Fraction(a * c - b * b, a) for a, b, c in self._moments(c1).values())
+        return (self.k * control * self.unit + damping) / self.scale
+
     def best_c2(self, c1):
         """{output: the integer c2 of least damping}, half-integer posterior
         means going to the even integer, for the outputs of positive weight."""

@@ -17,6 +17,7 @@ from math import lcm
 from pathlib import Path
 from types import MappingProxyType
 
+from checker import orthogonal, read_rays
 from entwit.channel import ChannelInput, FiniteChannel, ZeroErrorCode, confusability_graph
 from entwit.control import CostReport, DeterministicStrategy
 from entwit.exact import Vector, _gauss_dot, as_fraction
@@ -27,20 +28,33 @@ BUNDLED_RAYS = Path(__file__).resolve().parents[1] / "src/entwit/data/ks_6_4_per
 CABELLO_SET = Path(__file__).parent / "data" / "ks_9_4_cabello.json"
 
 
-def naive_ks_check(ks):
-    """Re-derive the one-per-basis orthogonality property from raw dots.
+def ray_bases(path):
+    """The bases of a ``ks-basis-set/1`` file as ``checker.read_rays`` reads
+    it: q lists of d rays, each a list of (re, im) Gaussian integer pairs."""
+    q, d, rays = read_rays(path)
+    return [rays[m * d:(m + 1) * d] for m in range(q)]
 
-    Walks every traversal with itertools.product and tests each pair by a
-    direct inner product; no bitmasks, no precomputation, no pruning.
-    Returns (holds, witness_or_None, traversals visited in product order).
+
+def naive_ks_check(bases):
+    """Re-derive the one-per-basis orthogonality property from Gaussian
+    integer dots, with nothing from entwit.
+
+    ``bases`` lists each basis's rays as ``ray_bases`` gives them.  Walks
+    every traversal with itertools.product and tests its pairs by
+    ``checker.orthogonal``, each pair of rays computed once; no bitmasks,
+    no pruning.  Returns (holds, witness_or_None, traversals visited in
+    product order), the witness as (m, j) per basis.
     """
+    rays = [ray for basis in bases for ray in basis]
+    orth = [[orthogonal(u, v) for v in rays] for u in rays]
+    starts = [0]
+    for basis in bases:
+        starts.append(starts[-1] + len(basis))
     count = 0
-    for combo in product(range(ks.d), repeat=ks.q):
+    for combo in product(*[range(len(basis)) for basis in bases]):
         count += 1
-        chosen = [ks.bases[m][j] for m, j in enumerate(combo)]
-        if not any(
-            not raw_dot(a, b) for a, b in combinations(chosen, 2)
-        ):
+        ids = [start + j for start, j in zip(starts, combo)]
+        if not any(orth[a][b] for a, b in combinations(ids, 2)):
             return False, tuple(enumerate(combo)), count
     return True, None, count
 

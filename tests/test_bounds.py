@@ -16,7 +16,9 @@ Claims covered:
     - certificates are deterministic across runs, and the
       vacuous / window-insufficient / budget-truncated paths never certify
     - the certificate reaches M = 10, 20, 40 at their threshold scales, with
-      each winning table's cost confirmed by the integer checker
+      each winning table's cost confirmed by the integer checker, and M =
+      40000 at t = 4001, W = 490 after the 1 040 841 prefixes of the search
+      that scored every child, at minimum 3996064/27
 """
 
 import math
@@ -366,3 +368,17 @@ def test_certificate_reaches_larger_bounds(bundled, rays, m_bound, t, window, mi
     values = tuple(cert.search.strategy.c1[x] for _m, x in oracle.support())
     assert all(abs(v) <= window for v in values)
     assert oracle.cost(values) == minimum
+
+
+def test_certificate_at_a_bound_of_forty_thousand(bundled, rays):
+    # the search's node count is printed, so the group bound must leave it
+    # at the count of the search that scored every child it ruled out
+    cert = certify_separation(bundled, 1, 40000)
+    assert cert.status == "certified" and cert.certified
+    assert (cert.t, cert.window) == (4001, 490)
+    assert cert.search.complete and cert.search.cost == Fraction(3996064, 27)
+    assert cert.search.candidates_evaluated == 1040841
+    oracle = Instance(rays, 4001, 1)
+    values = tuple(cert.search.strategy.c1[x] for _m, x in oracle.support())
+    assert values == (3, 0, 2, 0, 0, 1)
+    assert oracle.cost(values) == cert.search.cost

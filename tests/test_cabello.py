@@ -5,6 +5,9 @@ The set of Cabello, Estebaranz and Garcia-Alcaine (Phys. Lett. A 212, 183
 bundled.  Its reports are golden files (``test_golden.py``).
 
 Claims covered:
+    - the naive product-order scan, on Gaussian integer dots of the rays as
+      the checker reads them, finds an orthogonal pair in all 4^9 = 262 144
+      traversals, as verify_ks_property does
     - at t = 4 and 5 with W = 1, the search scores the prefixes of the
       checker's plain depth-first search, 795 and 549, and ends at its cost
       and table
@@ -20,11 +23,11 @@ from fractions import Fraction
 
 import pytest
 
-from checker import Channel, Instance, plain_dfs
+from checker import Channel, Instance, orthogonal, plain_dfs
 from entwit.cli import main
 from entwit.control import make_instance, search_deterministic
-from entwit.ks import basis_set_from_json_dict, load_basis_set
-from helpers import CABELLO_SET, naive_ks_check, raw_dot
+from entwit.ks import basis_set_from_json_dict, load_basis_set, verify_ks_property
+from helpers import CABELLO_SET, naive_ks_check, ray_bases, raw_dot
 
 GOLDEN = CABELLO_SET.parent / "golden"
 
@@ -37,6 +40,13 @@ def cabello():
 @pytest.fixture(scope="module")
 def table():
     return Channel.from_rays(CABELLO_SET)
+
+
+def test_every_traversal_holds_an_orthogonal_pair(cabello):
+    found = naive_ks_check(ray_bases(CABELLO_SET))
+    result = verify_ks_property(cabello)
+    assert (result.holds, result.witness, result.traversals_checked) == found
+    assert found == (True, None, 4**9)
 
 
 @pytest.mark.parametrize("t, nodes", [(4, 795), (5, 549)])
@@ -86,7 +96,8 @@ def test_swapped_ray_fails_at_the_named_pair(tmp_path):
         "orthonormal: fail",
         "first-violation: basis 0, vectors 0 and 2 are not orthogonal",
     ]
-    holds, witness, _count = naive_ks_check(twin)
+    rays = ray_bases(path)
+    holds, witness, _count = naive_ks_check(rays)
     assert not holds
-    chosen = [twin.bases[m][j] for m, j in witness]
-    assert all(raw_dot(a, b) for n, a in enumerate(chosen) for b in chosen[n + 1:])
+    chosen = [rays[m][j] for m, j in witness]
+    assert not any(orthogonal(a, b) for n, a in enumerate(chosen) for b in chosen[n + 1:])

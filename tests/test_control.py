@@ -22,10 +22,18 @@ Claims covered:
       is non-decreasing in t for fixed W=4
     - the search scores the prefixes a plain depth-first search scored by
       the integer checker scores, in the same number, complete and under
-      node budgets 6, 40 and 300, and ends at its cost and table; its child
-      scoring, walked down full tables, matches the checker's cost and takes
-      every step back exactly; every child it scores in a search costs what
-      the checker gives for the prefix the evaluator holds
+      node budgets 6, 40 and 300, and ends at its cost and table, also on
+      121 seeded instances over both basis sets with skewed message
+      probabilities and budgets, where the group bound sometimes equals the
+      incumbent; its child scoring, walked down full tables, matches the
+      checker's cost and takes every step back exactly; every child it
+      scores in a search costs what the checker gives for the prefix the
+      evaluator holds, and every child it rules out unscored is out of form
+      and costs more on the checker than the incumbent when its node asked
+      for the group bound
+    - the group bound on a node's out-of-form children is the least of
+      their checker costs with c2 relaxed to the reals, so never above the
+      least of their exact costs
     - every oracle here is the checker of ``tests/checker.py``, on the
       channel it derives from the ray file itself, or on the same plain
       neighbour table that entwit's channel is built from
@@ -38,7 +46,7 @@ from itertools import product
 import pytest
 
 from entwit import control
-from entwit.channel import ChannelInput, FiniteChannel
+from entwit.channel import ChannelInput, FiniteChannel, build_ks_channel
 from entwit.control import (
     DeterministicStrategy,
     SearchMismatchError,
@@ -50,9 +58,11 @@ from entwit.control import (
     search_deterministic,
 )
 from entwit.entangled import QuantumDecodeError
+from entwit.ks import load_basis_set
 
-from checker import Instance, flat_scan, plain_dfs
+from checker import Channel, Instance, flat_scan, plain_dfs
 from helpers import (
+    CABELLO_SET,
     SharedRandomnessStrategy,
     branch_signals,
     evaluate_sr,
@@ -484,17 +494,25 @@ def test_search_scores_every_child_at_the_checkers_cost(
 ):
     # the search compares costs only, so a wrong child score can still leave
     # the winner right; record every child it scores, with the prefix the
-    # evaluator holds, and score each one again on the checker.  At t = 5
-    # every fifth wire is out of form, and with W = 2 out-of-form children
-    # meet nodes whose owners share outputs; at t = 4, W = 5 and k = 1/10
-    # in-form children join an owner that shares an output with another
+    # evaluator holds, and score each one again on the checker.  A child of
+    # a node the search enters that it does not score is ruled out by the
+    # group bound: it must be out of form, its node must have asked for the
+    # bound, and it must cost more on the checker than the incumbent then,
+    # the least checker cost of a full table scored so far.  At t = 5 every
+    # fifth wire is out of form, and with W = 2 out-of-form children meet
+    # nodes whose owners share outputs (the bound rules those out) and the
+    # root (the bound lets those through to be scored); at t = 4, W = 5 and
+    # k = 1/10 in-form children join an owner that shares an output with
+    # another
     shift, score = _PrefixEvaluator.shift, _PrefixEvaluator.score
-    prefix, scored = [], []
+    bound = _PrefixEvaluator.out_of_form_bound
+    prefix, scored, entered, asked = [], [], [], {}
 
     def tracked_shift(self, depth, col, sign):
         shift(self, depth, col, sign)
         if sign > 0:
             prefix.append(col - window)
+            entered.append(tuple(prefix))
         else:
             prefix.pop()
 
@@ -504,26 +522,96 @@ def test_search_scores_every_child_at_the_checkers_cost(
         scored.append(((*prefix, col - window), self.to_fraction(got)))
         return got
 
+    def recorded_bound(self, depth):
+        assert depth == len(prefix) and tuple(prefix) not in asked
+        full = [cost for values, cost in scored if len(values) == len(self.columns)]
+        asked[tuple(prefix)] = min(full)
+        return bound(self, depth)
+
     monkeypatch.setattr(_PrefixEvaluator, "shift", tracked_shift)
     monkeypatch.setattr(_PrefixEvaluator, "score", recorded_score)
+    monkeypatch.setattr(_PrefixEvaluator, "out_of_form_bound", recorded_bound)
     neighbours = tables[kind].neighbours
-    shares = joins = 0
+    shares = joins = outside = ruled_out = 0
     for t, window, k in [(5, 2, Fraction(1, 1000)), (4, 5, Fraction(1, 10))]:
         inst = make_instance(bundled, t, k, channel=channels[kind])
         oracle = Instance(tables[kind], t, k)
         scored.clear()
+        entered[:] = [()]
+        asked.clear()
         res = search_deterministic(inst, window)
-        assert len(scored) == res.candidates_evaluated and not prefix
+        assert not prefix
+        children = {}
         for values, cost in scored:
             assert cost == oracle.cost(values), values
+            children.setdefault(values[:-1], set()).add(values[-1])
+        skipped = []
+        for node in entered:
+            x = inst.support()[len(node)][1]
+            for v in range(-window, window + 1):
+                if v not in children.get(node, ()):
+                    assert oracle.input_of(x + v) is None and node in asked, (node, v)
+                    assert oracle.cost((*node, v)) > asked[node], (node, v)
+                    skipped.append((*node, v))
+        assert len(scored) + len(skipped) == res.candidates_evaluated
+        ruled_out += len(skipped)
+        for values in [values for values, _cost in scored] + skipped:
             wires = [x + v for (_m, x), v in zip(inst.support(), values)]
             owners = {oracle.input_of(y) for y in wires[:-1]} - {None}
             child = oracle.input_of(wires[-1])
             if child is None:
                 shares += any(n in owners for i in owners for n in neighbours[i])
+                outside += values not in skipped
             elif child in owners:
                 joins += any(n in owners for n in neighbours[child])
-    assert shares and joins
+    assert shares and joins and outside and ruled_out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_group_bound_is_the_least_relaxed_cost_of_the_out_of_form_children(
+    bundled, channels, tables, kind
+):
+    # the bound must never exceed the cost of an out-of-form child, or the
+    # search would rule out a child it must score; it is the least cost with
+    # c2 over the reals, on the checker, over the depth's out-of-form
+    # children, whichever side of the vertex that least value is on.  Random
+    # prefixes put wires in and out of form, so owners that share outputs
+    # meet with and without out-of-form mass
+    rng = random.Random(7220)
+    neighbours = tables[kind].neighbours
+    sides, shares = set(), 0
+    for t, k, p_m, window in [
+        (4, Fraction(1), UNIFORM, 5),
+        (5, Fraction(7, 3), SKEWED4, 4),
+        (6, Fraction(1, 1000), UNIFORM, 7),
+        (7, Fraction(1, 10), SKEWED3, 9),
+        (10, Fraction(1), TIED3, 12),
+    ]:
+        inst = make_instance(bundled, t, k, p_m=p_m, channel=channels[kind])
+        oracle = Instance(tables[kind], t, k, p_m)
+        evaluator = _PrefixEvaluator(inst, window)
+        support = inst.support()
+        for _ in range(40):
+            depth = rng.randrange(len(support))
+            values = [rng.randint(-window, window) for _ in range(depth)]
+            for at, v in enumerate(values):
+                evaluator.shift(at, v + window, 1)
+            x = support[depth][1]
+            outside = [v for v in range(-window, window + 1) if oracle.input_of(x + v) is None]
+            owners = {oracle.input_of(x + v) for (_m, x), v in zip(support, values)} - {None}
+            if outside:
+                shares += any(n in owners for i in owners for n in neighbours[i])
+                num, den = evaluator.out_of_form_bound(depth)
+                bound = Fraction(num, den * evaluator.scale_den)
+                assert bound <= min(oracle.cost((*values, v)) for v in outside)
+                relaxed = {v: oracle.relaxed_cost((*values, v)) for v in outside}
+                assert bound == min(relaxed.values()), (t, values)
+                least = min(relaxed, key=relaxed.get)
+                sides.add((least > min(outside), least < max(outside)))
+            for at in reversed(range(depth)):
+                evaluator.shift(at, values[at] + window, -1)
+    # least values inside the range of out-of-form wires, and at either end
+    assert {(True, True), (True, False), (False, True)} <= sides and shares
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -541,6 +629,43 @@ def test_search_visits_the_nodes_of_a_plain_dfs(bundled, channels, tables, kind,
         assert (res.candidates_evaluated, res.complete, res.cost) == (nodes, complete, cost)
         assert tuple(res.strategy.c1[x] for _m, x in inst.support()) == values
         assert complete == (budget is None)
+
+
+def test_seeded_searches_visit_the_nodes_of_a_plain_dfs(bundled, channels, tables):
+    # instances drawn from one seed: the four test channels and the 18-ray
+    # set, two to four messages of random probability, t from 4 to 9, k from
+    # 1/1000 to 10, and node budgets.  The reports print the node count and
+    # the complete flag, so both must be the plain search's.  In some of
+    # these the group bound equals the incumbent at a node, and an
+    # out-of-form child that costs exactly the incumbent must still be
+    # expanded, as at t = 5, k = 1, W = 1 on the asymmetric channel with
+    # p = (0, 3/11, 2/11, 3/11, 0, 3/11)
+    cabello = load_basis_set(CABELLO_SET)
+    sets = {kind: (bundled, channels[kind], tables[kind]) for kind in KINDS}
+    sets["cabello"] = (cabello, build_ks_channel(cabello), Channel.from_rays(CABELLO_SET))
+    rng = random.Random(2013)
+    cases = [("asymmetric", 5, Fraction(1), (0, 3, 2, 3, 0, 3), 1, None)]
+    for _ in range(120):
+        kind = rng.choice(sorted(sets))
+        q = sets[kind][0].q
+        weights = [0] * q
+        for m in rng.sample(range(q), rng.randint(2, 4)):
+            weights[m] = rng.randint(1, 4)
+        k = rng.choice([Fraction(1, 1000), Fraction(1, 10), Fraction(1), Fraction(7, 3), 10])
+        window = rng.randint(1, 4)
+        budget = rng.choice([None, None, rng.randint(4, 300)])
+        cases.append((kind, rng.randint(4, 9), k, weights, window, budget))
+    incomplete = 0
+    for kind, t, k, weights, window, budget in cases:
+        ks, channel, table = sets[kind]
+        p_m = [Fraction(w, sum(weights)) for w in weights]
+        inst = make_instance(ks, t, k, p_m=p_m, channel=channel)
+        res = search_deterministic(inst, window, node_budget=budget)
+        nodes, complete, cost, values = plain_dfs(Instance(table, t, k, p_m), window, budget)
+        assert (res.candidates_evaluated, res.complete, res.cost) == (nodes, complete, cost)
+        assert tuple(res.strategy.c1[x] for _m, x in inst.support()) == values
+        incomplete += not complete
+    assert incomplete
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -11,9 +11,11 @@ the loader read every part as an integer pair.  Those read two sets under
 ``"denominator": "2"`` with ``"p/q"`` string parts, and the bundled rays
 with one vector multiplied by i.  The four ``-cabello`` cases read the
 18-ray, 9-basis set ``ks_9_4_cabello.json`` and were written by the source
-as it stood when the set was added.  Any change to a report's bytes, or to
-a command's exit code, fails here; a deliberate report change must
-regenerate the file in the same commit.
+as it stood when the set was added.  ``certify-k1-bound1000.txt`` (t = 634,
+W = 78, 37 209 prefixes) was written by the search that scored every
+out-of-form child, before a group bound ruled most of them out.  Any change
+to a report's bytes, or to a command's exit code, fails here; a deliberate
+report change must regenerate the file in the same commit.
 
 A unitary keeps every inner product, so the bundled rays under the
 non-diagonal complex unitary of ``helpers.fixed_unitary``, committed as
@@ -105,6 +107,7 @@ CASES = (
     ("channel-info-cabello.txt", ["channel-info", "--ks-set", CABELLO_SET], 0),
     ("quantum-run-t39-cabello.txt", ["quantum-run", "--t", "39", "--ks-set", CABELLO_SET], 0),
     ("certify-bound7_2-cabello.txt", ["certify", "--bound", "7/2", "--ks-set", CABELLO_SET], 0),
+    ("certify-k1-bound1000.txt", ["certify", "--k", "1", "--bound", "1000"], 0),
 )
 
 

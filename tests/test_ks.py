@@ -5,7 +5,8 @@ Claims covered:
     - validate_basis_set raises at the first duplicate vector or non-unit
       norm in basis order, naming the basis and the pair
     - verify_ks_property's pruned depth-first walk agrees with a naive
-      product-order scan (holds, witness and traversal count) on every set
+      product-order scan of Gaussian integer dots, on the rays as the
+      checker reads them (holds, witness and traversal count), on every set
       small enough to cross-check, failing subsets included
     - a single basis and a pair of mutually unbiased bases both lack the
       property, with witnesses
@@ -38,6 +39,7 @@ from entwit.ks import (
 )
 
 from helpers import (
+    BUNDLED_RAYS,
     ComplexFraction,
     all_vectors,
     cf_dot,
@@ -49,6 +51,7 @@ from helpers import (
     overlap_sq,
     perturbed_unitary_json,
     raw_dot,
+    ray_bases,
     same_ray,
     vector,
 )
@@ -161,19 +164,28 @@ def test_verify_requires_validation():
         verify_ks_property(KSBasisSet(q=1, d=2, bases=((v, v),)))
 
 
-def _naive_agrees(ks):
-    holds, witness, count = naive_ks_check(ks)
+# the two bases of _mub_d2 as the naive check takes them, Gaussian integers
+MUB_D2_RAYS = [[[(1, 0), (0, 0)], [(0, 0), (1, 0)]], [[(1, 0), (1, 0)], [(1, 0), (-1, 0)]]]
+
+
+def _naive_agrees(ks, rays):
+    """verify_ks_property on ``ks`` against the naive check on ``rays``, the
+    same bases as Gaussian integers."""
+    holds, witness, count = naive_ks_check(rays)
     result = verify_ks_property(ks)
     assert (result.holds, result.witness, result.traversals_checked) == (holds, witness, count)
     return result
 
 
 def test_agrees_with_naive_reimplementation(bundled):
-    # every set in the suite has d^q <= 1e5, so cross-check them all
-    for ks in (bundled, _mub_d2(), _single_basis_d2()):
-        _naive_agrees(ks)
+    # every set here has d^q <= 1e5, so cross-check them all; the 18-ray
+    # set is checked in test_cabello
+    rays = ray_bases(BUNDLED_RAYS)
+    _naive_agrees(bundled, rays)
+    _naive_agrees(_mub_d2(), MUB_D2_RAYS)
+    _naive_agrees(_single_basis_d2(), MUB_D2_RAYS[:1])
     reversed_set = KSBasisSet(q=6, d=4, bases=bundled.bases[::-1])
-    assert _naive_agrees(reversed_set).traversals_checked == 4096
+    assert _naive_agrees(reversed_set, rays[::-1]).traversals_checked == 4096
 
 
 def test_pruned_walk_counts_like_the_flat_scan_on_failing_sets(bundled):
@@ -181,14 +193,17 @@ def test_pruned_walk_counts_like_the_flat_scan_on_failing_sets(bundled):
     # orthogonal pair settles its completions at once, and the count and
     # witness must still be those of the product-order scan
     counts = []
+    all_rays = ray_bases(BUNDLED_RAYS)
     for drop in range(6):
         bases = tuple(b for m, b in enumerate(bundled.bases) if m != drop)
-        result = _naive_agrees(KSBasisSet(q=5, d=4, bases=bases))
+        rays = [b for m, b in enumerate(all_rays) if m != drop]
+        result = _naive_agrees(KSBasisSet(q=5, d=4, bases=bases), rays)
         assert not result.holds
         counts.append(result.traversals_checked)
         # the same subset listed backwards fails at other positions
         flipped = tuple(b[::-1] for b in bases[::-1])
-        assert not _naive_agrees(KSBasisSet(q=5, d=4, bases=flipped)).holds
+        flipped_rays = [b[::-1] for b in rays[::-1]]
+        assert not _naive_agrees(KSBasisSet(q=5, d=4, bases=flipped), flipped_rays).holds
     assert counts == [33, 3, 2, 1, 5, 1]
 
 
