@@ -9,7 +9,10 @@ it to entwit's strategy objects.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -22,10 +25,20 @@ from entwit.channel import ChannelInput, FiniteChannel, ZeroErrorCode, confusabi
 from entwit.control import CostReport, DeterministicStrategy
 from entwit.exact import Vector, _gauss_dot, as_fraction
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 # the bundled ray file, which the checker reads without entwit's loader
-BUNDLED_RAYS = Path(__file__).resolve().parents[1] / "src/entwit/data/ks_6_4_peres.json"
+BUNDLED_RAYS = SRC / "entwit/data/ks_6_4_peres.json"
 # the 18 rays in 9 bases of C^4 of Cabello, Estebaranz and Garcia-Alcaine
 CABELLO_SET = Path(__file__).parent / "data" / "ks_9_4_cabello.json"
+
+
+def run_python(*args, timeout=120, text=True):
+    """Run a fresh interpreter that imports entwit from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=text, env=env, timeout=timeout,
+    )
 
 
 def ray_bases(path):

@@ -1,10 +1,7 @@
 """Command-line harness: subcommands, exit codes, deterministic artifacts."""
 
 import json
-import os
 import shlex
-import subprocess
-import sys
 from importlib import resources
 from pathlib import Path
 
@@ -12,27 +9,17 @@ import pytest
 
 from entwit.cli import SUBCOMMANDS, _main_parser, build_parser, main
 from entwit.ks import load_basis_set
-from helpers import all_vectors, diagonal, rotated_set_json, rotation_phases
+from helpers import all_vectors, diagonal, rotated_set_json, rotation_phases, run_python
 from test_golden import CASES, GOLDEN
 
 BUNDLED = resources.files("entwit.data") / "ks_6_4_peres.json"
 README = Path(__file__).resolve().parents[1] / "README.md"
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_python(*args, timeout=120, text=True):
-    """Run a fresh interpreter that imports entwit from this checkout."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True, text=text, env=env, timeout=timeout,
-    )
 
 
 def test_verify_ks_ok(capsys):
@@ -304,48 +291,6 @@ def test_classical_search_workers_do_not_change_bytes(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_search_gate_survives_optimized_mode():
-    # python -O strips assert statements; the search's re-check must still
-    # fire when its arithmetic disagrees with the exact re-evaluation
-    script = (
-        "assert False, 'assert statements are live'\n"
-        "import sys\n"
-        "from fractions import Fraction\n"
-        "from entwit import control\n"
-        "control._PrefixEvaluator.to_fraction = (\n"
-        "    lambda self, scaled: Fraction(scaled + 1, self.scale_den))\n"
-        "from entwit.cli import main\n"
-        "sys.exit(main(['classical-search', '--t', '10', '--window', '1']))\n"
-    )
-    proc = run_python("-O", "-c", script)
-    assert proc.returncode != 0
-    assert "SearchMismatchError" in proc.stderr
-    assert "assert statements are live" not in proc.stderr
-
-
-def test_entangled_gate_survives_optimized_mode():
-    # python -O strips assert statements; a decoder that names the right
-    # candidate with probability 1/2 leaves every final signal at zero, so
-    # only the decode gate can stop quantum-run, and it must still raise
-    script = (
-        "assert False, 'assert statements are live'\n"
-        "import sys\n"
-        "from entwit import control, entangled\n"
-        "real = entangled.decoder_decode\n"
-        "def wrong(ks, s, residual):\n"
-        "    right, p = real(ks, s, residual)\n"
-        "    return right, p / 2\n"
-        "control.decoder_decode = wrong\n"
-        "from entwit.cli import main\n"
-        "sys.exit(main(['quantum-run', '--t', '10']))\n"
-    )
-    proc = run_python("-O", "-c", script)
-    assert proc.returncode != 0
-    assert "QuantumDecodeError" in proc.stderr
-    assert "with probability 1/2" in proc.stderr
-    assert "assert statements are live" not in proc.stderr
-
-
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # every command pays its imports; the records are NamedTuples and
     # __slots__ classes, so none needs dataclasses, nor inspect, which it loads
@@ -457,7 +402,7 @@ def test_parser_for_one_subcommand_matches_the_full_parser(capsys, argv):
 
 
 # argument lists that end in help or a usage error, which main must print as
-# the full parser does; the tier-1 workflow replays them under python -O
+# the full parser does; test_optimized.py runs them again under python -O
 PARSER_EXITS = [
     [],
     ["bogus"],

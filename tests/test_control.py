@@ -8,7 +8,8 @@ Claims covered:
       component; 100 seeded mixtures stay at or above the searched minimum
     - the entangled strategy costs exactly 7k/2: zero final signal on all 216
       branches, identical across t in {4, 10, 100, 10^6}, below k*d^2; a
-      strategy that breaks the k*d^2 ceiling raises QuantumDecodeError
+      strategy that breaks the k*d^2 ceiling raises QuantumDecodeError, and
+      so does quantum-run when the decoder is right with probability 1/2
     - the per-output c2 minimizer matches an independent linear scan,
       including its half-even tie rule, on random tables with wires out of
       form and zero-probability messages, on all four test channels
@@ -18,7 +19,8 @@ Claims covered:
       W=1, and on instances mixing k, t, W, skewed message distributions and
       channels that are irregular, have three distinct degrees or have
       asymmetric rows), is budget-truncatable, raises SearchMismatchError
-      when its winner's re-evaluation disagrees, and its best in-window cost
+      when its winner's re-evaluation disagrees (also through
+      classical-search), and its best in-window cost
       is non-decreasing in t for fixed W=4
     - the search scores the prefixes a plain depth-first search scored by
       the integer checker scores, in the same number, complete and under
@@ -47,6 +49,7 @@ import pytest
 
 from entwit import control
 from entwit.channel import ChannelInput, FiniteChannel, build_ks_channel
+from entwit.cli import main
 from entwit.control import (
     DeterministicStrategy,
     SearchMismatchError,
@@ -294,6 +297,20 @@ def test_quantum_ceiling_gate_raises(monkeypatch, bundled, channel):
     )
     with pytest.raises(QuantumDecodeError, match="not below"):
         evaluate_quantum(inst)
+
+
+def test_quantum_decode_gate_raises(monkeypatch):
+    # a decoder that names the right candidate with probability 1/2 leaves
+    # every final signal at zero, so only the decode gate can stop quantum-run
+    real = control.decoder_decode
+
+    def halved(ks, s, residual):
+        right, p = real(ks, s, residual)
+        return right, p / 2
+
+    monkeypatch.setattr(control, "decoder_decode", halved)
+    with pytest.raises(QuantumDecodeError, match="with probability 1/2"):
+        main(["quantum-run", "--t", "10"])
 
 
 def test_quantum_cost_independent_of_message_distribution(bundled, channel):
@@ -745,6 +762,8 @@ def test_search_mismatch_gate_raises(monkeypatch, inst10):
     )
     with pytest.raises(SearchMismatchError, match="mismatch"):
         search_deterministic(inst10, 1)
+    with pytest.raises(SearchMismatchError, match="mismatch"):
+        main(["classical-search", "--t", "10", "--window", "1"])
 
 
 def test_search_beats_any_supplied_strategy(inst10, oracle10):
