@@ -272,7 +272,7 @@ def _common(p, t=False, k=False, window=False, search=False) -> None:
         )
         p.add_argument(
             "--budget", type=_int_arg(1), default=None,
-            help="max c1 prefixes to score (truncation is inconclusive)",
+            help="max c1 prefixes scored or ruled out (truncation is inconclusive)",
         )
 
 

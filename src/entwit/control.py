@@ -23,17 +23,17 @@ posterior mean, from integer moments), so it never has to be enumerated.
 One scaled-integer evaluator, for any channel whose inputs are the (m, j)
 grid, carries the prefix down the depth-first search and scores each child
 as the search reaches it: an in-form child adds the change on its owner's
-row, and the out-of-form children share damping terms built once from the
-prefix's owners.  Those shared terms, with c2 relaxed to the reals, also
+row, and the out-of-form children share groups of outputs that each prefix
+derives from its parent's.  Those groups, with c2 relaxed to the reals, also
 give an exact lower bound on every out-of-form child of a node at once;
-when it exceeds the incumbent they are ruled out together, unscored.  The
+when it exceeds the incumbent they are ruled out together, unscored, and
+each run of them between two in-form children is counted in one step.  The
 winner is re-checked branch by branch.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
@@ -52,10 +52,11 @@ class WitsenhausenInstance:
     followed by the basis-set channel, with all of Z as its input domain.
     A wire value y = a*t + b with a in [0, q) and b in [0, d) goes to row
     (a, b); every other y goes to the uniform mixture of all rows, built on
-    first use and held, as is the search's table of output holders.
+    first use and held, as is the search's table of output holders.  The
+    support is found once, when the instance is made.
     """
 
-    __slots__ = ("ks", "channel", "t", "k", "p_m", "_uniform_branch", "_holders")
+    __slots__ = ("ks", "channel", "t", "k", "p_m", "_support", "_uniform_branch", "_holders")
 
     def __init__(
         self, *, ks: KSBasisSet, channel: FiniteChannel, t: int, k: Fraction, p_m: tuple
@@ -65,6 +66,7 @@ class WitsenhausenInstance:
         self.t = t
         self.k = k
         self.p_m = p_m  # Fraction per message m in [q]
+        self._support = tuple((m, m * t) for m in range(ks.q) if p_m[m] > 0)
         self._uniform_branch = {}  # one per instance: it depends on the channel
         self._holders = None  # the same, for _output_holders
 
@@ -78,7 +80,7 @@ class WitsenhausenInstance:
 
     def support(self) -> tuple:
         """(m, x = m*t) for every message with positive probability."""
-        return tuple((m, m * self.t) for m in range(self.q) if self.p_m[m] > 0)
+        return self._support
 
     def decompose(self, y: int) -> Optional[ChannelInput]:
         """The input (a, b) with y = a*t + b, or None when y is out of form;
@@ -272,10 +274,10 @@ def _exact_int(num: int, den: int) -> int:
 
 def _output_holders(inst: WitsenhausenInstance) -> tuple:
     """Per output, beta_o and the ids u = m*d + j of the rows that hold it (at
-    most two, its endpoints, on a validated channel); per row, the weight
-    D/deg(u) it puts on each output, with D the lcm of the degrees, beta_o
-    being the sum of that weight over the output's rows; and D.  Built once
-    per instance, on first use."""
+    most two, its endpoints, on a validated channel); per row id, the row;
+    per row, the weight D/deg(u) it puts on each output, with D the lcm of
+    the degrees, beta_o being the sum of that weight over the output's rows;
+    and D.  Built once per instance, on first use."""
     if inst._holders is None:
         grid = [ChannelInput(m, j) for m in range(inst.q) for j in range(inst.d)]
         rows = [inst.channel.rows[u] for u in grid]
@@ -283,11 +285,15 @@ def _output_holders(inst: WitsenhausenInstance) -> tuple:
         unit = [big_d // len(row) for row in rows]
         holders: Dict[ChannelOutput, list] = {}  # output -> [beta_o, ids...]
         for u, row in enumerate(rows):
+            share = unit[u]
             for o in row:
-                entry = holders.setdefault(o, [0])
-                entry[0] += unit[u]
-                entry.append(u)
-        inst._holders = holders, unit, big_d
+                entry = holders.get(o)
+                if entry is None:
+                    holders[o] = [share, u]
+                else:
+                    entry[0] += share
+                    entry.append(u)
+        inst._holders = holders, rows, unit, big_d
     return inst._holders
 
 
@@ -303,8 +309,10 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
     Mass and first moment are integers on the search's scale: an in-form
     message puts p_m*L*q*d*D/deg(u) on each output of its row u, and the
     messages out of form, summed once, put their total times beta_o on o.
+    With no message out of form, only the outputs of the in-form messages'
+    rows have mass.
     """
-    holders, unit, _big_d = _output_holders(inst)
+    holders, rows, unit, _big_d = _output_holders(inst)
     support = inst.support()
     big_l = lcm(*[inst.p_m[m].denominator for m, _ in support])
     owned = [[0, 0] for _ in unit]  # per row: weight and weight*y on each output
@@ -322,8 +330,12 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
             own, w = owned[u], w * inst.q * inst.d * unit[u]
         own[0] += w
         own[1] += w * y
+    if out[0]:
+        outputs = holders
+    else:
+        outputs = {o: holders[o] for u, own in enumerate(owned) if own[0] for o in rows[u]}
     table: Dict[ChannelOutput, int] = {}
-    for s, (beta, *us) in holders.items():
+    for s, (beta, *us) in outputs.items():
         mass, ysum = beta * out[0], beta * out[1]
         for u in us:
             mass += owned[u][0]
@@ -355,6 +367,16 @@ def _least(a: int, b: int) -> int:
     return (a * v + 2 * b) * v
 
 
+def _value_at(pos: int) -> int:
+    """The value at position ``pos`` of the (|v|, v) order 0, -1, 1, -2, 2, ..."""
+    return -((pos + 1) >> 1) if pos & 1 else pos >> 1
+
+
+def _position_of(v: int) -> int:
+    """The position of v in the (|v|, v) order."""
+    return 2 * v if v >= 0 else -2 * v - 1
+
+
 class _PrefixEvaluator:
     """Scaled-integer costs of c1 prefixes, for any channel on the (m, j) grid,
     scored child by child as a depth-first search moves.
@@ -367,14 +389,22 @@ class _PrefixEvaluator:
     moments are (a, b, c) = (weight, weight*y, weight*y^2) costs
     ``_least(a, b) + c``.
 
+    A message takes values v in [-window, window].  The evaluator holds only
+    its in-form columns, the v whose wire x + v decomposes as an input; there
+    are at most q*d of them, so it is built in O(q*d) per message whatever
+    the window.  Every other v is out of form: a range of v with those
+    points taken out, whose moments follow from the message's weight and
+    its wire alone.
+
     A message whose wire value decomposes as input u gives its weight to the
     outputs of row u, and u becomes an *owner*.  A validated channel holds
     each output only in the rows of its two endpoints, so an output takes
-    in-form weight from at most two owners; the evaluator holds, per row, its
-    partners (the rows it shares an output with, and that output's beta_o)
-    and its outputs counted by beta_o.  All of one owner's messages share its
-    wire value, so with no message out of form an output held by one owner
-    costs nothing.
+    in-form weight from at most two owners; the evaluator holds, per row, a
+    bitmask of its partners (the rows it shares an output with), that
+    output's beta_o per partner, and its outputs counted by beta_o.  The
+    owners are a bitmask too, so the owners that share an output with row u
+    are one AND.  All of one owner's messages share its wire value, so with
+    no message out of form an output held by one owner costs nothing.
 
     The evaluator holds the current prefix, which ``shift`` moves one
     message at a time: its control cost, per owner the moments, and the
@@ -386,13 +416,16 @@ class _PrefixEvaluator:
       mass, one per beta group of u's other outputs (those outputs cost
       nothing before and after otherwise);
     - the out-of-form children of a prefix share its owners and add the same
-      weight, so its damping terms are built once, straight from the owners:
-      one per orthogonal pair of owners, each owner's other outputs grouped
-      by beta_o, and every unowned output at once, whose beta_o sum to
-      beta_total minus the owners' row sums plus the pairs' beta_o (an
-      output of two owners is in both rows).  A child adds its own first
-      moment to each term, times beta_o; its weight is in the terms, and its
-      second moment adds beta_total times it.
+      weight, so they share its output groups: one per orthogonal pair of
+      owners, each owner's other outputs grouped by beta_o, and every
+      unowned output at once.  A group is held as its multiplicity, its
+      owners' moments and beta_o, and a prefix's groups are derived, on
+      first use, from its parent's: they differ only by the owner that the
+      last ``shift`` added or grew, and not at all when it put its message
+      out of form.  The out-of-form mass, with the weight of a child at this
+      depth, is added when the groups are read, once per node.  A child
+      adds its own first moment to each group, times beta_o, and its second
+      moment adds beta_total times it.
 
     ``out_of_form_bound`` reads the same groups once per node: with c2 over
     the reals each group's least damping is a closed-form quadratic in the
@@ -403,23 +436,30 @@ class _PrefixEvaluator:
     """
 
     def __init__(self, inst: WitsenhausenInstance, window: int):
-        q, d = inst.q, inst.d
-        holders, unit, big_d = _output_holders(inst)
-        partners: List[Dict[int, int]] = [{} for _ in unit]  # per row, u2 -> beta
-        groups: List[Dict[int, int]] = [{} for _ in unit]  # per row, beta -> count
-        row_beta = [0] * len(unit)
-        beta_total = 0
-        for beta, *us in holders.values():
-            beta_total += beta
-            if len(us) == 2:
-                u0, u1 = us
+        q, d, t = inst.q, inst.d, inst.t
+        holders, _rows, unit, big_d = _output_holders(inst)
+        partners = [[0] * len(unit) for _ in unit]  # per row, beta shared with each row
+        mates = [0] * len(unit)  # per row, the bitmask of its partners
+        betas: List[List[int]] = [[] for _ in unit]  # per row, beta of each output
+        for entry in holders.values():
+            beta = entry[0]
+            if len(entry) == 3:
+                _beta, u0, u1 = entry
                 partners[u0][u1] = partners[u1][u0] = beta
-            for u in us:
-                group = groups[u]
-                group[beta] = group.get(beta, 0) + 1
-                row_beta[u] += beta
-        self.partners, self.row_beta, self.beta_total = partners, row_beta, beta_total
-        self.groups = [tuple(g.items()) for g in groups]
+                mates[u0] |= 1 << u1
+                mates[u1] |= 1 << u0
+                betas[u0].append(beta)
+                betas[u1].append(beta)
+            else:
+                betas[entry[1]].append(beta)
+        self.partners, self.mates = partners, mates
+        self.row_beta = [sum(row) for row in betas]
+        self.beta_total = sum(entry[0] for entry in holders.values())
+        # per row, (beta, count) for each beta_o among its outputs
+        self.groups = [
+            tuple((beta, row.count(beta)) for beta in dict.fromkeys(row)) for row in betas
+        ]
+        self.t, self.d, self.qt, self.window = t, d, q * t, window
 
         support = inst.support()
         big_l = lcm(*[inst.p_m[m].denominator for m, _ in support])
@@ -427,87 +467,117 @@ class _PrefixEvaluator:
         self.damp_unit = k_den  # converts damping scale to the cost scale
         self.scale_den = big_l * q * d * big_d * k_den
 
-        # per supported message and window column: (owner id or -1 when out
-        # of form, weight, weight*y, weight*y^2, control cost); per message,
-        # its x, k * p_m * scale_den (the control cost of |v| = 1), the weight
-        # of an out-of-form value and its out-of-form wires in increasing order
-        self.columns: List[List[tuple]] = []
+        # per supported message: its x, k * p_m * scale_den (the control cost
+        # of |v| = 1) and the weight of an out-of-form value; and its in-form
+        # columns, v -> (owner id, weight, weight*y, weight*y^2, control cost)
         self.messages: List[tuple] = []
+        self.columns: List[Dict[int, tuple]] = []
         for m, x in support:
             pm_int = _exact_int(inst.p_m[m].numerator * big_l, inst.p_m[m].denominator)
             a_ctrl = k_num * pm_int * q * d * big_d  # k * p_m * scale_den
-            row, wires = [], []
-            for v in range(-window, window + 1):
-                y = x + v
-                hit = inst.decompose(y)
-                if hit is None:
-                    u, w = -1, pm_int
-                    wires.append(y)
-                else:
-                    u = hit.m * d + hit.j
-                    w = pm_int * q * d * unit[u]
-                row.append((u, w, w * y, w * y * y, a_ctrl * v * v))
-            self.columns.append(row)
-            self.messages.append((x, a_ctrl, pm_int, wires))
+            cols = {}
+            for a in range(max(0, (x - window) // t), min(q - 1, (x + window) // t) + 1):
+                for j in range(d):
+                    y = a * t + j
+                    v = y - x
+                    if -window <= v <= window:
+                        u = a * d + j
+                        w = pm_int * q * d * unit[u]
+                        cols[v] = (u, w, w * y, w * y * y, a_ctrl * v * v)
+            self.messages.append((x, a_ctrl, pm_int))
+            self.columns.append(cols)
 
         # the current prefix, empty to begin with
         self.ctrl = 0
         self.owned: Dict[int, list] = {}  # owner -> [weight, weight*y, weight*y^2]
+        self.mask = 0  # bit u set for each owner u
         self.out = [0, 0, 0]  # the same over the messages out of form
-        # per prefix length, the current prefix's out-of-form groups once
-        # built, as [base, quads, term list or None until a child is scored]
-        self._out_groups: List[Optional[list]] = [None] * (len(support) + 1)
+        n = len(support)
+        # per message, the in-form column the last shift gave it, None out of form
+        self._placed: List[Optional[tuple]] = [None] * n
+        # per prefix length, the current prefix's groups once derived, as
+        # (owner mask, [(mult, a, b, c, beta, owner bits)]); the empty prefix
+        # has one, every output unowned
+        self._held: List[Optional[tuple]] = [None] * (n + 1)
+        self._held[0] = (0, [(self.beta_total, 0, 0, 0, 1, 0)])
+        # and once an out-of-form child is scored, read with the out-of-form
+        # mass as (base, term list)
+        self._terms: List[Optional[tuple]] = [None] * (n + 1)
 
     def to_fraction(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale_den)
 
-    def shift(self, depth: int, col: int, sign: int) -> None:
-        """Give message ``depth``, the next one, the value at window column
-        ``col`` (sign 1), or take that value back (sign -1)."""
-        u, a, b, c, ctrl = self.columns[depth][col]
-        self.ctrl += sign * ctrl
-        own = self.out if u < 0 else self.owned.setdefault(u, [0, 0, 0])
-        own[0] += sign * a
-        own[1] += sign * b
-        own[2] += sign * c
-        if u >= 0 and not own[0]:
-            del self.owned[u]
+    def shift(self, depth: int, v: int, sign: int) -> None:
+        """Give message ``depth``, the next one, the value v (sign 1), or take
+        that value back (sign -1)."""
+        col = self.columns[depth].get(v)
+        if col is None:
+            x, a_ctrl, w = self.messages[depth]
+            y = x + v
+            self.ctrl += sign * a_ctrl * v * v
+            out = self.out
+            out[0] += sign * w
+            out[1] += sign * w * y
+            out[2] += sign * w * y * y
+        else:
+            u, a, b, c, ctrl = col
+            self.ctrl += sign * ctrl
+            own = self.owned.get(u)
+            if own is None:
+                own = self.owned[u] = [0, 0, 0]
+                self.mask |= 1 << u
+            own[0] += sign * a
+            own[1] += sign * b
+            own[2] += sign * c
+            if not own[0]:
+                del self.owned[u]
+                self.mask ^= 1 << u
         if sign > 0:
-            self._out_groups[depth + 1] = None
+            self._placed[depth] = col
+            self._held[depth + 1] = self._terms[depth + 1] = None
 
-    def score(self, depth: int, col: int, cost: int) -> int:
+    def score(self, depth: int, v: int, cost: int) -> int:
         """The scaled cost of the child that gives message ``depth`` the value
-        at window column ``col``, the current prefix being the first ``depth``
-        messages at scaled cost ``cost``."""
-        u, a, b, c, ctrl = self.columns[depth][col]
-        if u < 0:
-            built = self._group_outputs(depth)
-            base, quads, terms = built
-            if terms is None:
-                # mult*_least(pa, pb + beta*b) is (qa*v + lin)*v at v = (qa -
-                # lin) // 2qa, with qa = mult*pa and lin = 2*mult*(pb + beta*b)
-                terms = built[2] = [
-                    (m * pa, 2 * m * pa, 2 * m * pb, 2 * m * beta)
-                    for m, pa, pb, beta in quads
-                ]
-            damping = base + self.beta_total * c
+        v, the current prefix being the first ``depth`` messages at scaled
+        cost ``cost``."""
+        col = self.columns[depth].get(v)
+        if col is None:
+            x, a_ctrl, w = self.messages[depth]
+            y = x + v
+            b = w * y
+            base, terms = self._terms[depth] or self._read_terms(depth)
+            damping = base + self.beta_total * b * y
             for qa, qa2, lin, slope in terms:
                 lin += slope * b
-                v = (qa - lin) // qa2
-                damping += (qa * v + lin) * v
-            return self.ctrl + ctrl + self.damp_unit * damping
-        oa, ob = self.out[0], self.out[1]
-        own = self.owned.get(u)
+                z = (qa - lin) // qa2
+                damping += (qa * z + lin) * z
+            return self.ctrl + a_ctrl * v * v + self.damp_unit * damping
+        u, a, b, c, ctrl = col
+        mates = self.mask & self.mates[u]  # the owners that share an output with u
+        oa = self.out[0]
+        if not (mates or oa):
+            return cost + ctrl
+        ob = self.out[1]
+        owned = self.owned
+        own = owned.get(u)
         a0, b0 = (own[0], own[1]) if own else (0, 0)
-        partners = self.partners[u]
         delta = 0
         shared = []  # beta of each of u's outputs that another owner holds
-        for u2, (a2, b2, _c2) in self.owned.items():
-            beta = partners.get(u2)
-            if beta:
-                pa, pb = a2 + a0 + beta * oa, b2 + b0 + beta * ob
-                delta += _least(pa + a, pb + b) - _least(pa, pb) + c
-                shared.append(beta)
+        partners = self.partners[u]
+        while mates:
+            bit = mates & -mates
+            mates ^= bit
+            u2 = bit.bit_length() - 1
+            a2, b2, _c2 = owned[u2]
+            beta = partners[u2]
+            shared.append(beta)
+            # _least(pa + a, pb + b) - _least(pa, pb), inlined in this hot loop
+            pa, pb = a2 + a0 + beta * oa, b2 + b0 + beta * ob
+            z = (pa - 2 * pb) // (2 * pa)
+            delta -= (pa * z + 2 * pb) * z
+            pa, pb = pa + a, pb + b
+            z = (pa - 2 * pb) // (2 * pa)
+            delta += (pa * z + 2 * pb) * z + c
         if oa:
             for beta, count in self.groups[u]:
                 count -= shared.count(beta)
@@ -526,58 +596,118 @@ class _PrefixEvaluator:
         A*y^2 + B*y + C over den, the lcm of the groups' pa, with integer
         coefficients; it is convex (k > 0, and relaxed damping is convex in
         y), so its least value over the out-of-form wires is at the last
-        one at or below the vertex -B/2A or the first one above it."""
-        base, quads, _terms = self._group_outputs(depth)
-        x, a_ctrl, w, wires = self.messages[depth]
-        den = lcm(*[pa for _m, pa, _pb, _beta in quads])
+        one at or below the vertex -B/2A or the first one above it.  An
+        in-form wire a*t + j steps to a*t - 1 below and a*t + d above, the
+        nearest wires out of form (when t = d, to -1 and q*t)."""
+        x, a_ctrl, w = self.messages[depth]
+        groups = self._held_groups(depth)[1]
+        oa, ob, oc = self.out
+        oa += w
+        pas = [a + beta * oa for _m, a, _b, _c, beta, _bits in groups]
+        den = lcm(*pas)
         sa = sb = sc = 0
-        for m, pa, pb, beta in quads:
+        base = self.beta_total * oc
+        for (m, _a, b, c, beta, _bits), pa in zip(groups, pas):
+            pb = b + beta * ob
             r, bw = m * (den // pa), beta * w
             sa += r * bw * bw
             sb += r * pb * bw
             sc += r * pb * pb
+            base += m * c
         du = self.damp_unit
         big_a = den * (a_ctrl + du * self.beta_total * w) - du * sa
         big_b = -2 * (den * a_ctrl * x + du * sb)
         big_c = den * (self.ctrl + a_ctrl * x * x + du * base) - du * sc
-        at = bisect_right(wires, -big_b // (2 * big_a))
-        num = min((big_a * y + big_b) * y + big_c for y in wires[max(at - 1, 0):at + 1])
+        t, d, qt = self.t, self.d, self.qt
+        lo, hi = x - self.window, x + self.window
+        vertex = -big_b // (2 * big_a)
+        below = vertex if vertex < hi else hi
+        if 0 <= below < qt and below % t < d:
+            below = below - below % t - 1 if t > d else -1
+        above = vertex + 1 if vertex >= lo else lo
+        if 0 <= above < qt and above % t < d:
+            above = above - above % t + d if t > d else qt
+        num = None
+        for y in (below, above):
+            if lo <= y <= hi:
+                value = (big_a * y + big_b) * y + big_c
+                if num is None or value < num:
+                    num = value
         return num, den
 
-    def _group_outputs(self, depth: int) -> list:
-        """[base, quads, term list or None] for the current prefix's
-        out-of-form children, built on first use and held for ``depth``: a
-        child of moments (a, b, c) has damping base + beta_total*c plus,
-        over the quad (mult, pa, pb, beta) of each group of outputs,
-        mult * _least(pa, pb + beta*b)."""
-        if self._out_groups[depth] is not None:
-            return self._out_groups[depth]
+    def _read_terms(self, depth: int) -> tuple:
+        """(base, terms) for the current prefix's out-of-form children, read
+        from its groups with the out-of-form mass on first use and held for
+        ``depth``: a child of moments (a, b, c) has damping base +
+        beta_total*c plus, over each group (mult, pa, pb, beta) with the
+        mass added, mult*_least(pa, pb + beta*b).  That is (qa*z + lin)*z at
+        z = (qa - lin) // 2qa, with qa = mult*pa and lin = 2*mult*(pb +
+        beta*b), so a term is (qa, 2qa, 2*mult*pb, 2*mult*beta)."""
         oa, ob, oc = self.out
         oa += self.messages[depth][2]
-        owners = list(self.owned.items())
-        shared: Dict[int, list] = {u: [] for u, _ in owners}
-        quads, base, rest = [], 0, self.beta_total
-        for i, (u, (a1, b1, c1)) in enumerate(owners):
-            partners = self.partners[u]
-            for u2, (a2, b2, c2) in owners[i + 1:]:
-                beta = partners.get(u2)
-                if beta:
-                    quads.append((1, a1 + a2 + beta * oa, b1 + b2 + beta * ob, beta))
-                    base += c1 + c2 + beta * oc
-                    rest += beta
-                    shared[u].append(beta)
-                    shared[u2].append(beta)
-            rest -= self.row_beta[u]
-            for beta, count in self.groups[u]:
-                count -= shared[u].count(beta)
-                if count:
-                    quads.append((count, a1 + beta * oa, b1 + beta * ob, beta))
-                    base += count * (c1 + beta * oc)
+        terms, base = [], self.beta_total * oc
+        for m, a, b, c, beta, _bits in self._held_groups(depth)[1]:
+            qa = m * (a + beta * oa)
+            terms.append((qa, 2 * qa, 2 * m * (b + beta * ob), 2 * m * beta))
+            base += m * c
+        read = self._terms[depth] = (base, terms)
+        return read
+
+    def _held_groups(self, depth: int) -> tuple:
+        """(owner mask, groups) of the current prefix, the first ``depth``
+        messages, derived on first use from those of its longest prefix that
+        has them: the same when a message is out of form, else with its
+        owner added or grown."""
+        held, at = self._held, depth
+        while held[at] is None:
+            at -= 1
+        groups = held[at]
+        while at < depth:
+            col = self._placed[at]
+            if col is not None:
+                groups = self._with_owner(groups, col)
+            at += 1
+            held[at] = groups
+        return groups
+
+    def _with_owner(self, parent: tuple, col: tuple) -> tuple:
+        """The groups ``parent`` holds, with the weight of in-form column
+        ``col`` added to its owner u.  If u owns already, each group of u
+        grows by the column's moments.  Otherwise each owner that shares an
+        output with u moves that output from its own group into a pair
+        group with u, u's other outputs form groups by beta_o, and the
+        unowned group loses the beta_o of those other outputs."""
+        mask, held = parent
+        u, a, b, c, _ctrl = col
+        bit = 1 << u
+        if mask & bit:
+            return mask, [
+                (g[0], g[1] + a, g[2] + b, g[3] + c, g[4], g[5]) if g[5] & bit else g
+                for g in held
+            ]
+        # the unowned group, when there is one, is the last
+        rest, groups = (held[-1][0], held[:-1]) if not held[-1][5] else (0, held[:])
+        shared = []  # beta of each of u's outputs that an owner holds
+        mates, partners = mask & self.mates[u], self.partners[u]
+        while mates:
+            low = mates & -mates
+            mates ^= low
+            beta = partners[low.bit_length() - 1]
+            shared.append(beta)
+            for i, (m, ga, gb, gc, g_beta, bits) in enumerate(groups):
+                if bits == low and g_beta == beta:
+                    groups[i] = (1, ga + a, gb + b, gc + c, beta, low | bit)
+                    if m > 1:
+                        groups.append((m - 1, ga, gb, gc, beta, low))
+                    break
+        for beta, count in self.groups[u]:
+            count -= shared.count(beta)
+            if count:
+                groups.append((count, a, b, c, beta, bit))
+        rest -= self.row_beta[u] - sum(shared)
         if rest:
-            quads.append((rest, oa, ob, 1))
-            base += rest * oc
-        built = self._out_groups[depth] = [base, quads, None]
-        return built
+            groups.append((rest, 0, 0, 0, 1, 0))
+        return mask | bit, groups
 
 
 def search_deterministic(
@@ -600,11 +730,18 @@ def search_deterministic(
     channel and carries the prefix down the search; the winner is re-checked
     through the branch-by-branch evaluation.
 
-    Once there is an incumbent, a node asks the evaluator, at its first
-    out-of-form child, for the group bound on all its out-of-form children.
-    If that bound strictly exceeds the incumbent, each of them would be
-    pruned anyway, so they are counted and passed over unscored; otherwise
-    each is scored.  The same prefixes are expanded in the same order.
+    A node's first child, v = 0, is in form, and below it the search
+    completes a table if it has none yet, so a node reaches its out-of-form
+    children with an incumbent.  It asks the evaluator, at the first of
+    them, for the group bound on all of them.  If that bound strictly
+    exceeds the incumbent, each of them would be pruned anyway, so they are
+    passed over unscored, and each run of them between two in-form children
+    is counted with one addition, checked against the budget as a whole;
+    otherwise each is scored.  The same prefixes are expanded in the same
+    order.  A depth holds its children as its in-form values and the runs
+    between them, no more than 2*q*d + 1 entries whatever the window, and
+    the budget stops the search within its first ``node_budget`` values at
+    every depth, so a huge window with a small budget costs O(node_budget).
 
     ``candidates_evaluated`` counts the prefixes scored or ruled out by the
     group bound, child by child; if ``node_budget`` of them runs out the
@@ -621,48 +758,83 @@ def search_deterministic(
             f"node budget {node_budget} is below the {len(support)} prefixes "
             f"of one complete c1 table"
         )
-    # Values go in (|v|, v) order, and each one tried is a prefix scored, so
-    # within a budget of B prefixes no depth gets past |v| <= B.  Columns are
-    # built only that far: a huge window with a small budget costs O(B), and a
-    # truncated order can never finish before the budget does.
-    reach = window if node_budget is None else min(window, node_budget)
-    evaluator = _PrefixEvaluator(inst, reach)
-
-    order = [(v, v + reach) for v in sorted(range(-reach, reach + 1), key=lambda v: (abs(v), v))]
+    evaluator = _PrefixEvaluator(inst, window)
+    score, shift, bound = evaluator.score, evaluator.shift, evaluator.out_of_form_bound
+    n = len(support)
+    # Per depth, the children in (|v|, v) order: each in-form value as (v, 0),
+    # and each run of out-of-form values between two in-form ones as (its
+    # first v, its length)
+    end = 2 * window + 1  # the number of positions
+    entries = []
+    for cols in evaluator.columns:
+        row, at = [], 0
+        for pos in sorted(map(_position_of, cols)) + [end]:
+            if pos > at:
+                row.append((_value_at(at), pos - at))
+            if pos < end:
+                row.append((_value_at(pos), 0))
+            at = pos + 1
+        entries.append(row)
+    # each position tried is a prefix counted, so a budget of B stops every
+    # depth within its first B positions, whatever the window; with no budget
+    # the limit is past the number of prefixes there are
+    limit = node_budget if node_budget is not None else (end + 1) ** n
     best_cost, best_vals = None, None
     nodes = 0
-
-    score, shift, bound = evaluator.score, evaluator.shift, evaluator.out_of_form_bound
-    outside = [[u < 0 for u, *_rest in row] for row in evaluator.columns]
 
     def descend(prefix: tuple, prefix_cost: int) -> bool:
         """Search every completion of ``prefix``, the evaluator's current
         prefix; False once the budget is out."""
-        nonlocal best_cost, best_vals, nodes
+        nonlocal nodes
         depth = len(prefix)
-        out = outside[depth]
-        ruled_out = None  # asked once, at the first out-of-form child with an incumbent
-        for v, col in order:
-            if node_budget is not None and nodes >= node_budget:
+        ruled_out = None  # asked once, at the first out-of-form child
+        for v, run in entries[depth]:
+            if nodes >= limit:
                 return False
             nodes += 1
-            if out[col] and best_cost is not None:
+            if run:
+                # v = 0 is in form and comes first, and below it the search
+                # completes a table if it has none yet: there is an incumbent
                 if ruled_out is None:
                     num, den = bound(depth)
                     ruled_out = num > best_cost * den
                 if ruled_out:
+                    # the rest of the run, counted in one step
+                    nodes += run - 1
+                    if nodes > limit:
+                        nodes = limit
+                        return False
                     continue
-            cost = score(depth, col, prefix_cost)
-            if best_cost is not None and cost > best_cost:
-                continue
-            values = prefix + (v,)
-            if depth + 1 < len(support):
-                shift(depth, col, 1)
-                if not descend(values, cost):
-                    return False
-                shift(depth, col, -1)
-            elif best_cost is None or cost < best_cost or values < best_vals:
-                best_cost, best_vals = cost, values
+            cost = score(depth, v, prefix_cost)
+            if (best_cost is None or cost <= best_cost) and not expand(prefix, v, cost):
+                return False
+            if run > 1:
+                # the rest of a run the bound let through, child by child
+                at = _position_of(v)
+                for pos in range(at + 1, at + run):
+                    if nodes >= limit:
+                        return False
+                    nodes += 1
+                    v = _value_at(pos)
+                    cost = score(depth, v, prefix_cost)
+                    if cost <= best_cost and not expand(prefix, v, cost):
+                        return False
+        return True
+
+    def expand(prefix: tuple, v: int, cost: int) -> bool:
+        """Take the child ``prefix + (v,)`` of scaled cost ``cost``, which is
+        not pruned: search its completions, or keep it if it is a complete
+        table the incumbent does not beat; False once the budget is out."""
+        nonlocal best_cost, best_vals
+        values = prefix + (v,)
+        depth = len(prefix)
+        if depth + 1 < n:
+            shift(depth, v, 1)
+            if not descend(values, cost):
+                return False
+            shift(depth, v, -1)
+        elif best_cost is None or cost < best_cost or values < best_vals:
+            best_cost, best_vals = cost, values
         return True
 
     complete = descend((), 0)

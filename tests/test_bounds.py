@@ -18,7 +18,8 @@ Claims covered:
     - the certificate reaches M = 10, 20, 40 at their threshold scales, with
       each winning table's cost confirmed by the integer checker, and M =
       40000 at t = 4001, W = 490 after the 1 040 841 prefixes of the search
-      that scored every child, at minimum 3996064/27
+      that scored every child, at minimum 3996064/27, and M = 10^6 at t =
+      20001, W = 2450 after its 24 411 881 prefixes, at minimum 11108896/3
 """
 
 import math
@@ -379,6 +380,21 @@ def test_certificate_at_a_bound_of_forty_thousand(bundled, rays):
     assert cert.search.complete and cert.search.cost == Fraction(3996064, 27)
     assert cert.search.candidates_evaluated == 1040841
     oracle = Instance(rays, 4001, 1)
+    values = tuple(cert.search.strategy.c1[x] for _m, x in oracle.support())
+    assert values == (3, 0, 2, 0, 0, 1)
+    assert oracle.cost(values) == cert.search.cost
+
+
+def test_certificate_at_a_bound_of_a_million(bundled, rays):
+    # most nodes here rule out runs of thousands of out-of-form children,
+    # each counted in one step; the count stays that of the search that
+    # scored every child (about 2 s before runs were counted at once)
+    cert = certify_separation(bundled, 1, 10**6)
+    assert cert.status == "certified" and cert.certified
+    assert (cert.t, cert.window) == (20001, 2450)
+    assert cert.search.complete and cert.search.cost == Fraction(11108896, 3)
+    assert cert.search.candidates_evaluated == 24411881
+    oracle = Instance(rays, 20001, 1)
     values = tuple(cert.search.strategy.c1[x] for _m, x in oracle.support())
     assert values == (3, 0, 2, 0, 0, 1)
     assert oracle.cost(values) == cert.search.cost

@@ -27,12 +27,14 @@ Claims covered:
       node budgets 6, 40 and 300, and ends at its cost and table, also on
       121 seeded instances over both basis sets with skewed message
       probabilities and budgets, where the group bound sometimes equals the
-      incumbent; its child scoring, walked down full tables, matches the
-      checker's cost and takes every step back exactly; every child it
-      scores in a search costs what the checker gives for the prefix the
-      evaluator holds, and every child it rules out unscored is out of form
-      and costs more on the checker than the incumbent when its node asked
-      for the group bound
+      incumbent, and under budgets that end at the first child, inside, at
+      the last child or just past each run of out-of-form children it
+      counts in one step; its child scoring, walked down full tables,
+      matches the checker's cost and takes every step back exactly; every
+      child it scores in a search costs what the checker gives for the
+      prefix the evaluator holds, and every child it rules out unscored, also in runs
+      of four counted at once, is out of form and costs more on the checker
+      than the incumbent when its node asked for the group bound
     - the group bound on a node's out-of-form children is the least of
       their checker costs with c2 relaxed to the reals, so never above the
       least of their exact costs
@@ -495,13 +497,13 @@ def test_prefix_evaluator_matches_oracle_cost(bundled, channels, tables, kind):
             values = (*first, *[rng.choice(span) for _ in inst.support()[2:]])
             scaled = 0
             for depth, v in enumerate(values):
-                scaled = evaluator.score(depth, v + window, scaled)
+                scaled = evaluator.score(depth, v, scaled)
                 if depth == 1 or depth + 1 == len(values):
                     prefix = values[:depth + 1]
                     assert evaluator.to_fraction(scaled) == oracle.cost(prefix)
-                evaluator.shift(depth, v + window, 1)
+                evaluator.shift(depth, v, 1)
             for depth in reversed(range(len(values))):
-                evaluator.shift(depth, values[depth] + window, -1)
+                evaluator.shift(depth, values[depth], -1)
             assert (evaluator.ctrl, evaluator.owned, evaluator.out) == (0, {}, [0, 0, 0])
 
 
@@ -520,28 +522,29 @@ def test_search_scores_every_child_at_the_checkers_cost(
     # nodes whose owners share outputs (the bound rules those out) and the
     # root (the bound lets those through to be scored); at t = 4, W = 5 and
     # k = 1/10 in-form children join an owner that shares an output with
-    # another
+    # another; at t = 9, W = 5 and k = 1 the values -4, 4, -5 and 5 are out
+    # of form one after another, a run that the search counts in one step
     shift, score = _PrefixEvaluator.shift, _PrefixEvaluator.score
     bound = _PrefixEvaluator.out_of_form_bound
     prefix, scored, entered, asked = [], [], [], {}
 
-    def tracked_shift(self, depth, col, sign):
-        shift(self, depth, col, sign)
+    def tracked_shift(self, depth, v, sign):
+        shift(self, depth, v, sign)
         if sign > 0:
-            prefix.append(col - window)
+            prefix.append(v)
             entered.append(tuple(prefix))
         else:
             prefix.pop()
 
-    def recorded_score(self, depth, col, cost):
-        got = score(self, depth, col, cost)
+    def recorded_score(self, depth, v, cost):
+        got = score(self, depth, v, cost)
         assert depth == len(prefix)
-        scored.append(((*prefix, col - window), self.to_fraction(got)))
+        scored.append(((*prefix, v), self.to_fraction(got)))
         return got
 
     def recorded_bound(self, depth):
         assert depth == len(prefix) and tuple(prefix) not in asked
-        full = [cost for values, cost in scored if len(values) == len(self.columns)]
+        full = [cost for values, cost in scored if len(values) == len(self.messages)]
         asked[tuple(prefix)] = min(full)
         return bound(self, depth)
 
@@ -549,8 +552,8 @@ def test_search_scores_every_child_at_the_checkers_cost(
     monkeypatch.setattr(_PrefixEvaluator, "score", recorded_score)
     monkeypatch.setattr(_PrefixEvaluator, "out_of_form_bound", recorded_bound)
     neighbours = tables[kind].neighbours
-    shares = joins = outside = ruled_out = 0
-    for t, window, k in [(5, 2, Fraction(1, 1000)), (4, 5, Fraction(1, 10))]:
+    shares = joins = outside = ruled_out = longest = 0
+    for t, window, k in [(5, 2, Fraction(1, 1000)), (4, 5, Fraction(1, 10)), (9, 5, Fraction(1))]:
         inst = make_instance(bundled, t, k, channel=channels[kind])
         oracle = Instance(tables[kind], t, k)
         scored.clear()
@@ -565,11 +568,16 @@ def test_search_scores_every_child_at_the_checkers_cost(
         skipped = []
         for node in entered:
             x = inst.support()[len(node)][1]
-            for v in range(-window, window + 1):
-                if v not in children.get(node, ()):
-                    assert oracle.input_of(x + v) is None and node in asked, (node, v)
-                    assert oracle.cost((*node, v)) > asked[node], (node, v)
-                    skipped.append((*node, v))
+            run = 0  # children ruled out one after another in (|v|, v) order
+            for v in sorted(range(-window, window + 1), key=lambda v: (abs(v), v)):
+                if v in children.get(node, ()):
+                    run = 0
+                    continue
+                assert oracle.input_of(x + v) is None and node in asked, (node, v)
+                assert oracle.cost((*node, v)) > asked[node], (node, v)
+                skipped.append((*node, v))
+                run += 1
+                longest = max(longest, run)
         assert len(scored) + len(skipped) == res.candidates_evaluated
         ruled_out += len(skipped)
         for values in [values for values, _cost in scored] + skipped:
@@ -581,7 +589,7 @@ def test_search_scores_every_child_at_the_checkers_cost(
                 outside += values not in skipped
             elif child in owners:
                 joins += any(n in owners for n in neighbours[child])
-    assert shares and joins and outside and ruled_out
+    assert shares and joins and outside and ruled_out and longest >= 4
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -612,7 +620,7 @@ def test_group_bound_is_the_least_relaxed_cost_of_the_out_of_form_children(
             depth = rng.randrange(len(support))
             values = [rng.randint(-window, window) for _ in range(depth)]
             for at, v in enumerate(values):
-                evaluator.shift(at, v + window, 1)
+                evaluator.shift(at, v, 1)
             x = support[depth][1]
             outside = [v for v in range(-window, window + 1) if oracle.input_of(x + v) is None]
             owners = {oracle.input_of(x + v) for (_m, x), v in zip(support, values)} - {None}
@@ -626,7 +634,7 @@ def test_group_bound_is_the_least_relaxed_cost_of_the_out_of_form_children(
                 least = min(relaxed, key=relaxed.get)
                 sides.add((least > min(outside), least < max(outside)))
             for at in reversed(range(depth)):
-                evaluator.shift(at, values[at] + window, -1)
+                evaluator.shift(at, values[at], -1)
     # least values inside the range of out-of-form wires, and at either end
     assert {(True, True), (True, False), (False, True)} <= sides and shares
 
@@ -809,3 +817,51 @@ def test_best_in_window_cost_non_decreasing_in_t(bundled, channel):
         inst = make_instance(bundled, t, 1, channel=channel)
         costs.append(search_deterministic(inst, 4).cost)
     assert all(a <= b for a, b in zip(costs, costs[1:]))
+
+
+def test_budgets_at_the_edges_of_the_runs_counted_in_one_step(bundled, channel, rays):
+    # at t = 39, k = 1 and W = 12 a message's values past |v| = 3 are out of
+    # form, 18 in a row, and the group bound rules most of them out, so the
+    # search counts each such run with one addition.  A budget that ends at
+    # a run's first child, one short of its end, at its end or one past must
+    # stop the search where a plain depth-first search stops: the same
+    # count, complete flag, cost and table.  The plain search scores each
+    # prefix once, so its memo holds every prefix in the order it counts
+    # them, and a run is a stretch of out-of-form siblings in that order.
+    # At t = 6, k = 10 and W = 10 the root rules out its own out-of-form
+    # children, so the search ends on a counted run: every budget is tried
+    # there, and one of exactly the full count must leave the search complete
+    for t, k, window in [(39, 1, 12), (6, 10, 10)]:
+        inst = make_instance(bundled, t, k, channel=channel)
+        oracle = Instance(rays, t, k)
+        costs = {}
+        total, complete, _cost, _values = plain_dfs(oracle, window, None, costs)
+        visits = list(costs)
+        assert complete and len(visits) == total
+
+        def out_of_form(values):
+            return oracle.input_of(oracle.support()[len(values) - 1][1] + values[-1]) is None
+
+        # every budget when the search is small, else the edges of each run
+        budgets = set(range(total + 2)) if total < 200 else {total - 1, total, total + 1}
+        runs = start = 0
+        while start < total:
+            end = start
+            while (
+                end + 1 < total
+                and out_of_form(visits[start])
+                and out_of_form(visits[end + 1])
+                and visits[end + 1][:-1] == visits[start][:-1]
+            ):
+                end += 1
+            if end - start >= 2:
+                # visits start .. end are counts start + 1 .. end + 1
+                runs += 1
+                budgets |= {start + 1, end, end + 1, end + 2}
+            start = end + 1
+        assert runs and out_of_form(visits[-1])
+        for budget in sorted(b for b in budgets if b >= len(inst.support())):
+            res = search_deterministic(inst, window, node_budget=budget)
+            expected = plain_dfs(oracle, window, budget, costs)
+            assert (res.candidates_evaluated, res.complete, res.cost) == expected[:3], budget
+            assert tuple(res.strategy.c1[x] for _m, x in inst.support()) == expected[3], budget
