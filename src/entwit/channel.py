@@ -30,10 +30,6 @@ class ChannelInput(NamedTuple):
 ChannelOutput = Tuple[ChannelInput, ChannelInput]
 
 
-def _as_input(x) -> ChannelInput:
-    return x if type(x) is ChannelInput else ChannelInput(*x)
-
-
 class FiniteChannel(NamedTuple):
     """Conditional distribution N(o | i) with exact rational probabilities.
 
@@ -49,11 +45,14 @@ class FiniteChannel(NamedTuple):
         """Uniform channel i -> {i, i'} over the given neighbor sets."""
         rows = {}
         for i, nbrs in neighbors.items():
-            i = _as_input(i)
+            i = i if type(i) is ChannelInput else ChannelInput(*i)
             if not nbrs:
                 raise ValueError(f"input {i} has an empty neighbor set")
             p = Fraction(1, len(nbrs))
-            row = rows[i] = {(i, n) if i < n else (n, i): p for n in map(_as_input, nbrs)}
+            row = rows[i] = {}
+            for n in nbrs:
+                n = n if type(n) is ChannelInput else ChannelInput(*n)
+                row[(i, n) if i < n else (n, i)] = p
             if len(row) != len(nbrs):
                 raise ValueError(f"duplicate neighbors for input {i}")
         ch = cls(inputs=tuple(sorted(rows)), rows=rows)
@@ -63,18 +62,22 @@ class FiniteChannel(NamedTuple):
     def validate(self) -> None:
         """Check every row: nonempty, each output a pair (a, b) with a < b
         holding the row's own input, and every probability of numerator 1
-        and denominator len(row), so the row sums to exactly 1 unsummed."""
+        and denominator len(row), so the row sums to exactly 1 unsummed; the
+        probability object checked last in the row is not checked again."""
         for i in self.inputs:
             row = self.rows[i]
             if not row:
                 raise ValueError(f"input {i} has no outputs")
+            n, uniform = len(row), None
             for (a, b), p in row.items():
                 if not a < b:
                     raise ValueError(f"output {(a, b)} is not two distinct inputs in order")
                 if a != i and b != i:
                     raise ValueError(f"positive output {(a, b)} does not contain input {i}")
-                if type(p) is not Fraction or p.numerator != 1 or p.denominator != len(row):
-                    raise ValueError(f"row for {i} is not uniform over its support")
+                if p is not uniform:
+                    if type(p) is not Fraction or p.numerator != 1 or p.denominator != n:
+                        raise ValueError(f"row for {i} is not uniform over its support")
+                    uniform = p
 
     @property
     def outputs(self) -> tuple:
@@ -106,10 +109,13 @@ def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
         )
     # the set's held orthogonality bitmasks, indexed by id m*d + j
     ids = [ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d)]
-    return FiniteChannel.from_neighbor_sets({
-        i: [ids[b] for b in range(len(ids)) if mask >> b & 1]
-        for i, mask in zip(ids, ks.masks)
-    })
+    neighbors = {}
+    for i, mask in zip(ids, ks.masks):
+        nbrs = neighbors[i] = []
+        while mask:  # lowest set bit first
+            nbrs.append(ids[(mask & -mask).bit_length() - 1])
+            mask &= mask - 1
+    return FiniteChannel.from_neighbor_sets(neighbors)
 
 
 # -- confusability -------------------------------------------------------
@@ -139,11 +145,8 @@ def confusability_graph(ch: FiniteChannel) -> ConfusabilityGraph:
     for i in ch.inputs:
         for o in ch.rows[i]:
             by_output.setdefault(o, []).append(i)
-    edges = set()
-    for sharers in by_output.values():
-        for a, b in combinations(sorted(sharers), 2):
-            edges.add((a, b))
-    return ConfusabilityGraph(vertices=tuple(ch.inputs), edges=frozenset(edges))
+    edges = frozenset(e for o in by_output.values() for e in combinations(sorted(o), 2))
+    return ConfusabilityGraph(vertices=tuple(ch.inputs), edges=edges)
 
 
 def independence_number(g: ConfusabilityGraph) -> tuple:

@@ -40,7 +40,7 @@ from types import MappingProxyType
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .channel import ChannelInput, ChannelOutput, FiniteChannel, build_ks_channel
-from .entangled import QuantumDecodeError, decoder_decode, encoder_branches
+from .entangled import _ONE, QuantumDecodeError, decoder_decode, encoder_branches
 from .exact import as_fraction
 from .ks import KSBasisSet
 
@@ -218,21 +218,20 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
     """
     weighted = Fraction(0)  # sum over messages of p_m * (sum of j^2 over branches)
     branches = 0
-    inv_d = Fraction(1, inst.d)
+    d = inst.d
     for m, x in inst.support():
         j_sq = 0
-        for outcome, probability, residual in encoder_branches(inst.ks, m):
+        for outcome, p, residual in encoder_branches(inst.ks, m):
             j = outcome.j
-            if probability != inv_d:
+            if type(p) is not Fraction or p.numerator != 1 or p.denominator != d:
                 raise QuantumDecodeError(
-                    f"encoder branch probability {probability} != 1/{inst.d}",
-                    witness=(m, j, None),
+                    f"encoder branch probability {p} != 1/{d}", witness=(m, j, None)
                 )
             y = x + j
             j_sq += j * j
             for s in inst.output_distribution(y):
                 decoded, p_dec = decoder_decode(inst.ks, s, residual)
-                if decoded != outcome or p_dec != 1:
+                if decoded != outcome or (p_dec is not _ONE and p_dec != 1):
                     raise QuantumDecodeError(
                         f"decoder returned {decoded} with probability {p_dec}",
                         witness=(m, j, s),
@@ -244,8 +243,8 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
                     )
                 branches += 1
         weighted += inst.p_m[m] * j_sq
-    control = weighted * inst.k / inst.d  # every branch has probability 1/d
-    bound = inst.k * inst.d * inst.d
+    control = weighted * inst.k / d  # every branch has probability 1/d
+    bound = inst.k * d * d
     if not control < bound:
         raise QuantumDecodeError(
             f"entangled cost {control} not below k*d^2 = {bound}", witness=()

@@ -14,6 +14,7 @@ sampled, and a Fraction is built only for a result.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import NamedTuple
 
@@ -48,6 +49,7 @@ class QuantumZeroErrorReport(NamedTuple):
     per_message_mass: tuple  # Fraction per message; each must be 1
 
 
+@cache  # a Vector is immutable, so every encoder call shares one per d
 def maximally_entangled_state(d: int) -> Vector:
     """(1/sqrt(d)) sum_j |j>|j> as an exact vector on C^(d*d)."""
     if d < 2:
@@ -111,35 +113,32 @@ def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
 def run_zero_error_quantum(ks: KSBasisSet, ch: FiniteChannel) -> QuantumZeroErrorReport:
     """Enumerate every (message, encoder branch, channel output) triple.
 
-    Asserts that the decoder recovers the encoder's (m, j) with probability 1
-    on every branch, i.e. all q messages go through with zero error even
-    though only q - 1 fit classically.  Any wrong decode raises with the
-    witness triple.
+    Asserts that every encoder branch has probability 1/d and that the
+    decoder recovers the encoder's (m, j) with probability 1 on every branch,
+    i.e. all q messages go through with zero error even though only q - 1
+    fit classically.  Any wrong branch raises with the witness triple.
     """
     total = 0
     masses = []
+    d = ks.d
     for m in range(ks.q):
-        num, den = 0, 1  # the message's mass so far, num / den
-        for branch in encoder_branches(ks, m):
-            sent = branch.outcome
-            pn, pd = branch.probability.numerator, branch.probability.denominator
+        num, den = 0, 1  # d times the message's mass so far, num / den
+        for sent, p, residual in encoder_branches(ks, m):
+            if type(p) is not Fraction or p.numerator != 1 or p.denominator != d:
+                raise QuantumDecodeError(
+                    f"encoder branch probability {p} != 1/{d}", witness=(m, sent.j, None)
+                )
             for s, p_out in ch.rows[sent].items():
                 total += 1
-                term_den = pd * p_out.denominator
-                common = lcm(den, term_den)
-                num = num * (common // den) + pn * p_out.numerator * (common // term_den)
+                common = lcm(den, p_out.denominator)
+                num = num * (common // den) + p_out.numerator * common // p_out.denominator
                 den = common
-                decoded, p_dec = decoder_decode(ks, s, branch.residual)
-                if decoded != sent or p_dec != 1:
+                decoded, p_dec = decoder_decode(ks, s, residual)
+                if decoded != sent or (p_dec is not _ONE and p_dec != 1):
                     raise QuantumDecodeError(
                         f"branch decoded {decoded} with probability {p_dec}, "
                         f"expected {sent} with probability 1",
                         witness=(m, sent.j, s),
                     )
-        masses.append(Fraction(num, den))
-    return QuantumZeroErrorReport(
-        messages_sent=ks.q,
-        total_branches=total,
-        all_correct=True,
-        per_message_mass=tuple(masses),
-    )
+        masses.append(Fraction(num, den * d))
+    return QuantumZeroErrorReport(ks.q, total, True, tuple(masses))

@@ -116,11 +116,12 @@ class Vector:
         if scale is None:
             if nsq == 0:
                 raise ValueError("cannot normalize the zero vector")
-            scale = Fraction(nsq, den * den)
+            scale, unit = Fraction(nsq, den * den), True  # norm_sq() is 1 by construction
         else:
             scale = scale if type(scale) is Fraction else as_fraction(scale)
             if scale <= 0:
                 raise ValueError(f"vector scale must be positive, got {scale}")
+            unit = nsq * scale.denominator == den * den * scale.numerator
         put = object.__setattr__  # immutable: attributes are set here only
         put(self, "re", re)
         put(self, "im", im)
@@ -128,7 +129,7 @@ class Vector:
         put(self, "scale", scale)
         put(self, "nsq", nsq)
         put(self, "real", not any(im))
-        put(self, "unit", nsq * scale.denominator == den * den * scale.numerator)
+        put(self, "unit", unit)
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")

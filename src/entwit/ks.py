@@ -105,23 +105,26 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
     """
     validate_basis_set(ks)
     q, d, masks = ks.q, ks.d, ks.masks
+    # per basis, (j, mask, bit) of each vector; per depth, a prefix's completions
+    levels = [[(j, masks[m * d + j], 1 << m * d + j) for j in range(d)] for m in range(q)]
+    weight = [d ** (q - m - 1) for m in range(q)]
     checked = 0
 
-    def walk(m: int, chosen: int, prefix: tuple) -> Optional[tuple]:
+    def walk(m: int, chosen: int) -> Optional[list]:  # the witness from m on, reversed
         nonlocal checked
-        for j in range(d):
-            vid = m * d + j
-            if masks[vid] & chosen:
-                checked += d ** (q - m - 1)
+        for j, mask, bit in levels[m]:
+            if mask & chosen:
+                checked += weight[m]
             elif m + 1 == q:
                 checked += 1
-                return prefix + ((m, j),)
-            elif found := walk(m + 1, chosen | 1 << vid, prefix + ((m, j),)):
+                return [(m, j)]
+            elif (found := walk(m + 1, chosen | bit)) is not None:
+                found.append((m, j))
                 return found
         return None
 
-    witness = walk(0, 0, ())
-    return KSCheckResult(witness is None, checked, witness)
+    witness = walk(0, 0)
+    return KSCheckResult(witness is None, checked, witness and tuple(reversed(witness)))
 
 
 # -- file format ---------------------------------------------------------
@@ -174,14 +177,9 @@ def basis_set_from_json_dict(data: dict) -> KSBasisSet:
     p, r = field.numerator, field.denominator
     mult = common * r if p > 0 else -common * r
     den = common * abs(p)
-    bases = []
-    for basis in parts:
-        vectors = []
-        for vec in basis:
-            nums = [(x * mult).numerator for x in vec]
-            vectors.append(Vector(nums[0::2], nums[1::2], den))
-        bases.append(tuple(vectors))
-    return KSBasisSet(q=q, d=d, bases=tuple(bases), label=data.get("label", ""))
+    nums = [[[(x * mult).numerator for x in vec] for vec in basis] for basis in parts]
+    bases = [[Vector(vec[0::2], vec[1::2], den) for vec in basis] for basis in nums]
+    return KSBasisSet(q=q, d=d, bases=bases, label=data.get("label", ""))
 
 
 def load_basis_set(path) -> KSBasisSet:

@@ -84,6 +84,9 @@ def _row_channel(row):
 
 
 A00, A10, A11 = ChannelInput(0, 0), ChannelInput(1, 0), ChannelInput(1, 1)
+A12 = ChannelInput(1, 2)
+# valid probability objects that validate checks once and then skips
+THIRD, HALF = Fraction(1, 3), Fraction(1, 2)
 
 
 @pytest.mark.parametrize(
@@ -98,11 +101,15 @@ A00, A10, A11 = ChannelInput(0, 0), ChannelInput(1, 0), ChannelInput(1, 1)
         # one neighbor twice, once in each order
         ({(A00, A10): Fraction(1, 2), (A10, A00): Fraction(1, 2)}, "not two distinct"),
         ({(A00, A10): 0.5, (A00, A11): 0.5}, "not uniform"),
+        # a wrong probability after an object already found valid
+        ({(A00, A10): THIRD, (A00, A11): THIRD, (A00, A12): Fraction(1, 2)}, "not uniform"),
+        ({(A00, A10): HALF, (A00, A11): 0.5}, "not uniform"),
         ({(A00, A10): Fraction(1)}, None),
     ],
     ids=[
         "empty", "non-uniform", "uniform-short-of-one", "without-own-input",
-        "self-neighbor", "duplicate-neighbor", "float", "one-certain-output",
+        "self-neighbor", "duplicate-neighbor", "float", "wrong-after-shared",
+        "float-after-shared", "one-certain-output",
     ],
 )
 def test_validate_rejects_malformed_rows(row, message):

@@ -10,6 +10,10 @@ Claims covered:
       branches, identical across t in {4, 10, 100, 10^6}, below k*d^2; a
       strategy that breaks the k*d^2 ceiling raises QuantumDecodeError, and
       so does quantum-run when the decoder is right with probability 1/2
+    - an encoder branch of probability 1/2, or of the float 0.25, raises
+      QuantumDecodeError in evaluate_quantum and run_zero_error_quantum
+      alike, and a decoder whose certain outcome carries a fresh Fraction(1)
+      rather than the shared one leaves both reports unchanged
     - the per-output c2 minimizer matches an independent linear scan,
       including its half-even tie rule, on random tables with wires out of
       form and zero-probability messages, on all four test channels
@@ -49,7 +53,7 @@ from itertools import product
 
 import pytest
 
-from entwit import control
+from entwit import control, entangled
 from entwit.channel import ChannelInput, FiniteChannel, build_ks_channel
 from entwit.cli import main
 from entwit.control import (
@@ -62,7 +66,7 @@ from entwit.control import (
     optimal_c2_for_c1,
     search_deterministic,
 )
-from entwit.entangled import QuantumDecodeError
+from entwit.entangled import _ONE, QuantumDecodeError, run_zero_error_quantum
 from entwit.ks import load_basis_set
 
 from checker import Channel, Instance, flat_scan, plain_dfs
@@ -313,6 +317,54 @@ def test_quantum_decode_gate_raises(monkeypatch):
     monkeypatch.setattr(control, "decoder_decode", halved)
     with pytest.raises(QuantumDecodeError, match="with probability 1/2"):
         main(["quantum-run", "--t", "10"])
+
+
+def _quantum_reports(bundled, channel):
+    inst = make_instance(bundled, 10, 1, channel=channel)
+    return evaluate_quantum(inst), run_zero_error_quantum(bundled, channel)
+
+
+@pytest.mark.parametrize("probability", [Fraction(1, 2), 0.25], ids=["half", "float"])
+@pytest.mark.parametrize("run", [0, 1], ids=["evaluate_quantum", "run_zero_error_quantum"])
+def test_quantum_encoder_probability_gate_raises(monkeypatch, bundled, channel, run, probability):
+    # branch (2, 1) announces a wrong probability; the float equals 1/d but
+    # is not exact, and must meet the gate rather than an AttributeError
+    real = entangled.encoder_branches
+
+    def skewed(ks, m):
+        branches = real(ks, m)
+        if m == 2:
+            branches[1] = branches[1]._replace(probability=probability)
+        return branches
+
+    for module in (control, entangled):
+        monkeypatch.setattr(module, "encoder_branches", skewed)
+    runs = (
+        lambda: evaluate_quantum(make_instance(bundled, 10, 1, channel=channel)),
+        lambda: run_zero_error_quantum(bundled, channel),
+    )
+    with pytest.raises(QuantumDecodeError, match="encoder branch probability") as info:
+        runs[run]()
+    assert info.value.witness == (2, 1, None)
+
+
+def test_quantum_gates_accept_a_fresh_certain_decode(monkeypatch, bundled, channel):
+    # the decode gates test identity with the decoder's shared _ONE first; a
+    # probability 1 held in another Fraction must pass them on its value
+    expected = _quantum_reports(bundled, channel)
+    real = entangled.decoder_decode
+    fresh = []
+
+    def fresh_one(ks, s, residual):
+        right, p = real(ks, s, residual)
+        assert p is _ONE
+        fresh.append(Fraction(p.numerator, p.denominator))
+        return right, fresh[-1]
+
+    for module in (control, entangled):
+        monkeypatch.setattr(module, "decoder_decode", fresh_one)
+    assert _quantum_reports(bundled, channel) == expected
+    assert len(fresh) == 2 * 216 and not any(p is _ONE for p in fresh)
 
 
 def test_quantum_cost_independent_of_message_distribution(bundled, channel):

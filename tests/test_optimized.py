@@ -20,22 +20,24 @@ TESTS = Path(__file__).resolve().parent
 
 # every golden report, the unitary-set reports, the unitary set's
 # re-derivation and the perturbed set; the help and usage exits of main; and
-# the search re-check, the decode gate and the k*d^2 ceiling
+# the search re-check, the decode gate, the k*d^2 ceiling and the encoder
+# probability gate
 OPTIMIZED = (
     "test_golden.py",
     "test_cli.py::test_parser_errors_and_help_match_the_full_parser",
     "test_control.py::test_search_mismatch_gate_raises",
     "test_control.py::test_quantum_decode_gate_raises",
     "test_control.py::test_quantum_ceiling_gate_raises",
+    "test_control.py::test_quantum_encoder_probability_gate_raises",
 )
 
 
 def test_the_gates_and_reports_hold_under_python_O():
     proc = run_python("-O", __file__)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # 33 tests in test_golden.py, 12 parser exits and 3 gates, so a renamed
-    # or deselected case fails here
-    assert re.search(r"^48 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # 33 tests in test_golden.py, 12 parser exits, 3 gates and the encoder
+    # probability gate's 4 cases, so a renamed or deselected case fails here
+    assert re.search(r"^52 passed\b", proc.stdout, re.MULTILINE), proc.stdout
 
 
 if __name__ == "__main__":
