@@ -152,9 +152,11 @@ def confusability_graph(ch: FiniteChannel) -> ConfusabilityGraph:
 def independence_number(g: ConfusabilityGraph) -> tuple:
     """Exact maximum independent set via branch and bound with a witness.
 
-    Upper bounds come from a greedy clique cover of the remaining candidates
-    (an independent set meets each clique at most once).  Deterministic:
-    vertices are processed in sorted order and the first optimum found wins.
+    A branch is cut when its size plus all of its remaining candidates
+    cannot beat the best set so far.  Deterministic: vertices are processed
+    in sorted order, each taken before it is skipped, and the first optimum
+    found wins; no sound bound can cut the path to it, since the best size
+    stays below its size until it is reached.
     """
     verts = sorted(g.vertices)
     n = len(verts)
@@ -164,21 +166,6 @@ def independence_number(g: ConfusabilityGraph) -> tuple:
         adj[index[a]] |= 1 << index[b]
         adj[index[b]] |= 1 << index[a]
     full = (1 << n) - 1
-
-    def clique_cover_bound(cand: int) -> int:
-        cliques: List[Tuple[int, int]] = []  # (member mask, common adjacency mask)
-        rest = cand
-        while rest:
-            bit = rest & -rest
-            v = bit.bit_length() - 1
-            rest ^= bit
-            for idx, (members, common) in enumerate(cliques):
-                if common & bit:
-                    cliques[idx] = (members | bit, common & adj[v])
-                    break
-            else:
-                cliques.append((bit, adj[v]))
-        return len(cliques)
 
     best_size = 0
     best_mask = 0
@@ -190,8 +177,6 @@ def independence_number(g: ConfusabilityGraph) -> tuple:
                 best_size, best_mask = size, chosen
             return
         if size + bin(cand).count("1") <= best_size:
-            return
-        if size + clique_cover_bound(cand) <= best_size:
             return
         bit = cand & -cand
         v = bit.bit_length() - 1

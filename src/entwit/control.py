@@ -24,7 +24,7 @@ One scaled-integer evaluator, for any channel whose inputs are the (m, j)
 grid, carries the prefix down the depth-first search and scores each child
 as the search reaches it: an in-form child adds the change on its owner's
 row, and the out-of-form children share groups of outputs that each prefix
-derives from its parent's.  Those groups, with c2 relaxed to the reals, also
+builds once from its owners.  Those groups, with c2 relaxed to the reals, also
 give an exact lower bound on every out-of-form child of a node at once;
 when it exceeds the incumbent they are ruled out together, unscored, and
 each run of them between two in-form children is counted in one step.  The
@@ -415,14 +415,13 @@ class _PrefixEvaluator:
       mass, one per beta group of u's other outputs (those outputs cost
       nothing before and after otherwise);
     - the out-of-form children of a prefix share its owners and add the same
-      weight, so they share its output groups: one per orthogonal pair of
-      owners, each owner's other outputs grouped by beta_o, and every
-      unowned output at once.  A group is held as its multiplicity, its
-      owners' moments and beta_o, and a prefix's groups are derived, on
-      first use, from its parent's: they differ only by the owner that the
-      last ``shift`` added or grew, and not at all when it put its message
-      out of form.  The out-of-form mass, with the weight of a child at this
-      depth, is added when the groups are read, once per node.  A child
+      weight, so they share its output groups, built once per node on first
+      use straight from the owners: one per orthogonal pair of owners, each
+      owner's other outputs grouped by beta_o, and every unowned output at
+      once, whose beta_o sum to beta_total minus the owners' row sums plus
+      the pairs' beta_o (an output of two owners is in both rows).  A group
+      is held as its multiplicity, its moments with the out-of-form mass and
+      the weight of a child at this depth added in, and beta_o.  A child
       adds its own first moment to each group, times beta_o, and its second
       moment adds beta_total times it.
 
@@ -491,17 +490,9 @@ class _PrefixEvaluator:
         self.owned: Dict[int, list] = {}  # owner -> [weight, weight*y, weight*y^2]
         self.mask = 0  # bit u set for each owner u
         self.out = [0, 0, 0]  # the same over the messages out of form
-        n = len(support)
-        # per message, the in-form column the last shift gave it, None out of form
-        self._placed: List[Optional[tuple]] = [None] * n
-        # per prefix length, the current prefix's groups once derived, as
-        # (owner mask, [(mult, a, b, c, beta, owner bits)]); the empty prefix
-        # has one, every output unowned
-        self._held: List[Optional[tuple]] = [None] * (n + 1)
-        self._held[0] = (0, [(self.beta_total, 0, 0, 0, 1, 0)])
-        # and once an out-of-form child is scored, read with the out-of-form
-        # mass as (base, term list)
-        self._terms: List[Optional[tuple]] = [None] * (n + 1)
+        # per prefix length, the current prefix's out-of-form groups once
+        # built, as [base, quads, term list or None until a child is scored]
+        self._built: List[Optional[list]] = [None] * (len(support) + 1)
 
     def to_fraction(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale_den)
@@ -532,8 +523,7 @@ class _PrefixEvaluator:
                 del self.owned[u]
                 self.mask ^= 1 << u
         if sign > 0:
-            self._placed[depth] = col
-            self._held[depth + 1] = self._terms[depth + 1] = None
+            self._built[depth + 1] = None
 
     def score(self, depth: int, v: int, cost: int) -> int:
         """The scaled cost of the child that gives message ``depth`` the value
@@ -544,7 +534,14 @@ class _PrefixEvaluator:
             x, a_ctrl, w = self.messages[depth]
             y = x + v
             b = w * y
-            base, terms = self._terms[depth] or self._read_terms(depth)
+            built = self._built[depth] or self._group_outputs(depth)
+            base, quads, terms = built
+            if terms is None:
+                # mult*_least(pa, pb + beta*b) is (qa*z + lin)*z at z = (qa -
+                # lin) // 2qa, with qa = mult*pa and lin = 2*mult*(pb + beta*b)
+                terms = built[2] = [
+                    (m * pa, 2 * m * pa, 2 * m * pb, 2 * m * beta) for m, pa, pb, beta in quads
+                ]
             damping = base + self.beta_total * b * y
             for qa, qa2, lin, slope in terms:
                 lin += slope * b
@@ -599,20 +596,14 @@ class _PrefixEvaluator:
         in-form wire a*t + j steps to a*t - 1 below and a*t + d above, the
         nearest wires out of form (when t = d, to -1 and q*t)."""
         x, a_ctrl, w = self.messages[depth]
-        groups = self._held_groups(depth)[1]
-        oa, ob, oc = self.out
-        oa += w
-        pas = [a + beta * oa for _m, a, _b, _c, beta, _bits in groups]
-        den = lcm(*pas)
+        base, quads, _terms = self._built[depth] or self._group_outputs(depth)
+        den = lcm(*[pa for _m, pa, _pb, _beta in quads])
         sa = sb = sc = 0
-        base = self.beta_total * oc
-        for (m, _a, b, c, beta, _bits), pa in zip(groups, pas):
-            pb = b + beta * ob
+        for m, pa, pb, beta in quads:
             r, bw = m * (den // pa), beta * w
             sa += r * bw * bw
             sb += r * pb * bw
             sc += r * pb * pb
-            base += m * c
         du = self.damp_unit
         big_a = den * (a_ctrl + du * self.beta_total * w) - du * sa
         big_b = -2 * (den * a_ctrl * x + du * sb)
@@ -634,79 +625,40 @@ class _PrefixEvaluator:
                     num = value
         return num, den
 
-    def _read_terms(self, depth: int) -> tuple:
-        """(base, terms) for the current prefix's out-of-form children, read
-        from its groups with the out-of-form mass on first use and held for
-        ``depth``: a child of moments (a, b, c) has damping base +
-        beta_total*c plus, over each group (mult, pa, pb, beta) with the
-        mass added, mult*_least(pa, pb + beta*b).  That is (qa*z + lin)*z at
-        z = (qa - lin) // 2qa, with qa = mult*pa and lin = 2*mult*(pb +
-        beta*b), so a term is (qa, 2qa, 2*mult*pb, 2*mult*beta)."""
+    def _group_outputs(self, depth: int) -> list:
+        """[base, quads, None] for the current prefix's out-of-form children,
+        built and held for ``depth``: a child of moments (a, b, c) has
+        damping base + beta_total*c plus, over the quad (mult, pa, pb, beta)
+        of each group of outputs, mult*_least(pa, pb + beta*b)."""
         oa, ob, oc = self.out
         oa += self.messages[depth][2]
-        terms, base = [], self.beta_total * oc
-        for m, a, b, c, beta, _bits in self._held_groups(depth)[1]:
-            qa = m * (a + beta * oa)
-            terms.append((qa, 2 * qa, 2 * m * (b + beta * ob), 2 * m * beta))
-            base += m * c
-        read = self._terms[depth] = (base, terms)
-        return read
-
-    def _held_groups(self, depth: int) -> tuple:
-        """(owner mask, groups) of the current prefix, the first ``depth``
-        messages, derived on first use from those of its longest prefix that
-        has them: the same when a message is out of form, else with its
-        owner added or grown."""
-        held, at = self._held, depth
-        while held[at] is None:
-            at -= 1
-        groups = held[at]
-        while at < depth:
-            col = self._placed[at]
-            if col is not None:
-                groups = self._with_owner(groups, col)
-            at += 1
-            held[at] = groups
-        return groups
-
-    def _with_owner(self, parent: tuple, col: tuple) -> tuple:
-        """The groups ``parent`` holds, with the weight of in-form column
-        ``col`` added to its owner u.  If u owns already, each group of u
-        grows by the column's moments.  Otherwise each owner that shares an
-        output with u moves that output from its own group into a pair
-        group with u, u's other outputs form groups by beta_o, and the
-        unowned group loses the beta_o of those other outputs."""
-        mask, held = parent
-        u, a, b, c, _ctrl = col
-        bit = 1 << u
-        if mask & bit:
-            return mask, [
-                (g[0], g[1] + a, g[2] + b, g[3] + c, g[4], g[5]) if g[5] & bit else g
-                for g in held
-            ]
-        # the unowned group, when there is one, is the last
-        rest, groups = (held[-1][0], held[:-1]) if not held[-1][5] else (0, held[:])
-        shared = []  # beta of each of u's outputs that an owner holds
-        mates, partners = mask & self.mates[u], self.partners[u]
-        while mates:
-            low = mates & -mates
-            mates ^= low
-            beta = partners[low.bit_length() - 1]
-            shared.append(beta)
-            for i, (m, ga, gb, gc, g_beta, bits) in enumerate(groups):
-                if bits == low and g_beta == beta:
-                    groups[i] = (1, ga + a, gb + b, gc + c, beta, low | bit)
-                    if m > 1:
-                        groups.append((m - 1, ga, gb, gc, beta, low))
-                    break
-        for beta, count in self.groups[u]:
-            count -= shared.count(beta)
-            if count:
-                groups.append((count, a, b, c, beta, bit))
-        rest -= self.row_beta[u] - sum(shared)
+        owned, mask = self.owned, self.mask
+        quads, base, rest = [], 0, self.beta_total
+        for u, (a1, b1, c1) in owned.items():
+            shared = []  # beta of each of u's outputs that another owner holds
+            mates, partners = mask & self.mates[u], self.partners[u]
+            while mates:
+                low = mates & -mates
+                mates ^= low
+                u2 = low.bit_length() - 1
+                beta = partners[u2]
+                shared.append(beta)
+                if u2 > u:
+                    a2, b2, c2 = owned[u2]
+                    quads.append((1, a1 + a2 + beta * oa, b1 + b2 + beta * ob, beta))
+                    base += c1 + c2 + beta * oc
+                    rest += beta  # the output is in both rows' sums
+            rest -= self.row_beta[u]
+            for beta, count in self.groups[u]:
+                count -= shared.count(beta)
+                if count:
+                    quads.append((count, a1 + beta * oa, b1 + beta * ob, beta))
+                    base += count * (c1 + beta * oc)
         if rest:
-            groups.append((rest, 0, 0, 0, 1, 0))
-        return mask | bit, groups
+            quads.append((rest, oa, ob, 1))
+            base += rest * oc
+        built = self._built[depth] = [base, quads, None]
+        return built
 
 
 def search_deterministic(

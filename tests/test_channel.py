@@ -8,6 +8,8 @@ Claims covered:
     - the independence number is exactly 5 with a verified witness code, and
       no 6-subset of inputs is independent (exhaustive scan)
     - zero-error verdicts distinguish collisions from incomplete decoders
+    - a graph refuses a self loop, an unknown vertex and an edge out of
+      order, and a code refuses an encoder that misses a message
     - the instance's integer encoder has unique decompositions for t >= d
       and composes with the channel into exact output distributions
 """
@@ -187,6 +189,28 @@ def _plain_graph(n, edges):
         output_pair(ChannelInput(0, a), ChannelInput(0, b)) for a, b in edges
     )
     return ConfusabilityGraph(vertices=verts, edges=canon)
+
+
+_A, _B, _C = (ChannelInput(0, i) for i in range(3))
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(_A, _A)], "self loops are not allowed"),
+        ([(_A, _C)], "uses an unknown vertex"),
+        ([(_B, _A)], "is not canonically ordered"),
+    ],
+    ids=["self-loop", "unknown-vertex", "out-of-order"],
+)
+def test_graph_rejects_malformed_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        ConfusabilityGraph(vertices=(_A, _B), edges=frozenset(edges))
+
+
+def test_code_rejects_an_encoder_that_misses_a_message():
+    with pytest.raises(ValueError, match="encoder is not total: message 1 missing"):
+        ZeroErrorCode(messages=(0, 1), encoder={0: _A}, decoder={})
 
 
 def test_independence_number_edgeless():

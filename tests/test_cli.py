@@ -39,6 +39,28 @@ def test_verify_ks_bad_set(tmp_path, capsys):
     assert "orthonormal: fail" in out
 
 
+def test_verify_ks_names_the_traversal_that_fails(tmp_path, capsys):
+    # two unbiased bases of C^2: every vector of one is orthogonal to none
+    # of the other, so the first traversal already fails
+    path = tmp_path / "mub.json"
+    path.write_text(json.dumps({
+        "format": "ks-basis-set/1", "label": "two unbiased bases of C^2", "q": 2, "d": 2,
+        "bases": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]],
+    }))
+    code, out, _ = run(capsys, "verify-ks", "--ks-set", str(path))
+    assert code == 1
+    assert out == (
+        "report: verify-ks/1\n"
+        "label: two unbiased bases of C^2\n"
+        "q: 2\n"
+        "d: 2\n"
+        "orthonormal: pass\n"
+        "traversals-checked: 1\n"
+        "ks-property: fails\n"
+        "witness-traversal: [[0, 0], [1, 0]]\n"
+    )
+
+
 def _report_lines(argv, out):
     assert main(argv + ["--out", str(out)]) == 0, argv
     return out.read_text().splitlines()
@@ -401,6 +423,14 @@ def test_parser_for_one_subcommand_matches_the_full_parser(capsys, argv):
     assert _parse(_main_parser(), argv, capsys) == full
 
 
+# argument lists with a value its type refuses, and the message argparse
+# prints for it
+REFUSED_VALUES = [
+    (["quantum-run", "--t", "5", "--k", "abc"], "argument --k: not a rational number: 'abc'"),
+    (["sweep", "--t", "4,x", "--window", "1"], "argument --t: bad t list: '4,x'"),
+    (["sweep", "--t", ",", "--window", "1"], "argument --t: t list must be non-empty"),
+]
+
 # argument lists that end in help or a usage error, which main must print as
 # the full parser does; test_optimized.py runs them again under python -O
 PARSER_EXITS = [
@@ -417,7 +447,7 @@ PARSER_EXITS = [
     # the top-level parser reports these, with every subcommand in its usage
     ["quantum-run", "--t", "5", "--bogus"],
     ["certify", "--bound", "7/2", "--bogus"],
-]
+] + [argv for argv, _message in REFUSED_VALUES]
 
 
 @pytest.mark.parametrize("argv", PARSER_EXITS, ids=repr)
@@ -430,6 +460,15 @@ def test_parser_errors_and_help_match_the_full_parser(capsys, argv):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == expected
     assert code == (0 if "--help" in argv else 2)
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_VALUES, ids=["k-abc", "t-4,x", "t-comma"])
+def test_a_refused_value_exits_2_with_the_argparse_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"entwit {argv[0]}: error: {message}\n"), err
 
 
 def test_mains_one_parser_answers_as_a_fresh_full_parser(capsys):

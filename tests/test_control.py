@@ -9,7 +9,8 @@ Claims covered:
     - the entangled strategy costs exactly 7k/2: zero final signal on all 216
       branches, identical across t in {4, 10, 100, 10^6}, below k*d^2; a
       strategy that breaks the k*d^2 ceiling raises QuantumDecodeError, and
-      so does quantum-run when the decoder is right with probability 1/2
+      so do quantum-run and run_zero_error_quantum when the decoder is right
+      with probability 1/2
     - an encoder branch of probability 1/2, or of the float 0.25, raises
       QuantumDecodeError in evaluate_quantum and run_zero_error_quantum
       alike, and a decoder whose certain outcome carries a fresh Fraction(1)
@@ -305,18 +306,24 @@ def test_quantum_ceiling_gate_raises(monkeypatch, bundled, channel):
         evaluate_quantum(inst)
 
 
-def test_quantum_decode_gate_raises(monkeypatch):
+@pytest.mark.parametrize("run", [0, 1], ids=["evaluate_quantum", "run_zero_error_quantum"])
+def test_quantum_decode_gate_raises(monkeypatch, bundled, channel, run):
     # a decoder that names the right candidate with probability 1/2 leaves
-    # every final signal at zero, so only the decode gate can stop quantum-run
-    real = control.decoder_decode
+    # every final signal at zero, so only the decode gate can stop the run
+    real = entangled.decoder_decode
 
     def halved(ks, s, residual):
         right, p = real(ks, s, residual)
         return right, p / 2
 
-    monkeypatch.setattr(control, "decoder_decode", halved)
+    for module in (control, entangled):
+        monkeypatch.setattr(module, "decoder_decode", halved)
+    runs = (
+        lambda: main(["quantum-run", "--t", "10"]),
+        lambda: run_zero_error_quantum(bundled, channel),
+    )
     with pytest.raises(QuantumDecodeError, match="with probability 1/2"):
-        main(["quantum-run", "--t", "10"])
+        runs[run]()
 
 
 def _quantum_reports(bundled, channel):

@@ -35,9 +35,10 @@ OPTIMIZED = (
 def test_the_gates_and_reports_hold_under_python_O():
     proc = run_python("-O", __file__)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # 33 tests in test_golden.py, 12 parser exits, 3 gates and the encoder
-    # probability gate's 4 cases, so a renamed or deselected case fails here
-    assert re.search(r"^52 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # 33 tests in test_golden.py, 15 parser exits, the search and ceiling
+    # gates, the decode gate's 2 cases and the encoder probability gate's 4,
+    # so a renamed or deselected case fails here
+    assert re.search(r"^56 passed\b", proc.stdout, re.MULTILINE), proc.stdout
 
 
 if __name__ == "__main__":
