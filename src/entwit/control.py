@@ -17,18 +17,11 @@ never beats the best one; the certificate states that in words (clause (d)),
 and the test suite keeps a mixture evaluator as an oracle for it.
 
 The deterministic search is an exact branch and bound over c1 tables with
-entries in a window [-W, W], pruning on the exact cost of c1 prefixes; c2 is
-minimized per channel output in closed form (nearest integer to the negated
-posterior mean, from integer moments), so it never has to be enumerated.
-One scaled-integer evaluator, for any channel whose inputs are the (m, j)
-grid, carries the prefix down the depth-first search and scores each child
-as the search reaches it: an in-form child adds the change on its owner's
-row, and the out-of-form children share groups of outputs that each prefix
-builds once from its owners.  Those groups, with c2 relaxed to the reals, also
-give an exact lower bound on every out-of-form child of a node at once;
-when it exceeds the incumbent they are ruled out together, unscored, and
-each run of them between two in-form children is counted in one step.  The
-winner is re-checked branch by branch.
+entries in a window [-W, W] (``search_deterministic``); c2 is minimized per
+channel output in closed form (``optimal_c2_for_c1``), so it is never
+enumerated.  Both score against one integer table of the composed channel,
+built once per instance (``_row_table``).  The winner is re-checked branch
+by branch by ``evaluate_deterministic``, which does not read that table.
 """
 
 from __future__ import annotations
@@ -52,11 +45,11 @@ class WitsenhausenInstance:
     followed by the basis-set channel, with all of Z as its input domain.
     A wire value y = a*t + b with a in [0, q) and b in [0, d) goes to row
     (a, b); every other y goes to the uniform mixture of all rows, built on
-    first use and held, as is the search's table of output holders.  The
+    first use and held, as is the search's integer table of its rows.  The
     support is found once, when the instance is made.
     """
 
-    __slots__ = ("ks", "channel", "t", "k", "p_m", "_support", "_uniform_branch", "_holders")
+    __slots__ = ("ks", "channel", "t", "k", "p_m", "_support", "_uniform_branch", "_table")
 
     def __init__(
         self, *, ks: KSBasisSet, channel: FiniteChannel, t: int, k: Fraction, p_m: tuple
@@ -68,7 +61,7 @@ class WitsenhausenInstance:
         self.p_m = p_m  # Fraction per message m in [q]
         self._support = tuple((m, m * t) for m in range(ks.q) if p_m[m] > 0)
         self._uniform_branch = {}  # one per instance: it depends on the channel
-        self._holders = None  # the same, for _output_holders
+        self._table = None  # the same, for _row_table
 
     @property
     def q(self) -> int:
@@ -271,29 +264,36 @@ def _exact_int(num: int, den: int) -> int:
     return quo
 
 
-def _output_holders(inst: WitsenhausenInstance) -> tuple:
-    """Per output, beta_o and the ids u = m*d + j of the rows that hold it (at
-    most two, its endpoints, on a validated channel); per row id, the row;
-    per row, the weight D/deg(u) it puts on each output, with D the lcm of
-    the degrees, beta_o being the sum of that weight over the output's rows;
-    and D.  Built once per instance, on first use."""
-    if inst._holders is None:
-        grid = [ChannelInput(m, j) for m in range(inst.q) for j in range(inst.d)]
-        rows = [inst.channel.rows[u] for u in grid]
+def _row_table(inst: WitsenhausenInstance) -> tuple:
+    """The integer form of the composed channel that the search and the c2
+    rounding score against, built once per instance on first use.
+
+    Per row id u = m*d + j: (D/deg(u), its outputs as (o, beta_o, u2)),
+    with D the lcm of the row degrees, so row u puts D/deg(u) on each of its
+    outputs; u2 is the id of o's other endpoint when that row holds o too,
+    else -1 (a validated channel holds o only in its endpoints' rows), and
+    beta_o is the sum of D/deg over the rows that hold o.  Then D, the lcm L
+    of the supported messages' probability denominators, and p_m*L per
+    supported message, in support order."""
+    if inst._table is None:
+        d = inst.d
+        grid = [ChannelInput(m, j) for m in range(inst.q) for j in range(d)]
+        rows = [inst.channel.rows[i] for i in grid]
         big_d = lcm(*map(len, rows))
-        unit = [big_d // len(row) for row in rows]
-        holders: Dict[ChannelOutput, list] = {}  # output -> [beta_o, ids...]
-        for u, row in enumerate(rows):
-            share = unit[u]
+        shares = [big_d // len(row) for row in rows]
+        table = []
+        for i, row, share in zip(grid, rows, shares):
+            outs = []
             for o in row:
-                entry = holders.get(o)
-                if entry is None:
-                    holders[o] = [share, u]
-                else:
-                    entry[0] += share
-                    entry.append(u)
-        inst._holders = holders, rows, unit, big_d
-    return inst._holders
+                m, j = o[1] if o[0] == i else o[0]
+                u2 = m * d + j
+                outs.append((o, share + shares[u2], u2) if o in rows[u2] else (o, share, -1))
+            table.append((share, outs))
+        probs = [inst.p_m[m] for m, _ in inst.support()]
+        big_l = lcm(*[p.denominator for p in probs])
+        weights = [_exact_int(p.numerator * big_l, p.denominator) for p in probs]
+        inst._table = table, big_d, big_l, weights
+    return inst._table
 
 
 def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
@@ -311,37 +311,37 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
     With no message out of form, only the outputs of the in-form messages'
     rows have mass.
     """
-    holders, rows, unit, _big_d = _output_holders(inst)
-    support = inst.support()
-    big_l = lcm(*[inst.p_m[m].denominator for m, _ in support])
-    owned = [[0, 0] for _ in unit]  # per row: weight and weight*y on each output
+    table, _big_d, _big_l, weights = _row_table(inst)
+    qd = inst.q * inst.d
+    owned = [[0, 0] for _ in table]  # per row: weight and weight*y on each output
     out = [0, 0]  # the same, over the messages out of form, per unit of beta_o
-    for m, x in support:
+    for (_m, x), w in zip(inst.support(), weights):
         if x not in c1:
             raise ValueError(f"c1 table is not defined on supported input {x}")
         y = x + c1[x]
-        w = _exact_int(inst.p_m[m].numerator * big_l, inst.p_m[m].denominator)
         hit = inst.decompose(y)
         if hit is None:
             own = out
         else:
             u = hit.m * inst.d + hit.j
-            own, w = owned[u], w * inst.q * inst.d * unit[u]
+            own, w = owned[u], w * qd * table[u][0]
         own[0] += w
         own[1] += w * y
-    if out[0]:
-        outputs = holders
-    else:
-        outputs = {o: holders[o] for u, own in enumerate(owned) if own[0] for o in rows[u]}
-    table: Dict[ChannelOutput, int] = {}
-    for s, (beta, *us) in outputs.items():
-        mass, ysum = beta * out[0], beta * out[1]
-        for u in us:
-            mass += owned[u][0]
-            ysum += owned[u][1]
-        if mass:
-            table[s] = _round_half_even_ratio(-ysum, mass)
-    return table
+    oa, ob = out
+    c2: Dict[ChannelOutput, int] = {}
+    for u, (a, b) in enumerate(owned):
+        if not (a or oa):
+            continue
+        # each output once, at the first row with mass that holds it
+        for s, beta, u2 in table[u][1]:
+            mass, ysum = a + beta * oa, b + beta * ob
+            if u2 >= 0:
+                a2, b2 = owned[u2]
+                if u2 < u and (a2 or oa):
+                    continue
+                mass, ysum = mass + a2, ysum + b2
+            c2[s] = _round_half_even_ratio(-ysum, mass)
+    return c2
 
 
 # -- deterministic search ---------------------------------------------------
@@ -380,87 +380,58 @@ class _PrefixEvaluator:
     """Scaled-integer costs of c1 prefixes, for any channel on the (m, j) grid,
     scored child by child as a depth-first search moves.
 
-    Costs are exact integers: true cost times the fixed common denominator
-    ``scale_den``, which clears k, the message probabilities, 1/(q*d) and the
-    lcm D of the row degrees.  On that scale row u puts weight D/deg(u) on
-    each of its outputs, and the uniform out-of-form branch puts beta_o, the
-    sum of D/deg(i) over the endpoints i whose row holds o.  An output whose
-    moments are (a, b, c) = (weight, weight*y, weight*y^2) costs
-    ``_least(a, b) + c``.
+    Costs are exact integers: true cost times ``scale_den``, which clears k
+    and the denominators of ``_row_table``'s scale.  An output whose moments
+    are (a, b, c) = (weight, weight*y, weight*y^2) costs ``_least(a, b) + c``.
 
     A message takes values v in [-window, window].  The evaluator holds only
     its in-form columns, the v whose wire x + v decomposes as an input; there
     are at most q*d of them, so it is built in O(q*d) per message whatever
-    the window.  Every other v is out of form: a range of v with those
-    points taken out, whose moments follow from the message's weight and
-    its wire alone.
+    the window.  Every other v is out of form, and its moments follow from
+    the message's weight and its wire alone.
 
-    A message whose wire value decomposes as input u gives its weight to the
-    outputs of row u, and u becomes an *owner*.  A validated channel holds
-    each output only in the rows of its two endpoints, so an output takes
-    in-form weight from at most two owners; the evaluator holds, per row, a
-    bitmask of its partners (the rows it shares an output with), that
-    output's beta_o per partner, and its outputs counted by beta_o.  The
-    owners are a bitmask too, so the owners that share an output with row u
-    are one AND.  All of one owner's messages share its wire value, so with
-    no message out of form an output held by one owner costs nothing.
+    A message in form at input u gives its weight to the outputs of row u,
+    and u becomes an *owner*.  An output takes in-form weight from at most
+    two owners, its endpoints; per row the evaluator holds its partners (the
+    rows that hold one of its outputs too) as a bitmask and as a map to that
+    output's beta_o, and its outputs counted by beta_o.  The owners are a
+    bitmask too, so the owners that share an output with row u are one AND.
+    All of one owner's messages share its wire value, so with no message out
+    of form an output held by one owner costs nothing.
 
-    The evaluator holds the current prefix, which ``shift`` moves one
-    message at a time: its control cost, per owner the moments, and the
-    out-of-form moments.  ``score`` gives the cost of one child:
-
-    - a child in form at row u changes only the outputs of row u, so it adds
-      to its parent's cost one difference of closed-form minima per output
-      that u shares with another owner, and, when there is out-of-form
-      mass, one per beta group of u's other outputs (those outputs cost
-      nothing before and after otherwise);
-    - the out-of-form children of a prefix share its owners and add the same
-      weight, so they share its output groups, built once per node on first
-      use straight from the owners: one per orthogonal pair of owners, each
-      owner's other outputs grouped by beta_o, and every unowned output at
-      once, whose beta_o sum to beta_total minus the owners' row sums plus
-      the pairs' beta_o (an output of two owners is in both rows).  A group
-      is held as its multiplicity, its moments with the out-of-form mass and
-      the weight of a child at this depth added in, and beta_o.  A child
-      adds its own first moment to each group, times beta_o, and its second
-      moment adds beta_total times it.
-
-    ``out_of_form_bound`` reads the same groups once per node: with c2 over
-    the reals each group's least damping is a closed-form quadratic in the
-    child's wire y, so a child's relaxed cost is one quadratic in y, convex
-    as a least over c2 of quadratics convex in (y, c2), and its least value
-    over the out-of-form wires bounds every out-of-form child.  The
-    per-child term list is built only when the search scores one of them.
+    ``shift`` moves the current prefix one message at a time: its control
+    cost, per owner the moments, and the out-of-form moments.  ``score``
+    gives the cost of one child.  A child in form at row u changes only the
+    outputs of row u, so it adds to its parent's cost one difference of
+    closed-form minima per output that u shares with another owner and,
+    when there is out-of-form mass, one per beta group of u's other outputs.
+    The out-of-form children of a prefix keep its owners and add the same
+    weight, so they share the output groups of ``_group_outputs``, built
+    once per node on first use, which ``out_of_form_bound`` reads too.
     """
 
     def __init__(self, inst: WitsenhausenInstance, window: int):
         q, d, t = inst.q, inst.d, inst.t
-        holders, _rows, unit, big_d = _output_holders(inst)
-        partners = [[0] * len(unit) for _ in unit]  # per row, beta shared with each row
-        mates = [0] * len(unit)  # per row, the bitmask of its partners
-        betas: List[List[int]] = [[] for _ in unit]  # per row, beta of each output
-        for entry in holders.values():
-            beta = entry[0]
-            if len(entry) == 3:
-                _beta, u0, u1 = entry
-                partners[u0][u1] = partners[u1][u0] = beta
-                mates[u0] |= 1 << u1
-                mates[u1] |= 1 << u0
-                betas[u0].append(beta)
-                betas[u1].append(beta)
-            else:
-                betas[entry[1]].append(beta)
-        self.partners, self.mates = partners, mates
-        self.row_beta = [sum(row) for row in betas]
-        self.beta_total = sum(entry[0] for entry in holders.values())
-        # per row, (beta, count) for each beta_o among its outputs
-        self.groups = [
-            tuple((beta, row.count(beta)) for beta in dict.fromkeys(row)) for row in betas
-        ]
+        table, big_d, big_l, weights = _row_table(inst)
+        self.partners: List[Dict[int, int]] = []  # per row, other holder -> beta_o
+        self.mates: List[int] = []  # per row, the bitmask of its partners
+        self.row_beta: List[int] = []  # per row, the sum of its beta_o
+        self.groups: List[tuple] = []  # per row, (beta, count) per beta_o value
+        for _share, outs in table:
+            partners, mask, counts = {}, 0, {}
+            for _o, beta, u2 in outs:
+                counts[beta] = counts.get(beta, 0) + 1
+                if u2 >= 0:
+                    partners[u2] = beta
+                    mask |= 1 << u2
+            self.partners.append(partners)
+            self.mates.append(mask)
+            self.row_beta.append(sum(beta * n for beta, n in counts.items()))
+            self.groups.append(tuple(counts.items()))
+        self.beta_total = q * d * big_d  # each row puts D in all on its outputs
         self.t, self.d, self.qt, self.window = t, d, q * t, window
 
         support = inst.support()
-        big_l = lcm(*[inst.p_m[m].denominator for m, _ in support])
         k_num, k_den = inst.k.numerator, inst.k.denominator
         self.damp_unit = k_den  # converts damping scale to the cost scale
         self.scale_den = big_l * q * d * big_d * k_den
@@ -470,8 +441,7 @@ class _PrefixEvaluator:
         # columns, v -> (owner id, weight, weight*y, weight*y^2, control cost)
         self.messages: List[tuple] = []
         self.columns: List[Dict[int, tuple]] = []
-        for m, x in support:
-            pm_int = _exact_int(inst.p_m[m].numerator * big_l, inst.p_m[m].denominator)
+        for (_m, x), pm_int in zip(support, weights):
             a_ctrl = k_num * pm_int * q * d * big_d  # k * p_m * scale_den
             cols = {}
             for a in range(max(0, (x - window) // t), min(q - 1, (x + window) // t) + 1):
@@ -480,7 +450,7 @@ class _PrefixEvaluator:
                     v = y - x
                     if -window <= v <= window:
                         u = a * d + j
-                        w = pm_int * q * d * unit[u]
+                        w = pm_int * q * d * table[u][0]
                         cols[v] = (u, w, w * y, w * y * y, a_ctrl * v * v)
             self.messages.append((x, a_ctrl, pm_int))
             self.columns.append(cols)
@@ -590,11 +560,12 @@ class _PrefixEvaluator:
         mult*_least(pa, pb + beta*b) is at least -mult*(pb + beta*w*y)^2/pa,
         for a child of weight w on wire y.  So the bound is a quadratic
         A*y^2 + B*y + C over den, the lcm of the groups' pa, with integer
-        coefficients; it is convex (k > 0, and relaxed damping is convex in
-        y), so its least value over the out-of-form wires is at the last
-        one at or below the vertex -B/2A or the first one above it.  An
-        in-form wire a*t + j steps to a*t - 1 below and a*t + d above, the
-        nearest wires out of form (when t = d, to -1 and q*t)."""
+        coefficients.  It is convex, since k > 0 and the least over real c2
+        of quadratics convex in (y, c2) is convex in y, so its least value
+        over the out-of-form wires is at the last one at or below the vertex
+        -B/2A or the first one above it.  An in-form wire a*t + j steps to
+        a*t - 1 below and a*t + d above, the nearest wires out of form (when
+        t = d, to -1 and q*t)."""
         x, a_ctrl, w = self.messages[depth]
         base, quads, _terms = self._built[depth] or self._group_outputs(depth)
         den = lcm(*[pa for _m, pa, _pb, _beta in quads])
@@ -629,7 +600,14 @@ class _PrefixEvaluator:
         """[base, quads, None] for the current prefix's out-of-form children,
         built and held for ``depth``: a child of moments (a, b, c) has
         damping base + beta_total*c plus, over the quad (mult, pa, pb, beta)
-        of each group of outputs, mult*_least(pa, pb + beta*b)."""
+        of each group of outputs, mult*_least(pa, pb + beta*b).
+
+        The groups are one per output two owners share, each owner's other
+        outputs by beta_o, and every unowned output at once (beta 1, mult
+        the sum of their beta_o: beta_total less the owners' row sums plus
+        each shared output's beta_o, counted in both rows).  A group's
+        moments include the out-of-form mass and the weight of a child at
+        this depth; ``score`` fills in the term list on the first child."""
         oa, ob, oc = self.out
         oa += self.messages[depth][2]
         owned, mask = self.owned, self.mask
@@ -677,9 +655,8 @@ def search_deterministic(
     can only add to.  A prefix is pruned only when that bound strictly exceeds
     the incumbent, and equal-cost tables break toward the lexicographically
     smallest, so the winner is the one a flat scan of all tables would pick.
-    Prefixes are scored in scaled integers by one evaluator that takes any
-    channel and carries the prefix down the search; the winner is re-checked
-    through the branch-by-branch evaluation.
+    Prefixes are scored by ``_PrefixEvaluator``; the winner is re-checked by
+    ``evaluate_deterministic``.
 
     A node's first child, v = 0, is in form, and below it the search
     completes a table if it has none yet, so a node reaches its out-of-form
@@ -726,9 +703,7 @@ def search_deterministic(
                 row.append((_value_at(pos), 0))
             at = pos + 1
         entries.append(row)
-    # each position tried is a prefix counted, so a budget of B stops every
-    # depth within its first B positions, whatever the window; with no budget
-    # the limit is past the number of prefixes there are
+    # with no budget, past the number of prefixes there are
     limit = node_budget if node_budget is not None else (end + 1) ** n
     best_cost, best_vals = None, None
     nodes = 0
@@ -744,9 +719,7 @@ def search_deterministic(
                 return False
             nodes += 1
             if run:
-                # v = 0 is in form and comes first, and below it the search
-                # completes a table if it has none yet: there is an incumbent
-                if ruled_out is None:
+                if ruled_out is None:  # there is an incumbent by now
                     num, den = bound(depth)
                     ruled_out = num > best_cost * den
                 if ruled_out:

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -387,6 +388,47 @@ def test_huge_bound_fails_cleanly(capsys):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: cost bound too large")
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize(
+    "bases, copies, argv",
+    [
+        # every traversal that takes the first vector of each copy holds no
+        # orthogonal pair, so the walk goes one call deeper per basis
+        ([[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], 150, ["verify-ks"]),
+        # the search goes two calls deeper per message, 90 of them
+        (json.loads(BUNDLED.read_text())["bases"], 15,
+         ["classical-search", "--t", "4", "--window", "0"]),
+    ],
+    ids=["verify-ks", "classical-search"],
+)
+def test_a_walk_deeper_than_the_recursion_limit_fails_cleanly(
+    tmp_path, capsys, bases, copies, argv
+):
+    # the same failure as on 1200 copies of C^2's standard basis or 100
+    # copies of the bundled set at the default limit, on smaller sets
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({
+        "format": "ks-basis-set/1", "label": "repeated", "q": len(bases) * copies,
+        "d": len(bases[0]), "bases": bases * copies,
+    }))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        code, out, err = run(capsys, *argv, "--ks-set", str(path))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: too many bases for the depth-first walk (maximum recursion")
 
 
 # -- the parser ---------------------------------------------------------------

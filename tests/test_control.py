@@ -43,6 +43,11 @@ Claims covered:
     - the group bound on a node's out-of-form children is the least of
       their checker costs with c2 relaxed to the reals, so never above the
       least of their exact costs
+    - the per-row table that the search evaluator and the c2 minimizer share,
+      built once per instance, gives each row's outputs, the other row that
+      holds each (or none, on the asymmetric channel) and its beta_o as the
+      checker's neighbour lists do, on all four test channels and the
+      18-ray set, and its weights sum to q*d*D
     - every oracle here is the checker of ``tests/checker.py``, on the
       channel it derives from the ray file itself, or on the same plain
       neighbour table that entwit's channel is built from
@@ -51,6 +56,7 @@ Claims covered:
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -806,20 +812,60 @@ def test_deterministic_cost_matches_a_fraction_sum(bundled, channels, tables, ki
 
 
 def test_output_holder_table_is_built_once_per_instance(bundled, channels):
-    # the search's evaluator and its c2 re-check share one table, and a
-    # second instance on another channel builds its own
+    # the search's evaluator and the c2 minimizer share one row table, built
+    # by whichever comes first, and a second instance on another channel
+    # builds its own
     tables = {}
+    zeros = {x: 0 for x in range(0, 30, 5)}
     for kind in ("regular", "irregular"):
         inst = make_instance(bundled, 5, Fraction(1, 1000), channel=channels[kind])
-        search_deterministic(inst, 1)
-        table = inst._holders
+        assert inst._table is None
+        _PrefixEvaluator(inst, 1)
+        table = inst._table
         assert table is not None
-        optimal_c2_for_c1(inst, {x: 0 for _m, x in inst.support()})
-        assert inst._holders is table
+        optimal_c2_for_c1(inst, zeros)
+        search_deterministic(inst, 1)
+        assert inst._table is table
         fresh = make_instance(bundled, 5, 1, channel=channels[kind])
-        assert control._output_holders(fresh) == table
+        optimal_c2_for_c1(fresh, zeros)
+        built = fresh._table
+        _PrefixEvaluator(fresh, 1)
+        assert fresh._table is built
+        assert built == table
         tables[kind] = table
     assert tables["regular"] != tables["irregular"]
+
+
+@pytest.mark.parametrize("kind", KINDS + ["cabello"])
+def test_row_table_matches_the_checker_neighbours(bundled, channels, tables, kind):
+    # per row id i: D/deg(i), and per neighbour n the output {i, n}, n when
+    # row n holds it too (else -1), and beta_o, the sum of D/deg over the
+    # rows that hold it; the asymmetric channel has outputs of one holder
+    if kind == "cabello":
+        ks = load_basis_set(CABELLO_SET)
+        inst = make_instance(ks, ks.d, 1, channel=build_ks_channel(ks))
+        table = Channel.from_rays(CABELLO_SET)
+    else:
+        inst = make_instance(bundled, bundled.d, 1, channel=channels[kind])
+        table = tables[kind]
+    nbrs, d = table.neighbours, table.d
+    big_d = lcm(*map(len, nbrs))
+    share = [big_d // len(row) for row in nbrs]
+    rows, got_d, _big_l, _weights = control._row_table(inst)
+    assert got_d == big_d
+    assert len(rows) == len(nbrs)
+    one_holder = 0
+    for i, (got_share, outs) in enumerate(rows):
+        expected = []
+        for n in nbrs[i]:
+            other = n if i in nbrs[n] else -1
+            one_holder += other < 0
+            pair = tuple(ChannelInput(*divmod(e, d)) for e in sorted((i, n)))
+            expected.append((pair, share[i] + (share[n] if other >= 0 else 0), other))
+        assert (got_share, sorted(outs)) == (share[i], sorted(expected))
+    assert (one_holder > 0) == (kind == "asymmetric")
+    beta_total = _PrefixEvaluator(inst, 1).beta_total
+    assert beta_total == inst.q * inst.d * big_d == sum(Instance(table, d, 1).beta)
 
 
 def test_search_mismatch_gate_raises(monkeypatch, inst10):
