@@ -27,6 +27,7 @@ from .control import (
     DeterministicStrategy,
     SearchResult,
     WitsenhausenInstance,
+    _round_half_even_ratio,
     evaluate_quantum,
     make_instance,
     search_deterministic,
@@ -48,15 +49,16 @@ def pzmin_lower_bound(inst: WitsenhausenInstance) -> Fraction:
     probability: the minimum positive message probability times the minimum
     positive channel row entry.
 
+    A validated row puts 1/deg(u) on each of its outputs, so the least entry
+    is one over the largest row degree, read from the row sizes with no
+    entry compared; the value is the same as the least entry's.
+
     Valid whenever the shifted wire value stays in channel form (each branch
     then carries at least this much mass); the uniform fallback branch can
     dilute below it, which only ever makes the derived scale threshold t0
     conservative for strategies that stay in form.
     """
-    min_row = min(
-        min(row.values()) for row in inst.channel.rows.values()
-    )
-    return pxmin(inst) * min_row
+    return pxmin(inst) / max(map(len, inst.channel.rows.values()))
 
 
 def _floor_sqrt(x: Fraction) -> int:
@@ -182,9 +184,9 @@ def strategy_to_code(
     decoder = {}
     ties = []
     for s in sorted(reachable):
-        eta = Fraction(-strat.c2_at(s), t)
-        decoder[s] = round(eta)  # Fraction.__round__ is half-to-even
-        if eta.denominator == 2:
+        c2 = strat.c2_at(s)
+        decoder[s] = _round_half_even_ratio(-c2, t)
+        if 2 * (-c2 % t) == t:  # eta is an exact half-integer
             ties.append(s)
     return ZeroErrorCode(
         messages=messages, encoder=encoder, decoder=decoder, ties=tuple(ties)

@@ -176,7 +176,7 @@ def independence_number(g: ConfusabilityGraph) -> tuple:
             if size > best_size:
                 best_size, best_mask = size, chosen
             return
-        if size + bin(cand).count("1") <= best_size:
+        if size + cand.bit_count() <= best_size:
             return
         bit = cand & -cand
         v = bit.bit_length() - 1

@@ -121,15 +121,16 @@ def make_instance(
         raise ValueError("channel inputs do not form the full (m, j) grid")
     if t < ks.d:
         raise ValueError(f"encoder scale t={t} must be at least d={ks.d}")
-    if p_m is None:
-        p_m = [Fraction(1, ks.q)] * ks.q
-    p_m = tuple(as_fraction(p) for p in p_m)
-    if len(p_m) != ks.q:
-        raise ValueError(f"message distribution must have length q = {ks.q}")
-    if any(p < 0 for p in p_m):
-        raise ValueError("message probabilities must be nonnegative")
-    if sum(p_m, Fraction(0)) != 1:
-        raise ValueError("message probabilities must sum to exactly 1")
+    if p_m is None:  # uniform, correct by construction
+        p_m = (Fraction(1, ks.q),) * ks.q
+    else:
+        p_m = tuple(as_fraction(p) for p in p_m)
+        if len(p_m) != ks.q:
+            raise ValueError(f"message distribution must have length q = {ks.q}")
+        if any(p < 0 for p in p_m):
+            raise ValueError("message probabilities must be nonnegative")
+        if sum(p_m, Fraction(0)) != 1:
+            raise ValueError("message probabilities must sum to exactly 1")
     return WitsenhausenInstance(ks=ks, channel=channel, t=t, k=k, p_m=p_m)
 
 

@@ -8,7 +8,9 @@ Claims covered:
       the closed forms sqrt(6M), sqrt(54M), 20*sqrt(M)+1 for the concrete
       parameters
     - encoding is m*t + c1(m*t); decoding rounds -c2(s)/t, flagging exact
-      half-integer estimates as ties instead of resolving them silently
+      half-integer estimates as ties instead of resolving them silently; on
+      seeded c2 in [-3t, 3t] at five scales the integer rounding and tie
+      test agree with Fraction's round and denominator
     - whenever every branch has |m - eta| < 1/2 the reduction yields a
       verified zero-error code on all supported messages (non-vacuously
       exercised on a five-message sub-instance), and any full-support
@@ -82,6 +84,12 @@ def test_pzmin_lower_bound_values(bundled, channel, inst10):
     assert pzmin_lower_bound(inst10) == Fraction(1, 54)
     point = make_instance(bundled, 10, 1, p_m=[0, 1, 0, 0, 0, 0], channel=channel)
     assert pzmin_lower_bound(point) == Fraction(1, 9)
+    mixed = make_instance(
+        bundled, 10, 1,
+        p_m=[Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 0, 0, 0],
+        channel=channel,
+    )
+    assert pzmin_lower_bound(mixed) == Fraction(1, 36)
 
 
 def test_pzmin_bounds_realized_probabilities_in_form(inst10, oracle10):
@@ -269,6 +277,28 @@ def test_half_integer_eta_is_flagged(inst10):
     code = strategy_to_code(inst10, strat)
     assert some_output in code.ties  # eta = 2.5
     assert code.decoder[some_output] == 2  # half-even, surfaced above
+
+
+@pytest.mark.parametrize("t", [4, 5, 8, 39, 40])
+def test_decoder_and_ties_follow_the_fraction_rule(bundled, channel, t):
+    # the decoder rounds -c2/t in integers; the rule it stands for is
+    # Fraction's half-to-even round, with a tie wherever -c2/t has
+    # denominator 2.  Seeded c2 in [-3t, 3t] on every reachable output, with
+    # the ends, zero and (at even t) exact halves of both signs forced in
+    inst = make_instance(bundled, t, 1, channel=channel)
+    c1 = {x: 0 for _m, x in inst.support()}
+    outputs = sorted({s for _m, x in inst.support() for s in inst.output_distribution(x)})
+    rng = random.Random(2600 + t)
+    forced = [-3 * t, 3 * t, 0, -1, 1]
+    if t % 2 == 0:
+        forced += [-t // 2, t // 2, -5 * t // 2, 3 * t // 2]
+    values = forced + [rng.randint(-3 * t, 3 * t) for _ in outputs[len(forced):]]
+    c2 = dict(zip(outputs, values))
+    code = strategy_to_code(inst, DeterministicStrategy(c1=c1, c2=c2))
+    eta = {s: Fraction(-c2[s], t) for s in outputs}
+    assert code.decoder == {s: round(e) for s, e in eta.items()}
+    assert code.ties == tuple(s for s in outputs if eta[s].denominator == 2)
+    assert bool(code.ties) == (t % 2 == 0)
 
 
 def test_exact_estimates_give_zero_error_code(bundled, channel, rays):

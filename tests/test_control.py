@@ -48,6 +48,11 @@ Claims covered:
       holds each (or none, on the asymmetric channel) and its beta_o as the
       checker's neighbour lists do, on all four test channels and the
       18-ray set, and its weights sum to q*d*D
+    - the p_z_min lower bound, read from the largest row degree, equals the
+      least message probability times the least row entry compared as
+      Fractions, on all four test channels and the 18-ray set, under
+      uniform, point-mass and mixed message probabilities; the default
+      uniform distribution equals an explicit uniform list
     - every oracle here is the checker of ``tests/checker.py``, on the
       channel it derives from the ray file itself, or on the same plain
       neighbour table that entwit's channel is built from
@@ -61,6 +66,7 @@ from math import lcm
 import pytest
 
 from entwit import control, entangled
+from entwit.bounds import pxmin, pzmin_lower_bound
 from entwit.channel import ChannelInput, FiniteChannel, build_ks_channel
 from entwit.cli import main
 from entwit.control import (
@@ -155,6 +161,13 @@ def test_point_mass_support(bundled, channel):
 
 
 def test_bad_distributions_rejected(bundled, channel):
+    # the default distribution is built uniform unchecked: it must be the
+    # one an explicit uniform list gives, which goes through every check
+    default = make_instance(bundled, 4, 1, channel=channel)
+    explicit = make_instance(bundled, 4, 1, p_m=[Fraction(1, 6)] * 6, channel=channel)
+    assert default.p_m == explicit.p_m == (Fraction(1, 6),) * 6
+    assert all(type(p) is Fraction for p in default.p_m)
+    assert default.support() == explicit.support()
     with pytest.raises(ValueError):
         make_instance(bundled, 4, 1, p_m=[1, 0, 0], channel=channel)
     with pytest.raises(ValueError):
@@ -866,6 +879,25 @@ def test_row_table_matches_the_checker_neighbours(bundled, channels, tables, kin
     assert (one_holder > 0) == (kind == "asymmetric")
     beta_total = _PrefixEvaluator(inst, 1).beta_total
     assert beta_total == inst.q * inst.d * big_d == sum(Instance(table, d, 1).beta)
+
+
+@pytest.mark.parametrize("kind", KINDS + ["cabello"])
+def test_pzmin_lower_bound_is_pxmin_times_the_least_row_entry(bundled, channels, kind):
+    # pzmin_lower_bound reads the largest row degree; the definition it
+    # stands for compares every row entry as a Fraction.  The irregular,
+    # three-degree and asymmetric channels have rows of unequal degree
+    if kind == "cabello":
+        ks = load_basis_set(CABELLO_SET)
+        ch = build_ks_channel(ks)
+    else:
+        ks, ch = bundled, channels[kind]
+    least = min(min(row.values()) for row in ch.rows.values())
+    point = [0] * ks.q
+    point[1] = 1
+    mixed = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)] + [0] * (ks.q - 3)
+    for p_m in (None, point, mixed):
+        inst = make_instance(ks, ks.d, 1, p_m=p_m, channel=ch)
+        assert pzmin_lower_bound(inst) == pxmin(inst) * least
 
 
 def test_search_mismatch_gate_raises(monkeypatch, inst10):
