@@ -109,13 +109,16 @@ def make_instance(
     p_m: Optional[Sequence] = None,
     channel: Optional[FiniteChannel] = None,
 ) -> WitsenhausenInstance:
-    """Build an instance; t below the ambient dimension, k <= 0 or a channel
-    whose inputs are not the encoder's (m, j) grid is rejected."""
+    """Build an instance; t below the ambient dimension, k <= 0, or a passed
+    channel that fails ``FiniteChannel.validate`` or whose inputs are not the
+    encoder's (m, j) grid is rejected."""
     k = as_fraction(k)
     if k <= 0:
         raise ValueError(f"action price k must be positive, got {k}")
     if channel is None:
-        channel = build_ks_channel(ks)
+        channel = build_ks_channel(ks)  # validated where it is built
+    else:
+        channel.validate()  # the search's row table assumes uniform rows
     grid = [ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d)]
     if sorted(channel.inputs) != grid:
         raise ValueError("channel inputs do not form the full (m, j) grid")
@@ -212,31 +215,33 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
     """
     weighted = Fraction(0)  # sum over messages of p_m * (sum of j^2 over branches)
     branches = 0
-    d = inst.d
+    ks, t, d, p_m = inst.ks, inst.t, inst.d, inst.p_m
+    output_distribution = inst.output_distribution
     for m, x in inst.support():
         j_sq = 0
-        for outcome, p, residual in encoder_branches(inst.ks, m):
-            j = outcome.j
+        for outcome, p, residual in encoder_branches(ks, m):
+            sent_m, j = outcome
             if type(p) is not Fraction or p.numerator != 1 or p.denominator != d:
                 raise QuantumDecodeError(
                     f"encoder branch probability {p} != 1/{d}", witness=(m, j, None)
                 )
             y = x + j
             j_sq += j * j
-            for s in inst.output_distribution(y):
-                decoded, p_dec = decoder_decode(inst.ks, s, residual)
-                if decoded != outcome or (p_dec is not _ONE and p_dec != 1):
+            for s in output_distribution(y):
+                decoded, p_dec = decoder_decode(ks, s, residual)
+                dec_m, dec_j = decoded
+                if dec_m != sent_m or dec_j != j or (p_dec is not _ONE and p_dec != 1):
                     raise QuantumDecodeError(
                         f"decoder returned {decoded} with probability {p_dec}",
                         witness=(m, j, s),
                     )
-                z = y - (decoded.m * inst.t + decoded.j)
+                z = y - (dec_m * t + dec_j)
                 if z != 0:
                     raise QuantumDecodeError(
                         f"final signal {z} != 0 on a branch", witness=(m, j, s)
                     )
                 branches += 1
-        weighted += inst.p_m[m] * j_sq
+        weighted += p_m[m] * j_sq
     control = weighted * inst.k / d  # every branch has probability 1/d
     bound = inst.k * d * d
     if not control < bound:

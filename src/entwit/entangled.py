@@ -19,7 +19,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .channel import ChannelInput, ChannelOutput, FiniteChannel
-from .exact import Vector, _gauss_dot, measure_first_subsystem
+from .exact import Vector, measure_first_subsystem, overlap_sq_numerators
 from .ks import KSBasisSet, validate_basis_set
 
 _ONE = Fraction(1)
@@ -97,12 +97,11 @@ def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
     if not (cand1.unit and cand2.unit):
         raise ValueError(f"candidates {s} are not unit vectors")
     # the two squared overlaps |<residual|cand>|^2 over the numerators'
-    # squared norms, from one kernel call, are compared as integer ratios; a
-    # Fraction is built only for the one returned, and a certain outcome
-    # shares _ONE
-    (re1, im1), (re2, im2) = _gauss_dot(residual, (cand1, cand2))
-    n1, d1 = re1 * re1 + im1 * im1, residual.nsq * cand1.nsq
-    n2, d2 = re2 * re2 + im2 * im2, residual.nsq * cand2.nsq
+    # squared norms are compared as integer ratios; a Fraction is built only
+    # for the one returned, and a certain outcome shares _ONE
+    n1, n2 = overlap_sq_numerators(residual, cand1, cand2)
+    nsq = residual.nsq
+    d1, d2 = nsq * cand1.nsq, nsq * cand2.nsq
     if n1 == 0 and n2 == 0:
         raise ValueError("residual state is orthogonal to both candidates")
     if n1 * d2 >= n2 * d1:
@@ -120,7 +119,7 @@ def run_zero_error_quantum(ks: KSBasisSet, ch: FiniteChannel) -> QuantumZeroErro
     """
     total = 0
     masses = []
-    d = ks.d
+    d, rows = ks.d, ch.rows
     for m in range(ks.q):
         num, den = 0, 1  # d times the message's mass so far, num / den
         for sent, p, residual in encoder_branches(ks, m):
@@ -128,7 +127,7 @@ def run_zero_error_quantum(ks: KSBasisSet, ch: FiniteChannel) -> QuantumZeroErro
                 raise QuantumDecodeError(
                     f"encoder branch probability {p} != 1/{d}", witness=(m, sent.j, None)
                 )
-            for s, p_out in ch.rows[sent].items():
+            for s, p_out in rows[sent].items():
                 total += 1
                 common = lcm(den, p_out.denominator)
                 num = num * (common // den) + p_out.numerator * common // p_out.denominator

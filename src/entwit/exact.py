@@ -8,12 +8,15 @@ sums, so orthogonality and measurement probabilities are decided exactly,
 with no tolerances; a Fraction is formed only from the final sums.  Floats
 never enter.
 
-Every inner product goes through one kernel, ``_gauss_dot``, which takes
-one vector against a row of others in one call.  Whether a vector is real,
-its integer squared norm and whether it is a unit vector are decided in its
-one constructor and held; a basis set's pairs are decided once, by
-``orthogonality_masks`` in the ``KSBasisSet`` constructor, one kernel call
-per vector.
+Whether a vector is real, its integer squared norm and whether it is a
+unit vector are decided in its one constructor and held.  Each inner
+product reads the held ``real`` flags of its vectors, and only this module
+does: a real pair sums its integer products directly, and any other goes
+through the Gaussian-integer kernel ``_gauss_dot``, which takes one vector
+against a row of others in one call.  The three callers are
+``orthogonality_masks`` (a basis set's pairs, decided once in the
+``KSBasisSet`` constructor), ``measure_first_subsystem`` and
+``overlap_sq_numerators`` (the decoder's two squared overlaps).
 """
 
 from __future__ import annotations
@@ -69,16 +72,51 @@ def _gauss_dot(a, rows) -> list:
     return dots
 
 
+def _check_dims(rows, dim: int) -> None:
+    """Refuse the first row of numerators whose length is not ``dim``, as
+    the kernel does, before a real sum over ``zip`` could truncate it."""
+    for row in rows:
+        if len(row) != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {len(row)}")
+
+
 def orthogonality_masks(vectors: Sequence["Vector"]) -> list:
-    """Per vector, the bitmask of the others orthogonal to it: one kernel
-    call per vector, against the vectors after it."""
-    masks = [0] * len(vectors)
+    """Per vector, the bitmask of the others orthogonal to it.  When every
+    vector is real, each pair sums its integer products directly; otherwise
+    it is one kernel call per vector, against the vectors after it."""
+    n = len(vectors)
+    masks = [0] * n
+    if vectors and all(v.real for v in vectors):
+        rows = [v.re for v in vectors]
+        _check_dims(rows, len(rows[0]))
+        for a, ra in enumerate(rows):
+            for b in range(a + 1, n):
+                if not sum(map(mul, ra, rows[b])):
+                    masks[a] |= 1 << b
+                    masks[b] |= 1 << a
+        return masks
     for a, va in enumerate(vectors):
         for b, dot in enumerate(_gauss_dot(va, vectors[a + 1:]), a + 1):
             if dot == (0, 0):
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
     return masks
+
+
+def overlap_sq_numerators(v: "Vector", a: "Vector", b: "Vector") -> tuple:
+    """The integers |<v|a>|^2 and |<v|b>|^2 of the numerators; over
+    ``v.nsq * a.nsq`` and ``v.nsq * b.nsq`` they are the squared overlaps.
+    Three real vectors sum their integer products directly; any complex one
+    sends the pair through the kernel."""
+    if v.real and a.real and b.real:
+        v_re, a_re, b_re = v.re, a.re, b.re
+        if not len(v_re) == len(a_re) == len(b_re):
+            _check_dims((a_re, b_re), len(v_re))
+        x = sum(map(mul, v_re, a_re))
+        y = sum(map(mul, v_re, b_re))
+        return x * x, y * y
+    (re1, im1), (re2, im2) = _gauss_dot(v, (a, b))
+    return re1 * re1 + im1 * im1, re2 * re2 + im2 * im2
 
 
 class Vector:
@@ -201,11 +239,21 @@ def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
     if state.dim % a != 0:
         raise ValueError("state dimension is not a multiple of the basis dimension")
     b = state.dim // a
-    columns = [Parts(state.re[i2::b], state.im[i2::b], state.real) for i2 in range(b)]
+    # a real state along a real basis sums integer products; any complex
+    # vector sends the columns through the kernel
+    real = state.real and all(u.real for u in basis)
+    columns = [
+        state.re[i2::b] if real else Parts(state.re[i2::b], state.im[i2::b], state.real)
+        for i2 in range(b)
+    ]
     branches = []
     for j, u in enumerate(basis):
         # residual entry i2 is sum over i1 of conj(u_i1) * state_(i1*b + i2)
-        res_re, res_im = zip(*_gauss_dot(u, columns))
+        if real:
+            u_re = u.re
+            res_re, res_im = tuple([sum(map(mul, u_re, col)) for col in columns]), (0,) * b
+        else:
+            res_re, res_im = zip(*_gauss_dot(u, columns))
         # the residual is (res / den) / sqrt(u.scale * state.scale); its squared
         # norm is the branch probability, and only its direction is kept
         parts = res_re + res_im

@@ -24,6 +24,8 @@ from typing import NamedTuple, Optional
 from .exact import Vector, as_fraction, orthogonality_masks
 
 BUNDLED_SET_RESOURCE = "ks_6_4_peres.json"
+# resolved once; the file is still read and parsed on every load
+_BUNDLED_SET = resources.files("entwit.data").joinpath(BUNDLED_SET_RESOURCE)
 
 
 class KSBasisSet:
@@ -194,5 +196,4 @@ def load_basis_set(path) -> KSBasisSet:
 
 def bundled_basis_set() -> KSBasisSet:
     """The packaged (q, d) = (6, 4) set of 24 real rays in six bases."""
-    text = resources.files("entwit.data").joinpath(BUNDLED_SET_RESOURCE).read_text()
-    return basis_set_from_json_dict(json.loads(text))
+    return basis_set_from_json_dict(json.loads(_BUNDLED_SET.read_text(encoding="utf-8")))

@@ -70,17 +70,23 @@ def _report_lines(argv, out):
 @pytest.mark.parametrize("seed", [None, 20135, 20136])
 def test_rotated_set_prints_the_bundled_reports(tmp_path, bundled, seed):
     # a diagonal unitary moves every ray off the reals and keeps every inner
-    # product, so only the label may differ
+    # product, so only the label may differ; every report, the certificate
+    # too, then comes from the Gaussian kernel where the bundled set's comes
+    # from the real sums
     phases = rotation_phases(seed, bundled.d)
     path = tmp_path / "rotated.json"
     path.write_text(json.dumps(rotated_set_json(bundled, diagonal(phases), f"rotated {seed}")))
     rotated = load_basis_set(path)
     assert sum(any(v.im) for v in all_vectors(rotated)) >= 20
-    for argv in (["verify-ks"], ["channel-info"], ["quantum-run", "--t", "39"]):
+    for argv in (
+        ["verify-ks"], ["channel-info"], ["quantum-run", "--t", "39"],
+        ["certify", "--bound", "7/2"],
+    ):
         ours = _report_lines(argv, tmp_path / "bundled.txt")
         theirs = _report_lines(argv + ["--ks-set", str(path)], tmp_path / "rotated.txt")
-        assert theirs[1] == f"label: rotated {seed}" != ours[1]
-        assert theirs[:1] + theirs[2:] == ours[:1] + ours[2:]
+        at = next(i for i, line in enumerate(ours) if line.startswith("label: "))
+        assert theirs[at] == f"label: rotated {seed}" != ours[at]
+        assert theirs[:at] + theirs[at + 1:] == ours[:at] + ours[at + 1:]
 
 
 def test_missing_file_fails_cleanly(capsys):

@@ -18,7 +18,8 @@ Claims covered:
     - the per-output c2 minimizer matches an independent linear scan,
       including its half-even tie rule, on random tables with wires out of
       form and zero-probability messages, on all four test channels
-    - an instance rejects a channel whose inputs are not the (m, j) grid
+    - an instance rejects a channel whose inputs are not the (m, j) grid,
+      or one whose rows are not uniform
     - the branch-and-bound search returns the cost and the tie-broken c1
       table of a flat scan of every in-window table (plain enumeration at
       W=1, and on instances mixing k, t, W, skewed message distributions and
@@ -153,6 +154,23 @@ def test_channel_off_the_grid_rejected(bundled, channel):
         ch = FiniteChannel.from_neighbor_sets(rows)
         with pytest.raises(ValueError, match=r"\(m, j\) grid"):
             make_instance(bundled, 4, 1, channel=ch)
+
+
+def test_channel_with_a_row_that_is_not_uniform_rejected(bundled, channel):
+    # row (0, 0) of the bundled channel with two of its 1/9 entries moved to
+    # 1/18 and 3/18: it still sums to 1, but the search's row table and
+    # pzmin_lower_bound read 1/deg for every entry of a row
+    rows = dict(channel.rows)
+    row = dict(rows[ChannelInput(0, 0)])
+    first, second = list(row)[:2]
+    assert row[first] == row[second] == Fraction(1, 9)
+    row[first], row[second] = Fraction(1, 18), Fraction(3, 18)
+    assert sum(row.values()) == 1
+    rows[ChannelInput(0, 0)] = row
+    skewed = FiniteChannel(inputs=channel.inputs, rows=rows)
+    with pytest.raises(ValueError, match="not uniform"):
+        make_instance(bundled, 39, 1, channel=skewed)
+    make_instance(bundled, 39, 1, channel=channel)  # the bundled one still passes
 
 
 def test_point_mass_support(bundled, channel):

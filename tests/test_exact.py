@@ -2,7 +2,9 @@
 
 Every inner product reads the two vectors' held real flags, so a product
 whose real part is zero and whose imaginary part is not, as (1, 0) against
-(i, 0), is checked through each caller that reads them.
+(i, 0), is checked through each caller that reads them.  Where the flags
+let a caller sum the real numerators directly, its answer is also checked
+against the Gaussian kernel on the same numerators.
 """
 
 import random
@@ -21,6 +23,7 @@ from entwit.exact import (
     decimal_str,
     measure_first_subsystem,
     orthogonality_masks,
+    overlap_sq_numerators,
 )
 from entwit.entangled import decoder_decode
 from entwit.ks import BasisSetError, KSBasisSet, basis_set_from_json_dict, validate_basis_set
@@ -146,17 +149,17 @@ def test_raw_dot_conjugate_symmetry(xs, ys):
     assert raw_dot(v, w) == raw_dot(w, v).conjugate()
 
 
-def _random_gaussian_rational(rng):
+def _random_gaussian_rational(rng, real=False):
     """An entry with mixed denominators; zero about one time in six."""
     if rng.randrange(6) == 0:
         return ComplexFraction(0)
     re = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-    im = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    im = 0 if real else Fraction(rng.randint(-9, 9), rng.randint(1, 12))
     return ComplexFraction(re, im)
 
 
-def _random_vector(rng, dim):
-    values = [_random_gaussian_rational(rng) for _ in range(dim)]
+def _random_vector(rng, dim, real=False):
+    values = [_random_gaussian_rational(rng, real) for _ in range(dim)]
     scale = Fraction(rng.randint(1, 20), rng.randint(1, 20))
     return vector(values, scale=scale)
 
@@ -166,7 +169,7 @@ def test_integer_kernel_matches_complex_fraction_sums():
     # equal the plain ComplexFraction sums over the denoted entries
     rng = random.Random(20131)
     seen = {"dims": set(), "mixed_den": 0, "imag": 0, "non_unit_scale": 0,
-            "dropped_branch": 0}
+            "dropped_branch": 0, "real_measurement": 0}
     for _ in range(300):
         dim = rng.randint(2, 5)
         v, w = _random_vector(rng, dim), _random_vector(rng, dim)
@@ -189,10 +192,13 @@ def test_integer_kernel_matches_complex_fraction_sums():
         assert (entries(n), n.scale) == cf_normalized(v)
         assert n.unit and n.norm_sq() == 1
         assert n == vector(*cf_normalized(v))
-        # measurement of a state on C^a x C^b along a random local basis
+        # measurement of a state on C^a x C^b along a random local basis;
+        # about one in three all real, where the residuals take the real sums
         a, b = dim, rng.randint(1, 3)
-        state = _random_vector(rng, a * b)
-        basis = [_random_vector(rng, a) for _ in range(a)]
+        real = rng.randrange(3) == 0
+        state = _random_vector(rng, a * b, real)
+        basis = [_random_vector(rng, a, real) for _ in range(a)]
+        seen["real_measurement"] += real
         if rng.randrange(4) == 0:
             basis[rng.randrange(a)] = vector([0] * a)  # a zero-probability branch
         if is_zero(state):
@@ -203,7 +209,7 @@ def test_integer_kernel_matches_complex_fraction_sums():
         seen["dropped_branch"] += len(expected) < a
     assert seen["dims"] == {2, 3, 4, 5}
     assert min(seen["mixed_den"], seen["imag"], seen["non_unit_scale"],
-               seen["dropped_branch"]) > 20
+               seen["dropped_branch"], seen["real_measurement"]) > 20
 
 
 def _gaussian_integers(rng, dim, imaginary):
@@ -222,28 +228,47 @@ def _cf_sum(a_re, a_im, b_re, b_im):
     return acc.re, acc.im
 
 
+def _abs_sq(dot):
+    re, im = dot
+    return re * re + im * im
+
+
 @pytest.mark.parametrize("left,right", [(0, 0), (1, 0), (0, 1), (2, 3)])
 def test_dot_kernel_matches_complex_fraction_sums_on_either_branch(left, right):
     # (0, 0) may take the real sum; one nonzero imaginary entry on either side
     # must take the Gaussian loop, whose cross-terms it then needs, and the
-    # loop is also right on real parts
+    # loop is also right on real parts.  The decoder's two squared overlaps
+    # take the same branches: the real sums only when all three are real
     rng = random.Random(20134 + 10 * left + right)
     nonzero_im = 0
     for _ in range(200):
         dim = rng.randint(max(left, right, 1), 6)
         a = _gaussian_integers(rng, dim, left)
         b = _gaussian_integers(rng, dim, right)
+        c = _gaussian_integers(rng, dim, 0)
         ((re, im),) = _gauss_dot(Parts(*a, not left), [Parts(*b, not right)])
         assert (re, im) == _cf_sum(*a, *b)
         assert [(re, im)] == _gauss_dot(Parts(*a, False), [Parts(*b, False)])
         assert type(re) is int and type(im) is int
         nonzero_im += im != 0
+        sq = (_abs_sq(_cf_sum(*a, *b)), _abs_sq(_cf_sum(*a, *c)))
+        assert overlap_sq_numerators(
+            Parts(*a, not left), Parts(*b, not right), Parts(*c, True)
+        ) == sq
+        assert overlap_sq_numerators(
+            Parts(*a, False), Parts(*b, False), Parts(*c, False)
+        ) == sq
         longer = _gaussian_integers(rng, dim + 1, min(left, 1))
         for real in (True, False):  # the length is checked before either branch
             with pytest.raises(ValueError, match="dimension mismatch"):
                 _gauss_dot(Parts(*a, real), [Parts(*longer, real)])
             with pytest.raises(ValueError, match="dimension mismatch"):
                 _gauss_dot(Parts(*longer, real), [Parts(*b, real)])
+            for pair in ((longer, c), (c, longer)):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    overlap_sq_numerators(Parts(*c, real), *(Parts(*x, real) for x in pair))
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                overlap_sq_numerators(Parts(*longer, real), Parts(*c, real), Parts(*c, real))
     if left + right:
         assert nonzero_im > 100
     else:
@@ -294,6 +319,8 @@ def test_orthogonality_masks_match_complex_fraction_sums(complex_vectors):
                     break
             parts.append((re, im))
         masks = orthogonality_masks([Vector(re, im) for re, im in parts])
+        # the same pairs with every flag false all take the Gaussian kernel
+        assert masks == orthogonality_masks([Parts(re, im, False) for re, im in parts])
         for a, b in product(range(len(parts)), repeat=2):
             dot = _cf_sum(*parts[a], *parts[b])
             assert (masks[a] >> b & 1) == (a != b and dot == (0, 0))
@@ -447,33 +474,47 @@ def test_constructor_refuses_or_stores_lowest_terms(args, stored):
 
 
 # (1, 0) against (i, 0): the inner product is i, so the pair is not
-# orthogonal and the squared overlap is 1
+# orthogonal and the squared overlap is 1; (1, 0) against (0, 1) is the real
+# pair that takes the real sums
 E0 = Vector((1, 0), (0, 0))
+E1 = Vector((0, 1), (0, 0))
 I_E0 = Vector((0, 0), (1, 0))
 
 
 @pytest.mark.parametrize("caller", ["validate", "decode", "overlap", "masks", "measure"])
 def test_a_product_with_only_an_imaginary_part_is_not_zero(caller):
     ks = KSBasisSet(q=1, d=2, bases=((E0, I_E0),))
+    real_ks = KSBasisSet(q=1, d=2, bases=((E0, E1),))
     if caller == "validate":
         with pytest.raises(BasisSetError) as info:
             validate_basis_set(ks)
         assert info.value.pair == (0, 1) and "not orthogonal" in info.value.detail
+        validate_basis_set(real_ks)
     elif caller == "decode":
         with pytest.raises(ValueError, match="not orthogonal"):
             decoder_decode(ks, ((0, 0), (0, 1)), E0)
+        # the residual i(1, 0) against the real candidates: only the
+        # Gaussian branch sees its overlap with (1, 0)
+        for residual in (E0, I_E0):
+            assert decoder_decode(real_ks, ((0, 0), (0, 1)), residual) == ((0, 0), 1)
     elif caller == "overlap":
         assert _gauss_dot(E0, [I_E0]) == [(0, 1)] and _gauss_dot(I_E0, [E0]) == [(0, -1)]
         assert overlap_sq(E0, I_E0) == overlap_sq(I_E0, E0) == 1
+        assert overlap_sq_numerators(E0, I_E0, E1) == overlap_sq_numerators(I_E0, E0, E1)
+        assert overlap_sq_numerators(E0, I_E0, E1) == overlap_sq_numerators(E0, E0, E1) == (1, 0)
     elif caller == "masks":
         assert orthogonality_masks([E0, I_E0]) == [0, 0]
+        assert orthogonality_masks([E0, E1]) == [0b10, 0b01]
     else:
         # (|00> + i|11>) / sqrt(2) along the real standard basis: outcome 1
-        # leaves (0, i), whose real numerators are all zero
+        # leaves (0, i), whose real numerators are all zero; the real state
+        # (|00> + |11>) / sqrt(2) takes the real sums and leaves (0, 1)
         state = Vector((1, 0, 0, 0), (0, 0, 0, 1))
-        branches = measure_first_subsystem(state, [E0, Vector((0, 1), (0, 0))])
-        assert [(j, p) for j, p, _ in branches] == [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
-        assert branches[1][2] == Vector((0, 0), (0, 1))
+        real_state = Vector((1, 0, 0, 1), (0, 0, 0, 0))
+        for psi, second in ((state, Vector((0, 0), (0, 1))), (real_state, E1)):
+            branches = measure_first_subsystem(psi, [E0, E1])
+            assert [(j, p) for j, p, _ in branches] == [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
+            assert branches[0][2] == E0 and branches[1][2] == second
 
 
 # -- completion and measurement ----------------------------------------------
