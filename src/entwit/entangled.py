@@ -6,9 +6,11 @@ outcome j leaves the decoder holding exactly vector (m, j).  The channel then
 reveals an unordered pair {(m, j), (m', j')} of orthogonal candidates, and the
 decoder measures in any orthonormal basis containing both candidate vectors,
 identifying its residual with certainty; the outcome probabilities of the two
-candidates are squared overlaps, so that basis is never completed.  The
-simulation enumerates every branch with exact probabilities; nothing is
-sampled, and a Fraction is built only for a result.
+candidates are squared overlaps, so that basis is never completed.  One
+walk, ``walk_entangled``, enumerates every (message, encoder branch,
+channel output) branch with exact probabilities for both the cost and the
+zero-error run; nothing is sampled, and a Fraction is built only for a
+result.
 """
 
 from __future__ import annotations
@@ -109,35 +111,55 @@ def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
     return s[1], _ONE if n2 == d2 else Fraction(n2, d2)
 
 
-def run_zero_error_quantum(ks: KSBasisSet, ch: FiniteChannel) -> QuantumZeroErrorReport:
-    """Enumerate every (message, encoder branch, channel output) triple.
+def walk_entangled(ks: KSBasisSet, rows, messages) -> list:
+    """Walk every (message, encoder branch, channel output) branch of the
+    given messages over ``rows``, the channel's; t is never read.
 
-    Asserts that every encoder branch has probability 1/d and that the
-    decoder recovers the encoder's (m, j) with probability 1 on every branch,
-    i.e. all q messages go through with zero error even though only q - 1
-    fit classically.  Any wrong branch raises with the witness triple.
+    An encoder branch whose probability is not the Fraction 1/d, or whose
+    outcome is not a channel input of its message, raises
+    ``QuantumDecodeError`` with witness (m, j, None); a decode other than
+    that input with probability 1 raises with (m, j, output).  Returns
+    (branch count, sum of j^2) per message.
     """
-    total = 0
-    masses = []
-    d, rows = ks.d, ch.rows
-    for m in range(ks.q):
-        num, den = 0, 1  # d times the message's mass so far, num / den
+    d, walked = ks.d, []
+    for m in messages:
+        count = j_sq = 0
         for sent, p, residual in encoder_branches(ks, m):
+            j = sent.j
             if type(p) is not Fraction or p.numerator != 1 or p.denominator != d:
                 raise QuantumDecodeError(
-                    f"encoder branch probability {p} != 1/{d}", witness=(m, sent.j, None)
+                    f"encoder branch probability {p} != 1/{d}", witness=(m, j, None)
                 )
-            for s, p_out in rows[sent].items():
-                total += 1
-                common = lcm(den, p_out.denominator)
-                num = num * (common // den) + p_out.numerator * common // p_out.denominator
-                den = common
+            row = rows.get(sent) if sent.m == m else None
+            if row is None:
+                raise QuantumDecodeError(
+                    f"outcome {sent} is not an input of message {m}", witness=(m, j, None)
+                )
+            for s in row:
                 decoded, p_dec = decoder_decode(ks, s, residual)
                 if decoded != sent or (p_dec is not _ONE and p_dec != 1):
                     raise QuantumDecodeError(
                         f"branch decoded {decoded} with probability {p_dec}, "
                         f"expected {sent} with probability 1",
-                        witness=(m, sent.j, s),
+                        witness=(m, j, s),
                     )
+            count += len(row)
+            j_sq += j * j
+        walked.append((count, j_sq))
+    return walked
+
+
+def run_zero_error_quantum(ks: KSBasisSet, ch: FiniteChannel) -> QuantumZeroErrorReport:
+    """Walk every message, so all q go through with zero error although only
+    q - 1 fit classically, and average each one's d row sums, taken as
+    integers over one common denominator: exact on rows never validated.
+    """
+    d, rows = ks.d, ch.rows
+    total = sum(n for n, _j_sq in walk_entangled(ks, rows, range(ks.q)))
+    masses = []
+    for m in range(ks.q):
+        probs = [p for j in range(d) for p in rows[ChannelInput(m, j)].values()]
+        den = lcm(*[p.denominator for p in probs])
+        num = sum(p.numerator * (den // p.denominator) for p in probs)
         masses.append(Fraction(num, den * d))
     return QuantumZeroErrorReport(ks.q, total, True, tuple(masses))

@@ -6,15 +6,18 @@ Claims covered:
       report satisfies total = control + damping with trace mass 1
     - mixtures evaluate to the weighted average and never beat their best
       component; 100 seeded mixtures stay at or above the searched minimum
-    - the entangled strategy costs exactly 7k/2: zero final signal on all 216
-      branches, identical across t in {4, 10, 100, 10^6}, below k*d^2; a
-      strategy that breaks the k*d^2 ceiling raises QuantumDecodeError, and
-      so do quantum-run and run_zero_error_quantum when the decoder is right
-      with probability 1/2
-    - an encoder branch of probability 1/2, or of the float 0.25, raises
-      QuantumDecodeError in evaluate_quantum and run_zero_error_quantum
-      alike, and a decoder whose certain outcome carries a fresh Fraction(1)
-      rather than the shared one leaves both reports unchanged
+    - the entangled strategy costs exactly 7k/2 over all 216 branches,
+      below k*d^2, and walks only the supported messages (108 branches for
+      three); its whole report is the same at t = d, 39 and 10^6 on the
+      unitary, imaginary, rational and 18-ray sets (504 branches on the last)
+    - evaluate_quantum and run_zero_error_quantum read one walk, so each gate
+      raises QuantumDecodeError in both: a decoder right with probability
+      1/2 (through quantum-run), an encoder branch of probability 1/2 or of
+      the float 0.25, and an encoder outcome off the grid or of another
+      message, witness (m, j, None); an encoder that repeats its branches
+      breaks only the k*d^2 ceiling, which raises too, and a decoder whose
+      certain outcome carries a fresh Fraction(1) rather than the shared one
+      leaves both reports unchanged
     - the per-output c2 minimizer matches an independent linear scan,
       including its half-even tie rule, on random tables with wires out of
       form and zero-probability messages, on all four test channels
@@ -63,6 +66,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,7 @@ from helpers import (
     random_weights,
 )
 
+DATA = Path(__file__).parent / "data"
 
 @pytest.fixture(scope="module")
 def inst4(bundled, channel):
@@ -319,28 +324,20 @@ def test_quantum_cost_scales_with_k_and_beats_ceiling(bundled, channel):
 
 
 def test_quantum_ceiling_gate_raises(monkeypatch, bundled, channel):
-    # an encoder that reports outcome j + d, with a decoder that follows it:
-    # every branch still cancels to a zero final signal, but each costs
-    # (j + d)^2 >= d^2, so only the k*d^2 ceiling can catch the fault
+    # an encoder that returns its d branches 5 times: each copy has
+    # probability 1/d and decodes right, so only the k*d^2 ceiling can catch
+    # the fault, at 5 * 7/2 = 35/2 >= 16
     inst = make_instance(bundled, 10, 1, channel=channel)
-    real_branches = control.encoder_branches
-    decoded = {}
-
-    def shifted_branches(ks, m):
-        out = []
-        for branch in real_branches(ks, m):
-            outcome = ChannelInput(m, branch.outcome.j + ks.d)
-            decoded[id(branch.residual)] = outcome
-            out.append(branch._replace(outcome=outcome))
-        return out
-
-    monkeypatch.setattr(control, "encoder_branches", shifted_branches)
-    monkeypatch.setattr(
-        control, "decoder_decode",
-        lambda ks, s, residual: (decoded[id(residual)], Fraction(1)),
-    )
-    with pytest.raises(QuantumDecodeError, match="not below"):
+    real = entangled.encoder_branches
+    monkeypatch.setattr(entangled, "encoder_branches", lambda ks, m: real(ks, m) * 5)
+    with pytest.raises(QuantumDecodeError, match=r"35/2 not below k\*d\^2 = 16"):
         evaluate_quantum(inst)
+
+
+RUNS = {
+    "evaluate_quantum": lambda ks, ch: evaluate_quantum(make_instance(ks, 10, 1, channel=ch)),
+    "run_zero_error_quantum": run_zero_error_quantum,
+}
 
 
 @pytest.mark.parametrize("run", [0, 1], ids=["evaluate_quantum", "run_zero_error_quantum"])
@@ -353,8 +350,7 @@ def test_quantum_decode_gate_raises(monkeypatch, bundled, channel, run):
         right, p = real(ks, s, residual)
         return right, p / 2
 
-    for module in (control, entangled):
-        monkeypatch.setattr(module, "decoder_decode", halved)
+    monkeypatch.setattr(entangled, "decoder_decode", halved)
     runs = (
         lambda: main(["quantum-run", "--t", "10"]),
         lambda: run_zero_error_quantum(bundled, channel),
@@ -364,12 +360,11 @@ def test_quantum_decode_gate_raises(monkeypatch, bundled, channel, run):
 
 
 def _quantum_reports(bundled, channel):
-    inst = make_instance(bundled, 10, 1, channel=channel)
-    return evaluate_quantum(inst), run_zero_error_quantum(bundled, channel)
+    return tuple(run(bundled, channel) for run in RUNS.values())
 
 
 @pytest.mark.parametrize("probability", [Fraction(1, 2), 0.25], ids=["half", "float"])
-@pytest.mark.parametrize("run", [0, 1], ids=["evaluate_quantum", "run_zero_error_quantum"])
+@pytest.mark.parametrize("run", list(RUNS))
 def test_quantum_encoder_probability_gate_raises(monkeypatch, bundled, channel, run, probability):
     # branch (2, 1) announces a wrong probability; the float equals 1/d but
     # is not exact, and must meet the gate rather than an AttributeError
@@ -381,20 +376,39 @@ def test_quantum_encoder_probability_gate_raises(monkeypatch, bundled, channel, 
             branches[1] = branches[1]._replace(probability=probability)
         return branches
 
-    for module in (control, entangled):
-        monkeypatch.setattr(module, "encoder_branches", skewed)
-    runs = (
-        lambda: evaluate_quantum(make_instance(bundled, 10, 1, channel=channel)),
-        lambda: run_zero_error_quantum(bundled, channel),
-    )
+    monkeypatch.setattr(entangled, "encoder_branches", skewed)
     with pytest.raises(QuantumDecodeError, match="encoder branch probability") as info:
-        runs[run]()
+        RUNS[run](bundled, channel)
     assert info.value.witness == (2, 1, None)
 
 
+@pytest.mark.parametrize(
+    "outcome, witness",
+    [(ChannelInput(2, 5), (2, 5, None)), (ChannelInput(3, 1), (2, 1, None))],
+    ids=["off-the-grid", "another-message"],
+)
+@pytest.mark.parametrize("run", list(RUNS))
+def test_quantum_encoder_outcome_gate_raises(monkeypatch, bundled, channel, run, outcome, witness):
+    # branch (2, 1) of message 2 reports an outcome that is no channel input,
+    # or the input of another message; both runs must stop at the encoder,
+    # not with a KeyError or by decoding a row the branch never reached
+    real = entangled.encoder_branches
+
+    def misplaced(ks, m):
+        branches = real(ks, m)
+        if m == 2:
+            branches[1] = branches[1]._replace(outcome=outcome)
+        return branches
+
+    monkeypatch.setattr(entangled, "encoder_branches", misplaced)
+    with pytest.raises(QuantumDecodeError, match="is not an input of message 2") as info:
+        RUNS[run](bundled, channel)
+    assert info.value.witness == witness
+
+
 def test_quantum_gates_accept_a_fresh_certain_decode(monkeypatch, bundled, channel):
-    # the decode gates test identity with the decoder's shared _ONE first; a
-    # probability 1 held in another Fraction must pass them on its value
+    # the decode gate tests identity with the decoder's shared _ONE first; a
+    # probability 1 held in another Fraction must pass it on its value
     expected = _quantum_reports(bundled, channel)
     real = entangled.decoder_decode
     fresh = []
@@ -405,19 +419,41 @@ def test_quantum_gates_accept_a_fresh_certain_decode(monkeypatch, bundled, chann
         fresh.append(Fraction(p.numerator, p.denominator))
         return right, fresh[-1]
 
-    for module in (control, entangled):
-        monkeypatch.setattr(module, "decoder_decode", fresh_one)
+    monkeypatch.setattr(entangled, "decoder_decode", fresh_one)
     assert _quantum_reports(bundled, channel) == expected
     assert len(fresh) == 2 * 216 and not any(p is _ONE for p in fresh)
 
 
 def test_quantum_cost_independent_of_message_distribution(bundled, channel):
+    # only the supported messages are walked: 3 of them, 4 * 9 branches each
     inst = make_instance(
         bundled, 10, 1,
         p_m=[Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 0, 0, 0],
         channel=channel,
     )
-    assert evaluate_quantum(inst).total == Fraction(7, 2)
+    report = evaluate_quantum(inst)
+    assert report.total == Fraction(7, 2)
+    assert report.branches == 108
+
+
+@pytest.mark.parametrize(
+    "name, branches",
+    [
+        ("ks_6_4_unitary.json", 216),
+        ("ks_imaginary_vector.json", 216),
+        ("ks_rational_entries.json", 216),
+        ("ks_9_4_cabello.json", 504),
+    ],
+)
+def test_quantum_report_is_the_same_at_every_t(name, branches):
+    # the walk reads the channel rows, never t, so the whole report at any
+    # t >= d is the one at t = d
+    ks = load_basis_set(DATA / name)
+    ch = build_ks_channel(ks)
+    reports = [evaluate_quantum(make_instance(ks, t, 1, channel=ch)) for t in (ks.d, 39, 10**6)]
+    assert reports[1:] == reports[:1] * 2
+    assert reports[0].branches == branches
+    assert (reports[0].damping, reports[0].max_abs_z) == (0, 0)
 
 
 # -- the per-output c2 minimizer ------------------------------------------------------

@@ -21,7 +21,7 @@ TESTS = Path(__file__).resolve().parent
 # every golden report, the unitary-set reports, the unitary set's
 # re-derivation and the perturbed set; the help and usage exits of main; and
 # the search re-check, the decode gate, the k*d^2 ceiling, the encoder
-# probability gate and the channel check of make_instance
+# probability and outcome gates and the channel check of make_instance
 OPTIMIZED = (
     "test_golden.py",
     "test_cli.py::test_parser_errors_and_help_match_the_full_parser",
@@ -30,6 +30,7 @@ OPTIMIZED = (
     "test_control.py::test_quantum_decode_gate_raises",
     "test_control.py::test_quantum_ceiling_gate_raises",
     "test_control.py::test_quantum_encoder_probability_gate_raises",
+    "test_control.py::test_quantum_encoder_outcome_gate_raises",
 )
 
 
@@ -38,8 +39,9 @@ def test_the_gates_and_reports_hold_under_python_O():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # 33 tests in test_golden.py, 15 parser exits, the channel check, the
     # search and ceiling gates, the decode gate's 2 cases and the encoder
-    # probability gate's 4, so a renamed or deselected case fails here
-    assert re.search(r"^57 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # probability and outcome gates' 4 each, so a renamed or deselected case
+    # fails here
+    assert re.search(r"^61 passed\b", proc.stdout, re.MULTILINE), proc.stdout
 
 
 if __name__ == "__main__":
