@@ -40,25 +40,6 @@ class FiniteChannel(NamedTuple):
     inputs: tuple
     rows: dict  # ChannelInput -> {ChannelOutput: Fraction}
 
-    @classmethod
-    def from_neighbor_sets(cls, neighbors: dict) -> "FiniteChannel":
-        """Uniform channel i -> {i, i'} over the given neighbor sets."""
-        rows = {}
-        for i, nbrs in neighbors.items():
-            i = i if type(i) is ChannelInput else ChannelInput(*i)
-            if not nbrs:
-                raise ValueError(f"input {i} has an empty neighbor set")
-            p = Fraction(1, len(nbrs))
-            row = rows[i] = {}
-            for n in nbrs:
-                n = n if type(n) is ChannelInput else ChannelInput(*n)
-                row[(i, n) if i < n else (n, i)] = p
-            if len(row) != len(nbrs):
-                raise ValueError(f"duplicate neighbors for input {i}")
-        ch = cls(inputs=tuple(sorted(rows)), rows=rows)
-        ch.validate()
-        return ch
-
     def validate(self) -> None:
         """Check every row: nonempty, each output a pair (a, b) with a < b
         holding the row's own input, and every probability of numerator 1
@@ -107,15 +88,20 @@ def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
             f"basis set lacks the one-per-basis orthogonality property; "
             f"witness traversal {check.witness}"
         )
-    # the set's held orthogonality bitmasks, indexed by id m*d + j
-    ids = [ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d)]
-    neighbors = {}
-    for i, mask in zip(ids, ks.masks):
-        nbrs = neighbors[i] = []
+    # row a is uniform over the set bits b of its held orthogonality mask,
+    # ids a = m*d + j in grid order
+    ids = tuple(ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d))
+    rows = {}
+    for a, (i, mask) in enumerate(zip(ids, ks.masks)):
+        p, row = Fraction(1, mask.bit_count()), {}
         while mask:  # lowest set bit first
-            nbrs.append(ids[(mask & -mask).bit_length() - 1])
+            b = (mask & -mask).bit_length() - 1
+            row[(i, ids[b]) if a < b else (ids[b], i)] = p
             mask &= mask - 1
-    return FiniteChannel.from_neighbor_sets(neighbors)
+        rows[i] = row
+    ch = FiniteChannel(inputs=ids, rows=rows)
+    ch.validate()
+    return ch
 
 
 # -- confusability -------------------------------------------------------

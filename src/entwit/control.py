@@ -121,8 +121,8 @@ def make_instance(
         channel = build_ks_channel(ks)  # validated where it is built
     else:
         channel.validate()  # the search's row table assumes uniform rows
-    grid = [ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d)]
-    if sorted(channel.inputs) != grid:
+    grid = tuple(ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d))
+    if channel.inputs != grid and tuple(sorted(channel.inputs)) != grid:
         raise ValueError("channel inputs do not form the full (m, j) grid")
     if t < ks.d:
         raise ValueError(f"encoder scale t={t} must be at least d={ks.d}")
@@ -217,14 +217,14 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
     d, p_m = inst.d, inst.p_m
     messages = [m for m, _x in inst.support()]
     walked = walk_entangled(inst.ks, inst.channel.rows, messages)
-    weighted = sum(p_m[m] * j_sq for m, (_n, j_sq) in zip(messages, walked))
+    weighted = sum(p_m[m] * j_sq for m, (_n, j_sq, _in) in zip(messages, walked))
     control = weighted * inst.k / d
     bound = inst.k * d * d
     if not control < bound:
         raise QuantumDecodeError(
             f"entangled cost {control} not below k*d^2 = {bound}", witness=()
         )
-    return CostReport(control, control, Fraction(0), sum(n for n, _ in walked), 0)
+    return CostReport(control, control, Fraction(0), sum(n for n, _j_sq, _in in walked), 0)
 
 
 def _round_half_even_ratio(num: int, den: int) -> int:

@@ -119,11 +119,12 @@ def walk_entangled(ks: KSBasisSet, rows, messages) -> list:
     outcome is not a channel input of its message, raises
     ``QuantumDecodeError`` with witness (m, j, None); a decode other than
     that input with probability 1 raises with (m, j, output).  Returns
-    (branch count, sum of j^2) per message.
+    (branch count, sum of j^2, the inputs its branches landed on) per message.
     """
     d, walked = ks.d, []
     for m in messages:
         count = j_sq = 0
+        landed = []
         for sent, p, residual in encoder_branches(ks, m):
             j = sent.j
             if type(p) is not Fraction or p.numerator != 1 or p.denominator != d:
@@ -145,21 +146,22 @@ def walk_entangled(ks: KSBasisSet, rows, messages) -> list:
                     )
             count += len(row)
             j_sq += j * j
-        walked.append((count, j_sq))
+            landed.append(sent)
+        walked.append((count, j_sq, landed))
     return walked
 
 
 def run_zero_error_quantum(ks: KSBasisSet, ch: FiniteChannel) -> QuantumZeroErrorReport:
     """Walk every message, so all q go through with zero error although only
-    q - 1 fit classically, and average each one's d row sums, taken as
+    q - 1 fit classically.  A message's mass sums, over the encoder branches
+    the walk checked, 1/d times the sum of the row each landed on, taken as
     integers over one common denominator: exact on rows never validated.
     """
-    d, rows = ks.d, ch.rows
-    total = sum(n for n, _j_sq in walk_entangled(ks, rows, range(ks.q)))
-    masses = []
-    for m in range(ks.q):
-        probs = [p for j in range(d) for p in rows[ChannelInput(m, j)].values()]
+    rows, total, masses = ch.rows, 0, []
+    for count, _j_sq, landed in walk_entangled(ks, rows, range(ks.q)):
+        probs = [p for sent in landed for p in rows[sent].values()]
         den = lcm(*[p.denominator for p in probs])
         num = sum(p.numerator * (den // p.denominator) for p in probs)
-        masses.append(Fraction(num, den * d))
+        total += count
+        masses.append(Fraction(num, den * ks.d))
     return QuantumZeroErrorReport(ks.q, total, True, tuple(masses))

@@ -149,25 +149,28 @@ class Vector:
         if g != 1:
             re, im, den = [x // g for x in re], [x // g for x in im], den // g
         re, im = tuple(re), tuple(im)
-        parts = re + im
-        nsq = sum(map(mul, parts, parts))
+        real = not any(im)
+        nsq = sum(map(mul, re, re))
+        if not real:
+            nsq += sum(map(mul, im, im))
         if scale is None:
             if nsq == 0:
                 raise ValueError("cannot normalize the zero vector")
-            scale, unit = Fraction(nsq, den * den), True  # norm_sq() is 1 by construction
+            # norm_sq() is 1 by construction
+            scale, unit = Fraction(nsq) if den == 1 else Fraction(nsq, den * den), True
         else:
             scale = scale if type(scale) is Fraction else as_fraction(scale)
             if scale <= 0:
                 raise ValueError(f"vector scale must be positive, got {scale}")
             unit = nsq * scale.denominator == den * den * scale.numerator
-        put = object.__setattr__  # immutable: attributes are set here only
-        put(self, "re", re)
-        put(self, "im", im)
-        put(self, "den", den)
-        put(self, "scale", scale)
-        put(self, "nsq", nsq)
-        put(self, "real", not any(im))
-        put(self, "unit", unit)
+        # immutable: the slots are set here only, through their descriptors
+        _set_re(self, re)
+        _set_im(self, im)
+        _set_den(self, den)
+        _set_scale(self, scale)
+        _set_nsq(self, nsq)
+        _set_real(self, real)
+        _set_unit(self, unit)
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
@@ -199,6 +202,12 @@ class Vector:
 
     def __repr__(self) -> str:
         return f"Vector({self.re}, {self.im}, {self.den}, scale='{self.scale}')"
+
+
+# the slot setters the constructor writes through, bound once
+_set_re, _set_im, _set_den, _set_scale, _set_nsq, _set_real, _set_unit = (
+    Vector.__dict__[name].__set__ for name in Vector.__slots__
+)
 
 
 DECIMAL_SIGFIGS = 12
@@ -246,24 +255,23 @@ def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
         state.re[i2::b] if real else Parts(state.re[i2::b], state.im[i2::b], state.real)
         for i2 in range(b)
     ]
+    ss_num, ss_den = state.scale.numerator, state.scale.denominator
     branches = []
     for j, u in enumerate(basis):
         # residual entry i2 is sum over i1 of conj(u_i1) * state_(i1*b + i2)
         if real:
             u_re = u.re
             res_re, res_im = tuple([sum(map(mul, u_re, col)) for col in columns]), (0,) * b
+            nsq = sum(map(mul, res_re, res_re))
         else:
             res_re, res_im = zip(*_gauss_dot(u, columns))
+            nsq = sum(map(mul, res_re, res_re)) + sum(map(mul, res_im, res_im))
         # the residual is (res / den) / sqrt(u.scale * state.scale); its squared
         # norm is the branch probability, and only its direction is kept
-        parts = res_re + res_im
-        nsq = sum(map(mul, parts, parts))
         if nsq == 0:
             continue
         den = u.den * state.den
-        us, ss = u.scale, state.scale
-        prob = Fraction(
-            nsq * us.denominator * ss.denominator, den * den * us.numerator * ss.numerator
-        )
+        us = u.scale
+        prob = Fraction(nsq * us.denominator * ss_den, den * den * us.numerator * ss_num)
         branches.append((j, prob, Vector(res_re, res_im, den)))
     return branches

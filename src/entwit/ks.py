@@ -149,14 +149,13 @@ FORMAT_TAG = "ks-basis-set/1"
 
 
 def _part(x):
-    """An int part as itself, a rational-string part as a Fraction; floats
-    and bools are refused, as ``as_fraction`` refuses them."""
-    if type(x) is int:
-        return x
+    """A part as an int when it is whole, else as a Fraction; floats and
+    bools are refused, as ``as_fraction`` refuses them."""
     try:
-        return as_fraction(x)
+        f = as_fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
+    return f.numerator if f.denominator == 1 else f
 
 
 def basis_set_from_json_dict(data: dict) -> KSBasisSet:
@@ -169,18 +168,20 @@ def basis_set_from_json_dict(data: dict) -> KSBasisSet:
     field = _part(data.get("denominator", 1))
     if field == 0:
         raise ValueError("denominator must be nonzero")
-    # per vector, re and im parts alternating
+    # per vector, re and im parts alternating; every part is an int or a
+    # Fraction that is not whole
     parts = [
-        [[_part(x) for re, im in raw_vec for x in (re, im)] for raw_vec in raw_basis]
-        for raw_basis in data["bases"]
+        [[x if type(x) is int else _part(x) for re, im in vec for x in (re, im)] for vec in b]
+        for b in data["bases"]
     ]
     common = lcm(*{x.denominator for basis in parts for vec in basis for x in vec})
     # x / (p / r) = (x * common * r * sign(p)) / (common * |p|)
     p, r = field.numerator, field.denominator
     mult = common * r if p > 0 else -common * r
     den = common * abs(p)
-    nums = [[[(x * mult).numerator for x in vec] for vec in basis] for basis in parts]
-    bases = [[Vector(vec[0::2], vec[1::2], den) for vec in basis] for basis in nums]
+    if mult != 1:  # else every part is an int already
+        parts = [[[(x * mult).numerator for x in vec] for vec in basis] for basis in parts]
+    bases = [[Vector(vec[0::2], vec[1::2], den) for vec in basis] for basis in parts]
     return KSBasisSet(q=q, d=d, bases=bases, label=data.get("label", ""))
 
 

@@ -83,10 +83,30 @@ def output_pair(a, b):
     return (a, b) if a < b else (b, a)
 
 
+def from_neighbor_sets(neighbors):
+    """The uniform channel i -> {i, i'} over the given neighbour sets, each
+    input and neighbour a ChannelInput or a plain (m, j) pair; validated."""
+    rows = {}
+    for i, nbrs in neighbors.items():
+        i = i if type(i) is ChannelInput else ChannelInput(*i)
+        if not nbrs:
+            raise ValueError(f"input {i} has an empty neighbor set")
+        p = Fraction(1, len(nbrs))
+        row = rows[i] = {}
+        for n in nbrs:
+            n = n if type(n) is ChannelInput else ChannelInput(*n)
+            row[(i, n) if i < n else (n, i)] = p
+        if len(row) != len(nbrs):
+            raise ValueError(f"duplicate neighbors for input {i}")
+    ch = FiniteChannel(inputs=tuple(sorted(rows)), rows=rows)
+    ch.validate()
+    return ch
+
+
 def finite_channel(table):
     """entwit's channel on the checker's plain neighbour table."""
     d = table.d
-    return FiniteChannel.from_neighbor_sets({
+    return from_neighbor_sets({
         ChannelInput(*divmod(i, d)): [ChannelInput(*divmod(n, d)) for n in row]
         for i, row in enumerate(table.neighbours)
     })

@@ -17,6 +17,7 @@ Claims covered:
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -31,14 +32,17 @@ from entwit.channel import (
     verify_zero_error,
 )
 from entwit.control import make_instance
-from entwit.ks import KSBasisSet
+from entwit.ks import KSBasisSet, bundled_basis_set, load_basis_set
 
 from helpers import (
+    CABELLO_SET,
+    UNITARY_SET,
     OnInputs,
     adjacent,
     code_from_independent_set,
     degree,
     from_components,
+    from_neighbor_sets,
     has_independent_subset,
     is_independent,
     output_pair,
@@ -75,9 +79,30 @@ def test_build_rejects_non_ks_set():
         build_ks_channel(KSBasisSet(q=2, d=2, bases=(b0, b1)))
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [None, UNITARY_SET, DATA / "ks_imaginary_vector.json",
+     DATA / "ks_rational_entries.json", CABELLO_SET],
+    ids=["bundled", "unitary", "imaginary", "rational", "cabello"],
+)
+def test_direct_build_matches_the_neighbor_set_build(source):
+    ks = bundled_basis_set() if source is None else load_basis_set(source)
+    ids = [ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d)]
+    # each input's neighbours, lowest mask bit first
+    nbrs = {i: [ids[b] for b in range(len(ids)) if mask >> b & 1]
+            for i, mask in zip(ids, ks.masks)}
+    direct, reference = build_ks_channel(ks), from_neighbor_sets(nbrs)
+    assert direct.inputs == reference.inputs == tuple(ids)
+    for i in ids:
+        assert list(direct.rows[i].items()) == list(reference.rows[i].items())
+
+
 def test_empty_neighbor_set_is_structural_error():
     with pytest.raises(ValueError):
-        FiniteChannel.from_neighbor_sets({ChannelInput(0, 0): []})
+        from_neighbor_sets({ChannelInput(0, 0): []})
 
 
 def _row_channel(row):
@@ -129,11 +154,11 @@ def test_validate_rejects_malformed_rows(row, message):
 )
 def test_neighbor_sets_reject_malformed_rows(nbrs, message):
     with pytest.raises(ValueError, match=message):
-        FiniteChannel.from_neighbor_sets({A00: nbrs})
+        from_neighbor_sets({A00: nbrs})
 
 
 def test_neighbor_sets_given_as_plain_tuples():
-    ch = FiniteChannel.from_neighbor_sets({(0, 0): [(0, 1)], (0, 1): [(0, 0)]})
+    ch = from_neighbor_sets({(0, 0): [(0, 1)], (0, 1): [(0, 0)]})
     assert all(type(i) is ChannelInput for i in ch.inputs)
     for row in ch.rows.values():
         for o in row:
@@ -154,13 +179,13 @@ def _identity_like():
     # disjoint outputs per input: no two inputs share anything
     a, b = ChannelInput(0, 0), ChannelInput(0, 1)
     fill1, fill2 = ChannelInput(9, 0), ChannelInput(9, 1)
-    return FiniteChannel.from_neighbor_sets({a: [fill1], b: [fill2]})
+    return from_neighbor_sets({a: [fill1], b: [fill2]})
 
 
 def _common_output():
     # both inputs map onto their shared pair with probability 1
     a, b = ChannelInput(0, 0), ChannelInput(0, 1)
-    return FiniteChannel.from_neighbor_sets({a: [b], b: [a]})
+    return from_neighbor_sets({a: [b], b: [a]})
 
 
 def test_identity_like_channel_is_edgeless():

@@ -94,6 +94,7 @@ from helpers import (
     branch_signals,
     evaluate_sr,
     finite_channel,
+    from_neighbor_sets,
     neighbors,
     random_c1,
     random_strategy,
@@ -156,7 +157,7 @@ def test_channel_off_the_grid_rejected(bundled, channel):
     extra[ChannelInput(6, 0)] = [ChannelInput(0, 0)]
     extra[ChannelInput(0, 0)] = nbrs[ChannelInput(0, 0)] + (ChannelInput(6, 0),)
     for rows in (missing, extra):
-        ch = FiniteChannel.from_neighbor_sets(rows)
+        ch = from_neighbor_sets(rows)
         with pytest.raises(ValueError, match=r"\(m, j\) grid"):
             make_instance(bundled, 4, 1, channel=ch)
 

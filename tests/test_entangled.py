@@ -26,6 +26,7 @@ import random
 
 import pytest
 
+from entwit import entangled
 from entwit.channel import ChannelInput, FiniteChannel, build_ks_channel
 from entwit.entangled import (
     decoder_decode,
@@ -316,3 +317,13 @@ def test_zero_error_mass_is_exact_on_rows_short_of_one(bundled, channel):
     whole_message = _short_rows(channel, [ChannelInput(0, j) for j in range(4)])
     masses = run_zero_error_quantum(bundled, whole_message).per_message_mass
     assert masses == (Fraction(8, 9),) + (Fraction(1),) * 5
+
+
+def test_zero_error_mass_traces_the_encoder_branches(monkeypatch, bundled, channel):
+    # an encoder that returns its d branches 5 times lands on each row 5
+    # times, each branch of weight 1/d, so every message carries mass 5
+    real = entangled.encoder_branches
+    monkeypatch.setattr(entangled, "encoder_branches", lambda ks, m: real(ks, m) * 5)
+    report = run_zero_error_quantum(bundled, channel)
+    assert report.total_branches == 5 * 216
+    assert report.per_message_mass == (Fraction(5),) * 6

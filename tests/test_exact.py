@@ -375,6 +375,7 @@ def test_held_norm_is_fresh_on_every_construction_path():
         "constructor/complex-unit": wu,
         "constructor/real-unit": ru,
         "constructor/unit-by-default": Vector((6, 0, -3), (3, 9, 0), 12),
+        "constructor/unit-by-default-whole": Vector((1, -2), (0, 2)),
         "conjugate/complex": w.conjugate(),
         "conjugate/real": r.conjugate(),
         "conjugate/complex-unit": wu.conjugate(),
@@ -408,6 +409,9 @@ def test_held_norm_is_fresh_on_every_construction_path():
     for path, u in made.items():
         assert _held_is_fresh(u), path
         assert u.norm_sq() == cf_norm_sq(u), path
+    # with den 1 the default scale is the squared norm itself, still a Fraction
+    whole = made["constructor/unit-by-default-whole"]
+    assert whole.den == 1 and type(whole.scale) is Fraction and whole.scale == whole.nsq == 9
     # every path makes both real and complex vectors
     kinds = {(path.split("/")[0], u.real) for path, u in made.items()}
     assert kinds == set(product(("constructor", "conjugate", "loader", "residual"), (True, False)))
@@ -425,6 +429,16 @@ def test_held_norm_is_fresh_on_every_construction_path():
     # a negative denominator flips the direction; it is not the same vector
     assert loaded["-3/2"] == _loaded([[-c for c in row] for row in rows], "3/2")
     assert loaded["-3/2"] != loaded["3/2"]
+
+
+@pytest.mark.parametrize("name", list(Vector.__slots__) + ["other"])
+def test_vector_refuses_assignment(name):
+    v = Vector((6, 0, -3), (3, 9, 0), 12, Fraction(2, 7))
+    held = tuple(getattr(v, slot) for slot in Vector.__slots__)
+    with pytest.raises(AttributeError, match="Vector is immutable"):
+        setattr(v, name, getattr(v, name, None))
+    assert tuple(getattr(v, slot) for slot in Vector.__slots__) == held
+    assert _held_is_fresh(v)
 
 
 def test_vector_stores_entries_in_lowest_terms():

@@ -355,6 +355,16 @@ MIXED_PARTS = {
 }
 
 
+# whole parts written as strings, with no denominator field: every part has
+# denominator 1, and each must reach the vector as an int
+WHOLE_STRINGS = {
+    "format": "ks-basis-set/1",
+    "q": 1,
+    "d": 2,
+    "bases": [[[["3", 0], [0, "-8/2"]], [["0/7", "2"], [1, "-1"]]]],
+}
+
+
 def _from_components(data):
     """Every vector as the from_components oracle builds it from
     ComplexFraction parts and the denominator field."""
@@ -373,7 +383,10 @@ def _from_components(data):
 
 @pytest.mark.parametrize(
     "source",
-    ["bundled", "ks_rational_entries.json", "ks_imaginary_vector.json", "mixed-parts"],
+    [
+        "bundled", "ks_rational_entries.json", "ks_imaginary_vector.json", "mixed-parts",
+        "whole-strings",
+    ],
 )
 def test_reader_matches_from_components(source):
     if source == "bundled":
@@ -382,12 +395,15 @@ def test_reader_matches_from_components(source):
         )
     elif source == "mixed-parts":
         data = MIXED_PARTS
+    elif source == "whole-strings":
+        data = WHOLE_STRINGS
     else:
         data = json.loads((DATA / source).read_text())
     loaded = basis_set_from_json_dict(data)
     expected = _from_components(data)
     assert [list(basis) for basis in loaded.bases] == expected
     assert all(v.unit for v in all_vectors(loaded))
+    assert all(type(x) is int for v in all_vectors(loaded) for x in v.re + v.im + (v.den,))
 
 
 def test_rational_test_set_denotes_the_bundled_rays(bundled):
