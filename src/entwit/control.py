@@ -389,7 +389,8 @@ class _PrefixEvaluator:
     when there is out-of-form mass, one per beta group of u's other outputs.
     The out-of-form children of a prefix keep its owners and add the same
     weight, so they share the output groups of ``_group_outputs``, built
-    once per node on first use, which ``out_of_form_bound`` reads too.
+    once per node on first use, which ``out_of_form_bound`` reads too, for
+    the node's own message or a later one.
     """
 
     def __init__(self, inst: WitsenhausenInstance, window: int):
@@ -443,7 +444,8 @@ class _PrefixEvaluator:
         self.mask = 0  # bit u set for each owner u
         self.out = [0, 0, 0]  # the same over the messages out of form
         # per prefix length, the current prefix's out-of-form groups once
-        # built, as [base, quads, term list or None until a child is scored]
+        # built, as [base, quads, term list or None until a child is scored,
+        # the bound's sums per child weight]
         self._built: List[Optional[list]] = [None] * (len(support) + 1)
 
     def to_fraction(self, scaled: int) -> Fraction:
@@ -487,7 +489,7 @@ class _PrefixEvaluator:
             y = x + v
             b = w * y
             built = self._built[depth] or self._group_outputs(depth)
-            base, quads, terms = built
+            base, quads, terms, _held = built
             if terms is None:
                 # mult*_least(pa, pb + beta*b) is (qa*z + lin)*z at z = (qa -
                 # lin) // 2qa, with qa = mult*pa and lin = 2*mult*(pb + beta*b)
@@ -534,9 +536,10 @@ class _PrefixEvaluator:
                     delta += count * (_least(pa + a, pb + b) - _least(pa, pb) + c)
         return cost + ctrl + self.damp_unit * delta
 
-    def out_of_form_bound(self, depth: int) -> tuple:
-        """(num, den) with num/den at most the scaled cost of every
-        out-of-form child of the current prefix, the first ``depth`` messages.
+    def out_of_form_bound(self, depth: int, m: Optional[int] = None) -> tuple:
+        """(num, den) with num/den at most the scaled cost of every child that
+        gives message m, by default ``depth``, a value out of form, the
+        current prefix being the first ``depth`` messages.
 
         It is a child's cost with c2 relaxed to the reals: a group's
         mult*_least(pa, pb + beta*b) is at least -mult*(pb + beta*w*y)^2/pa,
@@ -547,20 +550,29 @@ class _PrefixEvaluator:
         over the out-of-form wires is at the last one at or below the vertex
         -B/2A or the first one above it.  An in-form wire a*t + j steps to
         a*t - 1 below and a*t + d above, the nearest wires out of form (when
-        t = d, to -1 and q*t)."""
-        x, a_ctrl, w = self.messages[depth]
-        base, quads, _terms = self._built[depth] or self._group_outputs(depth)
-        den = lcm(*[pa for _m, pa, _pb, _beta in quads])
-        sa = sb = sc = 0
-        for m, pa, pb, beta in quads:
-            r, bw = m * (den // pa), beta * w
-            sa += r * bw * bw
-            sb += r * pb * bw
-            sc += r * pb * pb
+        t = d, to -1 and q*t).  The groups are built for message ``depth``'s
+        weight; another weight moves each group's pa by beta times the
+        difference, and den and the sums over the groups are held per weight."""
+        x, a_ctrl, w = self.messages[depth if m is None else m]
+        built = self._built[depth] or self._group_outputs(depth)
+        held = built[3].get(w)
+        if held is None:
+            quads, step = built[1], w - self.messages[depth][2]
+            if step:
+                quads = [(mult, pa + beta * step, pb, beta) for mult, pa, pb, beta in quads]
+            den = lcm(*[pa for _m, pa, _pb, _beta in quads])
+            sa = sb = sc = 0
+            for mult, pa, pb, beta in quads:
+                r, bw = mult * (den // pa), beta * w
+                sa += r * bw * bw
+                sb += r * pb * bw
+                sc += r * pb * pb
+            held = built[3][w] = den, sa, sb, sc
+        den, sa, sb, sc = held
         du = self.damp_unit
         big_a = den * (a_ctrl + du * self.beta_total * w) - du * sa
         big_b = -2 * (den * a_ctrl * x + du * sb)
-        big_c = den * (self.ctrl + a_ctrl * x * x + du * base) - du * sc
+        big_c = den * (self.ctrl + a_ctrl * x * x + du * built[0]) - du * sc
         t, d, qt = self.t, self.d, self.qt
         lo, hi = x - self.window, x + self.window
         vertex = -big_b // (2 * big_a)
@@ -579,7 +591,7 @@ class _PrefixEvaluator:
         return num, den
 
     def _group_outputs(self, depth: int) -> list:
-        """[base, quads, None] for the current prefix's out-of-form children,
+        """[base, quads, None, {}] for the current prefix's out-of-form children,
         built and held for ``depth``: a child of moments (a, b, c) has
         damping base + beta_total*c plus, over the quad (mult, pa, pb, beta)
         of each group of outputs, mult*_least(pa, pb + beta*b).
@@ -589,7 +601,8 @@ class _PrefixEvaluator:
         the sum of their beta_o: beta_total less the owners' row sums plus
         each shared output's beta_o, counted in both rows).  A group's
         moments include the out-of-form mass and the weight of a child at
-        this depth; ``score`` fills in the term list on the first child."""
+        this depth; ``score`` fills in the term list on the first child, and
+        ``out_of_form_bound`` its sums per weight."""
         oa, ob, oc = self.out
         oa += self.messages[depth][2]
         owned, mask = self.owned, self.mask
@@ -617,7 +630,7 @@ class _PrefixEvaluator:
         if rest:
             quads.append((rest, oa, ob, 1))
             base += rest * oc
-        built = self._built[depth] = [base, quads, None]
+        built = self._built[depth] = [base, quads, None, {}]
         return built
 
 
@@ -648,10 +661,17 @@ def search_deterministic(
     passed over unscored, and each run of them between two in-form children
     is counted with one addition, checked against the budget as a whole;
     otherwise each is scored.  The same prefixes are expanded in the same
-    order.  A depth holds its children as its in-form values and the runs
-    between them, no more than 2*q*d + 1 entries whatever the window, and
-    the budget stops the search within its first ``node_budget`` values at
-    every depth, so a huge window with a small budget costs O(node_budget).
+    order.  A prefix's cost only grows as messages are added, in any order,
+    and an incumbent only falls, so the bound on a later message's
+    out-of-form values, taken as the next child, holds at every extension
+    of the prefix.  A node asks once, at its first child expanded with an
+    incumbent, whether its bound rules out those of every later message
+    with any in the window; if so, its whole subtree counts its runs in one
+    step and never asks.  A depth holds its children as its in-form values
+    and the runs between them, no more than 2*q*d + 1 entries whatever the
+    window, and the budget stops the search within its first
+    ``node_budget`` values at every depth, so a huge window with a small
+    budget costs O(node_budget).
 
     ``candidates_evaluated`` counts the prefixes scored or ruled out by the
     group bound, child by child; if ``node_budget`` of them runs out the
@@ -685,17 +705,36 @@ def search_deterministic(
                 row.append((_value_at(pos), 0))
             at = pos + 1
         entries.append(row)
+    # per depth, the later messages that have out-of-form values in the window
+    later = [
+        [m for m in range(depth + 1, n) if len(entries[m]) > len(evaluator.columns[m])]
+        for depth in range(n)
+    ]
     # with no budget, past the number of prefixes there are
     limit = node_budget if node_budget is not None else (end + 1) ** n
     best_cost, best_vals = None, None
     nodes = 0
 
-    def descend(prefix: tuple, prefix_cost: int) -> bool:
+    def clears(depth: int) -> bool:
+        """Whether the group bound on the current prefix, the first ``depth``
+        messages, rules out the out-of-form values of every later message."""
+        for m in later[depth]:
+            num, den = bound(depth, m)
+            if num <= best_cost * den:
+                return False
+        return True
+
+    def descend(prefix: tuple, prefix_cost: int, cleared: Optional[bool]) -> bool:
         """Search every completion of ``prefix``, the evaluator's current
-        prefix; False once the budget is out."""
+        prefix, ``cleared`` when an ancestor's bound ruled out the out-of-form
+        values of its message and every later one; False once the budget is
+        out."""
         nonlocal nodes
         depth = len(prefix)
-        ruled_out = None  # asked once, at the first out-of-form child
+        ruled_out = cleared or None  # asked once, at the first out-of-form child
+        # the same for the later messages, asked once, at the first child
+        # expanded with an incumbent, and never below the last depth
+        below = cleared or (None if depth + 1 < n else False)
         for v, run in entries[depth]:
             if nodes >= limit:
                 return False
@@ -712,8 +751,11 @@ def search_deterministic(
                         return False
                     continue
             cost = score(depth, v, prefix_cost)
-            if (best_cost is None or cost <= best_cost) and not expand(prefix, v, cost):
-                return False
+            if best_cost is None or cost <= best_cost:
+                if below is None and best_cost is not None:
+                    below = clears(depth)
+                if not expand(prefix, v, cost, below):
+                    return False
             if run > 1:
                 # the rest of a run the bound let through, child by child
                 at = _position_of(v)
@@ -723,27 +765,31 @@ def search_deterministic(
                     nodes += 1
                     v = _value_at(pos)
                     cost = score(depth, v, prefix_cost)
-                    if cost <= best_cost and not expand(prefix, v, cost):
-                        return False
+                    if cost <= best_cost:
+                        if below is None:
+                            below = clears(depth)
+                        if not expand(prefix, v, cost, below):
+                            return False
         return True
 
-    def expand(prefix: tuple, v: int, cost: int) -> bool:
+    def expand(prefix: tuple, v: int, cost: int, cleared: Optional[bool]) -> bool:
         """Take the child ``prefix + (v,)`` of scaled cost ``cost``, which is
-        not pruned: search its completions, or keep it if it is a complete
-        table the incumbent does not beat; False once the budget is out."""
+        not pruned: search its completions, ``cleared`` as in ``descend``, or
+        keep it if it is a complete table the incumbent does not beat; False
+        once the budget is out."""
         nonlocal best_cost, best_vals
         values = prefix + (v,)
         depth = len(prefix)
         if depth + 1 < n:
             shift(depth, v, 1)
-            if not descend(values, cost):
+            if not descend(values, cost, cleared):
                 return False
             shift(depth, v, -1)
         elif best_cost is None or cost < best_cost or values < best_vals:
             best_cost, best_vals = cost, values
         return True
 
-    complete = descend((), 0)
+    complete = descend((), 0, False)
     c1 = {x: v for (_m, x), v in zip(support, best_vals)}
     strategy = DeterministicStrategy(c1=c1, c2=optimal_c2_for_c1(inst, c1))
     report = evaluate_deterministic(inst, strategy)

@@ -175,6 +175,9 @@ class Vector:
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Vector is immutable")
+
     @property
     def dim(self) -> int:
         return len(self.re)

@@ -61,6 +61,9 @@ class KSBasisSet:
     def __setattr__(self, name, value):
         raise AttributeError("KSBasisSet is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("KSBasisSet is immutable")
+
 
 class BasisSetError(ValueError):
     """The first orthonormality violation of a basis set, in basis order."""

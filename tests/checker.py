@@ -203,9 +203,10 @@ class Instance:
 
     def relaxed_cost(self, values):
         """``cost`` with each c2 taken over the reals, not the integers: an
-        output of moments (a, b, c) then costs c - b^2/a."""
-        c1 = {x: v for (_m, x), v in zip(self._support, values)}
-        control = sum(self.weight[m] * v * v for (m, _x), v in zip(self._support, values))
+        output of moments (a, b, c) then costs c - b^2/a.  A value of None
+        leaves its message out."""
+        c1 = {x: v for (_m, x), v in zip(self._support, values) if v is not None}
+        control = sum(self.weight[m] * c1[x] ** 2 for m, x in self._support if x in c1)
         damping = sum(Fraction(a * c - b * b, a) for a, b, c in self._moments(c1).values())
         return (self.k * control * self.unit + damping) / self.scale
 

@@ -525,7 +525,7 @@ def test_mains_one_parser_answers_as_a_fresh_full_parser(capsys):
     time the namespace, or the exit code and output, of a fresh parser."""
     parser = _main_parser()
     examples = _argv_examples()
-    assert len(examples) == 33
+    assert len(examples) == 35
     for argv in examples + PARSER_EXITS + examples:
         expected = _parse(build_parser(), argv, capsys)
         assert isinstance(expected[0], dict) == (argv in examples), argv

@@ -648,9 +648,11 @@ def test_search_scores_every_child_at_the_checkers_cost(
     # the winner right; record every child it scores, with the prefix the
     # evaluator holds, and score each one again on the checker.  A child of
     # a node the search enters that it does not score is ruled out by the
-    # group bound: it must be out of form, its node must have asked for the
-    # bound, and it must cost more on the checker than the incumbent then,
-    # the least checker cost of a full table scored so far.  At t = 5 every
+    # group bound: it must be out of form, and its node, or an ancestor whose
+    # subtree check asked for the node's message, must have asked for the
+    # bound when the child cost more on the checker than the incumbent, the
+    # least checker cost of a full table scored so far; some are ruled out
+    # by an ancestor's ask alone.  At t = 5 every
     # fifth wire is out of form, and with W = 2 out-of-form children meet
     # nodes whose owners share outputs (the bound rules those out) and the
     # root (the bound lets those through to be scored); at t = 4, W = 5 and
@@ -675,17 +677,18 @@ def test_search_scores_every_child_at_the_checkers_cost(
         scored.append(((*prefix, v), self.to_fraction(got)))
         return got
 
-    def recorded_bound(self, depth):
-        assert depth == len(prefix) and tuple(prefix) not in asked
+    def recorded_bound(self, depth, m=None):
+        m = depth if m is None else m
+        assert depth == len(prefix) and (tuple(prefix), m) not in asked
         full = [cost for values, cost in scored if len(values) == len(self.messages)]
-        asked[tuple(prefix)] = min(full)
-        return bound(self, depth)
+        asked[tuple(prefix), m] = min(full)
+        return bound(self, depth, m)
 
     monkeypatch.setattr(_PrefixEvaluator, "shift", tracked_shift)
     monkeypatch.setattr(_PrefixEvaluator, "score", recorded_score)
     monkeypatch.setattr(_PrefixEvaluator, "out_of_form_bound", recorded_bound)
     neighbours = tables[kind].neighbours
-    shares = joins = outside = ruled_out = longest = 0
+    shares = joins = outside = ruled_out = longest = covered = 0
     for t, window, k in [(5, 2, Fraction(1, 1000)), (4, 5, Fraction(1, 10)), (9, 5, Fraction(1))]:
         inst = make_instance(bundled, t, k, channel=channels[kind])
         oracle = Instance(tables[kind], t, k)
@@ -706,8 +709,16 @@ def test_search_scores_every_child_at_the_checkers_cost(
                 if v in children.get(node, ()):
                     run = 0
                     continue
-                assert oracle.input_of(x + v) is None and node in asked, (node, v)
-                assert oracle.cost((*node, v)) > asked[node], (node, v)
+                assert oracle.input_of(x + v) is None, (node, v)
+                # asked at the node, or at an ancestor whose subtree check
+                # covered the node's message
+                cover = [
+                    asked[node[:at], len(node)]
+                    for at in range(len(node) + 1)
+                    if (node[:at], len(node)) in asked
+                ]
+                assert any(oracle.cost((*node, v)) > best for best in cover), (node, v)
+                covered += (node, len(node)) not in asked
                 skipped.append((*node, v))
                 run += 1
                 longest = max(longest, run)
@@ -722,7 +733,7 @@ def test_search_scores_every_child_at_the_checkers_cost(
                 outside += values not in skipped
             elif child in owners:
                 joins += any(n in owners for n in neighbours[child])
-    assert shares and joins and outside and ruled_out and longest >= 4
+    assert shares and joins and outside and ruled_out and longest >= 4 and covered
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -734,10 +745,12 @@ def test_group_bound_is_the_least_relaxed_cost_of_the_out_of_form_children(
     # c2 over the reals, on the checker, over the depth's out-of-form
     # children, whichever side of the vertex that least value is on.  Random
     # prefixes put wires in and out of form, so owners that share outputs
-    # meet with and without out-of-form mass
-    rng = random.Random(7220)
+    # meet with and without out-of-form mass.  The same holds for a later
+    # message's out-of-form values taken as the next child, the messages
+    # between left out, on the weight of the depth's own message or another
+    rng, pick = random.Random(7220), random.Random(7221)
     neighbours = tables[kind].neighbours
-    sides, shares = set(), 0
+    sides, shares, weights = set(), 0, set()
     for t, k, p_m, window in [
         (4, Fraction(1), UNIFORM, 5),
         (5, Fraction(7, 3), SKEWED4, 4),
@@ -766,10 +779,22 @@ def test_group_bound_is_the_least_relaxed_cost_of_the_out_of_form_children(
                 assert bound == min(relaxed.values()), (t, values)
                 least = min(relaxed, key=relaxed.get)
                 sides.add((least > min(outside), least < max(outside)))
+            later = {
+                m: [v for v in range(-window, window + 1) if oracle.input_of(x + v) is None]
+                for m, (_m, x) in enumerate(support[depth + 1:], depth + 1)
+            }
+            if any(later.values()) and not pick.randrange(8):  # one prefix in eight
+                m = pick.choice([m for m, outside in later.items() if outside])
+                gap = (None,) * (m - depth)
+                relaxed = [oracle.relaxed_cost((*values, *gap, v)) for v in later[m]]
+                num, den = evaluator.out_of_form_bound(depth, m)
+                assert Fraction(num, den * evaluator.scale_den) == min(relaxed), (t, values, m)
+                weights.add(inst.p_m[support[m][0]] == inst.p_m[support[depth][0]])
             for at in reversed(range(depth)):
                 evaluator.shift(at, values[at], -1)
     # least values inside the range of out-of-form wires, and at either end
     assert {(True, True), (True, False), (False, True)} <= sides and shares
+    assert weights == {True, False}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -797,7 +822,9 @@ def test_seeded_searches_visit_the_nodes_of_a_plain_dfs(bundled, channels, table
     # these the group bound equals the incumbent at a node, and an
     # out-of-form child that costs exactly the incumbent must still be
     # expanded, as at t = 5, k = 1, W = 1 on the asymmetric channel with
-    # p = (0, 3/11, 2/11, 3/11, 0, 3/11)
+    # p = (0, 3/11, 2/11, 3/11, 0, 3/11).  Twenty more draw five or six
+    # messages of distinct weights and W <= 2, so a node's subtree check
+    # spans up to five later messages, most of a weight not its own
     cabello = load_basis_set(CABELLO_SET)
     sets = {kind: (bundled, channels[kind], tables[kind]) for kind in KINDS}
     sets["cabello"] = (cabello, build_ks_channel(cabello), Channel.from_rays(CABELLO_SET))
@@ -813,6 +840,16 @@ def test_seeded_searches_visit_the_nodes_of_a_plain_dfs(bundled, channels, table
         window = rng.randint(1, 4)
         budget = rng.choice([None, None, rng.randint(4, 300)])
         cases.append((kind, rng.randint(4, 9), k, weights, window, budget))
+    for _ in range(20):
+        kind = rng.choice(sorted(sets))
+        q = sets[kind][0].q
+        weights = [0] * q
+        chosen = rng.sample(range(q), rng.randint(5, 6))
+        for m, w in zip(chosen, rng.sample(range(1, 9), len(chosen))):
+            weights[m] = w
+        k = rng.choice([Fraction(1, 1000), Fraction(1, 10), Fraction(1), Fraction(7, 3), 10])
+        budget = rng.choice([None, None, rng.randint(6, 300)])
+        cases.append((kind, rng.randint(4, 9), k, weights, rng.randint(1, 2), budget))
     incomplete = 0
     for kind, t, k, weights, window, budget in cases:
         ks, channel, table = sets[kind]
@@ -1011,7 +1048,9 @@ def test_best_in_window_cost_non_decreasing_in_t(bundled, channel):
     assert all(a <= b for a, b in zip(costs, costs[1:]))
 
 
-def test_budgets_at_the_edges_of_the_runs_counted_in_one_step(bundled, channel, rays):
+def test_budgets_at_the_edges_of_the_runs_counted_in_one_step(
+    monkeypatch, bundled, channel, rays
+):
     # at t = 39, k = 1 and W = 12 a message's values past |v| = 3 are out of
     # form, 18 in a row, and the group bound rules most of them out, so the
     # search counts each such run with one addition.  A budget that ends at
@@ -1022,8 +1061,22 @@ def test_budgets_at_the_edges_of_the_runs_counted_in_one_step(bundled, channel, 
     # them, and a run is a stretch of out-of-form siblings in that order.
     # At t = 6, k = 10 and W = 10 the root rules out its own out-of-form
     # children, so the search ends on a counted run: every budget is tried
-    # there, and one of exactly the full count must leave the search complete
-    for t, k, window in [(39, 1, 12), (6, 10, 10)]:
+    # there, and one of exactly the full count must leave the search complete.
+    # At t = 39, k = 1/1000 and W = 3 each out-of-form value is a run of its
+    # own, tried at its edges too; below depth 1 most of those runs are in
+    # nodes that never ask for the bound, since a node's check ruled out the
+    # later messages' out-of-form values for its whole subtree
+    bound = _PrefixEvaluator.out_of_form_bound
+    asked = []  # the depth of each node that asks for the bound on its own message
+
+    def recorded_bound(self, depth, m=None):
+        if m is None:
+            asked.append(depth)
+        return bound(self, depth, m)
+
+    monkeypatch.setattr(_PrefixEvaluator, "out_of_form_bound", recorded_bound)
+    cases = [(39, 1, 12, 3), (6, 10, 10, 3), (39, Fraction(1, 1000), 3, 1)]
+    for t, k, window, shortest in cases:  # shortest: the least run length tried
         inst = make_instance(bundled, t, k, channel=channel)
         oracle = Instance(rays, t, k)
         costs = {}
@@ -1037,6 +1090,7 @@ def test_budgets_at_the_edges_of_the_runs_counted_in_one_step(bundled, channel, 
         # every budget when the search is small, else the edges of each run
         budgets = set(range(total + 2)) if total < 200 else {total - 1, total, total + 1}
         runs = start = 0
+        deep = set()  # the nodes below depth 1 with a run
         while start < total:
             end = start
             while (
@@ -1046,12 +1100,19 @@ def test_budgets_at_the_edges_of_the_runs_counted_in_one_step(bundled, channel, 
                 and visits[end + 1][:-1] == visits[start][:-1]
             ):
                 end += 1
-            if end - start >= 2:
+            if out_of_form(visits[start]) and end - start + 1 >= shortest:
                 # visits start .. end are counts start + 1 .. end + 1
                 runs += 1
                 budgets |= {start + 1, end, end + 1, end + 2}
+                if len(visits[start]) > 2:
+                    deep.add(visits[start][:-1])
             start = end + 1
-        assert runs and out_of_form(visits[-1])
+        assert runs and (shortest == 1 or out_of_form(visits[-1]))
+        if shortest == 1:
+            # each node asks at most once, so some nodes with a run never did
+            asked.clear()
+            search_deterministic(inst, window)
+            assert len(deep) > sum(depth > 1 for depth in asked)
         for budget in sorted(b for b in budgets if b >= len(inst.support())):
             res = search_deterministic(inst, window, node_budget=budget)
             expected = plain_dfs(oracle, window, budget, costs)

@@ -441,6 +441,17 @@ def test_vector_refuses_assignment(name):
     assert _held_is_fresh(v)
 
 
+@pytest.mark.parametrize("name", list(Vector.__slots__) + ["other"])
+def test_vector_refuses_deletion(name):
+    # a deleted slot would leave nsq, real or unit missing under the kernel
+    v = Vector((6, 0, -3), (3, 9, 0), 12, Fraction(2, 7))
+    held = tuple(getattr(v, slot) for slot in Vector.__slots__)
+    with pytest.raises(AttributeError, match="Vector is immutable"):
+        delattr(v, name)
+    assert tuple(getattr(v, slot) for slot in Vector.__slots__) == held
+    assert _held_is_fresh(v)
+
+
 def test_vector_stores_entries_in_lowest_terms():
     v = vector([Fraction(2, 4), ComplexFraction(Fraction(1, 3), -2), 0], scale=3)
     assert entries(v) == (

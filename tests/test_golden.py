@@ -13,7 +13,11 @@ with one vector multiplied by i.  The four ``-cabello`` cases read the
 18-ray, 9-basis set ``ks_9_4_cabello.json`` and were written by the source
 as it stood when the set was added.  ``certify-k1-bound1000.txt`` (t = 634,
 W = 78, 37 209 prefixes) was written by the search that scored every
-out-of-form child, before a group bound ruled most of them out.  Any change
+out-of-form child, before a group bound ruled most of them out.  The two
+``classical-search-t39-k1_1000-w3`` cases, on the bundled and the 18-ray
+set, were written by the search that asked for that bound at every node,
+before a node's check ruled out the later messages' out-of-form values for
+its whole subtree.  Any change
 to a report's bytes, or to a command's exit code, fails here; a deliberate
 report change must regenerate the file in the same commit.
 
@@ -108,6 +112,19 @@ CASES = (
     ("quantum-run-t39-cabello.txt", ["quantum-run", "--t", "39", "--ks-set", CABELLO_SET], 0),
     ("certify-bound7_2-cabello.txt", ["certify", "--bound", "7/2", "--ks-set", CABELLO_SET], 0),
     ("certify-k1-bound1000.txt", ["certify", "--k", "1", "--bound", "1000"], 0),
+    (
+        "classical-search-t39-k1_1000-w3.txt",
+        ["classical-search", "--t", "39", "--k", "1/1000", "--window", "3"],
+        0,
+    ),
+    (
+        "classical-search-t39-k1_1000-w3-cabello.txt",
+        [
+            "classical-search", "--t", "39", "--k", "1/1000", "--window", "3",
+            "--ks-set", CABELLO_SET,
+        ],
+        0,
+    ),
 )
 
 

@@ -12,7 +12,8 @@ Claims covered:
       property, with witnesses
     - the orthogonality table a set holds from its constructor equals a
       fresh one and the ComplexFraction sums, on valid and broken sets, and
-      the set refuses every assignment, so the table cannot go stale
+      the set refuses every assignment and deletion, so the table cannot go
+      stale
     - conjugation is an involution, fixes real bases, preserves overlaps
     - the JSON reader takes rational-string entries and a common denominator,
       and its integer path builds every vector equal to the from_components
@@ -257,6 +258,15 @@ def test_basis_set_refuses_assignment(name):
     with pytest.raises(AttributeError):
         setattr(ks, name, getattr(ks, name, None))
     assert ks.masks == before
+
+
+@pytest.mark.parametrize("name", list(KSBasisSet.__slots__) + ["other"])
+def test_basis_set_refuses_deletion(name):
+    ks = _mub_d2()
+    held = tuple(getattr(ks, slot) for slot in KSBasisSet.__slots__)
+    with pytest.raises(AttributeError, match="KSBasisSet is immutable"):
+        delattr(ks, name)
+    assert tuple(getattr(ks, slot) for slot in KSBasisSet.__slots__) == held
 
 
 def test_basis_set_holds_its_own_bases():

@@ -37,11 +37,11 @@ OPTIMIZED = (
 def test_the_gates_and_reports_hold_under_python_O():
     proc = run_python("-O", __file__)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # 33 tests in test_golden.py, 15 parser exits, the channel check, the
+    # 35 tests in test_golden.py, 15 parser exits, the channel check, the
     # search and ceiling gates, the decode gate's 2 cases and the encoder
     # probability and outcome gates' 4 each, so a renamed or deselected case
     # fails here
-    assert re.search(r"^61 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    assert re.search(r"^63 passed\b", proc.stdout, re.MULTILINE), proc.stdout
 
 
 if __name__ == "__main__":
