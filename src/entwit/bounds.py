@@ -1,17 +1,19 @@
 """Cost-bound implications, the strategy-to-code reduction, and certificates.
 
-If some strategy achieved cost at most M, its control outputs and final
-signals would be uniformly bounded: |c1| <= M_X = sqrt(M / (k * p_x_min)) and
-|z| <= M_Z = sqrt(M / p_z_min), with the minimum probabilities independent of
-the scale t.  Since c1 tables are integer-valued, every such strategy lies in
-the window floor(M_X); an exact in-window search whose minimum exceeds M
-therefore rules out every deterministic strategy, and finite mixtures with
-them.  The search is a branch and bound over c1 prefixes that prunes a prefix
-only when its exact partial cost, a lower bound on every completion, strictly
-exceeds the best complete table so far.  The certificate emitted here records
-exactly that chain, and also runs the reduction that powers it: any strategy
-whose decoder estimate -c2(s)/t always lands within 1/2 of the sent message
-would be a q-message zero-error code, which the channel cannot support.
+If some strategy achieved cost at most M, its control outputs would be bounded,
+|c1| <= M_X = sqrt(M / (k * p_x_min)), with p_x_min independent of the scale t
+(clause (b)); c1 tables are integer-valued, so every such strategy lies in the
+window floor(M_X), and an exact in-window search whose minimum exceeds M
+(clause (c)) rules out every deterministic strategy, and finite mixtures with
+them.  Soundness rests on (b) and (c) alone.  M_Z = sqrt(M / p_z_min) only
+picks t: p_z_min bounds the mass of in-form branches, and the uniform branch
+can go below it (``pzmin_lower_bound``).  The search is a branch and bound over
+c1 prefixes that prunes a prefix only when its exact partial cost, a lower
+bound on every completion, strictly exceeds the best complete table so far.
+The certificate emitted here records exactly that chain, and also runs the
+reduction that powers it: any strategy whose decoder estimate -c2(s)/t always
+lands within 1/2 of the sent message would be a q-message zero-error code,
+which the channel cannot support.
 """
 
 from __future__ import annotations

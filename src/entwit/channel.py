@@ -151,25 +151,24 @@ def independence_number(g: ConfusabilityGraph) -> tuple:
     for a, b in g.edges:
         adj[index[a]] |= 1 << index[b]
         adj[index[b]] |= 1 << index[a]
-    full = (1 << n) - 1
 
-    best_size = 0
-    best_mask = 0
-
-    def expand(cand: int, chosen: int, size: int) -> None:
-        nonlocal best_size, best_mask
-        if not cand:
+    best_size = best_mask = 0
+    stack = [((1 << n) - 1, 0, 0)]  # branches still to search: (candidates, chosen, size)
+    while stack:
+        cand, chosen, size = stack.pop()
+        # take the lowest candidate until none is left, each time keeping the
+        # branch that skips it for later
+        while cand:
+            if size + cand.bit_count() <= best_size:
+                break
+            bit = cand & -cand
+            stack.append((cand & ~bit, chosen, size))
+            cand &= ~(adj[bit.bit_length() - 1] | bit)
+            chosen |= bit
+            size += 1
+        else:
             if size > best_size:
                 best_size, best_mask = size, chosen
-            return
-        if size + cand.bit_count() <= best_size:
-            return
-        bit = cand & -cand
-        v = bit.bit_length() - 1
-        expand(cand & ~(adj[v] | bit), chosen | bit, size + 1)  # take v
-        expand(cand & ~bit, chosen, size)  # skip v
-
-    expand(full, 0, 0)
     witness = tuple(verts[i] for i in range(n) if best_mask >> i & 1)
     return best_size, witness
 

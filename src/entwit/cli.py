@@ -353,10 +353,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except RecursionError as exc:
-        # the traversal walk and the search recurse once per basis or message
-        print(f"error: too many bases for the depth-first walk ({exc})", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -641,7 +641,7 @@ def search_deterministic(
     node_budget: Optional[int] = None,
 ) -> SearchResult:
     """Exact minimum over c1 tables with entries in [-window, window], each
-    paired with its optimal c2, by depth-first branch and bound.
+    paired with its optimal c2, by depth-first branch and bound in one loop.
 
     Supported messages are assigned in order, values tried in (|v|, v) order.
     The exact cost of a prefix bounds every completion from below: the control
@@ -713,7 +713,7 @@ def search_deterministic(
     # with no budget, past the number of prefixes there are
     limit = node_budget if node_budget is not None else (end + 1) ** n
     best_cost, best_vals = None, None
-    nodes = 0
+    nodes, stopped = 0, False
 
     def clears(depth: int) -> bool:
         """Whether the group bound on the current prefix, the first ``depth``
@@ -724,72 +724,71 @@ def search_deterministic(
                 return False
         return True
 
-    def descend(prefix: tuple, prefix_cost: int, cleared: Optional[bool]) -> bool:
-        """Search every completion of ``prefix``, the evaluator's current
-        prefix, ``cleared`` when an ancestor's bound ruled out the out-of-form
-        values of its message and every later one; False once the budget is
-        out."""
-        nonlocal nodes
-        depth = len(prefix)
+    def children(depth: int, cleared: Optional[bool]):
+        """Yield, in order, the values of the current prefix's children that
+        are not ruled out, the prefix being the first ``depth`` messages and
+        ``cleared`` when an ancestor's bound ruled out the out-of-form values
+        of its message and every later one.  Every child is counted, a run
+        ruled out in one step; once the budget is out, set ``stopped``."""
+        nonlocal nodes, stopped
         ruled_out = cleared or None  # asked once, at the first out-of-form child
-        # the same for the later messages, asked once, at the first child
-        # expanded with an incumbent, and never below the last depth
-        below = cleared or (None if depth + 1 < n else False)
         for v, run in entries[depth]:
             if nodes >= limit:
-                return False
-            nodes += 1
-            if run:
-                if ruled_out is None:  # there is an incumbent by now
-                    num, den = bound(depth)
-                    ruled_out = num > best_cost * den
-                if ruled_out:
-                    # the rest of the run, counted in one step
-                    nodes += run - 1
-                    if nodes > limit:
-                        nodes = limit
-                        return False
-                    continue
+                stopped = True
+                return
+            if not run:
+                nodes += 1
+                yield v
+                continue
+            if ruled_out is None:  # there is an incumbent by now
+                num, den = bound(depth)
+                ruled_out = num > best_cost * den
+            if ruled_out:
+                nodes += run
+                if nodes > limit:
+                    nodes, stopped = limit, True
+                    return
+                continue
+            # a run the bound let through, child by child
+            at = _position_of(v)
+            for pos in range(at, at + run):
+                if nodes >= limit:
+                    stopped = True
+                    return
+                nodes += 1
+                yield _value_at(pos)
+
+    # the current node's depth, prefix cost and children, and ``below``:
+    # whether its bound rules out every later message's out-of-form values,
+    # asked at its first child expanded with an incumbent, never at the last
+    # depth; ``stack`` holds the same for each ancestor
+    depth, prefix_cost, kids, below = 0, 0, children(0, False), None if n > 1 else False
+    values, stack = [0] * n, []  # the current prefix, then the child taken
+    while True:
+        for v in kids:
             cost = score(depth, v, prefix_cost)
-            if best_cost is None or cost <= best_cost:
-                if below is None and best_cost is not None:
-                    below = clears(depth)
-                if not expand(prefix, v, cost, below):
-                    return False
-            if run > 1:
-                # the rest of a run the bound let through, child by child
-                at = _position_of(v)
-                for pos in range(at + 1, at + run):
-                    if nodes >= limit:
-                        return False
-                    nodes += 1
-                    v = _value_at(pos)
-                    cost = score(depth, v, prefix_cost)
-                    if cost <= best_cost:
-                        if below is None:
-                            below = clears(depth)
-                        if not expand(prefix, v, cost, below):
-                            return False
-        return True
-
-    def expand(prefix: tuple, v: int, cost: int, cleared: Optional[bool]) -> bool:
-        """Take the child ``prefix + (v,)`` of scaled cost ``cost``, which is
-        not pruned: search its completions, ``cleared`` as in ``descend``, or
-        keep it if it is a complete table the incumbent does not beat; False
-        once the budget is out."""
-        nonlocal best_cost, best_vals
-        values = prefix + (v,)
-        depth = len(prefix)
-        if depth + 1 < n:
+            if best_cost is not None and cost > best_cost:
+                continue
+            values[depth] = v
+            if depth + 1 == n:
+                table = tuple(values)
+                if best_cost is None or cost < best_cost or table < best_vals:
+                    best_cost, best_vals = cost, table
+                continue
+            if below is None and best_cost is not None:
+                below = clears(depth)
             shift(depth, v, 1)
-            if not descend(values, cost, cleared):
-                return False
-            shift(depth, v, -1)
-        elif best_cost is None or cost < best_cost or values < best_vals:
-            best_cost, best_vals = cost, values
-        return True
+            stack.append((prefix_cost, kids, below))
+            depth, prefix_cost, kids = depth + 1, cost, children(depth + 1, below)
+            below = below or (None if depth + 1 < n else False)
+            break
+        else:
+            if stopped or not stack:
+                break
+            depth -= 1
+            prefix_cost, kids, below = stack.pop()
+            shift(depth, values[depth], -1)
 
-    complete = descend((), 0, False)
     c1 = {x: v for (_m, x), v in zip(support, best_vals)}
     strategy = DeterministicStrategy(c1=c1, c2=optimal_c2_for_c1(inst, c1))
     report = evaluate_deterministic(inst, strategy)
@@ -802,6 +801,6 @@ def search_deterministic(
     return SearchResult(
         strategy=strategy,
         cost=report.total,
-        complete=complete,
+        complete=not stopped,
         candidates_evaluated=nodes,
     )

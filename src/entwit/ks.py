@@ -100,13 +100,13 @@ def validate_basis_set(ks: KSBasisSet) -> None:
 def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
     """Decide whether every one-per-basis traversal holds an orthogonal pair.
 
-    Walks the d^q traversals depth first in ``itertools.product`` order; a
-    prefix that already holds an orthogonal pair is not extended, and its
-    d^(q - len) completions are counted at once.  So ``traversals_checked``
-    is what a flat scan in that order counts: d^q when the property holds,
-    else the position of the first traversal with no orthogonal pair, which
-    is the witness.  Requires the set to validate first (orthogonality is
-    only meaningful between unit vectors); a violation raises ``BasisSetError``.
+    Walks the d^q traversals depth first, in ``itertools.product`` order and one
+    loop; a prefix that already holds an orthogonal pair is not extended, and its
+    d^(q - len) completions are counted at once.  So ``traversals_checked`` is
+    what a flat scan in that order counts: d^q when the property holds, else the
+    position of the first traversal with no orthogonal pair, which is the
+    witness.  Requires the set to validate first (orthogonality is only
+    meaningful between unit vectors); a violation raises ``BasisSetError``.
     """
     validate_basis_set(ks)
     q, d, masks = ks.q, ks.d, ks.masks
@@ -114,22 +114,25 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
     levels = [[(j, masks[m * d + j], 1 << m * d + j) for j in range(d)] for m in range(q)]
     weight = [d ** (q - m - 1) for m in range(q)]
     checked = 0
-
-    def walk(m: int, chosen: int) -> Optional[list]:  # the witness from m on, reversed
-        nonlocal checked
-        for j, mask, bit in levels[m]:
+    # per basis above the current one: its vectors left, the bits before it, its choice
+    rests, chosens, path = [None] * q, [0] * q, [0] * q
+    m, chosen, rest = 0, 0, iter(levels[0])
+    while True:
+        for j, mask, bit in rest:
             if mask & chosen:
                 checked += weight[m]
             elif m + 1 == q:
-                checked += 1
-                return [(m, j)]
-            elif (found := walk(m + 1, chosen | bit)) is not None:
-                found.append((m, j))
-                return found
-        return None
-
-    witness = walk(0, 0)
-    return KSCheckResult(witness is None, checked, witness and tuple(reversed(witness)))
+                path[m] = j
+                return KSCheckResult(False, checked + 1, tuple(enumerate(path)))
+            else:
+                rests[m], chosens[m], path[m] = rest, chosen, j
+                m, chosen, rest = m + 1, chosen | bit, iter(levels[m + 1])
+                break
+        else:
+            if not m:
+                return KSCheckResult(True, checked, None)
+            m -= 1
+            rest, chosen = rests[m], chosens[m]
 
 
 # -- file format ---------------------------------------------------------
@@ -194,7 +197,8 @@ def load_basis_set(path) -> KSBasisSet:
             return basis_set_from_json_dict(json.load(fh))
         except KeyError as exc:
             raise ValueError(f"malformed basis set {path}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:  # not JSON, a float, a wrong shape
+        # not JSON or nested past the parser's recursion limit, a float, a wrong shape
+        except (TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"malformed basis set {path}: {exc}") from exc
 
 

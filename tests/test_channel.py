@@ -239,9 +239,11 @@ def test_code_rejects_an_encoder_that_misses_a_message():
 
 
 def test_independence_number_edgeless():
-    size, witness = independence_number(_plain_graph(7, []))
-    assert size == 7
-    assert len(witness) == 7
+    # 3000 vertices take one after another, deeper than the recursion limit
+    for n in (7, 3000):
+        size, witness = independence_number(_plain_graph(n, []))
+        assert size == n
+        assert len(witness) == n
 
 
 def test_independence_number_complete():
