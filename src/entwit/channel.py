@@ -42,9 +42,11 @@ class FiniteChannel(NamedTuple):
 
     def validate(self) -> None:
         """Check every row: nonempty, each output a pair (a, b) with a < b
-        holding the row's own input, and every probability of numerator 1
-        and denominator len(row), so the row sums to exactly 1 unsummed; the
-        probability object checked last in the row is not checked again."""
+        holding the row's own input and another channel input, and every
+        probability of numerator 1 and denominator len(row), so the row sums
+        to exactly 1 unsummed; the probability object checked last in the
+        row is not checked again."""
+        known = set(self.inputs)
         for i in self.inputs:
             row = self.rows[i]
             if not row:
@@ -53,8 +55,11 @@ class FiniteChannel(NamedTuple):
             for (a, b), p in row.items():
                 if not a < b:
                     raise ValueError(f"output {(a, b)} is not two distinct inputs in order")
-                if a != i and b != i:
-                    raise ValueError(f"positive output {(a, b)} does not contain input {i}")
+                # the endpoint other than i must be an input; None if i is neither
+                if (b if a == i else a if b == i else None) not in known:
+                    if i not in (a, b):
+                        raise ValueError(f"positive output {(a, b)} does not contain input {i}")
+                    raise ValueError(f"output {(a, b)} holds {a if b == i else b}, not an input")
                 if p is not uniform:
                     if type(p) is not Fraction or p.numerator != 1 or p.denominator != n:
                         raise ValueError(f"row for {i} is not uniform over its support")
@@ -88,17 +93,18 @@ def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
             f"basis set lacks the one-per-basis orthogonality property; "
             f"witness traversal {check.witness}"
         )
-    # row a is uniform over the set bits b of its held orthogonality mask,
-    # ids a = m*d + j in grid order
+    # each output (a, b), a < b, of the masks is built once into both rows
     ids = tuple(ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d))
-    rows = {}
+    outs = [[] for _ in ids]
     for a, (i, mask) in enumerate(zip(ids, ks.masks)):
-        p, row = Fraction(1, mask.bit_count()), {}
+        mask >>= a + 1
         while mask:  # lowest set bit first
-            b = (mask & -mask).bit_length() - 1
-            row[(i, ids[b]) if a < b else (ids[b], i)] = p
+            b = a + (mask & -mask).bit_length()
+            outs[a].append(o := (i, ids[b]))
+            outs[b].append(o)
             mask &= mask - 1
-        rows[i] = row
+    uniform = {n: Fraction(1, n) for n in set(map(len, outs))}  # one per row degree
+    rows = {i: dict.fromkeys(row, uniform[len(row)]) for i, row in zip(ids, outs)}
     ch = FiniteChannel(inputs=ids, rows=rows)
     ch.validate()
     return ch

@@ -117,13 +117,13 @@ def make_instance(
     k = as_fraction(k)
     if k <= 0:
         raise ValueError(f"action price k must be positive, got {k}")
+    grid = tuple(map(divmod, range(ks.q * ks.d), [ks.d] * (ks.q * ks.d)))  # (m, j) in order
     if channel is None:
-        channel = build_ks_channel(ks)  # validated where it is built
+        channel = build_ks_channel(ks)  # validated where it is built, on the grid
+    elif channel.inputs != grid and tuple(sorted(channel.inputs)) != grid:
+        raise ValueError("channel inputs do not form the full (m, j) grid")
     else:
         channel.validate()  # the search's row table assumes uniform rows
-    grid = tuple(ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d))
-    if channel.inputs != grid and tuple(sorted(channel.inputs)) != grid:
-        raise ValueError("channel inputs do not form the full (m, j) grid")
     if t < ks.d:
         raise ValueError(f"encoder scale t={t} must be at least d={ks.d}")
     if p_m is None:  # uniform, correct by construction

@@ -93,9 +93,10 @@ def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
     q, d = ks.q, ks.d
     if not (0 <= m1 < q and 0 <= m2 < q and 0 <= j1 < d and 0 <= j2 < d):
         raise ValueError(f"output {s} names a vector outside [0, {q}) x [0, {d})")
-    if not ks.masks[m1 * d + j1] >> (m2 * d + j2) & 1:
+    a, b = m1 * d + j1, m2 * d + j2
+    if not ks.masks[a] >> b & 1:
         raise ValueError(f"candidates {s} are not orthogonal")
-    cand1, cand2 = ks.bases[m1][j1], ks.bases[m2][j2]
+    cand1, cand2 = ks.vectors[a], ks.vectors[b]
     if not (cand1.unit and cand2.unit):
         raise ValueError(f"candidates {s} are not unit vectors")
     # the two squared overlaps |<residual|cand>|^2 over the numerators'

@@ -9,21 +9,19 @@ with no tolerances; a Fraction is formed only from the final sums.  Floats
 never enter.
 
 Whether a vector is real, its integer squared norm and whether it is a
-unit vector are decided in its one constructor and held.  Each inner
-product reads the held ``real`` flags of its vectors, and only this module
-does: a real pair sums its integer products directly, and any other goes
-through the Gaussian-integer kernel ``_gauss_dot``, which takes one vector
-against a row of others in one call.  The three callers are
-``orthogonality_masks`` (a basis set's pairs, decided once in the
-``KSBasisSet`` constructor), ``measure_first_subsystem`` and
-``overlap_sq_numerators`` (the decoder's two squared overlaps).
+unit vector are decided in its one constructor and held; only this module
+reads the ``real`` flags.  ``orthogonality_masks`` decides all of a basis
+set's pairs in whole-set integer passes, once, in the ``KSBasisSet``
+constructor.  ``measure_first_subsystem`` and ``overlap_sq_numerators`` (the
+decoder's two squared overlaps) sum a real pair's integer products directly
+and send any other through the Gaussian-integer kernel ``_gauss_dot``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import lshift, mul, neg
 from typing import NamedTuple, Sequence
 
 
@@ -81,26 +79,34 @@ def _check_dims(rows, dim: int) -> None:
 
 
 def orthogonality_masks(vectors: Sequence["Vector"]) -> list:
-    """Per vector, the bitmask of the others orthogonal to it.  When every
-    vector is real, each pair sums its integer products directly; otherwise
-    it is one kernel call per vector, against the vectors after it."""
+    """Per vector, the bitmask of the others orthogonal to it.  Entry k of
+    every vector is packed into one integer, a signed field per vector, so a
+    vector's entries times these columns hold its dot product with every
+    vector, one per field, offset so none borrows from the next.  A complex
+    set takes <a|b> as two real dots, (a.re, a.im) with (b.re, b.im) and with
+    (b.im, -b.re); a pair is orthogonal when both are 0."""
     n = len(vectors)
-    masks = [0] * n
-    if vectors and all(v.real for v in vectors):
-        rows = [v.re for v in vectors]
-        _check_dims(rows, len(rows[0]))
-        for a, ra in enumerate(rows):
-            for b in range(a + 1, n):
-                if not sum(map(mul, ra, rows[b])):
-                    masks[a] |= 1 << b
-                    masks[b] |= 1 << a
-        return masks
-    for a, va in enumerate(vectors):
-        for b, dot in enumerate(_gauss_dot(va, vectors[a + 1:]), a + 1):
-            if dot == (0, 0):
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-    return masks
+    if not n:
+        return []
+    rights = [[v.re for v in vectors]]
+    _check_dims(rights[0], len(rights[0][0]))
+    if not all(v.real for v in vectors):
+        rights = [[v.re + v.im for v in vectors], [v.im + tuple(map(neg, v.re)) for v in vectors]]
+    left = rights[0]
+    # |dot| is at most the largest squared norm, so below 2^(width - 2)
+    width = max([sum(map(mul, row, row)) for row in left]).bit_length() + 2
+    bits = n * width
+    ones = ((1 << bits) - 1) // ((1 << width) - 1)
+    # a field holds dot + half; xor half, then add fill: its top bit is set iff
+    # dot != 0, and fill's leading 1 fixes the text's length
+    half, fill = (1 << width - 2) * ones, ((1 << width - 1) - 1) * ones + (1 << bits)
+    nonzero = [0] * n
+    for right in rights:
+        cols = [sum(map(lshift, col, range(0, bits, width))) for col in zip(*right)]
+        for a, row in enumerate(left):
+            nonzero[a] |= int(bin((sum(map(mul, row, cols)) + half ^ half) + fill)[3::width], 2)
+    full = (1 << n) - 1
+    return [full ^ (nz | 1 << a) for a, nz in enumerate(nonzero)]
 
 
 def overlap_sq_numerators(v: "Vector", a: "Vector", b: "Vector") -> tuple:

@@ -4,10 +4,12 @@ A basis set here is q orthonormal bases of C^d.  The property that drives the
 whole channel construction: every traversal that picks one vector from each
 basis contains at least one orthogonal pair.  ``verify_ks_property`` decides
 this for all d^q minimal traversals (any superset of a traversal inherits
-the property, so minimal traversals suffice).  Orthogonality is decided once,
-in the ``KSBasisSet`` constructor, and unit norm in the ``Vector`` one;
-validation, the traversal walk, the channel build and the decoder read those
-held answers and compute no basis-pair inner product.
+the property, so minimal traversals suffice).  The ``KSBasisSet``
+constructor decides every pair's orthogonality in whole-set integer passes
+and finds the first orthonormality violation, once, from the unit norm the
+``Vector`` constructor held; validation, the traversal walk, the channel
+build and the decoder read those held answers and compute no basis-pair
+inner product.
 
 The bundled instance is the classic set of 24 real rays in C^4 (components in
 {0, +-1}) partitioned into six orthonormal bases; it ships as data under
@@ -29,10 +31,11 @@ _BUNDLED_SET = resources.files("entwit.data").joinpath(BUNDLED_SET_RESOURCE)
 
 
 class KSBasisSet:
-    """q orthonormal bases of C^d; ``bases[m][j]`` is vector j of basis m.  Bit
-    b of ``masks[m*d + j]`` is set iff (m, j) is orthogonal to vector b."""
+    """q orthonormal bases of C^d; ``bases[m][j]`` is vector j of basis m, as is
+    ``vectors[m*d + j]``.  Bit b of ``masks[m*d + j]`` is set iff (m, j) is
+    orthogonal to vector b; ``violation`` is what ``validate_basis_set`` raises."""
 
-    __slots__ = ("q", "d", "bases", "label", "masks")
+    __slots__ = ("q", "d", "bases", "label", "vectors", "masks", "violation")
 
     def __init__(self, *, q: int, d: int, bases: tuple, label: str = ""):
         if q < 1:
@@ -56,7 +59,9 @@ class KSBasisSet:
         put(self, "d", d)
         put(self, "bases", bases)
         put(self, "label", label)
-        put(self, "masks", tuple(orthogonality_masks([v for b in bases for v in b])))
+        put(self, "vectors", vectors := tuple(v for b in bases for v in b))
+        put(self, "masks", masks := tuple(orthogonality_masks(vectors)))
+        put(self, "violation", _first_violation(d, vectors, masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("KSBasisSet is immutable")
@@ -81,20 +86,26 @@ class KSCheckResult(NamedTuple):
     witness: Optional[tuple]  # traversal (m, j) pairs with no orthogonal pair
 
 
+def _first_violation(d: int, vectors: tuple, masks: tuple) -> Optional[tuple]:
+    """(m, pair, detail) of the first non-unit vector or non-orthogonal pair of
+    a basis, taking bases, then vectors, then partners in order, or None."""
+    for a, v in enumerate(vectors):
+        m, j = divmod(a, d)
+        if not v.unit:
+            return m, (j, j), f"vector {j} has squared norm {v.norm_sq()}"
+        # partners j + 1 .. d - 1 of this basis that are not orthogonal
+        missing = ~masks[a] >> a + 1 & (1 << d - j - 1) - 1
+        if missing:
+            j2 = j + (missing & -missing).bit_length()
+            return m, (j, j2), f"vectors {j} and {j2} are not orthogonal"
+    return None
+
+
 def validate_basis_set(ks: KSBasisSet) -> None:
     """Check that every basis is orthonormal; raise ``BasisSetError`` at the
-    first violation, taking bases, then vectors, then partners in order;
-    reads the held ``v.unit`` and the within-basis bits of ``ks.masks``."""
-    d, masks = ks.d, ks.masks
-    for m, basis in enumerate(ks.bases):
-        for j, v in enumerate(basis):
-            if not v.unit:
-                raise BasisSetError(m, (j, j), f"vector {j} has squared norm {v.norm_sq()}")
-            # partners j + 1 .. d - 1 of this basis that are not orthogonal
-            missing = ((1 << (d - j - 1)) - 1) << (m * d + j + 1) & ~masks[m * d + j]
-            if missing:
-                j2 = (missing & -missing).bit_length() - 1 - m * d
-                raise BasisSetError(m, (j, j2), f"vectors {j} and {j2} are not orthogonal")
+    first violation, as the set's constructor found and held it."""
+    if ks.violation is not None:
+        raise BasisSetError(*ks.violation)
 
 
 def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:

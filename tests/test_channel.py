@@ -106,8 +106,12 @@ def test_empty_neighbor_set_is_structural_error():
 
 
 def _row_channel(row):
+    # row (0, 0) under test; each other input it names is an input too, with
+    # the valid row {((0, 0), x): 1}, so only row (0, 0) can fail
     a = ChannelInput(0, 0)
-    return FiniteChannel(inputs=(a,), rows={a: row})
+    others = sorted({x for o in row for x in o} - {a})
+    rows = {a: row, **{x: {(a, x): Fraction(1)} for x in others}}
+    return FiniteChannel(inputs=(a, *others), rows=rows)
 
 
 A00, A10, A11 = ChannelInput(0, 0), ChannelInput(1, 0), ChannelInput(1, 1)
@@ -176,10 +180,11 @@ def test_output_pair_canonical():
 
 
 def _identity_like():
-    # disjoint outputs per input: no two inputs share anything
+    # disjoint outputs per input: each input pairs with the next around a
+    # cycle, so no two inputs share anything
     a, b = ChannelInput(0, 0), ChannelInput(0, 1)
     fill1, fill2 = ChannelInput(9, 0), ChannelInput(9, 1)
-    return from_neighbor_sets({a: [fill1], b: [fill2]})
+    return from_neighbor_sets({a: [fill1], fill1: [b], b: [fill2], fill2: [a]})
 
 
 def _common_output():

@@ -148,16 +148,17 @@ def test_nonpositive_k_rejected(bundled, channel):
 
 def test_channel_off_the_grid_rejected(bundled, channel):
     # the bundled channel less input (5, 3): rows still name it, but it has
-    # no row of its own, so the encoder's grid is not covered
-    nbrs = {i: neighbors(channel, i) for i in channel.inputs}
-    missing = dict(nbrs)
-    del missing[ChannelInput(5, 3)]
+    # no row of its own, so the encoder's grid is not covered (validate
+    # refuses it too, so it is built unvalidated)
+    kept = channel.inputs[:-1]
+    assert channel.inputs[-1] == ChannelInput(5, 3)
+    missing = FiniteChannel(inputs=kept, rows={i: channel.rows[i] for i in kept})
     # ... and with one input beyond the grid, paired with (0, 0) both ways
+    nbrs = {i: neighbors(channel, i) for i in channel.inputs}
     extra = dict(nbrs)
     extra[ChannelInput(6, 0)] = [ChannelInput(0, 0)]
     extra[ChannelInput(0, 0)] = nbrs[ChannelInput(0, 0)] + (ChannelInput(6, 0),)
-    for rows in (missing, extra):
-        ch = from_neighbor_sets(rows)
+    for ch in (missing, from_neighbor_sets(extra)):
         with pytest.raises(ValueError, match=r"\(m, j\) grid"):
             make_instance(bundled, 4, 1, channel=ch)
 
@@ -177,6 +178,22 @@ def test_channel_with_a_row_that_is_not_uniform_rejected(bundled, channel):
     with pytest.raises(ValueError, match="not uniform"):
         make_instance(bundled, 39, 1, channel=skewed)
     make_instance(bundled, 39, 1, channel=channel)  # the bundled one still passes
+
+
+@pytest.mark.parametrize("other", [(99, 0), (0, 4)], ids=["past-the-grid", "j-equals-d"])
+def test_channel_with_an_output_off_the_inputs_rejected(bundled, channel, other):
+    # one output of row (0, 0) swapped for one whose other endpoint is no
+    # channel input: (99, 0) past the grid, or (0, 4) with j = d; the
+    # search's row table would index that endpoint and fail
+    rows = dict(channel.rows)
+    row = dict(rows[ChannelInput(0, 0)])
+    p = row.pop(list(row)[0])
+    row[(ChannelInput(0, 0), ChannelInput(*other))] = p
+    rows[ChannelInput(0, 0)] = row
+    off = FiniteChannel(inputs=channel.inputs, rows=rows)
+    message = r"holds ChannelInput\(m=%d, j=%d\), not an input" % other
+    with pytest.raises(ValueError, match=message):
+        make_instance(bundled, 39, 1, channel=off)
 
 
 def test_point_mass_support(bundled, channel):

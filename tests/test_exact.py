@@ -4,7 +4,9 @@ Every inner product reads the two vectors' held real flags, so a product
 whose real part is zero and whose imaginary part is not, as (1, 0) against
 (i, 0), is checked through each caller that reads them.  Where the flags
 let a caller sum the real numerators directly, its answer is also checked
-against the Gaussian kernel on the same numerators.
+against the Gaussian kernel on the same numerators.  The packed
+orthogonality table is checked bit by bit against plain pairwise sums, at
+the edges of its field width.
 """
 
 import random
@@ -303,9 +305,9 @@ def test_row_kernel_takes_each_pair_as_its_own_call_would():
 
 @pytest.mark.parametrize("complex_vectors", [0, 1, 5])
 def test_orthogonality_masks_match_complex_fraction_sums(complex_vectors):
-    # entries in {-1, 0, 1} make many pairs orthogonal; a pair with a complex
-    # vector must leave the real sum, since it can have a zero real part and
-    # a nonzero imaginary one, as (1, 0) and (i, 0) have
+    # entries in {-1, 0, 1} make many pairs orthogonal; a set with a complex
+    # vector must test the imaginary sums too, since a pair can have a zero
+    # real part and a nonzero imaginary one, as (1, 0) and (i, 0) have
     rng = random.Random(20140 + complex_vectors)
     imaginary_only = orthogonal = 0
     for _ in range(40):
@@ -319,7 +321,7 @@ def test_orthogonality_masks_match_complex_fraction_sums(complex_vectors):
                     break
             parts.append((re, im))
         masks = orthogonality_masks([Vector(re, im) for re, im in parts])
-        # the same pairs with every flag false all take the Gaussian kernel
+        # the same pairs with every flag false all take the complex path
         assert masks == orthogonality_masks([Parts(re, im, False) for re, im in parts])
         for a, b in product(range(len(parts)), repeat=2):
             dot = _cf_sum(*parts[a], *parts[b])
@@ -333,10 +335,62 @@ def test_orthogonality_masks_match_complex_fraction_sums(complex_vectors):
 @pytest.mark.parametrize("im", [(0, 0), (1, 0)], ids=["real", "complex"])
 def test_orthogonality_masks_refuse_mixed_dimensions(im):
     # a real sum over zip would stop at the shorter vector and find (1, 0)
-    # orthogonal to (0, 1, 1); the kernel refuses, and so must the table
+    # orthogonal to (0, 1, 1); the kernel refuses, and so must the table,
+    # whose packed columns would also run short
     vectors = [Vector((1, 0), im), Vector((0, 1, 1), (0, 0, 0))]
     with pytest.raises(ValueError, match="dimension mismatch"):
         orthogonality_masks(vectors)
+
+
+def _edge_set(rng, n, dim, k, complex_set):
+    """n ``Parts`` of numerators in {0, +-1, +-(2^k - 1), +-2^k}, the edges of
+    the table's field width; about half are built orthogonal to the vector
+    before them, some are +-1 times it, whose dot is the largest the field
+    holds, and some, in a complex set, i times it: <v|iv> = i|v|^2 has a
+    zero real part.  A zero vector joins sets of three or more."""
+    edges = (0, 1, -1, 2**k - 1, 1 - 2**k, 2**k, -(2**k))
+    vectors = []
+    for a in range(n):
+        re = [rng.choice(edges) for _ in range(dim)]
+        im = [rng.choice(edges) if complex_set and rng.random() < 0.7 else 0 for _ in range(dim)]
+        pr, pi = vectors[-1][:2] if a else ((), ())
+        if a and dim > 1 and rng.random() < 0.5:
+            # (-conj(v1), conj(v0), 0, ...) is orthogonal to v
+            re[:2], im[:2] = [-pr[1], pr[0]], [pi[1], -pi[0]]
+        elif a and rng.random() < 0.3:
+            sign = rng.choice((1, -1))
+            re, im = [sign * x for x in pr], [sign * x for x in pi]
+        elif a and complex_set and rng.random() < 0.3:
+            re, im = [-x for x in pi], list(pr)
+        vectors.append(Parts(tuple(re), tuple(im), not any(im)))
+    if n > 2:
+        vectors[rng.randrange(n)] = Parts((0,) * dim, (0,) * dim, True)
+    return vectors
+
+
+@pytest.mark.parametrize("complex_set", [False, True], ids=["real", "complex"])
+def test_packed_table_matches_pairwise_oracle(complex_set):
+    # every bit of the packed table against plain pairwise Gaussian-integer
+    # sums, on sets of 1 to 12 vectors in dimensions 1 to 8, and on one set
+    # of 100 vectors with 60-bit numerators, read off in more than one block
+    rng = random.Random(3200 + complex_set)
+    sets = [_edge_set(rng, n, rng.randint(1, 8), rng.randint(0, 12), complex_set)
+            for n in [1, 2] * 10 + [rng.randint(3, 12) for _ in range(100)]]
+    sets.append(_edge_set(rng, 100, 8, 60, complex_set))
+    orthogonal = imaginary_only = 0
+    for vectors in sets:
+        masks = orthogonality_masks(vectors)
+        assert len(masks) == len(vectors)
+        for (a, v), (b, w) in product(enumerate(vectors), repeat=2):
+            re = sum(vr * wr + vi * wi for vr, vi, wr, wi in zip(v.re, v.im, w.re, w.im))
+            im = sum(vr * wi - vi * wr for vr, vi, wr, wi in zip(v.re, v.im, w.re, w.im))
+            assert masks[a] >> b & 1 == (a != b and re == im == 0)
+            assert masks[a] >> b & 1 == masks[b] >> a & 1
+            orthogonal += a != b and re == im == 0
+            imaginary_only += re == 0 != im
+        assert all(mask >> len(vectors) == 0 for mask in masks)
+    assert orthogonal > 1000
+    assert imaginary_only > 100 if complex_set else imaginary_only == 0
 
 
 def _held_is_fresh(v):

@@ -3,7 +3,8 @@
 Claims covered:
     - orthogonality decisions are exact on the bundled data
     - validate_basis_set raises at the first duplicate vector or non-unit
-      norm in basis order, naming the basis and the pair
+      norm in basis order, naming the basis and the pair; the verdict the
+      constructor holds raises what a per-call scan finds, on every set here
     - verify_ks_property's pruned depth-first walk agrees with a naive
       product-order scan of Gaussian integer dots, on the rays as the
       checker reads them (holds, witness and traversal count), on every set
@@ -228,6 +229,10 @@ def _held_table_set(source, bundled):
         return KSBasisSet(q=1, d=2, bases=((e0, e0),))
     if source == "non-unit":
         return KSBasisSet(q=1, d=2, bases=((vector([2, 0]), e1),))
+    if source in ("ks_rational_entries.json", "ks_imaginary_vector.json", "ks_9_4_cabello.json"):
+        return load_basis_set(DATA / source)
+    if source == "long-before-skew":
+        return KSBasisSet(q=3, d=2, bases=(good, long, skew))
     return KSBasisSet(q=4, d=2, bases=(good, skew, long, skew))
 
 
@@ -249,6 +254,46 @@ def test_held_masks_match_fresh_sums(bundled, source):
         orthogonal = a != b and not cf_dot(flat[a], flat[b])
         assert bool(ks.masks[a] >> b & 1) == orthogonal
     assert all(mask >> len(flat) == 0 for mask in ks.masks)
+
+
+def _scanned_violation(ks):
+    """The first orthonormality violation as ``validate_basis_set`` scanned
+    for it on every call before the set held its verdict: bases, then
+    vectors, then partners, on the held ``unit`` and ``masks``."""
+    d, masks = ks.d, ks.masks
+    for m, basis in enumerate(ks.bases):
+        for j, v in enumerate(basis):
+            if not v.unit:
+                return BasisSetError(m, (j, j), f"vector {j} has squared norm {v.norm_sq()}")
+            missing = ((1 << (d - j - 1)) - 1) << (m * d + j + 1) & ~masks[m * d + j]
+            if missing:
+                j2 = (missing & -missing).bit_length() - 1 - m * d
+                return BasisSetError(m, (j, j2), f"vectors {j} and {j2} are not orthogonal")
+    return None
+
+
+@pytest.mark.parametrize("source", HELD_TABLE_SOURCES + (
+    "ks_rational_entries.json", "ks_imaginary_vector.json", "ks_9_4_cabello.json",
+    "long-before-skew",
+))
+def test_held_verdict_matches_the_scan(bundled, source):
+    # the verdict the constructor held raises what the scan finds, on every
+    # call, and the set's flat vectors are its bases in (m, j) order
+    ks = _held_table_set(source, bundled)
+    assert ks.vectors == tuple(all_vectors(ks))
+    expected = _scanned_violation(ks)
+    for _ in range(2):
+        if expected is None:
+            validate_basis_set(ks)  # raises BasisSetError at a violation
+            continue
+        with pytest.raises(BasisSetError) as info:
+            validate_basis_set(ks)
+        got = info.value
+        assert (got.m, got.pair, got.detail, str(got)) == (
+            expected.m, expected.pair, expected.detail, str(expected)
+        )
+    if source in ("perturbed-unitary", "repeated", "non-unit", "first-violation"):
+        assert expected is not None
 
 
 @pytest.mark.parametrize("name", ["q", "d", "bases", "label", "masks", "other"])

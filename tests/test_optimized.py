@@ -21,16 +21,19 @@ TESTS = Path(__file__).resolve().parent
 # every golden report, the unitary-set reports, the unitary set's
 # re-derivation and the perturbed set; the help and usage exits of main; and
 # the search re-check, the decode gate, the k*d^2 ceiling, the encoder
-# probability and outcome gates and the channel check of make_instance
+# probability and outcome gates, the channel checks of make_instance and the
+# packed orthogonality table
 OPTIMIZED = (
     "test_golden.py",
     "test_cli.py::test_parser_errors_and_help_match_the_full_parser",
     "test_control.py::test_channel_with_a_row_that_is_not_uniform_rejected",
+    "test_control.py::test_channel_with_an_output_off_the_inputs_rejected",
     "test_control.py::test_search_mismatch_gate_raises",
     "test_control.py::test_quantum_decode_gate_raises",
     "test_control.py::test_quantum_ceiling_gate_raises",
     "test_control.py::test_quantum_encoder_probability_gate_raises",
     "test_control.py::test_quantum_encoder_outcome_gate_raises",
+    "test_exact.py::test_packed_table_matches_pairwise_oracle",
 )
 
 
@@ -38,10 +41,10 @@ def test_the_gates_and_reports_hold_under_python_O():
     proc = run_python("-O", __file__)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # 35 tests in test_golden.py, 15 parser exits, the channel check, the
-    # search and ceiling gates, the decode gate's 2 cases and the encoder
-    # probability and outcome gates' 4 each, so a renamed or deselected case
-    # fails here
-    assert re.search(r"^63 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # off-input endpoint check's 2 cases, the search and ceiling gates, the
+    # decode gate's 2 cases, the encoder probability and outcome gates' 4
+    # each and the packed table's 2, so a renamed or deselected case fails here
+    assert re.search(r"^67 passed\b", proc.stdout, re.MULTILINE), proc.stdout
 
 
 if __name__ == "__main__":
