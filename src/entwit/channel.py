@@ -223,7 +223,7 @@ def verify_zero_error(channel_like, code: ZeroErrorCode) -> ZeroErrorVerdict:
     for msg in code.messages:
         cw = code.encoder[msg]
         for o, p in channel_like.output_distribution(cw).items():
-            if p <= 0:
+            if p.numerator <= 0:  # the sign test for a Fraction or an int
                 continue
             if o not in code.decoder:
                 return ZeroErrorVerdict("incomplete_decoder", (msg, o, None))

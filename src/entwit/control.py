@@ -117,12 +117,12 @@ def make_instance(
     k = as_fraction(k)
     if k <= 0:
         raise ValueError(f"action price k must be positive, got {k}")
-    grid = tuple(map(divmod, range(ks.q * ks.d), [ks.d] * (ks.q * ks.d)))  # (m, j) in order
     if channel is None:
         channel = build_ks_channel(ks)  # validated where it is built, on the grid
-    elif channel.inputs != grid and tuple(sorted(channel.inputs)) != grid:
-        raise ValueError("channel inputs do not form the full (m, j) grid")
     else:
+        grid = tuple(map(divmod, range(ks.q * ks.d), [ks.d] * (ks.q * ks.d)))  # (m, j) in order
+        if channel.inputs != grid and tuple(sorted(channel.inputs)) != grid:
+            raise ValueError("channel inputs do not form the full (m, j) grid")
         channel.validate()  # the search's row table assumes uniform rows
     if t < ks.d:
         raise ValueError(f"encoder scale t={t} must be at least d={ks.d}")
@@ -212,17 +212,19 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
     the decoder, certain of (m, j), subtracts m*t + j, so the final signal is
     0 and only the control term k * E[j^2] remains.  Only the supported
     messages are walked, each branch has probability 1/d, and the cost is
-    checked against the k*d^2 ceiling.
+    checked against the k*d^2 ceiling.  E[j^2] is an integer sum over the lcm
+    of the supported p_m's denominators, so one Fraction is built.
     """
-    d, p_m = inst.d, inst.p_m
+    d, p_m, k = inst.d, inst.p_m, inst.k
     messages = [m for m, _x in inst.support()]
     walked = walk_entangled(inst.ks, inst.channel.rows, messages)
-    weighted = sum(p_m[m] * j_sq for m, (_n, j_sq, _in) in zip(messages, walked))
-    control = weighted * inst.k / d
-    bound = inst.k * d * d
-    if not control < bound:
+    den = lcm(*[p_m[m].denominator for m in messages])
+    num = k.numerator * sum([p_m[m].numerator * (den // p_m[m].denominator) * j_sq
+                             for m, (_n, j_sq, _in) in zip(messages, walked)])
+    control = Fraction(num, den * d * k.denominator)
+    if not num < den * d**3 * k.numerator:  # control < k*d^2, as den*d*k.denominator > 0
         raise QuantumDecodeError(
-            f"entangled cost {control} not below k*d^2 = {bound}", witness=()
+            f"entangled cost {control} not below k*d^2 = {k * d * d}", witness=()
         )
     return CostReport(control, control, Fraction(0), sum(n for n, _j_sq, _in in walked), 0)
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from .channel import ChannelInput, ChannelOutput, FiniteChannel
-from .exact import Vector, measure_first_subsystem, overlap_sq_numerators
+from .exact import Vector, _gauss_dot, measure_first_subsystem
 from .ks import KSBasisSet, validate_basis_set
 
 _ONE = Fraction(1)
@@ -99,10 +100,19 @@ def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
     cand1, cand2 = ks.vectors[a], ks.vectors[b]
     if not (cand1.unit and cand2.unit):
         raise ValueError(f"candidates {s} are not unit vectors")
-    # the two squared overlaps |<residual|cand>|^2 over the numerators'
-    # squared norms are compared as integer ratios; a Fraction is built only
-    # for the one returned, and a certain outcome shares _ONE
-    n1, n2 = overlap_sq_numerators(residual, cand1, cand2)
+    v_re = residual.re
+    if len(v_re) != d:  # the set's vectors have d entries; a sum over map would cut it
+        raise ValueError(f"dimension mismatch: {len(v_re)} vs {d}")
+    # the squared overlaps |<residual|cand>|^2 over the numerators' squared
+    # norms are compared as integer ratios, summed directly for three real
+    # vectors; a Fraction is built only for the one returned, and a certain
+    # outcome shares _ONE
+    if residual.real and cand1.real and cand2.real:
+        x, y = sum(map(mul, v_re, cand1.re)), sum(map(mul, v_re, cand2.re))
+        n1, n2 = x * x, y * y
+    else:
+        (re1, im1), (re2, im2) = _gauss_dot(residual, (cand1, cand2))
+        n1, n2 = re1 * re1 + im1 * im1, re2 * re2 + im2 * im2
     nsq = residual.nsq
     d1, d2 = nsq * cand1.nsq, nsq * cand2.nsq
     if n1 == 0 and n2 == 0:
@@ -123,6 +133,7 @@ def walk_entangled(ks: KSBasisSet, rows, messages) -> list:
     (branch count, sum of j^2, the inputs its branches landed on) per message.
     """
     d, walked = ks.d, []
+    decode = decoder_decode  # read once: a replaced module attribute still sees every decode
     for m in messages:
         count = j_sq = 0
         landed = []
@@ -138,7 +149,7 @@ def walk_entangled(ks: KSBasisSet, rows, messages) -> list:
                     f"outcome {sent} is not an input of message {m}", witness=(m, j, None)
                 )
             for s in row:
-                decoded, p_dec = decoder_decode(ks, s, residual)
+                decoded, p_dec = decode(ks, s, residual)
                 if decoded != sent or (p_dec is not _ONE and p_dec != 1):
                     raise QuantumDecodeError(
                         f"branch decoded {decoded} with probability {p_dec}, "

@@ -10,11 +10,10 @@ never enter.
 
 Whether a vector is real, its integer squared norm and whether it is a
 unit vector are decided in its one constructor and held; only this module
-reads the ``real`` flags.  ``orthogonality_masks`` decides all of a basis
-set's pairs in whole-set integer passes, once, in the ``KSBasisSet``
-constructor.  ``measure_first_subsystem`` and ``overlap_sq_numerators`` (the
-decoder's two squared overlaps) sum a real pair's integer products directly
-and send any other through the Gaussian-integer kernel ``_gauss_dot``.
+and ``entangled.decoder_decode`` read the ``real`` flags.  Both sum a real
+pair's integer products directly and send any other through the
+Gaussian-integer kernel ``_gauss_dot``.  ``orthogonality_masks`` decides all
+of a basis set's pairs in whole-set integer passes, once per ``KSBasisSet``.
 """
 
 from __future__ import annotations
@@ -70,14 +69,6 @@ def _gauss_dot(a, rows) -> list:
     return dots
 
 
-def _check_dims(rows, dim: int) -> None:
-    """Refuse the first row of numerators whose length is not ``dim``, as
-    the kernel does, before a real sum over ``zip`` could truncate it."""
-    for row in rows:
-        if len(row) != dim:
-            raise ValueError(f"dimension mismatch: {dim} vs {len(row)}")
-
-
 def orthogonality_masks(vectors: Sequence["Vector"]) -> list:
     """Per vector, the bitmask of the others orthogonal to it.  Entry k of
     every vector is packed into one integer, a signed field per vector, so a
@@ -89,7 +80,10 @@ def orthogonality_masks(vectors: Sequence["Vector"]) -> list:
     if not n:
         return []
     rights = [[v.re for v in vectors]]
-    _check_dims(rights[0], len(rights[0][0]))
+    dim = len(rights[0][0])
+    for row in rights[0]:  # refused as the kernel does, before a sum over zip cuts it
+        if len(row) != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {len(row)}")
     if not all(v.real for v in vectors):
         rights = [[v.re + v.im for v in vectors], [v.im + tuple(map(neg, v.re)) for v in vectors]]
     left = rights[0]
@@ -107,22 +101,6 @@ def orthogonality_masks(vectors: Sequence["Vector"]) -> list:
             nonzero[a] |= int(bin((sum(map(mul, row, cols)) + half ^ half) + fill)[3::width], 2)
     full = (1 << n) - 1
     return [full ^ (nz | 1 << a) for a, nz in enumerate(nonzero)]
-
-
-def overlap_sq_numerators(v: "Vector", a: "Vector", b: "Vector") -> tuple:
-    """The integers |<v|a>|^2 and |<v|b>|^2 of the numerators; over
-    ``v.nsq * a.nsq`` and ``v.nsq * b.nsq`` they are the squared overlaps.
-    Three real vectors sum their integer products directly; any complex one
-    sends the pair through the kernel."""
-    if v.real and a.real and b.real:
-        v_re, a_re, b_re = v.re, a.re, b.re
-        if not len(v_re) == len(a_re) == len(b_re):
-            _check_dims((a_re, b_re), len(v_re))
-        x = sum(map(mul, v_re, a_re))
-        y = sum(map(mul, v_re, b_re))
-        return x * x, y * y
-    (re1, im1), (re2, im2) = _gauss_dot(v, (a, b))
-    return re1 * re1 + im1 * im1, re2 * re2 + im2 * im2
 
 
 class Vector:
@@ -149,11 +127,10 @@ class Vector:
             )
         if den == 0:
             raise ValueError("vector denominator must be nonzero")
-        g = gcd(den, *re, *im)
-        if den < 0:
-            g = -g
-        if g != 1:
-            re, im, den = [x // g for x in re], [x // g for x in im], den // g
+        if den != 1:  # over 1 the numerators are already in lowest terms
+            g = gcd(den, *re, *im) if den > 0 else -gcd(den, *re, *im)
+            if g != 1:
+                re, im, den = [x // g for x in re], [x // g for x in im], den // g
         re, im = tuple(re), tuple(im)
         real = not any(im)
         nsq = sum(map(mul, re, re))
@@ -265,7 +242,7 @@ def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
         for i2 in range(b)
     ]
     ss_num, ss_den = state.scale.numerator, state.scale.denominator
-    branches = []
+    branches, built = [], []  # built: (numerator, denominator, Fraction) per probability
     for j, u in enumerate(basis):
         # residual entry i2 is sum over i1 of conj(u_i1) * state_(i1*b + i2)
         if real:
@@ -281,6 +258,13 @@ def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
             continue
         den = u.den * state.den
         us = u.scale
-        prob = Fraction(nsq * us.denominator * ss_den, den * den * us.numerator * ss_num)
+        num, pden = nsq * us.denominator * ss_den, den * den * us.numerator * ss_num
+        # equal probabilities share one Fraction: d branches of 1/d build one
+        for num0, den0, prob in built:
+            if num * den0 == pden * num0:
+                break
+        else:
+            prob = Fraction(num, pden)
+            built.append((num, pden, prob))
         branches.append((j, prob, Vector(res_re, res_im, den)))
     return branches

@@ -25,7 +25,6 @@ from entwit.exact import (
     decimal_str,
     measure_first_subsystem,
     orthogonality_masks,
-    overlap_sq_numerators,
 )
 from entwit.entangled import decoder_decode
 from entwit.ks import BasisSetError, KSBasisSet, basis_set_from_json_dict, validate_basis_set
@@ -239,8 +238,8 @@ def _abs_sq(dot):
 def test_dot_kernel_matches_complex_fraction_sums_on_either_branch(left, right):
     # (0, 0) may take the real sum; one nonzero imaginary entry on either side
     # must take the Gaussian loop, whose cross-terms it then needs, and the
-    # loop is also right on real parts.  The decoder's two squared overlaps
-    # take the same branches: the real sums only when all three are real
+    # loop is also right on real parts.  A row of two, as the decoder's two
+    # candidates, takes each pair's branch on its own flags
     rng = random.Random(20134 + 10 * left + right)
     nonzero_im = 0
     for _ in range(200):
@@ -253,13 +252,11 @@ def test_dot_kernel_matches_complex_fraction_sums_on_either_branch(left, right):
         assert [(re, im)] == _gauss_dot(Parts(*a, False), [Parts(*b, False)])
         assert type(re) is int and type(im) is int
         nonzero_im += im != 0
-        sq = (_abs_sq(_cf_sum(*a, *b)), _abs_sq(_cf_sum(*a, *c)))
-        assert overlap_sq_numerators(
-            Parts(*a, not left), Parts(*b, not right), Parts(*c, True)
-        ) == sq
-        assert overlap_sq_numerators(
-            Parts(*a, False), Parts(*b, False), Parts(*c, False)
-        ) == sq
+        sq = [_abs_sq(_cf_sum(*a, *b)), _abs_sq(_cf_sum(*a, *c))]
+        pair = _gauss_dot(Parts(*a, not left), [Parts(*b, not right), Parts(*c, True)])
+        assert list(map(_abs_sq, pair)) == sq
+        pair = _gauss_dot(Parts(*a, False), [Parts(*b, False), Parts(*c, False)])
+        assert list(map(_abs_sq, pair)) == sq
         longer = _gaussian_integers(rng, dim + 1, min(left, 1))
         for real in (True, False):  # the length is checked before either branch
             with pytest.raises(ValueError, match="dimension mismatch"):
@@ -268,9 +265,9 @@ def test_dot_kernel_matches_complex_fraction_sums_on_either_branch(left, right):
                 _gauss_dot(Parts(*longer, real), [Parts(*b, real)])
             for pair in ((longer, c), (c, longer)):
                 with pytest.raises(ValueError, match="dimension mismatch"):
-                    overlap_sq_numerators(Parts(*c, real), *(Parts(*x, real) for x in pair))
+                    _gauss_dot(Parts(*c, real), [Parts(*x, real) for x in pair])
             with pytest.raises(ValueError, match="dimension mismatch"):
-                overlap_sq_numerators(Parts(*longer, real), Parts(*c, real), Parts(*c, real))
+                _gauss_dot(Parts(*longer, real), [Parts(*c, real), Parts(*c, real)])
     if left + right:
         assert nonzero_im > 100
     else:
@@ -528,6 +525,8 @@ def test_vector_stores_entries_in_lowest_terms():
         (((0, 0), (0, 0), 5, 1), ((0, 0), (0, 0), 1, 1)),
         (((3, 0), (0, 4), 10), ((3, 0), (0, 4), 10, Fraction(1, 4))),
         (((3, 0), (0, 4), -10), ((-3, 0), (0, -4), 10, Fraction(1, 4))),
+        (((2, 4), (0, 6)), ((2, 4), (0, 6), 1, 56)),
+        (((2, 4), (0, 6), -1, 1), ((-2, -4), (0, -6), 1, 1)),
         (((1, 0), (0,), 1, 1), "matching nonempty parts"),
         (((), (), 1, 1), "matching nonempty parts"),
         (((1, 0), (0, 0), 0, 1), "denominator must be nonzero"),
@@ -537,6 +536,7 @@ def test_vector_stores_entries_in_lowest_terms():
     ],
     ids=[
         "reduced", "negative-den", "zero-with-scale", "unit", "unit-negative-den",
+        "den-one-keeps-numerators", "den-minus-one",
         "mismatched", "empty", "zero-den", "zero-scale", "negative-scale", "zero-unit",
     ],
 )
@@ -579,8 +579,11 @@ def test_a_product_with_only_an_imaginary_part_is_not_zero(caller):
     elif caller == "overlap":
         assert _gauss_dot(E0, [I_E0]) == [(0, 1)] and _gauss_dot(I_E0, [E0]) == [(0, -1)]
         assert overlap_sq(E0, I_E0) == overlap_sq(I_E0, E0) == 1
-        assert overlap_sq_numerators(E0, I_E0, E1) == overlap_sq_numerators(I_E0, E0, E1)
-        assert overlap_sq_numerators(E0, I_E0, E1) == overlap_sq_numerators(E0, E0, E1) == (1, 0)
+        # the decoder's squared overlaps: (1, 0) against the candidates
+        # i(1, 0) and (0, 1) as against (1, 0) and (0, 1), either way round
+        phase_ks = KSBasisSet(q=1, d=2, bases=((I_E0, E1),))
+        for cands, residual in ((phase_ks, E0), (real_ks, I_E0), (real_ks, E0)):
+            assert decoder_decode(cands, ((0, 0), (0, 1)), residual) == ((0, 0), 1)
     elif caller == "masks":
         assert orthogonality_masks([E0, I_E0]) == [0, 0]
         assert orthogonality_masks([E0, E1]) == [0b10, 0b01]
@@ -654,3 +657,17 @@ def test_measure_first_subsystem_of_entangled_pair():
     # residuals are the conjugates (= themselves here, real data)
     assert same_ray(branches[0][2], plus)
     assert same_ray(branches[1][2], minus)
+
+
+def test_equal_branch_probabilities_share_one_fraction():
+    # the maximally entangled state of C^4 x C^4 along a basis whose
+    # numerators have squared norms 1 and 2: every branch has probability
+    # 1/4 from a different integer pair, and all share one Fraction; unequal
+    # probabilities each keep their own
+    psi = Vector([1 if i % 5 == 0 else 0 for i in range(16)], (0,) * 16, 1, 4)
+    rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1))
+    probs = [p for _, p, _ in measure_first_subsystem(psi, [Vector(r, (0,) * 4) for r in rows])]
+    assert probs == [Fraction(1, 4)] * 4 and len(set(map(id, probs))) == 1
+    state = Vector((2, 0, 0, 1), (0, 0, 0, 0))  # (2|00> + |11>) / sqrt(5)
+    probs = [p for _, p, _ in measure_first_subsystem(state, [E0, E1])]
+    assert probs == [Fraction(4, 5), Fraction(1, 5)]
