@@ -240,14 +240,6 @@ def _round_half_even_ratio(num: int, den: int) -> int:
     return quo if quo % 2 == 0 else quo + 1
 
 
-def _exact_int(num: int, den: int) -> int:
-    """num/den, which must be an integer."""
-    quo, rem = divmod(num, den)
-    if rem:
-        raise AssertionError(f"expected an integer-valued fraction, got {Fraction(num, den)}")
-    return quo
-
-
 def _row_table(inst: WitsenhausenInstance) -> tuple:
     """The integer form of the composed channel that the search and the c2
     rounding score against, built once per instance on first use.
@@ -275,7 +267,7 @@ def _row_table(inst: WitsenhausenInstance) -> tuple:
             table.append((share, outs))
         probs = [inst.p_m[m] for m, _ in inst.support()]
         big_l = lcm(*[p.denominator for p in probs])
-        weights = [_exact_int(p.numerator * big_l, p.denominator) for p in probs]
+        weights = [p.numerator * (big_l // p.denominator) for p in probs]
         inst._table = table, big_d, big_l, weights
     return inst._table
 

@@ -58,7 +58,7 @@ def maximally_entangled_state(d: int) -> Vector:
     if d < 2:
         raise ValueError("need dimension at least 2")
     entries = [1 if (i // d) == (i % d) else 0 for i in range(d * d)]
-    return Vector(entries, [0] * (d * d), 1, scale=d)
+    return Vector(entries, [0] * (d * d))
 
 
 def encoder_branches(ks: KSBasisSet, m: int) -> list:
@@ -83,10 +83,10 @@ def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
     """Measure the residual in an orthonormal basis containing both candidates.
 
     ``s`` is the channel output {(m, j), (m', j')} of two vectors of the set,
-    which must be orthonormal (read from ``ks.masks`` and the held ``unit``);
-    the residual must overlap one of them.  In any orthonormal basis holding
-    the candidates, the Born probability of candidate i is the residual's
-    squared overlap with it, so the rest of the basis is never built.
+    which must be orthogonal (read from ``ks.masks``; every vector is a unit
+    vector); the residual must overlap one of them.  In any orthonormal basis
+    holding the candidates, the Born probability of candidate i is the
+    residual's squared overlap with it, so the rest of the basis is never built.
     Returns (outcome, probability), the outcome being the candidate of ``s``
     itself; under the strategy's preconditions the probability is exactly 1.
     """
@@ -98,8 +98,6 @@ def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
     if not ks.masks[a] >> b & 1:
         raise ValueError(f"candidates {s} are not orthogonal")
     cand1, cand2 = ks.vectors[a], ks.vectors[b]
-    if not (cand1.unit and cand2.unit):
-        raise ValueError(f"candidates {s} are not unit vectors")
     v_re = residual.re
     if len(v_re) != d:  # the set's vectors have d entries; a sum over map would cut it
         raise ValueError(f"dimension mismatch: {len(v_re)} vs {d}")

@@ -1,25 +1,23 @@
-"""Exact vectors over Gaussian rationals, and exact number formatting.
+"""Exact unit vectors over Gaussian integers, and exact number formatting.
 
 All geometry in this package runs on exact arithmetic: the one vector type
-holds Gaussian-integer numerators over one positive common denominator,
-together with a rational ``scale`` s, and denotes (numerators / denominator)
-/ sqrt(s).  Inner products, squared norms and squared overlaps are integer
-sums, so orthogonality and measurement probabilities are decided exactly,
-with no tolerances; a Fraction is formed only from the final sums.  Floats
-never enter.
+holds Gaussian-integer numerators and denotes the unit vector along them,
+numerators / sqrt(their squared norm).  Inner products, squared norms and
+squared overlaps are integer sums, so orthogonality and measurement
+probabilities are decided exactly, with no tolerances; a Fraction is formed
+only from the final sums.  Floats never enter.
 
-Whether a vector is real, its integer squared norm and whether it is a
-unit vector are decided in its one constructor and held; only this module
-and ``entangled.decoder_decode`` read the ``real`` flags.  Both sum a real
-pair's integer products directly and send any other through the
-Gaussian-integer kernel ``_gauss_dot``.  ``orthogonality_masks`` decides all
-of a basis set's pairs in whole-set integer passes, once per ``KSBasisSet``.
+Whether a vector is real and its integer squared norm are decided in its one
+constructor and held; only this module and ``entangled.decoder_decode`` read
+the ``real`` flags.  Both sum a real pair's integer products directly and
+send any other through the Gaussian-integer kernel ``_gauss_dot``.
+``orthogonality_masks`` decides all of a basis set's pairs in whole-set
+integer passes, once per ``KSBasisSet``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import lshift, mul, neg
 from typing import NamedTuple, Sequence
 
@@ -104,56 +102,36 @@ def orthogonality_masks(vectors: Sequence["Vector"]) -> list:
 
 
 class Vector:
-    """The exact vector ``(re + i*im) / den / sqrt(scale)``.
+    """The unit vector ``(re + i*im) / sqrt(nsq)``.
 
-    ``re`` and ``im`` are integer numerators, stored in lowest terms with
-    the positive denominator ``den``; with no ``scale`` given, the scale is
-    their squared norm over den^2, which makes the vector the unit vector
+    ``re`` and ``im`` are Gaussian-integer numerators, kept as given, and
+    ``nsq`` is their integer squared norm, so the vector is the unit vector
     along them.  The object is immutable and this is its one constructor, so
-    what it decides about the numerators cannot go stale: their integer
-    squared norm in ``nsq``, every imaginary numerator being zero in
-    ``real`` and ``norm_sq() == 1`` in ``unit``.
-    The sqrt never has to be evaluated: every quantity this package consumes
-    (orthogonality, squared overlaps, squared norms, measurement
-    probabilities) is rational in the numerators and the scale.
+    what it decides about the numerators cannot go stale: ``nsq``, and every
+    imaginary numerator being zero in ``real``.  The sqrt never has to be
+    evaluated: every quantity this package consumes (orthogonality, squared
+    overlaps, measurement probabilities) is rational in the numerators.
     """
 
-    __slots__ = ("re", "im", "den", "scale", "nsq", "real", "unit")
+    __slots__ = ("re", "im", "nsq", "real")
 
-    def __init__(self, re: Sequence[int], im: Sequence[int], den: int = 1, scale=None):
+    def __init__(self, re: Sequence[int], im: Sequence[int]):
         if not re or len(re) != len(im):
             raise ValueError(
                 f"vector needs matching nonempty parts, got {len(re)} and {len(im)}"
             )
-        if den == 0:
-            raise ValueError("vector denominator must be nonzero")
-        if den != 1:  # over 1 the numerators are already in lowest terms
-            g = gcd(den, *re, *im) if den > 0 else -gcd(den, *re, *im)
-            if g != 1:
-                re, im, den = [x // g for x in re], [x // g for x in im], den // g
         re, im = tuple(re), tuple(im)
         real = not any(im)
         nsq = sum(map(mul, re, re))
         if not real:
             nsq += sum(map(mul, im, im))
-        if scale is None:
-            if nsq == 0:
-                raise ValueError("cannot normalize the zero vector")
-            # norm_sq() is 1 by construction
-            scale, unit = Fraction(nsq) if den == 1 else Fraction(nsq, den * den), True
-        else:
-            scale = scale if type(scale) is Fraction else as_fraction(scale)
-            if scale <= 0:
-                raise ValueError(f"vector scale must be positive, got {scale}")
-            unit = nsq * scale.denominator == den * den * scale.numerator
+        if nsq == 0:
+            raise ValueError("cannot normalize the zero vector")
         # immutable: the slots are set here only, through their descriptors
         _set_re(self, re)
         _set_im(self, im)
-        _set_den(self, den)
-        _set_scale(self, scale)
         _set_nsq(self, nsq)
         _set_real(self, real)
-        _set_unit(self, unit)
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
@@ -165,33 +143,27 @@ class Vector:
     def dim(self) -> int:
         return len(self.re)
 
-    def norm_sq(self) -> Fraction:
-        s = self.scale
-        return Fraction(self.nsq * s.denominator, self.den ** 2 * s.numerator)
-
     def conjugate(self) -> "Vector":
         if self.real:
             return self
-        return Vector(self.re, tuple(-i for i in self.im), self.den, self.scale)
+        return Vector(self.re, tuple(-i for i in self.im))
 
     def __eq__(self, other) -> bool:
-        # the numerators are in lowest terms, so this is equality of the
-        # denoted entries and of the scale
+        # equal numerators; numerators that differ by a positive factor denote
+        # the same unit vector but are not reduced to compare equal
         if not isinstance(other, Vector):
             return NotImplemented
-        return (self.re, self.im, self.den, self.scale) == (
-            other.re, other.im, other.den, other.scale
-        )
+        return (self.re, self.im) == (other.re, other.im)
 
     def __hash__(self):
-        return hash((self.re, self.im, self.den, self.scale))
+        return hash((self.re, self.im))
 
     def __repr__(self) -> str:
-        return f"Vector({self.re}, {self.im}, {self.den}, scale='{self.scale}')"
+        return f"Vector({self.re}, {self.im})"
 
 
 # the slot setters the constructor writes through, bound once
-_set_re, _set_im, _set_den, _set_scale, _set_nsq, _set_real, _set_unit = (
+_set_re, _set_im, _set_nsq, _set_real = (
     Vector.__dict__[name].__set__ for name in Vector.__slots__
 )
 
@@ -241,7 +213,6 @@ def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
         state.re[i2::b] if real else Parts(state.re[i2::b], state.im[i2::b], state.real)
         for i2 in range(b)
     ]
-    ss_num, ss_den = state.scale.numerator, state.scale.denominator
     branches, built = [], []  # built: (numerator, denominator, Fraction) per probability
     for j, u in enumerate(basis):
         # residual entry i2 is sum over i1 of conj(u_i1) * state_(i1*b + i2)
@@ -252,19 +223,17 @@ def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
         else:
             res_re, res_im = zip(*_gauss_dot(u, columns))
             nsq = sum(map(mul, res_re, res_re)) + sum(map(mul, res_im, res_im))
-        # the residual is (res / den) / sqrt(u.scale * state.scale); its squared
-        # norm is the branch probability, and only its direction is kept
+        # the residual is res / sqrt(u.nsq * state.nsq); its squared norm is
+        # the branch probability, and only its direction is kept
         if nsq == 0:
             continue
-        den = u.den * state.den
-        us = u.scale
-        num, pden = nsq * us.denominator * ss_den, den * den * us.numerator * ss_num
+        pden = u.nsq * state.nsq
         # equal probabilities share one Fraction: d branches of 1/d build one
         for num0, den0, prob in built:
-            if num * den0 == pden * num0:
+            if nsq * den0 == pden * num0:
                 break
         else:
-            prob = Fraction(num, pden)
-            built.append((num, pden, prob))
-        branches.append((j, prob, Vector(res_re, res_im, den)))
+            prob = Fraction(nsq, pden)
+            built.append((nsq, pden, prob))
+        branches.append((j, prob, Vector(res_re, res_im)))
     return branches

@@ -6,10 +6,10 @@ basis contains at least one orthogonal pair.  ``verify_ks_property`` decides
 this for all d^q minimal traversals (any superset of a traversal inherits
 the property, so minimal traversals suffice).  The ``KSBasisSet``
 constructor decides every pair's orthogonality in whole-set integer passes
-and finds the first orthonormality violation, once, from the unit norm the
-``Vector`` constructor held; validation, the traversal walk, the channel
-build and the decoder read those held answers and compute no basis-pair
-inner product.
+and finds the first orthogonality violation within a basis, once; every
+``Vector`` is a unit vector, so that is the only way a basis can fail.
+Validation, the traversal walk, the channel build and the decoder read those
+held answers and compute no basis-pair inner product.
 
 The bundled instance is the classic set of 24 real rays in C^4 (components in
 {0, +-1}) partitioned into six orthonormal bases; it ships as data under
@@ -61,7 +61,7 @@ class KSBasisSet:
         put(self, "label", label)
         put(self, "vectors", vectors := tuple(v for b in bases for v in b))
         put(self, "masks", masks := tuple(orthogonality_masks(vectors)))
-        put(self, "violation", _first_violation(d, vectors, masks))
+        put(self, "violation", _first_violation(d, masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("KSBasisSet is immutable")
@@ -76,7 +76,7 @@ class BasisSetError(ValueError):
     def __init__(self, m: int, pair: tuple, detail: str):
         super().__init__(f"basis set fails validation: basis {m}, {detail}")
         self.m = m
-        self.pair = pair  # (j, j'); j == j' flags a norm violation
+        self.pair = pair  # (j, j') with j < j', the first pair not orthogonal
         self.detail = detail
 
 
@@ -86,15 +86,14 @@ class KSCheckResult(NamedTuple):
     witness: Optional[tuple]  # traversal (m, j) pairs with no orthogonal pair
 
 
-def _first_violation(d: int, vectors: tuple, masks: tuple) -> Optional[tuple]:
-    """(m, pair, detail) of the first non-unit vector or non-orthogonal pair of
-    a basis, taking bases, then vectors, then partners in order, or None."""
-    for a, v in enumerate(vectors):
+def _first_violation(d: int, masks: tuple) -> Optional[tuple]:
+    """(m, pair, detail) of the first non-orthogonal pair of a basis, taking
+    bases, then vectors, then partners in order, or None; every vector is a
+    unit vector, so orthogonality within each basis is orthonormality."""
+    for a, mask in enumerate(masks):
         m, j = divmod(a, d)
-        if not v.unit:
-            return m, (j, j), f"vector {j} has squared norm {v.norm_sq()}"
         # partners j + 1 .. d - 1 of this basis that are not orthogonal
-        missing = ~masks[a] >> a + 1 & (1 << d - j - 1) - 1
+        missing = ~mask >> a + 1 & (1 << d - j - 1) - 1
         if missing:
             j2 = j + (missing & -missing).bit_length()
             return m, (j, j2), f"vectors {j} and {j2} are not orthogonal"
@@ -155,12 +154,12 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
 #   denominator: optional rational (int or "p/q") dividing every entry
 #   bases:  q arrays of d vectors; a vector is d entries [re, im] with
 #           int or "p/q" rational parts
-# Vectors are stored as unnormalized directions; the loader normalizes each
-# one exactly (components divided by their own norm).  Every part is read as
-# an int, or a Fraction when it is not one; all parts are brought to one
-# common denominator for the whole set, the denominator field is folded in,
-# and the Gaussian-integer numerators become each vector directly, whose
-# constructor reduces them to lowest terms.
+# Vectors are stored as unnormalized directions, and each becomes the unit
+# vector along its entries.  Every part is read as an int, or a Fraction when
+# it is not one; all parts are brought to one common denominator for the whole
+# set, and the Gaussian-integer numerators become each vector directly.  A
+# positive factor leaves a unit vector as it is, so of the denominator field
+# only its sign, which flips every vector, is folded in.
 
 FORMAT_TAG = "ks-basis-set/1"
 
@@ -192,13 +191,11 @@ def basis_set_from_json_dict(data: dict) -> KSBasisSet:
         for b in data["bases"]
     ]
     common = lcm(*{x.denominator for basis in parts for vec in basis for x in vec})
-    # x / (p / r) = (x * common * r * sign(p)) / (common * |p|)
-    p, r = field.numerator, field.denominator
-    mult = common * r if p > 0 else -common * r
-    den = common * abs(p)
+    # x / field is x * common * sign(field) over a positive factor
+    mult = common if field > 0 else -common
     if mult != 1:  # else every part is an int already
         parts = [[[(x * mult).numerator for x in vec] for vec in basis] for basis in parts]
-    bases = [[Vector(vec[0::2], vec[1::2], den) for vec in basis] for basis in parts]
+    bases = [[Vector(vec[0::2], vec[1::2]) for vec in basis] for basis in parts]
     return KSBasisSet(q=q, d=d, bases=bases, label=data.get("label", ""))
 
 

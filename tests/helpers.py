@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from types import MappingProxyType
 
@@ -327,20 +327,20 @@ class ComplexFraction:
 
 
 def _numerators(values):
-    """Gaussian-integer numerators (re, im) over the least common denominator."""
+    """Gaussian-integer numerators (re, im): the values times the least
+    common denominator of their parts."""
     cs = [ComplexFraction.coerce(x) for x in values]
     den = lcm(*(c.re.denominator for c in cs), *(c.im.denominator for c in cs))
     return (
         [c.re.numerator * (den // c.re.denominator) for c in cs],
         [c.im.numerator * (den // c.im.denominator) for c in cs],
-        den,
     )
 
 
-def vector(values, scale=1):
-    """The vector values / sqrt(scale), values given as ComplexFractions or
-    anything they coerce from; not normalized."""
-    return Vector(*_numerators(values), scale=scale)
+def vector(values):
+    """The unit vector along values, given as ComplexFractions or anything
+    they coerce from."""
+    return Vector(*_numerators(values))
 
 
 def from_components(components, denominator=1):
@@ -355,19 +355,22 @@ def from_components(components, denominator=1):
 
 
 def entries(v):
-    """The vector's entries before the 1/sqrt(scale), as ComplexFractions."""
-    return tuple(
-        ComplexFraction(Fraction(r, v.den), Fraction(i, v.den)) for r, i in zip(v.re, v.im)
-    )
+    """The vector's entries before the 1/sqrt(nsq), its numerators, as
+    ComplexFractions."""
+    return tuple(ComplexFraction(r, i) for r, i in zip(v.re, v.im))
+
+
+def lowest_terms(v):
+    """The numerators over their positive gcd: equal for two vectors iff they
+    denote the same unit vector."""
+    g = gcd(*v.re, *v.im)
+    return tuple(r // g for r in v.re), tuple(i // g for i in v.im)
 
 
 def overlap_sq(v, w):
     """Squared fidelity |<v|w>|^2 as a Fraction, from the integer kernel."""
-    nsq = v.nsq * w.nsq
-    if nsq == 0:
-        raise ValueError("overlap with a zero vector is undefined")
     ((re, im),) = _gauss_dot(v, [w])
-    return Fraction(re * re + im * im, nsq)
+    return Fraction(re * re + im * im, v.nsq * w.nsq)
 
 
 # -- test-only geometry helpers ------------------------------------------------
@@ -376,10 +379,6 @@ def overlap_sq(v, w):
 def abs_sq(c):
     """|c|^2 of a ComplexFraction."""
     return c.re * c.re + c.im * c.im
-
-
-def is_zero(v):
-    return not any(v.re) and not any(v.im)
 
 
 def same_ray(v, w):
@@ -394,10 +393,9 @@ def standard_basis_vector(index, dim):
 def raw_dot(v, w):
     """Sesquilinear sum(conj(v_k) * w_k) over the raw entries, from the
     integer kernel; the denoted inner product is this over
-    sqrt(v.scale * w.scale), so it is zero iff this is zero."""
+    sqrt(v.nsq * w.nsq), so it is zero iff this is zero."""
     ((re, im),) = _gauss_dot(v, [w])
-    den = v.den * w.den
-    return ComplexFraction(Fraction(re, den), Fraction(im, den))
+    return ComplexFraction(re, im)
 
 
 def is_orthogonal(v, w):
@@ -433,15 +431,15 @@ def cf_raw_norm_sq(v):
 
 
 def cf_norm_sq(v):
-    return cf_raw_norm_sq(v) / v.scale
+    """The denoted vector's squared norm: the entries' ComplexFraction sum
+    over the held ``nsq``, so 1 iff that was held right."""
+    return cf_raw_norm_sq(v) / v.nsq
 
 
 def cf_overlap_sq(v, w):
     """|<v|w>|^2 between the normalized rays, from the denoted vectors."""
     nsq = cf_norm_sq(v) * cf_norm_sq(w)
-    if nsq == 0:
-        raise ValueError("overlap with a zero vector is undefined")
-    return abs_sq(cf_dot(v, w)) / (v.scale * w.scale * nsq)
+    return abs_sq(cf_dot(v, w)) / (v.nsq * w.nsq * nsq)
 
 
 def cf_decoder_decode(ks, s, residual):
@@ -453,8 +451,6 @@ def cf_decoder_decode(ks, s, residual):
     cand1, cand2 = ks.bases[m1][j1], ks.bases[m2][j2]
     if cf_dot(cand1, cand2):
         raise ValueError(f"candidates {s} are not orthogonal")
-    if cf_norm_sq(cand1) != 1 or cf_norm_sq(cand2) != 1:
-        raise ValueError(f"candidates {s} are not unit vectors")
     p1 = cf_overlap_sq(residual, cand1)
     p2 = cf_overlap_sq(residual, cand2)
     if p1 == 0 and p2 == 0:
@@ -464,17 +460,9 @@ def cf_decoder_decode(ks, s, residual):
     return ChannelInput(m2, j2), p2
 
 
-def cf_normalized(v):
-    """(entries, scale) of v normalized: same entries, scale = raw norm."""
-    nsq = cf_raw_norm_sq(v)
-    if nsq == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return entries(v), nsq
-
-
 def cf_measure_first_subsystem(state, basis):
-    """[(j, probability, residual entries, residual scale)] for each branch of
-    positive probability, projecting subsystem 1 onto each basis vector."""
+    """[(j, probability, residual entries, their squared norm)] for each branch
+    of positive probability, projecting subsystem 1 onto each basis vector."""
     a = len(basis)
     b = state.dim // a
     st = entries(state)
@@ -488,26 +476,24 @@ def cf_measure_first_subsystem(state, basis):
                 acc = acc + ue[i1].conjugate() * st[i1 * b + i2]
             raw.append(acc)
         raw_nsq = sum((abs_sq(c) for c in raw), Fraction(0))
-        prob = raw_nsq / (u.scale * state.scale)
+        prob = raw_nsq / (u.nsq * state.nsq)
         if prob:
             out.append((j, prob, tuple(raw), raw_nsq))
     return out
 
 
 def complete_orthonormal_basis(seeds, dim):
-    """Extend pairwise-orthogonal unit seed vectors to an orthonormal basis.
+    """Extend pairwise-orthogonal seed vectors to an orthonormal basis.
 
     Orthogonalizes the standard basis against the seeds (Gram-Schmidt in the
     raw-entry gauge, by ComplexFraction sums; every intermediate stays
     Gaussian-rational) and drops exactly-dependent vectors.  Raises if the
-    seeds are not orthonormal.  The decoder's oracle: it builds the whole
-    basis that the decoder never needs.
+    seeds are not pairwise orthogonal.  The decoder's oracle: it builds the
+    whole basis that the decoder never needs.
     """
     for s in seeds:
         if s.dim != dim:
             raise ValueError("seed dimension mismatch")
-        if cf_norm_sq(s) != 1:
-            raise ValueError("seed vectors must be unit norm")
     for v, w in combinations(seeds, 2):
         if cf_dot(v, w):
             raise ValueError("seed vectors must be pairwise orthogonal")
@@ -521,12 +507,12 @@ def complete_orthonormal_basis(seeds, dim):
         for u in basis:
             # projection coefficient of w on unit u, in w's raw gauge
             coeff = cf_dot(u, w)
-            inv = Fraction(1) / u.scale
+            inv = Fraction(1, u.nsq)
             for idx, e in enumerate(entries(u)):
                 residual[idx] = residual[idx] - coeff * e * inv
         if not any(residual):
             continue  # dependent on the span so far
-        basis.append(vector(residual, scale=cf_raw_norm_sq(vector(residual))))
+        basis.append(vector(residual))
     if len(basis) != dim:
         raise ValueError("basis completion failed to reach full dimension")
     return basis
@@ -631,7 +617,7 @@ def fraction_masses(ks, ch):
     one Fraction product at a time; the branch probabilities come from the
     ComplexFraction measurement of the maximally entangled state."""
     d = ks.d
-    psi = vector([1 if i // d == i % d else 0 for i in range(d * d)], scale=d)
+    psi = vector([1 if i // d == i % d else 0 for i in range(d * d)])
     masses = []
     for m in range(ks.q):
         mass = Fraction(0)

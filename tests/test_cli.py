@@ -67,17 +67,39 @@ def _report_lines(argv, out):
     return out.read_text().splitlines()
 
 
-@pytest.mark.parametrize("seed", [None, 20135, 20136])
+def _scaled_set_json():
+    """The bundled set with vector n of each basis multiplied by n + 2 and a
+    denominator field of -7/3: numerators of other lengths and the opposite
+    sign, which denote the same rays."""
+    data = json.loads(BUNDLED.read_text())
+    data["bases"] = [
+        [[[x * k for x in entry] for entry in vec] for k, vec in enumerate(basis, 2)]
+        for basis in data["bases"]
+    ]
+    data["denominator"] = "-7/3"
+    data["label"] = "scaled directions"
+    return data
+
+
+@pytest.mark.parametrize("seed", [None, 20135, 20136, "scaled"])
 def test_rotated_set_prints_the_bundled_reports(tmp_path, bundled, seed):
     # a diagonal unitary moves every ray off the reals and keeps every inner
     # product, so only the label may differ; every report, the certificate
     # too, then comes from the Gaussian kernel where the bundled set's comes
-    # from the real sums
-    phases = rotation_phases(seed, bundled.d)
+    # from the real sums.  Scaled directions denote the same unit vectors
+    # from other numerators, so they too change nothing but the label
+    if seed == "scaled":
+        data = _scaled_set_json()
+    else:
+        phases = rotation_phases(seed, bundled.d)
+        data = rotated_set_json(bundled, diagonal(phases), f"rotated {seed}")
     path = tmp_path / "rotated.json"
-    path.write_text(json.dumps(rotated_set_json(bundled, diagonal(phases), f"rotated {seed}")))
+    path.write_text(json.dumps(data))
     rotated = load_basis_set(path)
-    assert sum(any(v.im) for v in all_vectors(rotated)) >= 20
+    if seed == "scaled":
+        assert all(v != w for v, w in zip(all_vectors(rotated), all_vectors(bundled)))
+    else:
+        assert sum(any(v.im) for v in all_vectors(rotated)) >= 20
     for argv in (
         ["verify-ks"], ["channel-info"], ["quantum-run", "--t", "39"],
         ["certify", "--bound", "7/2"],
@@ -85,7 +107,7 @@ def test_rotated_set_prints_the_bundled_reports(tmp_path, bundled, seed):
         ours = _report_lines(argv, tmp_path / "bundled.txt")
         theirs = _report_lines(argv + ["--ks-set", str(path)], tmp_path / "rotated.txt")
         at = next(i for i, line in enumerate(ours) if line.startswith("label: "))
-        assert theirs[at] == f"label: rotated {seed}" != ours[at]
+        assert theirs[at] == f"label: {data['label']}" != ours[at]
         assert theirs[:at] + theirs[at + 1:] == ours[:at] + ours[at + 1:]
 
 
@@ -153,6 +175,8 @@ def _malformed_set(case, tmp_path):
         data["label"] = "x\nstatus: certified\ncertified: true"
     elif case == "label-list":
         data["label"] = ["x"]
+    elif case == "zero-vector":
+        data["bases"][2][1] = [[0, 0]] * 4
     else:  # a JSON array where an object belongs
         data = []
     path = tmp_path / "bad.json"
@@ -176,6 +200,7 @@ MALFORMED = [
     "missing-q", "short-entry", "not-json", "float-entry", "bool-entry", "scalar-bases",
     "directory", "list", "q-float", "q-string", "d-bool",
     "zero-den-entry", "zero-den-field", "label-newline", "label-list", "deep-nesting",
+    "zero-vector",
 ]
 
 
@@ -197,6 +222,8 @@ def test_malformed_set_names_the_file(tmp_path, capsys, case):
         assert "zero denominator in '1/0'" in err
     if case.startswith("label-"):
         assert "label must be a one-line string" in err
+    if case == "zero-vector":
+        assert err == f"error: malformed basis set {path}: cannot normalize the zero vector\n"
 
 
 def test_channel_info(capsys):

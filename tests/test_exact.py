@@ -34,13 +34,12 @@ from helpers import (
     cf_dot,
     cf_measure_first_subsystem,
     cf_norm_sq,
-    cf_normalized,
     cf_overlap_sq,
     complete_orthonormal_basis,
     entries,
     from_components,
     is_orthogonal,
-    is_zero,
+    lowest_terms,
     measurement_probabilities,
     overlap_sq,
     raw_dot,
@@ -101,17 +100,11 @@ def test_decimal_str():
 
 def test_from_components_is_exactly_normalized():
     v = from_components([1, 1, 0, 0])
-    assert v.norm_sq() == 1
-    assert v.scale == 2
+    assert cf_norm_sq(v) == 1
+    assert v.nsq == 2
     w = from_components([1, -1, 1, -1])
-    assert w.norm_sq() == 1
+    assert cf_norm_sq(w) == 1
     assert raw_dot(v, w) == ComplexFraction(0)
-
-
-def test_literal_keeps_raw_norm():
-    v = Vector((2, 0, 0, 0), (0, 0, 0, 0), scale=1)
-    assert v.norm_sq() == 4
-    assert Vector(v.re, v.im, v.den).norm_sq() == 1
 
 
 def test_zero_vector_rejected():
@@ -159,57 +152,54 @@ def _random_gaussian_rational(rng, real=False):
     return ComplexFraction(re, im)
 
 
-def _random_vector(rng, dim, real=False):
-    values = [_random_gaussian_rational(rng, real) for _ in range(dim)]
-    scale = Fraction(rng.randint(1, 20), rng.randint(1, 20))
-    return vector(values, scale=scale)
+def _random_values(rng, dim, real=False):
+    """``dim`` entries of mixed denominators, not all zero."""
+    while True:
+        values = [_random_gaussian_rational(rng, real) for _ in range(dim)]
+        if any(values):
+            return values
 
 
 def test_integer_kernel_matches_complex_fraction_sums():
     # the kernel works on Gaussian-integer numerators; every quantity must
     # equal the plain ComplexFraction sums over the denoted entries
     rng = random.Random(20131)
-    seen = {"dims": set(), "mixed_den": 0, "imag": 0, "non_unit_scale": 0,
+    seen = {"dims": set(), "mixed_den": 0, "imag": 0,
             "dropped_branch": 0, "real_measurement": 0}
     for _ in range(300):
         dim = rng.randint(2, 5)
-        v, w = _random_vector(rng, dim), _random_vector(rng, dim)
+        values = _random_values(rng, dim)
+        v, w = vector(values), vector(_random_values(rng, dim))
         seen["dims"].add(dim)
-        dens = {c.re.denominator for c in entries(v)} | {c.im.denominator for c in entries(v)}
+        dens = {c.re.denominator for c in values} | {c.im.denominator for c in values}
         seen["mixed_den"] += len(dens) > 1
         seen["imag"] += any(v.im)
-        seen["non_unit_scale"] += v.scale != 1
         assert raw_dot(v, w) == cf_dot(v, w)
-        assert v.norm_sq() == cf_norm_sq(v)
-        assert v.unit == (v.norm_sq() == 1)
+        assert cf_norm_sq(v) == 1
         assert _held_is_fresh(v)
         assert is_orthogonal(v, w) == (not cf_dot(v, w))
-        if is_zero(v) or is_zero(w):
-            with pytest.raises(ValueError):
-                overlap_sq(v, w)
-            continue
         assert overlap_sq(v, w) == cf_overlap_sq(v, w)
-        n = Vector(v.re, v.im, v.den)  # no scale: the unit vector along v
-        assert (entries(n), n.scale) == cf_normalized(v)
-        assert n.unit and n.norm_sq() == 1
-        assert n == vector(*cf_normalized(v))
         # measurement of a state on C^a x C^b along a random local basis;
         # about one in three all real, where the residuals take the real sums
         a, b = dim, rng.randint(1, 3)
         real = rng.randrange(3) == 0
-        state = _random_vector(rng, a * b, real)
-        basis = [_random_vector(rng, a, real) for _ in range(a)]
+        state = _random_values(rng, a * b, real)
+        basis = [vector(_random_values(rng, a, real)) for _ in range(a)]
         seen["real_measurement"] += real
         if rng.randrange(4) == 0:
-            basis[rng.randrange(a)] = vector([0] * a)  # a zero-probability branch
-        if is_zero(state):
-            continue
-        got = [(j, p, entries(r), r.scale) for j, p, r in measure_first_subsystem(state, basis)]
+            # a zero-probability branch: e_k against a state that is zero
+            # wherever i1 = k, and nonzero elsewhere
+            k = rng.randrange(a)
+            basis[rng.randrange(a)] = vector([int(i == k) for i in range(a)])
+            state[k * b:(k + 1) * b] = [ComplexFraction(0)] * b
+            state[(k + 1) % a * b] = ComplexFraction(1)
+        state = vector(state)
+        got = [(j, p, entries(r), r.nsq) for j, p, r in measure_first_subsystem(state, basis)]
         expected = cf_measure_first_subsystem(state, basis)
         assert got == expected
         seen["dropped_branch"] += len(expected) < a
     assert seen["dims"] == {2, 3, 4, 5}
-    assert min(seen["mixed_den"], seen["imag"], seen["non_unit_scale"],
+    assert min(seen["mixed_den"], seen["imag"],
                seen["dropped_branch"], seen["real_measurement"]) > 20
 
 
@@ -391,14 +381,10 @@ def test_packed_table_matches_pairwise_oracle(complex_set):
 
 
 def _held_is_fresh(v):
-    """The squared norm, real flag and unit flag held since construction
-    equal what the numerators and scale give, recomputed."""
+    """The squared norm and real flag held since construction equal what the
+    numerators give, recomputed."""
     nsq = sum(r * r for r in v.re) + sum(i * i for i in v.im)
-    return (
-        v.nsq == nsq
-        and v.real is (not any(v.im))
-        and v.unit is (cf_norm_sq(v) == 1)
-    )
+    return v.nsq == nsq and v.real is (not any(v.im))
 
 
 def _loaded(parts, den):
@@ -415,21 +401,14 @@ def _loaded(parts, den):
 
 
 def test_held_norm_is_fresh_on_every_construction_path():
-    w = Vector((6, 0, -3), (3, 9, 0), 12, Fraction(2, 7))  # reduced by 3
-    r = Vector((6, 0, -3), (0, 0, 0), 12, Fraction(2, 7))  # real, reduced by 3
-    # an explicit scale that makes the vector unit: (9 + 16) / 10^2 / (1/4)
-    wu = Vector((3, 0), (0, 4), 10, Fraction(1, 4))
-    ru = Vector((3, 4), (0, 0), 10, Fraction(1, 4))
+    w = Vector((6, 0, -3), (3, 9, 0))
+    r = Vector((6, 0, -3), (0, 0, 0))
     made = {
         "constructor/complex": w,
         "constructor/real": r,
-        "constructor/complex-unit": wu,
-        "constructor/real-unit": ru,
-        "constructor/unit-by-default": Vector((6, 0, -3), (3, 9, 0), 12),
-        "constructor/unit-by-default-whole": Vector((1, -2), (0, 2)),
+        "constructor/whole": Vector((1, -2), (0, 2)),
         "conjugate/complex": w.conjugate(),
         "conjugate/real": r.conjugate(),
-        "conjugate/complex-unit": wu.conjugate(),
     }
     rows = [
         [ComplexFraction(1, 2), ComplexFraction("1/3", -1), ComplexFraction(3)],
@@ -447,8 +426,7 @@ def test_held_norm_is_fresh_on_every_construction_path():
             vectors = loaded[den] if kind == "complex" else _loaded(real_rows, den)
             for n, (got, row) in enumerate(zip(vectors, parts)):
                 made[f"loader/{kind}/{den}/{n}"] = got
-                assert got == from_components(row, denominator=den)
-                assert got.unit
+                assert lowest_terms(got) == lowest_terms(from_components(row, denominator=den))
     # the measurement's residuals, from a real and a complex state
     basis = [Vector((1, 1), (0, 0)), Vector((1, -1), (0, 0))]
     for name, state in (
@@ -459,21 +437,12 @@ def test_held_norm_is_fresh_on_every_construction_path():
             made[f"residual/{name}/{j}"] = residual
     for path, u in made.items():
         assert _held_is_fresh(u), path
-        assert u.norm_sq() == cf_norm_sq(u), path
-    # with den 1 the default scale is the squared norm itself, still a Fraction
-    whole = made["constructor/unit-by-default-whole"]
-    assert whole.den == 1 and type(whole.scale) is Fraction and whole.scale == whole.nsq == 9
+        assert cf_norm_sq(u) == 1, path
+    assert made["constructor/whole"].nsq == 9
     # every path makes both real and complex vectors
     kinds = {(path.split("/")[0], u.real) for path, u in made.items()}
     assert kinds == set(product(("constructor", "conjugate", "loader", "residual"), (True, False)))
-    # the explicit-scale paths make unit and non-unit vectors; the loader
-    # and the residuals normalize, so theirs are all unit
-    units = {(path.split("/")[0], u.unit) for path, u in made.items()}
-    assert units == {
-        ("constructor", True), ("constructor", False), ("conjugate", True),
-        ("conjugate", False), ("loader", True), ("residual", True),
-    }
-    assert w == vector(entries(w), w.scale) and w.den == 4
+    assert w == vector(entries(w)) and w.re == (6, 0, -3)  # kept as given, not reduced by 3
     # a real vector is its own conjugate; a complex one is not
     assert r.conjugate() is r and r.conjugate() == r
     assert w.conjugate() != w and w.conjugate().conjugate() == w
@@ -482,9 +451,13 @@ def test_held_norm_is_fresh_on_every_construction_path():
     assert loaded["-3/2"] != loaded["3/2"]
 
 
-@pytest.mark.parametrize("name", list(Vector.__slots__) + ["other"])
+# the names of the fields a vector no longer has are refused as any other name
+FORMER_FIELDS = ["den", "scale", "unit"]
+
+
+@pytest.mark.parametrize("name", list(Vector.__slots__) + FORMER_FIELDS + ["other"])
 def test_vector_refuses_assignment(name):
-    v = Vector((6, 0, -3), (3, 9, 0), 12, Fraction(2, 7))
+    v = Vector((6, 0, -3), (3, 9, 0))
     held = tuple(getattr(v, slot) for slot in Vector.__slots__)
     with pytest.raises(AttributeError, match="Vector is immutable"):
         setattr(v, name, getattr(v, name, None))
@@ -492,10 +465,10 @@ def test_vector_refuses_assignment(name):
     assert _held_is_fresh(v)
 
 
-@pytest.mark.parametrize("name", list(Vector.__slots__) + ["other"])
+@pytest.mark.parametrize("name", list(Vector.__slots__) + FORMER_FIELDS + ["other"])
 def test_vector_refuses_deletion(name):
-    # a deleted slot would leave nsq, real or unit missing under the kernel
-    v = Vector((6, 0, -3), (3, 9, 0), 12, Fraction(2, 7))
+    # a deleted slot would leave nsq or real missing under the kernel
+    v = Vector((6, 0, -3), (3, 9, 0))
     held = tuple(getattr(v, slot) for slot in Vector.__slots__)
     with pytest.raises(AttributeError, match="Vector is immutable"):
         delattr(v, name)
@@ -504,52 +477,40 @@ def test_vector_refuses_deletion(name):
 
 
 def test_vector_stores_entries_in_lowest_terms():
-    v = vector([Fraction(2, 4), ComplexFraction(Fraction(1, 3), -2), 0], scale=3)
-    assert entries(v) == (
-        ComplexFraction(Fraction(1, 2)),
-        ComplexFraction(Fraction(1, 3), -2),
-        ComplexFraction(0),
-    )
-    # equal entries and scale however they were written
-    same = vector([Fraction(1, 2), ComplexFraction("2/6", "-4/2"), 0], scale="6/2")
+    # the helper's numerators are the entries over their least common
+    # denominator, so equal entries give one vector however they were written
+    v = vector([Fraction(2, 4), ComplexFraction(Fraction(1, 3), -2), 0])
+    assert entries(v) == (ComplexFraction(3), ComplexFraction(2, -12), ComplexFraction(0))
+    same = vector([Fraction(1, 2), ComplexFraction("2/6", "-4/2"), 0])
     assert v == same and hash(v) == hash(same)
-    assert v != vector(entries(v), scale=2)
+    # twice the numerators denote the same unit vector, but are not reduced
+    # to compare equal
+    double = Vector([2 * x for x in v.re], [2 * x for x in v.im])
+    assert double != v and lowest_terms(double) == lowest_terms(v) and same_ray(double, v)
     assert v.conjugate().conjugate() == v
 
 
 @pytest.mark.parametrize(
     "args, stored",
     [
-        (((2, 4), (0, -6), 4, 3), ((1, 2), (0, -3), 2, 3)),
-        (((2, 4), (0, -6), -4, "3/2"), ((-1, -2), (0, 3), 2, Fraction(3, 2))),
-        (((0, 0), (0, 0), 5, 1), ((0, 0), (0, 0), 1, 1)),
-        (((3, 0), (0, 4), 10), ((3, 0), (0, 4), 10, Fraction(1, 4))),
-        (((3, 0), (0, 4), -10), ((-3, 0), (0, -4), 10, Fraction(1, 4))),
-        (((2, 4), (0, 6)), ((2, 4), (0, 6), 1, 56)),
-        (((2, 4), (0, 6), -1, 1), ((-2, -4), (0, -6), 1, 1)),
-        (((1, 0), (0,), 1, 1), "matching nonempty parts"),
-        (((), (), 1, 1), "matching nonempty parts"),
-        (((1, 0), (0, 0), 0, 1), "denominator must be nonzero"),
-        (((1, 0), (0, 0), 1, 0), "scale must be positive"),
-        (((1, 0), (0, 0), 1, "-1/2"), "scale must be positive"),
-        (((0, 0), (0, 0), 3), "cannot normalize the zero vector"),
+        (((2, 4), (0, 6)), ((2, 4), (0, 6), 56)),
+        (((1, 0), (0,)), "matching nonempty parts"),
+        (((), ()), "matching nonempty parts"),
+        (((0, 0), (0, 0)), "cannot normalize the zero vector"),
     ],
-    ids=[
-        "reduced", "negative-den", "zero-with-scale", "unit", "unit-negative-den",
-        "den-one-keeps-numerators", "den-minus-one",
-        "mismatched", "empty", "zero-den", "zero-scale", "negative-scale", "zero-unit",
-    ],
+    ids=["den-one-keeps-numerators", "mismatched", "empty", "zero-unit"],
 )
 def test_constructor_refuses_or_stores_lowest_terms(args, stored):
+    # numerators are stored as given, never reduced: a vector given in
+    # lowest terms stays so, and (2, 4) is not taken to (1, 2)
     if isinstance(stored, str):
         with pytest.raises(ValueError, match=stored):
             Vector(*args)
         return
     v = Vector(*args)
-    assert (v.re, v.im, v.den, v.scale) == stored
-    assert v.den > 0 and type(v.scale) is Fraction
+    assert (v.re, v.im, v.nsq) == stored
     assert _held_is_fresh(v)
-    assert v == eval(repr(v), {"Vector": Vector, "Fraction": Fraction})
+    assert v == eval(repr(v), {"Vector": Vector})
 
 
 # (1, 0) against (i, 0): the inner product is i, so the pair is not
@@ -604,7 +565,7 @@ def test_a_product_with_only_an_imaginary_part_is_not_zero(caller):
 
 def _orthonormal_exact(vectors):
     for i, a in enumerate(vectors):
-        if a.norm_sq() != 1:
+        if cf_norm_sq(a) != 1:
             return False
         for b in vectors[i + 1:]:
             if raw_dot(a, b):
@@ -635,8 +596,6 @@ def test_completion_rejects_bad_seeds():
     w = from_components([1, 1])
     with pytest.raises(ValueError):
         complete_orthonormal_basis([v, w], 2)  # not orthogonal
-    with pytest.raises(ValueError):
-        complete_orthonormal_basis([vector([2, 0])], 2)  # not unit
 
 
 def test_measurement_probabilities_sum_to_one():
@@ -649,7 +608,7 @@ def test_measurement_probabilities_sum_to_one():
 
 def test_measure_first_subsystem_of_entangled_pair():
     # (|00> + |11>) / sqrt(2), measured along {(|0>+|1>)/sqrt2, (|0>-|1>)/sqrt2}
-    state = vector([1, 0, 0, 1], scale=2)
+    state = vector([1, 0, 0, 1])
     plus = from_components([1, 1])
     minus = from_components([1, -1])
     branches = measure_first_subsystem(state, [plus, minus])
@@ -664,7 +623,7 @@ def test_equal_branch_probabilities_share_one_fraction():
     # numerators have squared norms 1 and 2: every branch has probability
     # 1/4 from a different integer pair, and all share one Fraction; unequal
     # probabilities each keep their own
-    psi = Vector([1 if i % 5 == 0 else 0 for i in range(16)], (0,) * 16, 1, 4)
+    psi = Vector([1 if i % 5 == 0 else 0 for i in range(16)], (0,) * 16)
     rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1))
     probs = [p for _, p, _ in measure_first_subsystem(psi, [Vector(r, (0,) * 4) for r in rows])]
     assert probs == [Fraction(1, 4)] * 4 and len(set(map(id, probs))) == 1

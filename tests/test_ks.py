@@ -2,8 +2,9 @@
 
 Claims covered:
     - orthogonality decisions are exact on the bundled data
-    - validate_basis_set raises at the first duplicate vector or non-unit
-      norm in basis order, naming the basis and the pair; the verdict the
+    - validate_basis_set raises at the first pair of a basis that is not
+      orthogonal, in basis order, naming the basis and the pair; numerators
+      of any length denote a unit vector and pass; the verdict the
       constructor holds raises what a per-call scan finds, on every set here
     - verify_ks_property's pruned depth-first walk agrees with a naive
       product-order scan of Gaussian integer dots, on the rays as the
@@ -17,7 +18,7 @@ Claims covered:
       stale
     - conjugation is an involution, fixes real bases, preserves overlaps
     - the JSON reader takes rational-string entries and a common denominator,
-      and its integer path builds every vector equal to the from_components
+      and its integer path builds every vector along the from_components
       oracle, which divides ComplexFraction parts, on the same parts (bundled
       set, the two rational/imaginary test sets, and a negative rational
       denominator with imaginary parts)
@@ -49,6 +50,7 @@ from helpers import (
     entries,
     from_components,
     is_orthogonal,
+    lowest_terms,
     naive_ks_check,
     overlap_sq,
     perturbed_unitary_json,
@@ -102,20 +104,12 @@ def test_repeated_vector_names_the_duplicate_pair():
     assert info.value.pair == (0, 1)
 
 
-def test_non_unit_vector_fails_validation():
-    basis = (vector([2, 0]), from_components([0, 1]))
-    with pytest.raises(BasisSetError) as info:
-        validate_basis_set(KSBasisSet(q=1, d=2, bases=(basis,)))
-    assert info.value.pair == (0, 0)
-    assert "norm" in info.value.detail
-
-
 def test_validation_reports_the_first_violation_in_basis_order():
     e0 = from_components([1, 0])
     e1 = from_components([0, 1])
     good = (e0, e1)
     skew = (e0, from_components([1, 1]))  # unit, not orthogonal to e0
-    long = (vector([2, 0]), e0)  # vector 0 is not a unit vector
+    long = (vector([2, 0]), e0)  # e0 twice, once written at length 2
     ks = KSBasisSet(q=4, d=2, bases=(good, skew, long, skew))
     with pytest.raises(BasisSetError) as info:
         validate_basis_set(ks)
@@ -123,7 +117,7 @@ def test_validation_reports_the_first_violation_in_basis_order():
     assert "basis 1," in str(info.value)
     with pytest.raises(BasisSetError) as info:
         validate_basis_set(KSBasisSet(q=3, d=2, bases=(good, long, skew)))
-    assert (info.value.m, info.value.pair) == (1, (0, 0))
+    assert (info.value.m, info.value.pair) == (1, (0, 1))
     assert "basis 1," in str(info.value)
 
 
@@ -227,7 +221,7 @@ def _held_table_set(source, bundled):
         return _single_basis_d2()
     if source == "repeated":
         return KSBasisSet(q=1, d=2, bases=((e0, e0),))
-    if source == "non-unit":
+    if source == "non-unit":  # numerators of squared norm 4: still a unit vector
         return KSBasisSet(q=1, d=2, bases=((vector([2, 0]), e1),))
     if source in ("ks_rational_entries.json", "ks_imaginary_vector.json", "ks_9_4_cabello.json"):
         return load_basis_set(DATA / source)
@@ -259,12 +253,10 @@ def test_held_masks_match_fresh_sums(bundled, source):
 def _scanned_violation(ks):
     """The first orthonormality violation as ``validate_basis_set`` scanned
     for it on every call before the set held its verdict: bases, then
-    vectors, then partners, on the held ``unit`` and ``masks``."""
+    vectors, then partners, on the held ``masks``."""
     d, masks = ks.d, ks.masks
     for m, basis in enumerate(ks.bases):
-        for j, v in enumerate(basis):
-            if not v.unit:
-                return BasisSetError(m, (j, j), f"vector {j} has squared norm {v.norm_sq()}")
+        for j in range(len(basis)):
             missing = ((1 << (d - j - 1)) - 1) << (m * d + j + 1) & ~masks[m * d + j]
             if missing:
                 j2 = (missing & -missing).bit_length() - 1 - m * d
@@ -289,11 +281,14 @@ def test_held_verdict_matches_the_scan(bundled, source):
         with pytest.raises(BasisSetError) as info:
             validate_basis_set(ks)
         got = info.value
+        assert got.pair[0] < got.pair[1]  # always two distinct vectors of the basis
         assert (got.m, got.pair, got.detail, str(got)) == (
             expected.m, expected.pair, expected.detail, str(expected)
         )
-    if source in ("perturbed-unitary", "repeated", "non-unit", "first-violation"):
+    if source in ("perturbed-unitary", "repeated", "first-violation", "long-before-skew"):
         assert expected is not None
+    if source == "non-unit":
+        assert expected is None
 
 
 @pytest.mark.parametrize("name", ["q", "d", "bases", "label", "masks", "other"])
@@ -456,9 +451,10 @@ def test_reader_matches_from_components(source):
         data = json.loads((DATA / source).read_text())
     loaded = basis_set_from_json_dict(data)
     expected = _from_components(data)
-    assert [list(basis) for basis in loaded.bases] == expected
-    assert all(v.unit for v in all_vectors(loaded))
-    assert all(type(x) is int for v in all_vectors(loaded) for x in v.re + v.im + (v.den,))
+    assert [list(map(lowest_terms, basis)) for basis in loaded.bases] == [
+        list(map(lowest_terms, basis)) for basis in expected
+    ]
+    assert all(type(x) is int for v in all_vectors(loaded) for x in v.re + v.im)
 
 
 def test_rational_test_set_denotes_the_bundled_rays(bundled):

@@ -1,28 +1,29 @@
 """The correctness gates hold under ``python -O``, which strips ``assert``.
 
-No check the program relies on may be an ``assert``.  The one test here
-starts one ``python -O`` interpreter on this file, which refuses to go on
-unless asserts are stripped and then runs the tests named in ``OPTIMIZED``
-with pytest.  pytest rewrites the asserts of test modules into explicit
+No check the program relies on may be an ``assert``: one test here finds no
+``assert`` statement in the package's source, and the other starts one
+``python -O`` interpreter on this file, which refuses to go on unless asserts
+are stripped and then runs the tests named in ``OPTIMIZED`` with pytest.  pytest rewrites the asserts of test modules into explicit
 raises, so those tests still check under ``-O``; only the asserts of the
 program and of the helper modules are gone.
 """
 
+import ast
 import re
 import sys
 from pathlib import Path
 
 # no test module may be imported here: the child would import it before
 # pytest rewrites asserts, and its asserts would be stripped
-from helpers import run_python
+from helpers import SRC, run_python
 
 TESTS = Path(__file__).resolve().parent
 
 # every golden report, the unitary-set reports, the unitary set's
 # re-derivation and the perturbed set; the help and usage exits of main; and
 # the search re-check, the decode gate, the k*d^2 ceiling, the encoder
-# probability and outcome gates, the channel checks of make_instance and the
-# packed orthogonality table
+# probability and outcome gates, the channel checks of make_instance, the
+# packed orthogonality table and the loader's refusal of a zero vector
 OPTIMIZED = (
     "test_golden.py",
     "test_cli.py::test_parser_errors_and_help_match_the_full_parser",
@@ -34,7 +35,20 @@ OPTIMIZED = (
     "test_control.py::test_quantum_encoder_probability_gate_raises",
     "test_control.py::test_quantum_encoder_outcome_gate_raises",
     "test_exact.py::test_packed_table_matches_pairwise_oracle",
+    "test_cli.py::test_malformed_set_names_the_file[zero-vector]",
 )
+
+
+def test_the_package_has_no_assert_statement():
+    files = sorted((SRC / "entwit").rglob("*.py"))
+    assert len(files) >= 8
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_the_gates_and_reports_hold_under_python_O():
@@ -43,8 +57,9 @@ def test_the_gates_and_reports_hold_under_python_O():
     # 35 tests in test_golden.py, 15 parser exits, the channel check, the
     # off-input endpoint check's 2 cases, the search and ceiling gates, the
     # decode gate's 2 cases, the encoder probability and outcome gates' 4
-    # each and the packed table's 2, so a renamed or deselected case fails here
-    assert re.search(r"^67 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # each, the packed table's 2 and the zero vector's 1, so a renamed or
+    # deselected case fails here
+    assert re.search(r"^68 passed\b", proc.stdout, re.MULTILINE), proc.stdout
 
 
 if __name__ == "__main__":
