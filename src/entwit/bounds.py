@@ -1,24 +1,25 @@
 """Cost-bound implications, the strategy-to-code reduction, and certificates.
 
 If some strategy achieved cost at most M, its control outputs would be bounded,
-|c1| <= M_X = sqrt(M / (k * p_x_min)), with p_x_min independent of the scale t
-(clause (b)); c1 tables are integer-valued, so every such strategy lies in the
-window floor(M_X), and an exact in-window search whose minimum exceeds M
+|c1| <= M_X with M_X^2 = M / (k * p_x_min), and p_x_min independent of the
+scale t (clause (b)); c1 tables are integer-valued, so every such strategy lies
+in the window floor(M_X), and an exact in-window search whose minimum exceeds M
 (clause (c)) rules out every deterministic strategy, and finite mixtures with
-them.  Soundness rests on (b) and (c) alone.  M_Z = sqrt(M / p_z_min) only
-picks t: p_z_min bounds the mass of in-form branches, and the uniform branch
-can go below it (``pzmin_lower_bound``).  The search is a branch and bound over
-c1 prefixes that prunes a prefix only when its exact partial cost, a lower
-bound on every completion, strictly exceeds the best complete table so far.
-The certificate emitted here records exactly that chain, and also runs the
-reduction that powers it: any strategy whose decoder estimate -c2(s)/t always
-lands within 1/2 of the sent message would be a q-message zero-error code,
-which the channel cannot support.
+them.  Soundness rests on (b) and (c) alone.  M_Z^2 = M / p_z_min only picks t:
+p_z_min bounds the mass of in-form branches, and the uniform branch can go
+below it (``pzmin_lower_bound``).  Both bounds are kept as exact squares; t and
+the window come from integer square roots and exact comparisons.  The search is
+a branch and bound over c1 prefixes that prunes a prefix only when its exact
+partial cost, a lower bound on every completion, strictly exceeds the best
+complete table so far.  The certificate emitted here records exactly that
+chain, and also runs the reduction that powers it: any strategy whose decoder
+estimate -c2(s)/t always lands within 1/2 of the sent message would be a
+q-message zero-error code, which the channel cannot support.
 """
 
 from __future__ import annotations
 
-import math
+import json
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Optional
@@ -57,7 +58,7 @@ def pzmin_lower_bound(inst: WitsenhausenInstance) -> Fraction:
 
     Valid whenever the shifted wire value stays in channel form (each branch
     then carries at least this much mass); the uniform fallback branch can
-    dilute below it, which only ever makes the derived scale threshold t0
+    dilute below it, which only ever makes the scale that M_Z picks
     conservative for strategies that stay in form.
     """
     return pxmin(inst) / max(map(len, inst.channel.rows.values()))
@@ -77,10 +78,6 @@ class BoundSet(NamedTuple):
     p_z_min_lower: Fraction
     m_x_sq: Fraction  # M / (k * p_x_min)
     m_z_sq: Fraction  # M / p_z_min_lower
-    m_x: float
-    m_z: float
-    t0: float  # 2 * (m_x + m_z) + 1
-    closed_t0: Optional[float]  # 20 * sqrt(M) + 1, when parameters match
 
     @property
     def window_required(self) -> int:
@@ -96,13 +93,15 @@ class BoundSet(NamedTuple):
         return floor + 1
 
     def suggested_t(self, d: int) -> int:
-        """Smallest integer scale t >= d at or above the t0 formula (closed
-        form preferred when it applies), decided exactly: (t - 1)^2 >= 400*M
-        on the closed path, and (t - 1)/2 >= M_X + M_Z squared twice in
-        Fraction otherwise.  The walk starts from integer square roots of the
-        exact bounds, never above the answer and at most a few steps below
-        it, so it ends at once for any M; no float enters."""
-        if self.closed_t0 is not None:
+        """Smallest integer scale t >= d with (t - 1)/2 >= M_X + M_Z, decided
+        exactly.  At the concrete parameters (p_x_min, p_z_min, k) =
+        (1/6, 1/54, 1), where M_X + M_Z = sqrt(6M) + sqrt(54M) <= 10*sqrt(M),
+        the closed rule (t - 1)^2 >= 400*M is used; otherwise the general rule
+        is squared twice in Fraction.  The walk starts from integer square
+        roots of the exact bounds, never above the answer and at most a few
+        steps below it, so it ends at once for any M."""
+        closed = (Fraction(1, 6), Fraction(1, 54), 1)
+        if (self.p_x_min, self.p_z_min_lower, self.k) == closed:
             seed = 1 + _floor_sqrt(400 * self.m_bound)
 
             def covers(t: int) -> bool:
@@ -121,14 +120,8 @@ class BoundSet(NamedTuple):
 
 
 def compute_bounds(m_bound, k, p_x_min, p_z_min) -> BoundSet:
-    """Bound |c1| and |z| under an assumed cost bound, and the scale threshold.
-
-    m_x_sq and m_z_sq are exact; the square roots and the threshold
-    t0 = 2 * (M_X + M_Z) + 1 are reported as floats.  When the parameters are
-    the concrete ones (p_x_min, p_z_min, k) = (1/6, 1/54, 1), M_X and M_Z are
-    the closed forms sqrt(6M) and sqrt(54M), and 20 * sqrt(M) + 1 >= t0 is
-    reported alongside.
-    """
+    """The exact squared bounds on |c1| and |z| under an assumed cost bound:
+    M_X^2 = M / (k * p_x_min) and M_Z^2 = M / p_z_min."""
     m_bound = as_fraction(m_bound)
     k = as_fraction(k)
     p_x_min = as_fraction(p_x_min)
@@ -136,28 +129,7 @@ def compute_bounds(m_bound, k, p_x_min, p_z_min) -> BoundSet:
     if m_bound <= 0 or k <= 0 or p_x_min <= 0 or p_z_min <= 0:
         raise ValueError("all bound parameters must be positive")
     m_x_sq = m_bound / (k * p_x_min)
-    m_z_sq = m_bound / p_z_min
-    try:
-        m_x = math.sqrt(m_x_sq)
-        m_z = math.sqrt(m_z_sq)
-    except OverflowError as exc:
-        raise ValueError(
-            "cost bound too large: M_X^2 = M/(k*p_x_min) or M_Z^2 = M/p_z_min "
-            "does not fit a float"
-        ) from exc
-    closed = (p_x_min, p_z_min, k) == (Fraction(1, 6), Fraction(1, 54), Fraction(1))
-    return BoundSet(
-        m_bound=m_bound,
-        k=k,
-        p_x_min=p_x_min,
-        p_z_min_lower=p_z_min,
-        m_x_sq=m_x_sq,
-        m_z_sq=m_z_sq,
-        m_x=m_x,
-        m_z=m_z,
-        t0=2 * (m_x + m_z) + 1,
-        closed_t0=20 * math.sqrt(m_bound) + 1 if closed else None,
-    )
+    return BoundSet(m_bound, k, p_x_min, p_z_min, m_x_sq, m_bound / p_z_min)
 
 
 def bounds_for_instance(inst: WitsenhausenInstance, m_bound) -> BoundSet:
@@ -219,12 +191,6 @@ class SeparationCertificate(NamedTuple):
         return self.status == "certified"
 
 
-T0_SYMBOL_NOTE = (
-    "the scale threshold uses t0 = 2*(M_X + M_Z) + 1; the second summand is "
-    "read as the final-signal bound M_Z"
-)
-
-
 def certify_separation(
     ks: KSBasisSet,
     k,
@@ -256,7 +222,7 @@ def certify_separation(
     w_default = bounds.window_default
     w = window if window is not None else w_default
 
-    notes = [T0_SYMBOL_NOTE]
+    notes = []
     if window is not None and window != w_default:
         notes.append(
             f"window override {window} in place of the default {w_default}"
@@ -344,17 +310,6 @@ def format_certificate(cert: SeparationCertificate) -> str:
         f"p-z-min-lower: {fraction_str(b.p_z_min_lower, with_decimal=True)}",
         f"m-x-squared: {fraction_str(b.m_x_sq, with_decimal=True)}",
         f"m-z-squared: {fraction_str(b.m_z_sq, with_decimal=True)}",
-        f"m-x: {b.m_x:.12g}",
-        f"m-z: {b.m_z:.12g}",
-        f"t0: {b.t0:.12g}",
-    ]
-    if b.closed_t0 is not None:
-        lines += [
-            f"m-x-closed-form: sqrt(6M) = {b.m_x:.12g}",
-            f"m-z-closed-form: sqrt(54M) = {b.m_z:.12g}",
-            f"t0-closed-form: 20*sqrt(M) + 1 = {b.closed_t0:.12g}",
-        ]
-    lines += [
         f"t: {cert.t}",
         f"window: {cert.window}",
         f"window-required: {b.window_required}",
@@ -376,7 +331,7 @@ def format_certificate(cert: SeparationCertificate) -> str:
         lines.append(
             f"reduction-verdict: {cert.reduction.status}"
             + (
-                f" witness={cert.reduction.witness}"
+                f" witness={json.dumps(cert.reduction.witness)}"
                 if cert.reduction.witness is not None
                 else ""
             )

@@ -179,7 +179,7 @@ def _cmd_certify(args) -> int:
     return EXIT_FAIL
 
 
-SWEEP_COLUMNS = "t,quantum_cost,classical_best,window,M_X,M_Z,t0,certified"
+SWEEP_COLUMNS = "t,quantum_cost,classical_best,window,certified"
 
 
 def _cmd_sweep(args) -> int:
@@ -206,9 +206,6 @@ def _cmd_sweep(args) -> int:
                     decimal_str(quantum.total),
                     decimal_str(result.cost),
                     str(args.window),
-                    f"{bounds.m_x:.12g}",
-                    f"{bounds.m_z:.12g}",
-                    f"{bounds.t0:.12g}",
                     str(certified).lower(),
                 ]
             )

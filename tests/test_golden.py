@@ -17,7 +17,10 @@ out-of-form child, before a group bound ruled most of them out.  The two
 ``classical-search-t39-k1_1000-w3`` cases, on the bundled and the 18-ray
 set, were written by the search that asked for that bound at every node,
 before a node's check ruled out the later messages' out-of-form values for
-its whole subtree.  Any change
+its whole subtree.  The seven ``certify`` files and the three ``sweep``
+files were rewritten, by deleting lines and columns only, when the square
+roots printed as floats were dropped and the reduction's witness became
+JSON.  Any change
 to a report's bytes, or to a command's exit code, fails here; a deliberate
 report change must regenerate the file in the same commit.
 

@@ -51,6 +51,35 @@ def test_the_package_has_no_assert_statement():
     assert found == []
 
 
+def _float_construct(node) -> bool:
+    """A float literal, ``import math``, a ``sqrt`` imported or looked up, or
+    an f-string format spec such as ``:.12g``."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is float
+    if isinstance(node, ast.Import):
+        return any(alias.name == "math" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "sqrt" for alias in node.names)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "sqrt"
+    if isinstance(node, ast.FormattedValue):
+        return node.format_spec is not None
+    return False
+
+
+def test_the_package_has_no_float_construct():
+    # every cost, bound and scale is exact; math.isqrt stays, being integer
+    files = sorted((SRC / "entwit").rglob("*.py"))
+    assert len(files) >= 8
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if _float_construct(node)
+    ]
+    assert found == []
+
+
 def test_the_gates_and_reports_hold_under_python_O():
     proc = run_python("-O", __file__)
     assert proc.returncode == 0, proc.stdout + proc.stderr
