@@ -1,40 +1,32 @@
 """Exact simulation of the entanglement-assisted zero-error strategy.
 
-The encoder and decoder share a maximally entangled pair of d-level systems.
-To send basis index m, the encoder measures its half in the conjugated basis;
-outcome j leaves the decoder holding exactly vector (m, j).  The channel then
-reveals an unordered pair {(m, j), (m', j')} of orthogonal candidates, and the
-decoder measures in any orthonormal basis containing both candidate vectors,
-identifying its residual with certainty; the outcome probabilities of the two
-candidates are squared overlaps, so that basis is never completed.  One
-walk, ``walk_entangled``, enumerates every (message, encoder branch,
-channel output) branch with exact probabilities for both the cost and the
-zero-error run; nothing is sampled, and a Fraction is built only for a
-result.
+The encoder and decoder share a maximally entangled pair of d-level systems,
+|Phi> = (1/sqrt(d)) sum_j |j>|j>.  To send basis index m, the encoder
+measures its half in the conjugated basis; since
+(<conj(u)| x I)|Phi> = |u>/sqrt(d) for every vector u, outcome j has
+probability exactly 1/d and leaves the decoder holding exactly vector (m, j),
+so no state vector is built.  The channel then reveals an unordered pair
+{(m, j), (m', j')} of orthogonal candidates, and the decoder measures in any
+orthonormal basis containing both candidate vectors, identifying its
+residual with certainty; the outcome probabilities of the two candidates are
+squared overlaps, so that basis is never completed.  One walk,
+``walk_entangled``, enumerates every (message, encoder branch, channel
+output) branch with exact probabilities for both the cost and the zero-error
+run; nothing is sampled, and a Fraction is built only for a result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import lcm
 from operator import mul
 from typing import NamedTuple
 
 from .channel import ChannelInput, ChannelOutput, FiniteChannel
-from .exact import Vector, _gauss_dot, measure_first_subsystem
+from .exact import Vector, _gauss_dot
 from .ks import KSBasisSet, validate_basis_set
 
 _ONE = Fraction(1)
-
-
-class MeasurementBranch(NamedTuple):
-    """One projective outcome: its label, exact probability, and the residual
-    state left on the unmeasured subsystem."""
-
-    outcome: ChannelInput
-    probability: Fraction
-    residual: Vector
 
 
 class QuantumDecodeError(AssertionError):
@@ -52,31 +44,18 @@ class QuantumZeroErrorReport(NamedTuple):
     per_message_mass: tuple  # Fraction per message; each must be 1
 
 
-@cache  # a Vector is immutable, so every encoder call shares one per d
-def maximally_entangled_state(d: int) -> Vector:
-    """(1/sqrt(d)) sum_j |j>|j> as an exact vector on C^(d*d)."""
-    if d < 2:
-        raise ValueError("need dimension at least 2")
-    entries = [1 if (i // d) == (i % d) else 0 for i in range(d * d)]
-    return Vector(entries, [0] * (d * d))
-
-
 def encoder_branches(ks: KSBasisSet, m: int) -> list:
-    """Measure the encoder half of the shared state in the conjugate of basis m.
-
-    Each of the d branches has probability exactly 1/d, and its residual on
-    the decoder side matches vector (m, j) with fidelity 1 (global phase is
-    quotiented out by comparing squared overlaps, never raw amplitudes).
+    """The d branches of the encoder's measurement in the conjugate of basis
+    m, from the identity (<conj(u)| x I)|Phi> = |u>/sqrt(d): per outcome j,
+    the triple (ChannelInput(m, j), 1/d, vector (m, j)), the d probabilities
+    one shared Fraction.
     """
     validate_basis_set(ks)
     if not 0 <= m < ks.q:
         raise ValueError(f"message {m} outside [0, {ks.q})")
-    psi = maximally_entangled_state(ks.d)
-    measured = [v.conjugate() for v in ks.bases[m]]  # still orthonormal
-    return [
-        MeasurementBranch(ChannelInput(m, j), prob, residual)
-        for j, prob, residual in measure_first_subsystem(psi, measured)
-    ]
+    d, vectors = ks.d, ks.vectors
+    p = Fraction(1, d)
+    return [(ChannelInput(m, j), p, vectors[m * d + j]) for j in range(d)]
 
 
 def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:

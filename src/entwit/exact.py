@@ -3,9 +3,9 @@
 All geometry in this package runs on exact arithmetic: the one vector type
 holds Gaussian-integer numerators and denotes the unit vector along them,
 numerators / sqrt(their squared norm).  Inner products, squared norms and
-squared overlaps are integer sums, so orthogonality and measurement
-probabilities are decided exactly, with no tolerances; a Fraction is formed
-only from the final sums.  Floats never enter.
+squared overlaps are integer sums, so orthogonality and overlaps are decided
+exactly, with no tolerances; a Fraction is formed only from the final sums.
+Floats never enter.
 
 Whether a vector is real and its integer squared norm are decided in its one
 constructor and held; only this module and ``entangled.decoder_decode`` read
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import lshift, mul, neg
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 
 def as_fraction(x) -> Fraction:
@@ -31,19 +31,10 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-class Parts(NamedTuple):
-    """Integer numerators of a vector and whether its imaginary ones are all
-    zero: the fields of a ``Vector`` that the dot kernel reads."""
-
-    re: tuple
-    im: tuple
-    real: bool
-
-
 def _gauss_dot(a, rows) -> list:
     """Integer (re, im) of sum(conj(a_k) * b_k) over Gaussian integers, for
-    ``a`` against each b of ``rows``, in order; each is a ``Vector`` or
-    ``Parts``, and only its numerators and ``real`` flag are read.
+    ``a`` against each b of ``rows``, in order; of each, only ``.re``,
+    ``.im`` and ``.real`` are read.
 
     A pair whose two ``real`` flags are both true takes the real sum, so a
     flag may be true only when that vector's imaginary parts are all zero;
@@ -143,11 +134,6 @@ class Vector:
     def dim(self) -> int:
         return len(self.re)
 
-    def conjugate(self) -> "Vector":
-        if self.real:
-            return self
-        return Vector(self.re, tuple(-i for i in self.im))
-
     def __eq__(self, other) -> bool:
         # equal numerators; numerators that differ by a positive factor denote
         # the same unit vector but are not reduced to compare equal
@@ -190,50 +176,3 @@ def fraction_str(x: Fraction, with_decimal: bool = False) -> str:
     ' (decimal)' as rendered by decimal_str."""
     body = f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
     return f"{body} ({decimal_str(x)})" if with_decimal else body
-
-
-def measure_first_subsystem(state: Vector, basis: Sequence[Vector]) -> list:
-    """Project subsystem 1 of a bipartite pure state onto a local basis.
-
-    ``state`` lives on C^a x C^b (entries indexed i1*b + i2) and ``basis``
-    is an orthonormal basis of C^a.  Returns a list of
-    (outcome_index, probability, residual_on_subsystem_2) with residuals
-    normalized; zero-probability branches are dropped.
-    """
-    a = len(basis)
-    if a == 0 or any(u.dim != a for u in basis):
-        raise ValueError("basis must be a full orthonormal basis of subsystem 1")
-    if state.dim % a != 0:
-        raise ValueError("state dimension is not a multiple of the basis dimension")
-    b = state.dim // a
-    # a real state along a real basis sums integer products; any complex
-    # vector sends the columns through the kernel
-    real = state.real and all(u.real for u in basis)
-    columns = [
-        state.re[i2::b] if real else Parts(state.re[i2::b], state.im[i2::b], state.real)
-        for i2 in range(b)
-    ]
-    branches, built = [], []  # built: (numerator, denominator, Fraction) per probability
-    for j, u in enumerate(basis):
-        # residual entry i2 is sum over i1 of conj(u_i1) * state_(i1*b + i2)
-        if real:
-            u_re = u.re
-            res_re, res_im = tuple([sum(map(mul, u_re, col)) for col in columns]), (0,) * b
-            nsq = sum(map(mul, res_re, res_re))
-        else:
-            res_re, res_im = zip(*_gauss_dot(u, columns))
-            nsq = sum(map(mul, res_re, res_re)) + sum(map(mul, res_im, res_im))
-        # the residual is res / sqrt(u.nsq * state.nsq); its squared norm is
-        # the branch probability, and only its direction is kept
-        if nsq == 0:
-            continue
-        pden = u.nsq * state.nsq
-        # equal probabilities share one Fraction: d branches of 1/d build one
-        for num0, den0, prob in built:
-            if nsq * den0 == pden * num0:
-                break
-        else:
-            prob = Fraction(nsq, pden)
-            built.append((nsq, pden, prob))
-        branches.append((j, prob, Vector(res_re, res_im)))
-    return branches

@@ -19,6 +19,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 from checker import orthogonal, read_rays
 from entwit.channel import ChannelInput, FiniteChannel, ZeroErrorCode, confusability_graph
@@ -408,9 +409,29 @@ def all_vectors(ks):
     return [v for basis in ks.bases for v in basis]
 
 
+class Parts(NamedTuple):
+    """Integer numerators and whether the imaginary ones are all zero: the
+    fields the dot kernel and the orthogonality table read, with the flag
+    free to be false on real numerators."""
+
+    re: tuple
+    im: tuple
+    real: bool
+
+
+def conjugate(v):
+    """The entrywise complex conjugate of a vector."""
+    return Vector(v.re, tuple(-i for i in v.im))
+
+
 def conjugate_basis(basis):
     """Entrywise complex conjugate of each vector; orthonormality is preserved."""
-    return tuple(v.conjugate() for v in basis)
+    return tuple(map(conjugate, basis))
+
+
+def maximally_entangled(d):
+    """(1/sqrt(d)) sum_j |j>|j> on C^(d*d), built from its entries."""
+    return vector([1 if i // d == i % d else 0 for i in range(d * d)])
 
 
 # -- exact geometry by ComplexFraction sums ------------------------------------
@@ -616,8 +637,7 @@ def fraction_masses(ks, ch):
     """Per message, the total probability of its (branch, output) pairs, summed
     one Fraction product at a time; the branch probabilities come from the
     ComplexFraction measurement of the maximally entangled state."""
-    d = ks.d
-    psi = vector([1 if i // d == i % d else 0 for i in range(d * d)])
+    psi = maximally_entangled(ks.d)
     masses = []
     for m in range(ks.q):
         mass = Fraction(0)

@@ -391,7 +391,8 @@ def test_quantum_encoder_probability_gate_raises(monkeypatch, bundled, channel, 
     def skewed(ks, m):
         branches = real(ks, m)
         if m == 2:
-            branches[1] = branches[1]._replace(probability=probability)
+            sent, _p, residual = branches[1]
+            branches[1] = (sent, probability, residual)
         return branches
 
     monkeypatch.setattr(entangled, "encoder_branches", skewed)
@@ -415,7 +416,8 @@ def test_quantum_encoder_outcome_gate_raises(monkeypatch, bundled, channel, run,
     def misplaced(ks, m):
         branches = real(ks, m)
         if m == 2:
-            branches[1] = branches[1]._replace(outcome=outcome)
+            _sent, p, residual = branches[1]
+            branches[1] = (outcome, p, residual)
         return branches
 
     monkeypatch.setattr(entangled, "encoder_branches", misplaced)

@@ -1,10 +1,15 @@
-"""Entangled-strategy simulation: shared state, measurement branches, decoding.
+"""Entangled-strategy simulation: encoder branches, decoding.
 
 Claims covered:
-    - the shared state has amplitude 1/sqrt(d) on each |jj> and unit norm
     - encoder branches have probability exactly 1/d and residual fidelity 1
       with the basis vector they announce (complex bases exercise the
       conjugation; skipping it is caught)
+    - the encoder's branches, taken from the identity
+      (<conj(u)| x I)|Phi> = |u>/sqrt(d), equal a ComplexFraction
+      measurement of the maximally entangled state along the conjugated
+      basis: the same outcomes, the same probabilities and the same residual
+      rays, for every message of the bundled, unitary, imaginary, rational,
+      18-ray and one complex single-basis set
     - the decoder's completed basis is orthonormal however the candidates are
       ordered, and it identifies the residual with probability exactly 1
     - the closed-form decode equals a measurement in the completed basis on
@@ -23,6 +28,7 @@ Claims covered:
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import random
 
@@ -30,31 +36,35 @@ import pytest
 
 from entwit import entangled
 from entwit.channel import ChannelInput, FiniteChannel, build_ks_channel
-from entwit.entangled import (
-    decoder_decode,
-    encoder_branches,
-    maximally_entangled_state,
-    run_zero_error_quantum,
-)
+from entwit.entangled import decoder_decode, encoder_branches, run_zero_error_quantum
 from entwit.exact import Vector
-from entwit.ks import KSBasisSet, basis_set_from_json_dict
+from entwit.ks import KSBasisSet, basis_set_from_json_dict, bundled_basis_set, load_basis_set
 from helpers import (
+    CABELLO_SET,
+    UNITARY_SET,
     ComplexFraction,
     all_vectors,
     cf_decoder_decode,
+    cf_measure_first_subsystem,
     cf_norm_sq,
     complete_orthonormal_basis,
+    conjugate,
+    conjugate_basis,
     diagonal,
     fraction_masses,
     from_components,
+    maximally_entangled,
     measurement_probabilities,
     output_pair,
     overlap_sq,
     raw_dot,
     rotated_set_json,
     rotation_phases,
+    same_ray,
     vector,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def _complex_single_basis():
@@ -66,48 +76,47 @@ def _complex_single_basis():
     return KSBasisSet(q=1, d=2, bases=(b,), label="complex single basis")
 
 
-def test_maximally_entangled_state_d2():
-    psi = maximally_entangled_state(2)
-    assert cf_norm_sq(psi) == 1
-    zero_zero = vector([1, 0, 0, 0])
-    one_one = vector([0, 0, 0, 1])
-    crossed = vector([0, 1, 0, 0])
-    assert overlap_sq(psi, zero_zero) == Fraction(1, 2)
-    assert overlap_sq(psi, one_one) == Fraction(1, 2)
-    assert overlap_sq(psi, crossed) == 0
-
-
-def test_maximally_entangled_state_d4_amplitudes():
-    psi = maximally_entangled_state(4)
-    assert cf_norm_sq(psi) == 1
-    # four equal amplitudes of squared magnitude 1/4 on the diagonal kets
-    for j in range(4):
-        ket = vector([1 if i == j * 4 + j else 0 for i in range(16)])
-        assert overlap_sq(psi, ket) == Fraction(1, 4)
-
-
-def test_maximally_entangled_state_matches_the_coerced_construction():
-    for d in range(2, 6):
-        entries = [1 if (i // d) == (i % d) else 0 for i in range(d * d)]
-        assert maximally_entangled_state(d) == vector(entries)
-
-
 def test_encoder_branches_uniform_with_unit_fidelity(bundled):
     for m in range(bundled.q):
         branches = encoder_branches(bundled, m)
-        assert [b.probability for b in branches] == [Fraction(1, 4)] * 4
-        assert sum(b.probability for b in branches) == 1
-        for b in branches:
-            assert b.outcome.m == m
-            assert overlap_sq(b.residual, bundled.bases[m][b.outcome.j]) == 1
+        assert [p for _, p, _ in branches] == [Fraction(1, 4)] * 4
+        assert sum(p for _, p, _ in branches) == 1
+        for outcome, _p, residual in branches:
+            assert outcome.m == m
+            assert overlap_sq(residual, bundled.bases[m][outcome.j]) == 1
 
 
 def test_encoder_branches_conjugate_complex_basis():
     ks = _complex_single_basis()
-    for b in encoder_branches(ks, 0):
+    for outcome, _p, residual in encoder_branches(ks, 0):
         # residual equals the basis vector itself, not its conjugate
-        assert overlap_sq(b.residual, ks.bases[0][b.outcome.j]) == 1
-        assert overlap_sq(b.residual, ks.bases[0][b.outcome.j].conjugate()) != 1
+        assert overlap_sq(residual, ks.bases[0][outcome.j]) == 1
+        assert overlap_sq(residual, conjugate(ks.bases[0][outcome.j])) != 1
+
+
+ORACLE_SETS = {
+    "bundled": bundled_basis_set,
+    "unitary": lambda: load_basis_set(UNITARY_SET),
+    "imaginary": lambda: load_basis_set(DATA / "ks_imaginary_vector.json"),
+    "rational": lambda: load_basis_set(DATA / "ks_rational_entries.json"),
+    "cabello": lambda: load_basis_set(CABELLO_SET),
+    "complex-single-basis": _complex_single_basis,
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_encoder_branches_equal_the_measured_entangled_state(name):
+    # the general partial measurement by ComplexFraction sums, of the
+    # maximally entangled state along the conjugate of basis m, against the
+    # identity the encoder takes its branches from
+    ks = ORACLE_SETS[name]()
+    psi = maximally_entangled(ks.d)
+    for m in range(ks.q):
+        got = encoder_branches(ks, m)
+        expected = cf_measure_first_subsystem(psi, conjugate_basis(ks.bases[m]))
+        assert [(i.m, i.j, p) for i, p, _ in got] == [(m, j, p) for j, p, _, _ in expected]
+        for (_, _, residual), (_, _, raw, _) in zip(got, expected):
+            assert same_ray(residual, vector(raw))
 
 
 def test_encoder_rejects_bad_message(bundled):
@@ -143,8 +152,8 @@ def test_decode_equals_measurement_in_completed_basis(bundled, channel):
     branches = 0
     completed = {}  # ordered candidate pair -> its completed basis
     for m in range(bundled.q):
-        for branch in encoder_branches(bundled, m):
-            for s in channel.rows[branch.outcome]:
+        for outcome, _p, residual in encoder_branches(bundled, m):
+            for s in channel.rows[outcome]:
                 for order in (s, s[::-1]):
                     if order not in completed:
                         (m1, j1), (m2, j2) = order
@@ -152,12 +161,12 @@ def test_decode_equals_measurement_in_completed_basis(bundled, channel):
                             [bundled.bases[m1][j1], bundled.bases[m2][j2]], bundled.d
                         )
                     basis = completed[order]
-                    probs = measurement_probabilities(branch.residual, basis)
+                    probs = measurement_probabilities(residual, basis)
                     assert sum(probs, Fraction(0)) == 1
                     i = 0 if probs[0] >= probs[1] else 1
                     expected = (ChannelInput(*order[i]), probs[i])
-                    assert decoder_decode(bundled, order, branch.residual) == expected
-                    assert expected == (branch.outcome, Fraction(1))
+                    assert decoder_decode(bundled, order, residual) == expected
+                    assert expected == (outcome, Fraction(1))
                 branches += 1
     assert branches == 216 and len(completed) == 216
 
@@ -210,11 +219,11 @@ def _agrees_with_oracle(ks, s, residual):
 def test_decoder_agrees_with_fraction_oracle_on_every_branch(bundled, channel):
     pairs = 0
     for m in range(bundled.q):
-        for branch in encoder_branches(bundled, m):
-            for s in channel.rows[branch.outcome]:
+        for outcome, _p, residual in encoder_branches(bundled, m):
+            for s in channel.rows[outcome]:
                 for order in (s, s[::-1]):
-                    got = _agrees_with_oracle(bundled, order, branch.residual)
-                    assert got == (branch.outcome, Fraction(1))
+                    got = _agrees_with_oracle(bundled, order, residual)
+                    assert got == (outcome, Fraction(1))
                 pairs += 1
     assert pairs == 216
 
@@ -329,9 +338,9 @@ def test_full_run_on_a_complex_rotation_of_the_set(bundled, channel, seed):
     report = run_zero_error_quantum(ks, ch)
     assert report.all_correct and report.total_branches == 216
     for m in range(ks.q):
-        for branch in encoder_branches(ks, m):
-            for s in ch.rows[branch.outcome]:
-                assert _agrees_with_oracle(ks, s, branch.residual) == (branch.outcome, 1)
+        for outcome, _p, residual in encoder_branches(ks, m):
+            for s in ch.rows[outcome]:
+                assert _agrees_with_oracle(ks, s, residual) == (outcome, 1)
     assert report.per_message_mass == fraction_masses(ks, ch) == (Fraction(1),) * 6
 
 

@@ -1,4 +1,4 @@
-"""Exact scalar/vector layer: arithmetic, normalization, completion, measurement.
+"""Exact scalar/vector layer: arithmetic, normalization, completion, Born probabilities.
 
 Every inner product reads the two vectors' held real flags, so a product
 whose real part is zero and whose imaginary part is not, as (1, 0) against
@@ -17,25 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entwit.exact import (
-    Parts,
-    Vector,
-    _gauss_dot,
-    as_fraction,
-    decimal_str,
-    measure_first_subsystem,
-    orthogonality_masks,
-)
+from entwit.exact import Vector, _gauss_dot, as_fraction, decimal_str, orthogonality_masks
 from entwit.entangled import decoder_decode
 from entwit.ks import BasisSetError, KSBasisSet, basis_set_from_json_dict, validate_basis_set
 from helpers import (
     ComplexFraction,
+    Parts,
     abs_sq,
     cf_dot,
-    cf_measure_first_subsystem,
     cf_norm_sq,
     cf_overlap_sq,
     complete_orthonormal_basis,
+    conjugate,
     entries,
     from_components,
     is_orthogonal,
@@ -125,13 +118,13 @@ def test_overlap_and_same_ray_mod_phase():
     w = from_components([ComplexFraction(0, 1), ComplexFraction(-1)])
     assert overlap_sq(v, w) == 1
     assert same_ray(v, w)
-    assert not same_ray(v, v.conjugate())
+    assert not same_ray(v, conjugate(v))
 
 
 def test_conjugate_preserves_overlap_magnitude():
     v = from_components([ComplexFraction(1), ComplexFraction(0, 1)])
     w = from_components([ComplexFraction(1), ComplexFraction(1, 1)])
-    assert overlap_sq(v.conjugate(), w.conjugate()) == overlap_sq(v, w)
+    assert overlap_sq(conjugate(v), conjugate(w)) == overlap_sq(v, w)
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,19 +136,19 @@ def test_raw_dot_conjugate_symmetry(xs, ys):
     assert raw_dot(v, w) == raw_dot(w, v).conjugate()
 
 
-def _random_gaussian_rational(rng, real=False):
+def _random_gaussian_rational(rng):
     """An entry with mixed denominators; zero about one time in six."""
     if rng.randrange(6) == 0:
         return ComplexFraction(0)
     re = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-    im = 0 if real else Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    im = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
     return ComplexFraction(re, im)
 
 
-def _random_values(rng, dim, real=False):
+def _random_values(rng, dim):
     """``dim`` entries of mixed denominators, not all zero."""
     while True:
-        values = [_random_gaussian_rational(rng, real) for _ in range(dim)]
+        values = [_random_gaussian_rational(rng) for _ in range(dim)]
         if any(values):
             return values
 
@@ -164,8 +157,7 @@ def test_integer_kernel_matches_complex_fraction_sums():
     # the kernel works on Gaussian-integer numerators; every quantity must
     # equal the plain ComplexFraction sums over the denoted entries
     rng = random.Random(20131)
-    seen = {"dims": set(), "mixed_den": 0, "imag": 0,
-            "dropped_branch": 0, "real_measurement": 0}
+    seen = {"dims": set(), "mixed_den": 0, "imag": 0}
     for _ in range(300):
         dim = rng.randint(2, 5)
         values = _random_values(rng, dim)
@@ -179,28 +171,8 @@ def test_integer_kernel_matches_complex_fraction_sums():
         assert _held_is_fresh(v)
         assert is_orthogonal(v, w) == (not cf_dot(v, w))
         assert overlap_sq(v, w) == cf_overlap_sq(v, w)
-        # measurement of a state on C^a x C^b along a random local basis;
-        # about one in three all real, where the residuals take the real sums
-        a, b = dim, rng.randint(1, 3)
-        real = rng.randrange(3) == 0
-        state = _random_values(rng, a * b, real)
-        basis = [vector(_random_values(rng, a, real)) for _ in range(a)]
-        seen["real_measurement"] += real
-        if rng.randrange(4) == 0:
-            # a zero-probability branch: e_k against a state that is zero
-            # wherever i1 = k, and nonzero elsewhere
-            k = rng.randrange(a)
-            basis[rng.randrange(a)] = vector([int(i == k) for i in range(a)])
-            state[k * b:(k + 1) * b] = [ComplexFraction(0)] * b
-            state[(k + 1) % a * b] = ComplexFraction(1)
-        state = vector(state)
-        got = [(j, p, entries(r), r.nsq) for j, p, r in measure_first_subsystem(state, basis)]
-        expected = cf_measure_first_subsystem(state, basis)
-        assert got == expected
-        seen["dropped_branch"] += len(expected) < a
     assert seen["dims"] == {2, 3, 4, 5}
-    assert min(seen["mixed_den"], seen["imag"],
-               seen["dropped_branch"], seen["real_measurement"]) > 20
+    assert min(seen["mixed_den"], seen["imag"]) > 20
 
 
 def _gaussian_integers(rng, dim, imaginary):
@@ -407,8 +379,6 @@ def test_held_norm_is_fresh_on_every_construction_path():
         "constructor/complex": w,
         "constructor/real": r,
         "constructor/whole": Vector((1, -2), (0, 2)),
-        "conjugate/complex": w.conjugate(),
-        "conjugate/real": r.conjugate(),
     }
     rows = [
         [ComplexFraction(1, 2), ComplexFraction("1/3", -1), ComplexFraction(3)],
@@ -427,25 +397,14 @@ def test_held_norm_is_fresh_on_every_construction_path():
             for n, (got, row) in enumerate(zip(vectors, parts)):
                 made[f"loader/{kind}/{den}/{n}"] = got
                 assert lowest_terms(got) == lowest_terms(from_components(row, denominator=den))
-    # the measurement's residuals, from a real and a complex state
-    basis = [Vector((1, 1), (0, 0)), Vector((1, -1), (0, 0))]
-    for name, state in (
-        ("real", Vector((1, 0, 0, 1), (0, 0, 0, 0))),
-        ("complex", Vector((1, 0, 0, 0), (0, 0, 0, 1))),
-    ):
-        for j, _prob, residual in measure_first_subsystem(state, basis):
-            made[f"residual/{name}/{j}"] = residual
     for path, u in made.items():
         assert _held_is_fresh(u), path
         assert cf_norm_sq(u) == 1, path
     assert made["constructor/whole"].nsq == 9
     # every path makes both real and complex vectors
     kinds = {(path.split("/")[0], u.real) for path, u in made.items()}
-    assert kinds == set(product(("constructor", "conjugate", "loader", "residual"), (True, False)))
+    assert kinds == set(product(("constructor", "loader"), (True, False)))
     assert w == vector(entries(w)) and w.re == (6, 0, -3)  # kept as given, not reduced by 3
-    # a real vector is its own conjugate; a complex one is not
-    assert r.conjugate() is r and r.conjugate() == r
-    assert w.conjugate() != w and w.conjugate().conjugate() == w
     # a negative denominator flips the direction; it is not the same vector
     assert loaded["-3/2"] == _loaded([[-c for c in row] for row in rows], "3/2")
     assert loaded["-3/2"] != loaded["3/2"]
@@ -487,7 +446,7 @@ def test_vector_stores_entries_in_lowest_terms():
     # to compare equal
     double = Vector([2 * x for x in v.re], [2 * x for x in v.im])
     assert double != v and lowest_terms(double) == lowest_terms(v) and same_ray(double, v)
-    assert v.conjugate().conjugate() == v
+    assert conjugate(conjugate(v)) == v
 
 
 @pytest.mark.parametrize(
@@ -521,7 +480,7 @@ E1 = Vector((0, 1), (0, 0))
 I_E0 = Vector((0, 0), (1, 0))
 
 
-@pytest.mark.parametrize("caller", ["validate", "decode", "overlap", "masks", "measure"])
+@pytest.mark.parametrize("caller", ["validate", "decode", "overlap", "masks"])
 def test_a_product_with_only_an_imaginary_part_is_not_zero(caller):
     ks = KSBasisSet(q=1, d=2, bases=((E0, I_E0),))
     real_ks = KSBasisSet(q=1, d=2, bases=((E0, E1),))
@@ -545,19 +504,9 @@ def test_a_product_with_only_an_imaginary_part_is_not_zero(caller):
         phase_ks = KSBasisSet(q=1, d=2, bases=((I_E0, E1),))
         for cands, residual in ((phase_ks, E0), (real_ks, I_E0), (real_ks, E0)):
             assert decoder_decode(cands, ((0, 0), (0, 1)), residual) == ((0, 0), 1)
-    elif caller == "masks":
+    else:
         assert orthogonality_masks([E0, I_E0]) == [0, 0]
         assert orthogonality_masks([E0, E1]) == [0b10, 0b01]
-    else:
-        # (|00> + i|11>) / sqrt(2) along the real standard basis: outcome 1
-        # leaves (0, i), whose real numerators are all zero; the real state
-        # (|00> + |11>) / sqrt(2) takes the real sums and leaves (0, 1)
-        state = Vector((1, 0, 0, 0), (0, 0, 0, 1))
-        real_state = Vector((1, 0, 0, 1), (0, 0, 0, 0))
-        for psi, second in ((state, Vector((0, 0), (0, 1))), (real_state, E1)):
-            branches = measure_first_subsystem(psi, [E0, E1])
-            assert [(j, p) for j, p, _ in branches] == [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
-            assert branches[0][2] == E0 and branches[1][2] == second
 
 
 # -- completion and measurement ----------------------------------------------
@@ -604,29 +553,3 @@ def test_measurement_probabilities_sum_to_one():
     probs = measurement_probabilities(state, basis)
     assert sum(probs, Fraction(0)) == 1
     assert all(p >= 0 for p in probs)
-
-
-def test_measure_first_subsystem_of_entangled_pair():
-    # (|00> + |11>) / sqrt(2), measured along {(|0>+|1>)/sqrt2, (|0>-|1>)/sqrt2}
-    state = vector([1, 0, 0, 1])
-    plus = from_components([1, 1])
-    minus = from_components([1, -1])
-    branches = measure_first_subsystem(state, [plus, minus])
-    assert [b[1] for b in branches] == [Fraction(1, 2), Fraction(1, 2)]
-    # residuals are the conjugates (= themselves here, real data)
-    assert same_ray(branches[0][2], plus)
-    assert same_ray(branches[1][2], minus)
-
-
-def test_equal_branch_probabilities_share_one_fraction():
-    # the maximally entangled state of C^4 x C^4 along a basis whose
-    # numerators have squared norms 1 and 2: every branch has probability
-    # 1/4 from a different integer pair, and all share one Fraction; unequal
-    # probabilities each keep their own
-    psi = Vector([1 if i % 5 == 0 else 0 for i in range(16)], (0,) * 16)
-    rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1))
-    probs = [p for _, p, _ in measure_first_subsystem(psi, [Vector(r, (0,) * 4) for r in rows])]
-    assert probs == [Fraction(1, 4)] * 4 and len(set(map(id, probs))) == 1
-    state = Vector((2, 0, 0, 1), (0, 0, 0, 0))  # (2|00> + |11>) / sqrt(5)
-    probs = [p for _, p, _ in measure_first_subsystem(state, [E0, E1])]
-    assert probs == [Fraction(4, 5), Fraction(1, 5)]
