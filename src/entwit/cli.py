@@ -65,8 +65,8 @@ def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:  # the bytes text mode with newline="" writes
+            fh.write(text.encode("utf-8"))
 
 
 def _cmd_verify_ks(args) -> int:
@@ -318,30 +318,51 @@ SUBCOMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh entwit parser, with every subcommand and its arguments."""
+def _build_parsers():
+    """A fresh entwit parser, with every subcommand and its arguments, and
+    the parser of each subcommand by name: the object the full parser hands
+    that subcommand's arguments to."""
     parser = argparse.ArgumentParser(
         prog="entwit",
         description="Exact channel construction, strategy evaluation and "
         "certified strategy search for the entangled-controller damping circuit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name, help_text, func, add_arguments in SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = subparsers[name] = sub.add_parser(name, help=help_text)
         add_arguments(p)
-        p.set_defaults(func=func)
-    return parser
+        # parsed alone, the subparser gives the full parser's namespace
+        p.set_defaults(command=name, func=func)
+    return parser, subparsers
 
 
 @cache
-def _main_parser() -> argparse.ArgumentParser:
-    """The one parser ``main`` uses, built on its first call.  argparse keeps
-    no state between ``parse_args`` calls, so reuse changes no output."""
-    return build_parser()
+def _main_parsers():
+    """The parsers ``main`` uses, built on its first call.  argparse keeps
+    no state between parse calls, so reuse changes no output."""
+    return _build_parsers()
+
+
+def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
+    """``main``'s namespace for ``argv`` (None parses ``sys.argv[1:]``), as
+    the full parser's ``parse_args`` gives it.  A list led by a subcommand
+    goes to that subcommand's own parser, which the full parser would hand
+    the same tokens, so its help and errors are the full parser's bytes.
+    With no token, another first token or a token left over, the full parser
+    parses the list itself."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, subparsers = _main_parsers()
+    if argv and argv[0] in subparsers:
+        args, rest = subparsers[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _main_parser().parse_args(argv)  # None parses sys.argv[1:]
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

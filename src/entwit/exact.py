@@ -17,6 +17,7 @@ integer passes, once per ``KSBasisSet``.
 
 from __future__ import annotations
 
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from operator import lshift, mul, neg
 from typing import Sequence
@@ -155,16 +156,15 @@ _set_re, _set_im, _set_nsq, _set_real = (
 
 
 DECIMAL_SIGFIGS = 12
+# held, so the caller's decimal context (its rounding, its traps) cannot
+# change or stop a report
+_DECIMAL_CONTEXT = Context(prec=DECIMAL_SIGFIGS, rounding=ROUND_HALF_EVEN)
 
 
 def decimal_str(x: Fraction) -> str:
     """Deterministic decimal rendering of an exact fraction to DECIMAL_SIGFIGS
     significant figures (trimmed zeros)."""
-    from decimal import Decimal, localcontext
-
-    with localcontext() as ctx:
-        ctx.prec = DECIMAL_SIGFIGS
-        dec = Decimal(x.numerator) / Decimal(x.denominator)
+    dec = _DECIMAL_CONTEXT.divide(Decimal(x.numerator), Decimal(x.denominator))
     text = format(dec, "f")
     if "." in text:
         text = text.rstrip("0").rstrip(".")

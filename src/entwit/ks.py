@@ -156,8 +156,8 @@ def verify_ks_property(ks: KSBasisSet) -> KSCheckResult:
 #           int or "p/q" rational parts
 # Vectors are stored as unnormalized directions, and each becomes the unit
 # vector along its entries.  Every part is read as an int, or a Fraction when
-# it is not one; all parts are brought to one common denominator for the whole
-# set, and the Gaussian-integer numerators become each vector directly.  A
+# it is not one; all parts are brought to the common denominator of the
+# Fractions, and the Gaussian-integer numerators become each vector directly.  A
 # positive factor leaves a unit vector as it is, so of the denominator field
 # only its sign, which flips every vector, is folded in.
 
@@ -184,18 +184,34 @@ def basis_set_from_json_dict(data: dict) -> KSBasisSet:
     field = _part(data.get("denominator", 1))
     if field == 0:
         raise ValueError("denominator must be nonzero")
-    # per vector, re and im parts alternating; every part is an int or a
-    # Fraction that is not whole
-    parts = [
-        [[x if type(x) is int else _part(x) for re, im in vec for x in (re, im)] for vec in b]
-        for b in data["bases"]
-    ]
-    common = lcm(*{x.denominator for basis in parts for vec in basis for x in vec})
+    # per vector, its re and im parts; only a vector with a part that is not
+    # an int has its parts read by ``_part``, and their denominators kept
+    parts, denominators = [], set()
+    for basis in data["bases"]:
+        row = []
+        for vec in basis:
+            # zip would take a string's characters as parts and cut a longer
+            # entry to the shortest
+            for entry in vec:
+                if type(entry) is not list or len(entry) != 2:
+                    raise ValueError(f"entry {entry!r} is not a [re, im] pair")
+            re, im = zip(*vec) if vec else ((), ())
+            for x in re + im:
+                if type(x) is not int:
+                    re, im = tuple(map(_part, re)), tuple(map(_part, im))
+                    denominators.update(p.denominator for p in re + im)
+                    break
+            row.append((re, im))
+        parts.append(row)
     # x / field is x * common * sign(field) over a positive factor
+    common = lcm(*denominators)
     mult = common if field > 0 else -common
     if mult != 1:  # else every part is an int already
-        parts = [[[(x * mult).numerator for x in vec] for vec in basis] for basis in parts]
-    bases = [[Vector(vec[0::2], vec[1::2]) for vec in basis] for basis in parts]
+        parts = [
+            [[[(x * mult).numerator for x in xs] for xs in vec] for vec in basis]
+            for basis in parts
+        ]
+    bases = [[Vector(re, im) for re, im in basis] for basis in parts]
     return KSBasisSet(q=q, d=d, bases=bases, label=data.get("label", ""))
 
 
@@ -212,4 +228,4 @@ def load_basis_set(path) -> KSBasisSet:
 
 def bundled_basis_set() -> KSBasisSet:
     """The packaged (q, d) = (6, 4) set of 24 real rays in six bases."""
-    return basis_set_from_json_dict(json.loads(_BUNDLED_SET.read_text(encoding="utf-8")))
+    return basis_set_from_json_dict(json.loads(_BUNDLED_SET.read_bytes()))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from entwit.cli import SUBCOMMANDS, _main_parser, build_parser, main
+from entwit.cli import SUBCOMMANDS, _build_parsers, _main_parsers, _parse_args, main
 from entwit.ks import load_basis_set
 from helpers import all_vectors, diagonal, rotated_set_json, rotation_phases, run_python
 from test_golden import CASES, GOLDEN
@@ -165,6 +165,10 @@ def _malformed_set(case, tmp_path):
         data["d"] = True
     elif case == "short-entry":
         data["bases"][0][0][0] = [1]
+    elif case == "string-entry":  # would unpack as re "1" and im "0"
+        data["bases"][0][0][0] = "10"
+    elif case == "long-entry":  # zip over the vector's entries would drop the 5
+        data["bases"][0][0][0] = [1, 0, 5]
     elif case == "scalar-bases":
         data["bases"] = 5
     elif case == "zero-den-entry":
@@ -200,7 +204,7 @@ MALFORMED = [
     "missing-q", "short-entry", "not-json", "float-entry", "bool-entry", "scalar-bases",
     "directory", "list", "q-float", "q-string", "d-bool",
     "zero-den-entry", "zero-den-field", "label-newline", "label-list", "deep-nesting",
-    "zero-vector",
+    "zero-vector", "string-entry", "long-entry",
 ]
 
 
@@ -224,6 +228,9 @@ def test_malformed_set_names_the_file(tmp_path, capsys, case):
         assert "label must be a one-line string" in err
     if case == "zero-vector":
         assert err == f"error: malformed basis set {path}: cannot normalize the zero vector\n"
+    if case in ("string-entry", "long-entry"):
+        entry = json.loads(path.read_text())["bases"][0][0][0]
+        assert err == f"error: malformed basis set {path}: entry {entry!r} is not a [re, im] pair\n"
 
 
 def test_channel_info(capsys):
@@ -467,10 +474,15 @@ def test_a_walk_deeper_than_the_recursion_limit_answers(
 # -- the parser ---------------------------------------------------------------
 
 
-def _parse(parser, argv, capsys):
+def build_parser():
+    """A fresh full entwit parser, built as main's is."""
+    return _build_parsers()[0]
+
+
+def _parse(parse, argv, capsys):
     """(namespace without func, or the exit code) and captured output."""
     try:
-        ns = vars(parser.parse_args(argv))
+        ns = vars(parse(argv))
         ns.pop("func")
     except SystemExit as exc:
         ns = exc.code
@@ -491,11 +503,11 @@ def _argv_id(argv):
 
 @pytest.mark.parametrize("argv", _argv_examples(), ids=_argv_id)
 def test_parser_for_one_subcommand_matches_the_full_parser(capsys, argv):
-    """The parser main uses for one subcommand's command gives the namespace
-    of a fresh full parser."""
-    full = _parse(build_parser(), argv, capsys)
+    """main's parse, through the parser of the one subcommand named, gives
+    the namespace of a fresh full parser."""
+    full = _parse(build_parser().parse_args, argv, capsys)
     assert isinstance(full[0], dict)
-    assert _parse(_main_parser(), argv, capsys) == full
+    assert _parse(_parse_args, argv, capsys) == full
 
 
 # argument lists with a value its type refuses, and the message argparse
@@ -504,6 +516,16 @@ REFUSED_VALUES = [
     (["quantum-run", "--t", "5", "--k", "abc"], "argument --k: not a rational number: 'abc'"),
     (["sweep", "--t", "4,x", "--window", "1"], "argument --t: bad t list: '4,x'"),
     (["sweep", "--t", ",", "--window", "1"], "argument --t: t list must be non-empty"),
+]
+
+# argument lists that a subcommand's parser takes but for a token left over;
+# the top-level parser reports these, with every subcommand in its usage
+LEFTOVERS = [
+    ["quantum-run", "--t", "5", "--bogus"],
+    ["certify", "--bound", "7/2", "--bogus"],
+    ["quantum-run", "--t", "5", "extra"],
+    ["verify-ks", "extra"],
+    ["sweep", "--t", "4", "--window", "1", "--", "extra"],
 ]
 
 # argument lists that end in help or a usage error, which main must print as
@@ -519,15 +541,12 @@ PARSER_EXITS = [
     ["quantum-run", "--help"],
     ["--help", "quantum-run"],  # the top-level help lists every subcommand
     ["sweep", "--t", "4", "--window", "1", "--format", "xml"],
-    # the top-level parser reports these, with every subcommand in its usage
-    ["quantum-run", "--t", "5", "--bogus"],
-    ["certify", "--bound", "7/2", "--bogus"],
-] + [argv for argv, _message in REFUSED_VALUES]
+] + LEFTOVERS + [argv for argv, _message in REFUSED_VALUES]
 
 
 @pytest.mark.parametrize("argv", PARSER_EXITS, ids=repr)
 def test_parser_errors_and_help_match_the_full_parser(capsys, argv):
-    expected = _parse(build_parser(), argv, capsys)
+    expected = _parse(build_parser().parse_args, argv, capsys)
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -535,6 +554,9 @@ def test_parser_errors_and_help_match_the_full_parser(capsys, argv):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == expected
     assert code == (0 if "--help" in argv else 2)
+    if argv in LEFTOVERS:
+        assert captured.err.startswith("usage: entwit [-h]"), captured.err
+        assert "\nentwit: error: unrecognized arguments: " in captured.err
 
 
 @pytest.mark.parametrize("argv, message", REFUSED_VALUES, ids=["k-abc", "t-4,x", "t-comma"])
@@ -547,17 +569,17 @@ def test_a_refused_value_exits_2_with_the_argparse_message(capsys, argv, message
 
 
 def test_mains_one_parser_answers_as_a_fresh_full_parser(capsys):
-    """main reuses one parser for the whole process.  Fed every example,
+    """main reuses its parsers for the whole process.  Fed every example,
     then every help and error list, then the examples again, it gives each
     time the namespace, or the exit code and output, of a fresh parser."""
-    parser = _main_parser()
+    parsers = _main_parsers()
     examples = _argv_examples()
     assert len(examples) == 35
     for argv in examples + PARSER_EXITS + examples:
-        expected = _parse(build_parser(), argv, capsys)
+        expected = _parse(build_parser().parse_args, argv, capsys)
         assert isinstance(expected[0], dict) == (argv in examples), argv
-        assert _parse(parser, argv, capsys) == expected, argv
-    assert _main_parser() is parser
+        assert _parse(_parse_args, argv, capsys) == expected, argv
+    assert _main_parsers() is parsers
 
 
 def test_a_fresh_interpreter_prints_the_golden_report_and_the_help(capsys, monkeypatch):

@@ -9,6 +9,7 @@ orthogonality table is checked bit by bit against plain pairwise sums, at
 the edges of its field width.
 """
 
+import decimal
 import random
 from fractions import Fraction
 from itertools import product
@@ -86,6 +87,17 @@ def test_decimal_str():
     assert decimal_str(Fraction(-1, 4)) == "-0.25"
     assert decimal_str(Fraction(0)) == "0"
     assert decimal_str(Fraction(21)) == "21"
+
+
+def test_decimal_str_ignores_the_callers_decimal_context():
+    # a rounding or a trap set by the caller reaches no report
+    with decimal.localcontext() as ctx:
+        ctx.rounding = decimal.ROUND_DOWN
+        ctx.traps[decimal.Inexact] = True
+        assert decimal_str(Fraction(2, 3)) == "0.666666666667"
+        assert decimal_str(Fraction(440, 3)) == "146.666666667"
+    assert decimal.getcontext().rounding == decimal.ROUND_HALF_EVEN
+    assert not decimal.getcontext().traps[decimal.Inexact]
 
 
 # -- vectors ----------------------------------------------------------------

@@ -23,7 +23,8 @@ TESTS = Path(__file__).resolve().parent
 # re-derivation and the perturbed set; the help and usage exits of main; and
 # the search re-check, the decode gate, the k*d^2 ceiling, the encoder
 # probability and outcome gates, the channel checks of make_instance, the
-# packed orthogonality table and the loader's refusal of a zero vector
+# packed orthogonality table and the loader's refusals of a zero vector and
+# of an entry that is not a [re, im] pair
 OPTIMIZED = (
     "test_golden.py",
     "test_cli.py::test_parser_errors_and_help_match_the_full_parser",
@@ -36,6 +37,8 @@ OPTIMIZED = (
     "test_control.py::test_quantum_encoder_outcome_gate_raises",
     "test_exact.py::test_packed_table_matches_pairwise_oracle",
     "test_cli.py::test_malformed_set_names_the_file[zero-vector]",
+    "test_cli.py::test_malformed_set_names_the_file[string-entry]",
+    "test_cli.py::test_malformed_set_names_the_file[long-entry]",
 )
 
 
@@ -83,12 +86,12 @@ def test_the_package_has_no_float_construct():
 def test_the_gates_and_reports_hold_under_python_O():
     proc = run_python("-O", __file__)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # 35 tests in test_golden.py, 15 parser exits, the channel check, the
+    # 35 tests in test_golden.py, 18 parser exits, the channel check, the
     # off-input endpoint check's 2 cases, the search and ceiling gates, the
     # decode gate's 2 cases, the encoder probability and outcome gates' 4
-    # each, the packed table's 2 and the zero vector's 1, so a renamed or
-    # deselected case fails here
-    assert re.search(r"^68 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # each, the packed table's 2, the zero vector's 1 and the two entries', so
+    # a renamed or deselected case fails here
+    assert re.search(r"^73 passed\b", proc.stdout, re.MULTILINE), proc.stdout
 
 
 if __name__ == "__main__":
