@@ -52,16 +52,15 @@ def pzmin_lower_bound(inst: WitsenhausenInstance) -> Fraction:
     probability: the minimum positive message probability times the minimum
     positive channel row entry.
 
-    A validated row puts 1/deg(u) on each of its outputs, so the least entry
-    is one over the largest row degree, read from the row sizes with no
-    entry compared; the value is the same as the least entry's.
+    Row u puts 1/deg(u) on each of its outputs, deg(u) being the popcount
+    of its partner mask, so the least entry is one over the largest degree.
 
     Valid whenever the shifted wire value stays in channel form (each branch
     then carries at least this much mass); the uniform fallback branch can
     dilute below it, which only ever makes the scale that M_Z picks
     conservative for strategies that stay in form.
     """
-    return pxmin(inst) / max(map(len, inst.channel.rows.values()))
+    return pxmin(inst) / max(map(int.bit_count, inst.channel.masks))
 
 
 def _floor_sqrt(x: Fraction) -> int:

@@ -1,10 +1,12 @@
-"""Finite noisy channels built from basis-set orthogonality, and their codes.
+"""The pair channel of a basis set, its confusability graph, and codes.
 
-The core construction: channel inputs are the basis/vector index pairs (m, j),
-outputs are unordered pairs of such inputs, and input (m, j) maps uniformly
-onto the pairs {(m, j), (m', j')} whose vectors are orthogonal.  Everything
-downstream (confusability graph, independence number, zero-error codes) is
-exact: probabilities are Fractions, graph facts come from exhaustive or
+Channel inputs are the basis/vector index pairs (m, j), numbered u = m*d + j,
+outputs are unordered pairs of inputs, and input (m, j) maps uniformly onto
+the pairs {(m, j), (m', j')} whose vectors are orthogonal.  The channel is
+one neighbour table: bit u2 of ``masks[u]`` is set iff {u, u2} is an output
+of input u, each with probability 1/popcount(masks[u]).  Two inputs share an
+output exactly when they are partners, so that table is also the
+confusability graph.  Everything is exact: graph facts come from
 branch-and-bound search, and zero-error verdicts enumerate every
 positive-probability branch.  The integer encoder that scales messages by t,
 composed with the channel, is the instance in ``entwit.control``.
@@ -12,9 +14,7 @@ composed with the channel, is the instance in ``entwit.control``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .ks import KSBasisSet, validate_basis_set, verify_ks_property
 
@@ -30,58 +30,47 @@ class ChannelInput(NamedTuple):
 ChannelOutput = Tuple[ChannelInput, ChannelInput]
 
 
-class FiniteChannel(NamedTuple):
-    """Conditional distribution N(o | i) with exact rational probabilities.
+class FiniteChannel:
+    """The uniform pair channel on a q x d grid of inputs, as partner masks.
 
-    Each row is uniform over its positive outputs, each a pair of distinct
-    inputs in order holding the row's own input; rows sum to exactly 1.
+    ``masks[u]`` holds the partners of input u = m*d + j; ``inputs[u]`` is
+    that input as a ``ChannelInput``.  The masks are checked once, here:
+    q*d of them for some q >= 1, none empty, none holding its own input or
+    an input past the grid, and every partner held both ways, so each output
+    {u, u2} is in exactly the rows of its two endpoints.
     """
 
-    inputs: tuple
-    rows: dict  # ChannelInput -> {ChannelOutput: Fraction}
+    __slots__ = ("d", "masks", "inputs")
 
-    def validate(self) -> None:
-        """Check every row: nonempty, each output a pair (a, b) with a < b
-        holding the row's own input and another channel input, and every
-        probability of numerator 1 and denominator len(row), so the row sums
-        to exactly 1 unsummed; the probability object checked last in the
-        row is not checked again."""
-        known = set(self.inputs)
-        for i in self.inputs:
-            row = self.rows[i]
-            if not row:
-                raise ValueError(f"input {i} has no outputs")
-            n, uniform = len(row), None
-            for (a, b), p in row.items():
-                if not a < b:
-                    raise ValueError(f"output {(a, b)} is not two distinct inputs in order")
-                # the endpoint other than i must be an input; None if i is neither
-                if (b if a == i else a if b == i else None) not in known:
-                    if i not in (a, b):
-                        raise ValueError(f"positive output {(a, b)} does not contain input {i}")
-                    raise ValueError(f"output {(a, b)} holds {a if b == i else b}, not an input")
-                if p is not uniform:
-                    if type(p) is not Fraction or p.numerator != 1 or p.denominator != n:
-                        raise ValueError(f"row for {i} is not uniform over its support")
-                    uniform = p
-
-    @property
-    def outputs(self) -> tuple:
-        seen = set()
-        for row in self.rows.values():
-            seen.update(row)
-        return tuple(sorted(seen))
-
-    def degree_profile(self) -> dict:
-        profile: Dict[int, int] = {}
-        for i in self.inputs:
-            deg = len(self.rows[i])
-            profile[deg] = profile.get(deg, 0) + 1
-        return profile
+    def __init__(self, d: int, masks: tuple):
+        n = len(masks)
+        if d < 1 or n == 0 or n % d:
+            raise ValueError(f"{n} rows are not q*d rows for d = {d}")
+        below = [0] * n  # per row, the partners that rows before it named
+        for u, mask in enumerate(masks):
+            if not mask:
+                raise ValueError(f"input {u} has no outputs")
+            if mask >> n:  # a negative mask too
+                raise ValueError(f"input {u} has a partner past the grid")
+            if mask >> u & 1:
+                raise ValueError(f"input {u} is its own partner")
+            one_sided = (mask & (1 << u) - 1) ^ below[u]
+            if one_sided:
+                u2 = (one_sided & -one_sided).bit_length() - 1
+                raise ValueError(f"inputs {u2} and {u} are not partners both ways")
+            above = mask >> u + 1
+            while above:  # lowest set bit first
+                bit = above & -above
+                below[u + bit.bit_length()] |= 1 << u
+                above ^= bit
+        self.d = d
+        self.masks = tuple(masks)
+        self.inputs = tuple(ChannelInput(*divmod(u, d)) for u in range(n))
 
 
 def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
-    """Channel whose input (m, j) maps uniformly onto its orthogonal pairs.
+    """Channel whose input (m, j) maps uniformly onto its orthogonal pairs:
+    the set's orthogonality masks themselves.
 
     Requires the basis set to validate (so no row is empty: d >= 2) and to
     have the one-per-basis orthogonality property.
@@ -93,71 +82,31 @@ def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
             f"basis set lacks the one-per-basis orthogonality property; "
             f"witness traversal {check.witness}"
         )
-    # each output (a, b), a < b, of the masks is built once into both rows
-    ids = tuple(ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d))
-    outs = [[] for _ in ids]
-    for a, (i, mask) in enumerate(zip(ids, ks.masks)):
-        mask >>= a + 1
-        while mask:  # lowest set bit first
-            b = a + (mask & -mask).bit_length()
-            outs[a].append(o := (i, ids[b]))
-            outs[b].append(o)
-            mask &= mask - 1
-    uniform = {n: Fraction(1, n) for n in set(map(len, outs))}  # one per row degree
-    rows = {i: dict.fromkeys(row, uniform[len(row)]) for i, row in zip(ids, outs)}
-    ch = FiniteChannel(inputs=ids, rows=rows)
-    ch.validate()
-    return ch
+    return FiniteChannel(ks.d, ks.masks)
 
 
 # -- confusability -------------------------------------------------------
 
 
-class ConfusabilityGraph:
-    """Simple undirected graph on channel inputs; edges join confusable pairs."""
-
-    __slots__ = ("vertices", "edges")
-
-    def __init__(self, *, vertices: tuple, edges: frozenset):
-        vset = set(vertices)
-        for a, b in edges:
-            if a == b:
-                raise ValueError("self loops are not allowed")
-            if a not in vset or b not in vset:
-                raise ValueError(f"edge ({a}, {b}) uses an unknown vertex")
-            if not a < b:
-                raise ValueError(f"edge ({a}, {b}) is not canonically ordered")
-        self.vertices = vertices
-        self.edges = edges  # canonical (lo, hi) vertex pairs
+def confusability_graph(ch: FiniteChannel) -> tuple:
+    """The adjacency masks of the graph joining inputs that share an output
+    with positive probability: an output {u, u2} is held by the rows of its
+    two endpoints only, so they are the channel's own masks."""
+    return ch.masks
 
 
-def confusability_graph(ch: FiniteChannel) -> ConfusabilityGraph:
-    """Edge (i, i') iff some output has positive probability under both inputs."""
-    by_output: Dict[ChannelOutput, List[ChannelInput]] = {}
-    for i in ch.inputs:
-        for o in ch.rows[i]:
-            by_output.setdefault(o, []).append(i)
-    edges = frozenset(e for o in by_output.values() for e in combinations(sorted(o), 2))
-    return ConfusabilityGraph(vertices=tuple(ch.inputs), edges=edges)
-
-
-def independence_number(g: ConfusabilityGraph) -> tuple:
+def independence_number(adj: tuple) -> tuple:
     """Exact maximum independent set via branch and bound with a witness.
 
-    A branch is cut when its size plus all of its remaining candidates
-    cannot beat the best set so far.  Deterministic: vertices are processed
-    in sorted order, each taken before it is skipped, and the first optimum
-    found wins; no sound bound can cut the path to it, since the best size
-    stays below its size until it is reached.
+    ``adj[u]`` is the adjacency mask of vertex u; the witness lists vertex
+    numbers in increasing order.  A branch is cut when its size plus all of
+    its remaining candidates cannot beat the best set so far.
+    Deterministic: vertices are processed in increasing order, each taken
+    before it is skipped, and the first optimum found wins; no sound bound
+    can cut the path to it, since the best size stays below its size until
+    it is reached.
     """
-    verts = sorted(g.vertices)
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * n
-    for a, b in g.edges:
-        adj[index[a]] |= 1 << index[b]
-        adj[index[b]] |= 1 << index[a]
-
+    n = len(adj)
     best_size = best_mask = 0
     stack = [((1 << n) - 1, 0, 0)]  # branches still to search: (candidates, chosen, size)
     while stack:
@@ -175,8 +124,7 @@ def independence_number(g: ConfusabilityGraph) -> tuple:
         else:
             if size > best_size:
                 best_size, best_mask = size, chosen
-    witness = tuple(verts[i] for i in range(n) if best_mask >> i & 1)
-    return best_size, witness
+    return best_size, tuple(u for u in range(n) if best_mask >> u & 1)
 
 
 # -- zero-error codes -----------------------------------------------------
@@ -185,8 +133,9 @@ def independence_number(g: ConfusabilityGraph) -> tuple:
 class ZeroErrorCode:
     """Messages with an encoder to codewords and a decoder from outputs.
 
-    Codewords are channel inputs for a FiniteChannel, or integer wire values
-    for an instance (the channel composed with the integer encoder).
+    Codewords are whatever the channel read by ``verify_zero_error`` takes:
+    integer wire values for an instance (the channel composed with the
+    integer encoder).
     ``ties`` lists outputs whose decoder value came from rounding an exact
     half-integer estimate; they are surfaced for reporting, never silently
     dropped.

@@ -100,18 +100,20 @@ def _cmd_verify_ks(args) -> int:
 def _cmd_channel_info(args) -> int:
     ks = _load_set(args.ks_set)
     ch = build_ks_channel(ks)
-    g = confusability_graph(ch)
-    alpha, witness = independence_number(g)
-    degs = sorted(ch.degree_profile().items())
+    alpha, witness = independence_number(confusability_graph(ch))
+    degrees = [mask.bit_count() for mask in ch.masks]
+    # an output is a pair of partners, and so is an edge of the graph
+    pairs = sum(degrees) // 2
     lines = [
         "report: channel-info/1",
         f"label: {ks.label}",
-        f"inputs: {len(ch.inputs)}",
-        f"outputs: {len(ch.outputs)}",
-        f"edges: {len(g.edges)}",
-        "degree-profile: " + ", ".join(f"{d}x{n}" for d, n in degs),
+        f"inputs: {len(degrees)}",
+        f"outputs: {pairs}",
+        f"edges: {pairs}",
+        "degree-profile: "
+        + ", ".join(f"{deg}x{degrees.count(deg)}" for deg in sorted(set(degrees))),
         f"independence-number: {alpha}",
-        f"independent-set: {[list(v) for v in witness]}",
+        f"independent-set: {[list(ch.inputs[u]) for u in witness]}",
     ]
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -20,9 +20,10 @@ evaluator as an oracle for it.
 The deterministic search is an exact branch and bound over c1 tables with
 entries in a window [-W, W] (``search_deterministic``); c2 is minimized per
 channel output in closed form (``optimal_c2_for_c1``), so it is never
-enumerated.  Both score against one integer table of the composed channel,
-built once per instance (``_row_table``).  The winner is re-checked branch
-by branch by ``evaluate_deterministic``, which does not read that table.
+enumerated.  Both read the channel's partner masks and one integer scale,
+D/deg per row, built once per instance (``_row_table``).  The winner is
+re-checked branch by branch by ``evaluate_deterministic``, which reads
+neither: it walks the rows that ``output_distribution`` builds.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class WitsenhausenInstance:
     followed by the basis-set channel, with all of Z as its input domain.
     A wire value y = a*t + b with a in [0, q) and b in [0, d) goes to row
     (a, b); every other y goes to the uniform mixture of all rows, built on
-    first use and held, as is the search's integer table of its rows.  The
+    first use and held, as is the search's integer scale of its rows.  The
     support is found once, when the instance is made.
     """
 
@@ -86,22 +87,35 @@ class WitsenhausenInstance:
         return None
 
     def output_distribution(self, y: int) -> MappingProxyType:
-        """Read-only view of the distribution on wire value y; nothing is copied."""
+        """Read-only view of the distribution on wire value y, built from the
+        channel's masks: an in-form y gives its row, 1/deg on each output,
+        lowest partner first."""
         hit = self.decompose(y)
         if hit is not None:
-            return MappingProxyType(self.channel.rows[hit])
+            return MappingProxyType(self._row(hit.m * self.d + hit.j))
         if not self._uniform_branch:
             # any out-of-form y gives the same mixture: the encoder's uniform
             # weight 1/(q*d) on every input, composed with its row, summed in
             # (a, b) grid order
             w = Fraction(1, self.q * self.d)
             dist: Dict[ChannelOutput, Fraction] = {}
-            for a in range(self.q):
-                for b in range(self.d):
-                    for o, p in self.channel.rows[ChannelInput(a, b)].items():
-                        dist[o] = dist.get(o, 0) + w * p
+            for u in range(self.q * self.d):
+                for o, p in self._row(u).items():
+                    dist[o] = dist.get(o, 0) + w * p
             self._uniform_branch.update(dist)
         return MappingProxyType(self._uniform_branch)
+
+    def _row(self, u: int) -> Dict[ChannelOutput, Fraction]:
+        """Row u of the channel: each output {u, u2} of its mask, lowest u2
+        first, with probability 1/deg(u)."""
+        mask, ids = self.channel.masks[u], self.channel.inputs
+        me, p, row = ids[u], Fraction(1, mask.bit_count()), {}
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            u2 = bit.bit_length() - 1
+            row[(ids[u2], me) if u2 < u else (me, ids[u2])] = p
+        return row
 
 
 def make_instance(
@@ -112,18 +126,15 @@ def make_instance(
     channel: Optional[FiniteChannel] = None,
 ) -> WitsenhausenInstance:
     """Build an instance; t below the ambient dimension, k <= 0, or a passed
-    channel that fails ``FiniteChannel.validate`` or whose inputs are not the
-    encoder's (m, j) grid is rejected."""
+    channel of another grid than the set's q x d one is rejected (a channel
+    checks its own masks when it is made)."""
     k = as_fraction(k)
     if k <= 0:
         raise ValueError(f"action price k must be positive, got {k}")
     if channel is None:
-        channel = build_ks_channel(ks)  # validated where it is built, on the grid
-    else:
-        grid = tuple(map(divmod, range(ks.q * ks.d), [ks.d] * (ks.q * ks.d)))  # (m, j) in order
-        if channel.inputs != grid and tuple(sorted(channel.inputs)) != grid:
-            raise ValueError("channel inputs do not form the full (m, j) grid")
-        channel.validate()  # the search's row table assumes uniform rows
+        channel = build_ks_channel(ks)
+    elif channel.d != ks.d or len(channel.masks) != ks.q * ks.d:
+        raise ValueError("channel inputs do not form the full (m, j) grid")
     if t < ks.d:
         raise ValueError(f"encoder scale t={t} must be at least d={ks.d}")
     if p_m is None:  # uniform, correct by construction
@@ -217,7 +228,7 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
     """
     d, p_m, k = inst.d, inst.p_m, inst.k
     messages = [m for m, _x in inst.support()]
-    walked = walk_entangled(inst.ks, inst.channel.rows, messages)
+    walked = walk_entangled(inst.ks, inst.channel, messages)
     den = lcm(*[p_m[m].denominator for m in messages])
     num = k.numerator * sum([p_m[m].numerator * (den // p_m[m].denominator) * j_sq
                              for m, (_n, j_sq, _in) in zip(messages, walked)])
@@ -241,34 +252,23 @@ def _round_half_even_ratio(num: int, den: int) -> int:
 
 
 def _row_table(inst: WitsenhausenInstance) -> tuple:
-    """The integer form of the composed channel that the search and the c2
+    """The integer scale of the composed channel that the search and the c2
     rounding score against, built once per instance on first use.
 
-    Per row id u = m*d + j: (D/deg(u), its outputs as (o, beta_o, u2)),
-    with D the lcm of the row degrees, so row u puts D/deg(u) on each of its
-    outputs; u2 is the id of o's other endpoint when that row holds o too,
-    else -1 (a validated channel holds o only in its endpoints' rows), and
-    beta_o is the sum of D/deg over the rows that hold o.  Then D, the lcm L
-    of the supported messages' probability denominators, and p_m*L per
-    supported message, in support order."""
+    Per row id u = m*d + j its share D/deg(u), deg(u) being the popcount of
+    its mask and D the lcm of the row degrees, so row u puts D/deg(u) on
+    each of its outputs; an output {u, u2} is in those two rows only, so it
+    takes beta_o = share(u) + share(u2) in all.  Then D, the lcm L of the
+    supported messages' probability denominators, and p_m*L per supported
+    message, in support order."""
     if inst._table is None:
-        d = inst.d
-        grid = [ChannelInput(m, j) for m in range(inst.q) for j in range(d)]
-        rows = [inst.channel.rows[i] for i in grid]
-        big_d = lcm(*map(len, rows))
-        shares = [big_d // len(row) for row in rows]
-        table = []
-        for i, row, share in zip(grid, rows, shares):
-            outs = []
-            for o in row:
-                m, j = o[1] if o[0] == i else o[0]
-                u2 = m * d + j
-                outs.append((o, share + shares[u2], u2) if o in rows[u2] else (o, share, -1))
-            table.append((share, outs))
+        degrees = [mask.bit_count() for mask in inst.channel.masks]
+        big_d = lcm(*degrees)
+        shares = [big_d // deg for deg in degrees]
         probs = [inst.p_m[m] for m, _ in inst.support()]
         big_l = lcm(*[p.denominator for p in probs])
         weights = [p.numerator * (big_l // p.denominator) for p in probs]
-        inst._table = table, big_d, big_l, weights
+        inst._table = shares, big_d, big_l, weights
     return inst._table
 
 
@@ -287,9 +287,10 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
     With no message out of form, only the outputs of the in-form messages'
     rows have mass.
     """
-    table, _big_d, _big_l, weights = _row_table(inst)
+    shares, _big_d, _big_l, weights = _row_table(inst)
+    masks, ids = inst.channel.masks, inst.channel.inputs
     qd = inst.q * inst.d
-    owned = [[0, 0] for _ in table]  # per row: weight and weight*y on each output
+    owned = [[0, 0] for _ in shares]  # per row: weight and weight*y on each output
     out = [0, 0]  # the same, over the messages out of form, per unit of beta_o
     for (_m, x), w in zip(inst.support(), weights):
         if x not in c1:
@@ -300,7 +301,7 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
             own = out
         else:
             u = hit.m * inst.d + hit.j
-            own, w = owned[u], w * qd * table[u][0]
+            own, w = owned[u], w * qd * shares[u]
         own[0] += w
         own[1] += w * y
     oa, ob = out
@@ -309,14 +310,17 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
         if not (a or oa):
             continue
         # each output once, at the first row with mass that holds it
-        for s, beta, u2 in table[u][1]:
-            mass, ysum = a + beta * oa, b + beta * ob
-            if u2 >= 0:
-                a2, b2 = owned[u2]
-                if u2 < u and (a2 or oa):
-                    continue
-                mass, ysum = mass + a2, ysum + b2
-            c2[s] = _round_half_even_ratio(-ysum, mass)
+        mask, share = masks[u], shares[u]
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            u2 = bit.bit_length() - 1
+            a2, b2 = owned[u2]
+            if u2 < u and (a2 or oa):
+                continue
+            beta = share + shares[u2]
+            s = (ids[u2], ids[u]) if u2 < u else (ids[u], ids[u2])
+            c2[s] = _round_half_even_ratio(-(b + b2 + beta * ob), a + a2 + beta * oa)
     return c2
 
 
@@ -368,10 +372,11 @@ class _PrefixEvaluator:
 
     A message in form at input u gives its weight to the outputs of row u,
     and u becomes an *owner*.  An output takes in-form weight from at most
-    two owners, its endpoints; per row the evaluator holds its partners (the
-    rows that hold one of its outputs too) as a bitmask and as a map to that
-    output's beta_o, and its outputs counted by beta_o.  The owners are a
-    bitmask too, so the owners that share an output with row u are one AND.
+    two owners, its endpoints; row u's partners are its channel mask, the
+    output it shares with partner u2 has beta_o = share(u) + share(u2), and
+    per row the evaluator holds its outputs counted by beta_o.  The owners
+    are a bitmask too, so the owners that share an output with row u are one
+    AND.
     All of one owner's messages share its wire value, so with no message out
     of form an output held by one owner costs nothing.
 
@@ -389,22 +394,22 @@ class _PrefixEvaluator:
 
     def __init__(self, inst: WitsenhausenInstance, window: int):
         q, d, t = inst.q, inst.d, inst.t
-        table, big_d, big_l, weights = _row_table(inst)
-        self.partners: List[Dict[int, int]] = []  # per row, other holder -> beta_o
-        self.mates: List[int] = []  # per row, the bitmask of its partners
-        self.row_beta: List[int] = []  # per row, the sum of its beta_o
+        shares, big_d, big_l, weights = _row_table(inst)
+        self.shares = shares  # per row, D/deg
+        self.mates = inst.channel.masks  # per row, the bitmask of its partners
+        by_share: Dict[int, int] = {}  # per share, the bitmask of the rows with it
+        for u, share in enumerate(shares):
+            by_share[share] = by_share.get(share, 0) | 1 << u
         self.groups: List[tuple] = []  # per row, (beta, count) per beta_o value
-        for _share, outs in table:
-            partners, mask, counts = {}, 0, {}
-            for _o, beta, u2 in outs:
-                counts[beta] = counts.get(beta, 0) + 1
-                if u2 >= 0:
-                    partners[u2] = beta
-                    mask |= 1 << u2
-            self.partners.append(partners)
-            self.mates.append(mask)
-            self.row_beta.append(sum(beta * n for beta, n in counts.items()))
-            self.groups.append(tuple(counts.items()))
+        self.row_beta: List[int] = []  # per row, the sum of its beta_o
+        for mask, share in zip(self.mates, shares):
+            groups = tuple(
+                (share + other, n)
+                for other, rows in by_share.items()
+                if (n := (mask & rows).bit_count())
+            )
+            self.groups.append(groups)
+            self.row_beta.append(sum(beta * n for beta, n in groups))
         self.beta_total = q * d * big_d  # each row puts D in all on its outputs
         self.t, self.d, self.qt, self.window = t, d, q * t, window
 
@@ -427,7 +432,7 @@ class _PrefixEvaluator:
                     v = y - x
                     if -window <= v <= window:
                         u = a * d + j
-                        w = pm_int * q * d * table[u][0]
+                        w = pm_int * q * d * shares[u]
                         cols[v] = (u, w, w * y, w * y * y, a_ctrl * v * v)
             self.messages.append((x, a_ctrl, pm_int))
             self.columns.append(cols)
@@ -507,13 +512,14 @@ class _PrefixEvaluator:
         a0, b0 = (own[0], own[1]) if own else (0, 0)
         delta = 0
         shared = []  # beta of each of u's outputs that another owner holds
-        partners = self.partners[u]
+        shares = self.shares
+        share = shares[u]
         while mates:
             bit = mates & -mates
             mates ^= bit
             u2 = bit.bit_length() - 1
             a2, b2, _c2 = owned[u2]
-            beta = partners[u2]
+            beta = share + shares[u2]
             shared.append(beta)
             # _least(pa + a, pb + b) - _least(pa, pb), inlined in this hot loop
             pa, pb = a2 + a0 + beta * oa, b2 + b0 + beta * ob
@@ -600,15 +606,15 @@ class _PrefixEvaluator:
         oa, ob, oc = self.out
         oa += self.messages[depth][2]
         owned, mask = self.owned, self.mask
-        quads, base, rest = [], 0, self.beta_total
+        quads, base, rest, shares = [], 0, self.beta_total, self.shares
         for u, (a1, b1, c1) in owned.items():
             shared = []  # beta of each of u's outputs that another owner holds
-            mates, partners = mask & self.mates[u], self.partners[u]
+            mates, share = mask & self.mates[u], shares[u]
             while mates:
                 low = mates & -mates
                 mates ^= low
                 u2 = low.bit_length() - 1
-                beta = partners[u2]
+                beta = share + shares[u2]
                 shared.append(beta)
                 if u2 > u:
                     a2, b2, c2 = owned[u2]

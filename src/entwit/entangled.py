@@ -11,14 +11,14 @@ orthonormal basis containing both candidate vectors, identifying its
 residual with certainty; the outcome probabilities of the two candidates are
 squared overlaps, so that basis is never completed.  One walk,
 ``walk_entangled``, enumerates every (message, encoder branch, channel
-output) branch with exact probabilities for both the cost and the zero-error
-run; nothing is sampled, and a Fraction is built only for a result.
+output) branch, the outputs read off the channel's partner masks, with
+exact probabilities for both the cost and the zero-error run; nothing is
+sampled, and a Fraction is built only for a result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -99,33 +99,39 @@ def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
     return s[1], _ONE if n2 == d2 else Fraction(n2, d2)
 
 
-def walk_entangled(ks: KSBasisSet, rows, messages) -> list:
+def walk_entangled(ks: KSBasisSet, ch: FiniteChannel, messages) -> list:
     """Walk every (message, encoder branch, channel output) branch of the
-    given messages over ``rows``, the channel's; t is never read.
+    given messages over the channel's partner masks, each row's outputs
+    lowest partner first; t is never read.
 
     An encoder branch whose probability is not the Fraction 1/d, or whose
     outcome is not a channel input of its message, raises
     ``QuantumDecodeError`` with witness (m, j, None); a decode other than
     that input with probability 1 raises with (m, j, output).  Returns
-    (branch count, sum of j^2, the inputs its branches landed on) per message.
+    (branch count, sum of j^2, encoder branches walked) per message.
     """
-    d, walked = ks.d, []
+    d, masks, ids, walked = ks.d, ch.masks, ch.inputs, []
     decode = decoder_decode  # read once: a replaced module attribute still sees every decode
     for m in messages:
-        count = j_sq = 0
-        landed = []
+        count = j_sq = landed = 0
         for sent, p, residual in encoder_branches(ks, m):
             j = sent.j
             if type(p) is not Fraction or p.numerator != 1 or p.denominator != d:
                 raise QuantumDecodeError(
                     f"encoder branch probability {p} != 1/{d}", witness=(m, j, None)
                 )
-            row = rows.get(sent) if sent.m == m else None
-            if row is None:
+            if sent.m != m or not 0 <= j < d:
                 raise QuantumDecodeError(
                     f"outcome {sent} is not an input of message {m}", witness=(m, j, None)
                 )
-            for s in row:
+            u = m * d + j
+            mask = masks[u]
+            count += mask.bit_count()
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                u2 = bit.bit_length() - 1
+                s = (ids[u2], sent) if u2 < u else (sent, ids[u2])
                 decoded, p_dec = decode(ks, s, residual)
                 if decoded != sent or (p_dec is not _ONE and p_dec != 1):
                     raise QuantumDecodeError(
@@ -133,9 +139,8 @@ def walk_entangled(ks: KSBasisSet, rows, messages) -> list:
                         f"expected {sent} with probability 1",
                         witness=(m, j, s),
                     )
-            count += len(row)
             j_sq += j * j
-            landed.append(sent)
+            landed += 1
         walked.append((count, j_sq, landed))
     return walked
 
@@ -143,14 +148,11 @@ def walk_entangled(ks: KSBasisSet, rows, messages) -> list:
 def run_zero_error_quantum(ks: KSBasisSet, ch: FiniteChannel) -> QuantumZeroErrorReport:
     """Walk every message, so all q go through with zero error although only
     q - 1 fit classically.  A message's mass sums, over the encoder branches
-    the walk checked, 1/d times the sum of the row each landed on, taken as
-    integers over one common denominator: exact on rows never validated.
+    the walk checked, 1/d times its row's total, which is 1: a row is uniform
+    over its outputs.
     """
-    rows, total, masses = ch.rows, 0, []
-    for count, _j_sq, landed in walk_entangled(ks, rows, range(ks.q)):
-        probs = [p for sent in landed for p in rows[sent].values()]
-        den = lcm(*[p.denominator for p in probs])
-        num = sum(p.numerator * (den // p.denominator) for p in probs)
+    total, masses = 0, []
+    for count, _j_sq, landed in walk_entangled(ks, ch, range(ks.q)):
         total += count
-        masses.append(Fraction(num, den * ks.d))
+        masses.append(Fraction(landed, ks.d))
     return QuantumZeroErrorReport(ks.q, total, True, tuple(masses))

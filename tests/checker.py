@@ -88,6 +88,23 @@ class Channel:
             for i, u in enumerate(rays)
         })
 
+    def independent_set(self):
+        """A largest set of inputs no two of which are neighbours, so no two
+        share an output, as a sorted tuple of ids.  Plain recursion over
+        sets of ids: the best set on the remaining inputs either leaves the
+        first one out or takes it and drops its neighbours."""
+        neighbours = [set(row) for row in self.neighbours]
+
+        def best(remaining):
+            if not remaining:
+                return ()
+            first, rest = remaining[0], remaining[1:]
+            left_out = best(rest)
+            taken = (first, *best(tuple(i for i in rest if i not in neighbours[first])))
+            return taken if len(taken) > len(left_out) else left_out
+
+        return best(tuple(range(self.q * self.d)))
+
     def without(self, drops):
         """This channel with id b taken from row a, for each (a, b)."""
         table = {i: list(row) for i, row in enumerate(self.neighbours)}

@@ -85,46 +85,58 @@ def output_pair(a, b):
 
 
 def from_neighbor_sets(neighbors):
-    """The uniform channel i -> {i, i'} over the given neighbour sets, each
-    input and neighbour a ChannelInput or a plain (m, j) pair; validated."""
-    rows = {}
+    """entwit's channel on the given neighbour sets, each input and neighbour
+    a ChannelInput or a plain (m, j) pair; the inputs fill a q x d grid."""
+    keys = sorted(ChannelInput(*i) for i in neighbors)
+    d = 1 + max(j for _m, j in keys)
+    if keys != [ChannelInput(*divmod(u, d)) for u in range(len(keys))]:
+        raise ValueError("the inputs do not fill a q x d grid")
+    masks = [0] * len(keys)
     for i, nbrs in neighbors.items():
-        i = i if type(i) is ChannelInput else ChannelInput(*i)
-        if not nbrs:
-            raise ValueError(f"input {i} has an empty neighbor set")
-        p = Fraction(1, len(nbrs))
-        row = rows[i] = {}
-        for n in nbrs:
-            n = n if type(n) is ChannelInput else ChannelInput(*n)
-            row[(i, n) if i < n else (n, i)] = p
-        if len(row) != len(nbrs):
-            raise ValueError(f"duplicate neighbors for input {i}")
-    ch = FiniteChannel(inputs=tuple(sorted(rows)), rows=rows)
-    ch.validate()
-    return ch
+        i = ChannelInput(*i)
+        for n in map(ChannelInput._make, nbrs):
+            if n == i:
+                raise ValueError(f"output {(i, n)} is not two distinct inputs")
+            bit = 1 << n.m * d + n.j
+            if masks[i.m * d + i.j] & bit:
+                raise ValueError(f"duplicate neighbors for input {i}")
+            masks[i.m * d + i.j] |= bit
+    return FiniteChannel(d, tuple(masks))
 
 
 def finite_channel(table):
     """entwit's channel on the checker's plain neighbour table."""
-    d = table.d
-    return from_neighbor_sets({
-        ChannelInput(*divmod(i, d)): [ChannelInput(*divmod(n, d)) for n in row]
-        for i, row in enumerate(table.neighbours)
-    })
+    return FiniteChannel(table.d, tuple(sum(1 << n for n in row) for row in table.neighbours))
 
 
-def neighbors(ch, i):
-    """The inputs i' appearing with i in its positive outputs, sorted."""
-    i = ChannelInput(*i)
-    return tuple(sorted(o[1] if o[0] == i else o[0] for o in ch.rows[i]))
+def partners(mask):
+    """The set bits of a mask, lowest first."""
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+def channel_rows(ch):
+    """{input: {output: probability}} of a channel, row by row from its
+    masks: input i sends {i, n} with probability 1/deg(i) for each of its
+    partners n, lowest first."""
+    rows = {}
+    for i, mask in zip(ch.inputs, ch.masks):
+        nbrs = partners(mask)
+        rows[i] = {output_pair(i, ch.inputs[n]): Fraction(1, len(nbrs)) for n in nbrs}
+    return rows
+
+
+def channel_outputs(ch):
+    """Every output of a channel, sorted."""
+    return sorted({o for row in channel_rows(ch).values() for o in row})
 
 
 def adjacent(g, a, b):
-    return a != b and ((a, b) if a < b else (b, a)) in g.edges
+    """Whether vertices a and b are joined in the adjacency masks g."""
+    return a != b and bool(g[a] >> b & 1)
 
 
 def degree(g, v):
-    return sum(1 for e in g.edges if v in e)
+    return sum(adjacent(g, v, w) for w in range(len(g)))
 
 
 def is_independent(g, subset):
@@ -138,9 +150,8 @@ def has_independent_subset(g, size):
     Returns (found, witness_or_None, subsets_scanned).  Intentionally naive:
     this is the enumeration oracle the independence number is checked against.
     """
-    verts = sorted(g.vertices)
     scanned = 0
-    for subset in combinations(verts, size):
+    for subset in combinations(range(len(g)), size):
         scanned += 1
         if is_independent(g, subset):
             return True, subset, scanned
@@ -150,28 +161,29 @@ def has_independent_subset(g, size):
 class OnInputs:
     """A channel read as ``verify_zero_error`` reads a codeword channel, with
     the channel's own inputs as codewords: ``output_distribution(i)`` is a
-    read-only view of row i, and nothing is copied."""
+    read-only view of row i."""
 
     def __init__(self, channel):
-        self.rows = channel.rows
+        self.rows = channel_rows(channel)
 
     def output_distribution(self, i):
         return MappingProxyType(self.rows[ChannelInput(*i)])
 
 
 def code_from_independent_set(ch, independent):
-    """Messages 0..|S|-1 on an independent set; decode each output to its owner."""
-    codewords = sorted(ChannelInput(*i) for i in independent)
+    """Messages 0..|S|-1 on a set of input numbers, independent in the
+    confusability graph; decode each output to its owner."""
     g = confusability_graph(ch)
-    for a, b in combinations(codewords, 2):
+    for a, b in combinations(sorted(independent), 2):
         if a == b:
             raise ValueError(f"independent set contains {a} twice")
         if adjacent(g, a, b):
             raise ValueError(f"set is not independent: {a} and {b} are confusable")
-    encoder = dict(enumerate(codewords))
-    decoder = {o: msg for msg, cw in encoder.items() for o in ch.rows[cw]}
+    encoder = {msg: ch.inputs[u] for msg, u in enumerate(sorted(independent))}
+    rows = channel_rows(ch)
+    decoder = {o: msg for msg, cw in encoder.items() for o in rows[cw]}
     return ZeroErrorCode(
-        messages=tuple(range(len(codewords))), encoder=encoder, decoder=decoder
+        messages=tuple(range(len(encoder))), encoder=encoder, decoder=decoder
     )
 
 
@@ -638,11 +650,12 @@ def fraction_masses(ks, ch):
     one Fraction product at a time; the branch probabilities come from the
     ComplexFraction measurement of the maximally entangled state."""
     psi = maximally_entangled(ks.d)
+    rows = channel_rows(ch)
     masses = []
     for m in range(ks.q):
         mass = Fraction(0)
         for j, prob, _raw, _nsq in cf_measure_first_subsystem(psi, conjugate_basis(ks.bases[m])):
-            for p_out in ch.rows[ChannelInput(m, j)].values():
+            for p_out in rows[ChannelInput(m, j)].values():
                 mass += prob * p_out
         masses.append(mass)
     return tuple(masses)

@@ -27,6 +27,8 @@ from checker import Instance
 from helpers import (
     OnInputs,
     SharedRandomnessStrategy,
+    channel_outputs,
+    channel_rows,
     code_from_independent_set,
     decoder_estimates_exact,
     degree,
@@ -69,18 +71,18 @@ def test_criterion_01_ks_verification(bundled):
 
 
 def test_criterion_02_channel_structure(channel):
+    rows = channel_rows(channel)
     row_ok = all(
-        len(channel.rows[i]) == 9
-        and set(channel.rows[i].values()) == {Fraction(1, 9)}
+        len(rows[i]) == 9 and set(rows[i].values()) == {Fraction(1, 9)}
         for i in channel.inputs
     )
     g = confusability_graph(channel)
     ok = (
         len(channel.inputs) == 24
         and row_ok
-        and len(channel.outputs) == 108
-        and len(g.edges) == 108
-        and all(degree(g, v) == 9 for v in g.vertices)
+        and len(channel_outputs(channel)) == 108
+        and sum(map(int.bit_count, g)) == 2 * 108
+        and all(degree(g, v) == 9 for v in range(len(g)))
     )
     _criterion(
         2, "channel: 24 inputs, 9 outputs each at 1/9, 108 edges, 9-regular", ok

@@ -1,15 +1,20 @@
 """Channel construction, confusability, exact capacity facts, codes, encoder.
 
 Claims covered:
-    - the bundled channel has 24 inputs, each with exactly 9 outputs of
-      probability 1/9, and 108 positively-weighted outputs in total
-    - confusability equals orthogonality for constructed channels, and the
-      generic shared-output definition handles degenerate test channels
+    - the bundled channel is the set's own orthogonality masks: 24 inputs,
+      each with exactly 9 outputs of probability 1/9, and 108 outputs in all
+    - the rows the instance builds from the masks equal those read off the
+      checker's neighbour lists, output for output and in order, on every
+      ray file
+    - a channel refuses a row count that is not q*d, an empty row, a
+      partner past the grid, a row holding its own input and a partner held
+      one way only, from above or from below
+    - the confusability graph is the channel's masks, and equals the
+      shared-output relation re-derived from the rows
     - the independence number is exactly 5 with a verified witness code, and
       no 6-subset of inputs is independent (exhaustive scan)
-    - zero-error verdicts distinguish collisions from incomplete decoders
-    - a graph refuses a self loop, an unknown vertex and an edge out of
-      order, and a code refuses an encoder that misses a message
+    - zero-error verdicts distinguish collisions from incomplete decoders,
+      and a code refuses an encoder that misses a message
     - the instance's integer encoder has unique decompositions for t >= d
       and composes with the channel into exact output distributions
 """
@@ -21,9 +26,9 @@ from pathlib import Path
 
 import pytest
 
+from checker import Channel
 from entwit.channel import (
     ChannelInput,
-    ConfusabilityGraph,
     FiniteChannel,
     ZeroErrorCode,
     build_ks_channel,
@@ -32,13 +37,16 @@ from entwit.channel import (
     verify_zero_error,
 )
 from entwit.control import make_instance
-from entwit.ks import KSBasisSet, bundled_basis_set, load_basis_set
+from entwit.ks import KSBasisSet, load_basis_set
 
 from helpers import (
+    BUNDLED_RAYS,
     CABELLO_SET,
     UNITARY_SET,
     OnInputs,
     adjacent,
+    channel_outputs,
+    channel_rows,
     code_from_independent_set,
     degree,
     from_components,
@@ -46,6 +54,7 @@ from helpers import (
     has_independent_subset,
     is_independent,
     output_pair,
+    partners,
     raw_dot,
 )
 
@@ -53,23 +62,23 @@ from helpers import (
 # -- construction -------------------------------------------------------------
 
 
-def test_bundled_channel_structure(channel):
-    assert len(channel.inputs) == 24
+def test_bundled_channel_structure(bundled, channel):
+    assert channel.masks is bundled.masks
+    assert channel.inputs == tuple(ChannelInput(m, j) for m in range(6) for j in range(4))
+    rows = channel_rows(channel)
     for i in channel.inputs:
-        row = channel.rows[i]
+        row = rows[i]
         assert len(row) == 9
         assert set(row.values()) == {Fraction(1, 9)}
         assert sum(row.values(), Fraction(0)) == 1
-    assert len(channel.outputs) == 108
+    assert len(channel_outputs(channel)) == 108
 
 
 def test_channel_matches_orthogonality(bundled, channel):
-    flat = {ChannelInput(m, j): bundled.bases[m][j]
-            for m in range(6) for j in range(4)}
-    for a, b in combinations(sorted(flat), 2):
+    flat = [bundled.bases[m][j] for m in range(6) for j in range(4)]
+    for a, b in combinations(range(24), 2):
         orthogonal = not raw_dot(flat[a], flat[b])
-        shares = output_pair(a, b) in channel.rows[a]
-        assert orthogonal == shares
+        assert orthogonal == bool(channel.masks[a] >> b & 1) == bool(channel.masks[b] >> a & 1)
 
 
 def test_build_rejects_non_ks_set():
@@ -80,75 +89,58 @@ def test_build_rejects_non_ks_set():
 
 
 DATA = Path(__file__).parent / "data"
+RAY_FILES = [
+    BUNDLED_RAYS, UNITARY_SET, DATA / "ks_imaginary_vector.json",
+    DATA / "ks_rational_entries.json", CABELLO_SET,
+]
+RAY_IDS = ["bundled", "unitary", "imaginary", "rational", "cabello"]
 
 
-@pytest.mark.parametrize(
-    "source",
-    [None, UNITARY_SET, DATA / "ks_imaginary_vector.json",
-     DATA / "ks_rational_entries.json", CABELLO_SET],
-    ids=["bundled", "unitary", "imaginary", "rational", "cabello"],
-)
+@pytest.mark.parametrize("source", RAY_FILES, ids=RAY_IDS)
 def test_direct_build_matches_the_neighbor_set_build(source):
-    ks = bundled_basis_set() if source is None else load_basis_set(source)
-    ids = [ChannelInput(m, j) for m in range(ks.q) for j in range(ks.d)]
-    # each input's neighbours, lowest mask bit first
-    nbrs = {i: [ids[b] for b in range(len(ids)) if mask >> b & 1]
-            for i, mask in zip(ids, ks.masks)}
-    direct, reference = build_ks_channel(ks), from_neighbor_sets(nbrs)
-    assert direct.inputs == reference.inputs == tuple(ids)
-    for i in ids:
-        assert list(direct.rows[i].items()) == list(reference.rows[i].items())
+    # the rows that evaluate_deterministic, strategy_to_code and
+    # verify_zero_error read, built by the instance from the masks, are
+    # those of the checker's neighbour lists, read from the ray file
+    ks = load_basis_set(source)
+    table = Channel.from_rays(source)
+    inst = make_instance(ks, ks.d, 1, channel=build_ks_channel(ks))
+    d = ks.d
+    for i, row in enumerate(table.neighbours):
+        expected = [(output_pair(divmod(i, d), divmod(n, d)), Fraction(1, len(row))) for n in row]
+        assert list(inst.output_distribution(i).items()) == expected  # y = i at t = d
 
 
 def test_empty_neighbor_set_is_structural_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has no outputs"):
         from_neighbor_sets({ChannelInput(0, 0): []})
 
 
-def _row_channel(row):
-    # row (0, 0) under test; each other input it names is an input too, with
-    # the valid row {((0, 0), x): 1}, so only row (0, 0) can fail
-    a = ChannelInput(0, 0)
-    others = sorted({x for o in row for x in o} - {a})
-    rows = {a: row, **{x: {(a, x): Fraction(1)} for x in others}}
-    return FiniteChannel(inputs=(a, *others), rows=rows)
-
-
-A00, A10, A11 = ChannelInput(0, 0), ChannelInput(1, 0), ChannelInput(1, 1)
-A12 = ChannelInput(1, 2)
-# valid probability objects that validate checks once and then skips
-THIRD, HALF = Fraction(1, 3), Fraction(1, 2)
+# a 2 x 2 grid whose outputs are {0, 1} and {2, 3}
+PAIRED = (0b0010, 0b0001, 0b1000, 0b0100)
 
 
 @pytest.mark.parametrize(
-    "row,message",
+    "d, masks, message",
     [
-        ({}, "no outputs"),
-        ({(A00, A10): Fraction(1, 3), (A00, A11): Fraction(2, 3)}, "not uniform"),
-        # equal probabilities that sum to 2/3
-        ({(A00, A10): Fraction(1, 3), (A00, A11): Fraction(1, 3)}, "not uniform"),
-        ({(A10, A11): Fraction(1)}, "does not contain"),
-        ({(A00, A00): Fraction(1)}, "not two distinct inputs"),
-        # one neighbor twice, once in each order
-        ({(A00, A10): Fraction(1, 2), (A10, A00): Fraction(1, 2)}, "not two distinct"),
-        ({(A00, A10): 0.5, (A00, A11): 0.5}, "not uniform"),
-        # a wrong probability after an object already found valid
-        ({(A00, A10): THIRD, (A00, A11): THIRD, (A00, A12): Fraction(1, 2)}, "not uniform"),
-        ({(A00, A10): HALF, (A00, A11): 0.5}, "not uniform"),
-        ({(A00, A10): Fraction(1)}, None),
+        (2, PAIRED[:3], r"3 rows are not q\*d rows for d = 2"),
+        (2, (0, *PAIRED[1:]), "input 0 has no outputs"),
+        (2, (0b10010, *PAIRED[1:]), "input 0 has a partner past the grid"),
+        (2, (0b0011, *PAIRED[1:]), "input 0 is its own partner"),
+        (2, (0b0110, *PAIRED[1:]), "inputs 0 and 2 are not partners both ways"),
+        (2, (*PAIRED[:2], 0b1001, PAIRED[3]), "inputs 0 and 2 are not partners both ways"),
     ],
     ids=[
-        "empty", "non-uniform", "uniform-short-of-one", "without-own-input",
-        "self-neighbor", "duplicate-neighbor", "float", "wrong-after-shared",
-        "float-after-shared", "one-certain-output",
+        "wrong-row-count", "empty-row", "bit-past-the-grid", "self-bit",
+        "one-sided-bit-above", "one-sided-bit-below",
     ],
 )
-def test_validate_rejects_malformed_rows(row, message):
-    if message is None:
-        _row_channel(row).validate()
-    else:
-        with pytest.raises(ValueError, match=message):
-            _row_channel(row).validate()
+def test_channel_refuses_malformed_masks(d, masks, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteChannel(d, masks)
+    assert FiniteChannel(2, PAIRED).masks == PAIRED
+
+
+A00, A10 = ChannelInput(0, 0), ChannelInput(1, 0)
 
 
 @pytest.mark.parametrize(
@@ -164,9 +156,7 @@ def test_neighbor_sets_reject_malformed_rows(nbrs, message):
 def test_neighbor_sets_given_as_plain_tuples():
     ch = from_neighbor_sets({(0, 0): [(0, 1)], (0, 1): [(0, 0)]})
     assert all(type(i) is ChannelInput for i in ch.inputs)
-    for row in ch.rows.values():
-        for o in row:
-            assert all(type(i) is ChannelInput for i in o)
+    assert (ch.d, ch.masks) == (2, (0b10, 0b01))
 
 
 def test_output_pair_canonical():
@@ -179,68 +169,53 @@ def test_output_pair_canonical():
 # -- confusability -------------------------------------------------------------
 
 
-def _identity_like():
-    # disjoint outputs per input: each input pairs with the next around a
-    # cycle, so no two inputs share anything
-    a, b = ChannelInput(0, 0), ChannelInput(0, 1)
-    fill1, fill2 = ChannelInput(9, 0), ChannelInput(9, 1)
-    return from_neighbor_sets({a: [fill1], fill1: [b], b: [fill2], fill2: [a]})
-
-
 def _common_output():
     # both inputs map onto their shared pair with probability 1
     a, b = ChannelInput(0, 0), ChannelInput(0, 1)
     return from_neighbor_sets({a: [b], b: [a]})
 
 
-def test_identity_like_channel_is_edgeless():
-    g = confusability_graph(_identity_like())
-    assert len(g.edges) == 0
-
-
 def test_common_output_channel_is_complete():
     g = confusability_graph(_common_output())
-    assert len(g.edges) == 1
-    assert adjacent(g, ChannelInput(0, 0), ChannelInput(0, 1))
+    assert len(g) == 2
+    assert adjacent(g, 0, 1) and adjacent(g, 1, 0)
+
+
+@pytest.mark.parametrize("source", [BUNDLED_RAYS, CABELLO_SET], ids=["bundled", "cabello"])
+def test_graph_is_the_shared_output_relation(source):
+    # the generic definition: i and i' are joined iff some output has
+    # positive probability under both, found by inverting the rows
+    ch = build_ks_channel(load_basis_set(source))
+    holders = {}
+    for i, row in channel_rows(ch).items():
+        for o, p in row.items():
+            if p > 0:
+                holders.setdefault(o, []).append(ch.inputs.index(i))
+    edges = {e for hold in holders.values() for e in combinations(sorted(hold), 2)}
+    g = confusability_graph(ch)
+    assert {(a, b) for a in range(len(g)) for b in partners(g[a]) if a < b} == edges
 
 
 def test_bundled_graph_is_nine_regular(graph):
-    assert len(graph.vertices) == 24
-    assert len(graph.edges) == 108
-    assert all(degree(graph, v) == 9 for v in graph.vertices)
+    assert len(graph) == 24
+    assert sum(map(int.bit_count, graph)) == 2 * 108
+    assert all(degree(graph, v) == 9 for v in range(24))
 
 
 # -- independence and codes ------------------------------------------------------
 
 
 def _plain_graph(n, edges):
-    verts = tuple(ChannelInput(0, i) for i in range(n))
-    canon = frozenset(
-        output_pair(ChannelInput(0, a), ChannelInput(0, b)) for a, b in edges
-    )
-    return ConfusabilityGraph(vertices=verts, edges=canon)
-
-
-_A, _B, _C = (ChannelInput(0, i) for i in range(3))
-
-
-@pytest.mark.parametrize(
-    "edges, message",
-    [
-        ([(_A, _A)], "self loops are not allowed"),
-        ([(_A, _C)], "uses an unknown vertex"),
-        ([(_B, _A)], "is not canonically ordered"),
-    ],
-    ids=["self-loop", "unknown-vertex", "out-of-order"],
-)
-def test_graph_rejects_malformed_edges(edges, message):
-    with pytest.raises(ValueError, match=message):
-        ConfusabilityGraph(vertices=(_A, _B), edges=frozenset(edges))
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return tuple(adj)
 
 
 def test_code_rejects_an_encoder_that_misses_a_message():
     with pytest.raises(ValueError, match="encoder is not total: message 1 missing"):
-        ZeroErrorCode(messages=(0, 1), encoder={0: _A}, decoder={})
+        ZeroErrorCode(messages=(0, 1), encoder={0: A00}, decoder={})
 
 
 def test_independence_number_edgeless():
@@ -248,7 +223,7 @@ def test_independence_number_edgeless():
     for n in (7, 3000):
         size, witness = independence_number(_plain_graph(n, []))
         assert size == n
-        assert len(witness) == n
+        assert witness == tuple(range(n))
 
 
 def test_independence_number_complete():
@@ -276,22 +251,22 @@ def test_no_independent_six_subset(graph):
 
 
 def test_single_vertex_code(channel):
-    code = code_from_independent_set(channel, [ChannelInput(0, 0)])
+    code = code_from_independent_set(channel, [0])
     assert code.messages == (0,)
     assert verify_zero_error(OnInputs(channel), code).status == "zero_error"
 
 
 def test_adjacent_set_rejected(channel, graph):
-    some_edge = sorted(graph.edges)[0]
     with pytest.raises(ValueError):
-        code_from_independent_set(channel, list(some_edge))
+        code_from_independent_set(channel, [0, partners(graph[0])[0]])
 
 
 def test_collision_witness_for_confusable_codewords(channel, graph):
-    a, b = sorted(graph.edges)[0]
+    a, b = channel.inputs[0], channel.inputs[partners(graph[0])[0]]
     shared = output_pair(a, b)
-    decoder = {o: 0 for o in channel.rows[a]}
-    for o in channel.rows[b]:
+    rows = channel_rows(channel)
+    decoder = {o: 0 for o in rows[a]}
+    for o in rows[b]:
         if o != shared:
             decoder[o] = 1
     # the shared output decodes to message 0, so message 1 collides there
@@ -303,7 +278,7 @@ def test_collision_witness_for_confusable_codewords(channel, graph):
 
 def test_incomplete_decoder_verdict(channel):
     i = ChannelInput(0, 0)
-    some_output = sorted(channel.rows[i])[0]
+    some_output = sorted(channel_rows(channel)[i])[0]
     code = ZeroErrorCode(messages=(0,), encoder={0: i}, decoder={some_output: 0})
     verdict = verify_zero_error(OnInputs(channel), code)
     assert verdict.status == "incomplete_decoder"
@@ -328,9 +303,10 @@ def test_epsilon_uniform_branch(bundled, channel):
     assert inst.decompose(7) is None  # 7 = 0*10 + 7 and 7 is not below d
     # the uniform branch weighs every one of the 24 inputs by 1/24
     dist = inst.output_distribution(7)
+    rows = channel_rows(channel)
     for o, p in dist.items():
-        holders = [i for i in channel.inputs if o in channel.rows[i]]
-        assert p == sum(Fraction(1, 24) * channel.rows[i][o] for i in holders)
+        holders = [i for i in channel.inputs if o in rows[i]]
+        assert p == sum(Fraction(1, 24) * rows[i][o] for i in holders)
     assert sum(dist.values()) == 1
 
 
@@ -357,7 +333,7 @@ def test_decomposition_unique_for_t_at_least_d(bundled, channel, t):
 def test_nt_in_form_matches_channel_row(bundled, channel):
     y = 3 * 10 + 2
     dist = _instance(bundled, channel, 10).output_distribution(y)
-    assert dist == channel.rows[ChannelInput(3, 2)]
+    assert dist == channel_rows(channel)[ChannelInput(3, 2)]
     assert set(dist.values()) == {Fraction(1, 9)}
 
 
@@ -389,7 +365,7 @@ def test_output_distributions_are_read_only(bundled, channel):
             view[s] = Fraction(1)
         with pytest.raises(TypeError):
             del view[s]
-    # the views show the channel's own rows, which the refused writes left whole
-    assert views[0] == channel.rows[ChannelInput(3, 2)]
+    # the refused writes left the rows whole
+    assert views[0] == channel_rows(channel)[ChannelInput(3, 2)]
     assert views[1] == _instance(bundled, channel, 10).output_distribution(-5)
-    assert sum(channel.rows[ChannelInput(3, 2)].values()) == 1
+    assert sum(views[0].values()) == 1

@@ -20,14 +20,13 @@ Claims covered:
       leaves both reports unchanged
     - the per-output c2 minimizer matches an independent linear scan,
       including its half-even tie rule, on random tables with wires out of
-      form and zero-probability messages, on all four test channels
-    - an instance rejects a channel whose inputs are not the (m, j) grid,
-      or one whose rows are not uniform
+      form and zero-probability messages, on all three test channels
+    - an instance rejects a channel on another grid than the set's
     - the branch-and-bound search returns the cost and the tie-broken c1
       table of a flat scan of every in-window table (plain enumeration at
       W=1, and on instances mixing k, t, W, skewed message distributions and
-      channels that are irregular, have three distinct degrees or have
-      asymmetric rows), is budget-truncatable, raises SearchMismatchError
+      channels that are irregular or have three distinct degrees), is
+      budget-truncatable, raises SearchMismatchError
       when its winner's re-evaluation disagrees (also through
       classical-search), and its best in-window cost
       is non-decreasing in t for fixed W=4
@@ -47,14 +46,14 @@ Claims covered:
     - the group bound on a node's out-of-form children is the least of
       their checker costs with c2 relaxed to the reals, so never above the
       least of their exact costs
-    - the per-row table that the search evaluator and the c2 minimizer share,
-      built once per instance, gives each row's outputs, the other row that
-      holds each (or none, on the asymmetric channel) and its beta_o as the
-      checker's neighbour lists do, on all four test channels and the
-      18-ray set, and its weights sum to q*d*D
+    - the per-row scale that the search evaluator and the c2 minimizer
+      share, built once per instance, gives each row's D/deg, and the
+      evaluator's partner masks and beta_o counts are those of the checker's
+      neighbour lists, on all three test channels and the 18-ray set, and
+      its weights sum to q*d*D
     - the p_z_min lower bound, read from the largest row degree, equals the
       least message probability times the least row entry compared as
-      Fractions, on all four test channels and the 18-ray set, under
+      Fractions, on all three test channels and the 18-ray set, under
       uniform, point-mass and mixed message probabilities; the default
       uniform distribution equals an explicit uniform list
     - every oracle here is the checker of ``tests/checker.py``, on the
@@ -93,9 +92,9 @@ from helpers import (
     SharedRandomnessStrategy,
     branch_signals,
     evaluate_sr,
+    channel_rows,
     finite_channel,
-    from_neighbor_sets,
-    neighbors,
+    partners,
     random_c1,
     random_strategy,
     random_weights,
@@ -147,53 +146,15 @@ def test_nonpositive_k_rejected(bundled, channel):
 
 
 def test_channel_off_the_grid_rejected(bundled, channel):
-    # the bundled channel less input (5, 3): rows still name it, but it has
-    # no row of its own, so the encoder's grid is not covered (validate
-    # refuses it too, so it is built unvalidated)
-    kept = channel.inputs[:-1]
-    assert channel.inputs[-1] == ChannelInput(5, 3)
-    missing = FiniteChannel(inputs=kept, rows={i: channel.rows[i] for i in kept})
-    # ... and with one input beyond the grid, paired with (0, 0) both ways
-    nbrs = {i: neighbors(channel, i) for i in channel.inputs}
-    extra = dict(nbrs)
-    extra[ChannelInput(6, 0)] = [ChannelInput(0, 0)]
-    extra[ChannelInput(0, 0)] = nbrs[ChannelInput(0, 0)] + (ChannelInput(6, 0),)
-    for ch in (missing, from_neighbor_sets(extra)):
+    # a channel checks its masks when it is made, but only the instance sees
+    # the set: the 18-ray set's channel has 36 rows, and 24 rows of a d = 2
+    # channel make another grid than the bundled set's 6 x 4
+    cabello = build_ks_channel(load_basis_set(CABELLO_SET))
+    pairs = FiniteChannel(2, tuple(1 << (u ^ 1) for u in range(24)))  # {0, 1}, {2, 3}, ...
+    for ch in (cabello, pairs):
         with pytest.raises(ValueError, match=r"\(m, j\) grid"):
             make_instance(bundled, 4, 1, channel=ch)
-
-
-def test_channel_with_a_row_that_is_not_uniform_rejected(bundled, channel):
-    # row (0, 0) of the bundled channel with two of its 1/9 entries moved to
-    # 1/18 and 3/18: it still sums to 1, but the search's row table and
-    # pzmin_lower_bound read 1/deg for every entry of a row
-    rows = dict(channel.rows)
-    row = dict(rows[ChannelInput(0, 0)])
-    first, second = list(row)[:2]
-    assert row[first] == row[second] == Fraction(1, 9)
-    row[first], row[second] = Fraction(1, 18), Fraction(3, 18)
-    assert sum(row.values()) == 1
-    rows[ChannelInput(0, 0)] = row
-    skewed = FiniteChannel(inputs=channel.inputs, rows=rows)
-    with pytest.raises(ValueError, match="not uniform"):
-        make_instance(bundled, 39, 1, channel=skewed)
-    make_instance(bundled, 39, 1, channel=channel)  # the bundled one still passes
-
-
-@pytest.mark.parametrize("other", [(99, 0), (0, 4)], ids=["past-the-grid", "j-equals-d"])
-def test_channel_with_an_output_off_the_inputs_rejected(bundled, channel, other):
-    # one output of row (0, 0) swapped for one whose other endpoint is no
-    # channel input: (99, 0) past the grid, or (0, 4) with j = d; the
-    # search's row table would index that endpoint and fail
-    rows = dict(channel.rows)
-    row = dict(rows[ChannelInput(0, 0)])
-    p = row.pop(list(row)[0])
-    row[(ChannelInput(0, 0), ChannelInput(*other))] = p
-    rows[ChannelInput(0, 0)] = row
-    off = FiniteChannel(inputs=channel.inputs, rows=rows)
-    message = r"holds ChannelInput\(m=%d, j=%d\), not an input" % other
-    with pytest.raises(ValueError, match=message):
-        make_instance(bundled, 39, 1, channel=off)
+    make_instance(bundled, 4, 1, channel=channel)  # the bundled one still passes
 
 
 def test_point_mass_support(bundled, channel):
@@ -552,10 +513,6 @@ DROPS = {
         ((0, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (0, 2)),
         ((0, 2), (0, 0)), ((1, 0), (1, 1)), ((1, 1), (1, 0)),
     ],
-    # three pairs dropped from one row only: each of those outputs
-    # stays in the other endpoint's row, and the pairs sit between
-    # inputs that neighbouring messages hit at t = 4 and t = 5
-    "asymmetric": [((0, 0), (0, 3)), ((0, 3), (1, 0)), ((1, 1), (0, 2))],
 }
 
 
@@ -573,7 +530,7 @@ def tables(rays):
 @pytest.fixture(scope="module")
 def channels(channel, tables):
     """entwit's channel per test channel: the bundled one as entwit builds
-    it, and the others built from the checker's tables."""
+    it, and the others as mask channels on the checker's tables."""
     return {
         kind: channel if kind == "regular" else finite_channel(table)
         for kind, table in tables.items()
@@ -608,9 +565,6 @@ P_M_IDS = {
         ("three-degree", 4, Fraction(1, 1000), TIED3, 1),
         ("three-degree", 5, Fraction(7, 3), SKEWED3, 2),
         ("three-degree", 8, Fraction(1), SKEWED4, 1),
-        ("asymmetric", 4, Fraction(1, 1000), SKEWED4, 2),
-        ("asymmetric", 5, Fraction(7, 3), SKEWED3, 2),
-        ("asymmetric", 4, Fraction(1), UNIFORM, 1),
     ],
     ids=lambda v: P_M_IDS.get(v, str(v)),
 )
@@ -623,7 +577,7 @@ def test_search_matches_flat_scan(bundled, channels, tables, kind, t, k, p_m, wi
     assert tuple(res.strategy.c1[x] for _m, x in inst.support()) == best_vals
 
 
-KINDS = ["regular", "irregular", "three-degree", "asymmetric"]
+KINDS = ["regular", "irregular", "three-degree"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -834,21 +788,21 @@ def test_search_visits_the_nodes_of_a_plain_dfs(bundled, channels, tables, kind,
 
 
 def test_seeded_searches_visit_the_nodes_of_a_plain_dfs(bundled, channels, tables):
-    # instances drawn from one seed: the four test channels and the 18-ray
+    # instances drawn from one seed: the three test channels and the 18-ray
     # set, two to four messages of random probability, t from 4 to 9, k from
     # 1/1000 to 10, and node budgets.  The reports print the node count and
     # the complete flag, so both must be the plain search's.  In some of
     # these the group bound equals the incumbent at a node, and an
     # out-of-form child that costs exactly the incumbent must still be
-    # expanded, as at t = 5, k = 1, W = 1 on the asymmetric channel with
-    # p = (0, 3/11, 2/11, 3/11, 0, 3/11).  Twenty more draw five or six
+    # expanded, as at t = 4, k = 1, W = 1 on the bundled channel with
+    # p = (1/7, 0, 4/7, 1/7, 0, 1/7).  Twenty more draw five or six
     # messages of distinct weights and W <= 2, so a node's subtree check
     # spans up to five later messages, most of a weight not its own
     cabello = load_basis_set(CABELLO_SET)
     sets = {kind: (bundled, channels[kind], tables[kind]) for kind in KINDS}
     sets["cabello"] = (cabello, build_ks_channel(cabello), Channel.from_rays(CABELLO_SET))
     rng = random.Random(2013)
-    cases = [("asymmetric", 5, Fraction(1), (0, 3, 2, 3, 0, 3), 1, None)]
+    cases = [("regular", 4, Fraction(1), (1, 0, 4, 1, 0, 1), 1, None)]
     for _ in range(120):
         kind = rng.choice(sorted(sets))
         q = sets[kind][0].q
@@ -962,9 +916,10 @@ def test_output_holder_table_is_built_once_per_instance(bundled, channels):
 
 @pytest.mark.parametrize("kind", KINDS + ["cabello"])
 def test_row_table_matches_the_checker_neighbours(bundled, channels, tables, kind):
-    # per row id i: D/deg(i), and per neighbour n the output {i, n}, n when
-    # row n holds it too (else -1), and beta_o, the sum of D/deg over the
-    # rows that hold it; the asymmetric channel has outputs of one holder
+    # per row id i: D/deg(i); the evaluator's partner mask of row i holds
+    # the checker's neighbours of i, and its outputs counted by beta_o, the
+    # sum of D/deg over the two rows that hold the output, are the
+    # checker's
     if kind == "cabello":
         ks = load_basis_set(CABELLO_SET)
         inst = make_instance(ks, ks.d, 1, channel=build_ks_channel(ks))
@@ -975,34 +930,30 @@ def test_row_table_matches_the_checker_neighbours(bundled, channels, tables, kin
     nbrs, d = table.neighbours, table.d
     big_d = lcm(*map(len, nbrs))
     share = [big_d // len(row) for row in nbrs]
-    rows, got_d, _big_l, _weights = control._row_table(inst)
-    assert got_d == big_d
-    assert len(rows) == len(nbrs)
-    one_holder = 0
-    for i, (got_share, outs) in enumerate(rows):
-        expected = []
-        for n in nbrs[i]:
-            other = n if i in nbrs[n] else -1
-            one_holder += other < 0
-            pair = tuple(ChannelInput(*divmod(e, d)) for e in sorted((i, n)))
-            expected.append((pair, share[i] + (share[n] if other >= 0 else 0), other))
-        assert (got_share, sorted(outs)) == (share[i], sorted(expected))
-    assert (one_holder > 0) == (kind == "asymmetric")
-    beta_total = _PrefixEvaluator(inst, 1).beta_total
-    assert beta_total == inst.q * inst.d * big_d == sum(Instance(table, d, 1).beta)
+    shares, got_d, _big_l, _weights = control._row_table(inst)
+    assert (shares, got_d) == (share, big_d)
+    evaluator = _PrefixEvaluator(inst, 1)
+    for i, row in enumerate(nbrs):
+        assert partners(evaluator.mates[i]) == list(row)
+        counts = {}
+        for n in row:
+            counts[share[i] + share[n]] = counts.get(share[i] + share[n], 0) + 1
+        assert dict(evaluator.groups[i]) == counts
+        assert evaluator.row_beta[i] == sum(beta * n for beta, n in counts.items())
+    assert evaluator.beta_total == inst.q * inst.d * big_d == sum(Instance(table, d, 1).beta)
 
 
 @pytest.mark.parametrize("kind", KINDS + ["cabello"])
 def test_pzmin_lower_bound_is_pxmin_times_the_least_row_entry(bundled, channels, kind):
     # pzmin_lower_bound reads the largest row degree; the definition it
-    # stands for compares every row entry as a Fraction.  The irregular,
-    # three-degree and asymmetric channels have rows of unequal degree
+    # stands for compares every row entry as a Fraction.  The irregular and
+    # three-degree channels have rows of unequal degree
     if kind == "cabello":
         ks = load_basis_set(CABELLO_SET)
         ch = build_ks_channel(ks)
     else:
         ks, ch = bundled, channels[kind]
-    least = min(min(row.values()) for row in ch.rows.values())
+    least = min(min(row.values()) for row in channel_rows(ch).values())
     point = [0] * ks.q
     point[1] = 1
     mixed = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)] + [0] * (ks.q - 3)
