@@ -124,20 +124,37 @@ PAIRED = (0b0010, 0b0001, 0b1000, 0b0100)
     [
         (2, PAIRED[:3], r"3 rows are not q\*d rows for d = 2"),
         (2, (0, *PAIRED[1:]), "input 0 has no outputs"),
-        (2, (0b10010, *PAIRED[1:]), "input 0 has a partner past the grid"),
-        (2, (0b0011, *PAIRED[1:]), "input 0 is its own partner"),
         (2, (0b0110, *PAIRED[1:]), "inputs 0 and 2 are not partners both ways"),
         (2, (*PAIRED[:2], 0b1001, PAIRED[3]), "inputs 0 and 2 are not partners both ways"),
     ],
-    ids=[
-        "wrong-row-count", "empty-row", "bit-past-the-grid", "self-bit",
-        "one-sided-bit-above", "one-sided-bit-below",
-    ],
+    ids=["wrong-row-count", "empty-row", "one-sided-bit-above", "one-sided-bit-below"],
 )
 def test_channel_refuses_malformed_masks(d, masks, message):
     with pytest.raises(ValueError, match=message):
         FiniteChannel(d, masks)
     assert FiniteChannel(2, PAIRED).masks == PAIRED
+
+
+# row 0 of the paired grid naming its own input as well as input 1
+@pytest.mark.parametrize(
+    "row, message", [(0b0011, "input 0 is its own partner")], ids=["self-neighbor"]
+)
+def test_validate_rejects_malformed_rows(row, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteChannel(2, (row, *PAIRED[1:]))
+
+
+# the graph with vertices {0, 1} and the one edge 0-1, as a channel with
+# d = 1; each case adds to vertex 0 an edge that graph cannot hold
+@pytest.mark.parametrize(
+    "edge, message",
+    [(0b001, "input 0 is its own partner"), (0b100, "input 0 has a partner past the grid")],
+    ids=["self-loop", "unknown-vertex"],
+)
+def test_graph_rejects_malformed_edges(edge, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteChannel(1, (0b010 | edge, 0b001))
+    assert confusability_graph(FiniteChannel(1, (0b010, 0b001))) == (0b010, 0b001)
 
 
 A00, A10 = ChannelInput(0, 0), ChannelInput(1, 0)

@@ -157,6 +157,18 @@ def test_channel_off_the_grid_rejected(bundled, channel):
     make_instance(bundled, 4, 1, channel=channel)  # the bundled one still passes
 
 
+@pytest.mark.parametrize("other", [(99, 0)], ids=["past-the-grid"])
+def test_channel_with_an_output_off_the_inputs_rejected(bundled, channel, other):
+    # one partner of row (0, 0) swapped for an input past the grid: the
+    # channel refuses it when it is made, so it never reaches make_instance,
+    # whose search row table would index that input and fail
+    masks = list(channel.masks)
+    masks[0] ^= (masks[0] & -masks[0]) | 1 << (other[0] * bundled.d + other[1])
+    with pytest.raises(ValueError, match="input 0 has a partner past the grid"):
+        FiniteChannel(bundled.d, tuple(masks))
+    make_instance(bundled, 39, 1, channel=channel)  # the bundled one still passes
+
+
 def test_point_mass_support(bundled, channel):
     inst = make_instance(bundled, 4, 1, p_m=[1, 0, 0, 0, 0, 0], channel=channel)
     assert inst.support() == ((0, 0),)

@@ -22,14 +22,18 @@ TESTS = Path(__file__).resolve().parent
 # every golden report, the unitary-set reports, the unitary set's
 # re-derivation and the perturbed set; the help and usage exits of main; and
 # the search re-check, the decode gate, the k*d^2 ceiling, the encoder
-# probability and outcome gates, a channel's refusals of malformed masks and
-# make_instance's refusal of a channel on another grid, the packed
+# probability and outcome gates, a channel's refusals of malformed masks,
+# rows and graph edges, of an output past the grid, and make_instance's
+# refusal of a channel on another grid, the packed
 # orthogonality table and the loader's refusals of a zero vector and of an
 # entry that is not a [re, im] pair
 OPTIMIZED = (
     "test_golden.py",
     "test_cli.py::test_parser_errors_and_help_match_the_full_parser",
     "test_channel.py::test_channel_refuses_malformed_masks",
+    "test_channel.py::test_validate_rejects_malformed_rows",
+    "test_channel.py::test_graph_rejects_malformed_edges",
+    "test_control.py::test_channel_with_an_output_off_the_inputs_rejected",
     "test_control.py::test_channel_off_the_grid_rejected",
     "test_control.py::test_search_mismatch_gate_raises",
     "test_control.py::test_quantum_decode_gate_raises",
@@ -87,12 +91,13 @@ def test_the_package_has_no_float_construct():
 def test_the_gates_and_reports_hold_under_python_O():
     proc = run_python("-O", __file__)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # 35 tests in test_golden.py, 18 parser exits, the mask refusals' 6
-    # cases, the grid check, the search and ceiling gates, the decode gate's
+    # 35 tests in test_golden.py, 18 parser exits, the mask refusals' 4
+    # cases, the self-neighbor row, the graph's 2 edges, the output past the
+    # grid, the grid check, the search and ceiling gates, the decode gate's
     # 2 cases, the encoder probability and outcome gates' 4 each, the packed
     # table's 2, the zero vector's 1 and the two entries', so a renamed or
     # deselected case fails here
-    assert re.search(r"^77 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    assert re.search(r"^79 passed\b", proc.stdout, re.MULTILINE), proc.stdout
 
 
 if __name__ == "__main__":
