@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from .channel import ZeroErrorCode, ZeroErrorVerdict, verify_zero_error
+from .channel import FiniteChannel, ZeroErrorCode, ZeroErrorVerdict, verify_zero_error
 from .control import (
     CostReport,
     DeterministicStrategy,
@@ -174,6 +174,7 @@ class SeparationCertificate(NamedTuple):
     the cost bound while the entangled strategy stays below it."""
 
     ks: KSBasisSet
+    channel: FiniteChannel  # its labels name the reduction witness's inputs
     bounds: BoundSet  # holds k and the cost bound M
     t: int
     window: int
@@ -280,6 +281,7 @@ def certify_separation(
         )
     return SeparationCertificate(
         ks=ks,
+        channel=inst.channel,
         bounds=bounds,
         t=t,
         window=w,
@@ -327,14 +329,13 @@ def format_certificate(cert: SeparationCertificate) -> str:
             "best-strategy: " + cert.search.strategy.c1_json(),
         ]
     if cert.reduction is not None:
-        lines.append(
-            f"reduction-verdict: {cert.reduction.status}"
-            + (
-                f" witness={json.dumps(cert.reduction.witness)}"
-                if cert.reduction.witness is not None
-                else ""
-            )
-        )
+        verdict = f"reduction-verdict: {cert.reduction.status}"
+        if cert.reduction.witness is not None:
+            # the output's two inputs print as their (m, j) labels
+            msg, (u, u2), decoded = cert.reduction.witness
+            labels = cert.channel.inputs
+            verdict += f" witness={json.dumps([msg, [labels[u], labels[u2]], decoded])}"
+        lines.append(verdict)
         lines.append(f"reduction-ties: {len(cert.code.ties)}")
     for clause in cert.clauses:
         lines.append(f"clause: {clause}")

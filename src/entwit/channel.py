@@ -1,40 +1,29 @@
 """The pair channel of a basis set, its confusability graph, and codes.
 
-Channel inputs are the basis/vector index pairs (m, j), numbered u = m*d + j,
-outputs are unordered pairs of inputs, and input (m, j) maps uniformly onto
-the pairs {(m, j), (m', j')} whose vectors are orthogonal.  The channel is
-one neighbour table: bit u2 of ``masks[u]`` is set iff {u, u2} is an output
-of input u, each with probability 1/popcount(masks[u]).  Two inputs share an
-output exactly when they are partners, so that table is also the
-confusability graph.  Everything is exact: graph facts come from
-branch-and-bound search, and zero-error verdicts enumerate every
-positive-probability branch.  The integer encoder that scales messages by t,
-composed with the channel, is the instance in ``entwit.control``.
+Channel input u = m*d + j is vector j of basis m, an output is the id pair
+(u, u2) with u < u2, and input u maps uniformly onto the pairs {u, u2} whose
+vectors are orthogonal.  The channel is one neighbour table: bit u2 of
+``masks[u]`` is set iff {u, u2} is an output of input u, each with
+probability 1/popcount(masks[u]).  Two inputs share an output exactly when
+they are partners, so that table is also the confusability graph.
+Everything is exact: graph facts come from branch-and-bound search, and
+zero-error verdicts enumerate every positive-probability branch.  The
+integer encoder that scales messages by t, composed with the channel, is the
+instance in ``entwit.control``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from .ks import KSBasisSet, validate_basis_set, verify_ks_property
-
-
-class ChannelInput(NamedTuple):
-    """Input symbol (m, j): vector j of basis m."""
-
-    m: int
-    j: int
-
-
-# An output is an unordered pair of distinct inputs, stored lexicographically.
-ChannelOutput = Tuple[ChannelInput, ChannelInput]
 
 
 class FiniteChannel:
     """The uniform pair channel on a q x d grid of inputs, as partner masks.
 
     ``masks[u]`` holds the partners of input u = m*d + j; ``inputs[u]`` is
-    that input as a ``ChannelInput``.  The masks are checked once, here:
+    its label (m, j), for reports.  The masks are checked once, here:
     q*d of them for some q >= 1, none empty, none holding its own input or
     an input past the grid, and every partner held both ways, so each output
     {u, u2} is in exactly the rows of its two endpoints.
@@ -65,11 +54,11 @@ class FiniteChannel:
                 above ^= bit
         self.d = d
         self.masks = tuple(masks)
-        self.inputs = tuple(ChannelInput(*divmod(u, d)) for u in range(n))
+        self.inputs = tuple(divmod(u, d) for u in range(n))
 
 
 def build_ks_channel(ks: KSBasisSet) -> FiniteChannel:
-    """Channel whose input (m, j) maps uniformly onto its orthogonal pairs:
+    """Channel whose input u maps uniformly onto its orthogonal pairs:
     the set's orthogonality masks themselves.
 
     Requires the basis set to validate (so no row is empty: d >= 2) and to
@@ -151,7 +140,7 @@ class ZeroErrorCode:
                 raise ValueError(f"encoder is not total: message {msg} missing")
         self.messages = messages
         self.encoder = encoder  # message -> codeword
-        self.decoder = decoder  # ChannelOutput -> message
+        self.decoder = decoder  # output (u, u2) -> message
         self.ties = ties
 
 

@@ -34,7 +34,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from .channel import ChannelInput, ChannelOutput, FiniteChannel, build_ks_channel
+from .channel import FiniteChannel, build_ks_channel
 # nothing here calls decoder_decode; the benchmark's span test reads it from this module
 from .entangled import QuantumDecodeError, decoder_decode, walk_entangled
 from .exact import as_fraction
@@ -47,8 +47,8 @@ class WitsenhausenInstance:
     The instance is also the composed channel: the encoder at scale t
     followed by the basis-set channel, with all of Z as its input domain.
     A wire value y = a*t + b with a in [0, q) and b in [0, d) goes to row
-    (a, b); every other y goes to the uniform mixture of all rows, built on
-    first use and held, as is the search's integer scale of its rows.  The
+    u = a*d + b; every other y goes to the uniform mixture of all rows, built
+    on first use and held, as is the search's integer scale of its rows.  The
     support is found once, when the instance is made.
     """
 
@@ -78,43 +78,43 @@ class WitsenhausenInstance:
         """(m, x = m*t) for every message with positive probability."""
         return self._support
 
-    def decompose(self, y: int) -> Optional[ChannelInput]:
-        """The input (a, b) with y = a*t + b, or None when y is out of form;
-        unique since t >= d."""
+    def decompose(self, y: int) -> Optional[int]:
+        """The input u = a*d + b with y = a*t + b, or None when y is out of
+        form; unique since t >= d.  Input 0 is an input: test for None."""
         a, b = divmod(y, self.t)
         if 0 <= a < self.ks.q and b < self.ks.d:
-            return ChannelInput(a, b)
+            return a * self.ks.d + b
         return None
 
     def output_distribution(self, y: int) -> MappingProxyType:
         """Read-only view of the distribution on wire value y, built from the
         channel's masks: an in-form y gives its row, 1/deg on each output,
         lowest partner first."""
-        hit = self.decompose(y)
-        if hit is not None:
-            return MappingProxyType(self._row(hit.m * self.d + hit.j))
+        u = self.decompose(y)
+        if u is not None:
+            return MappingProxyType(self._row(u))
         if not self._uniform_branch:
             # any out-of-form y gives the same mixture: the encoder's uniform
             # weight 1/(q*d) on every input, composed with its row, summed in
-            # (a, b) grid order
+            # input order
             w = Fraction(1, self.q * self.d)
-            dist: Dict[ChannelOutput, Fraction] = {}
+            dist: Dict[tuple, Fraction] = {}
             for u in range(self.q * self.d):
                 for o, p in self._row(u).items():
                     dist[o] = dist.get(o, 0) + w * p
             self._uniform_branch.update(dist)
         return MappingProxyType(self._uniform_branch)
 
-    def _row(self, u: int) -> Dict[ChannelOutput, Fraction]:
+    def _row(self, u: int) -> Dict[tuple, Fraction]:
         """Row u of the channel: each output {u, u2} of its mask, lowest u2
         first, with probability 1/deg(u)."""
-        mask, ids = self.channel.masks[u], self.channel.inputs
-        me, p, row = ids[u], Fraction(1, mask.bit_count()), {}
+        mask = self.channel.masks[u]
+        p, row = Fraction(1, mask.bit_count()), {}
         while mask:
             bit = mask & -mask
             mask ^= bit
             u2 = bit.bit_length() - 1
-            row[(ids[u2], me) if u2 < u else (me, ids[u2])] = p
+            row[(u2, u) if u2 < u else (u, u2)] = p
         return row
 
 
@@ -157,7 +157,7 @@ class DeterministicStrategy(NamedTuple):
     """c1 keyed by supported input x; c2 keyed by channel output, default 0."""
 
     c1: dict  # x -> int
-    c2: dict  # ChannelOutput -> int
+    c2: dict  # output (u, u2) -> int
 
     def c1_at(self, x: int) -> int:
         try:
@@ -165,7 +165,7 @@ class DeterministicStrategy(NamedTuple):
         except KeyError:
             raise ValueError(f"strategy c1 is not defined on supported input {x}")
 
-    def c2_at(self, s: ChannelOutput) -> int:
+    def c2_at(self, s: tuple) -> int:
         return self.c2.get(s, 0)
 
     def c1_json(self) -> str:
@@ -220,8 +220,8 @@ def evaluate_quantum(inst: WitsenhausenInstance) -> CostReport:
     """Exact cost of the entangled strategy, read from ``walk_entangled``.
 
     On every branch the first controller adds its measurement outcome j and
-    the decoder, certain of (m, j), subtracts m*t + j, so the final signal is
-    0 and only the control term k * E[j^2] remains.  Only the supported
+    the decoder, certain of input m*d + j, subtracts m*t + j, so the final
+    signal is 0 and only the control term k * E[j^2] remains.  Only the supported
     messages are walked, each branch has probability 1/d, and the cost is
     checked against the k*d^2 ceiling.  E[j^2] is an integer sum over the lcm
     of the supported p_m's denominators, so one Fraction is built.
@@ -288,7 +288,7 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
     rows have mass.
     """
     shares, _big_d, _big_l, weights = _row_table(inst)
-    masks, ids = inst.channel.masks, inst.channel.inputs
+    masks = inst.channel.masks
     qd = inst.q * inst.d
     owned = [[0, 0] for _ in shares]  # per row: weight and weight*y on each output
     out = [0, 0]  # the same, over the messages out of form, per unit of beta_o
@@ -296,16 +296,15 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
         if x not in c1:
             raise ValueError(f"c1 table is not defined on supported input {x}")
         y = x + c1[x]
-        hit = inst.decompose(y)
-        if hit is None:
+        u = inst.decompose(y)
+        if u is None:
             own = out
         else:
-            u = hit.m * inst.d + hit.j
             own, w = owned[u], w * qd * shares[u]
         own[0] += w
         own[1] += w * y
     oa, ob = out
-    c2: Dict[ChannelOutput, int] = {}
+    c2: Dict[tuple, int] = {}
     for u, (a, b) in enumerate(owned):
         if not (a or oa):
             continue
@@ -319,7 +318,7 @@ def optimal_c2_for_c1(inst: WitsenhausenInstance, c1: dict) -> dict:
             if u2 < u and (a2 or oa):
                 continue
             beta = share + shares[u2]
-            s = (ids[u2], ids[u]) if u2 < u else (ids[u], ids[u2])
+            s = (u2, u) if u2 < u else (u, u2)
             c2[s] = _round_half_even_ratio(-(b + b2 + beta * ob), a + a2 + beta * oa)
     return c2
 

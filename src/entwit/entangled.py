@@ -4,9 +4,9 @@ The encoder and decoder share a maximally entangled pair of d-level systems,
 |Phi> = (1/sqrt(d)) sum_j |j>|j>.  To send basis index m, the encoder
 measures its half in the conjugated basis; since
 (<conj(u)| x I)|Phi> = |u>/sqrt(d) for every vector u, outcome j has
-probability exactly 1/d and leaves the decoder holding exactly vector (m, j),
-so no state vector is built.  The channel then reveals an unordered pair
-{(m, j), (m', j')} of orthogonal candidates, and the decoder measures in any
+probability exactly 1/d and leaves the decoder holding exactly vector
+u = m*d + j, so no state vector is built.  The channel then reveals an
+output (u, u2) of two orthogonal candidates, and the decoder measures in any
 orthonormal basis containing both candidate vectors, identifying its
 residual with certainty; the outcome probabilities of the two candidates are
 squared overlaps, so that basis is never completed.  One walk,
@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .channel import ChannelInput, ChannelOutput, FiniteChannel
+from .channel import FiniteChannel
 from .exact import Vector, _gauss_dot
 from .ks import KSBasisSet, validate_basis_set
 
@@ -47,7 +47,7 @@ class QuantumZeroErrorReport(NamedTuple):
 def encoder_branches(ks: KSBasisSet, m: int) -> list:
     """The d branches of the encoder's measurement in the conjugate of basis
     m, from the identity (<conj(u)| x I)|Phi> = |u>/sqrt(d): per outcome j,
-    the triple (ChannelInput(m, j), 1/d, vector (m, j)), the d probabilities
+    the triple (u, 1/d, vector u) for input u = m*d + j, the d probabilities
     one shared Fraction.
     """
     validate_basis_set(ks)
@@ -55,26 +55,26 @@ def encoder_branches(ks: KSBasisSet, m: int) -> list:
         raise ValueError(f"message {m} outside [0, {ks.q})")
     d, vectors = ks.d, ks.vectors
     p = Fraction(1, d)
-    return [(ChannelInput(m, j), p, vectors[m * d + j]) for j in range(d)]
+    return [(u, p, vectors[u]) for u in range(m * d, m * d + d)]
 
 
-def decoder_decode(ks: KSBasisSet, s: ChannelOutput, residual: Vector) -> tuple:
+def decoder_decode(ks: KSBasisSet, s: tuple, residual: Vector) -> tuple:
     """Measure the residual in an orthonormal basis containing both candidates.
 
-    ``s`` is the channel output {(m, j), (m', j')} of two vectors of the set,
-    which must be orthogonal (read from ``ks.masks``; every vector is a unit
+    ``s`` is the channel output (u, u2) of two vectors of the set, which
+    must be orthogonal (read from ``ks.masks``; every vector is a unit
     vector); the residual must overlap one of them.  In any orthonormal basis
     holding the candidates, the Born probability of candidate i is the
     residual's squared overlap with it, so the rest of the basis is never built.
-    Returns (outcome, probability), the outcome being the candidate of ``s``
-    itself; under the strategy's preconditions the probability is exactly 1.
+    Returns (outcome, probability), the outcome being the candidate id of
+    ``s``; under the strategy's preconditions the probability is exactly 1.
     """
-    (m1, j1), (m2, j2) = s
-    q, d = ks.q, ks.d
-    if not (0 <= m1 < q and 0 <= m2 < q and 0 <= j1 < d and 0 <= j2 < d):
-        raise ValueError(f"output {s} names a vector outside [0, {q}) x [0, {d})")
-    a, b = m1 * d + j1, m2 * d + j2
-    if not ks.masks[a] >> b & 1:
+    a, b = s
+    masks, d = ks.masks, ks.d
+    # a negative id would read a row from the end of the masks
+    if not (0 <= a < len(masks) and 0 <= b < len(masks)):
+        raise ValueError(f"output {s} names a vector outside [0, {len(masks)})")
+    if not masks[a] >> b & 1:
         raise ValueError(f"candidates {s} are not orthogonal")
     cand1, cand2 = ks.vectors[a], ks.vectors[b]
     v_re = residual.re
@@ -105,38 +105,37 @@ def walk_entangled(ks: KSBasisSet, ch: FiniteChannel, messages) -> list:
     lowest partner first; t is never read.
 
     An encoder branch whose probability is not the Fraction 1/d, or whose
-    outcome is not a channel input of its message, raises
-    ``QuantumDecodeError`` with witness (m, j, None); a decode other than
-    that input with probability 1 raises with (m, j, output).  Returns
-    (branch count, sum of j^2, encoder branches walked) per message.
+    outcome u is not an input of its message, one of m*d .. m*d + d - 1,
+    raises ``QuantumDecodeError`` with witness (m, j, None), j = u - m*d; a
+    decode other than u with probability 1 raises with (m, j, output).
+    Returns (branch count, sum of j^2, encoder branches walked) per message.
     """
-    d, masks, ids, walked = ks.d, ch.masks, ch.inputs, []
+    d, masks, walked = ks.d, ch.masks, []
     decode = decoder_decode  # read once: a replaced module attribute still sees every decode
     for m in messages:
         count = j_sq = landed = 0
-        for sent, p, residual in encoder_branches(ks, m):
-            j = sent.j
+        for u, p, residual in encoder_branches(ks, m):
+            j = u - m * d
             if type(p) is not Fraction or p.numerator != 1 or p.denominator != d:
                 raise QuantumDecodeError(
                     f"encoder branch probability {p} != 1/{d}", witness=(m, j, None)
                 )
-            if sent.m != m or not 0 <= j < d:
+            if not 0 <= j < d:
                 raise QuantumDecodeError(
-                    f"outcome {sent} is not an input of message {m}", witness=(m, j, None)
+                    f"outcome {u} is not an input of message {m}", witness=(m, j, None)
                 )
-            u = m * d + j
             mask = masks[u]
             count += mask.bit_count()
             while mask:
                 bit = mask & -mask
                 mask ^= bit
                 u2 = bit.bit_length() - 1
-                s = (ids[u2], sent) if u2 < u else (sent, ids[u2])
+                s = (u2, u) if u2 < u else (u, u2)
                 decoded, p_dec = decode(ks, s, residual)
-                if decoded != sent or (p_dec is not _ONE and p_dec != 1):
+                if decoded != u or (p_dec is not _ONE and p_dec != 1):
                     raise QuantumDecodeError(
                         f"branch decoded {decoded} with probability {p_dec}, "
-                        f"expected {sent} with probability 1",
+                        f"expected {u} with probability 1",
                         witness=(m, j, s),
                     )
             j_sq += j * j

@@ -31,11 +31,12 @@ _BUNDLED_SET = resources.files("entwit.data").joinpath(BUNDLED_SET_RESOURCE)
 
 
 class KSBasisSet:
-    """q orthonormal bases of C^d; ``bases[m][j]`` is vector j of basis m, as is
-    ``vectors[m*d + j]``.  Bit b of ``masks[m*d + j]`` is set iff (m, j) is
-    orthogonal to vector b; ``violation`` is what ``validate_basis_set`` raises."""
+    """q orthonormal bases of C^d, given as ``bases``: q lists of d vectors.
+    ``vectors[u]`` is vector j of basis m for u = m*d + j, bit b of
+    ``masks[u]`` is set iff vector u is orthogonal to vector b, and
+    ``violation`` is what ``validate_basis_set`` raises."""
 
-    __slots__ = ("q", "d", "bases", "label", "vectors", "masks", "violation")
+    __slots__ = ("q", "d", "label", "vectors", "masks", "violation")
 
     def __init__(self, *, q: int, d: int, bases: tuple, label: str = ""):
         if q < 1:
@@ -57,7 +58,6 @@ class KSBasisSet:
         put = object.__setattr__  # immutable: attributes are set here only
         put(self, "q", q)
         put(self, "d", d)
-        put(self, "bases", bases)
         put(self, "label", label)
         put(self, "vectors", vectors := tuple(v for b in bases for v in b))
         put(self, "masks", masks := tuple(orthogonality_masks(vectors)))

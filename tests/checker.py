@@ -8,10 +8,10 @@ moments.
 
 Inputs are the ids i = m*d + j, for vector j of basis m.  Input i sends
 output {i, n} with probability 1/deg(i) for each n in its neighbour list,
-and an output is named by its endpoints ((m, j), (m', j')) in order, as the
-reports name it.  Message m goes on the wire as y = m*t + c1(m*t).  A wire
-y in [0, q*t) with y mod t below d is the input (y div t)*d + y mod t; any
-other wire is every input at once, each with weight 1/(q*d).
+and an output is named by its two endpoint ids in increasing order.
+Message m goes on the wire as y = m*t + c1(m*t).  A wire y in [0, q*t) with
+y mod t below d is the input (y div t)*d + y mod t; any other wire is every
+input at once, each with weight 1/(q*d).
 
 Everything is an integer over one common denominator, ``scale`` =
 L*q*d*D, with L the lcm of the message probabilities' denominators and D
@@ -154,7 +154,7 @@ class Instance:
             [number.setdefault((min(i, n), max(i, n)), len(number)) for n in row]
             for i, row in enumerate(channel.neighbours)
         ]
-        self.outputs = [(divmod(a, d), divmod(b, d)) for a, b in number]
+        self.outputs = list(number)
         self.beta = [0] * len(number)
         for i, row in enumerate(self.rows):
             for o in row:

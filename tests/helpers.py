@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from checker import orthogonal, read_rays
-from entwit.channel import ChannelInput, FiniteChannel, ZeroErrorCode, confusability_graph
+from entwit.channel import FiniteChannel, ZeroErrorCode, confusability_graph
 from entwit.control import CostReport, DeterministicStrategy
 from entwit.exact import Vector, _gauss_dot, as_fraction
 
@@ -76,31 +76,37 @@ def naive_ks_check(bases):
 # -- channel and graph oracles -------------------------------------------------
 
 
+def label(d, u):
+    """The (m, j) that a report prints for input id u = m*d + j."""
+    return divmod(u, d)
+
+
+def bases_of(ks):
+    """The set's bases, basis m read as ks.vectors[m*d:(m+1)*d]."""
+    d = ks.d
+    return [ks.vectors[m * d:(m + 1) * d] for m in range(ks.q)]
+
+
 def output_pair(a, b):
-    """The output {a, b} of two distinct inputs, stored in order."""
-    a, b = ChannelInput(*a), ChannelInput(*b)
+    """The output {a, b} of two distinct input ids, stored in order."""
     if a == b:
         raise ValueError(f"output pair must contain two distinct inputs, got {a} twice")
     return (a, b) if a < b else (b, a)
 
 
-def from_neighbor_sets(neighbors):
-    """entwit's channel on the given neighbour sets, each input and neighbour
-    a ChannelInput or a plain (m, j) pair; the inputs fill a q x d grid."""
-    keys = sorted(ChannelInput(*i) for i in neighbors)
-    d = 1 + max(j for _m, j in keys)
-    if keys != [ChannelInput(*divmod(u, d)) for u in range(len(keys))]:
-        raise ValueError("the inputs do not fill a q x d grid")
-    masks = [0] * len(keys)
+def from_neighbor_sets(d, neighbors):
+    """entwit's channel on the given neighbour sets {id: ids}, one row for
+    each id 0 .. len(neighbors) - 1."""
+    if sorted(neighbors) != list(range(len(neighbors))):
+        raise ValueError("the inputs are not the ids 0 .. n - 1")
+    masks = [0] * len(neighbors)
     for i, nbrs in neighbors.items():
-        i = ChannelInput(*i)
-        for n in map(ChannelInput._make, nbrs):
+        for n in nbrs:
             if n == i:
                 raise ValueError(f"output {(i, n)} is not two distinct inputs")
-            bit = 1 << n.m * d + n.j
-            if masks[i.m * d + i.j] & bit:
+            if masks[i] >> n & 1:
                 raise ValueError(f"duplicate neighbors for input {i}")
-            masks[i.m * d + i.j] |= bit
+            masks[i] |= 1 << n
     return FiniteChannel(d, tuple(masks))
 
 
@@ -115,13 +121,13 @@ def partners(mask):
 
 
 def channel_rows(ch):
-    """{input: {output: probability}} of a channel, row by row from its
+    """{input id: {output: probability}} of a channel, row by row from its
     masks: input i sends {i, n} with probability 1/deg(i) for each of its
     partners n, lowest first."""
     rows = {}
-    for i, mask in zip(ch.inputs, ch.masks):
+    for i, mask in enumerate(ch.masks):
         nbrs = partners(mask)
-        rows[i] = {output_pair(i, ch.inputs[n]): Fraction(1, len(nbrs)) for n in nbrs}
+        rows[i] = {output_pair(i, n): Fraction(1, len(nbrs)) for n in nbrs}
     return rows
 
 
@@ -160,14 +166,14 @@ def has_independent_subset(g, size):
 
 class OnInputs:
     """A channel read as ``verify_zero_error`` reads a codeword channel, with
-    the channel's own inputs as codewords: ``output_distribution(i)`` is a
+    the channel's input ids as codewords: ``output_distribution(i)`` is a
     read-only view of row i."""
 
     def __init__(self, channel):
         self.rows = channel_rows(channel)
 
     def output_distribution(self, i):
-        return MappingProxyType(self.rows[ChannelInput(*i)])
+        return MappingProxyType(self.rows[i])
 
 
 def code_from_independent_set(ch, independent):
@@ -179,7 +185,7 @@ def code_from_independent_set(ch, independent):
             raise ValueError(f"independent set contains {a} twice")
         if adjacent(g, a, b):
             raise ValueError(f"set is not independent: {a} and {b} are confusable")
-    encoder = {msg: ch.inputs[u] for msg, u in enumerate(sorted(independent))}
+    encoder = dict(enumerate(sorted(independent)))
     rows = channel_rows(ch)
     decoder = {o: msg for msg, cw in encoder.items() for o in rows[cw]}
     return ZeroErrorCode(
@@ -416,11 +422,6 @@ def is_orthogonal(v, w):
     return _gauss_dot(v, [w]) == [(0, 0)]
 
 
-def all_vectors(ks):
-    """Every vector of the set, basis by basis."""
-    return [v for basis in ks.bases for v in basis]
-
-
 class Parts(NamedTuple):
     """Integer numerators and whether the imaginary ones are all zero: the
     fields the dot kernel and the orthogonality table read, with the flag
@@ -478,10 +479,10 @@ def cf_overlap_sq(v, w):
 def cf_decoder_decode(ks, s, residual):
     """decoder_decode by ComplexFraction sums: the same gates in the same
     order and the same tie rule, every comparison made on Fractions."""
-    (m1, j1), (m2, j2) = s
-    if not all(0 <= m < ks.q and 0 <= j < ks.d for m, j in s):
-        raise ValueError(f"output {s} names a vector outside [0, {ks.q}) x [0, {ks.d})")
-    cand1, cand2 = ks.bases[m1][j1], ks.bases[m2][j2]
+    a, b = s
+    if not all(0 <= u < ks.q * ks.d for u in s):
+        raise ValueError(f"output {s} names a vector outside [0, {ks.q * ks.d})")
+    cand1, cand2 = ks.vectors[a], ks.vectors[b]
     if cf_dot(cand1, cand2):
         raise ValueError(f"candidates {s} are not orthogonal")
     p1 = cf_overlap_sq(residual, cand1)
@@ -489,8 +490,8 @@ def cf_decoder_decode(ks, s, residual):
     if p1 == 0 and p2 == 0:
         raise ValueError("residual state is orthogonal to both candidates")
     if p1 >= p2:
-        return ChannelInput(m1, j1), p1
-    return ChannelInput(m2, j2), p2
+        return a, p1
+    return b, p2
 
 
 def cf_measure_first_subsystem(state, basis):
@@ -599,7 +600,7 @@ def rotated_set_json(ks, u, label):
     product, and with it every orthogonality, norm and the channel, while a
     complex one makes the rays genuinely complex."""
     bases = []
-    for basis in ks.bases:
+    for basis in bases_of(ks):
         images = [matmul(u, [[e] for e in entries(v)]) for v in basis]  # columns
         bases.append([[[str(c.re), str(c.im)] for (c,) in image] for image in images])
     return {"format": "ks-basis-set/1", "label": label, "q": ks.q, "d": ks.d, "bases": bases}
@@ -652,10 +653,10 @@ def fraction_masses(ks, ch):
     psi = maximally_entangled(ks.d)
     rows = channel_rows(ch)
     masses = []
-    for m in range(ks.q):
+    for m, basis in enumerate(bases_of(ks)):
         mass = Fraction(0)
-        for j, prob, _raw, _nsq in cf_measure_first_subsystem(psi, conjugate_basis(ks.bases[m])):
-            for p_out in rows[ChannelInput(m, j)].values():
+        for j, prob, _raw, _nsq in cf_measure_first_subsystem(psi, conjugate_basis(basis)):
+            for p_out in rows[m * ks.d + j].values():
                 mass += prob * p_out
         masses.append(mass)
     return tuple(masses)

@@ -73,12 +73,11 @@ def test_criterion_01_ks_verification(bundled):
 def test_criterion_02_channel_structure(channel):
     rows = channel_rows(channel)
     row_ok = all(
-        len(rows[i]) == 9 and set(rows[i].values()) == {Fraction(1, 9)}
-        for i in channel.inputs
+        len(row) == 9 and set(row.values()) == {Fraction(1, 9)} for row in rows.values()
     )
     g = confusability_graph(channel)
     ok = (
-        len(channel.inputs) == 24
+        len(rows) == len(channel.inputs) == 24
         and row_ok
         and len(channel_outputs(channel)) == 108
         and sum(map(int.bit_count, g)) == 2 * 108

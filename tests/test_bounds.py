@@ -40,7 +40,7 @@ from entwit.bounds import (
     pzmin_lower_bound,
     strategy_to_code,
 )
-from entwit.channel import ChannelInput, ZeroErrorVerdict, verify_zero_error
+from entwit.channel import ZeroErrorVerdict, verify_zero_error
 from entwit.control import (
     DeterministicStrategy,
     make_instance,
@@ -386,9 +386,10 @@ def test_budget_truncation_is_inconclusive(bundled):
 
 
 def test_reduction_witness_is_printed_as_json(bundled):
-    # a missing decoder entry is null; an output is its two endpoints
+    # a missing decoder entry is null; an output prints as its two
+    # endpoints' (m, j) labels
     cert = certify_separation(bundled, 1, Fraction(7, 2), window=2)
-    output = (ChannelInput(3, 1), ChannelInput(4, 0))
+    output = (3 * 4 + 1, 4 * 4 + 0)
     verdict = ZeroErrorVerdict("incomplete_decoder", (3, output, None))
     text = format_certificate(cert._replace(reduction=verdict))
     line = "reduction-verdict: incomplete_decoder witness=[3, [[3, 1], [4, 0]], null]"

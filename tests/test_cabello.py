@@ -27,7 +27,7 @@ from checker import Channel, Instance, orthogonal, plain_dfs
 from entwit.cli import main
 from entwit.control import make_instance, search_deterministic
 from entwit.ks import basis_set_from_json_dict, load_basis_set, verify_ks_property
-from helpers import CABELLO_SET, naive_ks_check, ray_bases, raw_dot
+from helpers import CABELLO_SET, bases_of, naive_ks_check, ray_bases, raw_dot
 
 GOLDEN = CABELLO_SET.parent / "golden"
 
@@ -82,7 +82,7 @@ def test_swapped_ray_fails_at_the_named_pair(tmp_path):
     twin = basis_set_from_json_dict(data)
     broken = [
         (m, j, j2)
-        for m, basis in enumerate(twin.bases)
+        for m, basis in enumerate(bases_of(twin))
         for j in range(len(basis))
         for j2 in range(j + 1, len(basis))
         if raw_dot(basis[j], basis[j2])

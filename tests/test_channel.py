@@ -15,8 +15,9 @@ Claims covered:
       no 6-subset of inputs is independent (exhaustive scan)
     - zero-error verdicts distinguish collisions from incomplete decoders,
       and a code refuses an encoder that misses a message
-    - the instance's integer encoder has unique decompositions for t >= d
-      and composes with the channel into exact output distributions
+    - the instance's integer encoder has unique decompositions for t >= d,
+      wire 0 among them as input 0, and composes with the channel into exact
+      output distributions
 """
 
 import random
@@ -28,7 +29,6 @@ import pytest
 
 from checker import Channel
 from entwit.channel import (
-    ChannelInput,
     FiniteChannel,
     ZeroErrorCode,
     build_ks_channel,
@@ -64,10 +64,10 @@ from helpers import (
 
 def test_bundled_channel_structure(bundled, channel):
     assert channel.masks is bundled.masks
-    assert channel.inputs == tuple(ChannelInput(m, j) for m in range(6) for j in range(4))
+    assert channel.inputs == tuple((m, j) for m in range(6) for j in range(4))
     rows = channel_rows(channel)
-    for i in channel.inputs:
-        row = rows[i]
+    assert list(rows) == list(range(24))
+    for row in rows.values():
         assert len(row) == 9
         assert set(row.values()) == {Fraction(1, 9)}
         assert sum(row.values(), Fraction(0)) == 1
@@ -75,7 +75,7 @@ def test_bundled_channel_structure(bundled, channel):
 
 
 def test_channel_matches_orthogonality(bundled, channel):
-    flat = [bundled.bases[m][j] for m in range(6) for j in range(4)]
+    flat = bundled.vectors
     for a, b in combinations(range(24), 2):
         orthogonal = not raw_dot(flat[a], flat[b])
         assert orthogonal == bool(channel.masks[a] >> b & 1) == bool(channel.masks[b] >> a & 1)
@@ -104,15 +104,14 @@ def test_direct_build_matches_the_neighbor_set_build(source):
     ks = load_basis_set(source)
     table = Channel.from_rays(source)
     inst = make_instance(ks, ks.d, 1, channel=build_ks_channel(ks))
-    d = ks.d
     for i, row in enumerate(table.neighbours):
-        expected = [(output_pair(divmod(i, d), divmod(n, d)), Fraction(1, len(row))) for n in row]
+        expected = [(output_pair(i, n), Fraction(1, len(row))) for n in row]
         assert list(inst.output_distribution(i).items()) == expected  # y = i at t = d
 
 
 def test_empty_neighbor_set_is_structural_error():
     with pytest.raises(ValueError, match="has no outputs"):
-        from_neighbor_sets({ChannelInput(0, 0): []})
+        from_neighbor_sets(1, {0: []})
 
 
 # a 2 x 2 grid whose outputs are {0, 1} and {2, 3}
@@ -157,30 +156,21 @@ def test_graph_rejects_malformed_edges(edge, message):
     assert confusability_graph(FiniteChannel(1, (0b010, 0b001))) == (0b010, 0b001)
 
 
-A00, A10 = ChannelInput(0, 0), ChannelInput(1, 0)
-
-
+# input 0 of a d = 1 grid naming itself or input 1 twice
 @pytest.mark.parametrize(
     "nbrs,message",
-    [([A00, A10], "not two distinct inputs"), ([A10, A10], "duplicate neighbors")],
+    [([0, 1], "not two distinct inputs"), ([1, 1], "duplicate neighbors")],
     ids=["self-neighbor", "duplicate-neighbor"],
 )
 def test_neighbor_sets_reject_malformed_rows(nbrs, message):
     with pytest.raises(ValueError, match=message):
-        from_neighbor_sets({A00: nbrs})
-
-
-def test_neighbor_sets_given_as_plain_tuples():
-    ch = from_neighbor_sets({(0, 0): [(0, 1)], (0, 1): [(0, 0)]})
-    assert all(type(i) is ChannelInput for i in ch.inputs)
-    assert (ch.d, ch.masks) == (2, (0b10, 0b01))
+        from_neighbor_sets(1, {0: nbrs})
 
 
 def test_output_pair_canonical():
-    a, b = ChannelInput(1, 2), ChannelInput(0, 3)
-    assert output_pair(a, b) == (b, a)
+    assert output_pair(6, 3) == (3, 6)
     with pytest.raises(ValueError):
-        output_pair(a, a)
+        output_pair(6, 6)
 
 
 # -- confusability -------------------------------------------------------------
@@ -188,8 +178,7 @@ def test_output_pair_canonical():
 
 def _common_output():
     # both inputs map onto their shared pair with probability 1
-    a, b = ChannelInput(0, 0), ChannelInput(0, 1)
-    return from_neighbor_sets({a: [b], b: [a]})
+    return from_neighbor_sets(2, {0: [1], 1: [0]})
 
 
 def test_common_output_channel_is_complete():
@@ -207,7 +196,7 @@ def test_graph_is_the_shared_output_relation(source):
     for i, row in channel_rows(ch).items():
         for o, p in row.items():
             if p > 0:
-                holders.setdefault(o, []).append(ch.inputs.index(i))
+                holders.setdefault(o, []).append(i)
     edges = {e for hold in holders.values() for e in combinations(sorted(hold), 2)}
     g = confusability_graph(ch)
     assert {(a, b) for a in range(len(g)) for b in partners(g[a]) if a < b} == edges
@@ -232,7 +221,7 @@ def _plain_graph(n, edges):
 
 def test_code_rejects_an_encoder_that_misses_a_message():
     with pytest.raises(ValueError, match="encoder is not total: message 1 missing"):
-        ZeroErrorCode(messages=(0, 1), encoder={0: A00}, decoder={})
+        ZeroErrorCode(messages=(0, 1), encoder={0: 0}, decoder={})
 
 
 def test_independence_number_edgeless():
@@ -279,7 +268,7 @@ def test_adjacent_set_rejected(channel, graph):
 
 
 def test_collision_witness_for_confusable_codewords(channel, graph):
-    a, b = channel.inputs[0], channel.inputs[partners(graph[0])[0]]
+    a, b = 0, partners(graph[0])[0]
     shared = output_pair(a, b)
     rows = channel_rows(channel)
     decoder = {o: 0 for o in rows[a]}
@@ -294,7 +283,7 @@ def test_collision_witness_for_confusable_codewords(channel, graph):
 
 
 def test_incomplete_decoder_verdict(channel):
-    i = ChannelInput(0, 0)
+    i = 0
     some_output = sorted(channel_rows(channel)[i])[0]
     code = ZeroErrorCode(messages=(0,), encoder={0: i}, decoder={some_output: 0})
     verdict = verify_zero_error(OnInputs(channel), code)
@@ -311,8 +300,16 @@ def _instance(bundled, channel, t):
 
 def test_epsilon_point_mass(bundled, channel):
     inst = _instance(bundled, channel, 10)
-    assert inst.decompose(2 * 10 + 3) == ChannelInput(2, 3)
-    assert inst.decompose(0) == ChannelInput(0, 0)
+    assert inst.decompose(2 * 10 + 3) == 2 * 4 + 3
+
+
+def test_input_zero_is_an_input(bundled, channel):
+    # id 0 is falsy: wire 0 must still reach row 0, not the uniform branch
+    inst = _instance(bundled, channel, 10)
+    assert inst.decompose(0) == 0
+    dist = inst.output_distribution(0)
+    assert dist == channel_rows(channel)[0]
+    assert len(dist) == 9
 
 
 def test_epsilon_uniform_branch(bundled, channel):
@@ -322,7 +319,7 @@ def test_epsilon_uniform_branch(bundled, channel):
     dist = inst.output_distribution(7)
     rows = channel_rows(channel)
     for o, p in dist.items():
-        holders = [i for i in channel.inputs if o in rows[i]]
+        holders = [i for i in rows if o in rows[i]]
         assert p == sum(Fraction(1, 24) * rows[i][o] for i in holders)
     assert sum(dist.values()) == 1
 
@@ -342,7 +339,7 @@ def test_decomposition_unique_for_t_at_least_d(bundled, channel, t):
         assert len(forms) <= 1
         hit = inst.decompose(x)
         if forms:
-            assert hit == ChannelInput(*forms[0])
+            assert hit == forms[0][0] * 4 + forms[0][1]
         else:
             assert hit is None
 
@@ -350,7 +347,7 @@ def test_decomposition_unique_for_t_at_least_d(bundled, channel, t):
 def test_nt_in_form_matches_channel_row(bundled, channel):
     y = 3 * 10 + 2
     dist = _instance(bundled, channel, 10).output_distribution(y)
-    assert dist == channel_rows(channel)[ChannelInput(3, 2)]
+    assert dist == channel_rows(channel)[3 * 4 + 2]
     assert set(dist.values()) == {Fraction(1, 9)}
 
 
@@ -383,6 +380,6 @@ def test_output_distributions_are_read_only(bundled, channel):
         with pytest.raises(TypeError):
             del view[s]
     # the refused writes left the rows whole
-    assert views[0] == channel_rows(channel)[ChannelInput(3, 2)]
+    assert views[0] == channel_rows(channel)[3 * 4 + 2]
     assert views[1] == _instance(bundled, channel, 10).output_distribution(-5)
     assert sum(views[0].values()) == 1

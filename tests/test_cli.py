@@ -10,7 +10,7 @@ import pytest
 
 from entwit.cli import SUBCOMMANDS, _build_parsers, _main_parsers, _parse_args, main
 from entwit.ks import load_basis_set
-from helpers import all_vectors, diagonal, rotated_set_json, rotation_phases, run_python
+from helpers import diagonal, rotated_set_json, rotation_phases, run_python
 from test_golden import CASES, GOLDEN
 
 BUNDLED = resources.files("entwit.data") / "ks_6_4_peres.json"
@@ -97,9 +97,9 @@ def test_rotated_set_prints_the_bundled_reports(tmp_path, bundled, seed):
     path.write_text(json.dumps(data))
     rotated = load_basis_set(path)
     if seed == "scaled":
-        assert all(v != w for v, w in zip(all_vectors(rotated), all_vectors(bundled)))
+        assert all(v != w for v, w in zip(rotated.vectors, bundled.vectors))
     else:
-        assert sum(any(v.im) for v in all_vectors(rotated)) >= 20
+        assert sum(any(v.im) for v in rotated.vectors) >= 20
     for argv in (
         ["verify-ks"], ["channel-info"], ["quantum-run", "--t", "39"],
         ["certify", "--bound", "7/2"],

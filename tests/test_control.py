@@ -13,8 +13,9 @@ Claims covered:
     - evaluate_quantum and run_zero_error_quantum read one walk, so each gate
       raises QuantumDecodeError in both: a decoder right with probability
       1/2 (through quantum-run), an encoder branch of probability 1/2 or of
-      the float 0.25, and an encoder outcome off the grid or of another
-      message, witness (m, j, None); an encoder that repeats its branches
+      the float 0.25, and an encoder outcome id outside its message's block
+      (just above or below it, negative, or past the grid), witness
+      (m, j, None) with j = id - m*d; an encoder that repeats its branches
       breaks only the k*d^2 ceiling, which raises too, and a decoder whose
       certain outcome carries a fresh Fraction(1) rather than the shared one
       leaves both reports unchanged
@@ -71,7 +72,7 @@ import pytest
 
 from entwit import control, entangled
 from entwit.bounds import pxmin, pzmin_lower_bound
-from entwit.channel import ChannelInput, FiniteChannel, build_ks_channel
+from entwit.channel import FiniteChannel, build_ks_channel
 from entwit.cli import main
 from entwit.control import (
     DeterministicStrategy,
@@ -376,14 +377,16 @@ def test_quantum_encoder_probability_gate_raises(monkeypatch, bundled, channel, 
 
 @pytest.mark.parametrize(
     "outcome, witness",
-    [(ChannelInput(2, 5), (2, 5, None)), (ChannelInput(3, 1), (2, 1, None))],
-    ids=["off-the-grid", "another-message"],
+    [(24, (2, 16, None)), (12, (2, 4, None)), (7, (2, -1, None)), (-1, (2, -9, None))],
+    ids=["off-the-grid", "another-message", "below-the-block", "negative"],
 )
 @pytest.mark.parametrize("run", list(RUNS))
 def test_quantum_encoder_outcome_gate_raises(monkeypatch, bundled, channel, run, outcome, witness):
-    # branch (2, 1) of message 2 reports an outcome that is no channel input,
-    # or the input of another message; both runs must stop at the encoder,
-    # not with a KeyError or by decoding a row the branch never reached
+    # branch 1 of message 2 reports an outcome outside its block 8 .. 11:
+    # past the grid, the first input of message 3, the last of message 1, or
+    # a negative id that indexing would read as row 23; both runs must stop
+    # at the encoder, not with an IndexError or by decoding a row the branch
+    # never reached
     real = entangled.encoder_branches
 
     def misplaced(ks, m):
@@ -514,17 +517,14 @@ def test_search_matches_plain_enumeration_at_w1(inst10, oracle10):
     assert tuple(res.strategy.c1[x] for _m, x in inst10.support()) == best_vals
 
 
-# per test channel, the neighbours (m', j') dropped from the rows (m, j) of
-# the bundled channel
+# per test channel, the neighbours u2 dropped from the rows u of the bundled
+# channel, as (u, u2)
 DROPS = {
     "regular": [],
     # less one confusable pair: two inputs of degree 8 among 22 of 9
-    "irregular": [((0, 0), (0, 1)), ((0, 1), (0, 0))],
-    # less three pairs at (0, 0) and (1, 0): degrees 7, 8 and 9
-    "three-degree": [
-        ((0, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (0, 2)),
-        ((0, 2), (0, 0)), ((1, 0), (1, 1)), ((1, 1), (1, 0)),
-    ],
+    "irregular": [(0, 1), (1, 0)],
+    # less three pairs at inputs 0 and 4: degrees 7, 8 and 9
+    "three-degree": [(0, 1), (1, 0), (0, 2), (2, 0), (4, 5), (5, 4)],
 }
 
 
@@ -532,11 +532,7 @@ DROPS = {
 def tables(rays):
     """The checker's neighbour table per test channel: the one it reads from
     the ray file, less the channel's dropped pairs."""
-    d = rays.d
-    return {
-        kind: rays.without([(a * d + b, c * d + e) for (a, b), (c, e) in drops])
-        for kind, drops in DROPS.items()
-    }
+    return {kind: rays.without(drops) for kind, drops in DROPS.items()}
 
 
 @pytest.fixture(scope="module")

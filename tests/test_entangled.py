@@ -15,8 +15,8 @@ Claims covered:
     - the closed-form decode equals a measurement in the completed basis on
       every one of the 216 branches, in both candidate orders
     - misuse (non-orthogonal candidates, residual orthogonal to both, a
-      candidate index outside the set, a residual of another length, real
-      or complex) raises, in that order of checks
+      candidate id outside [0, q*d), negative ones included, a residual of
+      another length, real or complex) raises, in that order of checks
     - the decoder's integer comparison agrees with a Fraction oracle on every
       branch, on ties, on seeded complex residuals, on real residuals against
       complex candidates and on every misuse
@@ -34,7 +34,7 @@ import random
 import pytest
 
 from entwit import entangled
-from entwit.channel import ChannelInput, build_ks_channel
+from entwit.channel import build_ks_channel
 from entwit.entangled import decoder_decode, encoder_branches, run_zero_error_quantum
 from entwit.exact import Vector
 from entwit.ks import KSBasisSet, basis_set_from_json_dict, bundled_basis_set, load_basis_set
@@ -42,7 +42,7 @@ from helpers import (
     CABELLO_SET,
     UNITARY_SET,
     ComplexFraction,
-    all_vectors,
+    bases_of,
     channel_outputs,
     channel_rows,
     cf_decoder_decode,
@@ -82,17 +82,17 @@ def test_encoder_branches_uniform_with_unit_fidelity(bundled):
         branches = encoder_branches(bundled, m)
         assert [p for _, p, _ in branches] == [Fraction(1, 4)] * 4
         assert sum(p for _, p, _ in branches) == 1
+        assert [u for u, _, _ in branches] == list(range(4 * m, 4 * m + 4))
         for outcome, _p, residual in branches:
-            assert outcome.m == m
-            assert overlap_sq(residual, bundled.bases[m][outcome.j]) == 1
+            assert overlap_sq(residual, bundled.vectors[outcome]) == 1
 
 
 def test_encoder_branches_conjugate_complex_basis():
     ks = _complex_single_basis()
     for outcome, _p, residual in encoder_branches(ks, 0):
         # residual equals the basis vector itself, not its conjugate
-        assert overlap_sq(residual, ks.bases[0][outcome.j]) == 1
-        assert overlap_sq(residual, conjugate(ks.bases[0][outcome.j])) != 1
+        assert overlap_sq(residual, ks.vectors[outcome]) == 1
+        assert overlap_sq(residual, conjugate(ks.vectors[outcome])) != 1
 
 
 ORACLE_SETS = {
@@ -112,10 +112,10 @@ def test_encoder_branches_equal_the_measured_entangled_state(name):
     # identity the encoder takes its branches from
     ks = ORACLE_SETS[name]()
     psi = maximally_entangled(ks.d)
-    for m in range(ks.q):
+    for m, basis in enumerate(bases_of(ks)):
         got = encoder_branches(ks, m)
-        expected = cf_measure_first_subsystem(psi, conjugate_basis(ks.bases[m]))
-        assert [(i.m, i.j, p) for i, p, _ in got] == [(m, j, p) for j, p, _, _ in expected]
+        expected = cf_measure_first_subsystem(psi, conjugate_basis(basis))
+        assert [(u, p) for u, p, _ in got] == [(m * ks.d + j, p) for j, p, _, _ in expected]
         for (_, _, residual), (_, _, raw, _) in zip(got, expected):
             assert same_ray(residual, vector(raw))
 
@@ -126,19 +126,17 @@ def test_encoder_rejects_bad_message(bundled):
 
 
 def test_decoder_identifies_either_candidate(bundled, channel):
-    s = sorted(channel_rows(channel)[ChannelInput(0, 0)])[0]
-    (m1, j1), (m2, j2) = s
-    out1, p1 = decoder_decode(bundled, s, bundled.bases[m1][j1])
-    assert (out1, p1) == (ChannelInput(m1, j1), Fraction(1))
-    out2, p2 = decoder_decode(bundled, s, bundled.bases[m2][j2])
-    assert (out2, p2) == (ChannelInput(m2, j2), Fraction(1))
+    s = sorted(channel_rows(channel)[0])[0]
+    a, b = s
+    out1, p1 = decoder_decode(bundled, s, bundled.vectors[a])
+    assert (out1, p1) == (a, Fraction(1))
+    out2, p2 = decoder_decode(bundled, s, bundled.vectors[b])
+    assert (out2, p2) == (b, Fraction(1))
 
 
 def test_decoder_completion_is_orthonormal_either_order(bundled, channel):
-    s = sorted(channel_rows(channel)[ChannelInput(2, 1)])[3]
-    (m1, j1), (m2, j2) = s
-    for pair in ([bundled.bases[m1][j1], bundled.bases[m2][j2]],
-                 [bundled.bases[m2][j2], bundled.bases[m1][j1]]):
+    s = sorted(channel_rows(channel)[2 * 4 + 1])[3]
+    for pair in ([bundled.vectors[u] for u in s], [bundled.vectors[u] for u in s[::-1]]):
         basis = complete_orthonormal_basis(pair, bundled.d)
         assert len(basis) == 4
         for i, a in enumerate(basis):
@@ -158,15 +156,14 @@ def test_decode_equals_measurement_in_completed_basis(bundled, channel):
             for s in rows[outcome]:
                 for order in (s, s[::-1]):
                     if order not in completed:
-                        (m1, j1), (m2, j2) = order
                         completed[order] = complete_orthonormal_basis(
-                            [bundled.bases[m1][j1], bundled.bases[m2][j2]], bundled.d
+                            [bundled.vectors[u] for u in order], bundled.d
                         )
                     basis = completed[order]
                     probs = measurement_probabilities(residual, basis)
                     assert sum(probs, Fraction(0)) == 1
                     i = 0 if probs[0] >= probs[1] else 1
-                    expected = (ChannelInput(*order[i]), probs[i])
+                    expected = (order[i], probs[i])
                     assert decoder_decode(bundled, order, residual) == expected
                     assert expected == (outcome, Fraction(1))
                 branches += 1
@@ -174,23 +171,24 @@ def test_decode_equals_measurement_in_completed_basis(bundled, channel):
 
 
 def test_decoder_rejects_non_orthogonal_candidates(bundled):
-    fake = output_pair(ChannelInput(0, 0), ChannelInput(1, 0))
-    assert raw_dot(bundled.bases[0][0], bundled.bases[1][0])
+    fake = output_pair(0, 4)  # vector 0 of bases 0 and 1
+    assert raw_dot(bundled.vectors[0], bundled.vectors[4])
     with pytest.raises(ValueError):
-        decoder_decode(bundled, fake, bundled.bases[0][0])
+        decoder_decode(bundled, fake, bundled.vectors[0])
 
 
 @pytest.mark.parametrize(
     "s",
-    [((-1, 0), (3, 0)), ((0, 0), (0, 4)), ((0, -1), (2, 0)), ((1, 2), (6, 0))],
-    ids=["negative-basis", "vector-past-d", "negative-vector", "basis-past-q"],
+    [(-24, 1), (24, 25), (0, -23), (0, 24)],
+    ids=["negative-basis", "basis-past-q", "negative-partner", "partner-past-the-grid"],
 )
 def test_decoder_refuses_candidates_outside_the_set(bundled, s):
-    # Python indexing would read basis 5 for m = -1 and decode
-    # ((-1, 0), (3, 0)) to (-1, 0) with probability 1, and raise IndexError
-    # past the end; both are refused as not vectors of the set
-    residual = bundled.bases[5][0]
-    message = f"output {s} names a vector outside [0, 6) x [0, 4)"
+    # Python indexing would read row 0 for id -24 and decode (-24, 1) to -24
+    # with probability 1, shift by a negative count for -23 and raise
+    # IndexError or find no partner past the end; every id outside
+    # [0, q*d) is refused as not a vector of the set
+    residual = bundled.vectors[0]
+    message = f"output {s} names a vector outside [0, 24)"
     with pytest.raises(ValueError) as info:
         decoder_decode(bundled, s, residual)
     assert str(info.value) == message
@@ -198,11 +196,11 @@ def test_decoder_refuses_candidates_outside_the_set(bundled, s):
 
 
 def test_decoder_rejects_residual_orthogonal_to_both(bundled, channel):
-    # {(0,1), (0,2)} is a same-basis output; (0,0) is orthogonal to both
-    s = output_pair(ChannelInput(0, 1), ChannelInput(0, 2))
-    assert s in channel_rows(channel)[ChannelInput(0, 1)]
+    # {1, 2} is a same-basis output; vector 0 is orthogonal to both
+    s = output_pair(1, 2)
+    assert s in channel_rows(channel)[1]
     with pytest.raises(ValueError):
-        decoder_decode(bundled, s, bundled.bases[0][0])
+        decoder_decode(bundled, s, bundled.vectors[0])
 
 
 def _outcome(decode, ks, s, residual):
@@ -235,9 +233,8 @@ def test_decoder_tie_goes_to_the_first_candidate(bundled):
     # (1, 1, 0, 0) / sqrt(2) overlaps e0 and e1 with 1/2 each
     residual = vector([1, 1, 0, 0])
     for first, second in ((0, 1), (1, 0)):
-        s = (ChannelInput(0, first), ChannelInput(0, second))
-        got = _agrees_with_oracle(bundled, s, residual)
-        assert got == (ChannelInput(0, first), Fraction(1, 2))
+        got = _agrees_with_oracle(bundled, (first, second), residual)
+        assert got == (first, Fraction(1, 2))
 
 
 def test_decoder_agrees_with_fraction_oracle_on_random_residuals(bundled, channel):
@@ -256,17 +253,13 @@ def test_decoder_agrees_with_fraction_oracle_on_random_residuals(bundled, channe
         for order in (s, s[::-1]):
             got = _agrees_with_oracle(bundled, order, residual)
             if isinstance(got, tuple):
-                wins.add(got[0] == ChannelInput(*order[0]))
+                wins.add(got[0] == order[0])
     assert wins == {True, False}
 
 
 def test_decoder_misuse_agrees_with_fraction_oracle(bundled):
-    orthogonal_to_both = (
-        output_pair(ChannelInput(0, 1), ChannelInput(0, 2)), bundled.bases[0][0]
-    )
-    not_orthogonal = (
-        output_pair(ChannelInput(0, 0), ChannelInput(1, 0)), bundled.bases[0][0]
-    )
+    orthogonal_to_both = (output_pair(1, 2), bundled.vectors[0])
+    not_orthogonal = (output_pair(0, 4), bundled.vectors[0])
     for s, residual in (orthogonal_to_both, not_orthogonal):
         assert isinstance(_agrees_with_oracle(bundled, s, residual), str)
 
@@ -277,7 +270,7 @@ def test_decoder_refuses_a_residual_of_another_length(bundled, dim, imaginary):
     # cut to the candidates' length, (1, 0, 0) would decode e0 with
     # probability 1 and (0, 0, 1) would be orthogonal to both; the length
     # is checked after the candidates' own checks and before any sum
-    s = output_pair(ChannelInput(0, 0), ChannelInput(0, 1))
+    s = output_pair(0, 1)
     im = (0,) * (dim - 1) + (int(imaginary),)
     for re in ((1,) + (0,) * (dim - 1), (0,) * (dim - 1) + (1,)):
         residual = Vector(re, im)
@@ -286,13 +279,13 @@ def test_decoder_refuses_a_residual_of_another_length(bundled, dim, imaginary):
             decoder_decode(bundled, s, residual)
         assert str(info.value) == f"dimension mismatch: {dim} vs 4"
     with pytest.raises(ValueError, match="outside"):
-        decoder_decode(bundled, ((0, 0), (0, 4)), residual)
+        decoder_decode(bundled, (0, 24), residual)
     with pytest.raises(ValueError, match="not orthogonal"):
-        decoder_decode(bundled, output_pair(ChannelInput(0, 0), ChannelInput(1, 0)), residual)
+        decoder_decode(bundled, output_pair(0, 4), residual)
     # numerators of squared norm 4 still make orthonormal candidates
     non_unit = KSBasisSet(q=1, d=2, bases=((vector([2, 0]), vector([0, 1])),))
     with pytest.raises(ValueError) as info:
-        decoder_decode(non_unit, ((0, 0), (0, 1)), residual)
+        decoder_decode(non_unit, (0, 1), residual)
     assert str(info.value) == f"dimension mismatch: {dim} vs 2"
 
 
@@ -316,7 +309,7 @@ def test_decoder_takes_mixed_real_and_complex_triples_through_the_kernel(bundled
                 continue
             residual = vector(entries)
             s = rng.choice(outputs)
-            cands = tuple(ks.bases[m][j].real for m, j in s)
+            cands = tuple(ks.vectors[u].real for u in s)
             kinds.add((residual.real, cands))
             for order in (s, s[::-1]):
                 _agrees_with_oracle(ks, order, residual)
@@ -336,7 +329,7 @@ def test_full_run_all_branches_correct(bundled, channel):
 def test_full_run_on_a_complex_rotation_of_the_set(bundled, channel, seed):
     phases = rotation_phases(seed, bundled.d)
     ks = basis_set_from_json_dict(rotated_set_json(bundled, diagonal(phases), "rotated"))
-    assert sum(any(v.im) for v in all_vectors(ks)) >= 20
+    assert sum(any(v.im) for v in ks.vectors) >= 20
     ch = build_ks_channel(ks)
     assert ch.masks == channel.masks
     report = run_zero_error_quantum(ks, ch)

@@ -43,6 +43,7 @@ from entwit.cli import main
 from entwit.ks import load_basis_set
 from helpers import (
     UNITARY_LABEL,
+    bases_of,
     cf_dot,
     fixed_unitary,
     perturbed_unitary_json,
@@ -166,8 +167,7 @@ def test_unitary_set_is_the_bundled_set_under_the_fixed_unitary(bundled):
     # if the bundled set or the unitary changes
     committed = json.loads(Path(UNITARY_SET).read_text())
     assert committed == rotated_set_json(bundled, fixed_unitary(), UNITARY_LABEL)
-    rays = [v for basis in load_basis_set(UNITARY_SET).bases for v in basis]
-    assert not any(v.real for v in rays)
+    assert not any(v.real for v in load_basis_set(UNITARY_SET).vectors)
 
 
 @pytest.mark.parametrize("name,argv", UNITARY_CASES, ids=[c[0] for c in UNITARY_CASES])
@@ -191,7 +191,7 @@ def test_perturbed_unitary_set_fails_at_the_first_broken_pair(tmp_path):
     path.write_text(json.dumps(perturbed_unitary_json()))
     broken = [
         (m, j, j2)
-        for m, basis in enumerate(load_basis_set(path).bases)
+        for m, basis in enumerate(bases_of(load_basis_set(path)))
         for j in range(len(basis))
         for j2 in range(j + 1, len(basis))
         if cf_dot(basis[j], basis[j2])

@@ -22,7 +22,8 @@ TESTS = Path(__file__).resolve().parent
 # every golden report, the unitary-set reports, the unitary set's
 # re-derivation and the perturbed set; the help and usage exits of main; and
 # the search re-check, the decode gate, the k*d^2 ceiling, the encoder
-# probability and outcome gates, a channel's refusals of malformed masks,
+# probability and outcome gates, the decoder's refusal of ids outside the
+# set, wire 0 reaching row 0, a channel's refusals of malformed masks,
 # rows and graph edges, of an output past the grid, and make_instance's
 # refusal of a channel on another grid, the packed
 # orthogonality table and the loader's refusals of a zero vector and of an
@@ -40,6 +41,8 @@ OPTIMIZED = (
     "test_control.py::test_quantum_ceiling_gate_raises",
     "test_control.py::test_quantum_encoder_probability_gate_raises",
     "test_control.py::test_quantum_encoder_outcome_gate_raises",
+    "test_entangled.py::test_decoder_refuses_candidates_outside_the_set",
+    "test_channel.py::test_input_zero_is_an_input",
     "test_exact.py::test_packed_table_matches_pairwise_oracle",
     "test_cli.py::test_malformed_set_names_the_file[zero-vector]",
     "test_cli.py::test_malformed_set_names_the_file[string-entry]",
@@ -94,10 +97,11 @@ def test_the_gates_and_reports_hold_under_python_O():
     # 35 tests in test_golden.py, 18 parser exits, the mask refusals' 4
     # cases, the self-neighbor row, the graph's 2 edges, the output past the
     # grid, the grid check, the search and ceiling gates, the decode gate's
-    # 2 cases, the encoder probability and outcome gates' 4 each, the packed
-    # table's 2, the zero vector's 1 and the two entries', so a renamed or
-    # deselected case fails here
-    assert re.search(r"^79 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # 2 cases, the encoder probability gate's 4 and outcome gate's 8, the
+    # decoder's 4 refused ids, wire 0, the packed table's 2, the zero
+    # vector's 1 and the two entries', so a renamed or deselected case fails
+    # here
+    assert re.search(r"^88 passed\b", proc.stdout, re.MULTILINE), proc.stdout
 
 
 if __name__ == "__main__":
