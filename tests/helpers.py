@@ -76,11 +76,6 @@ def naive_ks_check(bases):
 # -- channel and graph oracles -------------------------------------------------
 
 
-def label(d, u):
-    """The (m, j) that a report prints for input id u = m*d + j."""
-    return divmod(u, d)
-
-
 def bases_of(ks):
     """The set's bases, basis m read as ks.vectors[m*d:(m+1)*d]."""
     d = ks.d
